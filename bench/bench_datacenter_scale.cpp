@@ -27,7 +27,6 @@
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
@@ -151,7 +150,7 @@ struct PartitionDump {
 /// owning worker (Shard::keep_alive), like PartitionHost.
 struct ObsPlane {
   ObsPlane(sim::Shard& shard, PartitionHost& host, const ScaleConfig& cfg,
-           const bench::HarnessOptions& opts,
+           const obs::HarnessOptions& opts,
            const std::vector<obs::SloRule>& extra_rules)
       : exporter(host.net, /*node=*/0, serve_schema(),
                  microseconds(cfg.scrape_us), &host.serve_reg),
@@ -331,7 +330,7 @@ sim::Task<void> boot(sim::Shard& shard, std::shared_ptr<PartitionHost> host,
 }
 
 void setup_partition(sim::Shard& shard, const ScaleConfig& cfg,
-                     const bench::HarnessOptions& opts,
+                     const obs::HarnessOptions& opts,
                      const std::vector<obs::SloRule>& extra_rules,
                      std::vector<PartitionDump>* slots) {
   auto host = std::make_shared<PartitionHost>(shard.engine(), cfg);
@@ -363,14 +362,15 @@ std::uint64_t counter_value(const char* name) {
   return c != nullptr ? c->value : 0;
 }
 
-bool parse_u64(const char* arg, const char* flag, std::uint64_t* out) {
+bool parse_u64(const char* arg, const char* flag, std::uint64_t* out,
+               std::uint64_t max = UINT64_MAX) {
   const std::size_t n = std::strlen(flag);
   if (std::strncmp(arg, flag, n) != 0 || arg[n] != '=') return false;
-  *out = std::strtoull(arg + n + 1, nullptr, 10);
+  *out = obs::count_flag(flag, arg + n + 1, max);
   return true;
 }
 
-int run(const ScaleConfig& cfg, const bench::HarnessOptions& opts) {
+int run(const ScaleConfig& cfg, const obs::HarnessOptions& opts) {
   using Clock = std::chrono::steady_clock;
   trace::Registry::global().reset();
   std::vector<obs::SloRule> extra_rules;
@@ -571,23 +571,23 @@ int run(const ScaleConfig& cfg, const bench::HarnessOptions& opts) {
 }  // namespace dcs
 
 int main(int argc, char** argv) {
-  auto opts = dcs::bench::extract_harness_flags(argc, argv);
+  auto opts = dcs::obs::extract_harness_flags(argc, argv);
   dcs::ScaleConfig cfg;
   std::uint64_t v = 0;
   for (int i = 1; i < argc; ++i) {
     if (dcs::parse_u64(argv[i], "--nodes", &v)) {
       cfg.nodes = static_cast<std::size_t>(v);
-    } else if (dcs::parse_u64(argv[i], "--partitions", &v)) {
+    } else if (dcs::parse_u64(argv[i], "--partitions", &v, UINT32_MAX)) {
       cfg.partitions = static_cast<std::uint32_t>(v);
-    } else if (dcs::parse_u64(argv[i], "--shards", &v)) {
+    } else if (dcs::parse_u64(argv[i], "--shards", &v, UINT32_MAX)) {
       cfg.shards = static_cast<std::uint32_t>(v);
     } else if (dcs::parse_u64(argv[i], "--seed", &v)) {
       cfg.seed = v;
-    } else if (dcs::parse_u64(argv[i], "--clients", &v)) {
+    } else if (dcs::parse_u64(argv[i], "--clients", &v, UINT32_MAX)) {
       cfg.clients = static_cast<std::uint32_t>(v);
-    } else if (dcs::parse_u64(argv[i], "--ops", &v)) {
+    } else if (dcs::parse_u64(argv[i], "--ops", &v, UINT32_MAX)) {
       cfg.ops = static_cast<std::uint32_t>(v);
-    } else if (dcs::parse_u64(argv[i], "--hot-shard", &v)) {
+    } else if (dcs::parse_u64(argv[i], "--hot-shard", &v, UINT32_MAX)) {
       cfg.hot_shard = static_cast<std::uint32_t>(v);
     } else if (dcs::parse_u64(argv[i], "--scrape-us", &v)) {
       cfg.scrape_us = v;

@@ -4,8 +4,6 @@
 // bump; Write adds lock+unlock; Strict adds lock+version+unlock (most
 // expensive); Delta pays a head read + slot write + head bump.  1-byte puts
 // land in the tens of microseconds.
-#include <benchmark/benchmark.h>
-
 #include "common/table.hpp"
 #include "ddss/ddss.hpp"
 #include "harness.hpp"
@@ -62,22 +60,6 @@ void print_fig3a() {
       "(paper: 1-byte ~tens of us, Strict most expensive)");
 }
 
-void BM_DdssPut(benchmark::State& state) {
-  const auto model = kModels[static_cast<std::size_t>(state.range(0))];
-  const auto bytes = static_cast<std::size_t>(state.range(1));
-  for (auto _ : state) {
-    const double us = put_latency_us(model, bytes);
-    state.SetIterationTime(us * 1e-6);
-  }
-  state.SetLabel(std::string(ddss::to_string(model)) + "/" +
-                 std::to_string(bytes) + "B");
-}
-BENCHMARK(BM_DdssPut)
-    ->ArgsProduct({{0, 1, 2, 3, 4, 5}, {1, 4096, 65536}})
-    ->UseManualTime()
-    ->Iterations(1)
-    ->Unit(benchmark::kMicrosecond);
-
 // Observed mode (`--trace-out` / `--metrics-out`): one deterministic
 // engine running allocate / put / get / release under every coherence
 // model, so the trace shows how each model decomposes into verbs ops.
@@ -112,7 +94,7 @@ int run_observed(const trace::ObserveOptions& opts) {
 // Harnessed scenarios (docs/BENCHMARKS.md): 4 KB puts under every
 // coherence model, each put a trace::Request so the verbs decomposition
 // (lock, version bump, data write) is attributed per model.
-int run_harness(const bench::HarnessOptions& opts) {
+int run_harness(const obs::HarnessOptions& opts) {
   bench::Harness h("ddss_latency", opts);
   for (const auto model : kModels) {
     h.run(std::string("put/") + ddss::to_string(model),
@@ -206,11 +188,10 @@ int run_harness(const bench::HarnessOptions& opts) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto flags = bench::extract_harness_flags(argc, argv);
+  const auto flags = obs::extract_harness_flags(argc, argv);
+  obs::reject_unknown_args(argc, argv);
   if (flags.harness_mode()) return run_harness(flags);
   if (flags.observe_mode()) return run_observed(flags.observe("ddss_latency"));
   print_fig3a();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -1,8 +1,6 @@
 // DDSS operation microbenchmarks beyond Figure 3a: get() latency per
 // coherence model, the IPC-virtualization overhead, placement policies,
 // and the global memory aggregator's striping bandwidth.
-#include <benchmark/benchmark.h>
-
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "common/zipf.hpp"
@@ -141,7 +139,7 @@ void print_aggregator_table() {
 // doorbell, pipelined wire, one coalesced completion.  Batched latency
 // samples are amortized per op (batch time / K) so "get/<model>/batch=K"
 // compares directly against "get/<model>".
-int run_harness(const bench::HarnessOptions& opts) {
+int run_harness(const obs::HarnessOptions& opts) {
   bench::Harness h("ddss_ops", opts);
   const auto setup = [](bench::Scenario& s, ddss::Coherence m, std::size_t k,
                         bool batched) {
@@ -253,26 +251,15 @@ int run_harness(const bench::HarnessOptions& opts) {
   return h.finish();
 }
 
-void BM_DdssGet(benchmark::State& state) {
-  const auto model = kModels[static_cast<std::size_t>(state.range(0))];
-  for (auto _ : state) {
-    state.SetIterationTime(get_latency_us(model, 4096) * 1e-6);
-  }
-  state.SetLabel(ddss::to_string(model));
-}
-BENCHMARK(BM_DdssGet)->DenseRange(0, 6)->UseManualTime()->Iterations(1)
-    ->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto flags = bench::extract_harness_flags(argc, argv);
+  const auto flags = obs::extract_harness_flags(argc, argv);
+  obs::reject_unknown_args(argc, argv);
   if (flags.harness_mode()) return run_harness(flags);
   print_get_table();
   print_ipc_table();
   print_placement_table();
   print_aggregator_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

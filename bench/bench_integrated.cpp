@@ -19,8 +19,6 @@
 //
 // Reported: web-service hit rate and request latency after the move, plus
 // batch-site completion time.
-#include <benchmark/benchmark.h>
-
 #include "cache/coop_cache.hpp"
 #include "common/table.hpp"
 #include "common/zipf.hpp"
@@ -185,18 +183,6 @@ void print_table() {
       "(cache-aware donor selection avoids corrupting the hottest cache)");
 }
 
-void BM_Integrated(benchmark::State& state) {
-  const auto policy = static_cast<Policy>(state.range(0));
-  for (auto _ : state) {
-    const auto r = run_policy(policy);
-    state.counters["web_hit_rate"] = r.web_hit_rate_after;
-    state.counters["batch_ms"] = r.batch_done_ms;
-    state.SetIterationTime(to_secs(kEnd));
-  }
-  state.SetLabel(name_of(policy));
-}
-BENCHMARK(BM_Integrated)->DenseRange(0, 2)->UseManualTime()->Iterations(1);
-
 // Harnessed scenarios (docs/BENCHMARKS.md).  The transport pair is the
 // paper's Section 5.2 effect end to end: identical document fetches over
 // the two-sided host-TCP path vs the one-sided SDP rendezvous, each fetch
@@ -233,7 +219,7 @@ void run_transport(bench::Scenario& s, datacenter::BackendTransport t) {
            to_micros(fab.node(3).busy_ns()) / kFetches);
 }
 
-int run_harness(const bench::HarnessOptions& opts) {
+int run_harness(const obs::HarnessOptions& opts) {
   bench::Harness h("integrated", opts);
   h.run("two-sided", [](bench::Scenario& s) {
     run_transport(s, datacenter::BackendTransport::kTcp);
@@ -260,12 +246,11 @@ int run_harness(const bench::HarnessOptions& opts) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto harness = bench::extract_harness_flags(argc, argv);
+  const auto harness = obs::extract_harness_flags(argc, argv);
+  obs::reject_unknown_args(argc, argv);
   if (harness.harness_mode() || !harness.postmortem_dir.empty()) {
     return run_harness(harness);
   }
   print_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -4,8 +4,6 @@
 // Paper shape: RDMA-based schemes report (almost) no deviation from the
 // actual thread count; socket-based schemes spike under load because the
 // monitoring process waits in the run queue.
-#include <benchmark/benchmark.h>
-
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
@@ -135,24 +133,10 @@ void print_intrusiveness() {
       "rate (kernel-assisted RDMA: zero at any rate)");
 }
 
-void BM_MonitorAccuracy(benchmark::State& state) {
-  const auto scheme = kSchemes[static_cast<std::size_t>(state.range(0))];
-  for (auto _ : state) {
-    const auto r = measure(scheme);
-    state.counters["mean_abs_dev"] = r.mean_abs_dev;
-    state.SetIterationTime(0.25);  // 250 ms of virtual monitoring
-  }
-  state.SetLabel(monitor::to_string(scheme));
-}
-BENCHMARK(BM_MonitorAccuracy)
-    ->DenseRange(0, 3)
-    ->UseManualTime()
-    ->Iterations(1);
-
 // Harnessed scenarios (docs/BENCHMARKS.md): Figure 8a accuracy per scheme
 // plus the telemetry dogfood — a front-end RDMA-scraping a loaded node's
 // own registry snapshot with zero target-CPU involvement.
-int run_harness(const bench::HarnessOptions& opts) {
+int run_harness(const obs::HarnessOptions& opts) {
   bench::Harness h("monitor_accuracy", opts);
   for (const auto scheme : kSchemes) {
     h.run(std::string("accuracy/") + monitor::to_string(scheme),
@@ -208,13 +192,12 @@ int run_harness(const bench::HarnessOptions& opts) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto harness = bench::extract_harness_flags(argc, argv);
+  const auto harness = obs::extract_harness_flags(argc, argv);
+  obs::reject_unknown_args(argc, argv);
   if (harness.harness_mode() || !harness.postmortem_dir.empty()) {
     return run_harness(harness);
   }
   print_fig8a();
   print_intrusiveness();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

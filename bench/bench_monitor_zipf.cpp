@@ -8,11 +8,8 @@
 // heavy requests and more imbalance, which accurate fine-grained
 // monitoring turns into throughput (paper: ~35 % improvement for the
 // RDMA-based schemes).
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <string_view>
 
 #include "common/table.hpp"
 #include "common/zipf.hpp"
@@ -66,9 +63,9 @@ std::vector<Request> make_mixed_trace(double alpha) {
   return trace;
 }
 
-double throughput_tps(MonScheme scheme, double alpha,
-                      std::size_t cores_per_node = 1) {
-  sim::Engine eng;
+/// Runs the mixed trace on `eng` and returns its throughput (TPS).
+double throughput_tps_on(sim::Engine& eng, MonScheme scheme, double alpha,
+                         std::size_t cores_per_node) {
   fabric::Fabric fab(eng, fabric::FabricParams{},
                      {.num_nodes = 5, .cores_per_node = cores_per_node});
   verbs::Network net(fab);
@@ -108,6 +105,12 @@ double throughput_tps(MonScheme scheme, double alpha,
   DCS_CHECK(disp.completed() == kRequests);
   return static_cast<double>(kRequests) /
          to_secs(finished_at - milliseconds(1));
+}
+
+double throughput_tps(MonScheme scheme, double alpha,
+                      std::size_t cores_per_node = 1) {
+  sim::Engine eng;
+  return throughput_tps_on(eng, scheme, alpha, cores_per_node);
 }
 
 void print_fig8b() {
@@ -174,14 +177,15 @@ void print_cores_variant(std::size_t cores) {
 /// matched skew.  Under --hotset-out / --hot-keys the harness arms the
 /// ambient hot sink and the dispatch-time DCS_HOT("monitor.doc", ...)
 /// feeds the top-K sketch with document ranks.
-int run_harness(const bench::HarnessOptions& opts) {
+int run_harness(const obs::HarnessOptions& opts) {
   bench::Harness h("monitor_zipf", opts);
   for (const auto scheme : kSchemes) {
     for (const double alpha : kAlphas) {
       h.run(std::string(monitor::to_string(scheme)) + "/a=" +
                 Table::fmt(alpha, 2),
             [&](bench::Scenario& s) {
-              const double tps = throughput_tps(scheme, alpha);
+              const double tps =
+                  throughput_tps_on(s.engine(), scheme, alpha, 1);
               s.zipf_alpha(alpha);
               s.metric("tps", tps);
             });
@@ -190,49 +194,31 @@ int run_harness(const bench::HarnessOptions& opts) {
   return h.finish();
 }
 
-void BM_MonitorZipf(benchmark::State& state) {
-  const auto scheme = state.range(0) == 0 ? MonScheme::kSocketAsync
-                                          : kSchemes[static_cast<std::size_t>(
-                                                state.range(0) - 1)];
-  const double alpha = kAlphas[static_cast<std::size_t>(state.range(1))];
-  for (auto _ : state) {
-    const double tps = throughput_tps(scheme, alpha);
-    state.counters["TPS"] = tps;
-    state.SetIterationTime(kRequests / tps);
-  }
-  state.SetLabel(std::string(monitor::to_string(scheme)) + "/a=" +
-                 Table::fmt(alpha, 2));
-}
-BENCHMARK(BM_MonitorZipf)
-    ->ArgsProduct({{0, 3, 4}, {0, 3}})
-    ->UseManualTime()
-    ->Iterations(1);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto flags = bench::extract_harness_flags(argc, argv);
-  if (flags.harness_mode()) return run_harness(flags);
-  // Strip --cores-per-node=N before google-benchmark sees the argv.
+  const auto flags = obs::extract_harness_flags(argc, argv);
+  // --cores-per-node=N adds the multi-core variant table; anything else
+  // left after the harness flags is an error.
+  constexpr std::string_view kCores = "--cores-per-node=";
   std::size_t cores_variant = 0;
+  int rest = 1;
   for (int i = 1; i < argc; ++i) {
-    constexpr const char* kFlag = "--cores-per-node=";
-    if (std::strncmp(argv[i], kFlag, std::strlen(kFlag)) == 0) {
-      cores_variant = static_cast<std::size_t>(
-          std::strtoull(argv[i] + std::strlen(kFlag), nullptr, 10));
+    const std::string_view arg = argv[i];
+    if (arg.starts_with(kCores)) {
+      cores_variant = obs::count_flag("--cores-per-node",
+                                      arg.substr(kCores.size()));
       if (cores_variant == 0) {
         std::fprintf(stderr, "monitor_zipf: --cores-per-node must be > 0\n");
         return 2;
       }
-      for (int j = i; j + 1 < argc; ++j) argv[j] = argv[j + 1];
-      --argc;
-      argv[argc] = nullptr;
-      break;
+    } else {
+      argv[rest++] = argv[i];
     }
   }
+  obs::reject_unknown_args(rest, argv);
+  if (flags.harness_mode()) return run_harness(flags);
   print_fig8b();
   if (cores_variant > 1) print_cores_variant(cores_variant);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -2,11 +2,10 @@
 // overload scenarios"): soft-QoS latency protection under overload, and
 // admission control keeping admitted-request latency bounded while the
 // offered load grows past capacity.
-#include <benchmark/benchmark.h>
-
 #include "common/table.hpp"
 #include "datacenter/admission.hpp"
 #include "datacenter/qos.hpp"
+#include "obs/flags.hpp"
 
 namespace {
 
@@ -118,23 +117,11 @@ void print_admission_table() {
       "offered load passes capacity (shed instead of queue)");
 }
 
-void BM_Qos(benchmark::State& state) {
-  const double weight = static_cast<double>(state.range(0));
-  for (auto _ : state) {
-    const auto r = run_qos(weight);
-    state.counters["premium_p95_us"] = r.premium_p95_us;
-    state.SetIterationTime(0.3);
-  }
-  state.SetLabel("weight_x" + std::to_string(state.range(0)));
-}
-BENCHMARK(BM_Qos)->Arg(1)->Arg(4)->UseManualTime()->Iterations(1);
-
 }  // namespace
 
 int main(int argc, char** argv) {
+  dcs::obs::reject_unknown_args(argc, argv);
   print_qos_table();
   print_admission_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

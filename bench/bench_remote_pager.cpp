@@ -3,11 +3,10 @@
 // Miss-penalty hierarchy and the effect of donated remote memory on a
 // working set that exceeds the local page cache: remote hits replace
 // ~5 ms disk accesses with ~10 us RDMA reads.
-#include <benchmark/benchmark.h>
-
 #include "cache/remote_pager.hpp"
 #include "common/table.hpp"
 #include "common/zipf.hpp"
+#include "obs/flags.hpp"
 
 namespace {
 
@@ -99,23 +98,11 @@ void print_sweep_table() {
       "memory absorbs the capacity misses");
 }
 
-void BM_PagerRead(benchmark::State& state) {
-  const bool remote = state.range(0) != 0;
-  for (auto _ : state) {
-    const auto r = run_sweep(remote);
-    state.counters["disk_fraction"] = r.disk_fraction;
-    state.SetIterationTime(r.mean_read_us * 1e-6 * 1500);
-  }
-  state.SetLabel(remote ? "with-remote-memory" : "local-only");
-}
-BENCHMARK(BM_PagerRead)->Arg(0)->Arg(1)->UseManualTime()->Iterations(1);
-
 }  // namespace
 
 int main(int argc, char** argv) {
+  dcs::obs::reject_unknown_args(argc, argv);
   print_penalty_table();
   print_sweep_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

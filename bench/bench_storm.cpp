@@ -2,9 +2,8 @@
 //
 // Paper shape: the DDSS control plane wins everywhere (~19 % reported);
 // both curves grow with record count.
-#include <benchmark/benchmark.h>
-
 #include "common/table.hpp"
+#include "obs/flags.hpp"
 #include "storm/storm.hpp"
 
 namespace {
@@ -46,27 +45,10 @@ void print_fig3b() {
       "(paper: ~19 % improvement with DDSS)");
 }
 
-void BM_StormQuery(benchmark::State& state) {
-  const auto plane = state.range(0) == 0 ? storm::ControlPlane::kSockets
-                                         : storm::ControlPlane::kDdss;
-  const auto records = static_cast<std::uint64_t>(state.range(1));
-  for (auto _ : state) {
-    state.SetIterationTime(query_time_ms(plane, records) * 1e-3);
-  }
-  state.SetLabel(std::string(storm::to_string(plane)) + "/" +
-                 std::to_string(records));
-}
-BENCHMARK(BM_StormQuery)
-    ->ArgsProduct({{0, 1}, {1000, 100000}})
-    ->UseManualTime()
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
+  dcs::obs::reject_unknown_args(argc, argv);
   print_fig3b();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 
@@ -12,19 +11,6 @@
 namespace dcs::bench {
 
 namespace {
-
-/// Finds `flag <value>` in argv[1..], removes both, returns the value.
-std::string take_flag(int& argc, char** argv, const char* flag) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], flag) != 0) continue;
-    std::string value = argv[i + 1];
-    for (int j = i; j + 2 < argc; ++j) argv[j] = argv[j + 2];
-    argc -= 2;
-    argv[argc] = nullptr;
-    return value;
-  }
-  return {};
-}
 
 std::string fmt_f3(double v) {
   char buf[64];
@@ -44,25 +30,6 @@ std::string sanitize(std::string name) {
 
 }  // namespace
 
-HarnessOptions extract_harness_flags(int& argc, char** argv) {
-  HarnessOptions opts;
-  opts.bench_json = take_flag(argc, argv, "--bench-json");
-  opts.wall_json = take_flag(argc, argv, "--bench-wall-json");
-  opts.critical_path = take_flag(argc, argv, "--critical-path");
-  opts.timeseries_out = take_flag(argc, argv, "--timeseries-out");
-  opts.slo_rules = take_flag(argc, argv, "--slo");
-  opts.trace_out = take_flag(argc, argv, "--trace-out");
-  opts.metrics_out = take_flag(argc, argv, "--metrics-out");
-  opts.postmortem_dir = take_flag(argc, argv, "--postmortem-dir");
-  opts.exemplars_out = take_flag(argc, argv, "--exemplars-out");
-  opts.hotset_out = take_flag(argc, argv, "--hotset-out");
-  const std::string batch = take_flag(argc, argv, "--batch");
-  if (!batch.empty()) opts.batch = std::stoul(batch);
-  const std::string hot_keys = take_flag(argc, argv, "--hot-keys");
-  if (!hot_keys.empty()) opts.hot_keys = std::stoul(hot_keys);
-  return opts;
-}
-
 std::vector<std::size_t> batch_sweep(std::size_t max) {
   if (max == 0) return {1, 2, 4, 8};
   std::vector<std::size_t> out;
@@ -71,7 +38,7 @@ std::vector<std::size_t> batch_sweep(std::size_t max) {
   return out;
 }
 
-Harness::Harness(std::string bench, HarnessOptions opts)
+Harness::Harness(std::string bench, obs::HarnessOptions opts)
     : bench_(std::move(bench)), opts_(std::move(opts)) {}
 
 void Harness::run(const std::string& scenario,

@@ -14,17 +14,21 @@
 // kept strictly out of the byte-stable dcs-bench-v1 files and out of the
 // CI byte-identity assertion (docs/BENCHMARKS.md).
 //
-// Usage (see bench_sdp.cpp):
+// Flags are parsed by obs::extract_harness_flags (obs/flags.hpp).  Every
+// bench main has one shape: paper tables by default, harness scenarios
+// when harness flags are given, and exit 2 on any argument it does not
+// know (see bench_sdp.cpp):
 //
 //   int main(int argc, char** argv) {
-//     auto opts = bench::extract_harness_flags(argc, argv);
+//     const auto opts = obs::extract_harness_flags(argc, argv);
+//     obs::reject_unknown_args(argc, argv);
 //     if (opts.harness_mode()) {
 //       bench::Harness h("sdp", opts);
 //       h.run("buffered_copy/64K", [](bench::Scenario& s) { ... });
 //       return h.finish();
 //     }
 //     if (opts.observe_mode()) { ... trace::ObservedRun path ... }
-//     ... normal google-benchmark path ...
+//     print_table();
 //   }
 #pragma once
 
@@ -34,90 +38,16 @@
 #include <vector>
 
 #include "common/stats.hpp"
+#include "obs/flags.hpp"
 #include "obs/heavy.hpp"
 #include "obs/slo.hpp"
 #include "obs/timeseries.hpp"
 #include "sim/engine.hpp"
 #include "trace/critical_path.hpp"
 #include "trace/exemplar.hpp"
-#include "trace/observe.hpp"
 #include "trace/trace.hpp"
 
 namespace dcs::bench {
-
-/// Every observability/telemetry flag the repo's binaries accept, parsed
-/// in exactly one place.  Empty string = not requested.
-///
-/// Harness flags (multi-scenario dcs-bench-v1 telemetry):
-///   --bench-json FILE       canonical BENCH_<name>.json
-///   --bench-wall-json FILE  wall-clock BENCH_<name>.wall.json
-///   --critical-path FILE    plain-text attribution report
-///   --timeseries-out FILE   dcs-timeseries-v1 cluster time-series dump
-///   --slo FILE              SLO rule file evaluated against the dump
-///   --exemplars-out FILE    dcs-exemplar-v1 tail-exemplar dump
-///   --hotset-out FILE       dcs-hotset-v1 hot-key sketch dump
-///   --hot-keys N            print the top-N hot-key table per domain
-/// Single-run observation flags (trace::ObservedRun):
-///   --trace-out FILE        Chrome trace_event JSON
-///   --metrics-out FILE      metrics registry dump
-///   --postmortem-dir DIR    arm a flight recorder dumping here
-///
-/// `--postmortem-dir` applies to both modes: in harness mode every
-/// scenario runs with an armed trace::FlightRecorder, in observed mode the
-/// whole run does.
-struct HarnessOptions {
-  std::string bench_json;     // canonical BENCH_<name>.json
-  std::string wall_json;      // wall-clock BENCH_<name>.wall.json
-  std::string critical_path;  // plain-text attribution report
-  std::string timeseries_out; // dcs-timeseries-v1 dump (obs/timeseries.hpp)
-  std::string slo_rules;      // SLO rule file (obs/slo.hpp syntax)
-  std::string exemplars_out;  // dcs-exemplar-v1 dump (trace/exemplar.hpp)
-  std::string hotset_out;     // dcs-hotset-v1 dump (obs/heavy.hpp)
-  std::string trace_out;      // Chrome trace_event JSON file
-  std::string metrics_out;    // plain-text metrics dump file
-  std::string postmortem_dir; // flight-recorder dump directory
-  /// --batch N: maximum batch depth for benches that sweep the batched
-  /// verbs data path (0 = the bench's default sweep).  Benches record the
-  /// depth per scenario via Scenario::batch_depth; it lands as a "batch"
-  /// field in the wall JSON so batch depth is a first-class bench axis.
-  std::size_t batch = 0;
-  /// --hot-keys N: print the top-N entries of every DCS_HOT domain after
-  /// the run (0 = no table).  Independent of --hotset-out.
-  std::size_t hot_keys = 0;
-
-  /// Multi-scenario telemetry requested (run the bench::Harness path).
-  bool harness_mode() const {
-    return !bench_json.empty() || !wall_json.empty() ||
-           !critical_path.empty() || !timeseries_out.empty() ||
-           attribution_mode();
-  }
-  /// Hot-key / exemplar attribution requested (a HeavyHitters sink is
-  /// installed around every scenario and exemplars are retained).
-  bool attribution_mode() const {
-    return !exemplars_out.empty() || !hotset_out.empty() || hot_keys > 0;
-  }
-  /// Single-run observation requested (run the trace::ObservedRun path).
-  bool observe_mode() const {
-    return !trace_out.empty() || !metrics_out.empty() ||
-           !postmortem_dir.empty();
-  }
-  /// The single-run observation subset, for trace::ObservedRun.  The
-  /// critical-path/bench-json sinks ride along so a binary with no
-  /// harness path (the `dcs` CLI) still honors them.
-  trace::ObserveOptions observe(const std::string& bench_name) const {
-    return {.trace_out = trace_out,
-            .metrics_out = metrics_out,
-            .critical_path_out = critical_path,
-            .bench_json = bench_json,
-            .postmortem_dir = postmortem_dir,
-            .bench_name = bench_name};
-  }
-};
-
-/// Removes the flags above from argv (shifting later arguments down and
-/// decrementing argc) and returns the extracted values.  Call before
-/// handing argv to another parser such as benchmark::Initialize.
-HarnessOptions extract_harness_flags(int& argc, char** argv);
 
 /// Batch depths a bench sweeps for `--batch max` (powers of two up to and
 /// including `max`); `max == 0` yields the default sweep {1, 2, 4, 8}.
@@ -157,7 +87,7 @@ class Scenario {
 /// Collects scenario snapshots and writes the canonical JSON.
 class Harness {
  public:
-  Harness(std::string bench, HarnessOptions opts);
+  Harness(std::string bench, obs::HarnessOptions opts);
 
   /// Runs `body` under a fresh engine, reset registry, and installed
   /// tracer, then snapshots the results.  Scenarios run in call order.
@@ -192,7 +122,7 @@ class Harness {
   };
 
   std::string bench_;
-  HarnessOptions opts_;
+  obs::HarnessOptions opts_;
   std::vector<Snapshot> snapshots_;
   obs::TimeSeriesStore store_;
   /// Attribution sinks, fed across scenarios: the hot sink is installed

@@ -19,10 +19,7 @@ struct ActiveMetrics {
   static trace::Registry& reg() { return trace::Registry::global(); }
 };
 
-ActiveMetrics& metrics() {
-  static ActiveMetrics m;
-  return m;
-}
+ActiveMetrics& metrics() { return trace::thread_metrics<ActiveMetrics>(); }
 }  // namespace
 
 const char* to_string(DynamicPolicy p) {

@@ -21,10 +21,7 @@ struct CoopMetrics {
   static trace::Registry& reg() { return trace::Registry::global(); }
 };
 
-CoopMetrics& metrics() {
-  static CoopMetrics m;
-  return m;
-}
+CoopMetrics& metrics() { return trace::thread_metrics<CoopMetrics>(); }
 }  // namespace
 
 const char* to_string(Scheme s) {
@@ -200,14 +197,17 @@ sim::Task<std::optional<std::vector<std::byte>>> CoopCacheService::remote_fetch(
 sim::Task<void> CoopCacheService::insert_with_directory(
     NodeId actor, NodeId node, DocId id, std::vector<std::byte> body) {
   std::vector<DocId> evicted;
-  store_of(node).insert(id, std::move(body),
-                        [&evicted](DocId victim) { evicted.push_back(victim); });
+  const bool cached = store_of(node).insert(
+      id, std::move(body),
+      [&evicted](DocId victim) { evicted.push_back(victim); });
   if (!evicted.empty()) {
     metrics().evictions.add(evicted.size());
     DCS_TRACE_INSTANT("cache", "evict", node, evicted.size(),
                       to_string(scheme_));
   }
-  co_await dir_add(actor, id, node);
+  // A body too large for the node's cache is not held there, so the
+  // directory must not name the node for it.
+  if (cached) co_await dir_add(actor, id, node);
   for (const DocId victim : evicted) {
     co_await dir_remove(actor, victim, node);
   }
@@ -254,7 +254,7 @@ sim::Task<std::vector<std::byte>> CoopCacheService::serve_ac(NodeId proxy,
   ++stats_.misses;
   metrics().misses.add();
   auto body = co_await backend_.fetch(proxy, id);
-  store_of(proxy).insert(id, body, [](DocId) {});
+  (void)store_of(proxy).insert(id, body, [](DocId) {});  // AC: no directory
   co_return body;
 }
 

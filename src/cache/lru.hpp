@@ -33,9 +33,11 @@ class LruStore {
 
   /// Inserts (replacing any existing copy).  Evicted victims are reported
   /// through `on_evict(id)` so callers can fix up shared directories.
-  /// Bodies larger than the whole capacity are not cached.
+  /// Bodies larger than the whole capacity are not cached: returns false
+  /// and evicts nothing.
   template <typename OnEvict>
-  bool insert(DocId id, std::vector<std::byte> body, OnEvict&& on_evict) {
+  [[nodiscard]] bool insert(DocId id, std::vector<std::byte> body,
+                            OnEvict&& on_evict) {
     if (body.size() > capacity_) return false;
     erase(id);
     while (bytes_used_ + body.size() > capacity_) {

@@ -119,8 +119,9 @@ sim::Task<std::vector<std::byte>> RemoteBlockCache::read_block(
   // Insert locally; push the LRU victims to remote memory.  The eviction
   // callback cannot run coroutines, so victims are collected then pushed.
   std::vector<DocId> evicted_ids;
-  local_.insert(static_cast<DocId>(block_id), body,
-                [&evicted_ids](DocId victim) { evicted_ids.push_back(victim); });
+  (void)local_.insert(
+      static_cast<DocId>(block_id), body,
+      [&evicted_ids](DocId victim) { evicted_ids.push_back(victim); });
   for (const DocId victim : evicted_ids) {
     // Reconstruct the victim's contents: blocks are clean (read cache), so
     // the canonical bytes equal the disk content.

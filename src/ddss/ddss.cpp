@@ -31,10 +31,7 @@ struct DdssMetrics {
   static trace::Registry& reg() { return trace::Registry::global(); }
 };
 
-DdssMetrics& metrics() {
-  static DdssMetrics m;
-  return m;
-}
+DdssMetrics& metrics() { return trace::thread_metrics<DdssMetrics>(); }
 
 enum class Op : std::uint8_t { kAlloc = 1, kFree = 2 };
 

@@ -17,10 +17,7 @@ struct DqnlMetrics {
   static trace::Registry& reg() { return trace::Registry::global(); }
 };
 
-DqnlMetrics& metrics() {
-  static DqnlMetrics m;
-  return m;
-}
+DqnlMetrics& metrics() { return trace::thread_metrics<DqnlMetrics>(); }
 }  // namespace
 
 DqnlLockManager::DqnlLockManager(verbs::Network& net, NodeId home,

@@ -28,10 +28,7 @@ struct NcosedMetrics {
   static trace::Registry& reg() { return trace::Registry::global(); }
 };
 
-NcosedMetrics& metrics() {
-  static NcosedMetrics m;
-  return m;
-}
+NcosedMetrics& metrics() { return trace::thread_metrics<NcosedMetrics>(); }
 }  // namespace
 
 NcosedLockManager::NcosedLockManager(verbs::Network& net, NodeId home,

@@ -9,6 +9,8 @@
 #include <set>
 #include <sstream>
 
+#include "common/json.hpp"
+
 namespace dcs::lint {
 
 namespace {
@@ -133,28 +135,6 @@ void collect_allows(const SourceFile& f, std::vector<Allow>& allows,
 bool finding_pos_less(const Finding& a, const Finding& b) {
   return std::tie(a.path, a.line, a.col, a.rule, a.message) <
          std::tie(b.path, b.line, b.col, b.rule, b.message);
-}
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
 #include "trace/inspect.hpp"
 
 namespace dcs::obs {
@@ -31,15 +32,6 @@ std::uint64_t to_ns(const Json* us) {
   // underlying virtual times are integer ns, so this round-trips exactly.
   if (us == nullptr) return 0;
   return static_cast<std::uint64_t>(us->number * 1000.0 + 0.5);
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
 }
 
 }  // namespace

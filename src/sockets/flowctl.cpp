@@ -16,10 +16,7 @@ struct FlowMetrics {
   static trace::Registry& reg() { return trace::Registry::global(); }
 };
 
-FlowMetrics& flow_metrics() {
-  static FlowMetrics m;
-  return m;
-}
+FlowMetrics& flow_metrics() { return trace::thread_metrics<FlowMetrics>(); }
 }  // namespace
 
 FlowStreamBase::FlowStreamBase(verbs::Network& net, NodeId src, NodeId dst,

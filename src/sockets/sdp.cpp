@@ -21,10 +21,7 @@ struct SdpMetrics {
   static trace::Registry& reg() { return trace::Registry::global(); }
 };
 
-SdpMetrics& metrics() {
-  static SdpMetrics m;
-  return m;
-}
+SdpMetrics& metrics() { return trace::thread_metrics<SdpMetrics>(); }
 }  // namespace
 
 const char* to_string(SdpMode mode) {

@@ -15,10 +15,7 @@ struct TcpMetrics {
   static trace::Registry& reg() { return trace::Registry::global(); }
 };
 
-TcpMetrics& metrics() {
-  static TcpMetrics m;
-  return m;
-}
+TcpMetrics& metrics() { return trace::thread_metrics<TcpMetrics>(); }
 }  // namespace
 
 TcpConnection::TcpConnection(TcpNetwork& net, NodeId a, NodeId b)

@@ -7,26 +7,13 @@
 #include <ostream>
 
 #include "common/check.hpp"
+#include "common/json.hpp"
 
 namespace dcs::trace {
 
 namespace {
 
 FlightRecorder* g_current_flight = nullptr;
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (static_cast<unsigned char>(c) < 0x20) {
-      out += ' ';  // control characters never appear in our strings
-      continue;
-    }
-    out.push_back(c);
-  }
-  return out;
-}
 
 }  // namespace
 

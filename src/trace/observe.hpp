@@ -2,8 +2,8 @@
 // sinks (tracer, flight recorder) for the duration of a simulation and
 // writes the requested files when the run ends.  Shared by the benches and
 // the `dcs` scenario driver so every binary spells the flags the same way.
-// Flag extraction itself lives in bench/harness.hpp
-// (bench::extract_harness_flags), the single parser for all observability
+// Flag extraction itself lives in obs/flags.hpp
+// (obs::extract_harness_flags), the single parser for all observability
 // and telemetry flags.
 #pragma once
 

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "common/check.hpp"
+#include "common/json.hpp"
 
 namespace dcs::trace {
 
@@ -26,15 +27,6 @@ std::string ns_as_us(SimNanos t) {
   std::snprintf(buf, sizeof(buf), "%" PRIu64 ".%03" PRIu64, t / 1000,
                 t % 1000);
   return buf;
-}
-
-std::string json_escape(const char* s) {
-  std::string out;
-  for (; *s != '\0'; ++s) {
-    if (*s == '"' || *s == '\\') out.push_back('\\');
-    out.push_back(*s);
-  }
-  return out;
 }
 
 }  // namespace

@@ -132,6 +132,17 @@ class Registry {
   std::map<std::string, Metric, std::less<>> metrics_;
 };
 
+/// The calling thread's instance of a layer's cached metric handles.  `T`
+/// resolves its handles from Registry::global() on construction, so each
+/// OS thread (each shard worker) gets handles into its own registry; the
+/// only way layers cache handles, because a process-wide static would pin
+/// the first caller's registry and race every other worker on it.
+template <class T>
+T& thread_metrics() {
+  thread_local T m;
+  return m;
+}
+
 // --- simulated-time tracer ---
 
 /// Resource category a span's duration is charged to by the critical-path

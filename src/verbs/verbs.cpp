@@ -39,10 +39,7 @@ struct Metrics {
   static trace::Registry& reg() { return trace::Registry::global(); }
 };
 
-Metrics& metrics() {
-  thread_local Metrics m;
-  return m;
-}
+Metrics& metrics() { return trace::thread_metrics<Metrics>(); }
 }  // namespace
 
 Hca::Hca(Network& net, fabric::Fabric& fab, NodeId node)

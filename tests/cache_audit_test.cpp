@@ -61,6 +61,17 @@ TEST_P(AuditAllSchemes, DirectoryConsistentAfterNodeDrop) {
   EXPECT_EQ(w.cache.audit(), "");
 }
 
+TEST_P(AuditAllSchemes, DirectoryConsistentWhenBodiesExceedCapacity) {
+  // 4 KB documents never fit a 2 KB cache: no node may hold a copy, so the
+  // directory must stay empty rather than name nodes that refused the body.
+  AuditWorld w(GetParam(), 2 * 1024);
+  w.churn(100, 19);
+  EXPECT_EQ(w.cache.audit(), "");
+  for (fabric::NodeId n = 1; n <= 4; ++n) {
+    EXPECT_EQ(w.cache.cached_bytes(n), 0u);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Schemes, AuditAllSchemes,
                          ::testing::Values(Scheme::kBCC, Scheme::kCCWR,
                                            Scheme::kMTACC, Scheme::kHYBCC),

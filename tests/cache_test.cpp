@@ -13,7 +13,7 @@ namespace {
 
 TEST(LruStoreTest, InsertGetRoundTrip) {
   LruStore lru(1000);
-  lru.insert(1, std::vector<std::byte>(100), [](DocId) {});
+  ASSERT_TRUE(lru.insert(1, std::vector<std::byte>(100), [](DocId) {}));
   ASSERT_NE(lru.get(1), nullptr);
   EXPECT_EQ(lru.get(1)->size(), 100u);
   EXPECT_EQ(lru.bytes_used(), 100u);
@@ -23,11 +23,11 @@ TEST(LruStoreTest, EvictsLeastRecentlyUsed) {
   LruStore lru(300);
   std::vector<DocId> evicted;
   auto track = [&evicted](DocId id) { evicted.push_back(id); };
-  lru.insert(1, std::vector<std::byte>(100), track);
-  lru.insert(2, std::vector<std::byte>(100), track);
-  lru.insert(3, std::vector<std::byte>(100), track);
+  ASSERT_TRUE(lru.insert(1, std::vector<std::byte>(100), track));
+  ASSERT_TRUE(lru.insert(2, std::vector<std::byte>(100), track));
+  ASSERT_TRUE(lru.insert(3, std::vector<std::byte>(100), track));
   (void)lru.get(1);  // touch 1 so 2 is now the LRU victim
-  lru.insert(4, std::vector<std::byte>(100), track);
+  ASSERT_TRUE(lru.insert(4, std::vector<std::byte>(100), track));
   EXPECT_EQ(evicted, (std::vector<DocId>{2}));
   EXPECT_TRUE(lru.contains(1));
   EXPECT_FALSE(lru.contains(2));
@@ -41,15 +41,15 @@ TEST(LruStoreTest, OversizedBodyRejected) {
 
 TEST(LruStoreTest, ReinsertReplacesWithoutDuplicate) {
   LruStore lru(1000);
-  lru.insert(1, std::vector<std::byte>(100), [](DocId) {});
-  lru.insert(1, std::vector<std::byte>(200), [](DocId) {});
+  ASSERT_TRUE(lru.insert(1, std::vector<std::byte>(100), [](DocId) {}));
+  ASSERT_TRUE(lru.insert(1, std::vector<std::byte>(200), [](DocId) {}));
   EXPECT_EQ(lru.count(), 1u);
   EXPECT_EQ(lru.bytes_used(), 200u);
 }
 
 TEST(LruStoreTest, EraseFreesSpace) {
   LruStore lru(100);
-  lru.insert(1, std::vector<std::byte>(100), [](DocId) {});
+  ASSERT_TRUE(lru.insert(1, std::vector<std::byte>(100), [](DocId) {}));
   EXPECT_TRUE(lru.erase(1));
   EXPECT_FALSE(lru.erase(1));
   EXPECT_EQ(lru.bytes_used(), 0u);

@@ -350,10 +350,16 @@ TEST(DlmCascadeTest, SharedCascadeGrowsSublinearlyForNcosed) {
 
 // --- randomized stress: readers-writer invariant across schemes ---
 
+// gtest names each case with a byte dump of this struct, so the gap between
+// `scheme` and `seed` is an explicit zero field: implicit padding would leak
+// uninitialised (address-dependent) bytes into the test names.
 struct StressCase {
+  StressCase(Scheme s, std::uint64_t sd) : scheme(s), seed(sd) {}
   Scheme scheme;
+  std::uint32_t zero_pad = 0;
   std::uint64_t seed;
 };
+static_assert(sizeof(StressCase) == 16, "no implicit padding in StressCase");
 
 class DlmStress : public ::testing::TestWithParam<StressCase> {};
 

@@ -1,13 +1,15 @@
 // Observability layer: metrics registry semantics, tracer span recording,
 // CLI flag extraction, and the headline guarantee — two same-seed runs
 // produce byte-identical trace and metrics output.
+#include <cstdint>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "harness.hpp"
+#include "obs/flags.hpp"
 #include "sockets/sdp.hpp"
 #include "trace/critical_path.hpp"
 #include "trace/observe.hpp"
@@ -139,55 +141,117 @@ TEST(TracerTest, RecordsNestedSpansAndInstantsAtVirtualTime) {
   EXPECT_NE(json.str().find("\"ph\":\"i\""), std::string::npos);
 }
 
-// --- CLI flag extraction (bench/harness.hpp, the one parser) ---
+// --- CLI flag extraction (obs/flags.hpp, the one parser) ---
+
+/// argv storage for the parser tests: argv[argc] is a null terminator.
+struct Argv {
+  std::vector<std::string> storage;
+  std::vector<char*> argv;
+  int argc;
+  explicit Argv(std::vector<std::string> args) : storage(std::move(args)) {
+    for (auto& s : storage) argv.push_back(s.data());
+    argv.push_back(nullptr);
+    argc = static_cast<int>(storage.size());
+  }
+};
 
 TEST(ObserveFlagsTest, ExtractsAndRemovesBothFlags) {
-  std::vector<std::string> storage = {"bench",       "--foo",        "--trace-out",
-                                      "t.json",      "--bar",        "1",
-                                      "--metrics-out", "m.txt"};
-  std::vector<char*> argv;
-  for (auto& s : storage) argv.push_back(s.data());
-  argv.push_back(nullptr);
-  int argc = static_cast<int>(storage.size());
-  const auto opts = bench::extract_harness_flags(argc, argv.data());
+  Argv a({"bench", "--foo", "--trace-out", "t.json", "--bar", "1",
+          "--metrics-out", "m.txt"});
+  const auto opts = obs::extract_harness_flags(a.argc, a.argv.data());
   EXPECT_TRUE(opts.observe_mode());
   EXPECT_FALSE(opts.harness_mode());
   EXPECT_EQ(opts.trace_out, "t.json");
   EXPECT_EQ(opts.metrics_out, "m.txt");
-  ASSERT_EQ(argc, 4);
-  EXPECT_STREQ(argv[0], "bench");
-  EXPECT_STREQ(argv[1], "--foo");
-  EXPECT_STREQ(argv[2], "--bar");
-  EXPECT_STREQ(argv[3], "1");
-  EXPECT_EQ(argv[4], nullptr);
+  ASSERT_EQ(a.argc, 4);
+  EXPECT_STREQ(a.argv[0], "bench");
+  EXPECT_STREQ(a.argv[1], "--foo");
+  EXPECT_STREQ(a.argv[2], "--bar");
+  EXPECT_STREQ(a.argv[3], "1");
+  EXPECT_EQ(a.argv[4], nullptr);
 }
 
 TEST(ObserveFlagsTest, AbsentFlagsDisableObservation) {
-  std::vector<std::string> storage = {"bench", "--foo"};
-  std::vector<char*> argv;
-  for (auto& s : storage) argv.push_back(s.data());
-  argv.push_back(nullptr);
-  int argc = 2;
-  const auto opts = bench::extract_harness_flags(argc, argv.data());
+  Argv a({"bench", "--foo"});
+  const auto opts = obs::extract_harness_flags(a.argc, a.argv.data());
   EXPECT_FALSE(opts.observe_mode());
   EXPECT_FALSE(opts.harness_mode());
-  EXPECT_EQ(argc, 2);
+  EXPECT_EQ(a.argc, 2);
 }
 
 TEST(ObserveFlagsTest, PostmortemDirRoutesThroughObserveOptions) {
-  std::vector<std::string> storage = {"bench", "--postmortem-dir", "pm"};
-  std::vector<char*> argv;
-  for (auto& s : storage) argv.push_back(s.data());
-  argv.push_back(nullptr);
-  int argc = static_cast<int>(storage.size());
-  const auto opts = bench::extract_harness_flags(argc, argv.data());
+  Argv a({"bench", "--postmortem-dir", "pm"});
+  const auto opts = obs::extract_harness_flags(a.argc, a.argv.data());
   EXPECT_TRUE(opts.observe_mode());
   EXPECT_FALSE(opts.harness_mode());
-  EXPECT_EQ(argc, 1);
+  EXPECT_EQ(a.argc, 1);
   const auto observe = opts.observe("unit");
   EXPECT_TRUE(observe.enabled());
   EXPECT_EQ(observe.postmortem_dir, "pm");
   EXPECT_EQ(observe.bench_name, "unit");
+}
+
+TEST(ObserveFlagsTest, ExtractsNumericFlags) {
+  Argv a({"bench", "--batch", "8", "--hot-keys", "3"});
+  const auto opts = obs::extract_harness_flags(a.argc, a.argv.data());
+  EXPECT_EQ(opts.batch, 8u);
+  EXPECT_EQ(opts.hot_keys, 3u);
+  EXPECT_TRUE(opts.attribution_mode());
+  EXPECT_EQ(a.argc, 1);
+}
+
+TEST(ObserveFlagsTest, ParseCountAcceptsOnlyPlainNonNegativeIntegers) {
+  EXPECT_EQ(obs::parse_count("0"), 0u);
+  EXPECT_EQ(obs::parse_count("42"), 42u);
+  EXPECT_EQ(obs::parse_count("18446744073709551615"), UINT64_MAX);
+  for (const char* bad : {"", "abc", "-1", "+1", "1x", " 1", "1.5",
+                          "18446744073709551616"}) {
+    EXPECT_EQ(obs::parse_count(bad), std::nullopt) << "'" << bad << "'";
+  }
+}
+
+TEST(ObserveFlagsTest, ParseRealAcceptsOnlyFiniteNumbers) {
+  EXPECT_EQ(obs::parse_real("0.75"), 0.75);
+  EXPECT_EQ(obs::parse_real("-1"), -1.0);
+  EXPECT_EQ(obs::parse_real("1e3"), 1000.0);
+  for (const char* bad : {"", "abc", "0.5x", "inf", "nan", "1e999"}) {
+    EXPECT_EQ(obs::parse_real(bad), std::nullopt) << "'" << bad << "'";
+  }
+}
+
+TEST(ObserveFlagsDeathTest, MalformedBatchExitsTwoNamingTheFlag) {
+  Argv a({"bench", "--batch", "abc"});
+  EXPECT_EXIT(obs::extract_harness_flags(a.argc, a.argv.data()),
+              ::testing::ExitedWithCode(2),
+              "--batch: expected a non-negative integer, got 'abc'");
+}
+
+TEST(ObserveFlagsDeathTest, NegativeHotKeysExitsTwoInsteadOfWrapping) {
+  Argv a({"bench", "--hot-keys", "-1"});
+  EXPECT_EXIT(obs::extract_harness_flags(a.argc, a.argv.data()),
+              ::testing::ExitedWithCode(2), "--hot-keys: .*got '-1'");
+}
+
+TEST(ObserveFlagsDeathTest, CountAboveItsLimitExitsTwo) {
+  EXPECT_EQ(obs::count_flag("--node", "4294967295", UINT32_MAX), UINT32_MAX);
+  EXPECT_EXIT(obs::count_flag("--node", "4294967296", UINT32_MAX),
+              ::testing::ExitedWithCode(2),
+              "--node: expected an integer <= 4294967295, got '4294967296'");
+}
+
+TEST(ObserveFlagsDeathTest, MalformedRealExitsTwoNamingTheFlag) {
+  EXPECT_EXIT(obs::real_flag("--alpha", "fast"), ::testing::ExitedWithCode(2),
+              "--alpha: expected a finite number, got 'fast'");
+}
+
+TEST(ObserveFlagsDeathTest, LeftoverArgumentExitsTwo) {
+  Argv clean({"bench"});
+  obs::reject_unknown_args(clean.argc, clean.argv.data());  // returns
+  Argv a({"bench", "--bench-json", "b.json", "--no-such-flag"});
+  (void)obs::extract_harness_flags(a.argc, a.argv.data());
+  EXPECT_EXIT(obs::reject_unknown_args(a.argc, a.argv.data()),
+              ::testing::ExitedWithCode(2),
+              "unknown argument '--no-such-flag'");
 }
 
 // --- determinism: the headline guarantee ---

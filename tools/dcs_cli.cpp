@@ -15,6 +15,8 @@
 //   dcs params
 //
 // All numbers are deterministic virtual-time results.
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -33,11 +35,11 @@
 #include "dlm/dqnl.hpp"
 #include "dlm/ncosed.hpp"
 #include "dlm/srsl.hpp"
-#include "harness.hpp"
 #include "monitor/monitor.hpp"
 #include "monitor/watchdog.hpp"
 #include "obs/explain.hpp"
 #include "obs/flame.hpp"
+#include "obs/flags.hpp"
 #include "obs/slo.hpp"
 #include "obs/timeseries.hpp"
 #include "obs/top.hpp"
@@ -64,13 +66,19 @@ class Args {
     const auto it = values_.find(key);
     return it != values_.end() ? it->second : fallback;
   }
-  long num(const std::string& key, long fallback) const {
+  /// Numeric values exit 2 with a message naming the flag when malformed;
+  /// counts are capped so every caller's narrowing cast is exact.
+  int num(const std::string& key, int fallback) const {
     const auto it = values_.find(key);
-    return it != values_.end() ? std::stol(it->second) : fallback;
+    return it != values_.end()
+               ? static_cast<int>(obs::count_flag("--" + key, it->second,
+                                                  INT_MAX))
+               : fallback;
   }
   double real(const std::string& key, double fallback) const {
     const auto it = values_.find(key);
-    return it != values_.end() ? std::stod(it->second) : fallback;
+    return it != values_.end() ? obs::real_flag("--" + key, it->second)
+                               : fallback;
   }
 
  private:
@@ -78,9 +86,9 @@ class Args {
 };
 
 /// Every command takes the unified observability flags (parsed once by
-/// bench::extract_harness_flags in main); the returned options feed a
+/// obs::extract_harness_flags in main); the returned options feed a
 /// trace::ObservedRun scoped around the engine.
-trace::ObserveOptions observe_opts(const bench::HarnessOptions& flags,
+trace::ObserveOptions observe_opts(const obs::HarnessOptions& flags,
                                    const char* command) {
   return flags.observe(std::string("dcs_") + command);
 }
@@ -92,7 +100,7 @@ trace::ObserveOptions observe_opts(const bench::HarnessOptions& flags,
 /// trace::ObservedRun so it runs first, while the registry is still live.
 class TimeSeriesScope {
  public:
-  TimeSeriesScope(sim::Engine& eng, const bench::HarnessOptions& flags)
+  TimeSeriesScope(sim::Engine& eng, const obs::HarnessOptions& flags)
       : eng_(eng), flags_(flags) {}
   TimeSeriesScope(const TimeSeriesScope&) = delete;
   TimeSeriesScope& operator=(const TimeSeriesScope&) = delete;
@@ -125,7 +133,7 @@ class TimeSeriesScope {
 
  private:
   sim::Engine& eng_;
-  const bench::HarnessOptions& flags_;
+  const obs::HarnessOptions& flags_;
 };
 
 int cmd_params() {
@@ -150,7 +158,7 @@ int cmd_params() {
   return 0;
 }
 
-int cmd_cache(const Args& args, const bench::HarnessOptions& flags) {
+int cmd_cache(const Args& args, const obs::HarnessOptions& flags) {
   const std::string scheme_name = args.str("scheme", "HYBCC");
   cache::Scheme scheme = cache::Scheme::kHYBCC;
   for (const auto s : {cache::Scheme::kAC, cache::Scheme::kBCC,
@@ -209,16 +217,17 @@ int cmd_cache(const Args& args, const bench::HarnessOptions& flags) {
   t.add_row({"hit rate", Table::fmt(100 * coop.stats().hit_rate(), 1) + " %"});
   t.add_row({"integrity failures",
              std::to_string(clients.stats().integrity_failures)});
-  t.add_row({"audit", coop.audit().empty() ? "clean" : coop.audit()});
+  const std::string audit = coop.audit();
+  t.add_row({"audit", audit.empty() ? "clean" : audit});
   t.print("cooperative cache run (" + std::to_string(proxies_n) +
           " proxies, " + std::to_string(file_bytes / 1024) + " KB docs, a=" +
           Table::fmt(alpha, 2) + ")");
-  return 0;
+  return audit.empty() ? 0 : 1;  // a failed invariant audit fails the run
 }
 
-int cmd_locks(const Args& args, const bench::HarnessOptions& flags) {
+int cmd_locks(const Args& args, const obs::HarnessOptions& flags) {
   const std::string scheme = args.str("scheme", "ncosed");
-  const int waiters = static_cast<int>(args.num("waiters", 8));
+  const int waiters = args.num("waiters", 8);
   const std::string mode_name = args.str("mode", "shared");
   const auto mode = mode_name == "shared" ? dlm::LockMode::kShared
                                           : dlm::LockMode::kExclusive;
@@ -274,14 +283,14 @@ int cmd_locks(const Args& args, const bench::HarnessOptions& flags) {
   return 0;
 }
 
-int cmd_monitor(const Args& args, const bench::HarnessOptions& flags) {
+int cmd_monitor(const Args& args, const obs::HarnessOptions& flags) {
   const std::string scheme_name = args.str("scheme", "rdma-sync");
   monitor::MonScheme scheme = monitor::MonScheme::kRdmaSync;
   if (scheme_name == "socket-sync") scheme = monitor::MonScheme::kSocketSync;
   if (scheme_name == "socket-async") scheme = monitor::MonScheme::kSocketAsync;
   if (scheme_name == "rdma-async") scheme = monitor::MonScheme::kRdmaAsync;
   if (scheme_name == "e-rdma-sync") scheme = monitor::MonScheme::kERdmaSync;
-  const int jobs = static_cast<int>(args.num("jobs", 4));
+  const int jobs = args.num("jobs", 4);
 
   sim::Engine eng;
   trace::ObservedRun observed(eng, observe_opts(flags, __func__ + 4));
@@ -322,7 +331,7 @@ int cmd_monitor(const Args& args, const bench::HarnessOptions& flags) {
   return 0;
 }
 
-int cmd_storm(const Args& args, const bench::HarnessOptions& flags) {
+int cmd_storm(const Args& args, const obs::HarnessOptions& flags) {
   const auto records = static_cast<std::uint64_t>(args.num("records", 100000));
   const auto plane = args.str("plane", "ddss") == "ddss"
                          ? storm::ControlPlane::kDdss
@@ -364,14 +373,14 @@ int cmd_storm(const Args& args, const bench::HarnessOptions& flags) {
 /// watchdog, or (violation) a seeded use-after-deregister under
 /// OnViolation::kPostmortem.  Each run writes deterministic
 /// dcs-postmortem-v1 dumps for `dcs inspect`.
-int cmd_wedge(const Args& args, const bench::HarnessOptions& flags) {
+int cmd_wedge(const Args& args, const obs::HarnessOptions& flags) {
   const std::string scenario = args.str("scenario", "stall");
   if (scenario != "stall" && scenario != "deadline" &&
       scenario != "violation") {
     std::fprintf(stderr, "wedge: unknown --scenario %s\n", scenario.c_str());
     return 2;
   }
-  const int waiters = static_cast<int>(args.num("waiters", 3));
+  const int waiters = args.num("waiters", 3);
 
   sim::Engine eng;
   trace::FlightConfig fc;
@@ -484,19 +493,20 @@ int cmd_inspect(int argc, char** argv) {
     if (flag == "--self-check") {
       opts.self_check = true;
     } else if (flag == "--node") {
-      opts.node = static_cast<std::uint32_t>(std::stoul(value()));
+      opts.node = static_cast<std::uint32_t>(
+          obs::count_flag(flag, value(), UINT32_MAX));
     } else if (flag == "--layer") {
       opts.layer = value();
     } else if (flag == "--request") {
-      opts.request = std::stoull(value());
+      opts.request = obs::count_flag(flag, value());
     } else if (flag == "--from") {
-      opts.from_ns = std::stoull(value());
+      opts.from_ns = obs::count_flag(flag, value());
     } else if (flag == "--to") {
-      opts.to_ns = std::stoull(value());
+      opts.to_ns = obs::count_flag(flag, value());
     } else if (flag == "--timeline") {
-      opts.timeline = std::stoull(value());
+      opts.timeline = obs::count_flag(flag, value());
     } else if (flag == "--top") {
-      opts.top = static_cast<std::size_t>(std::stoul(value()));
+      opts.top = static_cast<std::size_t>(obs::count_flag(flag, value()));
     } else if (flag == "--diff") {
       opts.diff_path = value();
     } else {
@@ -530,9 +540,11 @@ int cmd_top(int argc, char** argv) {
     if (flag == "--self-check") {
       opts.self_check = true;
     } else if (flag == "--node") {
-      opts.node = static_cast<std::uint32_t>(std::stoul(value()));
+      opts.node = static_cast<std::uint32_t>(
+          obs::count_flag(flag, value(), UINT32_MAX));
     } else if (flag == "--windows") {
-      opts.windows = static_cast<std::size_t>(std::stoul(value()));
+      opts.windows =
+          static_cast<std::size_t>(obs::count_flag(flag, value()));
     } else {
       std::fprintf(stderr, "top: unknown flag %s\n", flag.c_str());
       return 2;
@@ -569,7 +581,7 @@ int cmd_explain(int argc, char** argv) {
     } else if (flag == "--postmortem") {
       opts.postmortem = value();
     } else if (flag == "--top") {
-      opts.top = static_cast<std::size_t>(std::stoul(value()));
+      opts.top = static_cast<std::size_t>(obs::count_flag(flag, value()));
     } else {
       std::fprintf(stderr, "explain: unknown flag %s\n", flag.c_str());
       return 2;
@@ -656,7 +668,7 @@ int main(int argc, char** argv) {
   if (cmd == "top") return cmd_top(argc, argv);
   if (cmd == "explain") return cmd_explain(argc, argv);
   if (cmd == "flame") return cmd_flame(argc, argv);
-  const auto flags = bench::extract_harness_flags(argc, argv);
+  const auto flags = obs::extract_harness_flags(argc, argv);
   const Args args(argc, argv);
   if (cmd == "params") return cmd_params();
   if (cmd == "cache") return cmd_cache(args, flags);

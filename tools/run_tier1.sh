@@ -1,13 +1,13 @@
 #!/usr/bin/env sh
 # Tier-1 verification: configure, build, and run the full ctest suite.
 # This is the exact sequence CI and reviewers use; a fresh clone passes with
-# nothing but CMake and a C++20 toolchain (GTest/benchmark are fetched or
-# found by the top-level CMakeLists).
+# nothing but CMake, a C++20 toolchain and GoogleTest (found by the
+# top-level CMakeLists; the benches need no other package).
 #
 # Usage: tools/run_tier1.sh [--san asan|tsan] [--bench-json DIR] [build-dir]
 #   --san asan        build + test under AddressSanitizer/UBSan (CMake preset)
 #   --san tsan        build + test under ThreadSanitizer (CMake preset)
-#   --bench-json DIR  after the tests pass, run the five harnessed benches
+#   --bench-json DIR  after the tests pass, run the six harnessed benches
 #                     and write BENCH_<name>.json files into DIR (the same
 #                     telemetry CI's bench-smoke job archives; see
 #                     docs/BENCHMARKS.md)
