@@ -366,7 +366,7 @@ bool parse_u64(const char* arg, const char* flag, std::uint64_t* out,
                std::uint64_t max = UINT64_MAX) {
   const std::size_t n = std::strlen(flag);
   if (std::strncmp(arg, flag, n) != 0 || arg[n] != '=') return false;
-  *out = obs::count_flag(flag, arg + n + 1, max);
+  *out = obs::count_flag(flag, arg + n + 1, 0, max);
   return true;
 }
 
@@ -537,8 +537,11 @@ int run(const ScaleConfig& cfg, const obs::HarnessOptions& opts) {
     // wall_ns (per worker); consumers reduce with sum / max respectively.
     char fp[32];
     std::snprintf(fp, sizeof fp, "0x%016" PRIx64, sharded.merged_fingerprint());
+    char rss[32];
+    std::snprintf(rss, sizeof rss, "%.3f", bench::peak_rss_mb());
     os << "{\n  \"schema\": \"dcs-bench-wall-v1\",\n"
-       << "  \"bench\": \"datacenter_scale\",\n  \"scenarios\": {\n"
+       << "  \"bench\": \"datacenter_scale\",\n"
+       << "  \"peak_rss_mb\": " << rss << ",\n  \"scenarios\": {\n"
        << "    \"zipf/nodes=" << cfg.nodes << "\": {\n"
        << "      \"virtual_ns\": " << sharded.now() << ",\n"
        << "      \"fingerprint\": \"" << fp << "\",\n"

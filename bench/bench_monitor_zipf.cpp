@@ -207,11 +207,7 @@ int main(int argc, char** argv) {
     const std::string_view arg = argv[i];
     if (arg.starts_with(kCores)) {
       cores_variant = obs::count_flag("--cores-per-node",
-                                      arg.substr(kCores.size()));
-      if (cores_variant == 0) {
-        std::fprintf(stderr, "monitor_zipf: --cores-per-node must be > 0\n");
-        return 2;
-      }
+                                      arg.substr(kCores.size()), 1);
     } else {
       argv[rest++] = argv[i];
     }

@@ -1,5 +1,7 @@
 #include "harness.hpp"
 
+#include <sys/resource.h>
+
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -29,6 +31,12 @@ std::string sanitize(std::string name) {
 }
 
 }  // namespace
+
+double peak_rss_mb() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;  // Linux: KB
+}
 
 std::vector<std::size_t> batch_sweep(std::size_t max) {
   if (max == 0) return {1, 2, 4, 8};
@@ -167,7 +175,8 @@ int Harness::finish() {
       rc = 1;
     } else {
       os << "{\n  \"schema\": \"dcs-bench-wall-v1\",\n  \"bench\": "
-         << quoted(bench_) << ",\n  \"scenarios\": {\n";
+         << quoted(bench_) << ",\n  \"peak_rss_mb\": "
+         << fmt_f3(peak_rss_mb()) << ",\n  \"scenarios\": {\n";
       for (std::size_t s = 0; s < snapshots_.size(); ++s) {
         const Snapshot& sn = snapshots_[s];
         const double secs = sn.wall_ns / 1e9;

@@ -10,9 +10,10 @@
 //
 // `--bench-wall-json` additionally writes a sibling `BENCH_<name>.wall.json`
 // (schema `dcs-bench-wall-v1`) with wall-clock events/sec and ns/event per
-// scenario.  Wall time varies run to run and machine to machine, so it is
-// kept strictly out of the byte-stable dcs-bench-v1 files and out of the
-// CI byte-identity assertion (docs/BENCHMARKS.md).
+// scenario, plus the process's peak RSS.  Wall time varies run to run and
+// machine to machine, so it is kept strictly out of the byte-stable
+// dcs-bench-v1 files and out of the CI byte-identity assertion
+// (docs/BENCHMARKS.md).
 //
 // Flags are parsed by obs::extract_harness_flags (obs/flags.hpp).  Every
 // bench main has one shape: paper tables by default, harness scenarios
@@ -48,6 +49,10 @@
 #include "trace/trace.hpp"
 
 namespace dcs::bench {
+
+/// Peak resident set size of this process so far, in MB
+/// (getrusage ru_maxrss); the top-level "peak_rss_mb" of the wall JSON.
+double peak_rss_mb();
 
 /// Batch depths a bench sweeps for `--batch max` (powers of two up to and
 /// including `max`); `max == 0` yields the default sweep {1, 2, 4, 8}.

@@ -1,12 +1,20 @@
 #include "fabric/memory.hpp"
 
+#include <sys/mman.h>
+
 namespace dcs::fabric {
 
 NodeMemory::NodeMemory(std::size_t capacity_bytes)
-    : arena_(capacity_bytes + kReservedPrefix) {
+    : size_(capacity_bytes + kReservedPrefix),
+      arena_(static_cast<std::byte*>(
+          mmap(nullptr, size_, PROT_READ | PROT_WRITE,
+               MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0))) {
   DCS_CHECK(capacity_bytes > 0);
+  DCS_CHECK_MSG(arena_ != MAP_FAILED, "cannot map node memory arena");
   free_list_.emplace(kReservedPrefix, capacity_bytes);
 }
+
+NodeMemory::~NodeMemory() { munmap(arena_, size_); }
 
 MemAddr NodeMemory::allocate(std::size_t len) {
   if (len == 0) return kNullAddr;
@@ -53,17 +61,17 @@ void NodeMemory::coalesce(std::map<MemAddr, std::size_t>::iterator it) {
 
 std::span<std::byte> NodeMemory::bytes(MemAddr addr, std::size_t len) {
   DCS_CHECK_MSG(in_range(addr, len), "out-of-range memory access");
-  return {arena_.data() + addr, len};
+  return {arena_ + addr, len};
 }
 
 std::span<const std::byte> NodeMemory::bytes(MemAddr addr,
                                              std::size_t len) const {
   DCS_CHECK_MSG(in_range(addr, len), "out-of-range memory access");
-  return {arena_.data() + addr, len};
+  return {arena_ + addr, len};
 }
 
 bool NodeMemory::in_range(MemAddr addr, std::size_t len) const {
-  return addr >= kReservedPrefix && addr + len <= arena_.size() &&
+  return addr >= kReservedPrefix && addr + len <= size_ &&
          addr + len >= addr;
 }
 

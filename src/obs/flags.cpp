@@ -53,9 +53,13 @@ std::optional<double> parse_real(std::string_view text) {
 }
 
 std::uint64_t count_flag(std::string_view flag, std::string_view text,
-                         std::uint64_t max) {
+                         std::uint64_t min, std::uint64_t max) {
   const auto v = parse_count(text);
   if (!v) bad_value(flag, text, "a non-negative integer");
+  if (*v < min) {
+    const std::string expected = "an integer >= " + std::to_string(min);
+    bad_value(flag, text, expected.c_str());
+  }
   if (*v > max) {
     const std::string expected = "an integer <= " + std::to_string(max);
     bad_value(flag, text, expected.c_str());
@@ -63,10 +67,26 @@ std::uint64_t count_flag(std::string_view flag, std::string_view text,
   return *v;
 }
 
-double real_flag(std::string_view flag, std::string_view text) {
+double real_flag(std::string_view flag, std::string_view text, double min) {
   const auto v = parse_real(text);
   if (!v) bad_value(flag, text, "a finite number");
+  if (*v < min) {
+    char expected[64];
+    std::snprintf(expected, sizeof expected, "a number >= %g", min);
+    bad_value(flag, text, expected);
+  }
   return *v;
+}
+
+std::string_view choice_flag(std::string_view flag, std::string_view text,
+                             std::initializer_list<std::string_view> names) {
+  std::string expected;
+  for (const std::string_view name : names) {
+    if (name == text) return text;
+    expected += expected.empty() ? "one of " : "|";
+    expected += name;
+  }
+  bad_value(flag, text, expected.c_str());
 }
 
 HarnessOptions extract_harness_flags(int& argc, char** argv) {

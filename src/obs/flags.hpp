@@ -7,8 +7,10 @@
 // naming the flag on stderr and exit with status 2.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -95,11 +97,17 @@ std::optional<std::uint64_t> parse_count(std::string_view text);
 std::optional<double> parse_real(std::string_view text);
 
 /// parse_count / parse_real of `flag`'s value, exiting 2 with a message
-/// naming the flag when the value is malformed (or, for a count, above
-/// `max`, so that a caller storing it in a narrower type never wraps).
+/// naming the flag when the value is malformed or below `min` (a count
+/// also when above `max`, so that a caller storing it in a narrower type
+/// never wraps).
 std::uint64_t count_flag(std::string_view flag, std::string_view text,
-                         std::uint64_t max = UINT64_MAX);
-double real_flag(std::string_view flag, std::string_view text);
+                         std::uint64_t min = 0, std::uint64_t max = UINT64_MAX);
+double real_flag(std::string_view flag, std::string_view text,
+                 double min = -HUGE_VAL);
+/// `text` when it is one of `names`; otherwise exits 2 with a message
+/// naming the flag and every accepted name.
+std::string_view choice_flag(std::string_view flag, std::string_view text,
+                             std::initializer_list<std::string_view> names);
 
 /// Removes the flags above (each as `--flag value`) from argv, shifting
 /// later arguments down and decrementing argc, and returns their values.

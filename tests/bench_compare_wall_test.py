@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Unit tests for tools/bench_compare.py --wall list-field reduction.
+"""Unit tests for tools/bench_compare.py --wall: list-field reduction,
+the --max-ns-per-event ceiling and the peak_rss_mb report.
 
 Run directly (`python3 tests/bench_compare_wall_test.py`) or via ctest
 (registered in tests/CMakeLists.txt as bench_compare_wall_test).
@@ -112,6 +113,84 @@ class EndToEndWallCompareTest(unittest.TestCase):
                 self.assertEqual(bench_compare.main(), 0)
             finally:
                 sys.argv = argv
+
+
+def _run_main(argv):
+    saved = sys.argv
+    sys.argv = ["bench_compare.py"] + argv
+    try:
+        return bench_compare.main()
+    finally:
+        sys.argv = saved
+
+
+class MaxNsPerEventTest(unittest.TestCase):
+    """--max-ns-per-event: exit 1 above the ceiling, 0 at or under it."""
+
+    @staticmethod
+    def _write(directory, scenarios, peak_rss_mb=None):
+        doc = {"schema": "dcs-bench-wall-v1", "bench": "b",
+               "scenarios": scenarios}
+        if peak_rss_mb is not None:
+            doc["peak_rss_mb"] = peak_rss_mb
+        (directory / "BENCH_b.wall.json").write_text(json.dumps(doc),
+                                                     encoding="utf-8")
+
+    def _compare(self, scenarios, ceiling):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = pathlib.Path(tmp)
+            self._write(tmp, scenarios)
+            return _run_main(["--wall", str(tmp), str(tmp),
+                              "--max-ns-per-event", str(ceiling)])
+
+    def test_scenario_above_the_ceiling_exits_one(self):
+        scenarios = {
+            "fast": {"events": 100, "wall_ns": 1000.0, "ns_per_event": 10.0},
+            # A sharded doc reduces the same way as in the delta report:
+            # sum(events) over max(wall_ns) = 4000000 / 100.
+            "slow": {"events": [60, 40], "wall_ns": [4000000.0, 1.0]},
+        }
+        self.assertEqual(bench_compare.over_ceiling(
+            {"b": {"scenarios": scenarios}}, 10000.0),
+            ["b/slow: 40000.0 ns/event"])
+        self.assertEqual(self._compare(scenarios, 10000), 1)
+
+    def test_scenario_at_the_ceiling_passes(self):
+        scenarios = {
+            "edge": {"events": 10, "wall_ns": 100000.0,
+                     "ns_per_event": 10000.0},
+        }
+        self.assertEqual(self._compare(scenarios, 10000), 0)
+
+    def test_ceiling_requires_wall_mode(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            with self.assertRaises(SystemExit) as ctx:
+                _run_main([tmp, tmp, "--max-ns-per-event", "10"])
+            self.assertEqual(ctx.exception.code, 2)
+
+
+class PeakRssTest(unittest.TestCase):
+    """peak_rss_mb is report-only and optional on either side."""
+
+    def test_delta_is_reported_never_fatal(self):
+        notable = []
+        bench_compare.compare_peak_rss("b", {"peak_rss_mb": 700.0},
+                                       {"peak_rss_mb": 60.0}, 15.0, notable)
+        self.assertEqual(len(notable), 1)
+        self.assertIn("peak_rss_mb", notable[0])
+
+    def test_files_without_the_field_compare(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = pathlib.Path(tmp)
+            (tmp / "base").mkdir()
+            (tmp / "cand").mkdir()
+            scenarios = {"s": {"events": 10, "wall_ns": 100.0}}
+            MaxNsPerEventTest._write(tmp / "base", scenarios)
+            MaxNsPerEventTest._write(tmp / "cand", scenarios,
+                                     peak_rss_mb=59.5)
+            self.assertEqual(
+                _run_main(["--wall", str(tmp / "base"), str(tmp / "cand")]),
+                0)
 
 
 class SchemaGateTest(unittest.TestCase):

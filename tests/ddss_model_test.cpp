@@ -37,10 +37,15 @@ std::vector<std::byte> value_of(std::uint64_t tag, std::size_t n) {
 // the driver), EVERY coherence model must return the last written value on
 // get (temporal only after its TTL).  The reference model is a simple map.
 
+// gtest names each case by dumping its bytes, so no byte may be implicit
+// padding: uninitialised padding would make the names vary between runs.
 struct SeqCase {
+  SeqCase(Coherence m, std::uint64_t sd) : model(m), seed(sd) {}
   Coherence model;
+  std::uint8_t zero_pad[7] = {};
   std::uint64_t seed;
 };
+static_assert(sizeof(SeqCase) == 16, "no implicit padding in SeqCase");
 
 class DdssSequentialModel : public ::testing::TestWithParam<SeqCase> {};
 

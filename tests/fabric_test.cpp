@@ -1,6 +1,11 @@
 // Unit tests for the fabric layer: memory allocator, CPU scheduling model,
 // kernel page mirroring, and the wire cost model.
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <fstream>
+#include <memory>
+#include <vector>
 
 #include "fabric/fabric.hpp"
 
@@ -78,6 +83,45 @@ TEST(NodeMemoryTest, BytesAreReadWritable) {
 TEST(NodeMemoryTest, AddressZeroNeverValid) {
   NodeMemory mem(1024);
   EXPECT_FALSE(mem.in_range(0, 1));
+}
+
+constexpr std::size_t kNodeArena = std::size_t{64} << 20;  // Node's default
+
+/// Resident set size of this process in bytes (/proc/self/statm field 2).
+std::size_t resident_bytes() {
+  std::ifstream statm("/proc/self/statm");
+  std::size_t total_pages = 0;
+  std::size_t resident_pages = 0;
+  statm >> total_pages >> resident_pages;
+  return resident_pages * static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+}
+
+TEST(NodeMemoryTest, FreshArenaReadsZero) {
+  NodeMemory mem(kNodeArena);
+  const MemAddr all = mem.allocate(mem.capacity());
+  ASSERT_NE(all, kNullAddr);
+  EXPECT_EQ(mem.bytes(all, 1)[0], std::byte{0});
+  EXPECT_EQ(mem.bytes(all + mem.capacity() - 1, 1)[0], std::byte{0});
+  // Freeing does not re-zero: a reallocated range keeps what was written.
+  mem.bytes(all, 8)[7] = std::byte{0x5A};
+  mem.free(all);
+  const MemAddr again = mem.allocate(8);
+  ASSERT_EQ(again, all);
+  EXPECT_EQ(mem.bytes(again, 8)[7], std::byte{0x5A});
+}
+
+TEST(NodeMemoryTest, ArenaIsBackedOnFirstTouch) {
+  const std::size_t before = resident_bytes();
+  ASSERT_GT(before, 0u);
+  std::vector<std::unique_ptr<NodeMemory>> nodes;
+  for (int n = 0; n < 8; ++n) {
+    nodes.push_back(std::make_unique<NodeMemory>(kNodeArena));
+    const MemAddr a = nodes.back()->allocate(64);
+    ASSERT_NE(a, kNullAddr);
+    nodes.back()->bytes(a, 64)[0] = std::byte{1};  // touches one page
+  }
+  // 8 x 64 MB held, but only the touched pages are resident.
+  EXPECT_LT(resident_bytes(), before + kNodeArena);
 }
 
 TEST(NodeMemoryDeathTest, FreeOfUnknownAddressAborts) {

@@ -249,9 +249,14 @@ struct InspectFixture : ::testing::Test {
   void SetUp() override {
     Registry::global().reset();
     WedgeWorld w;
-    FlightRecorder fr(w.eng,
-                      {.ring_capacity = 128, .postmortem_dir = dir,
-                       .prefix = "flight_test"});
+    // One dump file per test: ctest runs the fixture's tests in parallel
+    // processes, and a shared name lets one truncate another's dump.
+    FlightRecorder fr(
+        w.eng, {.ring_capacity = 128, .postmortem_dir = dir,
+                .prefix = std::string("flight_test.") +
+                          ::testing::UnitTest::GetInstance()
+                              ->current_test_info()
+                              ->name()});
     fr.install();
     w.spawn_cascade();
     w.eng.run();

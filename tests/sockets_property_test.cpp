@@ -20,10 +20,16 @@ std::vector<std::byte> tagged_bytes(std::uint32_t tag, std::size_t n) {
   return v;
 }
 
+// gtest names each case by dumping its bytes, so no byte may be implicit
+// padding: uninitialised padding would make the names vary between runs.
 struct SdpRandomCase {
+  SdpRandomCase(SdpMode m, std::uint64_t sd) : mode(m), seed(sd) {}
   SdpMode mode;
+  std::uint32_t zero_pad = 0;
   std::uint64_t seed;
 };
+static_assert(sizeof(SdpRandomCase) == 16,
+              "no implicit padding in SdpRandomCase");
 
 class SdpRandomSizes : public ::testing::TestWithParam<SdpRandomCase> {};
 

@@ -233,10 +233,29 @@ TEST(ObserveFlagsDeathTest, NegativeHotKeysExitsTwoInsteadOfWrapping) {
 }
 
 TEST(ObserveFlagsDeathTest, CountAboveItsLimitExitsTwo) {
-  EXPECT_EQ(obs::count_flag("--node", "4294967295", UINT32_MAX), UINT32_MAX);
-  EXPECT_EXIT(obs::count_flag("--node", "4294967296", UINT32_MAX),
+  EXPECT_EQ(obs::count_flag("--node", "4294967295", 0, UINT32_MAX), UINT32_MAX);
+  EXPECT_EXIT(obs::count_flag("--node", "4294967296", 0, UINT32_MAX),
               ::testing::ExitedWithCode(2),
               "--node: expected an integer <= 4294967295, got '4294967296'");
+}
+
+TEST(ObserveFlagsDeathTest, ValueBelowItsMinimumExitsTwo) {
+  EXPECT_EQ(obs::count_flag("--proxies", "1", 1), 1u);
+  EXPECT_EXIT(obs::count_flag("--proxies", "0", 1),
+              ::testing::ExitedWithCode(2),
+              "--proxies: expected an integer >= 1, got '0'");
+  EXPECT_EQ(obs::real_flag("--alpha", "0", 0.0), 0.0);
+  EXPECT_EXIT(obs::real_flag("--alpha", "-1", 0.0),
+              ::testing::ExitedWithCode(2),
+              "--alpha: expected a number >= 0, got '-1'");
+}
+
+TEST(ObserveFlagsDeathTest, UnknownChoiceExitsTwoListingTheNames) {
+  EXPECT_EQ(obs::choice_flag("--mode", "exclusive", {"shared", "exclusive"}),
+            "exclusive");
+  EXPECT_EXIT(obs::choice_flag("--mode", "foo", {"shared", "exclusive"}),
+              ::testing::ExitedWithCode(2),
+              "--mode: expected one of shared.exclusive, got 'foo'");
 }
 
 TEST(ObserveFlagsDeathTest, MalformedRealExitsTwoNamingTheFlag) {

@@ -4,6 +4,7 @@
 Usage:
     tools/bench_compare.py BASELINE_DIR CANDIDATE_DIR [--threshold PCT]
     tools/bench_compare.py --wall BASELINE_DIR CANDIDATE_DIR [--threshold PCT]
+                           [--max-ns-per-event NS]
 
 Both directories hold BENCH_<name>.json files as written by the bench
 harness (bench/harness.cpp, `--bench-json`) or by tools/run_tier1.sh
@@ -21,11 +22,17 @@ code grows).
 With --wall the directories hold BENCH_<name>.wall.json files
 (dcs-bench-wall-v1, `--bench-wall-json`) and the script compares wall-clock
 ns/event instead.  Wall time is machine- and load-dependent, so --wall only
-REPORTS deltas beyond the threshold (default 15%) and always exits zero; it
+REPORTS deltas beyond the threshold (default 15%) and exits zero; it
 exists to make throughput changes visible in CI logs, not to gate them.
 Sharded wall files (bench_datacenter_scale) carry list-valued `events`
 (per partition) and `wall_ns` (per worker); they are reduced to sum and
-max respectively before comparing ns/event.
+max respectively before comparing ns/event.  Each bench's top-level
+`peak_rss_mb` (when both sides have it) is reported the same way.
+
+--max-ns-per-event NS is the one wall-clock gate: an absolute ceiling, not
+a delta.  Any candidate scenario above NS ns/event is named and the script
+exits 1.  It exists to catch a host cost that dwarfs simulation (a
+per-node memset, say), which is orders of magnitude beyond machine noise.
 """
 
 import argparse
@@ -49,7 +56,7 @@ PASSTHROUGH_SCHEMAS = {"dcs-timeseries-v1", "dcs-postmortem-v1", "dcs-lint-v1",
 
 
 def load_benches(directory: pathlib.Path, wall: bool = False):
-    """Returns {bench_name: {scenario_name: scenario_dict}}."""
+    """Returns {bench_name: document}; scenarios under "scenarios"."""
     if not directory.exists():
         raise CompareError(f"error: directory {directory} does not exist")
     if not directory.is_dir():
@@ -87,7 +94,7 @@ def load_benches(directory: pathlib.Path, wall: bool = False):
         if "bench" not in doc:
             print(f"warning: {path} has no \"bench\" field, skipped")
             continue
-        benches[doc["bench"]] = doc.get("scenarios", {})
+        benches[doc["bench"]] = doc
     return benches
 
 
@@ -174,6 +181,36 @@ def compare_wall_scenario(label, base, cand, threshold, notable):
           f"{delta:+8.2f}%  {status}")
 
 
+def compare_peak_rss(bench, base_doc, cand_doc, threshold, notable):
+    """Top-level peak_rss_mb delta, report-only; skipped when either side
+    predates the field."""
+    if "peak_rss_mb" not in base_doc or "peak_rss_mb" not in cand_doc:
+        return
+    b = float(base_doc["peak_rss_mb"])
+    c = float(cand_doc["peak_rss_mb"])
+    delta = pct_change(b, c)
+    status = "ok"
+    if abs(delta) > threshold:
+        status = "LARGER" if delta > 0 else "SMALLER"
+        notable.append(f"{bench} peak_rss_mb: {b:.1f} -> {c:.1f} "
+                       f"({delta:+.2f}%)")
+    print(f"  {bench:50s} {'rss_mb':10s} {b:>16.1f} {c:>16.1f} "
+          f"{delta:+8.2f}%  {status}")
+
+
+def over_ceiling(cand_set, max_ns):
+    """Every candidate scenario whose ns/event exceeds `max_ns`."""
+    over = []
+    for bench in sorted(cand_set):
+        scenarios = cand_set[bench].get("scenarios", {})
+        for scenario in sorted(scenarios):
+            label = f"{bench}/{scenario}"
+            npe = wall_ns_per_event(label, "candidate", scenarios[scenario])
+            if npe > max_ns:
+                over.append(f"{label}: {npe:.1f} ns/event")
+    return over
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("baseline", type=pathlib.Path)
@@ -183,8 +220,14 @@ def main() -> int:
                              "(default: 10, or 15 with --wall)")
     parser.add_argument("--wall", action="store_true",
                         help="compare BENCH_*.wall.json wall-clock ns/event "
-                             "(report-only: always exits zero)")
+                             "(report-only unless --max-ns-per-event)")
+    parser.add_argument("--max-ns-per-event", type=float, default=None,
+                        metavar="NS",
+                        help="with --wall: exit 1 naming every candidate "
+                             "scenario above NS ns/event")
     args = parser.parse_args()
+    if args.max_ns_per_event is not None and not args.wall:
+        parser.error("--max-ns-per-event requires --wall")
     if args.threshold is None:
         args.threshold = 15.0 if args.wall else 10.0
 
@@ -206,22 +249,24 @@ def main() -> int:
         if bench not in cand_set:
             print(f"  note: bench {bench!r} only in baseline")
             continue
-        for scenario in sorted(base_set[bench]):
-            if scenario not in cand_set[bench]:
+        base = base_set[bench].get("scenarios", {})
+        cand = cand_set[bench].get("scenarios", {})
+        if args.wall:
+            compare_peak_rss(bench, base_set[bench], cand_set[bench],
+                             args.threshold, failures)
+        for scenario in sorted(base):
+            if scenario not in cand:
                 print(f"  note: scenario {bench}/{scenario} only in baseline")
                 continue
             if args.wall:
-                compare_wall_scenario(f"{bench}/{scenario}",
-                                      base_set[bench][scenario],
-                                      cand_set[bench][scenario],
-                                      args.threshold, failures)
+                compare_wall_scenario(f"{bench}/{scenario}", base[scenario],
+                                      cand[scenario], args.threshold,
+                                      failures)
             else:
-                compare_scenario(f"{bench}/{scenario}",
-                                 base_set[bench][scenario],
-                                 cand_set[bench][scenario], args.threshold,
-                                 failures)
+                compare_scenario(f"{bench}/{scenario}", base[scenario],
+                                 cand[scenario], args.threshold, failures)
             compared += 1
-        for scenario in sorted(set(cand_set[bench]) - set(base_set[bench])):
+        for scenario in sorted(set(cand) - set(base)):
             print(f"  note: scenario {bench}/{scenario} only in candidate")
     for bench in sorted(set(cand_set) - set(base_set)):
         print(f"  note: bench {bench!r} only in candidate")
@@ -230,7 +275,7 @@ def main() -> int:
         print("error: no overlapping scenarios to compare")
         return 2
     if args.wall:
-        # Wall time is machine-dependent: report, never gate.
+        # Wall-time deltas are machine-dependent: report, never gate.
         if failures:
             print(f"\n{len(failures)} wall-clock delta(s) beyond "
                   f"{args.threshold:.1f}% (report-only):")
@@ -239,6 +284,17 @@ def main() -> int:
         else:
             print(f"\n{compared} scenario(s) compared, no wall-clock delta "
                   f"beyond {args.threshold:.1f}%")
+        if args.max_ns_per_event is None:
+            return 0
+        over = over_ceiling(cand_set, args.max_ns_per_event)
+        if over:
+            print(f"\n{len(over)} candidate scenario(s) above "
+                  f"--max-ns-per-event {args.max_ns_per_event:g}:")
+            for line in over:
+                print(f"  {line}")
+            return 1
+        print(f"every candidate scenario is at or under "
+              f"{args.max_ns_per_event:g} ns/event")
         return 0
     if failures:
         print(f"\n{len(failures)} regression(s) beyond "

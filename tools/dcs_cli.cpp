@@ -16,15 +16,18 @@
 //
 // All numbers are deterministic virtual-time results.
 #include <climits>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <map>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "audit/audit.hpp"
 #include "cache/coop_cache.hpp"
@@ -62,23 +65,32 @@ class Args {
       }
     }
   }
-  std::string str(const std::string& key, const std::string& fallback) const {
-    const auto it = values_.find(key);
-    return it != values_.end() ? it->second : fallback;
-  }
-  /// Numeric values exit 2 with a message naming the flag when malformed;
-  /// counts are capped so every caller's narrowing cast is exact.
-  int num(const std::string& key, int fallback) const {
+  /// Numeric values exit 2 with a message naming the flag when malformed
+  /// or outside [min, max]; `max` is at most INT_MAX, so every caller's
+  /// narrowing cast is exact.
+  int num(const std::string& key, int fallback, int min = 0,
+          int max = INT_MAX) const {
     const auto it = values_.find(key);
     return it != values_.end()
-               ? static_cast<int>(obs::count_flag("--" + key, it->second,
-                                                  INT_MAX))
+               ? static_cast<int>(obs::count_flag(
+                     "--" + key, it->second, static_cast<std::uint64_t>(min),
+                     static_cast<std::uint64_t>(max)))
                : fallback;
   }
-  double real(const std::string& key, double fallback) const {
+  double real(const std::string& key, double fallback,
+              double min = -HUGE_VAL) const {
     const auto it = values_.find(key);
-    return it != values_.end() ? obs::real_flag("--" + key, it->second)
+    return it != values_.end() ? obs::real_flag("--" + key, it->second, min)
                                : fallback;
+  }
+  /// The value of `--key` (the first name when absent); any name not in
+  /// `names` exits 2 naming the flag.
+  std::string one_of(const std::string& key,
+                     std::initializer_list<std::string_view> names) const {
+    const auto it = values_.find(key);
+    return it != values_.end()
+               ? std::string(obs::choice_flag("--" + key, it->second, names))
+               : std::string(*names.begin());
   }
 
  private:
@@ -159,21 +171,25 @@ int cmd_params() {
 }
 
 int cmd_cache(const Args& args, const obs::HarnessOptions& flags) {
-  const std::string scheme_name = args.str("scheme", "HYBCC");
+  const std::string scheme_name =
+      args.one_of("scheme", {"HYBCC", "AC", "BCC", "CCWR", "MTACC"});
   cache::Scheme scheme = cache::Scheme::kHYBCC;
   for (const auto s : {cache::Scheme::kAC, cache::Scheme::kBCC,
                        cache::Scheme::kCCWR, cache::Scheme::kMTACC,
                        cache::Scheme::kHYBCC}) {
     if (scheme_name == cache::to_string(s)) scheme = s;
   }
-  const auto proxies_n = static_cast<std::size_t>(args.num("proxies", 2));
+  const auto proxies_n = static_cast<std::size_t>(args.num("proxies", 2, 1));
+  const int ws_mb = args.num("ws-mb", 12, 1, INT_MAX / 1024);
+  // At least one document must fit in the working set.
   const std::size_t file_bytes =
-      static_cast<std::size_t>(args.num("file-kb", 16)) * 1024;
-  const double alpha = args.real("alpha", 0.75);
-  const auto requests = static_cast<std::size_t>(args.num("requests", 3000));
+      static_cast<std::size_t>(args.num("file-kb", 16, 1, ws_mb * 1024)) *
+      1024;
+  const double alpha = args.real("alpha", 0.75, 0.0);
+  const auto requests =
+      static_cast<std::size_t>(args.num("requests", 3000, 1));
   const std::size_t cache_mb =
       static_cast<std::size_t>(args.num("cache-mb", 4));
-  const std::size_t ws_mb = static_cast<std::size_t>(args.num("ws-mb", 12));
 
   sim::Engine eng;
   trace::ObservedRun observed(eng, observe_opts(flags, __func__ + 4));
@@ -192,7 +208,8 @@ int cmd_cache(const Args& args, const obs::HarnessOptions& flags) {
   backends = {static_cast<fabric::NodeId>(4 + proxies_n),
               static_cast<fabric::NodeId>(5 + proxies_n)};
 
-  const std::size_t num_docs = ws_mb * 1024 * 1024 / file_bytes;
+  const std::size_t num_docs =
+      static_cast<std::size_t>(ws_mb) * 1024 * 1024 / file_bytes;
   datacenter::DocumentStore store(
       {.num_docs = num_docs, .doc_bytes = file_bytes});
   datacenter::BackendService backend(tcp, store, backends);
@@ -226,9 +243,9 @@ int cmd_cache(const Args& args, const obs::HarnessOptions& flags) {
 }
 
 int cmd_locks(const Args& args, const obs::HarnessOptions& flags) {
-  const std::string scheme = args.str("scheme", "ncosed");
-  const int waiters = args.num("waiters", 8);
-  const std::string mode_name = args.str("mode", "shared");
+  const std::string scheme = args.one_of("scheme", {"ncosed", "srsl", "dqnl"});
+  const int waiters = args.num("waiters", 8, 1);
+  const std::string mode_name = args.one_of("mode", {"shared", "exclusive"});
   const auto mode = mode_name == "shared" ? dlm::LockMode::kShared
                                           : dlm::LockMode::kExclusive;
   sim::Engine eng;
@@ -284,7 +301,9 @@ int cmd_locks(const Args& args, const obs::HarnessOptions& flags) {
 }
 
 int cmd_monitor(const Args& args, const obs::HarnessOptions& flags) {
-  const std::string scheme_name = args.str("scheme", "rdma-sync");
+  const std::string scheme_name =
+      args.one_of("scheme", {"rdma-sync", "socket-sync", "socket-async",
+                             "rdma-async", "e-rdma-sync"});
   monitor::MonScheme scheme = monitor::MonScheme::kRdmaSync;
   if (scheme_name == "socket-sync") scheme = monitor::MonScheme::kSocketSync;
   if (scheme_name == "socket-async") scheme = monitor::MonScheme::kSocketAsync;
@@ -333,7 +352,7 @@ int cmd_monitor(const Args& args, const obs::HarnessOptions& flags) {
 
 int cmd_storm(const Args& args, const obs::HarnessOptions& flags) {
   const auto records = static_cast<std::uint64_t>(args.num("records", 100000));
-  const auto plane = args.str("plane", "ddss") == "ddss"
+  const auto plane = args.one_of("plane", {"ddss", "sockets"}) == "ddss"
                          ? storm::ControlPlane::kDdss
                          : storm::ControlPlane::kSockets;
   sim::Engine eng;
@@ -374,12 +393,8 @@ int cmd_storm(const Args& args, const obs::HarnessOptions& flags) {
 /// OnViolation::kPostmortem.  Each run writes deterministic
 /// dcs-postmortem-v1 dumps for `dcs inspect`.
 int cmd_wedge(const Args& args, const obs::HarnessOptions& flags) {
-  const std::string scenario = args.str("scenario", "stall");
-  if (scenario != "stall" && scenario != "deadline" &&
-      scenario != "violation") {
-    std::fprintf(stderr, "wedge: unknown --scenario %s\n", scenario.c_str());
-    return 2;
-  }
+  const std::string scenario =
+      args.one_of("scenario", {"stall", "deadline", "violation"});
   const int waiters = args.num("waiters", 3);
 
   sim::Engine eng;
