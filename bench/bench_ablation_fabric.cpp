@@ -12,6 +12,7 @@
 // range; only magnitudes move.
 #include <memory>
 
+#include "common/json.hpp"
 #include "common/table.hpp"
 #include "ddss/ddss.hpp"
 #include "dlm/ncosed.hpp"
@@ -84,7 +85,7 @@ void print_a1() {
   Table table({"atomic latency scale", "N-CoSED shared cascade (us)",
                "DDSS strict put (us)"});
   for (const double scale : {0.5, 1.0, 2.0, 4.0}) {
-    table.add_row("x" + Table::fmt(scale, 1),
+    table.add_row("x" + fmt_fixed(scale, 1),
                   {ncosed_shared_cascade_us(scale), ddss_strict_put_us(scale)},
                   1);
   }
@@ -122,8 +123,8 @@ void print_a2() {
                                          rate, 16384, 50));
     const double zsdp =
         to_micros(sdp_run(sockets::SdpMode::kZeroCopy, rate, 16384, 50));
-    table.add_row({Table::fmt(rate, 2), Table::fmt(sdp, 0),
-                   Table::fmt(zsdp, 0), sdp < zsdp ? "SDP" : "ZSDP",
+    table.add_row({fmt_fixed(rate, 2), fmt_fixed(sdp, 0),
+                   fmt_fixed(zsdp, 0), sdp < zsdp ? "SDP" : "ZSDP",
                    sdp < zsdp ? "yes: copies cheap enough" : "no"});
   }
   table.print(
@@ -163,8 +164,8 @@ void print_a3() {
         monitor_query_us(monitor::MonScheme::kSocketSync, scale);
     const double rdma =
         monitor_query_us(monitor::MonScheme::kRdmaSync, scale);
-    table.add_row({"x" + Table::fmt(scale, 1), Table::fmt(sock, 1),
-                   Table::fmt(rdma, 1), Table::fmt(sock / rdma, 1) + "x"});
+    table.add_row({"x" + fmt_fixed(scale, 1), fmt_fixed(sock, 1),
+                   fmt_fixed(rdma, 1), fmt_fixed(sock / rdma, 1) + "x"});
   }
   table.print(
       "Ablation A3 — TCP kernel cost sensitivity "

@@ -6,6 +6,7 @@
 // (zero stale responses) at close to cache-hit cost, where TTL-based
 // invalidation must choose between staleness and recompute load.
 #include "cache/active_cache.hpp"
+#include "common/json.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "common/zipf.hpp"
@@ -100,9 +101,9 @@ void print_table() {
   for (const auto policy : {DynamicPolicy::kNoCache, DynamicPolicy::kTtl,
                             DynamicPolicy::kStrong}) {
     const auto r = run_policy(policy, milliseconds(2));
-    table.add_row({to_string(policy), Table::fmt(r.mean_latency_us, 0),
-                   Table::fmt(100 * r.stale_fraction, 1) + " %",
-                   Table::fmt(100 * r.recompute_fraction, 1) + " %"});
+    table.add_row({to_string(policy), fmt_fixed(r.mean_latency_us, 0),
+                   fmt_fixed(100 * r.stale_fraction, 1) + " %",
+                   fmt_fixed(100 * r.recompute_fraction, 1) + " %"});
   }
   table.print(
       "Section 3/[12] — dynamic-content caching with multiple dependencies "

@@ -28,27 +28,28 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <numeric>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/json.hpp"
 #include "common/rng.hpp"
 #include "common/zipf.hpp"
 #include "ddss/ddss.hpp"
 #include "dlm/ncosed.hpp"
 #include "fabric/fabric.hpp"
-#include "harness.hpp"
 #include "monitor/telemetry.hpp"
+#include "obs/harness.hpp"
 #include "obs/heavy.hpp"
 #include "obs/slo.hpp"
 #include "obs/timeseries.hpp"
-#include "trace/exemplar.hpp"
 #include "sim/shard.hpp"
+#include "trace/exemplar.hpp"
 #include "trace/flight.hpp"
 #include "trace/shard_metrics.hpp"
 #include "trace/trace.hpp"
@@ -426,6 +427,8 @@ int run(const ScaleConfig& cfg, const obs::HarnessOptions& opts) {
               static_cast<double>(wall_ns) / 1e6,
               static_cast<double>(busiest_worker_ns) / 1e6, eps);
 
+  bool ok = true;  // every requested dump was written
+
   if (cfg.observe) {
     // Merge the per-partition health planes in partition order.  Node sets
     // are disjoint (each partition ingests under its own index), so the
@@ -463,17 +466,11 @@ int run(const ScaleConfig& cfg, const obs::HarnessOptions& opts) {
       obs::write_alert_stream(stream, merged_slo.alerts());
       std::fputs(stream.str().c_str(), stdout);
     }
-    if (!opts.timeseries_out.empty()) {
-      std::ofstream os(opts.timeseries_out);
-      if (!os) {
-        std::fprintf(stderr, "bench: cannot open %s\n",
-                     opts.timeseries_out.c_str());
-        return 1;
-      }
-      obs::write_timeseries_json(os, merged, merged_slo.alerts());
-      std::fprintf(stderr, "bench: %zu series -> %s\n", merged.all().size(),
-                   opts.timeseries_out.c_str());
-    }
+    ok &= obs::write_dump(
+        opts.timeseries_out, std::to_string(merged.all().size()) + " series",
+        [&](std::ostream& os) {
+          obs::write_timeseries_json(os, merged, merged_slo.alerts());
+        });
   }
 
   if (cfg.attribute) {
@@ -504,44 +501,25 @@ int run(const ScaleConfig& cfg, const obs::HarnessOptions& opts) {
         }
       }
     }
-    if (!opts.hotset_out.empty()) {
-      std::ofstream os(opts.hotset_out);
-      if (!os) {
-        std::fprintf(stderr, "bench: cannot open %s\n",
-                     opts.hotset_out.c_str());
-        return 1;
-      }
+    ok &= obs::write_dump(opts.hotset_out, "hotset", [&](std::ostream& os) {
       obs::write_hotset_json(os, hot);
-      std::fprintf(stderr, "bench: hotset -> %s\n", opts.hotset_out.c_str());
-    }
-    if (!opts.exemplars_out.empty()) {
-      std::ofstream os(opts.exemplars_out);
-      if (!os) {
-        std::fprintf(stderr, "bench: cannot open %s\n",
-                     opts.exemplars_out.c_str());
-        return 1;
-      }
-      trace::write_exemplar_json(os, exemplars);
-      std::fprintf(stderr, "bench: exemplars -> %s\n",
-                   opts.exemplars_out.c_str());
-    }
+    });
+    ok &= obs::write_dump(opts.exemplars_out, "exemplars",
+                          [&](std::ostream& os) {
+                            trace::write_exemplar_json(os, exemplars);
+                          });
   }
 
-  if (!opts.wall_json.empty()) {
-    std::ofstream os(opts.wall_json);
-    if (!os) {
-      std::fprintf(stderr, "bench: cannot open %s\n", opts.wall_json.c_str());
-      return 1;
-    }
-    // dcs-bench-wall-v1 with list-valued events (per partition) and
-    // wall_ns (per worker); consumers reduce with sum / max respectively.
+  // dcs-bench-wall-v1 with list-valued events (per partition) and wall_ns
+  // (per worker); consumers reduce with sum / max respectively.
+  ok &= obs::write_dump(opts.wall_json, "wall telemetry",
+                        [&](std::ostream& os) {
     char fp[32];
     std::snprintf(fp, sizeof fp, "0x%016" PRIx64, sharded.merged_fingerprint());
-    char rss[32];
-    std::snprintf(rss, sizeof rss, "%.3f", bench::peak_rss_mb());
     os << "{\n  \"schema\": \"dcs-bench-wall-v1\",\n"
        << "  \"bench\": \"datacenter_scale\",\n"
-       << "  \"peak_rss_mb\": " << rss << ",\n  \"scenarios\": {\n"
+       << "  \"peak_rss_mb\": " << fmt_fixed(obs::peak_rss_mb(), 3)
+       << ",\n  \"scenarios\": {\n"
        << "    \"zipf/nodes=" << cfg.nodes << "\": {\n"
        << "      \"virtual_ns\": " << sharded.now() << ",\n"
        << "      \"fingerprint\": \"" << fp << "\",\n"
@@ -556,18 +534,13 @@ int run(const ScaleConfig& cfg, const obs::HarnessOptions& opts) {
     for (std::size_t i = 0; i < worker_wall.size(); ++i) {
       os << (i ? ", " : "") << worker_wall[i];
     }
-    char eps_s[64], npe_s[64];
-    std::snprintf(eps_s, sizeof eps_s, "%.3f", eps);
-    std::snprintf(npe_s, sizeof npe_s, "%.3f",
-                  total_events > 0
-                      ? static_cast<double>(wall_ns) / total_events
-                      : 0.0);
-    os << "],\n      \"events_per_sec\": " << eps_s << ",\n"
-       << "      \"ns_per_event\": " << npe_s << "\n    }\n  }\n}\n";
-    std::fprintf(stderr, "bench: wall telemetry -> %s\n",
-                 opts.wall_json.c_str());
-  }
-  return 0;
+    const double npe =
+        total_events > 0 ? static_cast<double>(wall_ns) / total_events : 0.0;
+    os << "],\n      \"events_per_sec\": " << fmt_fixed(eps, 3) << ",\n"
+       << "      \"ns_per_event\": " << fmt_fixed(npe, 3)
+       << "\n    }\n  }\n}\n";
+  });
+  return ok ? 0 : 1;
 }
 
 }  // namespace

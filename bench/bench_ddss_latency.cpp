@@ -6,8 +6,7 @@
 // land in the tens of microseconds.
 #include "common/table.hpp"
 #include "ddss/ddss.hpp"
-#include "harness.hpp"
-#include "trace/observe.hpp"
+#include "obs/harness.hpp"
 
 namespace {
 
@@ -60,45 +59,14 @@ void print_fig3a() {
       "(paper: 1-byte ~tens of us, Strict most expensive)");
 }
 
-// Observed mode (`--trace-out` / `--metrics-out`): one deterministic
-// engine running allocate / put / get / release under every coherence
-// model, so the trace shows how each model decomposes into verbs ops.
-// Two invocations produce byte-identical files.
-int run_observed(const trace::ObserveOptions& opts) {
-  sim::Engine eng;
-  trace::ObservedRun observed(eng, opts);
-  fabric::Fabric fab(eng, fabric::FabricParams{},
-                     {.num_nodes = 2, .mem_per_node = 4u << 20});
-  verbs::Network net(fab);
-  ddss::Ddss substrate(net);
-  substrate.start();
-  eng.spawn([](ddss::Ddss& d) -> sim::Task<void> {
-    auto client = d.client(0);
-    constexpr std::size_t kBytes = 4096;
-    std::vector<std::byte> value(kBytes, std::byte{0x5A});
-    std::vector<std::byte> buf(kBytes);
-    for (const auto model : kModels) {
-      auto alloc = co_await client.allocate(kBytes, model,
-                                            ddss::Placement::kRemote);
-      for (int i = 0; i < 4; ++i) {
-        co_await client.put(alloc, value);
-        co_await client.get(alloc, buf);
-      }
-      co_await client.release(alloc);
-    }
-  }(substrate));
-  eng.run();
-  return 0;
-}
-
 // Harnessed scenarios (docs/BENCHMARKS.md): 4 KB puts under every
 // coherence model, each put a trace::Request so the verbs decomposition
 // (lock, version bump, data write) is attributed per model.
 int run_harness(const obs::HarnessOptions& opts) {
-  bench::Harness h("ddss_latency", opts);
+  obs::Harness h("ddss_latency", opts);
   for (const auto model : kModels) {
     h.run(std::string("put/") + ddss::to_string(model),
-          [model](bench::Scenario& s) {
+          [model](obs::Scenario& s) {
             auto& eng = s.engine();
             fabric::Fabric fab(eng, fabric::FabricParams{},
                                {.num_nodes = 2, .mem_per_node = 4u << 20});
@@ -106,7 +74,7 @@ int run_harness(const obs::HarnessOptions& opts) {
             ddss::Ddss substrate(net);
             substrate.start();
             eng.spawn([](sim::Engine& e, ddss::Ddss& d, ddss::Coherence m,
-                         bench::Scenario& out) -> sim::Task<void> {
+                         obs::Scenario& out) -> sim::Task<void> {
               auto client = d.client(0);
               constexpr std::size_t kBytes = 4096;
               auto alloc = co_await client.allocate(
@@ -136,10 +104,10 @@ int run_harness(const obs::HarnessOptions& opts) {
   // lock-based models fall back to serial inside put_many.
   for (const auto model : {ddss::Coherence::kNull, ddss::Coherence::kRead,
                            ddss::Coherence::kVersion}) {
-    for (const std::size_t depth : bench::batch_sweep(opts.batch)) {
+    for (const std::size_t depth : obs::batch_sweep(opts.batch)) {
       h.run(std::string("put/") + ddss::to_string(model) + "/batch=" +
                 std::to_string(depth),
-            [model, depth](bench::Scenario& s) {
+            [model, depth](obs::Scenario& s) {
               s.batch_depth(depth);
               auto& eng = s.engine();
               fabric::Fabric fab(eng, fabric::FabricParams{},
@@ -149,7 +117,7 @@ int run_harness(const obs::HarnessOptions& opts) {
               substrate.start();
               eng.spawn([](sim::Engine& e, ddss::Ddss& d, ddss::Coherence m,
                            std::size_t k,
-                           bench::Scenario& out) -> sim::Task<void> {
+                           obs::Scenario& out) -> sim::Task<void> {
                 auto client = d.client(0);
                 constexpr std::size_t kBytes = 4096;
                 std::vector<ddss::Allocation> allocs;
@@ -191,7 +159,6 @@ int main(int argc, char** argv) {
   const auto flags = obs::extract_harness_flags(argc, argv);
   obs::reject_unknown_args(argc, argv);
   if (flags.harness_mode()) return run_harness(flags);
-  if (flags.observe_mode()) return run_observed(flags.observe("ddss_latency"));
   print_fig3a();
   return 0;
 }

@@ -1,12 +1,13 @@
 // DDSS operation microbenchmarks beyond Figure 3a: get() latency per
 // coherence model, the IPC-virtualization overhead, placement policies,
 // and the global memory aggregator's striping bandwidth.
+#include "common/json.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "common/zipf.hpp"
 #include "ddss/aggregator.hpp"
 #include "ddss/ddss.hpp"
-#include "harness.hpp"
+#include "obs/harness.hpp"
 
 namespace {
 
@@ -64,9 +65,9 @@ void print_ipc_table() {
   Table table({"accessor", "get latency (us)", "overhead"});
   const double owner = get_latency_us(ddss::Coherence::kNull, 1024, 0);
   const double other = get_latency_us(ddss::Coherence::kNull, 1024, 7);
-  table.add_row({"substrate-owner process", Table::fmt(owner, 2), "-"});
-  table.add_row({"other local process (IPC hop)", Table::fmt(other, 2),
-                 "+" + Table::fmt(other - owner, 2) + " us"});
+  table.add_row({"substrate-owner process", fmt_fixed(owner, 2), "-"});
+  table.add_row({"other local process (IPC hop)", fmt_fixed(other, 2),
+                 "+" + fmt_fixed(other - owner, 2) + " us"});
   table.print("DDSS IPC management — per-op cost of process virtualization");
 }
 
@@ -100,7 +101,7 @@ void print_placement_table() {
                        : policy == ddss::Placement::kRoundRobin
                            ? "round-robin"
                            : "least-loaded";
-    table.add_row({name, Table::fmt(us, 1), std::to_string(homes.size())});
+    table.add_row({name, fmt_fixed(us, 1), std::to_string(homes.size())});
   }
   table.print("DDSS data placement policies — allocation cost and spread");
 }
@@ -125,8 +126,8 @@ void print_aggregator_table() {
     }(agg, eng, striped, us));
     eng.run();
     table.add_row({striped ? "striped (64 KB across 4 donors)" : "linear",
-                   Table::fmt(us, 1),
-                   Table::fmt((1.0 / 1024.0) / (us * 1e-6), 2)});
+                   fmt_fixed(us, 1),
+                   fmt_fixed((1.0 / 1024.0) / (us * 1e-6), 2)});
   }
   table.print(
       "Global memory aggregator — striping turns capacity aggregation into "
@@ -140,8 +141,8 @@ void print_aggregator_table() {
 // samples are amortized per op (batch time / K) so "get/<model>/batch=K"
 // compares directly against "get/<model>".
 int run_harness(const obs::HarnessOptions& opts) {
-  bench::Harness h("ddss_ops", opts);
-  const auto setup = [](bench::Scenario& s, ddss::Coherence m, std::size_t k,
+  obs::Harness h("ddss_ops", opts);
+  const auto setup = [](obs::Scenario& s, ddss::Coherence m, std::size_t k,
                         bool batched) {
     auto& eng = s.engine();
     fabric::Fabric fab(eng, fabric::FabricParams{},
@@ -151,7 +152,7 @@ int run_harness(const obs::HarnessOptions& opts) {
     substrate.start();
     eng.spawn([](sim::Engine& e, ddss::Ddss& d, ddss::Coherence model,
                  std::size_t depth, bool use_batch,
-                 bench::Scenario& out) -> sim::Task<void> {
+                 obs::Scenario& out) -> sim::Task<void> {
       auto client = d.client(0);
       constexpr std::size_t kBytes = 4096;
       std::vector<std::byte> value(kBytes, std::byte{1});
@@ -192,14 +193,14 @@ int run_harness(const obs::HarnessOptions& opts) {
   };
   for (const auto model : kModels) {
     h.run(std::string("get/") + ddss::to_string(model),
-          [&](bench::Scenario& s) { setup(s, model, 1, false); });
+          [&](obs::Scenario& s) { setup(s, model, 1, false); });
   }
   for (const auto model : {ddss::Coherence::kNull, ddss::Coherence::kWrite,
                            ddss::Coherence::kRead}) {
-    for (const std::size_t depth : bench::batch_sweep(opts.batch)) {
+    for (const std::size_t depth : obs::batch_sweep(opts.batch)) {
       h.run(std::string("get/") + ddss::to_string(model) + "/batch=" +
                 std::to_string(depth),
-            [&](bench::Scenario& s) {
+            [&](obs::Scenario& s) {
               s.batch_depth(depth);
               setup(s, model, depth, true);
               s.metric("batch_depth", static_cast<double>(depth));
@@ -210,7 +211,7 @@ int run_harness(const obs::HarnessOptions& opts) {
   // Under --hotset-out / --hot-keys the harness arms the ambient hot sink,
   // so the DCS_HOT("ddss.object", ...) sites inside the substrate's get
   // path feed the top-K sketch — low Zipf ranks must dominate it.
-  h.run("get/zipf", [&](bench::Scenario& s) {
+  h.run("get/zipf", [&](obs::Scenario& s) {
     auto& eng = s.engine();
     fabric::Fabric fab(eng, fabric::FabricParams{},
                        {.num_nodes = 2, .mem_per_node = 4u << 20});
@@ -218,7 +219,7 @@ int run_harness(const obs::HarnessOptions& opts) {
     ddss::Ddss substrate(net);
     substrate.start();
     eng.spawn([](sim::Engine& e, ddss::Ddss& d,
-                 bench::Scenario& out) -> sim::Task<void> {
+                 obs::Scenario& out) -> sim::Task<void> {
       auto client = d.client(0);
       constexpr std::size_t kBytes = 512;
       constexpr std::size_t kObjects = 64;

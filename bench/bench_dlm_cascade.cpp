@@ -15,7 +15,7 @@
 #include "dlm/dqnl.hpp"
 #include "dlm/ncosed.hpp"
 #include "dlm/srsl.hpp"
-#include "harness.hpp"
+#include "obs/harness.hpp"
 
 namespace {
 
@@ -212,18 +212,18 @@ void print_throughput_table() {
 // round trips (each acquisition a trace::Request, so lock-wait shows up
 // in the attribution).
 int run_harness(const obs::HarnessOptions& opts) {
-  bench::Harness h("dlm_cascade", opts);
+  obs::Harness h("dlm_cascade", opts);
   for (const Scheme scheme :
        {Scheme::kSrsl, Scheme::kDqnl, Scheme::kNcosed}) {
     h.run(std::string("cascade/shared/8/") + name_of(scheme),
-          [scheme](bench::Scenario& s) {
+          [scheme](obs::Scenario& s) {
             World w(s.engine(), scheme);
             s.metric("cascade_us", cascade_latency_on(w, LockMode::kShared, 8));
           });
     h.run(std::string("uncontended/") + name_of(scheme),
-          [scheme](bench::Scenario& s) {
+          [scheme](obs::Scenario& s) {
             World w(s.engine(), scheme);
-            w.eng.spawn([](World& world, bench::Scenario& out)
+            w.eng.spawn([](World& world, obs::Scenario& out)
                             -> sim::Task<void> {
               constexpr int kIters = 20;
               for (int i = 0; i < kIters; ++i) {
@@ -248,9 +248,7 @@ int run_harness(const obs::HarnessOptions& opts) {
 int main(int argc, char** argv) {
   const auto harness = obs::extract_harness_flags(argc, argv);
   obs::reject_unknown_args(argc, argv);
-  if (harness.harness_mode() || !harness.postmortem_dir.empty()) {
-    return run_harness(harness);
-  }
+  if (harness.harness_mode()) return run_harness(harness);
   print_fig4_op_counts();
   print_op_latency_table();
   print_throughput_table();

@@ -18,7 +18,7 @@
 // into BENCH_engine.json; wall-clock events/sec and ns/event go into the
 // non-deterministic BENCH_engine.wall.json sibling (docs/BENCHMARKS.md).
 #include "common/rng.hpp"
-#include "harness.hpp"
+#include "obs/harness.hpp"
 #include "sim/engine.hpp"
 #include "sim/sync.hpp"
 
@@ -108,20 +108,20 @@ void fanout_64(Engine& eng, int msgs_per_node) {
 // --- harness scenarios ----------------------------------------------------
 
 int run_harness(const obs::HarnessOptions& opts) {
-  bench::Harness h("engine", opts);
-  h.run("timer_churn/64x2000", [](bench::Scenario& s) {
+  obs::Harness h("engine", opts);
+  h.run("timer_churn/64x2000", [](obs::Scenario& s) {
     timer_churn(s.engine(), 64, 2000);
     s.metric("events", static_cast<double>(s.engine().events_dispatched()));
   });
-  h.run("channel_pingpong/200k", [](bench::Scenario& s) {
+  h.run("channel_pingpong/200k", [](obs::Scenario& s) {
     channel_pingpong(s.engine(), 200'000);
     s.metric("events", static_cast<double>(s.engine().events_dispatched()));
   });
-  h.run("spawn_join_storm/4000x16", [](bench::Scenario& s) {
+  h.run("spawn_join_storm/4000x16", [](obs::Scenario& s) {
     spawn_join_storm(s.engine(), 4000, 16);
     s.metric("events", static_cast<double>(s.engine().events_dispatched()));
   });
-  h.run("fanout_64/1000", [](bench::Scenario& s) {
+  h.run("fanout_64/1000", [](obs::Scenario& s) {
     fanout_64(s.engine(), 1000);
     s.metric("events", static_cast<double>(s.engine().events_dispatched()));
   });
@@ -133,9 +133,8 @@ int run_harness(const obs::HarnessOptions& opts) {
 int main(int argc, char** argv) {
   auto harness = dcs::obs::extract_harness_flags(argc, argv);
   dcs::obs::reject_unknown_args(argc, argv);
-  // No paper table and no single-run observed path here: the scenarios
-  // always run (--postmortem-dir arms a flight recorder around each), and
-  // with no output requested the wall report goes to stderr only.
+  // No paper table here: the harness scenarios always run, and with no
+  // observability flag given the wall report goes to stderr only.
   if (!harness.harness_mode()) harness.wall_json = "/dev/null";
   return run_harness(harness);
 }

@@ -14,6 +14,7 @@
 //                        admission alone, bounded latency throughout.
 //
 // All three services run on the RDMA monitoring primitive.
+#include "common/json.hpp"
 #include "common/table.hpp"
 #include "datacenter/admission.hpp"
 #include "obs/flags.hpp"
@@ -126,9 +127,9 @@ void print_table() {
   };
   for (const auto& [name, config] : kConfigs) {
     const auto r = run_config(config);
-    table.add_row({name, Table::fmt(r.p95_us, 0),
-                   Table::fmt(100 * r.drop_rate, 1) + " %",
-                   Table::fmt(r.other_p95_us, 0), std::to_string(r.moves)});
+    table.add_row({name, fmt_fixed(r.p95_us, 0),
+                   fmt_fixed(100 * r.drop_rate, 1) + " %",
+                   fmt_fixed(r.other_p95_us, 0), std::to_string(r.moves)});
   }
   table.print(
       "Flash crowd (10x arrival spike for 500 ms) — the framework's "

@@ -4,6 +4,7 @@
 // of a credit each under credit-based flow control; sender-managed
 // packetized packing recovers close to an order of magnitude of
 // small-message throughput.  Full-buffer messages are equivalent.
+#include "common/json.hpp"
 #include "common/table.hpp"
 #include "obs/flags.hpp"
 #include "sockets/flowctl.hpp"
@@ -56,12 +57,12 @@ void print_table() {
     const auto credit = run_stream<CreditStream>(size, count);
     const auto packed = run_stream<PacketizedStream>(size, count);
     table.add_row({std::to_string(size) + " B",
-                   Table::fmt(credit.msgs_per_sec, 0),
-                   Table::fmt(packed.msgs_per_sec, 0),
-                   Table::fmt(packed.msgs_per_sec / credit.msgs_per_sec, 1) +
+                   fmt_fixed(credit.msgs_per_sec, 0),
+                   fmt_fixed(packed.msgs_per_sec, 0),
+                   fmt_fixed(packed.msgs_per_sec / credit.msgs_per_sec, 1) +
                        "x",
-                   Table::fmt(100 * credit.buffer_utilization, 2),
-                   Table::fmt(100 * packed.buffer_utilization, 2)});
+                   fmt_fixed(100 * credit.buffer_utilization, 2),
+                   fmt_fixed(100 * packed.buffer_utilization, 2)});
   }
   table.print(
       "Section 6 — credit-based vs packetized flow control "

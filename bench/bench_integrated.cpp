@@ -20,10 +20,11 @@
 // Reported: web-service hit rate and request latency after the move, plus
 // batch-site completion time.
 #include "cache/coop_cache.hpp"
+#include "common/json.hpp"
 #include "common/table.hpp"
 #include "common/zipf.hpp"
-#include "harness.hpp"
 #include "monitor/monitor.hpp"
+#include "obs/harness.hpp"
 #include "reconfig/reconfig.hpp"
 
 namespace {
@@ -172,10 +173,10 @@ void print_table() {
   for (const Policy p :
        {Policy::kStatic, Policy::kBlind, Policy::kCacheAware}) {
     const auto r = run_policy(p);
-    table.add_row({name_of(p), Table::fmt(100 * r.web_hit_rate_after, 1) + " %",
-                   Table::fmt(r.web_latency_us, 0),
+    table.add_row({name_of(p), fmt_fixed(100 * r.web_hit_rate_after, 1) + " %",
+                   fmt_fixed(r.web_latency_us, 0),
                    r.batch_done_ms < 0 ? "starved"
-                                       : Table::fmt(r.batch_done_ms, 0),
+                                       : fmt_fixed(r.batch_done_ms, 0),
                    std::to_string(r.moves)});
   }
   table.print(
@@ -189,7 +190,7 @@ void print_table() {
 // wrapped in a trace::Request so the critical-path analyzer attributes its
 // latency — host-cpu share shrinks two-sided -> one-sided.  The policy
 // scenarios snapshot the integrated Section 6 experiment.
-void run_transport(bench::Scenario& s, datacenter::BackendTransport t) {
+void run_transport(obs::Scenario& s, datacenter::BackendTransport t) {
   auto& eng = s.engine();
   fabric::Fabric fab(eng, fabric::FabricParams{},
                      {.num_nodes = 4, .cores_per_node = 2});
@@ -202,7 +203,7 @@ void run_transport(bench::Scenario& s, datacenter::BackendTransport t) {
   backend.start();
   constexpr int kFetches = 30;
   eng.spawn([](sim::Engine& e, datacenter::BackendService& b,
-               bench::Scenario& out) -> sim::Task<void> {
+               obs::Scenario& out) -> sim::Task<void> {
     for (datacenter::DocId d = 0; d < kFetches; ++d) {
       const auto t0 = e.now();
       {
@@ -220,11 +221,11 @@ void run_transport(bench::Scenario& s, datacenter::BackendTransport t) {
 }
 
 int run_harness(const obs::HarnessOptions& opts) {
-  bench::Harness h("integrated", opts);
-  h.run("two-sided", [](bench::Scenario& s) {
+  obs::Harness h("integrated", opts);
+  h.run("two-sided", [](obs::Scenario& s) {
     run_transport(s, datacenter::BackendTransport::kTcp);
   });
-  h.run("one-sided", [](bench::Scenario& s) {
+  h.run("one-sided", [](obs::Scenario& s) {
     run_transport(s, datacenter::BackendTransport::kSdp);
   });
   for (const Policy p :
@@ -232,7 +233,7 @@ int run_harness(const obs::HarnessOptions& opts) {
     const char* label = p == Policy::kStatic    ? "policy/static"
                         : p == Policy::kBlind   ? "policy/blind"
                                                 : "policy/cache-aware";
-    h.run(label, [p](bench::Scenario& s) {
+    h.run(label, [p](obs::Scenario& s) {
       const auto r = run_policy_on(s.engine(), p);
       s.metric("web_hit_rate", r.web_hit_rate_after);
       s.metric("web_latency_us", r.web_latency_us);
@@ -248,9 +249,7 @@ int run_harness(const obs::HarnessOptions& opts) {
 int main(int argc, char** argv) {
   const auto harness = obs::extract_harness_flags(argc, argv);
   obs::reject_unknown_args(argc, argv);
-  if (harness.harness_mode() || !harness.postmortem_dir.empty()) {
-    return run_harness(harness);
-  }
+  if (harness.harness_mode()) return run_harness(harness);
   print_table();
   return 0;
 }

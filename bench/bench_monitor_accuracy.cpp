@@ -4,12 +4,13 @@
 // Paper shape: RDMA-based schemes report (almost) no deviation from the
 // actual thread count; socket-based schemes spike under load because the
 // monitoring process waits in the run queue.
+#include "common/json.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
-#include "harness.hpp"
 #include "monitor/monitor.hpp"
 #include "monitor/telemetry.hpp"
+#include "obs/harness.hpp"
 
 namespace {
 
@@ -85,11 +86,11 @@ void print_fig8a() {
     std::size_t exact = 0;
     for (const double d : r.deviation_series) exact += (d < 0.5);
     table.add_row(
-        {monitor::to_string(scheme), Table::fmt(r.mean_abs_dev, 3),
-         Table::fmt(r.max_abs_dev, 1),
-         Table::fmt(100.0 * static_cast<double>(exact) /
-                        static_cast<double>(r.deviation_series.size()),
-                    1)});
+        {monitor::to_string(scheme), fmt_fixed(r.mean_abs_dev, 3),
+         fmt_fixed(r.max_abs_dev, 1),
+         fmt_fixed(100.0 * static_cast<double>(exact) /
+                       static_cast<double>(r.deviation_series.size()),
+                   1)});
   }
   table.print(
       "Figure 8a — deviation of reported vs actual thread count under "
@@ -124,7 +125,7 @@ void print_intrusiveness() {
       }(eng, mon, period));
       eng.run_until(seconds(1));
       const double pct = 100.0 * fab.node(1).utilization();
-      row.push_back(Table::fmt(pct, 2) + " % CPU");
+      row.push_back(fmt_fixed(pct, 2) + " % CPU");
     }
     table.add_row(row);
   }
@@ -137,10 +138,10 @@ void print_intrusiveness() {
 // plus the telemetry dogfood — a front-end RDMA-scraping a loaded node's
 // own registry snapshot with zero target-CPU involvement.
 int run_harness(const obs::HarnessOptions& opts) {
-  bench::Harness h("monitor_accuracy", opts);
+  obs::Harness h("monitor_accuracy", opts);
   for (const auto scheme : kSchemes) {
     h.run(std::string("accuracy/") + monitor::to_string(scheme),
-          [scheme](bench::Scenario& s) {
+          [scheme](obs::Scenario& s) {
             const auto r = measure_on(s.engine(), scheme);
             std::size_t exact = 0;
             for (const double d : r.deviation_series) exact += (d < 0.5);
@@ -153,7 +154,7 @@ int run_harness(const obs::HarnessOptions& opts) {
                          static_cast<double>(r.deviation_series.size()));
           });
   }
-  h.run("telemetry/rdma-scrape", [](bench::Scenario& s) {
+  h.run("telemetry/rdma-scrape", [](obs::Scenario& s) {
     auto& eng = s.engine();
     fabric::Fabric fab(eng, fabric::FabricParams{},
                        {.num_nodes = 2, .cores_per_node = 1});
@@ -194,9 +195,7 @@ int run_harness(const obs::HarnessOptions& opts) {
 int main(int argc, char** argv) {
   const auto harness = obs::extract_harness_flags(argc, argv);
   obs::reject_unknown_args(argc, argv);
-  if (harness.harness_mode() || !harness.postmortem_dir.empty()) {
-    return run_harness(harness);
-  }
+  if (harness.harness_mode()) return run_harness(harness);
   print_fig8a();
   print_intrusiveness();
   return 0;

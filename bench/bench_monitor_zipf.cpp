@@ -11,11 +11,12 @@
 #include <cstdio>
 #include <string_view>
 
+#include "common/json.hpp"
 #include "common/table.hpp"
 #include "common/zipf.hpp"
 #include "datacenter/workload.hpp"
-#include "harness.hpp"
 #include "monitor/monitor.hpp"
+#include "obs/harness.hpp"
 #include "trace/hot.hpp"
 
 namespace {
@@ -115,7 +116,7 @@ double throughput_tps(MonScheme scheme, double alpha,
 
 void print_fig8b() {
   std::vector<std::string> header = {"scheme"};
-  for (const double a : kAlphas) header.push_back("a=" + Table::fmt(a, 2));
+  for (const double a : kAlphas) header.push_back("a=" + fmt_fixed(a, 2));
   Table table(header);
   std::vector<double> baseline;
   for (const double a : kAlphas) {
@@ -123,7 +124,7 @@ void print_fig8b() {
   }
   {
     std::vector<std::string> row = {"Socket-Async (baseline TPS)"};
-    for (const double b : baseline) row.push_back(Table::fmt(b, 0));
+    for (const double b : baseline) row.push_back(fmt_fixed(b, 0));
     table.add_row(row);
   }
   for (const auto scheme : kSchemes) {
@@ -131,7 +132,7 @@ void print_fig8b() {
                                     " (% impr.)"};
     for (std::size_t i = 0; i < kAlphas.size(); ++i) {
       const double tps = throughput_tps(scheme, kAlphas[i]);
-      row.push_back(Table::fmt(100.0 * (tps / baseline[i] - 1.0), 1));
+      row.push_back(fmt_fixed(100.0 * (tps / baseline[i] - 1.0), 1));
     }
     table.add_row(row);
   }
@@ -147,7 +148,7 @@ void print_fig8b() {
 /// paper's single-core penalty to CPU contention, not protocol latency.
 void print_cores_variant(std::size_t cores) {
   std::vector<std::string> header = {"scheme"};
-  for (const double a : kAlphas) header.push_back("a=" + Table::fmt(a, 2));
+  for (const double a : kAlphas) header.push_back("a=" + fmt_fixed(a, 2));
   Table table(header);
   std::vector<double> baseline;
   for (const double a : kAlphas) {
@@ -155,7 +156,7 @@ void print_cores_variant(std::size_t cores) {
   }
   {
     std::vector<std::string> row = {"Socket-Async (baseline TPS)"};
-    for (const double b : baseline) row.push_back(Table::fmt(b, 0));
+    for (const double b : baseline) row.push_back(fmt_fixed(b, 0));
     table.add_row(row);
   }
   for (const auto scheme : kSchemes) {
@@ -163,7 +164,7 @@ void print_cores_variant(std::size_t cores) {
                                     " (% impr.)"};
     for (std::size_t i = 0; i < kAlphas.size(); ++i) {
       const double tps = throughput_tps(scheme, kAlphas[i], cores);
-      row.push_back(Table::fmt(100.0 * (tps / baseline[i] - 1.0), 1));
+      row.push_back(fmt_fixed(100.0 * (tps / baseline[i] - 1.0), 1));
     }
     table.add_row(row);
   }
@@ -178,12 +179,12 @@ void print_cores_variant(std::size_t cores) {
 /// ambient hot sink and the dispatch-time DCS_HOT("monitor.doc", ...)
 /// feeds the top-K sketch with document ranks.
 int run_harness(const obs::HarnessOptions& opts) {
-  bench::Harness h("monitor_zipf", opts);
+  obs::Harness h("monitor_zipf", opts);
   for (const auto scheme : kSchemes) {
     for (const double alpha : kAlphas) {
       h.run(std::string(monitor::to_string(scheme)) + "/a=" +
-                Table::fmt(alpha, 2),
-            [&](bench::Scenario& s) {
+                fmt_fixed(alpha, 2),
+            [&](obs::Scenario& s) {
               const double tps =
                   throughput_tps_on(s.engine(), scheme, alpha, 1);
               s.zipf_alpha(alpha);

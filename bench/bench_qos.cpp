@@ -2,6 +2,7 @@
 // overload scenarios"): soft-QoS latency protection under overload, and
 // admission control keeping admitted-request latency bounded while the
 // offered load grows past capacity.
+#include "common/json.hpp"
 #include "common/table.hpp"
 #include "datacenter/admission.hpp"
 #include "datacenter/qos.hpp"
@@ -53,10 +54,10 @@ void print_qos_table() {
                "premium CPU share"});
   for (const double weight : {1.0, 2.0, 4.0, 8.0}) {
     const auto r = run_qos(weight);
-    table.add_row({"x" + Table::fmt(weight, 0),
-                   Table::fmt(r.premium_p95_us, 0),
-                   Table::fmt(r.standard_p95_us, 0),
-                   Table::fmt(100 * r.premium_share, 1) + " %"});
+    table.add_row({"x" + fmt_fixed(weight, 0),
+                   fmt_fixed(r.premium_p95_us, 0),
+                   fmt_fixed(r.standard_p95_us, 0),
+                   fmt_fixed(100 * r.premium_share, 1) + " %"});
   }
   table.print(
       "Soft QoS ([4]) — premium latency under a standard-class flood "
@@ -107,8 +108,8 @@ void print_admission_table() {
       const auto r = run_admission(sessions, on);
       table.add_row({std::to_string(sessions),
                      on ? "admission control" : "admit everything",
-                     Table::fmt(r.admitted_p95_us, 0),
-                     Table::fmt(100 * r.drop_rate, 1) + " %",
+                     fmt_fixed(r.admitted_p95_us, 0),
+                     fmt_fixed(100 * r.drop_rate, 1) + " %",
                      std::to_string(r.served)});
     }
   }

@@ -5,6 +5,7 @@
 // immediately; a conventional coarse (second-scale) loop leaves site A
 // under-provisioned for the whole interval.  Paper claim: about an order
 // of magnitude benefit in adaptation time for the fine-grained module.
+#include "common/json.hpp"
 #include "common/table.hpp"
 #include "obs/flags.hpp"
 #include "reconfig/reconfig.hpp"
@@ -85,8 +86,8 @@ void print_table() {
   };
   for (const auto& [label, interval] : kIntervals) {
     const auto r = run(interval);
-    table.add_row({label, Table::fmt(r.time_to_adapt_ms, 1),
-                   Table::fmt(r.spike_latency_us, 0),
+    table.add_row({label, fmt_fixed(r.time_to_adapt_ms, 1),
+                   fmt_fixed(r.spike_latency_us, 0),
                    std::to_string(r.moves)});
   }
   table.print(

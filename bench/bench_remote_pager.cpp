@@ -4,6 +4,7 @@
 // working set that exceeds the local page cache: remote hits replace
 // ~5 ms disk accesses with ~10 us RDMA reads.
 #include "cache/remote_pager.hpp"
+#include "common/json.hpp"
 #include "common/table.hpp"
 #include "common/zipf.hpp"
 #include "obs/flags.hpp"
@@ -39,13 +40,13 @@ void print_penalty_table() {
   eng.run();
 
   Table table({"tier", "16 KB block read", "vs disk"});
-  table.add_row({"local page cache", Table::fmt(to_micros(local_t), 2) + " us",
+  table.add_row({"local page cache", fmt_fixed(to_micros(local_t), 2) + " us",
                  "-"});
   table.add_row({"remote memory (RDMA)",
-                 Table::fmt(to_micros(remote_t), 2) + " us",
-                 Table::fmt(to_millis(disk_t) * 1000 / to_micros(remote_t),
-                            0) + "x faster"});
-  table.add_row({"disk", Table::fmt(to_millis(disk_t), 2) + " ms", "1x"});
+                 fmt_fixed(to_micros(remote_t), 2) + " us",
+                 fmt_fixed(to_millis(disk_t) * 1000 / to_micros(remote_t),
+                           0) + "x faster"});
+  table.add_row({"disk", fmt_fixed(to_millis(disk_t), 2) + " ms", "1x"});
   table.print("Remote-memory file cache — miss-penalty hierarchy (§6/[18])");
 }
 
@@ -89,10 +90,10 @@ void print_sweep_table() {
   Table table({"configuration", "mean block read (us)", "disk-read fraction"});
   const auto off = run_sweep(false);
   const auto on = run_sweep(true);
-  table.add_row({"local cache only", Table::fmt(off.mean_read_us, 0),
-                 Table::fmt(100 * off.disk_fraction, 1) + " %"});
-  table.add_row({"+ remote memory (2 donors)", Table::fmt(on.mean_read_us, 0),
-                 Table::fmt(100 * on.disk_fraction, 1) + " %"});
+  table.add_row({"local cache only", fmt_fixed(off.mean_read_us, 0),
+                 fmt_fixed(100 * off.disk_fraction, 1) + " %"});
+  table.add_row({"+ remote memory (2 donors)", fmt_fixed(on.mean_read_us, 0),
+                 fmt_fixed(100 * on.disk_fraction, 1) + " %"});
   table.print(
       "Zipf(0.8) over a working set 6x the local cache — donated remote "
       "memory absorbs the capacity misses");

@@ -5,11 +5,11 @@
 // and rendezvous overheads dominate zero-copy); zero-copy wins large;
 // AZ-SDP's overlapped transfers beat blocking ZSDP throughout, approaching
 // the claimed ~2x at intermediate sizes.
+#include "common/json.hpp"
 #include "common/table.hpp"
 #include "datacenter/backend.hpp"
-#include "harness.hpp"
+#include "obs/harness.hpp"
 #include "sockets/sdp.hpp"
-#include "trace/observe.hpp"
 
 namespace {
 
@@ -46,9 +46,9 @@ void print_table() {
     const double sdp = throughput_mbps(SdpMode::kBufferedCopy, size, count);
     const double zsdp = throughput_mbps(SdpMode::kZeroCopy, size, count);
     const double az = throughput_mbps(SdpMode::kAsyncZeroCopy, size, count);
-    table.add_row({std::to_string(size / 1024) + "K", Table::fmt(sdp, 1),
-                   Table::fmt(zsdp, 1), Table::fmt(az, 1),
-                   Table::fmt(az / zsdp, 2) + "x"});
+    table.add_row({std::to_string(size / 1024) + "K", fmt_fixed(sdp, 1),
+                   fmt_fixed(zsdp, 1), fmt_fixed(az, 1),
+                   fmt_fixed(az / zsdp, 2) + "x"});
   }
   table.print(
       "Section 3 — SDP / ZSDP / AZ-SDP stream throughput "
@@ -87,51 +87,25 @@ void print_datacenter_table() {
     table.add_row(
         {transport == datacenter::BackendTransport::kTcp ? "host TCP"
                                                          : "SDP (verbs)",
-         Table::fmt(to_micros(eng.now()) / kFetches, 1),
-         Table::fmt(cpu_us, 1)});
+         fmt_fixed(to_micros(eng.now()) / kFetches, 1),
+         fmt_fixed(cpu_us, 1)});
   }
   table.print(
       "[5] data-center tier transport — per-fetch latency and backend "
       "communication CPU (16 KB documents)");
 }
 
-// Observed mode (`--trace-out` / `--metrics-out`): one deterministic
-// engine streaming a fixed workload through all three SDP modes, so the
-// emitted trace shows sends, receives and stall spans side by side.  Two
-// invocations produce byte-identical files (see docs/OBSERVABILITY.md).
-int run_observed(const trace::ObserveOptions& opts) {
-  sim::Engine eng;
-  trace::ObservedRun observed(eng, opts);
-  fabric::Fabric fab(eng, fabric::FabricParams{}, {.num_nodes = 2});
-  verbs::Network net(fab);
-  for (const auto mode :
-       {SdpMode::kBufferedCopy, SdpMode::kZeroCopy, SdpMode::kAsyncZeroCopy}) {
-    SdpStream stream(net, 0, 1, mode);
-    constexpr int kMsgs = 8;
-    constexpr std::size_t kBytes = 32768;
-    eng.spawn([](SdpStream& s) -> sim::Task<void> {
-      for (int i = 0; i < kMsgs; ++i) {
-        co_await s.send(std::vector<std::byte>(kBytes));
-      }
-      co_await s.flush();
-    }(stream));
-    eng.spawn([](SdpStream& s) -> sim::Task<void> {
-      for (int i = 0; i < kMsgs; ++i) (void)co_await s.recv();
-    }(stream));
-    eng.run();
-  }
-  return 0;
-}
-
 // Harnessed scenarios (docs/BENCHMARKS.md): one fixed stream per SDP mode,
 // each message send wrapped in a trace::Request so credit stalls and NIC
-// time are attributed per message.
+// time are attributed per message.  `--trace-out` shows the three modes'
+// sends, receives and stall spans side by side, byte-identical run to run
+// (docs/OBSERVABILITY.md).
 int run_harness(const obs::HarnessOptions& opts) {
-  bench::Harness h("sdp", opts);
+  obs::Harness h("sdp", opts);
   for (const auto mode :
        {SdpMode::kBufferedCopy, SdpMode::kZeroCopy, SdpMode::kAsyncZeroCopy}) {
     h.run(std::string("stream/") + to_string(mode),
-          [mode](bench::Scenario& s) {
+          [mode](obs::Scenario& s) {
             auto& eng = s.engine();
             fabric::Fabric fab(eng, fabric::FabricParams{}, {.num_nodes = 2});
             verbs::Network net(fab);
@@ -139,7 +113,7 @@ int run_harness(const obs::HarnessOptions& opts) {
             constexpr int kMsgs = 16;
             constexpr std::size_t kBytes = 32768;
             eng.spawn([](sim::Engine& e, SdpStream& st,
-                         bench::Scenario& out) -> sim::Task<void> {
+                         obs::Scenario& out) -> sim::Task<void> {
               for (int i = 0; i < kMsgs; ++i) {
                 const auto t0 = e.now();
                 {
@@ -170,7 +144,6 @@ int main(int argc, char** argv) {
   const auto flags = obs::extract_harness_flags(argc, argv);
   obs::reject_unknown_args(argc, argv);
   if (flags.harness_mode()) return run_harness(flags);
-  if (flags.observe_mode()) return run_observed(flags.observe("sdp"));
   print_table();
   print_datacenter_table();
   return 0;

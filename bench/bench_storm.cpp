@@ -2,6 +2,7 @@
 //
 // Paper shape: the DDSS control plane wins everywhere (~19 % reported);
 // both curves grow with record count.
+#include "common/json.hpp"
 #include "common/table.hpp"
 #include "obs/flags.hpp"
 #include "storm/storm.hpp"
@@ -37,8 +38,8 @@ void print_fig3b() {
     const double trad = query_time_ms(storm::ControlPlane::kSockets, records);
     const double ddss = query_time_ms(storm::ControlPlane::kDdss, records);
     const double improvement = 100.0 * (1.0 - ddss / trad);
-    table.add_row({std::to_string(records), Table::fmt(trad, 2),
-                   Table::fmt(ddss, 2), Table::fmt(improvement, 1) + " %"});
+    table.add_row({std::to_string(records), fmt_fixed(trad, 2),
+                   fmt_fixed(ddss, 2), fmt_fixed(improvement, 1) + " %"});
   }
   table.print(
       "Figure 3b — STORM query execution time vs record count "

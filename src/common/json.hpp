@@ -1,5 +1,6 @@
-// JSON string escaping shared by every dump writer (traces, flight-recorder
-// post-mortems, flame profiles, lint reports).
+// The two primitives every writer shares: JSON string escaping (traces,
+// flight-recorder post-mortems, flame profiles, lint reports) and
+// fixed-precision numbers (table cells and every byte-stable dump).
 #pragma once
 
 #include <cstdio>
@@ -31,6 +32,14 @@ inline std::string json_escape(std::string_view s) {
     }
   }
   return out;
+}
+
+/// `v` with exactly `precision` decimals (`printf("%.*f")`), so a dump or
+/// table cell reads the same on every run and every machine.
+inline std::string fmt_fixed(double v, int precision) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%.*f", precision, v);
+  return buf;
 }
 
 }  // namespace dcs

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/check.hpp"
+#include "common/json.hpp"
 
 namespace dcs {
 
@@ -23,14 +24,8 @@ Table& Table::add_row(const std::string& label, const std::vector<double>& value
   std::vector<std::string> cells;
   cells.reserve(values.size() + 1);
   cells.push_back(label);
-  for (double v : values) cells.push_back(fmt(v, precision));
+  for (double v : values) cells.push_back(fmt_fixed(v, precision));
   return add_row(std::move(cells));
-}
-
-std::string Table::fmt(double v, int precision) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f", precision, v);
-  return buf;
 }
 
 std::string Table::to_string() const {

@@ -14,15 +14,13 @@ class Table {
   explicit Table(std::vector<std::string> header);
 
   Table& add_row(std::vector<std::string> cells);
-  /// Convenience: formats doubles with the given precision.
+  /// Convenience: formats doubles with the given precision (fmt_fixed).
   Table& add_row(const std::string& label, const std::vector<double>& values,
                  int precision = 2);
 
   std::string to_string() const;
   /// Prints to stdout with a title banner.
   void print(const std::string& title) const;
-
-  static std::string fmt(double v, int precision = 2);
 
  private:
   std::vector<std::string> header_;

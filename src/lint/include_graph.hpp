@@ -7,7 +7,7 @@
 //
 // dcs-lint uses the closure to scope rule R3: a file is "emit-visible" —
 // its container iteration order can leak into trace/bench/post-mortem
-// output — if a designated emitter root (src/trace/*, bench/harness.*)
+// output — if a designated emitter root (src/trace/*, src/obs/*)
 // includes it transitively, not just if it lives in those directories.
 #pragma once
 

@@ -71,8 +71,7 @@ struct Config {
   std::vector<std::string> concurrency_allowed_paths = {
       "src/sim/shard.hpp", "src/sim/shard.cpp", "src/sim/slab.hpp"};
   // R3: roots of the emit-visible include closure (prefix match).
-  std::vector<std::string> emit_root_prefixes = {
-      "src/trace/", "src/obs/", "bench/harness."};
+  std::vector<std::string> emit_root_prefixes = {"src/trace/", "src/obs/"};
 };
 
 struct RepoModel {

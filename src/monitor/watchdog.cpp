@@ -5,17 +5,9 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
+
 namespace dcs::monitor {
-
-namespace {
-
-std::string fmt_load(double load) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.3f", load);
-  return buf;
-}
-
-}  // namespace
 
 DeadlineWatchdog::DeadlineWatchdog(ResourceMonitor& monitor,
                                    trace::FlightRecorder& flight,
@@ -62,7 +54,7 @@ sim::Task<void> DeadlineWatchdog::run(SimNanos until) {
               ") on node " + std::to_string(info.node) + " in flight " +
               std::to_string(eng.now() - info.start) +
               "ns > load-adjusted deadline " + std::to_string(limit) +
-              "ns (load estimate " + fmt_load(load) + ")");
+              "ns (load estimate " + fmt_fixed(load, 3) + ")");
     }
   }
 }

@@ -7,6 +7,7 @@
 #include <sstream>
 #include <vector>
 
+#include "common/json.hpp"
 #include "trace/inspect.hpp"
 
 namespace dcs::obs {
@@ -14,12 +15,6 @@ namespace dcs::obs {
 namespace {
 
 using trace::inspect::Json;
-
-std::string fmt_f(double v, int prec) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.*f", prec, v);
-  return buf;
-}
 
 /// Reads and parses one dump, gating on its schema id.  Returns 0 or the
 /// exit code (2) already reported on `err`.
@@ -225,9 +220,9 @@ void report_alerts(const Json& root, std::ostream& out) {
     const Json* t = a->find("t");
     out << "  FIRING " << key.first << " node=" << key.second
         << " since t=" << (t != nullptr ? t->raw : "?")
-        << " value=" << fmt_f(value != nullptr ? value->number : 0.0, 3)
+        << " value=" << fmt_fixed(value != nullptr ? value->number : 0.0, 3)
         << " threshold="
-        << fmt_f(threshold != nullptr ? threshold->number : 0.0, 3) << "\n";
+        << fmt_fixed(threshold != nullptr ? threshold->number : 0.0, 3) << "\n";
   }
   if (!any) out << "  (none firing)\n";
 }

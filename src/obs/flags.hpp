@@ -15,31 +15,23 @@
 #include <string>
 #include <string_view>
 
-#include "trace/observe.hpp"
-
 namespace dcs::obs {
 
-/// Every observability/telemetry flag the repo's binaries accept.  Empty
-/// string = not requested.
-///
-/// Harness flags (multi-scenario dcs-bench-v1 telemetry, bench/harness.hpp):
+/// Every observability/telemetry flag the repo's binaries accept, each
+/// honoured by obs::Harness (obs/harness.hpp).  Empty string = not
+/// requested.
 ///   --bench-json FILE       canonical BENCH_<name>.json
 ///   --bench-wall-json FILE  wall-clock BENCH_<name>.wall.json
 ///   --critical-path FILE    plain-text attribution report
+///   --metrics-out FILE      metrics registry dump
+///   --trace-out FILE        Chrome trace_event JSON
 ///   --timeseries-out FILE   dcs-timeseries-v1 cluster time-series dump
 ///   --slo FILE              SLO rule file evaluated against the dump
 ///   --exemplars-out FILE    dcs-exemplar-v1 tail-exemplar dump
 ///   --hotset-out FILE       dcs-hotset-v1 hot-key sketch dump
 ///   --hot-keys N            print the top-N hot-key table per domain
+///   --postmortem-dir DIR    arm a flight recorder around every scenario
 ///   --batch N               maximum verbs batch depth to sweep
-/// Single-run observation flags (trace::ObservedRun):
-///   --trace-out FILE        Chrome trace_event JSON
-///   --metrics-out FILE      metrics registry dump
-///   --postmortem-dir DIR    arm a flight recorder dumping here
-///
-/// `--postmortem-dir` applies to both modes: in harness mode every
-/// scenario runs with an armed trace::FlightRecorder, in observed mode the
-/// whole run does.
 struct HarnessOptions {
   std::string bench_json;     // canonical BENCH_<name>.json
   std::string wall_json;      // wall-clock BENCH_<name>.wall.json
@@ -60,32 +52,19 @@ struct HarnessOptions {
   /// the run (0 = no table).  Independent of --hotset-out.
   std::size_t hot_keys = 0;
 
-  /// Multi-scenario telemetry requested (run the bench::Harness path).
+  /// Any observability flag given (everything but --batch): a bench runs
+  /// its harness scenarios instead of its paper tables.
   bool harness_mode() const {
     return !bench_json.empty() || !wall_json.empty() ||
-           !critical_path.empty() || !timeseries_out.empty() ||
+           !critical_path.empty() || !metrics_out.empty() ||
+           !trace_out.empty() || !timeseries_out.empty() ||
+           !slo_rules.empty() || !postmortem_dir.empty() ||
            attribution_mode();
   }
   /// Hot-key / exemplar attribution requested (a HeavyHitters sink is
   /// installed around every scenario and exemplars are retained).
   bool attribution_mode() const {
     return !exemplars_out.empty() || !hotset_out.empty() || hot_keys > 0;
-  }
-  /// Single-run observation requested (run the trace::ObservedRun path).
-  bool observe_mode() const {
-    return !trace_out.empty() || !metrics_out.empty() ||
-           !postmortem_dir.empty();
-  }
-  /// The single-run observation subset, for trace::ObservedRun.  The
-  /// critical-path/bench-json sinks ride along so a binary with no
-  /// harness path (the `dcs` CLI) still honors them.
-  trace::ObserveOptions observe(const std::string& bench_name) const {
-    return {.trace_out = trace_out,
-            .metrics_out = metrics_out,
-            .critical_path_out = critical_path,
-            .bench_json = bench_json,
-            .postmortem_dir = postmortem_dir,
-            .bench_name = bench_name};
   }
 };
 

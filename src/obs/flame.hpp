@@ -21,8 +21,8 @@
 
 namespace dcs::obs {
 
-/// Reads a Chrome trace_event JSON file (trace::Tracer::write_chrome_json)
-/// and writes a speedscope profile to `out`.  Returns a process exit code:
+/// Reads a Chrome trace_event JSON file (trace::ChromeTrace) and writes a
+/// speedscope profile to `out`.  Returns a process exit code:
 /// 0 success, 2 load/parse error (reported on `err`).
 int run_flame(const std::string& trace_file, std::ostream& out,
               std::ostream& err);

@@ -1,0 +1,168 @@
+// The one observed run (docs/BENCHMARKS.md, docs/OBSERVABILITY.md).
+//
+// Every binary that observes a simulation — each harnessed bench and each
+// `dcs` run command — declares named scenarios and runs them here.  Each
+// scenario runs under a fresh engine with the metrics registry reset; when
+// any observability flag is given a tracer records it, and
+// `--postmortem-dir` arms a flight recorder around it.  finish() writes
+// every requested file once:
+//
+//   --bench-json        canonical dcs-bench-v1 snapshot of every scenario:
+//                       metrics, latency percentiles, registry, critical path
+//   --bench-wall-json   dcs-bench-wall-v1: wall-clock events/sec and
+//                       ns/event per scenario plus the peak RSS.  Wall time
+//                       varies run to run, so it never enters dcs-bench-v1.
+//   --critical-path     plain-text attribution report per scenario
+//   --metrics-out       plain-text registry dump per scenario
+//   --trace-out         one Chrome trace; each scenario's nodes are their
+//                       own processes, labelled with the scenario name
+//   --timeseries-out    dcs-timeseries-v1 store (scenario ordinal = node)
+//   --slo               rules evaluated against that store; alerts to stderr
+//   --hotset-out, --exemplars-out, --hot-keys   DCS_HOT / exemplar sinks
+//
+// Output is byte-deterministic for same-seed runs: scenarios appear in run
+// order, maps in sorted order, and every number prints with fixed
+// precision.  Flags are parsed by obs::extract_harness_flags (flags.hpp).
+// Every bench main has one shape: paper tables by default, harness
+// scenarios when any observability flag is given, and exit 2 on any
+// argument it does not know (see bench_sdp.cpp):
+//
+//   int main(int argc, char** argv) {
+//     const auto opts = obs::extract_harness_flags(argc, argv);
+//     obs::reject_unknown_args(argc, argv);
+//     if (opts.harness_mode()) {
+//       obs::Harness h("sdp", opts);
+//       h.run("stream/SDP", [](obs::Scenario& s) { ... });
+//       return h.finish();
+//     }
+//     print_table();
+//   }
+#pragma once
+
+#include <functional>
+#include <fstream>
+#include <map>
+#include <memory>
+#include <ostream>
+#include <string>
+#include <vector>
+
+#include "common/stats.hpp"
+#include "obs/flags.hpp"
+#include "obs/heavy.hpp"
+#include "obs/slo.hpp"
+#include "obs/timeseries.hpp"
+#include "sim/engine.hpp"
+#include "trace/exemplar.hpp"
+#include "trace/trace.hpp"
+
+namespace dcs::obs {
+
+/// Peak resident set size of this process so far, in MB
+/// (getrusage ru_maxrss); the top-level "peak_rss_mb" of the wall JSON.
+double peak_rss_mb();
+
+/// Batch depths a bench sweeps for `--batch max` (powers of two up to and
+/// including `max`); `max == 0` yields the default sweep {1, 2, 4, 8}.
+std::vector<std::size_t> batch_sweep(std::size_t max);
+
+/// Flushes `os`, the dump file at `path`, and reports "bench: WHAT -> PATH"
+/// on stderr, or "bench: cannot write PATH" when the file could not be
+/// opened or written.  Returns false on that failure.
+bool report_dump(std::ostream& os, const std::string& path,
+                 const std::string& what);
+/// Writes one dump file: opens `path`, lets `write` fill it, and reports
+/// it (report_dump).  An empty `path` was not requested: nothing is
+/// written and the call succeeds.
+bool write_dump(const std::string& path, const std::string& what,
+                const std::function<void(std::ostream&)>& write);
+
+/// One scenario run: the engine to drive plus sinks for results.
+class Scenario {
+ public:
+  explicit Scenario(sim::Engine& eng) : eng_(eng) {}
+  Scenario(const Scenario&) = delete;
+  Scenario& operator=(const Scenario&) = delete;
+
+  sim::Engine& engine() { return eng_; }
+  /// Records a scalar result (throughput, ratio, error, ...).
+  void metric(const std::string& name, double value) {
+    metrics_[name] = value;
+  }
+  /// Records one end-to-end latency sample in nanoseconds.
+  void latency_ns(double ns) { latency_.add(ns); }
+  /// Tags the scenario with the verbs batch depth it ran at; written as the
+  /// "batch" field of the wall JSON (0 = not a batched scenario).
+  void batch_depth(std::size_t n) { batch_depth_ = n; }
+  /// Tags the scenario with its workload's Zipf skew; written as the
+  /// "zipf_alpha" field of the wall JSON so hot-key tables are
+  /// interpretable (negative = no Zipf workload).
+  void zipf_alpha(double alpha) { zipf_alpha_ = alpha; }
+
+ private:
+  friend class Harness;
+  sim::Engine& eng_;
+  std::map<std::string, double> metrics_;
+  LatencySamples latency_;
+  std::size_t batch_depth_ = 0;
+  double zipf_alpha_ = -1.0;
+};
+
+/// Runs scenarios and writes the requested files.
+class Harness {
+ public:
+  /// Reads the `--slo` rule file up front: a missing or malformed file
+  /// exits 2 naming it before any scenario runs.
+  Harness(std::string bench, HarnessOptions opts);
+
+  /// Runs `body` under a fresh engine and reset registry, then snapshots
+  /// the results.  Scenarios run in call order.  With --timeseries-out /
+  /// --slo the scenario's final registry ingests into the time-series
+  /// store, with the scenario ordinal standing in as the node id.
+  void run(const std::string& scenario,
+           const std::function<void(Scenario&)>& body);
+
+  /// Writes the requested files.  Returns a process exit code: 1 when a
+  /// file or a post-mortem dump could not be written, else 0.
+  int finish();
+
+ private:
+  struct Snapshot {
+    std::string name;
+    SimNanos virtual_ns = 0;
+    // Wall-clock telemetry, written only to the `.wall.json` sibling.
+    std::uint64_t events = 0;    // engine events dispatched by the scenario
+    double wall_ns = 0;          // host time spent inside the body
+    std::size_t batch = 0;       // verbs batch depth (0 = not batched)
+    double zipf_alpha = -1.0;    // workload Zipf skew (negative = none)
+    std::map<std::string, double> metrics;
+    // Latency percentiles (ns); count == 0 when the scenario recorded none.
+    std::size_t latency_count = 0;
+    double latency_mean = 0, p0 = 0, p50 = 0, p99 = 0, p100 = 0;
+    std::string registry_json;         // pre-rendered registry object
+    std::string registry_text;         // registry dump, with --metrics-out
+    std::string critical_path_json;    // aggregate breakdown, or empty
+    std::string critical_path_report;  // report, with --critical-path
+  };
+
+  void write_bench_json(std::ostream& os) const;
+  void write_wall_json(std::ostream& os) const;
+
+  std::string bench_;
+  HarnessOptions opts_;
+  std::vector<SloRule> slo_rules_;
+  std::vector<Snapshot> snapshots_;
+  TimeSeriesStore store_;
+  /// --trace-out streams scenario by scenario, so it is open from the
+  /// start; the other files are written whole by finish().
+  std::ofstream trace_file_;
+  std::unique_ptr<trace::ChromeTrace> trace_;
+  /// Attribution sinks, fed across scenarios: the hot sink is installed
+  /// thread-locally around each body; exemplars ingest from the tracer's
+  /// per-request critical paths after each scenario.
+  HeavyHitters hot_;
+  trace::ExemplarStore exemplars_;
+  std::uint64_t lost_dumps_ = 0;  // post-mortems no recorder could write
+};
+
+}  // namespace dcs::obs

@@ -7,17 +7,12 @@
 #include <sstream>
 
 #include "common/check.hpp"
+#include "common/json.hpp"
 #include "trace/flight.hpp"
 
 namespace dcs::obs {
 
 namespace {
-
-std::string fmt_f3(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.3f", v);
-  return buf;
-}
 
 /// Burn rate over the newest `windows` windows: (bad/total)/budget.
 /// 0 when the total is zero (no traffic burns no budget).
@@ -264,15 +259,17 @@ std::vector<SloRule> parse_slo_rules_file(const std::string& path,
     if (error != nullptr) *error = "slo: cannot open " + path;
     return {};
   }
-  return parse_slo_rules(in, error);
+  auto rules = parse_slo_rules(in, error);
+  if (error != nullptr && !error->empty()) *error += " (in " + path + ")";
+  return rules;
 }
 
 void write_alert_stream(std::ostream& os,
                         const std::vector<AlertEvent>& alerts) {
   for (const AlertEvent& a : alerts) {
     os << "ALERT " << a.time << " " << a.rule << " node=" << a.node << " "
-       << (a.firing ? "firing" : "resolved") << " value=" << fmt_f3(a.value)
-       << " threshold=" << fmt_f3(a.threshold) << "\n";
+       << (a.firing ? "firing" : "resolved")
+       << " value=" << fmt_fixed(a.value, 3) << " threshold=" << fmt_fixed(a.threshold, 3) << "\n";
   }
 }
 

@@ -158,7 +158,7 @@ class SloEngine {
 std::vector<SloRule> parse_slo_rules(std::istream& in, std::string* error);
 
 /// Convenience: parse a rule file by path.  Missing/unreadable files set
-/// `error` too.
+/// `error` too; every error names the file.
 std::vector<SloRule> parse_slo_rules_file(const std::string& path,
                                           std::string* error);
 

@@ -5,18 +5,13 @@
 #include <ostream>
 
 #include "common/check.hpp"
+#include "common/json.hpp"
 #include "obs/slo.hpp"
 #include "trace/trace.hpp"
 
 namespace dcs::obs {
 
 namespace {
-
-std::string fmt_f3(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.3f", v);
-  return buf;
-}
 
 }  // namespace
 
@@ -280,7 +275,7 @@ void write_timeseries_json(std::ostream& os, const TimeSeriesStore& store,
         }
         os << "]";
       } else {
-        os << ", \"v\": " << fmt_f3(w.value);
+        os << ", \"v\": " << fmt_fixed(w.value, 3);
       }
       os << "}";
     }
@@ -294,8 +289,8 @@ void write_timeseries_json(std::ostream& os, const TimeSeriesStore& store,
     os << "    {\"t\": " << a.time << ", \"rule\": \"" << a.rule
        << "\", \"node\": " << a.node << ", \"state\": \""
        << (a.firing ? "firing" : "resolved")
-       << "\", \"value\": " << fmt_f3(a.value)
-       << ", \"threshold\": " << fmt_f3(a.threshold) << "}";
+       << "\", \"value\": " << fmt_fixed(a.value, 3)
+       << ", \"threshold\": " << fmt_fixed(a.threshold, 3) << "}";
   }
   os << "\n  ]\n}\n";
 }

@@ -9,6 +9,7 @@
 #include <sstream>
 #include <vector>
 
+#include "common/json.hpp"
 #include "trace/inspect.hpp"
 
 namespace dcs::obs {
@@ -16,12 +17,6 @@ namespace dcs::obs {
 namespace {
 
 using trace::inspect::Json;
-
-std::string fmt_f(double v, int prec) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.*f", prec, v);
-  return buf;
-}
 
 /// One series row lifted out of the parsed dump.
 struct SeriesView {
@@ -231,7 +226,7 @@ int run_top(const std::string& file, const TopOptions& opts, std::ostream& out,
     per_layer[layer_of(s.name)] += sum;
   }
 
-  out << "cluster health (" << file << ", last " << fmt_f(span_ms, 1)
+  out << "cluster health (" << file << ", last " << fmt_fixed(span_ms, 1)
       << " ms of history)\n\n";
   out << "  node     series       events   p99(est)\n";
   for (const auto& [node, agg] : per_node) {
@@ -273,8 +268,8 @@ int run_top(const std::string& file, const TopOptions& opts, std::ostream& out,
     const Json* t = a->find("t");
     out << "  FIRING " << key.first << " node=" << key.second << " since t="
         << (t != nullptr ? t->raw : "?") << " value="
-        << fmt_f(value != nullptr ? value->number : 0.0, 3) << " threshold="
-        << fmt_f(threshold != nullptr ? threshold->number : 0.0, 3) << "\n";
+        << fmt_fixed(value != nullptr ? value->number : 0.0, 3) << " threshold="
+        << fmt_fixed(threshold != nullptr ? threshold->number : 0.0, 3) << "\n";
   }
   if (!any) out << "  (none firing)\n";
   return 0;

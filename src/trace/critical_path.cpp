@@ -5,6 +5,8 @@
 #include <map>
 #include <ostream>
 
+#include "common/json.hpp"
+
 namespace dcs::trace {
 
 namespace {
@@ -14,18 +16,6 @@ struct Interval {
   SimNanos end;
   std::size_t cost_idx;  // Cost value - 1
 };
-
-std::string fmt_f3(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.3f", v);
-  return buf;
-}
-
-std::string fmt_pct(double fraction) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.2f", fraction * 100.0);
-  return buf;
-}
 
 double us(SimNanos t) { return static_cast<double>(t) / 1000.0; }
 
@@ -150,8 +140,8 @@ void CriticalPath::write_report(std::ostream& os) const {
   os << "# dcs critical-path report v1 (virtual time; precedence host-cpu > "
         "nic > wire > queueing > credit-stall > lock-wait)\n";
   os << "requests " << aggregate_.count << " total_us "
-     << fmt_f3(us(aggregate_.total)) << " attributed_pct "
-     << fmt_pct(aggregate_.attributed_fraction()) << '\n';
+     << fmt_fixed(us(aggregate_.total), 3) << " attributed_pct "
+     << fmt_fixed(100.0 * aggregate_.attributed_fraction(), 2) << '\n';
   for (std::size_t c = 0; c < kCostCategories; ++c) {
     const double frac =
         aggregate_.total == 0
@@ -159,7 +149,8 @@ void CriticalPath::write_report(std::ostream& os) const {
             : static_cast<double>(aggregate_.by_cost[c]) /
                   static_cast<double>(aggregate_.total);
     os << "  " << to_string(cost_at(c)) << " us "
-       << fmt_f3(us(aggregate_.by_cost[c])) << " pct " << fmt_pct(frac)
+       << fmt_fixed(us(aggregate_.by_cost[c]), 3) << " pct "
+       << fmt_fixed(100.0 * frac, 2)
        << '\n';
   }
   {
@@ -168,8 +159,8 @@ void CriticalPath::write_report(std::ostream& os) const {
             ? 0.0
             : static_cast<double>(aggregate_.residual()) /
                   static_cast<double>(aggregate_.total);
-    os << "  residual us " << fmt_f3(us(aggregate_.residual())) << " pct "
-       << fmt_pct(frac) << '\n';
+    os << "  residual us " << fmt_fixed(us(aggregate_.residual()), 3) << " pct "
+       << fmt_fixed(100.0 * frac, 2) << '\n';
   }
   os << "# name | count | mean_us";
   for (std::size_t c = 0; c < kCostCategories; ++c) {
@@ -179,30 +170,31 @@ void CriticalPath::write_report(std::ostream& os) const {
   for (const Breakdown& b : by_name_) {
     const double mean =
         b.count == 0 ? 0.0 : us(b.total) / static_cast<double>(b.count);
-    os << b.name << " | " << b.count << " | " << fmt_f3(mean);
+    os << b.name << " | " << b.count << " | " << fmt_fixed(mean, 3);
     for (std::size_t c = 0; c < kCostCategories; ++c) {
       const double frac = b.total == 0 ? 0.0
                                        : static_cast<double>(b.by_cost[c]) /
                                              static_cast<double>(b.total);
-      os << " | " << fmt_pct(frac);
+      os << " | " << fmt_fixed(100.0 * frac, 2);
     }
     const double rfrac = b.total == 0 ? 0.0
                                       : static_cast<double>(b.residual()) /
                                             static_cast<double>(b.total);
-    os << " | " << fmt_pct(rfrac) << '\n';
+    os << " | " << fmt_fixed(100.0 * rfrac, 2) << '\n';
   }
 }
 
 void write_breakdown_json(std::ostream& os, const Breakdown& b) {
-  os << "{\"count\":" << b.count << ",\"total_us\":" << fmt_f3(us(b.total))
-     << ",\"attributed_pct\":" << fmt_pct(b.attributed_fraction())
+  os << "{\"count\":" << b.count
+     << ",\"total_us\":" << fmt_fixed(us(b.total), 3)
+     << ",\"attributed_pct\":" << fmt_fixed(100.0 * b.attributed_fraction(), 2)
      << ",\"costs_us\":{";
   for (std::size_t c = 0; c < kCostCategories; ++c) {
     if (c != 0) os << ',';
     os << '"' << to_string(cost_at(c))
-       << "\":" << fmt_f3(us(b.by_cost[c]));
+       << "\":" << fmt_fixed(us(b.by_cost[c]), 3);
   }
-  os << "},\"residual_us\":" << fmt_f3(us(b.residual())) << '}';
+  os << "},\"residual_us\":" << fmt_fixed(us(b.residual()), 3) << '}';
 }
 
 void CriticalPath::write_json(std::ostream& os) const {

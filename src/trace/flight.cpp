@@ -315,12 +315,13 @@ void FlightRecorder::trip(const char* reason, const std::string& detail) {
                              "." + reason + "." + std::to_string(trips_) +
                              ".postmortem.json";
     std::ofstream os(path);
-    if (os) {
-      write_postmortem(os, reason, detail);
+    if (os) write_postmortem(os, reason, detail);
+    if (os.flush()) {
       dump_paths_.push_back(path);
       std::fprintf(stderr, "postmortem: %s -> %s\n", reason, path.c_str());
     } else {
-      std::fprintf(stderr, "postmortem: cannot open %s\n", path.c_str());
+      ++lost_dumps_;
+      std::fprintf(stderr, "postmortem: cannot write %s\n", path.c_str());
     }
   }
   tripping_ = false;

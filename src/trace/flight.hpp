@@ -156,7 +156,9 @@ class FlightRecorder final : public sim::StallHook {
 
   /// Snapshots state into a dcs-postmortem-v1 dump.  Writes
   /// `<dir>/<prefix>.<reason>.<n>.postmortem.json` when a dump directory is
-  /// configured; always counts the trip and retains reason/detail.
+  /// configured; always counts the trip and retains reason/detail.  A dump
+  /// that cannot be written is reported on stderr and counted in
+  /// lost_dumps(), so the run that lost its evidence can fail.
   /// Recursive trips (a trip tripping a checker) are ignored.
   void trip(const char* reason, const std::string& detail);
   /// The dump writer, exposed for deterministic-output tests.
@@ -166,6 +168,7 @@ class FlightRecorder final : public sim::StallHook {
   const std::string& last_reason() const { return last_reason_; }
   const std::string& last_detail() const { return last_detail_; }
   const std::vector<std::string>& dump_paths() const { return dump_paths_; }
+  std::uint64_t lost_dumps() const { return lost_dumps_; }
 
   // --- sim::StallHook ---
 
@@ -194,6 +197,7 @@ class FlightRecorder final : public sim::StallHook {
   std::uint64_t last_request_id_ = 0;
   std::uint64_t last_span_id_ = 0;
   std::uint64_t trips_ = 0;
+  std::uint64_t lost_dumps_ = 0;
   bool full_capture_ = false;
   bool tripping_ = false;
   std::string last_reason_;

@@ -4,6 +4,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <ostream>
+#include <set>
 #include <utility>
 
 #include "common/check.hpp"
@@ -12,13 +13,6 @@
 namespace dcs::trace {
 
 namespace {
-
-/// Fixed-precision double formatting so writer output is byte-stable.
-std::string fmt_f3(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.3f", v);
-  return buf;
-}
 
 /// Nanoseconds rendered as microseconds with exactly 3 decimals (Chrome's
 /// `ts`/`dur` unit is microseconds).
@@ -143,13 +137,15 @@ void Registry::write(std::ostream& os) const {
         os << "counter " << name << ' ' << metric.counter.value << '\n';
         break;
       case Kind::kGauge:
-        os << "gauge " << name << ' ' << fmt_f3(metric.gauge.value) << '\n';
+        os << "gauge " << name << ' ' << fmt_fixed(metric.gauge.value, 3)
+           << '\n';
         break;
       case Kind::kDistribution: {
         const auto& s = metric.dist.stat;
         os << "distribution " << name << " count " << s.count() << " mean "
-           << fmt_f3(s.mean()) << " min " << fmt_f3(s.min()) << " max "
-           << fmt_f3(s.max()) << " stddev " << fmt_f3(s.stddev()) << '\n';
+           << fmt_fixed(s.mean(), 3) << " min " << fmt_fixed(s.min(), 3)
+           << " max " << fmt_fixed(s.max(), 3) << " stddev "
+           << fmt_fixed(s.stddev(), 3) << '\n';
         break;
       }
       case Kind::kHist:
@@ -178,11 +174,11 @@ void Registry::write_json(std::ostream& os) const {
         os << metric.counter.value;
         break;
       case Kind::kGauge:
-        os << fmt_f3(metric.gauge.value);
+        os << fmt_fixed(metric.gauge.value, 3);
         break;
       case Kind::kDistribution:
         os << "{\"count\": " << metric.dist.stat.count()
-           << ", \"mean\": " << fmt_f3(metric.dist.stat.mean()) << '}';
+           << ", \"mean\": " << fmt_fixed(metric.dist.stat.mean(), 3) << '}';
         break;
       case Kind::kHist:
         os << "{\"count\": " << metric.hist.hist.count() << '}';
@@ -264,67 +260,83 @@ void Tracer::record(const TraceEvent& ev) {
   events_.push_back(ev);
 }
 
-void Tracer::write_chrome_json(std::ostream& os) const {
-  os << "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
-  bool first = true;
-  const auto emit = [&](const std::string& line) {
-    os << (first ? "\n" : ",\n") << line;
-    first = false;
-  };
+// --- ChromeTrace ---
 
-  // Metadata: pid = simulated node, tid = category (first-seen order).
-  std::map<std::string, std::uint32_t> tids;
+ChromeTrace::ChromeTrace(std::ostream& os) : os_(os) {
+  os_ << "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
+}
+
+void ChromeTrace::next_line() {
+  os_ << (first_ ? "\n" : ",\n");
+  first_ = false;
+}
+
+void ChromeTrace::close() { os_ << "\n]}\n"; }
+
+void ChromeTrace::add(const Tracer& tracer, const std::string& label) {
+  if (!os_) return;  // the file already failed: spend nothing formatting
+  const std::vector<TraceEvent>& events = tracer.events();
+  // Metadata: pid = simulated node (after earlier runs' pids), tid =
+  // category (first-seen order).
+  const std::uint32_t pid_base = next_pid_;
+  std::map<std::string, std::uint32_t, std::less<>> tids;
   std::vector<const char*> tid_names;
-  for (const auto& ev : events_) {
+  std::set<std::uint32_t> nodes;
+  std::uint64_t last_request = 0, last_span = 0;
+  for (const auto& ev : events) {
     if (tids.emplace(ev.category, tids.size()).second) {
       tid_names.push_back(ev.category);
     }
+    nodes.insert(ev.node);
+    last_request = std::max(last_request, ev.request);
+    last_span = std::max({last_span, ev.span, ev.parent});
   }
-  std::vector<std::uint32_t> nodes;
-  for (const auto& ev : events_) nodes.push_back(ev.node);
-  std::sort(nodes.begin(), nodes.end());
-  nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
+  const std::string prefix = label.empty() ? "node " : label + " node ";
   for (const std::uint32_t n : nodes) {
-    emit("{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":" +
-         std::to_string(n) + ",\"tid\":0,\"args\":{\"name\":\"node " +
-         std::to_string(n) + "\"}}");
+    next_line();
+    os_ << "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":"
+        << pid_base + n << ",\"tid\":0,\"args\":{\"name\":\""
+        << json_escape(prefix + std::to_string(n)) << "\"}}";
   }
   for (std::size_t t = 0; t < tid_names.size(); ++t) {
     for (const std::uint32_t n : nodes) {
-      emit("{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":" +
-           std::to_string(n) + ",\"tid\":" + std::to_string(t) +
-           ",\"args\":{\"name\":\"" + json_escape(tid_names[t]) + "\"}}");
+      next_line();
+      os_ << "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":"
+          << pid_base + n << ",\"tid\":" << t << ",\"args\":{\"name\":\""
+          << json_escape(tid_names[t]) << "\"}}";
     }
   }
 
-  for (const auto& ev : events_) {
-    std::string line = "{\"ph\":\"";
+  for (const auto& ev : events) {
+    next_line();
     // Request roots ('R') render as complete spans; Chrome has no native
     // request phase.
-    line.push_back(ev.phase == 'i' ? 'i' : 'X');
-    line += "\",\"cat\":\"" + json_escape(ev.category) + "\",\"name\":\"" +
-            json_escape(ev.name) + "\",\"pid\":" + std::to_string(ev.node) +
-            ",\"tid\":" + std::to_string(tids.at(ev.category)) +
-            ",\"ts\":" + ns_as_us(ev.start);
+    os_ << "{\"ph\":\"" << (ev.phase == 'i' ? 'i' : 'X')
+        << "\",\"cat\":\"" << json_escape(ev.category) << "\",\"name\":\""
+        << json_escape(ev.name) << "\",\"pid\":" << pid_base + ev.node
+        << ",\"tid\":" << tids.find(std::string_view(ev.category))->second
+        << ",\"ts\":" << ns_as_us(ev.start);
     if (ev.phase != 'i') {
-      line += ",\"dur\":" + ns_as_us(ev.end - ev.start);
+      os_ << ",\"dur\":" << ns_as_us(ev.end - ev.start);
     } else {
-      line += ",\"s\":\"t\"";
+      os_ << ",\"s\":\"t\"";
     }
-    line += ",\"args\":{\"id\":" + std::to_string(ev.id);
+    os_ << ",\"args\":{\"id\":" << ev.id;
     if (ev.detail != nullptr) {
-      line += ",\"detail\":\"" + json_escape(ev.detail) + "\"";
+      os_ << ",\"detail\":\"" << json_escape(ev.detail) << '"';
     }
-    if (ev.request != 0) line += ",\"request\":" + std::to_string(ev.request);
-    if (ev.span != 0) line += ",\"span\":" + std::to_string(ev.span);
-    if (ev.parent != 0) line += ",\"parent\":" + std::to_string(ev.parent);
+    if (ev.request != 0) os_ << ",\"request\":" << request_base_ + ev.request;
+    if (ev.span != 0) os_ << ",\"span\":" << span_base_ + ev.span;
+    if (ev.parent != 0) os_ << ",\"parent\":" << span_base_ + ev.parent;
     if (ev.cost != Cost::kNone) {
-      line += ",\"cost\":\"" + std::string(to_string(ev.cost)) + "\"";
+      os_ << ",\"cost\":\"" << to_string(ev.cost) << '"';
     }
-    line += "}}";
-    emit(line);
+    os_ << "}}";
   }
-  os << "\n]}\n";
+  events_ += events.size();
+  if (!nodes.empty()) next_pid_ = pid_base + *nodes.rbegin() + 1;
+  request_base_ += last_request;
+  span_base_ += last_span;
 }
 
 void Tracer::write_summary(std::ostream& os) const {
@@ -345,9 +357,11 @@ void Tracer::write_summary(std::ostream& os) const {
   os << "# operation | spans | total us | mean us | min us | max us | "
         "instants\n";
   for (const auto& [key, a] : aggs) {
-    os << key << " | " << a.span_us.count() << " | " << fmt_f3(a.span_us.sum())
-       << " | " << fmt_f3(a.span_us.mean()) << " | " << fmt_f3(a.span_us.min())
-       << " | " << fmt_f3(a.span_us.max()) << " | " << a.instants << '\n';
+    os << key << " | " << a.span_us.count() << " | "
+       << fmt_fixed(a.span_us.sum(), 3) << " | "
+       << fmt_fixed(a.span_us.mean(), 3) << " | "
+       << fmt_fixed(a.span_us.min(), 3) << " | "
+       << fmt_fixed(a.span_us.max(), 3) << " | " << a.instants << '\n';
   }
 }
 

@@ -217,9 +217,6 @@ class Tracer {
   std::size_t event_count() const { return events_.size(); }
   const std::vector<TraceEvent>& events() const { return events_; }
 
-  /// Chrome trace_event JSON (chrome://tracing, Perfetto).  One process
-  /// per simulated node, one thread per category.  Deterministic.
-  void write_chrome_json(std::ostream& os) const;
   /// Plain-text per-(category,name) aggregate: count, total/mean/min/max
   /// span time in microseconds.  Deterministic.
   void write_summary(std::ostream& os) const;
@@ -229,6 +226,34 @@ class Tracer {
   std::vector<TraceEvent> events_;
   std::uint64_t last_request_id_ = 0;
   std::uint64_t last_span_id_ = 0;
+};
+
+/// Chrome trace_event JSON (chrome://tracing, Perfetto) of one or more
+/// tracers' runs, written run by run so only one run is ever held in
+/// memory: one process per simulated node, one thread per category.
+/// Deterministic.  Every added run keeps its nodes apart: its node N
+/// becomes a process numbered after every earlier run's, labelled
+/// "LABEL node N" ("node N" without a label), and its request and span
+/// ids are shifted past every earlier run's, so each causal link in the
+/// file (what `dcs flame` follows) stays inside its own run.
+class ChromeTrace {
+ public:
+  /// Writes the header to `os`, which must outlive close().
+  explicit ChromeTrace(std::ostream& os);
+  void add(const Tracer& tracer, const std::string& label = "");
+  /// Writes the footer; call once, after the last add().
+  void close();
+  std::size_t event_count() const { return events_; }
+
+ private:
+  void next_line();  // separator before every element
+
+  std::ostream& os_;
+  bool first_ = true;
+  std::size_t events_ = 0;
+  std::uint32_t next_pid_ = 0;
+  std::uint64_t request_base_ = 0;
+  std::uint64_t span_base_ = 0;
 };
 
 class FlightRecorder;

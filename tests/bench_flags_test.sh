@@ -1,11 +1,12 @@
 #!/usr/bin/env sh
-# Runs every bench binary given as an argument with an unknown flag and
-# with a malformed number; each must exit 2 (and never run a workload).
+# Runs every bench binary given as an argument with an unknown flag, a
+# malformed number and a missing SLO rule file; each must exit 2 (and
+# never run a workload).
 #
 # Usage: tests/bench_flags_test.sh BENCH_BINARY...
 status=0
 for bin in "$@"; do
-  for args in "--no-such-flag" "--batch abc"; do
+  for args in "--no-such-flag" "--batch abc" "--slo /nonexistent/rules.slo"; do
     # shellcheck disable=SC2086  # $args is deliberately word-split
     "$bin" $args >/dev/null 2>&1
     rc=$?

@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
-# Runs the dcs binary with out-of-range values and unknown names; each
-# must exit 2 and name the offending flag on stderr (never abort, raise
-# SIGFPE or run with a silently substituted default).
+# Runs the dcs binary with out-of-range values, unknown names, flags a
+# command does not honour, stray or valueless arguments and a missing SLO
+# rule file; each must exit 2 and name the offending argument on stderr
+# (never abort, raise SIGFPE or run with a silently substituted default).
 #
 # Usage: tests/dcs_flags_test.sh DCS_BINARY
 bin="$1"
@@ -36,7 +37,15 @@ done <<'EOF'
 --scheme monitor --scheme foo
 --plane storm --plane foo
 --scenario wedge --scenario foo
+--waiter locks --waiter 3
+--no-such-flag locks --no-such-flag 1
+stray locks stray
+--waiters locks --waiters
+--batch locks --batch 4
+--bench-json params --bench-json p.json
+--bench-json wedge --bench-json w.json
+/nonexistent/rules.slo locks --slo /nonexistent/rules.slo
 EOF
 rm -f "$err"
-[ "$status" -eq 0 ] && echo "all $count bad dcs values rejected with exit 2"
+[ "$status" -eq 0 ] && echo "all $count bad dcs arguments rejected with exit 2"
 exit "$status"

@@ -164,6 +164,36 @@ TEST(FlightPostmortemTest, WedgedCascadeTripsStallDetectorDeterministically) {
   EXPECT_NE(first.find("\"live_roots\""), std::string::npos);
 }
 
+TEST(FlightPostmortemTest, UnwritableDumpIsCountedAsLost) {
+  Registry::global().reset();
+  WedgeWorld w;
+  FlightRecorder fr(w.eng, {.ring_capacity = 128,
+                            .postmortem_dir = ::testing::TempDir() +
+                                              "/no-such-dir/nested"});
+  fr.install();
+  w.spawn_cascade();
+  w.eng.run();  // trips, but the dump has nowhere to go
+  fr.uninstall();
+  EXPECT_EQ(fr.trips(), 1u);
+  EXPECT_TRUE(fr.dump_paths().empty());
+  EXPECT_EQ(fr.lost_dumps(), 1u);
+}
+
+TEST(FlightPostmortemTest, WrittenDumpIsNotLost) {
+  Registry::global().reset();
+  WedgeWorld w;
+  FlightRecorder fr(w.eng, {.ring_capacity = 128,
+                            .postmortem_dir = ::testing::TempDir(),
+                            .prefix = "flight_test.not_lost"});
+  fr.install();
+  w.spawn_cascade();
+  w.eng.run();
+  fr.uninstall();
+  ASSERT_EQ(fr.dump_paths().size(), 1u);
+  EXPECT_EQ(fr.lost_dumps(), 0u);
+  std::remove(fr.dump_paths()[0].c_str());
+}
+
 // --- audit-violation trip (OnViolation::kPostmortem) ---
 
 std::string audit_violation_dump() {

@@ -137,7 +137,7 @@ TEST(LintRules, R3IgnoresNonEmitVisibleFiles) {
 }
 
 TEST(LintRules, R3CleanOrderedValueKeyed) {
-  auto r = run({{"bench/harness.hpp",
+  auto r = run({{"src/obs/harness.hpp",
                  "std::map<std::string, double> metrics_;\n"
                  "std::vector<std::pair<int, int>> rows_;\n"}});
   EXPECT_TRUE(r.active.empty());

@@ -12,7 +12,6 @@
 #include "obs/flags.hpp"
 #include "sockets/sdp.hpp"
 #include "trace/critical_path.hpp"
-#include "trace/observe.hpp"
 #include "trace/trace.hpp"
 
 namespace {
@@ -135,10 +134,51 @@ TEST(TracerTest, RecordsNestedSpansAndInstantsAtVirtualTime) {
   EXPECT_EQ(evs[2].id, 42u);
 
   std::ostringstream json;
-  tracer.write_chrome_json(json);
+  trace::ChromeTrace chrome(json);
+  chrome.add(tracer);
+  chrome.close();
   EXPECT_NE(json.str().find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.str().find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(json.str().find("\"ph\":\"i\""), std::string::npos);
+}
+
+/// One traced run: a request on node 1 holding one span, ending at 10 ns.
+void traced_request(trace::Tracer& tracer, sim::Engine& eng) {
+  tracer.install();
+  eng.spawn([](sim::Engine& e) -> sim::Task<void> {
+    trace::Request req("test.req", 1);
+    DCS_TRACE_SPAN("test", "op", 1);
+    co_await e.delay(10);
+  }(eng));
+  eng.run();
+  tracer.uninstall();
+}
+
+TEST(ChromeTraceTest, EachRunKeepsItsOwnProcessesAndIds) {
+  sim::Engine eng_a, eng_b;
+  trace::Tracer a(eng_a), b(eng_b);
+  traced_request(a, eng_a);
+  traced_request(b, eng_b);
+  std::ostringstream os;
+  trace::ChromeTrace chrome(os);
+  chrome.add(a, "first");
+  chrome.add(b, "second");
+  chrome.close();
+  EXPECT_EQ(chrome.event_count(), 4u);
+  const std::string json = os.str();
+  // Run b's node 1 is process 3: its pids follow run a's (0..1).
+  EXPECT_NE(json.find("\"pid\":1,\"tid\":0,"
+                      "\"args\":{\"name\":\"first node 1\"}"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"pid\":3,\"tid\":0,"
+                      "\"args\":{\"name\":\"second node 1\"}"),
+            std::string::npos);
+  // Both runs number their request and span 1; in the file run b's
+  // continue after run a's.
+  EXPECT_NE(json.find("\"name\":\"op\",\"pid\":1,"), std::string::npos);
+  EXPECT_NE(json.find("\"request\":1,\"span\":1}"), std::string::npos);
+  EXPECT_NE(json.find("\"request\":2,\"span\":2}"), std::string::npos);
+  EXPECT_EQ(json.find("\"request\":2,\"span\":1}"), std::string::npos);
 }
 
 // --- CLI flag extraction (obs/flags.hpp, the one parser) ---
@@ -159,8 +199,7 @@ TEST(ObserveFlagsTest, ExtractsAndRemovesBothFlags) {
   Argv a({"bench", "--foo", "--trace-out", "t.json", "--bar", "1",
           "--metrics-out", "m.txt"});
   const auto opts = obs::extract_harness_flags(a.argc, a.argv.data());
-  EXPECT_TRUE(opts.observe_mode());
-  EXPECT_FALSE(opts.harness_mode());
+  EXPECT_TRUE(opts.harness_mode());
   EXPECT_EQ(opts.trace_out, "t.json");
   EXPECT_EQ(opts.metrics_out, "m.txt");
   ASSERT_EQ(a.argc, 4);
@@ -174,21 +213,16 @@ TEST(ObserveFlagsTest, ExtractsAndRemovesBothFlags) {
 TEST(ObserveFlagsTest, AbsentFlagsDisableObservation) {
   Argv a({"bench", "--foo"});
   const auto opts = obs::extract_harness_flags(a.argc, a.argv.data());
-  EXPECT_FALSE(opts.observe_mode());
   EXPECT_FALSE(opts.harness_mode());
   EXPECT_EQ(a.argc, 2);
 }
 
-TEST(ObserveFlagsTest, PostmortemDirRoutesThroughObserveOptions) {
+TEST(ObserveFlagsTest, PostmortemDirSelectsTheHarness) {
   Argv a({"bench", "--postmortem-dir", "pm"});
   const auto opts = obs::extract_harness_flags(a.argc, a.argv.data());
-  EXPECT_TRUE(opts.observe_mode());
-  EXPECT_FALSE(opts.harness_mode());
+  EXPECT_TRUE(opts.harness_mode());
   EXPECT_EQ(a.argc, 1);
-  const auto observe = opts.observe("unit");
-  EXPECT_TRUE(observe.enabled());
-  EXPECT_EQ(observe.postmortem_dir, "pm");
-  EXPECT_EQ(observe.bench_name, "unit");
+  EXPECT_EQ(opts.postmortem_dir, "pm");
 }
 
 TEST(ObserveFlagsTest, ExtractsNumericFlags) {
@@ -304,7 +338,9 @@ std::string traced_sdp_run() {
   std::ostringstream json;
   std::ostringstream metrics;
   std::ostringstream summary;
-  tracer.write_chrome_json(json);
+  trace::ChromeTrace chrome(json);
+  chrome.add(tracer);
+  chrome.close();
   trace::Registry::global().write(metrics);
   tracer.write_summary(summary);
   return json.str() + "\n---\n" + metrics.str() + "\n---\n" + summary.str();

@@ -7,7 +7,7 @@ Usage:
                            [--max-ns-per-event NS]
 
 Both directories hold BENCH_<name>.json files as written by the bench
-harness (bench/harness.cpp, `--bench-json`) or by tools/run_tier1.sh
+harness (src/obs/harness.cpp, `--bench-json`) or by tools/run_tier1.sh
 --bench-json.  For every scenario present in both sets the script compares
 the latency p50 and p99 (when the scenario recorded latency samples) and
 the virtual completion time, and exits nonzero if any candidate value is
@@ -139,7 +139,7 @@ def compare_scenario(label, base, cand, threshold, failures):
 def wall_ns_per_event(label, side, doc):
     """ns/event for one wall scenario, reducing sharded list-valued fields.
 
-    Single-engine benches (bench/harness.cpp) write scalar `events`,
+    Single-engine benches (src/obs/harness.cpp) write scalar `events`,
     `wall_ns` and `ns_per_event`.  Sharded benches (bench_datacenter_scale)
     write `events` as a per-partition list and `wall_ns` as a per-worker
     list: partitions do unequal work and workers overlap in wall time, so

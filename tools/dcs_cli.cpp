@@ -23,14 +23,16 @@
 #include <fstream>
 #include <initializer_list>
 #include <iostream>
-#include <map>
 #include <memory>
-#include <sstream>
+#include <optional>
+#include <set>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "audit/audit.hpp"
 #include "cache/coop_cache.hpp"
+#include "common/json.hpp"
 #include "common/table.hpp"
 #include "common/zipf.hpp"
 #include "datacenter/clients.hpp"
@@ -41,27 +43,33 @@
 #include "monitor/monitor.hpp"
 #include "monitor/watchdog.hpp"
 #include "obs/explain.hpp"
-#include "obs/flame.hpp"
 #include "obs/flags.hpp"
-#include "obs/slo.hpp"
-#include "obs/timeseries.hpp"
+#include "obs/flame.hpp"
+#include "obs/harness.hpp"
 #include "obs/top.hpp"
 #include "sim/sync.hpp"
 #include "storm/storm.hpp"
 #include "trace/flight.hpp"
 #include "trace/inspect.hpp"
-#include "trace/observe.hpp"
 
 using namespace dcs;
 
 namespace {
 
+/// The `--key value` arguments of one command.  A command reads every
+/// key it knows first and then calls reject_unread(), which exits 2 naming
+/// the first positional, valueless or never-read argument, so a typo never
+/// runs with a silently substituted default.
 class Args {
  public:
   Args(int argc, char** argv) {
-    for (int i = 2; i + 1 < argc; i += 2) {
-      if (std::strncmp(argv[i], "--", 2) == 0) {
-        values_[argv[i] + 2] = argv[i + 1];
+    for (int i = 2; i < argc; ++i) {
+      const bool flag = std::strncmp(argv[i], "--", 2) == 0;
+      if (flag && i + 1 < argc) {
+        args_.push_back({argv[i], argv[i + 1]});
+        ++i;
+      } else {
+        args_.push_back({argv[i], std::nullopt});
       }
     }
   }
@@ -70,89 +78,70 @@ class Args {
   /// narrowing cast is exact.
   int num(const std::string& key, int fallback, int min = 0,
           int max = INT_MAX) const {
-    const auto it = values_.find(key);
-    return it != values_.end()
+    const std::string* v = find(key);
+    return v != nullptr
                ? static_cast<int>(obs::count_flag(
-                     "--" + key, it->second, static_cast<std::uint64_t>(min),
+                     "--" + key, *v, static_cast<std::uint64_t>(min),
                      static_cast<std::uint64_t>(max)))
                : fallback;
   }
   double real(const std::string& key, double fallback,
               double min = -HUGE_VAL) const {
-    const auto it = values_.find(key);
-    return it != values_.end() ? obs::real_flag("--" + key, it->second, min)
-                               : fallback;
+    const std::string* v = find(key);
+    return v != nullptr ? obs::real_flag("--" + key, *v, min) : fallback;
   }
   /// The value of `--key` (the first name when absent); any name not in
   /// `names` exits 2 naming the flag.
   std::string one_of(const std::string& key,
                      std::initializer_list<std::string_view> names) const {
-    const auto it = values_.find(key);
-    return it != values_.end()
-               ? std::string(obs::choice_flag("--" + key, it->second, names))
-               : std::string(*names.begin());
+    const std::string* v = find(key);
+    return v != nullptr ? std::string(obs::choice_flag("--" + key, *v, names))
+                        : std::string(*names.begin());
+  }
+  std::string text(const std::string& key, const std::string& fallback) const {
+    const std::string* v = find(key);
+    return v != nullptr ? *v : fallback;
+  }
+  void reject_unread() const {
+    for (const Arg& a : args_) {
+      const char* problem = nullptr;
+      if (!a.text.starts_with("--")) {
+        problem = "unexpected argument";
+      } else if (!a.value) {
+        problem = "missing value for";
+      } else if (!read_.contains(a.text.substr(2))) {
+        problem = "unknown flag";
+      }
+      if (problem == nullptr) continue;
+      std::fprintf(stderr, "dcs: %s '%s'\n", problem, a.text.c_str());
+      std::exit(2);
+    }
   }
 
  private:
-  std::map<std::string, std::string> values_;
-};
-
-/// Every command takes the unified observability flags (parsed once by
-/// obs::extract_harness_flags in main); the returned options feed a
-/// trace::ObservedRun scoped around the engine.
-trace::ObserveOptions observe_opts(const obs::HarnessOptions& flags,
-                                   const char* command) {
-  return flags.observe(std::string("dcs_") + command);
-}
-
-/// Scoped `--timeseries-out` / `--slo` handling for a run command: on
-/// scope exit the run's final registry ingests as node 0 of a one-node
-/// cluster dump, the SLO rules (if any) evaluate against it, and the
-/// dcs-timeseries-v1 dump / alert stream are written.  Declare after
-/// trace::ObservedRun so it runs first, while the registry is still live.
-class TimeSeriesScope {
- public:
-  TimeSeriesScope(sim::Engine& eng, const obs::HarnessOptions& flags)
-      : eng_(eng), flags_(flags) {}
-  TimeSeriesScope(const TimeSeriesScope&) = delete;
-  TimeSeriesScope& operator=(const TimeSeriesScope&) = delete;
-  ~TimeSeriesScope() {
-    if (flags_.timeseries_out.empty() && flags_.slo_rules.empty()) return;
-    obs::TimeSeriesStore store;
-    store.ingest_registry(0, eng_.now(), trace::Registry::global());
-    obs::SloEngine slo(store);
-    if (!flags_.slo_rules.empty()) {
-      std::string error;
-      auto rules = obs::parse_slo_rules_file(flags_.slo_rules, &error);
-      if (!error.empty()) std::fprintf(stderr, "dcs: %s\n", error.c_str());
-      for (auto& rule : rules) slo.add_rule(std::move(rule));
-      slo.evaluate(eng_.now());
-      std::ostringstream stream;
-      obs::write_alert_stream(stream, slo.alerts());
-      std::fputs(stream.str().c_str(), stderr);
+  struct Arg {
+    std::string text;  // as typed, e.g. "--waiters"
+    std::optional<std::string> value;
+  };
+  /// The last value given for `--key`; marks the key as read.
+  const std::string* find(const std::string& key) const {
+    read_.insert(key);
+    for (auto it = args_.rbegin(); it != args_.rend(); ++it) {
+      if (it->value && it->text == "--" + key) return &*it->value;
     }
-    if (flags_.timeseries_out.empty()) return;
-    std::ofstream os(flags_.timeseries_out);
-    if (!os) {
-      std::fprintf(stderr, "dcs: cannot open %s\n",
-                   flags_.timeseries_out.c_str());
-      return;
-    }
-    obs::write_timeseries_json(os, store, slo.alerts());
-    std::fprintf(stderr, "dcs: %zu series -> %s\n", store.all().size(),
-                 flags_.timeseries_out.c_str());
+    return nullptr;
   }
 
- private:
-  sim::Engine& eng_;
-  const obs::HarnessOptions& flags_;
+  std::vector<Arg> args_;
+  mutable std::set<std::string> read_;
 };
 
-int cmd_params() {
+int cmd_params(const Args& args) {
+  args.reject_unread();
   const fabric::FabricParams p;
   Table t({"parameter", "value"});
   t.add_row({"link latency", std::to_string(p.link_latency) + " ns"});
-  t.add_row({"wire rate", Table::fmt(p.wire_bytes_per_ns, 2) + " B/ns"});
+  t.add_row({"wire rate", fmt_fixed(p.wire_bytes_per_ns, 2) + " B/ns"});
   t.add_row({"RDMA post/target/completion",
              std::to_string(p.rdma_post_overhead) + "/" +
                  std::to_string(p.rdma_target_nic) + "/" +
@@ -162,7 +151,7 @@ int cmd_params() {
              std::to_string(p.tcp_per_message_cpu / 1000) + " us/side"});
   t.add_row({"interrupt latency",
              std::to_string(p.tcp_interrupt_latency / 1000) + " us"});
-  t.add_row({"memcpy rate", Table::fmt(p.tcp_copy_bytes_per_ns, 2) + " B/ns"});
+  t.add_row({"memcpy rate", fmt_fixed(p.tcp_copy_bytes_per_ns, 2) + " B/ns"});
   t.add_row({"scheduler quantum",
              std::to_string(p.sched_quantum / 1000000) + " ms"});
   t.add_row({"op timeout", std::to_string(p.op_timeout / 1000) + " us"});
@@ -190,56 +179,60 @@ int cmd_cache(const Args& args, const obs::HarnessOptions& flags) {
       static_cast<std::size_t>(args.num("requests", 3000, 1));
   const std::size_t cache_mb =
       static_cast<std::size_t>(args.num("cache-mb", 4));
+  args.reject_unread();
 
-  sim::Engine eng;
-  trace::ObservedRun observed(eng, observe_opts(flags, __func__ + 4));
-  TimeSeriesScope timeseries(eng, flags);
-  fabric::Fabric fab(eng, fabric::FabricParams{},
-                     {.num_nodes = 6 + proxies_n, .cores_per_node = 2,
-                      .mem_per_node = 64u << 20});
-  verbs::Network net(fab);
-  sockets::TcpNetwork tcp(fab);
-  std::vector<fabric::NodeId> proxies, donors, backends;
-  for (std::size_t i = 0; i < proxies_n; ++i) {
-    proxies.push_back(static_cast<fabric::NodeId>(2 + i));
-  }
-  donors = {static_cast<fabric::NodeId>(2 + proxies_n),
-            static_cast<fabric::NodeId>(3 + proxies_n)};
-  backends = {static_cast<fabric::NodeId>(4 + proxies_n),
-              static_cast<fabric::NodeId>(5 + proxies_n)};
+  int rc = 0;
+  obs::Harness h("dcs_cache", flags);
+  h.run("run", [&](obs::Scenario& s) {
+    sim::Engine& eng = s.engine();
+    fabric::Fabric fab(eng, fabric::FabricParams{},
+                       {.num_nodes = 6 + proxies_n, .cores_per_node = 2,
+                        .mem_per_node = 64u << 20});
+    verbs::Network net(fab);
+    sockets::TcpNetwork tcp(fab);
+    std::vector<fabric::NodeId> proxies, donors, backends;
+    for (std::size_t i = 0; i < proxies_n; ++i) {
+      proxies.push_back(static_cast<fabric::NodeId>(2 + i));
+    }
+    donors = {static_cast<fabric::NodeId>(2 + proxies_n),
+              static_cast<fabric::NodeId>(3 + proxies_n)};
+    backends = {static_cast<fabric::NodeId>(4 + proxies_n),
+                static_cast<fabric::NodeId>(5 + proxies_n)};
 
-  const std::size_t num_docs =
-      static_cast<std::size_t>(ws_mb) * 1024 * 1024 / file_bytes;
-  datacenter::DocumentStore store(
-      {.num_docs = num_docs, .doc_bytes = file_bytes});
-  datacenter::BackendService backend(tcp, store, backends);
-  backend.start();
-  cache::CoopCacheService coop(net, backend, store, scheme, proxies, donors,
-                               {.capacity_per_node = cache_mb << 20});
-  datacenter::WebFarm farm(tcp, proxies, coop.handler());
-  farm.start();
-  datacenter::ClientFarm clients(tcp, {0, 1}, proxies, store,
-                                 {.sessions = 4 * proxies_n});
-  ZipfTrace trace(num_docs, alpha, requests, 42);
-  eng.spawn(clients.run({trace.requests().begin(), trace.requests().end()}));
-  eng.run();
+    const std::size_t num_docs =
+        static_cast<std::size_t>(ws_mb) * 1024 * 1024 / file_bytes;
+    datacenter::DocumentStore store(
+        {.num_docs = num_docs, .doc_bytes = file_bytes});
+    datacenter::BackendService backend(tcp, store, backends);
+    backend.start();
+    cache::CoopCacheService coop(net, backend, store, scheme, proxies, donors,
+                                 {.capacity_per_node = cache_mb << 20});
+    datacenter::WebFarm farm(tcp, proxies, coop.handler());
+    farm.start();
+    datacenter::ClientFarm clients(tcp, {0, 1}, proxies, store,
+                                   {.sessions = 4 * proxies_n});
+    ZipfTrace trace(num_docs, alpha, requests, 42);
+    eng.spawn(clients.run({trace.requests().begin(), trace.requests().end()}));
+    eng.run();
 
-  Table t({"metric", "value"});
-  t.add_row({"scheme", cache::to_string(scheme)});
-  t.add_row({"throughput", Table::fmt(clients.stats().tps(), 0) + " TPS"});
-  t.add_row({"mean latency",
-             Table::fmt(const_cast<datacenter::RunStats&>(clients.stats())
-                            .latency_us.mean(),
-                        0) + " us"});
-  t.add_row({"hit rate", Table::fmt(100 * coop.stats().hit_rate(), 1) + " %"});
-  t.add_row({"integrity failures",
-             std::to_string(clients.stats().integrity_failures)});
-  const std::string audit = coop.audit();
-  t.add_row({"audit", audit.empty() ? "clean" : audit});
-  t.print("cooperative cache run (" + std::to_string(proxies_n) +
-          " proxies, " + std::to_string(file_bytes / 1024) + " KB docs, a=" +
-          Table::fmt(alpha, 2) + ")");
-  return audit.empty() ? 0 : 1;  // a failed invariant audit fails the run
+    Table t({"metric", "value"});
+    t.add_row({"scheme", cache::to_string(scheme)});
+    t.add_row({"throughput", fmt_fixed(clients.stats().tps(), 0) + " TPS"});
+    t.add_row({"mean latency",
+               fmt_fixed(const_cast<datacenter::RunStats&>(clients.stats())
+                             .latency_us.mean(),
+                         0) + " us"});
+    t.add_row({"hit rate", fmt_fixed(100 * coop.stats().hit_rate(), 1) + " %"});
+    t.add_row({"integrity failures",
+               std::to_string(clients.stats().integrity_failures)});
+    const std::string audit = coop.audit();
+    t.add_row({"audit", audit.empty() ? "clean" : audit});
+    t.print("cooperative cache run (" + std::to_string(proxies_n) +
+            " proxies, " + std::to_string(file_bytes / 1024) + " KB docs, a=" +
+            fmt_fixed(alpha, 2) + ")");
+    rc = audit.empty() ? 0 : 1;  // a failed invariant audit fails the run
+  });
+  return std::max(rc, h.finish());
 }
 
 int cmd_locks(const Args& args, const obs::HarnessOptions& flags) {
@@ -248,56 +241,59 @@ int cmd_locks(const Args& args, const obs::HarnessOptions& flags) {
   const std::string mode_name = args.one_of("mode", {"shared", "exclusive"});
   const auto mode = mode_name == "shared" ? dlm::LockMode::kShared
                                           : dlm::LockMode::kExclusive;
-  sim::Engine eng;
-  trace::ObservedRun observed(eng, observe_opts(flags, __func__ + 4));
-  TimeSeriesScope timeseries(eng, flags);
-  fabric::Fabric fab(eng, fabric::FabricParams{},
-                     {.num_nodes = static_cast<std::size_t>(waiters + 4),
-                      .cores_per_node = 2});
-  verbs::Network net(fab);
-  std::unique_ptr<dlm::LockManager> mgr;
-  if (scheme == "srsl") {
-    auto srsl = std::make_unique<dlm::SrslLockManager>(net, 0);
-    srsl->start();
-    mgr = std::move(srsl);
-  } else if (scheme == "dqnl") {
-    mgr = std::make_unique<dlm::DqnlLockManager>(net, 0);
-  } else {
-    mgr = std::make_unique<dlm::NcosedLockManager>(net, 0);
-  }
+  args.reject_unread();
 
-  SimNanos release_at = 0, last_grant = 0;
-  eng.spawn([](sim::Engine& e, dlm::LockManager& m, SimNanos& rel)
-                -> sim::Task<void> {
-    co_await m.lock_exclusive(1, 0);
-    co_await e.delay(milliseconds(1));
-    rel = e.now();
-    co_await m.unlock(1, 0);
-  }(eng, *mgr, release_at));
-  for (int i = 0; i < waiters; ++i) {
-    eng.spawn([](sim::Engine& e, dlm::LockManager& m, fabric::NodeId self,
-                 dlm::LockMode md, SimNanos& last) -> sim::Task<void> {
-      co_await e.delay(microseconds(50 + 10 * self));
-      {
-        // Request root so --critical-path splits acquire latency into
-        // lock-wait vs protocol cost.
-        trace::Request req("dlm.acquire", self, self);
-        co_await m.lock(self, 0, md);
-      }
-      last = std::max(last, e.now());
-      co_await m.unlock(self, 0);
-    }(eng, *mgr, static_cast<fabric::NodeId>(2 + i), mode, last_grant));
-  }
-  eng.run();
+  obs::Harness h("dcs_locks", flags);
+  h.run("run", [&](obs::Scenario& s) {
+    sim::Engine& eng = s.engine();
+    fabric::Fabric fab(eng, fabric::FabricParams{},
+                       {.num_nodes = static_cast<std::size_t>(waiters + 4),
+                        .cores_per_node = 2});
+    verbs::Network net(fab);
+    std::unique_ptr<dlm::LockManager> mgr;
+    if (scheme == "srsl") {
+      auto srsl = std::make_unique<dlm::SrslLockManager>(net, 0);
+      srsl->start();
+      mgr = std::move(srsl);
+    } else if (scheme == "dqnl") {
+      mgr = std::make_unique<dlm::DqnlLockManager>(net, 0);
+    } else {
+      mgr = std::make_unique<dlm::NcosedLockManager>(net, 0);
+    }
 
-  Table t({"metric", "value"});
-  t.add_row({"scheme", mgr->name()});
-  t.add_row({"mode", mode_name});
-  t.add_row({"waiters", std::to_string(waiters)});
-  t.add_row({"cascade latency",
-             Table::fmt(to_micros(last_grant - release_at), 1) + " us"});
-  t.print("lock cascade run");
-  return 0;
+    SimNanos release_at = 0, last_grant = 0;
+    eng.spawn([](sim::Engine& e, dlm::LockManager& m, SimNanos& rel)
+                  -> sim::Task<void> {
+      co_await m.lock_exclusive(1, 0);
+      co_await e.delay(milliseconds(1));
+      rel = e.now();
+      co_await m.unlock(1, 0);
+    }(eng, *mgr, release_at));
+    for (int i = 0; i < waiters; ++i) {
+      eng.spawn([](sim::Engine& e, dlm::LockManager& m, fabric::NodeId self,
+                   dlm::LockMode md, SimNanos& last) -> sim::Task<void> {
+        co_await e.delay(microseconds(50 + 10 * self));
+        {
+          // Request root so --critical-path splits acquire latency into
+          // lock-wait vs protocol cost.
+          trace::Request req("dlm.acquire", self, self);
+          co_await m.lock(self, 0, md);
+        }
+        last = std::max(last, e.now());
+        co_await m.unlock(self, 0);
+      }(eng, *mgr, static_cast<fabric::NodeId>(2 + i), mode, last_grant));
+    }
+    eng.run();
+
+    Table t({"metric", "value"});
+    t.add_row({"scheme", mgr->name()});
+    t.add_row({"mode", mode_name});
+    t.add_row({"waiters", std::to_string(waiters)});
+    t.add_row({"cascade latency",
+               fmt_fixed(to_micros(last_grant - release_at), 1) + " us"});
+    t.print("lock cascade run");
+  });
+  return h.finish();
 }
 
 int cmd_monitor(const Args& args, const obs::HarnessOptions& flags) {
@@ -310,44 +306,45 @@ int cmd_monitor(const Args& args, const obs::HarnessOptions& flags) {
   if (scheme_name == "rdma-async") scheme = monitor::MonScheme::kRdmaAsync;
   if (scheme_name == "e-rdma-sync") scheme = monitor::MonScheme::kERdmaSync;
   const int jobs = args.num("jobs", 4);
+  args.reject_unread();
 
-  sim::Engine eng;
-  trace::ObservedRun observed(eng, observe_opts(flags, __func__ + 4));
-  TimeSeriesScope timeseries(eng, flags);
-  fabric::Fabric fab(eng, fabric::FabricParams{},
-                     {.num_nodes = 2, .cores_per_node = 1});
-  verbs::Network net(fab);
-  sockets::TcpNetwork tcp(fab);
-  monitor::ResourceMonitor mon(net, tcp, 0, {1}, scheme);
-  mon.start();
-  for (int j = 0; j < jobs; ++j) eng.spawn(fab.node(1).execute(seconds(1)));
+  obs::Harness h("dcs_monitor", flags);
+  h.run("run", [&](obs::Scenario& s) {
+    sim::Engine& eng = s.engine();
+    fabric::Fabric fab(eng, fabric::FabricParams{},
+                       {.num_nodes = 2, .cores_per_node = 1});
+    verbs::Network net(fab);
+    sockets::TcpNetwork tcp(fab);
+    monitor::ResourceMonitor mon(net, tcp, 0, {1}, scheme);
+    mon.start();
+    for (int j = 0; j < jobs; ++j) eng.spawn(fab.node(1).execute(seconds(1)));
 
-  SimNanos latency = 0;
-  std::uint64_t reported = 0;
-  eng.spawn([](sim::Engine& e, monitor::ResourceMonitor& m, SimNanos& lat,
-               std::uint64_t& rep) -> sim::Task<void> {
-    co_await e.delay(milliseconds(50));
-    const auto t0 = e.now();
-    monitor::Sample s;
-    {
-      trace::Request req("monitor.query", 0, 1);
-      s = co_await m.query(1);
-    }
-    lat = e.now() - t0;
-    rep = s.stats.runnable;
-  }(eng, mon, latency, reported));
-  eng.run_until(milliseconds(200));
+    SimNanos latency = 0;
+    std::uint64_t reported = 0;
+    eng.spawn([](sim::Engine& e, monitor::ResourceMonitor& m, SimNanos& lat,
+                 std::uint64_t& rep) -> sim::Task<void> {
+      co_await e.delay(milliseconds(50));
+      const auto t0 = e.now();
+      monitor::Sample sample;
+      {
+        trace::Request req("monitor.query", 0, 1);
+        sample = co_await m.query(1);
+      }
+      lat = e.now() - t0;
+      rep = sample.stats.runnable;
+    }(eng, mon, latency, reported));
+    eng.run_until(milliseconds(200));
 
-  Table t({"metric", "value"});
-  t.add_row({"scheme", monitor::to_string(scheme)});
-  t.add_row({"actual runnable", std::to_string(jobs)});
-  t.add_row({"reported runnable", std::to_string(reported)});
-  t.add_row({"query latency", Table::fmt(to_micros(latency), 1) + " us"});
-  t.add_row({"target CPU consumed by monitoring",
-             std::to_string(fab.node(1).busy_ns() -
-                            static_cast<std::uint64_t>(0)) + " ns (incl. load)"});
-  t.print("resource monitor probe");
-  return 0;
+    Table t({"metric", "value"});
+    t.add_row({"scheme", monitor::to_string(scheme)});
+    t.add_row({"actual runnable", std::to_string(jobs)});
+    t.add_row({"reported runnable", std::to_string(reported)});
+    t.add_row({"query latency", fmt_fixed(to_micros(latency), 1) + " us"});
+    t.add_row({"target CPU consumed by monitoring",
+               std::to_string(fab.node(1).busy_ns()) + " ns (incl. load)"});
+    t.print("resource monitor probe");
+  });
+  return h.finish();
 }
 
 int cmd_storm(const Args& args, const obs::HarnessOptions& flags) {
@@ -355,32 +352,35 @@ int cmd_storm(const Args& args, const obs::HarnessOptions& flags) {
   const auto plane = args.one_of("plane", {"ddss", "sockets"}) == "ddss"
                          ? storm::ControlPlane::kDdss
                          : storm::ControlPlane::kSockets;
-  sim::Engine eng;
-  trace::ObservedRun observed(eng, observe_opts(flags, __func__ + 4));
-  TimeSeriesScope timeseries(eng, flags);
-  fabric::Fabric fab(eng, fabric::FabricParams{},
-                     {.num_nodes = 5, .cores_per_node = 2});
-  verbs::Network net(fab);
-  sockets::TcpNetwork tcp(fab);
-  storm::StormCluster cluster(net, tcp, plane, 0, 1, {2, 3, 4});
-  eng.spawn(cluster.start());
-  eng.run();
-  storm::QueryResult result;
-  eng.spawn([](storm::StormCluster& c, std::uint64_t n,
-               storm::QueryResult& out) -> sim::Task<void> {
-    trace::Request req("storm.query", 0, n);
-    out = co_await c.run_query(n);
-  }(cluster, records, result));
-  eng.run();
+  args.reject_unread();
 
-  Table t({"metric", "value"});
-  t.add_row({"control plane", storm::to_string(plane)});
-  t.add_row({"records scanned", std::to_string(result.records_scanned)});
-  t.add_row({"records returned", std::to_string(result.records_returned)});
-  t.add_row({"control-plane ops", std::to_string(result.control_ops)});
-  t.add_row({"query time", Table::fmt(to_millis(result.elapsed), 2) + " ms"});
-  t.print("STORM query run");
-  return 0;
+  obs::Harness h("dcs_storm", flags);
+  h.run("run", [&](obs::Scenario& s) {
+    sim::Engine& eng = s.engine();
+    fabric::Fabric fab(eng, fabric::FabricParams{},
+                       {.num_nodes = 5, .cores_per_node = 2});
+    verbs::Network net(fab);
+    sockets::TcpNetwork tcp(fab);
+    storm::StormCluster cluster(net, tcp, plane, 0, 1, {2, 3, 4});
+    eng.spawn(cluster.start());
+    eng.run();
+    storm::QueryResult result;
+    eng.spawn([](storm::StormCluster& c, std::uint64_t n,
+                 storm::QueryResult& out) -> sim::Task<void> {
+      trace::Request req("storm.query", 0, n);
+      out = co_await c.run_query(n);
+    }(cluster, records, result));
+    eng.run();
+
+    Table t({"metric", "value"});
+    t.add_row({"control plane", storm::to_string(plane)});
+    t.add_row({"records scanned", std::to_string(result.records_scanned)});
+    t.add_row({"records returned", std::to_string(result.records_returned)});
+    t.add_row({"control-plane ops", std::to_string(result.control_ops)});
+    t.add_row({"query time", fmt_fixed(to_millis(result.elapsed), 2) + " ms"});
+    t.print("STORM query run");
+  });
+  return h.finish();
 }
 
 // --- wedge: seeded failure scenarios that trip the flight recorder ---
@@ -391,18 +391,19 @@ int cmd_storm(const Args& args, const obs::HarnessOptions& flags) {
 /// witnessed by the engine stall detector, the load-adjusted deadline
 /// watchdog, or (violation) a seeded use-after-deregister under
 /// OnViolation::kPostmortem.  Each run writes deterministic
-/// dcs-postmortem-v1 dumps for `dcs inspect`.
-int cmd_wedge(const Args& args, const obs::HarnessOptions& flags) {
+/// dcs-postmortem-v1 dumps for `dcs inspect`; a dump that cannot be written
+/// fails the run.
+int cmd_wedge(const Args& args) {
   const std::string scenario =
       args.one_of("scenario", {"stall", "deadline", "violation"});
   const int waiters = args.num("waiters", 3);
-
-  sim::Engine eng;
   trace::FlightConfig fc;
   fc.ring_capacity = static_cast<std::size_t>(args.num("ring", 128));
-  fc.postmortem_dir =
-      flags.postmortem_dir.empty() ? "." : flags.postmortem_dir;
+  fc.postmortem_dir = args.text("postmortem-dir", ".");
   fc.prefix = "dcs_wedge_" + scenario;
+  args.reject_unread();
+
+  sim::Engine eng;
   trace::FlightRecorder flight(eng, fc);
   flight.install();
 
@@ -481,7 +482,7 @@ int cmd_wedge(const Args& args, const obs::HarnessOptions& flags) {
   for (const auto& path : flight.dump_paths()) {
     std::printf("  dump: %s\n", path.c_str());
   }
-  return flight.trips() > 0 ? 0 : 1;
+  return flight.trips() > 0 && flight.lost_dumps() == 0 ? 0 : 1;
 }
 
 // --- inspect: offline queries over dumps and trace JSON ---
@@ -645,6 +646,7 @@ void usage() {
       "e-rdma-sync --jobs N\n"
       "  storm   --plane sockets|ddss --records N\n"
       "  wedge   --scenario stall|deadline|violation --waiters N --ring N\n"
+      "          [--postmortem-dir DIR]\n"
       "          (seeded wedged runs that trip the flight recorder)\n"
       "  inspect FILE [--node N] [--layer L] [--request R] [--from NS]\n"
       "          [--to NS] [--timeline R] [--top N] [--diff FILE]\n"
@@ -660,15 +662,19 @@ void usage() {
       "  flame   FILE [--out PROFILE.json]\n"
       "          span tree -> speedscope self-time profile from a\n"
       "          --trace-out Chrome trace\n\n"
-      "observability (any command except params/inspect/top/explain/"
-      "flame):\n"
+      "observability (cache/locks/monitor/storm; the run is the one\n"
+      "scenario \"run\" of the bench harness; wedge takes --postmortem-dir):\n"
       "  --trace-out FILE      write a Chrome trace_event JSON of the run\n"
       "  --metrics-out FILE    write the metrics registry dump of the run\n"
       "  --critical-path FILE  write the critical-path attribution report\n"
       "  --bench-json FILE     write a dcs-bench-v1 telemetry snapshot\n"
+      "  --bench-wall-json FILE  write dcs-bench-wall-v1 wall telemetry\n"
       "  --postmortem-dir DIR  arm a flight recorder; trips dump there\n"
       "  --timeseries-out FILE write a dcs-timeseries-v1 dump of the run\n"
-      "  --slo FILE            evaluate SLO rules; alert stream to stderr\n");
+      "  --slo FILE            evaluate SLO rules; alert stream to stderr\n"
+      "  --hotset-out FILE     write the dcs-hotset-v1 hot-key dump\n"
+      "  --exemplars-out FILE  write the dcs-exemplar-v1 tail exemplars\n"
+      "  --hot-keys N          print the top-N hot keys per domain\n");
 }
 
 }  // namespace
@@ -683,14 +689,23 @@ int main(int argc, char** argv) {
   if (cmd == "top") return cmd_top(argc, argv);
   if (cmd == "explain") return cmd_explain(argc, argv);
   if (cmd == "flame") return cmd_flame(argc, argv);
-  const auto flags = obs::extract_harness_flags(argc, argv);
+  // Only the run commands observe a run, so only they take the
+  // observability flags; to params and wedge those are unknown arguments.
+  const bool observed =
+      cmd == "cache" || cmd == "locks" || cmd == "monitor" || cmd == "storm";
+  obs::HarnessOptions flags;
+  if (observed) flags = obs::extract_harness_flags(argc, argv);
+  if (flags.batch != 0) {  // no dcs command sweeps a batch depth
+    std::fprintf(stderr, "dcs: unknown flag '--batch'\n");
+    return 2;
+  }
   const Args args(argc, argv);
-  if (cmd == "params") return cmd_params();
+  if (cmd == "params") return cmd_params(args);
   if (cmd == "cache") return cmd_cache(args, flags);
   if (cmd == "locks") return cmd_locks(args, flags);
   if (cmd == "monitor") return cmd_monitor(args, flags);
   if (cmd == "storm") return cmd_storm(args, flags);
-  if (cmd == "wedge") return cmd_wedge(args, flags);
+  if (cmd == "wedge") return cmd_wedge(args);
   usage();
   return 1;
 }
