@@ -17,7 +17,7 @@
 #include "ddss/ddss.hpp"
 #include "dlm/ncosed.hpp"
 #include "monitor/monitor.hpp"
-#include "obs/flags.hpp"
+#include "obs/harness.hpp"
 #include "sockets/sdp.hpp"
 
 namespace {
@@ -26,11 +26,11 @@ using namespace dcs;
 
 // --- A1: atomic latency ----------------------------------------------------
 
-double ncosed_shared_cascade_us(double atomic_scale) {
+void cascade_scenario(obs::Scenario& s, double atomic_scale) {
   fabric::FabricParams params;
   params.atomic_execute =
       static_cast<SimNanos>(params.atomic_execute * atomic_scale);
-  sim::Engine eng;
+  auto& eng = s.engine();
   fabric::Fabric fab(eng, params, {.num_nodes = 12, .cores_per_node = 2});
   verbs::Network net(fab);
   dlm::NcosedLockManager mgr(net, 0);
@@ -55,14 +55,14 @@ double ncosed_shared_cascade_us(double atomic_scale) {
   }
   eng.run();
   DCS_CHECK(granted == 8);
-  return to_micros(last_grant - release_at);
+  s.metric("cascade_us", to_micros(last_grant - release_at));
 }
 
-double ddss_strict_put_us(double atomic_scale) {
+void strict_put_scenario(obs::Scenario& s, double atomic_scale) {
   fabric::FabricParams params;
   params.atomic_execute =
       static_cast<SimNanos>(params.atomic_execute * atomic_scale);
-  sim::Engine eng;
+  auto& eng = s.engine();
   fabric::Fabric fab(eng, params, {.num_nodes = 2, .mem_per_node = 1u << 20});
   verbs::Network net(fab);
   ddss::Ddss substrate(net);
@@ -78,16 +78,21 @@ double ddss_strict_put_us(double atomic_scale) {
     us = to_micros(e.now() - t0) / 10;
   }(substrate, eng, out));
   eng.run();
-  return out;
+  s.metric("put_us", out);
 }
 
-void print_a1() {
+void print_a1(obs::Harness& h) {
   Table table({"atomic latency scale", "N-CoSED shared cascade (us)",
                "DDSS strict put (us)"});
   for (const double scale : {0.5, 1.0, 2.0, 4.0}) {
-    table.add_row("x" + fmt_fixed(scale, 1),
-                  {ncosed_shared_cascade_us(scale), ddss_strict_put_us(scale)},
-                  1);
+    const std::string x = "x" + fmt_fixed(scale, 1);
+    const auto cascade = h.run("a1/cascade/" + x, [scale](obs::Scenario& s) {
+      cascade_scenario(s, scale);
+    });
+    const auto put = h.run("a1/strict-put/" + x, [scale](obs::Scenario& s) {
+      strict_put_scenario(s, scale);
+    });
+    table.add_row(x, {cascade.at("cascade_us"), put.at("put_us")}, 1);
   }
   table.print(
       "Ablation A1 — remote-atomic latency sensitivity "
@@ -96,33 +101,39 @@ void print_a1() {
 
 // --- A2: memcpy rate and the SDP crossover ----------------------------------
 
-SimNanos sdp_run(sockets::SdpMode mode, double copy_rate,
-                 std::size_t msg, int count) {
+void sdp_scenario(obs::Scenario& s, sockets::SdpMode mode, double copy_rate,
+                  std::size_t msg, int count) {
   fabric::FabricParams params;
   params.tcp_copy_bytes_per_ns = copy_rate;
-  sim::Engine eng;
+  auto& eng = s.engine();
   fabric::Fabric fab(eng, params, {.num_nodes = 2});
   verbs::Network net(fab);
   sockets::SdpStream stream(net, 0, 1, mode);
-  eng.spawn([](sockets::SdpStream& s, std::size_t m, int n) -> sim::Task<void> {
-    for (int i = 0; i < n; ++i) co_await s.send(std::vector<std::byte>(m));
-    co_await s.flush();
+  eng.spawn([](sockets::SdpStream& st, std::size_t m,
+               int n) -> sim::Task<void> {
+    for (int i = 0; i < n; ++i) co_await st.send(std::vector<std::byte>(m));
+    co_await st.flush();
   }(stream, msg, count));
-  eng.spawn([](sockets::SdpStream& s, int n) -> sim::Task<void> {
-    for (int i = 0; i < n; ++i) (void)co_await s.recv();
+  eng.spawn([](sockets::SdpStream& st, int n) -> sim::Task<void> {
+    for (int i = 0; i < n; ++i) (void)co_await st.recv();
   }(stream, count));
   eng.run();
-  return eng.now();
+  s.metric("elapsed_us", to_micros(eng.now()));
 }
 
-void print_a2() {
+void print_a2(obs::Harness& h) {
+  const auto elapsed_us = [&h](sockets::SdpMode mode, double rate) {
+    const std::string name = std::string("a2/") + sockets::to_string(mode) +
+                             "/" + fmt_fixed(rate, 2);
+    return h.run(name, [=](obs::Scenario& s) {
+              sdp_scenario(s, mode, rate, 16384, 50);
+            }).at("elapsed_us");
+  };
   Table table({"memcpy rate (B/ns)", "SDP @16K (us)", "ZSDP @16K (us)",
                "winner @16K", "crossover moved?"});
   for (const double rate : {0.25, 0.5, 1.0, 2.0}) {
-    const double sdp = to_micros(sdp_run(sockets::SdpMode::kBufferedCopy,
-                                         rate, 16384, 50));
-    const double zsdp =
-        to_micros(sdp_run(sockets::SdpMode::kZeroCopy, rate, 16384, 50));
+    const double sdp = elapsed_us(sockets::SdpMode::kBufferedCopy, rate);
+    const double zsdp = elapsed_us(sockets::SdpMode::kZeroCopy, rate);
     table.add_row({fmt_fixed(rate, 2), fmt_fixed(sdp, 0),
                    fmt_fixed(zsdp, 0), sdp < zsdp ? "SDP" : "ZSDP",
                    sdp < zsdp ? "yes: copies cheap enough" : "no"});
@@ -134,11 +145,12 @@ void print_a2() {
 
 // --- A3: TCP kernel cost and monitoring latency -----------------------------
 
-double monitor_query_us(monitor::MonScheme scheme, double tcp_cpu_scale) {
+void monitor_scenario(obs::Scenario& s, monitor::MonScheme scheme,
+                      double tcp_cpu_scale) {
   fabric::FabricParams params;
   params.tcp_per_message_cpu =
       static_cast<SimNanos>(params.tcp_per_message_cpu * tcp_cpu_scale);
-  sim::Engine eng;
+  auto& eng = s.engine();
   fabric::Fabric fab(eng, params, {.num_nodes = 2, .cores_per_node = 1});
   verbs::Network net(fab);
   sockets::TcpNetwork tcp(fab);
@@ -153,17 +165,22 @@ double monitor_query_us(monitor::MonScheme scheme, double tcp_cpu_scale) {
     us = to_micros(e.now() - t0) / 10;
   }(mon, eng, out));
   eng.run_until(seconds(1));
-  return out;
+  s.metric("query_us", out);
 }
 
-void print_a3() {
+void print_a3(obs::Harness& h) {
+  const auto query_us = [&h](monitor::MonScheme scheme, double scale) {
+    const std::string name = std::string("a3/") + monitor::to_string(scheme) +
+                             "/x" + fmt_fixed(scale, 1);
+    return h.run(name, [=](obs::Scenario& s) {
+              monitor_scenario(s, scheme, scale);
+            }).at("query_us");
+  };
   Table table({"TCP kernel-cost scale", "Socket-Sync query (us)",
                "RDMA-Sync query (us)", "ratio"});
   for (const double scale : {0.5, 1.0, 2.0, 4.0}) {
-    const double sock =
-        monitor_query_us(monitor::MonScheme::kSocketSync, scale);
-    const double rdma =
-        monitor_query_us(monitor::MonScheme::kRdmaSync, scale);
+    const double sock = query_us(monitor::MonScheme::kSocketSync, scale);
+    const double rdma = query_us(monitor::MonScheme::kRdmaSync, scale);
     table.add_row({"x" + fmt_fixed(scale, 1), fmt_fixed(sock, 1),
                    fmt_fixed(rdma, 1), fmt_fixed(sock / rdma, 1) + "x"});
   }
@@ -175,9 +192,12 @@ void print_a3() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  dcs::obs::reject_unknown_args(argc, argv);
-  print_a1();
-  print_a2();
-  print_a3();
-  return 0;
+  const auto opts = obs::extract_harness_flags(argc, argv);
+  obs::reject_unknown_args(argc, argv);
+  obs::reject_unsupported("ablation_fabric", opts.batch != 0, "--batch");
+  obs::Harness h("ablation_fabric", opts);
+  print_a1(h);
+  print_a2(h);
+  print_a3(h);
+  return h.finish();
 }

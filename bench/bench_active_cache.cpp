@@ -10,7 +10,7 @@
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "common/zipf.hpp"
-#include "obs/flags.hpp"
+#include "obs/harness.hpp"
 
 namespace {
 
@@ -19,14 +19,11 @@ using cache::ActiveCache;
 using cache::DataObject;
 using cache::DynamicPolicy;
 
-struct Outcome {
-  double mean_latency_us;
-  double stale_fraction;
-  double recompute_fraction;
-};
-
-Outcome run_policy(DynamicPolicy policy, SimNanos update_period) {
-  sim::Engine eng;
+/// 1200 Zipf page reads under `policy` while writers update a dependency
+/// every `update_period`.
+void policy_scenario(obs::Scenario& s, DynamicPolicy policy,
+                     SimNanos update_period) {
+  auto& eng = s.engine();
   fabric::Fabric fab(eng, fabric::FabricParams{},
                      {.num_nodes = 4, .cores_per_node = 2,
                       .mem_per_node = 2u << 20});
@@ -88,22 +85,30 @@ Outcome run_policy(DynamicPolicy policy, SimNanos update_period) {
   }(eng, cache, latency));
   eng.run();
 
-  const auto& s = cache.stats();
-  return Outcome{
-      latency.mean(),
-      static_cast<double>(s.stale_served) / static_cast<double>(s.requests),
-      static_cast<double>(s.recomputed) / static_cast<double>(s.requests)};
+  const auto& stats = cache.stats();
+  const auto requests = static_cast<double>(stats.requests);
+  s.metric("mean_latency_us", latency.mean());
+  s.metric("stale_fraction",
+           static_cast<double>(stats.stale_served) / requests);
+  s.metric("recompute_fraction",
+           static_cast<double>(stats.recomputed) / requests);
 }
 
-void print_table() {
+void print_table(obs::Harness& h) {
   Table table({"policy", "mean latency (us)", "stale responses",
                "recompute fraction"});
-  for (const auto policy : {DynamicPolicy::kNoCache, DynamicPolicy::kTtl,
-                            DynamicPolicy::kStrong}) {
-    const auto r = run_policy(policy, milliseconds(2));
-    table.add_row({to_string(policy), fmt_fixed(r.mean_latency_us, 0),
-                   fmt_fixed(100 * r.stale_fraction, 1) + " %",
-                   fmt_fixed(100 * r.recompute_fraction, 1) + " %"});
+  const std::pair<DynamicPolicy, const char*> kPolicies[] = {
+      {DynamicPolicy::kNoCache, "no-cache"},
+      {DynamicPolicy::kTtl, "ttl"},
+      {DynamicPolicy::kStrong, "strong"}};
+  for (const auto& [policy, name] : kPolicies) {
+    const auto m = h.run(std::string("policy/") + name,
+                         [policy](obs::Scenario& s) {
+                           policy_scenario(s, policy, milliseconds(2));
+                         });
+    table.add_row({to_string(policy), fmt_fixed(m.at("mean_latency_us"), 0),
+                   fmt_fixed(100 * m.at("stale_fraction"), 1) + " %",
+                   fmt_fixed(100 * m.at("recompute_fraction"), 1) + " %"});
   }
   table.print(
       "Section 3/[12] — dynamic-content caching with multiple dependencies "
@@ -113,7 +118,10 @@ void print_table() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  dcs::obs::reject_unknown_args(argc, argv);
-  print_table();
-  return 0;
+  const auto opts = obs::extract_harness_flags(argc, argv);
+  obs::reject_unknown_args(argc, argv);
+  obs::reject_unsupported("active_cache", opts.batch != 0, "--batch");
+  obs::Harness h("active_cache", opts);
+  print_table(h);
+  return h.finish();
 }

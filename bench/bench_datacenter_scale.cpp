@@ -592,6 +592,20 @@ int main(int argc, char** argv) {
     return 2;
   }
   cfg.observe = !opts.timeseries_out.empty() || !opts.slo_rules.empty();
+  // Flags this bench has no sink for exit 2 rather than write nothing.
+  // Post-mortems come from the SLO plane, which only runs when observed.
+  const std::pair<bool, const char*> unsupported[] = {
+      {!opts.bench_json.empty(), "--bench-json"},
+      {!opts.critical_path.empty(), "--critical-path"},
+      {!opts.trace_out.empty(), "--trace-out"},
+      {!opts.metrics_out.empty(), "--metrics-out"},
+      {opts.batch != 0, "--batch"},
+      {!opts.postmortem_dir.empty() && !cfg.observe,
+       "--postmortem-dir without --timeseries-out or --slo"},
+  };
+  for (const auto& [given, flag] : unsupported) {
+    dcs::obs::reject_unsupported("datacenter_scale", given, flag);
+  }
   cfg.attribute = opts.attribution_mode();
   return dcs::run(cfg, opts);
 }

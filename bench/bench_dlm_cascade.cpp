@@ -33,19 +33,13 @@ const char* name_of(Scheme s) {
 }
 
 struct World {
-  std::unique_ptr<sim::Engine> owned;  // empty when borrowing an engine
   sim::Engine& eng;
   fabric::Fabric fab;
   verbs::Network net;
   std::unique_ptr<dlm::LockManager> mgr;
 
-  explicit World(Scheme scheme) : World(nullptr, scheme) {}
-  World(sim::Engine& external, Scheme scheme) : World(&external, scheme) {}
-
- private:
-  World(sim::Engine* external, Scheme scheme)
-      : owned(external != nullptr ? nullptr : std::make_unique<sim::Engine>()),
-        eng(external != nullptr ? *external : *owned),
+  World(sim::Engine& engine, Scheme scheme)
+      : eng(engine),
         fab(eng, fabric::FabricParams{},
             {.num_nodes = 20, .cores_per_node = 2}),
         net(fab) {
@@ -65,6 +59,9 @@ struct World {
     }
   }
 };
+
+const std::vector<Scheme> kSchemes = {Scheme::kSrsl, Scheme::kDqnl,
+                                      Scheme::kNcosed};
 
 /// Latency (µs) from the holder's release to the LAST pending waiter grant.
 double cascade_latency_on(World& w, LockMode mode, int waiters) {
@@ -94,169 +91,194 @@ double cascade_latency_on(World& w, LockMode mode, int waiters) {
   return to_micros(last_grant - release_at);
 }
 
-double cascade_latency_us(Scheme scheme, LockMode mode, int waiters) {
-  World w(scheme);
-  return cascade_latency_on(w, mode, waiters);
-}
-
 const std::vector<int> kWaiters = {1, 2, 4, 8, 16};
+const std::vector<int> kContenders = {1, 4, 8};
+const LockMode kModes[] = {LockMode::kExclusive, LockMode::kShared};
 
-void print_fig5(LockMode mode, const char* title) {
-  Table table({"# waiting", "SRSL (us)", "DQNL (us)", "N-CoSED (us)"});
-  for (const int n : kWaiters) {
-    table.add_row(std::to_string(n),
-                  {cascade_latency_us(Scheme::kSrsl, mode, n),
-                   cascade_latency_us(Scheme::kDqnl, mode, n),
-                   cascade_latency_us(Scheme::kNcosed, mode, n)},
-                  1);
-  }
-  table.print(title);
+/// 20 uncontended lock+unlock round trips on node 1, each a trace::Request
+/// so lock-wait shows up in the attribution; the mean is "roundtrip_us".
+void roundtrip_scenario(obs::Scenario& s, Scheme scheme, LockMode mode) {
+  World w(s.engine(), scheme);
+  double us = 0;
+  w.eng.spawn([](World& world, LockMode m, obs::Scenario& out,
+                 double& mean_us) -> sim::Task<void> {
+    constexpr int kIters = 20;
+    const auto start = world.eng.now();
+    for (int i = 0; i < kIters; ++i) {
+      const auto t0 = world.eng.now();
+      {
+        trace::Request req("dlm.roundtrip", 1, static_cast<std::uint64_t>(i));
+        co_await world.mgr->lock(1, 0, m);
+        co_await world.mgr->unlock(1, 0);
+      }
+      out.latency_ns(static_cast<double>(world.eng.now() - t0));
+    }
+    mean_us = to_micros(world.eng.now() - start) / kIters;
+  }(w, mode, s, us));
+  w.eng.run();
+  s.metric("roundtrip_us", us);
 }
 
-void print_fig4_op_counts() {
+/// `nodes` contending nodes each run 60 exclusive lock+unlock pairs on one
+/// hot lock; the aggregate rate is "kops_per_s".
+void throughput_scenario(obs::Scenario& s, Scheme scheme, int nodes) {
+  World w(s.engine(), scheme);
+  int total_ops = 0;
+  for (int n = 0; n < nodes; ++n) {
+    w.eng.spawn([](World& world, fabric::NodeId self,
+                   int& ops) -> sim::Task<void> {
+      for (int i = 0; i < 60; ++i) {
+        co_await world.mgr->lock_exclusive(self, 0);
+        co_await world.mgr->unlock(self, 0);
+        ++ops;
+      }
+    }(w, static_cast<fabric::NodeId>(1 + n), total_ops));
+  }
+  w.eng.run();
+  s.metric("kops_per_s",
+           static_cast<double>(total_ops) / to_secs(w.eng.now()) / 1000.0);
+}
+
+/// One scheme's column of the latency, throughput and Figure 5 tables.
+struct Column {
+  double roundtrip_us[2];             // indexed like kModes
+  std::vector<double> kops_per_s;     // per kContenders
+  std::vector<double> cascade_us[2];  // indexed like kModes, per kWaiters
+};
+
+Column run_scheme(obs::Harness& h, Scheme scheme) {
+  const std::string suffix = name_of(scheme);
+  Column col;
+  for (std::size_t m = 0; m < 2; ++m) {
+    const LockMode mode = kModes[m];
+    const bool shared = mode == LockMode::kShared;
+    col.roundtrip_us[m] =
+        h.run(std::string("uncontended/") + (shared ? "shared/" : "") + suffix,
+              [=](obs::Scenario& s) { roundtrip_scenario(s, scheme, mode); })
+            .at("roundtrip_us");
+    for (const int n : kWaiters) {
+      const std::string name = std::string("cascade/") +
+                               (shared ? "shared/" : "exclusive/") +
+                               std::to_string(n) + "/" + suffix;
+      col.cascade_us[m].push_back(h.run(name, [=](obs::Scenario& s) {
+                                     World w(s.engine(), scheme);
+                                     s.metric("cascade_us",
+                                              cascade_latency_on(w, mode, n));
+                                   }).at("cascade_us"));
+    }
+  }
+  for (const int nodes : kContenders) {
+    col.kops_per_s.push_back(
+        h.run("throughput/" + std::to_string(nodes) + "/" + suffix,
+              [=](obs::Scenario& s) { throughput_scenario(s, scheme, nodes); })
+            .at("kops_per_s"));
+  }
+  return col;
+}
+
+/// Figure 4's operations; each is counted as "<key>.one_sided_ops" and
+/// "<key>.messages".
+struct Fig4Step {
+  const char* label;
+  const char* key;
+  sim::Task<void> (*action)(World&);
+};
+const Fig4Step kFig4Steps[] = {
+    {"exclusive lock (free)", "exclusive_lock",
+     [](World& w) -> sim::Task<void> { co_await w.mgr->lock_exclusive(1, 1); }},
+    {"exclusive unlock (no successor)", "exclusive_unlock",
+     [](World& w) -> sim::Task<void> { co_await w.mgr->unlock(1, 1); }},
+    {"shared lock (free)", "shared_lock",
+     [](World& w) -> sim::Task<void> { co_await w.mgr->lock_shared(1, 2); }},
+    {"shared unlock", "shared_unlock",
+     [](World& w) -> sim::Task<void> { co_await w.mgr->unlock(1, 2); }},
+};
+
+/// One N-CoSED world, scenario "fig4/N-CoSED": each step runs alone and
+/// node 1's one-sided ops and messages are counted across it.
+void print_fig4_op_counts(obs::Harness& h) {
+  const auto m = h.run("fig4/N-CoSED", [](obs::Scenario& s) {
+    World w(s.engine(), Scheme::kNcosed);
+    for (const Fig4Step& step : kFig4Steps) {
+      const auto ops0 = w.net.hca(1).one_sided_ops();
+      const auto msg0 = w.net.hca(1).messages_sent();
+      w.eng.spawn(step.action(w));
+      w.eng.run();
+      s.metric(std::string(step.key) + ".one_sided_ops",
+               static_cast<double>(w.net.hca(1).one_sided_ops() - ops0));
+      s.metric(std::string(step.key) + ".messages",
+               static_cast<double>(w.net.hca(1).messages_sent() - msg0));
+    }
+  });
   Table table({"operation", "one-sided ops", "messages"});
-  World w(Scheme::kNcosed);
-  auto count = [&w](const char* label, auto&& action) {
-    const auto ops0 = w.net.hca(1).one_sided_ops();
-    const auto msg0 = w.net.hca(1).messages_sent();
-    w.eng.spawn(action(w));
-    w.eng.run();
-    return std::vector<std::string>{
-        label, std::to_string(w.net.hca(1).one_sided_ops() - ops0),
-        std::to_string(w.net.hca(1).messages_sent() - msg0)};
-  };
-  table.add_row(count("exclusive lock (free)", [](World& world) {
-    return [](World& ww) -> sim::Task<void> {
-      co_await ww.mgr->lock_exclusive(1, 1);
-    }(world);
-  }));
-  table.add_row(count("exclusive unlock (no successor)", [](World& world) {
-    return [](World& ww) -> sim::Task<void> {
-      co_await ww.mgr->unlock(1, 1);
-    }(world);
-  }));
-  table.add_row(count("shared lock (free)", [](World& world) {
-    return [](World& ww) -> sim::Task<void> {
-      co_await ww.mgr->lock_shared(1, 2);
-    }(world);
-  }));
-  table.add_row(count("shared unlock", [](World& world) {
-    return [](World& ww) -> sim::Task<void> {
-      co_await ww.mgr->unlock(1, 2);
-    }(world);
-  }));
+  for (const Fig4Step& step : kFig4Steps) {
+    const auto count = [&](const char* what) {
+      return std::to_string(
+          static_cast<std::uint64_t>(m.at(std::string(step.key) + what)));
+    };
+    table.add_row({step.label, count(".one_sided_ops"), count(".messages")});
+  }
   table.print(
       "Figure 4 — N-CoSED uncontended wire-level op counts "
       "(paper: one CAS / one FAA, no messages)");
 }
 
-void print_op_latency_table() {
+void print_op_latency_table(const std::vector<Column>& cols) {
   Table table({"scheme", "excl lock+unlock (us)", "shared lock+unlock (us)"});
-  for (const Scheme scheme :
-       {Scheme::kSrsl, Scheme::kDqnl, Scheme::kNcosed}) {
-    auto measure = [&scheme](LockMode mode) {
-      World w(scheme);
-      double us = 0;
-      w.eng.spawn([](World& world, LockMode m, double& out) -> sim::Task<void> {
-        const auto t0 = world.eng.now();
-        constexpr int kIters = 20;
-        for (int i = 0; i < kIters; ++i) {
-          co_await world.mgr->lock(1, 0, m);
-          co_await world.mgr->unlock(1, 0);
-        }
-        out = to_micros(world.eng.now() - t0) / kIters;
-      }(w, mode, us));
-      w.eng.run();
-      return us;
-    };
-    table.add_row(name_of(scheme),
-                  {measure(LockMode::kExclusive), measure(LockMode::kShared)},
-                  1);
+  for (std::size_t c = 0; c < kSchemes.size(); ++c) {
+    table.add_row(name_of(kSchemes[c]),
+                  {cols[c].roundtrip_us[0], cols[c].roundtrip_us[1]}, 1);
   }
   table.print(
       "Uncontended lock+unlock round-trip latency "
       "(one-sided atomics vs server messaging)");
 }
 
-void print_throughput_table() {
+void print_throughput_table(const std::vector<Column>& cols) {
   Table table({"contending nodes", "SRSL kops/s", "DQNL kops/s",
                "N-CoSED kops/s"});
-  for (const int nodes : {1, 4, 8}) {
+  for (std::size_t r = 0; r < kContenders.size(); ++r) {
     std::vector<double> row;
-    for (const Scheme scheme :
-         {Scheme::kSrsl, Scheme::kDqnl, Scheme::kNcosed}) {
-      World w(scheme);
-      int total_ops = 0;
-      for (int n = 0; n < nodes; ++n) {
-        w.eng.spawn([](World& world, fabric::NodeId self, int& ops)
-                        -> sim::Task<void> {
-          for (int i = 0; i < 60; ++i) {
-            co_await world.mgr->lock_exclusive(self, 0);
-            co_await world.mgr->unlock(self, 0);
-            ++ops;
-          }
-        }(w, static_cast<fabric::NodeId>(1 + n), total_ops));
-      }
-      w.eng.run();
-      row.push_back(static_cast<double>(total_ops) / to_secs(w.eng.now()) /
-                    1000.0);
-    }
-    table.add_row(std::to_string(nodes), row, 1);
+    for (const Column& col : cols) row.push_back(col.kops_per_s[r]);
+    table.add_row(std::to_string(kContenders[r]), row, 1);
   }
   table.print(
       "Exclusive lock throughput under contention (kops/s, one hot lock)");
 }
 
-// Harnessed scenarios (docs/BENCHMARKS.md): per scheme, the Figure 5
-// shared-cascade latency at 8 waiters plus uncontended lock+unlock
-// round trips (each acquisition a trace::Request, so lock-wait shows up
-// in the attribution).
-int run_harness(const obs::HarnessOptions& opts) {
-  obs::Harness h("dlm_cascade", opts);
-  for (const Scheme scheme :
-       {Scheme::kSrsl, Scheme::kDqnl, Scheme::kNcosed}) {
-    h.run(std::string("cascade/shared/8/") + name_of(scheme),
-          [scheme](obs::Scenario& s) {
-            World w(s.engine(), scheme);
-            s.metric("cascade_us", cascade_latency_on(w, LockMode::kShared, 8));
-          });
-    h.run(std::string("uncontended/") + name_of(scheme),
-          [scheme](obs::Scenario& s) {
-            World w(s.engine(), scheme);
-            w.eng.spawn([](World& world, obs::Scenario& out)
-                            -> sim::Task<void> {
-              constexpr int kIters = 20;
-              for (int i = 0; i < kIters; ++i) {
-                const auto t0 = world.eng.now();
-                {
-                  trace::Request req("dlm.roundtrip", 1,
-                                     static_cast<std::uint64_t>(i));
-                  co_await world.mgr->lock(1, 0, LockMode::kExclusive);
-                  co_await world.mgr->unlock(1, 0);
-                }
-                out.latency_ns(static_cast<double>(world.eng.now() - t0));
-              }
-            }(w, s));
-            w.eng.run();
-          });
+void print_fig5(const std::vector<Column>& cols, LockMode mode,
+                const char* title) {
+  const std::size_t m = mode == LockMode::kShared ? 1 : 0;
+  Table table({"# waiting", "SRSL (us)", "DQNL (us)", "N-CoSED (us)"});
+  for (std::size_t r = 0; r < kWaiters.size(); ++r) {
+    std::vector<double> row;
+    for (const Column& col : cols) row.push_back(col.cascade_us[m][r]);
+    table.add_row(std::to_string(kWaiters[r]), row, 1);
   }
-  return h.finish();
+  table.print(title);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto harness = obs::extract_harness_flags(argc, argv);
+  const auto opts = obs::extract_harness_flags(argc, argv);
   obs::reject_unknown_args(argc, argv);
-  if (harness.harness_mode()) return run_harness(harness);
-  print_fig4_op_counts();
-  print_op_latency_table();
-  print_throughput_table();
-  print_fig5(LockMode::kShared,
+  obs::reject_unsupported("dlm_cascade", opts.batch != 0, "--batch");
+  obs::Harness h("dlm_cascade", opts);
+  // Scheme-major, in the order the dcs-bench-v1 history was recorded: a
+  // registry snapshot lists every metric name an earlier scenario
+  // registered, so interleaving the schemes would add later schemes' zero
+  // counters to SRSL's and DQNL's snapshots.
+  std::vector<Column> cols;
+  for (const Scheme scheme : kSchemes) cols.push_back(run_scheme(h, scheme));
+  print_fig4_op_counts(h);
+  print_op_latency_table(cols);
+  print_throughput_table(cols);
+  print_fig5(cols, LockMode::kShared,
              "Figure 5a — shared-lock cascade latency after release "
              "(paper: N-CoSED up to ~317 % better than DQNL at 16)");
-  print_fig5(LockMode::kExclusive,
+  print_fig5(cols, LockMode::kExclusive,
              "Figure 5b — exclusive-lock cascade latency after release "
              "(paper: N-CoSED ~39 % better than SRSL)");
-  return 0;
+  return h.finish();
 }

@@ -105,9 +105,15 @@ void fanout_64(Engine& eng, int msgs_per_node) {
   eng.run();
 }
 
-// --- harness scenarios ----------------------------------------------------
+}  // namespace
 
-int run_harness(const obs::HarnessOptions& opts) {
+int main(int argc, char** argv) {
+  auto opts = obs::extract_harness_flags(argc, argv);
+  obs::reject_unknown_args(argc, argv);
+  obs::reject_unsupported("engine", opts.batch != 0, "--batch");
+  // No paper table here: the wall report is the result, so it always goes
+  // to stderr, and to /dev/null when no --bench-wall-json file was asked for.
+  if (opts.wall_json.empty()) opts.wall_json = "/dev/null";
   obs::Harness h("engine", opts);
   h.run("timer_churn/64x2000", [](obs::Scenario& s) {
     timer_churn(s.engine(), 64, 2000);
@@ -126,15 +132,4 @@ int run_harness(const obs::HarnessOptions& opts) {
     s.metric("events", static_cast<double>(s.engine().events_dispatched()));
   });
   return h.finish();
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  auto harness = dcs::obs::extract_harness_flags(argc, argv);
-  dcs::obs::reject_unknown_args(argc, argv);
-  // No paper table here: the harness scenarios always run, and with no
-  // observability flag given the wall report goes to stderr only.
-  if (!harness.harness_mode()) harness.wall_json = "/dev/null";
-  return run_harness(harness);
 }

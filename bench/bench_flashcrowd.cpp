@@ -17,7 +17,7 @@
 #include "common/json.hpp"
 #include "common/table.hpp"
 #include "datacenter/admission.hpp"
-#include "obs/flags.hpp"
+#include "obs/harness.hpp"
 #include "reconfig/reconfig.hpp"
 
 namespace {
@@ -29,19 +29,13 @@ struct Config {
   bool reconfig;
 };
 
-struct Outcome {
-  double p95_us;        // site-0 latency of served requests
-  double drop_rate;     // of site-0 requests
-  double other_p95_us;  // collateral damage on the steady site
-  std::uint64_t moves;
-};
-
 constexpr SimNanos kSpikeStart = milliseconds(200);
 constexpr SimNanos kSpikeEnd = milliseconds(700);
 constexpr SimNanos kRunEnd = milliseconds(1200);
 
-Outcome run_config(Config config) {
-  sim::Engine eng;
+/// One flash crowd on site 0 under `config`; site 1 is the steady site.
+void config_scenario(obs::Scenario& s, Config config) {
+  auto& eng = s.engine();
   // Node 0: front-end; 1..6: app pool.
   fabric::Fabric fab(eng, fabric::FabricParams{},
                      {.num_nodes = 7, .cores_per_node = 1});
@@ -69,7 +63,7 @@ Outcome run_config(Config config) {
 
   // One open-loop arrival process per site.  Site 0's rate spikes 10x.
   auto traffic = [](sim::Engine& e, fabric::Fabric& f,
-                    reconfig::ReconfigService& s,
+                    reconfig::ReconfigService& rs,
                     datacenter::AdmissionController& a, Config cfg,
                     std::uint32_t site, LatencySamples& lat,
                     std::uint64_t& offered,
@@ -100,7 +94,7 @@ Outcome run_config(Config config) {
         co_await f2.node(server).execute(microseconds(900));
         co_await f2.tcp_wire_transfer(server, 0, 4096);
         l.add(to_micros(e2.now() - t0));
-      }(e, f, s, a, cfg, site, lat, dropped));
+      }(e, f, rs, a, cfg, site, lat, dropped));
     }
   };
   eng.spawn(traffic(eng, fab, svc, adm, config, 0, site0_lat, site0_offered,
@@ -110,26 +104,32 @@ Outcome run_config(Config config) {
                     dummy_dropped));
   eng.run_until(kRunEnd + milliseconds(300));
 
-  return Outcome{site0_lat.percentile(95),
-                 static_cast<double>(site0_dropped) /
-                     static_cast<double>(site0_offered),
-                 site1_lat.percentile(95), svc.reconfigurations()};
+  s.metric("p95_us", site0_lat.percentile(95));
+  s.metric("drop_rate", static_cast<double>(site0_dropped) /
+                            static_cast<double>(site0_offered));
+  s.metric("other_p95_us", site1_lat.percentile(95));
+  s.metric("moves", static_cast<double>(svc.reconfigurations()));
 }
 
-void print_table() {
+void print_table(obs::Harness& h) {
   Table table({"configuration", "site-0 p95 (us)", "site-0 drops",
                "site-1 p95 (us)", "moves"});
-  const std::vector<std::pair<const char*, Config>> kConfigs = {
-      {"none", {false, false}},
-      {"admission only", {true, false}},
-      {"reconfiguration only", {false, true}},
-      {"admission + reconfiguration", {true, true}},
-  };
-  for (const auto& [name, config] : kConfigs) {
-    const auto r = run_config(config);
-    table.add_row({name, fmt_fixed(r.p95_us, 0),
-                   fmt_fixed(100 * r.drop_rate, 1) + " %",
-                   fmt_fixed(r.other_p95_us, 0), std::to_string(r.moves)});
+  const std::vector<std::tuple<const char*, const char*, Config>> kConfigs =
+      {
+          {"none", "none", {false, false}},
+          {"admission", "admission only", {true, false}},
+          {"reconfig", "reconfiguration only", {false, true}},
+          {"both", "admission + reconfiguration", {true, true}},
+      };
+  for (const auto& [name, label, config] : kConfigs) {
+    const auto m = h.run(std::string("config/") + name,
+                         [config](obs::Scenario& s) {
+                           config_scenario(s, config);
+                         });
+    table.add_row({label, fmt_fixed(m.at("p95_us"), 0),
+                   fmt_fixed(100 * m.at("drop_rate"), 1) + " %",
+                   fmt_fixed(m.at("other_p95_us"), 0),
+                   std::to_string(static_cast<std::uint64_t>(m.at("moves")))});
   }
   table.print(
       "Flash crowd (10x arrival spike for 500 ms) — the framework's "
@@ -139,7 +139,10 @@ void print_table() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  dcs::obs::reject_unknown_args(argc, argv);
-  print_table();
-  return 0;
+  const auto opts = obs::extract_harness_flags(argc, argv);
+  obs::reject_unknown_args(argc, argv);
+  obs::reject_unsupported("flashcrowd", opts.batch != 0, "--batch");
+  obs::Harness h("flashcrowd", opts);
+  print_table(h);
+  return h.finish();
 }

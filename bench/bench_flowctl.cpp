@@ -6,7 +6,7 @@
 // small-message throughput.  Full-buffer messages are equivalent.
 #include "common/json.hpp"
 #include "common/table.hpp"
-#include "obs/flags.hpp"
+#include "obs/harness.hpp"
 #include "sockets/flowctl.hpp"
 
 namespace {
@@ -16,53 +16,54 @@ using sockets::CreditStream;
 using sockets::FlowConfig;
 using sockets::PacketizedStream;
 
-struct FlowOutcome {
-  double msgs_per_sec;
-  double mbytes_per_sec;
-  double buffer_utilization;
-};
-
+/// `count` messages of `msg_bytes` over one flow-controlled stream.
 template <typename Stream>
-FlowOutcome run_stream(std::size_t msg_bytes, int count) {
-  sim::Engine eng;
+void stream_scenario(obs::Scenario& s, std::size_t msg_bytes, int count) {
+  auto& eng = s.engine();
   fabric::Fabric fab(eng, fabric::FabricParams{}, {.num_nodes = 2});
   verbs::Network net(fab);
   Stream stream(net, 0, 1, FlowConfig{});
   stream.start_receiver();
   SimNanos elapsed = 0;
-  eng.spawn([](Stream& s, sim::Engine& e, std::size_t m, int n,
+  eng.spawn([](Stream& st, sim::Engine& e, std::size_t m, int n,
                SimNanos& done) -> sim::Task<void> {
-    for (int i = 0; i < n; ++i) co_await s.send(m);
-    if constexpr (requires { s.flush(); }) co_await s.flush();
-    co_await s.quiesce();
+    for (int i = 0; i < n; ++i) co_await st.send(m);
+    if constexpr (requires { st.flush(); }) co_await st.flush();
+    co_await st.quiesce();
     done = e.now();
     e.stop();
   }(stream, eng, msg_bytes, count, elapsed));
   eng.run_until(seconds(1000));
   DCS_CHECK(elapsed > 0);
   const double secs = to_secs(elapsed);
-  return FlowOutcome{
-      count / secs,
-      static_cast<double>(stream.stats().payload_bytes) / secs / 1e6,
-      stream.stats().buffer_utilization(FlowConfig{}.buffer_bytes)};
+  s.metric("msgs_per_s", count / secs);
+  s.metric("MB_per_s",
+           static_cast<double>(stream.stats().payload_bytes) / secs / 1e6);
+  s.metric("buffer_utilization",
+           stream.stats().buffer_utilization(FlowConfig{}.buffer_bytes));
 }
 
 const std::vector<std::size_t> kSizes = {64, 256, 1024, 4096, 8192};
 
-void print_table() {
+void print_table(obs::Harness& h) {
   Table table({"msg size", "credit msgs/s", "packetized msgs/s", "speedup",
                "credit util %", "packetized util %"});
   for (const std::size_t size : kSizes) {
     const int count = size <= 1024 ? 2000 : 500;
-    const auto credit = run_stream<CreditStream>(size, count);
-    const auto packed = run_stream<PacketizedStream>(size, count);
-    table.add_row({std::to_string(size) + " B",
-                   fmt_fixed(credit.msgs_per_sec, 0),
-                   fmt_fixed(packed.msgs_per_sec, 0),
-                   fmt_fixed(packed.msgs_per_sec / credit.msgs_per_sec, 1) +
-                       "x",
-                   fmt_fixed(100 * credit.buffer_utilization, 2),
-                   fmt_fixed(100 * packed.buffer_utilization, 2)});
+    const std::string bytes = "/" + std::to_string(size) + "B";
+    const auto credit = h.run("credit" + bytes, [=](obs::Scenario& s) {
+      stream_scenario<CreditStream>(s, size, count);
+    });
+    const auto packed = h.run("packetized" + bytes, [=](obs::Scenario& s) {
+      stream_scenario<PacketizedStream>(s, size, count);
+    });
+    const double credit_rate = credit.at("msgs_per_s");
+    const double packed_rate = packed.at("msgs_per_s");
+    table.add_row({std::to_string(size) + " B", fmt_fixed(credit_rate, 0),
+                   fmt_fixed(packed_rate, 0),
+                   fmt_fixed(packed_rate / credit_rate, 1) + "x",
+                   fmt_fixed(100 * credit.at("buffer_utilization"), 2),
+                   fmt_fixed(100 * packed.at("buffer_utilization"), 2)});
   }
   table.print(
       "Section 6 — credit-based vs packetized flow control "
@@ -72,7 +73,10 @@ void print_table() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  dcs::obs::reject_unknown_args(argc, argv);
-  print_table();
-  return 0;
+  const auto opts = obs::extract_harness_flags(argc, argv);
+  obs::reject_unknown_args(argc, argv);
+  obs::reject_unsupported("flowctl", opts.batch != 0, "--batch");
+  obs::Harness h("flowctl", opts);
+  print_table(h);
+  return h.finish();
 }

@@ -41,17 +41,12 @@ const char* name_of(Policy p) {
   return "?";
 }
 
-struct IntegratedResult {
-  double web_hit_rate_after;   // hit rate in the post-move window
-  double web_latency_us;       // mean web request latency post-move
-  double batch_done_ms;        // batch-site makespan (inf if starved)
-  std::uint64_t moves;
-};
-
 constexpr SimNanos kWarm = milliseconds(200);
 constexpr SimNanos kEnd = milliseconds(900);
 
-IntegratedResult run_policy_on(sim::Engine& eng, Policy policy) {
+/// The web metrics cover the post-move window; a starved batch site is -1.
+void policy_scenario(obs::Scenario& out, Policy policy) {
+  auto& eng = out.engine();
   // Node 0: front-end/manager; 1..4: pool (web proxies / batch); 5 backend.
   fabric::Fabric fab(eng, fabric::FabricParams{},
                      {.num_nodes = 6, .cores_per_node = 1});
@@ -92,7 +87,6 @@ IntegratedResult run_policy_on(sim::Engine& eng, Policy policy) {
 
   // Web traffic: skewed so nodes 1 and 2 accumulate the hottest caches
   // (sessions prefer low-numbered proxies for popular documents).
-  IntegratedResult result{0, 0, 0, 0};
   RunningStat post_latency;
   std::uint64_t post_hits = 0, post_total = 0;
   for (int session = 0; session < 6; ++session) {
@@ -151,45 +145,43 @@ IntegratedResult run_policy_on(sim::Engine& eng, Policy policy) {
 
   eng.run_until(kEnd + milliseconds(50));
 
-  result.web_hit_rate_after =
-      post_total > 0 ? static_cast<double>(post_hits) /
-                           static_cast<double>(post_total)
-                     : 0;
-  result.web_latency_us = post_latency.mean();
-  result.batch_done_ms =
-      batch_done > 0 ? to_millis(batch_done - kWarm) : -1.0;
-  result.moves = svc.reconfigurations();
-  return result;
+  out.metric("web_hit_rate", post_total > 0
+                                 ? static_cast<double>(post_hits) /
+                                       static_cast<double>(post_total)
+                                 : 0);
+  out.metric("web_latency_us", post_latency.mean());
+  out.metric("batch_makespan_ms",
+           batch_done > 0 ? to_millis(batch_done - kWarm) : -1.0);
+  out.metric("moves", static_cast<double>(svc.reconfigurations()));
 }
 
-IntegratedResult run_policy(Policy policy) {
-  sim::Engine eng;
-  return run_policy_on(eng, policy);
-}
-
-void print_table() {
+void print_table(obs::Harness& h) {
   Table table({"policy", "web hit rate (post-move)", "web latency (us)",
                "batch makespan (ms)", "moves"});
   for (const Policy p :
        {Policy::kStatic, Policy::kBlind, Policy::kCacheAware}) {
-    const auto r = run_policy(p);
-    table.add_row({name_of(p), fmt_fixed(100 * r.web_hit_rate_after, 1) + " %",
-                   fmt_fixed(r.web_latency_us, 0),
-                   r.batch_done_ms < 0 ? "starved"
-                                       : fmt_fixed(r.batch_done_ms, 0),
-                   std::to_string(r.moves)});
+    const char* label = p == Policy::kStatic    ? "policy/static"
+                        : p == Policy::kBlind   ? "policy/blind"
+                                                : "policy/cache-aware";
+    const auto m =
+        h.run(label, [p](obs::Scenario& s) { policy_scenario(s, p); });
+    const double makespan = m.at("batch_makespan_ms");
+    table.add_row(
+        {name_of(p), fmt_fixed(100 * m.at("web_hit_rate"), 1) + " %",
+         fmt_fixed(m.at("web_latency_us"), 0),
+         makespan < 0 ? "starved" : fmt_fixed(makespan, 0),
+         std::to_string(static_cast<std::uint64_t>(m.at("moves")))});
   }
   table.print(
       "Section 6 (integrated) — caching + monitoring + reconfiguration "
       "(cache-aware donor selection avoids corrupting the hottest cache)");
 }
 
-// Harnessed scenarios (docs/BENCHMARKS.md).  The transport pair is the
-// paper's Section 5.2 effect end to end: identical document fetches over
-// the two-sided host-TCP path vs the one-sided SDP rendezvous, each fetch
-// wrapped in a trace::Request so the critical-path analyzer attributes its
-// latency — host-cpu share shrinks two-sided -> one-sided.  The policy
-// scenarios snapshot the integrated Section 6 experiment.
+// Scenarios "two-sided" and "one-sided": the paper's Section 5.2 effect
+// end to end — identical document fetches over the two-sided host-TCP
+// path vs the one-sided SDP rendezvous, each fetch wrapped in a
+// trace::Request so the critical-path analyzer attributes its latency
+// (host-cpu share shrinks two-sided -> one-sided).
 void run_transport(obs::Scenario& s, datacenter::BackendTransport t) {
   auto& eng = s.engine();
   fabric::Fabric fab(eng, fabric::FabricParams{},
@@ -220,36 +212,22 @@ void run_transport(obs::Scenario& s, datacenter::BackendTransport t) {
            to_micros(fab.node(3).busy_ns()) / kFetches);
 }
 
-int run_harness(const obs::HarnessOptions& opts) {
+}  // namespace
+
+int main(int argc, char** argv) {
+  const auto opts = obs::extract_harness_flags(argc, argv);
+  obs::reject_unknown_args(argc, argv);
+  obs::reject_unsupported("integrated", opts.batch != 0, "--batch");
   obs::Harness h("integrated", opts);
+  // The transport pair runs first, as its dcs-bench-v1 history was
+  // recorded: a registry snapshot lists every metric name an earlier
+  // scenario registered.
   h.run("two-sided", [](obs::Scenario& s) {
     run_transport(s, datacenter::BackendTransport::kTcp);
   });
   h.run("one-sided", [](obs::Scenario& s) {
     run_transport(s, datacenter::BackendTransport::kSdp);
   });
-  for (const Policy p :
-       {Policy::kStatic, Policy::kBlind, Policy::kCacheAware}) {
-    const char* label = p == Policy::kStatic    ? "policy/static"
-                        : p == Policy::kBlind   ? "policy/blind"
-                                                : "policy/cache-aware";
-    h.run(label, [p](obs::Scenario& s) {
-      const auto r = run_policy_on(s.engine(), p);
-      s.metric("web_hit_rate", r.web_hit_rate_after);
-      s.metric("web_latency_us", r.web_latency_us);
-      s.metric("batch_makespan_ms", r.batch_done_ms);
-      s.metric("moves", static_cast<double>(r.moves));
-    });
-  }
+  print_table(h);
   return h.finish();
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  const auto harness = obs::extract_harness_flags(argc, argv);
-  obs::reject_unknown_args(argc, argv);
-  if (harness.harness_mode()) return run_harness(harness);
-  print_table();
-  return 0;
 }

@@ -108,91 +108,57 @@ double throughput_tps_on(sim::Engine& eng, MonScheme scheme, double alpha,
          to_secs(finished_at - milliseconds(1));
 }
 
-double throughput_tps(MonScheme scheme, double alpha,
-                      std::size_t cores_per_node = 1) {
-  sim::Engine eng;
-  return throughput_tps_on(eng, scheme, alpha, cores_per_node);
-}
-
-void print_fig8b() {
-  std::vector<std::string> header = {"scheme"};
-  for (const double a : kAlphas) header.push_back("a=" + fmt_fixed(a, 2));
-  Table table(header);
-  std::vector<double> baseline;
-  for (const double a : kAlphas) {
-    baseline.push_back(throughput_tps(MonScheme::kSocketAsync, a));
-  }
-  {
-    std::vector<std::string> row = {"Socket-Async (baseline TPS)"};
-    for (const double b : baseline) row.push_back(fmt_fixed(b, 0));
-    table.add_row(row);
-  }
-  for (const auto scheme : kSchemes) {
-    std::vector<std::string> row = {std::string(monitor::to_string(scheme)) +
-                                    " (% impr.)"};
-    for (std::size_t i = 0; i < kAlphas.size(); ++i) {
-      const double tps = throughput_tps(scheme, kAlphas[i]);
-      row.push_back(fmt_fixed(100.0 * (tps / baseline[i] - 1.0), 1));
-    }
-    table.add_row(row);
-  }
-  table.print(
-      "Figure 8b — throughput improvement over Socket-Async vs Zipf alpha "
-      "(paper: ~35 % for RDMA-based schemes)");
-}
-
-/// --cores-per-node variant (a NEW experiment row, the single-core Figure
-/// 8b above is untouched): with per-node CPU headroom the sync socket
-/// query no longer steals the only core serving requests, so Socket-Sync
-/// recovers most of the gap to the RDMA schemes — which localizes the
-/// paper's single-core penalty to CPU contention, not protocol latency.
-void print_cores_variant(std::size_t cores) {
-  std::vector<std::string> header = {"scheme"};
-  for (const double a : kAlphas) header.push_back("a=" + fmt_fixed(a, 2));
-  Table table(header);
-  std::vector<double> baseline;
-  for (const double a : kAlphas) {
-    baseline.push_back(throughput_tps(MonScheme::kSocketAsync, a, cores));
-  }
-  {
-    std::vector<std::string> row = {"Socket-Async (baseline TPS)"};
-    for (const double b : baseline) row.push_back(fmt_fixed(b, 0));
-    table.add_row(row);
-  }
-  for (const auto scheme : kSchemes) {
-    std::vector<std::string> row = {std::string(monitor::to_string(scheme)) +
-                                    " (% impr.)"};
-    for (std::size_t i = 0; i < kAlphas.size(); ++i) {
-      const double tps = throughput_tps(scheme, kAlphas[i], cores);
-      row.push_back(fmt_fixed(100.0 * (tps / baseline[i] - 1.0), 1));
-    }
-    table.add_row(row);
-  }
-  table.print("Figure 8b variant — " + std::to_string(cores) +
-              " cores/node (Socket-Sync recovers with CPU headroom)");
-}
-
-/// Harnessed scenarios (docs/BENCHMARKS.md): one scenario per
-/// scheme/alpha pair reporting the TPS metric and recording the Zipf skew
-/// in the wall JSON (`zipf_alpha`), so regressions can be compared at
-/// matched skew.  Under --hotset-out / --hot-keys the harness arms the
-/// ambient hot sink and the dispatch-time DCS_HOT("monitor.doc", ...)
-/// feeds the top-K sketch with document ranks.
-int run_harness(const obs::HarnessOptions& opts) {
-  obs::Harness h("monitor_zipf", opts);
-  for (const auto scheme : kSchemes) {
-    for (const double alpha : kAlphas) {
-      h.run(std::string(monitor::to_string(scheme)) + "/a=" +
-                fmt_fixed(alpha, 2),
-            [&](obs::Scenario& s) {
-              const double tps =
-                  throughput_tps_on(s.engine(), scheme, alpha, 1);
+/// Figure 8b from scenarios "<scheme>/a=<alpha>", one per scheme/alpha
+/// pair, Socket-Async the baseline.  Each reports its TPS and records the
+/// Zipf skew in the wall JSON (`zipf_alpha`), so regressions can be
+/// compared at matched skew.  Under --hotset-out / --hot-keys the harness
+/// arms the ambient hot sink and the dispatch-time DCS_HOT("monitor.doc",
+/// ...) feeds the top-K sketch with document ranks.
+///
+/// `cores` > 1 is the --cores-per-node variant (a NEW experiment row; the
+/// single-core Figure 8b is untouched), scenarios "<scheme>/a=<alpha>/
+/// cores=<cores>": with per-node CPU headroom the sync socket query no
+/// longer steals the only core serving requests, so Socket-Sync recovers
+/// most of the gap to the RDMA schemes — which localizes the paper's
+/// single-core penalty to CPU contention, not protocol latency.
+void print_fig8b(obs::Harness& h, std::size_t cores) {
+  const auto tps = [&h, cores](MonScheme scheme, double alpha) {
+    std::string name =
+        std::string(monitor::to_string(scheme)) + "/a=" + fmt_fixed(alpha, 2);
+    if (cores > 1) name += "/cores=" + std::to_string(cores);
+    return h.run(name, [=](obs::Scenario& s) {
               s.zipf_alpha(alpha);
-              s.metric("tps", tps);
-            });
-    }
+              s.metric("tps", throughput_tps_on(s.engine(), scheme, alpha,
+                                                cores));
+            }).at("tps");
+  };
+  std::vector<std::string> header = {"scheme"};
+  for (const double a : kAlphas) header.push_back("a=" + fmt_fixed(a, 2));
+  Table table(header);
+  std::vector<double> baseline;
+  for (const double a : kAlphas) {
+    baseline.push_back(tps(MonScheme::kSocketAsync, a));
   }
-  return h.finish();
+  {
+    std::vector<std::string> row = {"Socket-Async (baseline TPS)"};
+    for (const double b : baseline) row.push_back(fmt_fixed(b, 0));
+    table.add_row(row);
+  }
+  for (const auto scheme : kSchemes) {
+    std::vector<std::string> row = {std::string(monitor::to_string(scheme)) +
+                                    " (% impr.)"};
+    for (std::size_t i = 0; i < kAlphas.size(); ++i) {
+      row.push_back(
+          fmt_fixed(100.0 * (tps(scheme, kAlphas[i]) / baseline[i] - 1.0), 1));
+    }
+    table.add_row(row);
+  }
+  table.print(cores > 1
+                  ? "Figure 8b variant — " + std::to_string(cores) +
+                        " cores/node (Socket-Sync recovers with CPU headroom)"
+                  : std::string("Figure 8b — throughput improvement over "
+                                "Socket-Async vs Zipf alpha "
+                                "(paper: ~35 % for RDMA-based schemes)"));
 }
 
 }  // namespace
@@ -214,8 +180,9 @@ int main(int argc, char** argv) {
     }
   }
   obs::reject_unknown_args(rest, argv);
-  if (flags.harness_mode()) return run_harness(flags);
-  print_fig8b();
-  if (cores_variant > 1) print_cores_variant(cores_variant);
-  return 0;
+  obs::reject_unsupported("monitor_zipf", flags.batch != 0, "--batch");
+  obs::Harness h("monitor_zipf", flags);
+  print_fig8b(h, 1);
+  if (cores_variant > 1) print_fig8b(h, cores_variant);
+  return h.finish();
 }

@@ -6,7 +6,7 @@
 #include "common/table.hpp"
 #include "datacenter/admission.hpp"
 #include "datacenter/qos.hpp"
-#include "obs/flags.hpp"
+#include "obs/harness.hpp"
 
 namespace {
 
@@ -16,14 +16,8 @@ using datacenter::QosScheduler;
 
 // --- QoS: premium protection under a standard-class flood ------------------
 
-struct QosOutcome {
-  double premium_p95_us;
-  double standard_p95_us;
-  double premium_share;
-};
-
-QosOutcome run_qos(double premium_weight) {
-  sim::Engine eng;
+void qos_scenario(obs::Scenario& s, double premium_weight) {
+  auto& eng = s.engine();
   fabric::Fabric fab(eng, fabric::FabricParams{},
                      {.num_nodes = 1, .cores_per_node = 1});
   QosScheduler sched(fab, 0,
@@ -44,20 +38,24 @@ QosOutcome run_qos(double premium_weight) {
   auto& stan = const_cast<datacenter::QosClassStats&>(sched.stats(1));
   const double total_cpu =
       static_cast<double>(prem.cpu_consumed + stan.cpu_consumed);
-  return QosOutcome{prem.latency_us.percentile(95),
-                    stan.latency_us.percentile(95),
-                    total_cpu > 0 ? prem.cpu_consumed / total_cpu : 0};
+  s.metric("premium_p95_us", prem.latency_us.percentile(95));
+  s.metric("standard_p95_us", stan.latency_us.percentile(95));
+  s.metric("premium_cpu_share",
+           total_cpu > 0 ? prem.cpu_consumed / total_cpu : 0);
 }
 
-void print_qos_table() {
+void print_qos_table(obs::Harness& h) {
   Table table({"premium weight", "premium p95 (us)", "standard p95 (us)",
                "premium CPU share"});
   for (const double weight : {1.0, 2.0, 4.0, 8.0}) {
-    const auto r = run_qos(weight);
+    const auto m = h.run("qos/weight=" + fmt_fixed(weight, 0),
+                         [weight](obs::Scenario& s) {
+                           qos_scenario(s, weight);
+                         });
     table.add_row({"x" + fmt_fixed(weight, 0),
-                   fmt_fixed(r.premium_p95_us, 0),
-                   fmt_fixed(r.standard_p95_us, 0),
-                   fmt_fixed(100 * r.premium_share, 1) + " %"});
+                   fmt_fixed(m.at("premium_p95_us"), 0),
+                   fmt_fixed(m.at("standard_p95_us"), 0),
+                   fmt_fixed(100 * m.at("premium_cpu_share"), 1) + " %"});
   }
   table.print(
       "Soft QoS ([4]) — premium latency under a standard-class flood "
@@ -66,14 +64,8 @@ void print_qos_table() {
 
 // --- admission control under rising offered load ----------------------------
 
-struct AdmOutcome {
-  double admitted_p95_us;
-  double drop_rate;
-  std::uint64_t served;
-};
-
-AdmOutcome run_admission(int sessions, bool with_admission) {
-  sim::Engine eng;
+void admission_scenario(obs::Scenario& s, int sessions, bool with_admission) {
+  auto& eng = s.engine();
   fabric::Fabric fab(eng, fabric::FabricParams{},
                      {.num_nodes = 4, .cores_per_node = 1});
   verbs::Network net(fab);
@@ -86,7 +78,7 @@ AdmOutcome run_admission(int sessions, bool with_admission) {
       {.max_load_per_node = with_admission ? 2.0 : 1e9,
        .retry_backoff = milliseconds(1),
        .max_retries = 2});
-  for (int s = 0; s < sessions; ++s) {
+  for (int session = 0; session < sessions; ++session) {
     eng.spawn([](sim::Engine& e, AdmissionController& a) -> sim::Task<void> {
       for (int i = 0; i < 60; ++i) {
         (void)co_await a.offer(microseconds(1200), 2048);
@@ -96,21 +88,27 @@ AdmOutcome run_admission(int sessions, bool with_admission) {
   }
   eng.run_until(seconds(3));
   auto& stats = const_cast<datacenter::AdmissionStats&>(adm.stats());
-  return AdmOutcome{stats.admitted_latency_us.percentile(95),
-                    stats.drop_rate(), stats.admitted};
+  s.metric("admitted_p95_us", stats.admitted_latency_us.percentile(95));
+  s.metric("drop_rate", stats.drop_rate());
+  s.metric("served", static_cast<double>(stats.admitted));
 }
 
-void print_admission_table() {
+void print_admission_table(obs::Harness& h) {
   Table table({"closed-loop sessions", "policy", "admitted p95 (us)",
                "drop rate", "served"});
   for (const int sessions : {4, 12, 24}) {
     for (const bool on : {false, true}) {
-      const auto r = run_admission(sessions, on);
-      table.add_row({std::to_string(sessions),
-                     on ? "admission control" : "admit everything",
-                     fmt_fixed(r.admitted_p95_us, 0),
-                     fmt_fixed(100 * r.drop_rate, 1) + " %",
-                     std::to_string(r.served)});
+      const auto m = h.run("admission/" + std::to_string(sessions) +
+                               (on ? "/on" : "/off"),
+                           [sessions, on](obs::Scenario& s) {
+                             admission_scenario(s, sessions, on);
+                           });
+      table.add_row(
+          {std::to_string(sessions),
+           on ? "admission control" : "admit everything",
+           fmt_fixed(m.at("admitted_p95_us"), 0),
+           fmt_fixed(100 * m.at("drop_rate"), 1) + " %",
+           std::to_string(static_cast<std::uint64_t>(m.at("served")))});
     }
   }
   table.print(
@@ -121,8 +119,11 @@ void print_admission_table() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  dcs::obs::reject_unknown_args(argc, argv);
-  print_qos_table();
-  print_admission_table();
-  return 0;
+  const auto opts = obs::extract_harness_flags(argc, argv);
+  obs::reject_unknown_args(argc, argv);
+  obs::reject_unsupported("qos", opts.batch != 0, "--batch");
+  obs::Harness h("qos", opts);
+  print_qos_table(h);
+  print_admission_table(h);
+  return h.finish();
 }

@@ -7,21 +7,17 @@
 // of magnitude benefit in adaptation time for the fine-grained module.
 #include "common/json.hpp"
 #include "common/table.hpp"
-#include "obs/flags.hpp"
+#include "obs/harness.hpp"
 #include "reconfig/reconfig.hpp"
 
 namespace {
 
 using namespace dcs;
 
-struct AdaptResult {
-  double time_to_adapt_ms;   // spike -> first reassignment
-  double spike_latency_us;   // mean request latency during the spike window
-  std::uint64_t moves;
-};
-
-AdaptResult run(SimNanos manager_interval) {
-  sim::Engine eng;
+/// One load spike under a manager polling every `manager_interval`;
+/// time-to-adapt runs from the spike to the first reassignment.
+void spike_scenario(obs::Scenario& s, SimNanos manager_interval) {
+  auto& eng = s.engine();
   fabric::Fabric fab(eng, fabric::FabricParams{},
                      {.num_nodes = 7, .cores_per_node = 1});
   verbs::Network net(fab);
@@ -41,12 +37,12 @@ AdaptResult run(SimNanos manager_interval) {
   LatencySamples spike_latency;
   for (int session = 0; session < 8; ++session) {
     eng.spawn([](sim::Engine& e, fabric::Fabric& f,
-                 reconfig::ReconfigService& s, SimNanos start, SimNanos end,
+                 reconfig::ReconfigService& rs, SimNanos start, SimNanos end,
                  LatencySamples& lat) -> sim::Task<void> {
       co_await e.delay(start);
       while (e.now() < end) {
         const auto t0 = e.now();
-        const auto server = co_await s.pick_server(0);
+        const auto server = co_await rs.pick_server(0);
         co_await f.tcp_wire_transfer(0, server, 256);
         co_await f.node(server).execute(microseconds(2500));
         co_await f.tcp_wire_transfer(server, 0, 8192);
@@ -56,9 +52,9 @@ AdaptResult run(SimNanos manager_interval) {
   }
   // Site 1 trickle (so it is not empty).
   eng.spawn([](sim::Engine& e, fabric::Fabric& f,
-               reconfig::ReconfigService& s, SimNanos end) -> sim::Task<void> {
+               reconfig::ReconfigService& rs, SimNanos end) -> sim::Task<void> {
     while (e.now() < end) {
-      const auto server = co_await s.pick_server(1);
+      const auto server = co_await rs.pick_server(1);
       co_await f.node(server).execute(microseconds(300));
       co_await e.delay(milliseconds(5));
     }
@@ -66,29 +62,30 @@ AdaptResult run(SimNanos manager_interval) {
 
   eng.run_until(spike_end + milliseconds(10));
 
-  AdaptResult result{};
-  result.moves = svc.reconfigurations();
-  result.time_to_adapt_ms =
-      svc.events().empty()
-          ? to_millis(spike_end - spike_at)
-          : to_millis(svc.events().front().at - spike_at);
-  result.spike_latency_us = spike_latency.mean();
-  return result;
+  s.metric("moves", static_cast<double>(svc.reconfigurations()));
+  const SimNanos adapted_at =
+      svc.events().empty() ? spike_end : svc.events().front().at;
+  s.metric("time_to_adapt_ms", to_millis(adapted_at - spike_at));
+  s.metric("spike_latency_us", spike_latency.mean());
 }
 
-void print_table() {
+void print_table(obs::Harness& h) {
   Table table({"manager interval", "time-to-adapt (ms)",
                "mean req latency (us)", "moves"});
-  const std::vector<std::pair<const char*, SimNanos>> kIntervals = {
-      {"fine   10 ms", milliseconds(10)},
-      {"medium 100 ms", milliseconds(100)},
-      {"coarse 2 s", seconds(2)},
-  };
-  for (const auto& [label, interval] : kIntervals) {
-    const auto r = run(interval);
-    table.add_row({label, fmt_fixed(r.time_to_adapt_ms, 1),
-                   fmt_fixed(r.spike_latency_us, 0),
-                   std::to_string(r.moves)});
+  const std::vector<std::tuple<const char*, const char*, SimNanos>>
+      kIntervals = {
+          {"fine", "fine   10 ms", milliseconds(10)},
+          {"medium", "medium 100 ms", milliseconds(100)},
+          {"coarse", "coarse 2 s", seconds(2)},
+      };
+  for (const auto& [name, label, interval] : kIntervals) {
+    const auto m = h.run(std::string("interval/") + name,
+                         [interval](obs::Scenario& s) {
+                           spike_scenario(s, interval);
+                         });
+    table.add_row({label, fmt_fixed(m.at("time_to_adapt_ms"), 1),
+                   fmt_fixed(m.at("spike_latency_us"), 0),
+                   std::to_string(static_cast<std::uint64_t>(m.at("moves")))});
   }
   table.print(
       "Section 6 — fine- vs coarse-grained reconfiguration under a load "
@@ -98,7 +95,10 @@ void print_table() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  dcs::obs::reject_unknown_args(argc, argv);
-  print_table();
-  return 0;
+  const auto opts = obs::extract_harness_flags(argc, argv);
+  obs::reject_unknown_args(argc, argv);
+  obs::reject_unsupported("reconfig", opts.batch != 0, "--batch");
+  obs::Harness h("reconfig", opts);
+  print_table(h);
+  return h.finish();
 }

@@ -7,7 +7,7 @@
 #include "common/json.hpp"
 #include "common/table.hpp"
 #include "common/zipf.hpp"
-#include "obs/flags.hpp"
+#include "obs/harness.hpp"
 
 namespace {
 
@@ -15,48 +15,50 @@ using namespace dcs;
 using cache::RemoteBlockCache;
 using cache::RemotePagerConfig;
 
-void print_penalty_table() {
-  sim::Engine eng;
-  fabric::Fabric fab(eng, fabric::FabricParams{},
-                     {.num_nodes = 3, .mem_per_node = 16u << 20});
-  verbs::Network net(fab);
-  RemoteBlockCache pager(net, 0, {1, 2},
-                         {.block_bytes = 16384, .local_capacity = 64 * 1024});
-  SimNanos disk_t = 0, remote_t = 0, local_t = 0;
-  eng.spawn([](RemoteBlockCache& c, sim::Engine& e, SimNanos& d, SimNanos& r,
-               SimNanos& l) -> sim::Task<void> {
-    auto t0 = e.now();
-    (void)co_await c.read_block(100);  // cold: disk
-    d = e.now() - t0;
-    // Fill local beyond capacity so block 100 lands in remote memory.
-    for (std::uint64_t b = 0; b < 6; ++b) (void)co_await c.read_block(b);
-    t0 = e.now();
-    (void)co_await c.read_block(100);  // remote victim store
-    r = e.now() - t0;
-    t0 = e.now();
-    (void)co_await c.read_block(100);  // now local again
-    l = e.now() - t0;
-  }(pager, eng, disk_t, remote_t, local_t));
-  eng.run();
-
+/// Scenario "penalty": one block read from each tier in turn — disk,
+/// remote victim store, local page cache.
+void print_penalty_table(obs::Harness& h) {
+  const auto m = h.run("penalty", [](obs::Scenario& s) {
+    auto& eng = s.engine();
+    fabric::Fabric fab(eng, fabric::FabricParams{},
+                       {.num_nodes = 3, .mem_per_node = 16u << 20});
+    verbs::Network net(fab);
+    RemoteBlockCache pager(
+        net, 0, {1, 2}, {.block_bytes = 16384, .local_capacity = 64 * 1024});
+    SimNanos disk_t = 0, remote_t = 0, local_t = 0;
+    eng.spawn([](RemoteBlockCache& c, sim::Engine& e, SimNanos& d,
+                 SimNanos& r, SimNanos& l) -> sim::Task<void> {
+      auto t0 = e.now();
+      (void)co_await c.read_block(100);  // cold: disk
+      d = e.now() - t0;
+      // Fill local beyond capacity so block 100 lands in remote memory.
+      for (std::uint64_t b = 0; b < 6; ++b) (void)co_await c.read_block(b);
+      t0 = e.now();
+      (void)co_await c.read_block(100);  // remote victim store
+      r = e.now() - t0;
+      t0 = e.now();
+      (void)co_await c.read_block(100);  // now local again
+      l = e.now() - t0;
+    }(pager, eng, disk_t, remote_t, local_t));
+    eng.run();
+    s.metric("disk_ms", to_millis(disk_t));
+    s.metric("remote_us", to_micros(remote_t));
+    s.metric("local_us", to_micros(local_t));
+  });
+  const double disk_ms = m.at("disk_ms");
+  const double remote_us = m.at("remote_us");
   Table table({"tier", "16 KB block read", "vs disk"});
-  table.add_row({"local page cache", fmt_fixed(to_micros(local_t), 2) + " us",
+  table.add_row({"local page cache", fmt_fixed(m.at("local_us"), 2) + " us",
                  "-"});
-  table.add_row({"remote memory (RDMA)",
-                 fmt_fixed(to_micros(remote_t), 2) + " us",
-                 fmt_fixed(to_millis(disk_t) * 1000 / to_micros(remote_t),
-                           0) + "x faster"});
-  table.add_row({"disk", fmt_fixed(to_millis(disk_t), 2) + " ms", "1x"});
+  table.add_row({"remote memory (RDMA)", fmt_fixed(remote_us, 2) + " us",
+                 fmt_fixed(disk_ms * 1000 / remote_us, 0) + "x faster"});
+  table.add_row({"disk", fmt_fixed(disk_ms, 2) + " ms", "1x"});
   table.print("Remote-memory file cache — miss-penalty hierarchy (§6/[18])");
 }
 
-struct SweepResult {
-  double mean_read_us;
-  double disk_fraction;
-};
-
-SweepResult run_sweep(bool with_remote_memory) {
-  sim::Engine eng;
+/// 1500 Zipf(0.8) block reads over a 200-block working set.
+void sweep_scenario(obs::Scenario& s, bool with_remote_memory) {
+  auto& eng = s.engine();
   fabric::Fabric fab(eng, fabric::FabricParams{},
                      {.num_nodes = 3, .mem_per_node = 32u << 20});
   verbs::Network net(fab);
@@ -81,19 +83,24 @@ SweepResult run_sweep(bool with_remote_memory) {
     out = to_micros(e.now() - t0) / kReads;
   }(pager, eng, mean_us));
   eng.run();
-  return SweepResult{
-      mean_us, static_cast<double>(pager.stats().disk_reads) /
-                   static_cast<double>(pager.stats().total())};
+  s.metric("mean_read_us", mean_us);
+  s.metric("disk_fraction", static_cast<double>(pager.stats().disk_reads) /
+                                static_cast<double>(pager.stats().total()));
 }
 
-void print_sweep_table() {
+void print_sweep_table(obs::Harness& h) {
+  const auto off = h.run("sweep/local-only", [](obs::Scenario& s) {
+    sweep_scenario(s, false);
+  });
+  const auto on = h.run("sweep/remote-memory", [](obs::Scenario& s) {
+    sweep_scenario(s, true);
+  });
   Table table({"configuration", "mean block read (us)", "disk-read fraction"});
-  const auto off = run_sweep(false);
-  const auto on = run_sweep(true);
-  table.add_row({"local cache only", fmt_fixed(off.mean_read_us, 0),
-                 fmt_fixed(100 * off.disk_fraction, 1) + " %"});
-  table.add_row({"+ remote memory (2 donors)", fmt_fixed(on.mean_read_us, 0),
-                 fmt_fixed(100 * on.disk_fraction, 1) + " %"});
+  table.add_row({"local cache only", fmt_fixed(off.at("mean_read_us"), 0),
+                 fmt_fixed(100 * off.at("disk_fraction"), 1) + " %"});
+  table.add_row({"+ remote memory (2 donors)",
+                 fmt_fixed(on.at("mean_read_us"), 0),
+                 fmt_fixed(100 * on.at("disk_fraction"), 1) + " %"});
   table.print(
       "Zipf(0.8) over a working set 6x the local cache — donated remote "
       "memory absorbs the capacity misses");
@@ -102,8 +109,11 @@ void print_sweep_table() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  dcs::obs::reject_unknown_args(argc, argv);
-  print_penalty_table();
-  print_sweep_table();
-  return 0;
+  const auto opts = obs::extract_harness_flags(argc, argv);
+  obs::reject_unknown_args(argc, argv);
+  obs::reject_unsupported("remote_pager", opts.batch != 0, "--batch");
+  obs::Harness h("remote_pager", opts);
+  print_penalty_table(h);
+  print_sweep_table(h);
+  return h.finish();
 }

@@ -4,7 +4,7 @@
 // both curves grow with record count.
 #include "common/json.hpp"
 #include "common/table.hpp"
-#include "obs/flags.hpp"
+#include "obs/harness.hpp"
 #include "storm/storm.hpp"
 
 namespace {
@@ -14,29 +14,36 @@ using namespace dcs;
 const std::vector<std::uint64_t> kRecordCounts = {1000, 10000, 100000,
                                                   1000000};
 
-double query_time_ms(storm::ControlPlane plane, std::uint64_t records) {
-  sim::Engine eng;
-  fabric::Fabric fab(eng, fabric::FabricParams{},
-                     {.num_nodes = 5, .cores_per_node = 2});
-  verbs::Network net(fab);
-  sockets::TcpNetwork tcp(fab);
-  storm::StormCluster cluster(net, tcp, plane, 0, 1, {2, 3, 4});
-  eng.spawn(cluster.start());
-  eng.run();
-  storm::QueryResult result;
-  eng.spawn([](storm::StormCluster& c, std::uint64_t n,
-               storm::QueryResult& out) -> sim::Task<void> {
-    out = co_await c.run_query(n);
-  }(cluster, records, result));
-  eng.run();
-  return to_millis(result.elapsed);
+double query_time_ms(obs::Harness& h, storm::ControlPlane plane,
+                     std::uint64_t records) {
+  const std::string name = std::string("query/") + storm::to_string(plane) +
+                           "/" + std::to_string(records);
+  const auto m = h.run(name, [=](obs::Scenario& s) {
+    auto& eng = s.engine();
+    fabric::Fabric fab(eng, fabric::FabricParams{},
+                       {.num_nodes = 5, .cores_per_node = 2});
+    verbs::Network net(fab);
+    sockets::TcpNetwork tcp(fab);
+    storm::StormCluster cluster(net, tcp, plane, 0, 1, {2, 3, 4});
+    eng.spawn(cluster.start());
+    eng.run();
+    storm::QueryResult result;
+    eng.spawn([](storm::StormCluster& c, std::uint64_t n,
+                 storm::QueryResult& out) -> sim::Task<void> {
+      out = co_await c.run_query(n);
+    }(cluster, records, result));
+    eng.run();
+    s.metric("query_ms", to_millis(result.elapsed));
+  });
+  return m.at("query_ms");
 }
 
-void print_fig3b() {
+void print_fig3b(obs::Harness& h) {
   Table table({"# records", "STORM (ms)", "STORM-DDSS (ms)", "improvement"});
   for (const auto records : kRecordCounts) {
-    const double trad = query_time_ms(storm::ControlPlane::kSockets, records);
-    const double ddss = query_time_ms(storm::ControlPlane::kDdss, records);
+    const double trad =
+        query_time_ms(h, storm::ControlPlane::kSockets, records);
+    const double ddss = query_time_ms(h, storm::ControlPlane::kDdss, records);
     const double improvement = 100.0 * (1.0 - ddss / trad);
     table.add_row({std::to_string(records), fmt_fixed(trad, 2),
                    fmt_fixed(ddss, 2), fmt_fixed(improvement, 1) + " %"});
@@ -49,7 +56,10 @@ void print_fig3b() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  dcs::obs::reject_unknown_args(argc, argv);
-  print_fig3b();
-  return 0;
+  const auto opts = obs::extract_harness_flags(argc, argv);
+  obs::reject_unknown_args(argc, argv);
+  obs::reject_unsupported("storm", opts.batch != 0, "--batch");
+  obs::Harness h("storm", opts);
+  print_fig3b(h);
+  return h.finish();
 }

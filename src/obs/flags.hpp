@@ -52,9 +52,9 @@ struct HarnessOptions {
   /// the run (0 = no table).  Independent of --hotset-out.
   std::size_t hot_keys = 0;
 
-  /// Any observability flag given (everything but --batch): a bench runs
-  /// its harness scenarios instead of its paper tables.
-  bool harness_mode() const {
+  /// Any observability flag given (everything but --batch): the harness
+  /// installs a tracer around every scenario.
+  bool observed() const {
     return !bench_json.empty() || !wall_json.empty() ||
            !critical_path.empty() || !metrics_out.empty() ||
            !trace_out.empty() || !timeseries_out.empty() ||
@@ -96,5 +96,12 @@ HarnessOptions extract_harness_flags(int& argc, char** argv);
 /// Exits 2 naming argv[1] when any argument is left in argv[1..argc):
 /// call once every flag a binary knows has been removed.
 void reject_unknown_args(int argc, char** argv);
+
+/// Exits 2 with "PROG: FLAG is not supported" when `given`.  A binary
+/// calls it for every flag extract_harness_flags accepted that it has no
+/// use for (e.g. --batch in a bench with no batch sweep), so that no
+/// accepted flag is silently ignored.
+void reject_unsupported(std::string_view prog, bool given,
+                        std::string_view flag);
 
 }  // namespace dcs::obs

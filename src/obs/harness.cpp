@@ -76,21 +76,22 @@ Harness::Harness(std::string bench, HarnessOptions opts)
   }
 }
 
-void Harness::run(const std::string& scenario,
-                  const std::function<void(Scenario&)>& body) {
+std::map<std::string, double> Harness::run(
+    const std::string& scenario, const std::function<void(Scenario&)>& body) {
   sim::Engine eng;
   trace::Tracer tracer(eng);
   // Declared after the engine/tracer so it uninstalls first: a wedged
   // scenario's post-mortem must capture ring context before teardown.
   std::unique_ptr<trace::FlightRecorder> flight;
   trace::Registry::global().reset();
-  if (opts_.harness_mode()) tracer.install();
+  if (opts_.observed()) tracer.install();
   if (!opts_.postmortem_dir.empty()) {
     flight = std::make_unique<trace::FlightRecorder>(
         eng, trace::FlightConfig{.postmortem_dir = opts_.postmortem_dir,
                                  .prefix = bench_ + "." + sanitize(scenario)});
     flight->install();
   }
+  eng.time_host_runs(true);
   Scenario ctx(eng);
   // dcs-lint: allow(R1, host wall time only feeds the dcs-bench-wall-v1
   // report, which is outside the byte-stability contract; no sim-visible
@@ -114,10 +115,12 @@ void Harness::run(const std::string& scenario,
   snap.name = scenario;
   snap.virtual_ns = eng.now();
   snap.events = eng.events_dispatched();
-  snap.wall_ns = static_cast<double>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(wall_end -
-                                                           wall_start)
-          .count());
+  snap.wall_ns = static_cast<double>(eng.host_run_ns());
+  snap.setup_ns = static_cast<double>(
+                      std::chrono::duration_cast<std::chrono::nanoseconds>(
+                          wall_end - wall_start)
+                          .count()) -
+                  snap.wall_ns;
   snap.batch = ctx.batch_depth_;
   snap.zipf_alpha = ctx.zipf_alpha_;
   snap.metrics = std::move(ctx.metrics_);
@@ -167,6 +170,7 @@ void Harness::run(const std::string& scenario,
     snap.critical_path_report = report.str();
   }
   snapshots_.push_back(std::move(snap));
+  return snapshots_.back().metrics;
 }
 
 void Harness::write_bench_json(std::ostream& os) const {
@@ -215,6 +219,7 @@ void Harness::write_wall_json(std::ostream& os) const {
     os << "    " << quoted(sn.name) << ": {\n"
        << "      \"virtual_ns\": " << sn.virtual_ns << ",\n"
        << "      \"events\": " << sn.events << ",\n"
+       << "      \"setup_ns\": " << fmt_fixed(sn.setup_ns, 3) << ",\n"
        << "      \"wall_ns\": " << fmt_fixed(sn.wall_ns, 3) << ",\n"
        << "      \"events_per_sec\": " << fmt_fixed(eps, 3) << ",\n"
        << "      \"ns_per_event\": " << fmt_fixed(npe, 3);

@@ -1,17 +1,19 @@
 // The one observed run (docs/BENCHMARKS.md, docs/OBSERVABILITY.md).
 //
-// Every binary that observes a simulation — each harnessed bench and each
-// `dcs` run command — declares named scenarios and runs them here.  Each
-// scenario runs under a fresh engine with the metrics registry reset; when
-// any observability flag is given a tracer records it, and
-// `--postmortem-dir` arms a flight recorder around it.  finish() writes
-// every requested file once:
+// Every binary that runs a simulation — each bench and each `dcs` run
+// command — declares named scenarios and runs them here.  Each scenario
+// runs under a fresh engine with the metrics registry reset; when any
+// observability flag is given a tracer records it, and `--postmortem-dir`
+// arms a flight recorder around it.  finish() writes every requested file
+// once:
 //
 //   --bench-json        canonical dcs-bench-v1 snapshot of every scenario:
 //                       metrics, latency percentiles, registry, critical path
 //   --bench-wall-json   dcs-bench-wall-v1: wall-clock events/sec and
-//                       ns/event per scenario plus the peak RSS.  Wall time
-//                       varies run to run, so it never enters dcs-bench-v1.
+//                       ns/event of each scenario's engine runs, the host
+//                       time spent around them (setup), and the peak RSS.
+//                       Wall time varies run to run, so it never enters
+//                       dcs-bench-v1.
 //   --critical-path     plain-text attribution report per scenario
 //   --metrics-out       plain-text registry dump per scenario
 //   --trace-out         one Chrome trace; each scenario's nodes are their
@@ -23,19 +25,17 @@
 // Output is byte-deterministic for same-seed runs: scenarios appear in run
 // order, maps in sorted order, and every number prints with fixed
 // precision.  Flags are parsed by obs::extract_harness_flags (flags.hpp).
-// Every bench main has one shape: paper tables by default, harness
-// scenarios when any observability flag is given, and exit 2 on any
-// argument it does not know (see bench_sdp.cpp):
+// Every bench main has one shape: each paper-table cell is one scenario,
+// the table prints from the metrics run() returns, and any argument the
+// bench does not know exits 2 (see bench_sdp.cpp):
 //
 //   int main(int argc, char** argv) {
 //     const auto opts = obs::extract_harness_flags(argc, argv);
 //     obs::reject_unknown_args(argc, argv);
-//     if (opts.harness_mode()) {
-//       obs::Harness h("sdp", opts);
-//       h.run("stream/SDP", [](obs::Scenario& s) { ... });
-//       return h.finish();
-//     }
-//     print_table();
+//     obs::Harness h("sdp", opts);
+//     const auto m = h.run("stream/SDP/4K", [](obs::Scenario& s) { ... });
+//     print_row(m.at("MB_per_s"));
+//     return h.finish();
 //   }
 #pragma once
 
@@ -116,11 +116,14 @@ class Harness {
   Harness(std::string bench, HarnessOptions opts);
 
   /// Runs `body` under a fresh engine and reset registry, then snapshots
-  /// the results.  Scenarios run in call order.  With --timeseries-out /
-  /// --slo the scenario's final registry ingests into the time-series
-  /// store, with the scenario ordinal standing in as the node id.
-  void run(const std::string& scenario,
-           const std::function<void(Scenario&)>& body);
+  /// the results and returns the metrics it recorded (what a bench prints
+  /// its tables from).  Scenarios run in call order.  With
+  /// --timeseries-out / --slo the scenario's final registry ingests into
+  /// the time-series store, with the scenario ordinal standing in as the
+  /// node id.
+  std::map<std::string, double> run(
+      const std::string& scenario,
+      const std::function<void(Scenario&)>& body);
 
   /// Writes the requested files.  Returns a process exit code: 1 when a
   /// file or a post-mortem dump could not be written, else 0.
@@ -132,7 +135,8 @@ class Harness {
     SimNanos virtual_ns = 0;
     // Wall-clock telemetry, written only to the `.wall.json` sibling.
     std::uint64_t events = 0;    // engine events dispatched by the scenario
-    double wall_ns = 0;          // host time spent inside the body
+    double setup_ns = 0;         // host time in the body outside runs
+    double wall_ns = 0;          // host time inside engine runs
     std::size_t batch = 0;       // verbs batch depth (0 = not batched)
     double zipf_alpha = -1.0;    // workload Zipf skew (negative = none)
     std::map<std::string, double> metrics;

@@ -1,6 +1,7 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
+#include <chrono>
 
 namespace dcs::sim {
 
@@ -176,6 +177,12 @@ void Engine::reap_finished() {
 void Engine::run() { run_until(~Time{0}); }
 
 void Engine::run_until(Time t) {
+  // dcs-lint: allow(R1, host run time only feeds the dcs-bench-wall-v1
+  // report, which is outside the byte-stability contract; no sim-visible
+  // state reads this clock)
+  using HostClock = std::chrono::steady_clock;
+  const HostClock::time_point host_start =
+      time_host_runs_ ? HostClock::now() : HostClock::time_point{};
   stopped_ = false;
   // The caller's strand context must not leak into dispatched strands, nor
   // the last strand's context into the caller.
@@ -243,6 +250,12 @@ void Engine::run_until(Time t) {
   // (unless the loop was stopped early or drained an unbounded run).
   if (!stopped_ && now_ < t && t != ~Time{0}) now_ = t;
   if (hook != nullptr) hook->on_run_done();
+  if (time_host_runs_) {
+    host_run_ns_ += static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(HostClock::now() -
+                                                             host_start)
+            .count());
+  }
   if (error_) {
     auto err = std::exchange(error_, nullptr);
     std::rethrow_exception(err);

@@ -130,6 +130,12 @@ class Engine {
   /// dispatched the same events in the same order have the same value;
   /// cheap enough to mix unconditionally on every dispatch.
   std::uint64_t dispatch_fingerprint() const { return fingerprint_; }
+  /// Host-time telemetry: while enabled, run()/run_until() add the host
+  /// (wall-clock) nanoseconds they spend to host_run_ns().  This is the run
+  /// phase of a scenario, without the setup and teardown around it.  Off by
+  /// default; no simulated state reads it.
+  void time_host_runs(bool on) { time_host_runs_ = on; }
+  std::uint64_t host_run_ns() const { return host_run_ns_; }
 
   // Dispatch-structure occupancy, exposed for post-mortem engine-state
   // snapshots (src/trace/flight).  All O(1).
@@ -233,7 +239,9 @@ class Engine {
   std::uint64_t dispatched_ = 0;
   std::uint64_t last_seq_ = 0;
   std::uint64_t fingerprint_ = 0xcbf29ce484222325ULL;
+  std::uint64_t host_run_ns_ = 0;
   bool stopped_ = false;
+  bool time_host_runs_ = false;
 };
 
 namespace detail {

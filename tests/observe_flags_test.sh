@@ -1,19 +1,21 @@
 #!/usr/bin/env sh
 # Every observability flag a binary accepts is honoured.  Runs each `dcs`
-# run command and each harnessed bench with every file-valued flag at once
-# and asserts that each file exists and is non-empty; then checks that
-# two `bench_sdp --trace-out` runs are byte-identical, that `dcs flame`
-# reads that trace, that an unwritable file or a lost post-mortem fails
-# the run with exit 1, and that `dcs wedge` writes its post-mortem.
+# run command and each bench with every file-valued flag at once and
+# asserts that each file exists and is non-empty, and that each bench
+# prints the same tables as a plain run beside it; then checks that two
+# `bench_sdp --trace-out` runs are byte-identical, that `dcs flame` reads
+# that trace, that an unwritable file or a lost post-mortem fails the run
+# with exit 1, and that `dcs wedge` writes its post-mortem.
 #
-# Usage: tests/observe_flags_test.sh DCS_BINARY HARNESSED_BENCH_BINARY...
+# Usage: tests/observe_flags_test.sh DCS_BINARY BENCH_BINARY...
 dcs="$1"
 shift
 dir="$(mktemp -d)"
 trap 'rm -rf "$dir"' EXIT
 status=0
+# Failures are also logged to a file, so that background runs count.
 fail() {
-  echo "FAIL: $*"
+  echo "FAIL: $*" | tee -a "$dir/failures"
   status=1
 }
 
@@ -21,8 +23,10 @@ fail() {
 echo "rule slow p99 series=no.such.series threshold=1000000" >"$dir/rules.slo"
 
 # observe NAME COMMAND...: runs COMMAND with every file-valued flag.
-# bench_monitor_zipf traces ~700 MB, so its trace goes to /dev/full
-# instead: the write must fail the run with exit 1.
+# These benches trace 190-780 MB, so their traces go to /dev/full instead:
+# the write must fail the run with exit 1.  They are also the slowest, so
+# they run in the background alongside the others.
+big_traces="bench_coopcache bench_flashcrowd bench_monitor_zipf bench_reconfig"
 observe() {
   name="$1"
   shift
@@ -32,17 +36,18 @@ observe() {
   want=0
   files="bench.json wall.json critical_path.txt metrics.txt trace.json"
   files="$files timeseries.json hotset.json exemplars.json"
-  if [ "$name" = bench_monitor_zipf ]; then
-    trace=/dev/full
-    want=1
-    files="$(echo "$files" | sed 's/ trace.json//')"
-  fi
+  case " $big_traces " in
+    *" $name "*)
+      trace=/dev/full
+      want=1
+      files="$(echo "$files" | sed 's/ trace.json//')" ;;
+  esac
   "$@" --bench-json "$out/bench.json" --bench-wall-json "$out/wall.json" \
     --critical-path "$out/critical_path.txt" \
     --metrics-out "$out/metrics.txt" --trace-out "$trace" \
     --timeseries-out "$out/timeseries.json" --slo "$dir/rules.slo" \
     --hotset-out "$out/hotset.json" --exemplars-out "$out/exemplars.json" \
-    --postmortem-dir "$out/pm" >/dev/null 2>"$out/stderr"
+    --postmortem-dir "$out/pm" >"$out/stdout" 2>"$out/stderr"
   rc=$?
   [ "$rc" -eq "$want" ] ||
     fail "$name exited $rc, want $want: $(cat "$out/stderr")"
@@ -51,18 +56,52 @@ observe() {
   done
 }
 
+# tables NAME BIN: observes BIN beside a plain run of it.  Every bench
+# prints its tables from the metrics its scenarios recorded, so observing
+# it changes no stdout byte; since the observed run is traced, this also
+# pins that tracing never perturbs a simulated number.
+tables() {
+  ("$2" >"$dir/$1.plain" 2>/dev/null || fail "$1 exited $?") &
+  plain=$!
+  observe "$1" "$2"
+  wait "$plain"
+  cmp -s "$dir/$1.plain" "$dir/$1/stdout" ||
+    fail "bench_tables_observed_identical: $1 prints different tables when observed:
+$(diff "$dir/$1.plain" "$dir/$1/stdout" | head -20)"
+}
+
 for cmd in cache locks monitor storm; do
   observe "dcs_$cmd" "$dcs" "$cmd"
 done
 for bin in "$@"; do
-  observe "$(basename "$bin")" "$bin"
+  name="$(basename "$bin")"
+  if [ "$name" = bench_datacenter_scale ]; then
+    # It has no per-scenario sinks (bench_rejects_bad_flags pins that those
+    # flags exit 2): every flag it does honour, on a small cluster.
+    out="$dir/$name"
+    mkdir -p "$out/pm"
+    "$bin" --nodes=64 --bench-wall-json "$out/wall.json" \
+      --timeseries-out "$out/timeseries.json" --slo "$dir/rules.slo" \
+      --hotset-out "$out/hotset.json" --exemplars-out "$out/exemplars.json" \
+      --postmortem-dir "$out/pm" >/dev/null 2>"$out/stderr" ||
+      fail "$name exited $?: $(cat "$out/stderr")"
+    for f in wall.json timeseries.json hotset.json exemplars.json; do
+      [ -s "$out/$f" ] || fail "$name wrote no $f"
+    done
+    continue
+  fi
+  case " $big_traces " in
+    *" $name "*) tables "$name" "$bin" & ;;
+    *) tables "$name" "$bin" ;;
+  esac
 done
+wait
 
 # Same-seed traces are byte-identical, and `dcs flame` attributes them.
 for bin in "$@"; do
   [ "$(basename "$bin")" = bench_sdp ] || continue
-  "$bin" --trace-out "$dir/sdp.1.json" 2>/dev/null
-  "$bin" --trace-out "$dir/sdp.2.json" 2>/dev/null
+  "$bin" --trace-out "$dir/sdp.1.json" >/dev/null 2>&1
+  "$bin" --trace-out "$dir/sdp.2.json" >/dev/null 2>&1
   cmp -s "$dir/sdp.1.json" "$dir/sdp.2.json" ||
     fail "bench_sdp --trace-out differs between two runs"
   "$dcs" flame "$dir/sdp.1.json" >/dev/null 2>&1 ||
@@ -86,5 +125,6 @@ ls "$dir"/wedge/*.postmortem.json >/dev/null 2>&1 ||
 rc=$?
 [ "$rc" -eq 1 ] || fail "dcs wedge with a lost post-mortem exited $rc"
 
+[ -s "$dir/failures" ] && status=1
 [ "$status" -eq 0 ] && echo "every observability flag honoured"
 exit "$status"

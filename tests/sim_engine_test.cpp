@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -175,6 +176,25 @@ TEST(EngineTest, DeterministicEventCount) {
     return eng.events_dispatched();
   };
   EXPECT_EQ(run_once(), run_once());
+}
+
+TEST(EngineTest, HostRunTimeCountsOnlyTimedRunsAndPerturbsNothing) {
+  auto run_once = [](bool timed) {
+    Engine eng;
+    std::vector<Time> seen;
+    for (int i = 0; i < 50; ++i) eng.spawn(note_at(eng, 10 * i, seen));
+    eng.run_until(200);  // untimed: adds nothing
+    EXPECT_EQ(eng.host_run_ns(), 0u);
+    eng.time_host_runs(timed);
+    eng.run();
+    if (timed) {
+      EXPECT_GT(eng.host_run_ns(), 0u);
+    } else {
+      EXPECT_EQ(eng.host_run_ns(), 0u);
+    }
+    return std::pair{eng.events_dispatched(), eng.dispatch_fingerprint()};
+  };
+  EXPECT_EQ(run_once(true), run_once(false));
 }
 
 // --- sync primitive tests ---

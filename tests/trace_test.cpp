@@ -199,7 +199,7 @@ TEST(ObserveFlagsTest, ExtractsAndRemovesBothFlags) {
   Argv a({"bench", "--foo", "--trace-out", "t.json", "--bar", "1",
           "--metrics-out", "m.txt"});
   const auto opts = obs::extract_harness_flags(a.argc, a.argv.data());
-  EXPECT_TRUE(opts.harness_mode());
+  EXPECT_TRUE(opts.observed());
   EXPECT_EQ(opts.trace_out, "t.json");
   EXPECT_EQ(opts.metrics_out, "m.txt");
   ASSERT_EQ(a.argc, 4);
@@ -213,14 +213,14 @@ TEST(ObserveFlagsTest, ExtractsAndRemovesBothFlags) {
 TEST(ObserveFlagsTest, AbsentFlagsDisableObservation) {
   Argv a({"bench", "--foo"});
   const auto opts = obs::extract_harness_flags(a.argc, a.argv.data());
-  EXPECT_FALSE(opts.harness_mode());
+  EXPECT_FALSE(opts.observed());
   EXPECT_EQ(a.argc, 2);
 }
 
 TEST(ObserveFlagsTest, PostmortemDirSelectsTheHarness) {
   Argv a({"bench", "--postmortem-dir", "pm"});
   const auto opts = obs::extract_harness_flags(a.argc, a.argv.data());
-  EXPECT_TRUE(opts.harness_mode());
+  EXPECT_TRUE(opts.observed());
   EXPECT_EQ(a.argc, 1);
   EXPECT_EQ(opts.postmortem_dir, "pm");
 }

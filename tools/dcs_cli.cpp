@@ -695,10 +695,8 @@ int main(int argc, char** argv) {
       cmd == "cache" || cmd == "locks" || cmd == "monitor" || cmd == "storm";
   obs::HarnessOptions flags;
   if (observed) flags = obs::extract_harness_flags(argc, argv);
-  if (flags.batch != 0) {  // no dcs command sweeps a batch depth
-    std::fprintf(stderr, "dcs: unknown flag '--batch'\n");
-    return 2;
-  }
+  // No dcs command sweeps a batch depth.
+  obs::reject_unsupported("dcs", flags.batch != 0, "--batch");
   const Args args(argc, argv);
   if (cmd == "params") return cmd_params(args);
   if (cmd == "cache") return cmd_cache(args, flags);

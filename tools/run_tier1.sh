@@ -7,9 +7,9 @@
 # Usage: tools/run_tier1.sh [--san asan|tsan] [--bench-json DIR] [build-dir]
 #   --san asan        build + test under AddressSanitizer/UBSan (CMake preset)
 #   --san tsan        build + test under ThreadSanitizer (CMake preset)
-#   --bench-json DIR  after the tests pass, run the six harnessed benches
-#                     and write BENCH_<name>.json files into DIR (the same
-#                     telemetry CI's bench-smoke job archives; see
+#   --bench-json DIR  after the tests pass, run every bench and write
+#                     BENCH_<name>.json files into DIR (tools/run_benches.sh,
+#                     the same telemetry CI's bench-smoke job archives; see
 #                     docs/BENCHMARKS.md)
 # With no flags, the plain RelWithDebInfo build dir (default: build) is
 # used exactly as before.
@@ -38,24 +38,19 @@ while true; do
   esac
 done
 
-run_benches() {
-  # $1 = directory holding the bench binaries
-  mkdir -p "$BENCH_JSON_DIR"
-  for b in sdp ddss_latency dlm_cascade monitor_accuracy integrated engine; do
-    "$1/bench_$b" --bench-json "$BENCH_JSON_DIR/BENCH_$b.json"
-  done
-  echo "bench telemetry written to $BENCH_JSON_DIR"
-}
-
 if [ -n "$SAN" ]; then
   cmake --preset "$SAN"
   cmake --build --preset "$SAN" -j "$JOBS"
   ctest --preset "$SAN" -j "$JOBS"
-  if [ -n "$BENCH_JSON_DIR" ]; then run_benches "build-$SAN/bench"; fi
+  if [ -n "$BENCH_JSON_DIR" ]; then
+    tools/run_benches.sh "build-$SAN/bench" "$BENCH_JSON_DIR"
+  fi
 else
   BUILD_DIR="${1:-build}"
   cmake -B "$BUILD_DIR" -S .
   cmake --build "$BUILD_DIR" -j "$JOBS"
   ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
-  if [ -n "$BENCH_JSON_DIR" ]; then run_benches "$BUILD_DIR/bench"; fi
+  if [ -n "$BENCH_JSON_DIR" ]; then
+    tools/run_benches.sh "$BUILD_DIR/bench" "$BENCH_JSON_DIR"
+  fi
 fi
