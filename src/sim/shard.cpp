@@ -1,11 +1,10 @@
 #include "sim/shard.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <deque>
 #include <exception>
-#include <mutex>
 #include <thread>
 #include <tuple>
 
@@ -31,8 +30,8 @@ Time safe_horizon(Time m, Time lookahead) {
 
 /// One logical partition.  Everything here except `outbox` (drained by the
 /// coordinator between windows) and `due` (filled by the coordinator between
-/// windows) is touched only by the owning worker; the window barriers order
-/// the coordinator's accesses against the worker's.
+/// windows) is touched only by the owning worker; the epoch publish and the
+/// done count order the coordinator's accesses against the worker's.
 struct Partition {
   std::unique_ptr<Engine> eng;
   std::unique_ptr<Shard> shard;
@@ -55,7 +54,8 @@ struct Partition {
 struct ShardedImpl {
   enum class Cmd : std::uint8_t { kSetup, kWindow, kTeardown, kCustom, kExit };
 
-  explicit ShardedImpl(ShardedEngine::Spec s) : spec(s) {
+  explicit ShardedImpl(ShardedEngine::Spec s)
+      : spec(s), owner(std::this_thread::get_id()) {
     DCS_CHECK_MSG(spec.partitions >= 1, "need at least one partition");
     DCS_CHECK_MSG(spec.lookahead >= 1, "lookahead must be >= 1 ns");
     spec.workers = std::clamp(spec.workers, 1u, spec.partitions);
@@ -66,31 +66,46 @@ struct ShardedImpl {
     pending.resize(spec.partitions);
     errors.resize(spec.workers);
     wall_ns.assign(spec.workers, 0);
-    pool.reserve(spec.workers);
-    for (std::uint32_t w = 0; w < spec.workers; ++w) {
+    // Worker 0 is the constructing thread itself: only 1..W-1 are spawned.
+    pool.reserve(spec.workers - 1);
+    for (std::uint32_t w = 1; w < spec.workers; ++w) {
       pool.emplace_back([this, w] { worker_main(w); });
     }
   }
 
   ~ShardedImpl() {
-    if (!torn_down) command(Cmd::kTeardown);
+    check_owner();
+    command(Cmd::kTeardown);
     command(Cmd::kExit);
     for (auto& t : pool) t.join();
   }
 
-  // --- coordinator side ---
+  // --- coordinator side (the constructing thread, which is worker 0) ---
 
-  /// Issues `c` to every worker and blocks until all report done.
+  /// Worker 0's partitions live in the constructing thread's thread_locals
+  /// (frame slab, strand context, hooks, registry), so every call that
+  /// runs them must come from that thread.
+  void check_owner() const {
+    DCS_CHECK_MSG(std::this_thread::get_id() == owner,
+                  "ShardedEngine used off the thread that constructed it "
+                  "(that thread is worker 0)");
+  }
+
+  /// Publishes `c` to workers 1..W-1, runs worker 0's share inline, then
+  /// blocks until the others report done.  The epoch increment (release)
+  /// publishes `cmd` and every coordinator write before it; each worker's
+  /// done increment (release) publishes its partitions' writes back.
   void command(Cmd c) {
-    {
-      std::lock_guard lk(mu);
-      cmd = c;
-      done = 0;
-      ++gen;
+    cmd = c;
+    done.store(0, std::memory_order_relaxed);
+    epoch.fetch_add(1, std::memory_order_release);
+    epoch.notify_all();
+    run_command(0, c);
+    const std::uint32_t others = spec.workers - 1;
+    for (std::uint32_t d = done.load(std::memory_order_acquire); d != others;
+         d = done.load(std::memory_order_acquire)) {
+      done.wait(d, std::memory_order_acquire);
     }
-    cv_cmd.notify_all();
-    std::unique_lock lk(mu);
-    cv_done.wait(lk, [&] { return done == spec.workers; });
   }
 
   /// Earliest pending dispatch anywhere: partition events and undelivered
@@ -152,64 +167,62 @@ struct ShardedImpl {
 
   // --- worker side ---
 
+  /// Workers 1..W-1: park until the epoch moves, run the published command,
+  /// report done.  The coordinator never publishes epoch N+1 before every
+  /// worker reported N, so no epoch is ever skipped.
   void worker_main(std::uint32_t w) {
-    std::uint64_t seen = 0;
-    for (;;) {
-      Cmd c;
-      {
-        std::unique_lock lk(mu);
-        cv_cmd.wait(lk, [&] { return gen != seen; });
-        seen = gen;
-        c = cmd;
+    for (std::uint64_t seen = 0;;) {
+      epoch.wait(seen, std::memory_order_acquire);
+      seen = epoch.load(std::memory_order_acquire);
+      const Cmd c = cmd;
+      run_command(w, c);
+      if (done.fetch_add(1, std::memory_order_release) + 1 ==
+          spec.workers - 1) {
+        done.notify_one();
       }
-      if (c == Cmd::kExit) {
-        finish_one();
-        return;
-      }
-      try {
-        switch (c) {
-          case Cmd::kSetup:
-            for (std::uint32_t p = w; p < spec.partitions; p += spec.workers) {
-              setup_partition(p);
-            }
-            break;
-          case Cmd::kWindow: {
-            // dcs-lint: allow(R1, per-worker wall telemetry only feeds the
-            // dcs-bench-wall-v1 report, which is outside the byte-stability
-            // contract; no sim-visible state reads this clock)
-            const auto start = std::chrono::steady_clock::now();
-            for (std::uint32_t p = w; p < spec.partitions; p += spec.workers) {
-              run_partition(p, horizon);
-            }
-            // dcs-lint: allow(R1, same wall-telemetry measurement as above)
-            const auto end = std::chrono::steady_clock::now();
-            wall_ns[w] += static_cast<std::uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(end -
-                                                                     start)
-                    .count());
-            break;
-          }
-          case Cmd::kTeardown:
-            for (std::uint32_t p = w; p < spec.partitions; p += spec.workers) {
-              teardown_partition(p);
-            }
-            break;
-          case Cmd::kCustom:
-            (*custom)(w);
-            break;
-          case Cmd::kExit:
-            break;
-        }
-      } catch (...) {
-        errors[w] = std::current_exception();
-      }
-      finish_one();
+      if (c == Cmd::kExit) return;
     }
   }
 
-  void finish_one() {
-    std::lock_guard lk(mu);
-    if (++done == spec.workers) cv_done.notify_one();
+  /// Worker `w`'s share of `c`; an exception lands in errors[w].
+  void run_command(std::uint32_t w, Cmd c) {
+    try {
+      switch (c) {
+        case Cmd::kSetup:
+          for (std::uint32_t p = w; p < spec.partitions; p += spec.workers) {
+            setup_partition(p);
+          }
+          break;
+        case Cmd::kWindow: {
+          // dcs-lint: allow(R1, per-worker wall telemetry only feeds the
+          // dcs-bench-wall-v1 report, which is outside the byte-stability
+          // contract; no sim-visible state reads this clock)
+          const auto start = std::chrono::steady_clock::now();
+          for (std::uint32_t p = w; p < spec.partitions; p += spec.workers) {
+            run_partition(p, horizon);
+          }
+          // dcs-lint: allow(R1, same wall-telemetry measurement as above)
+          const auto end = std::chrono::steady_clock::now();
+          wall_ns[w] += static_cast<std::uint64_t>(
+              std::chrono::duration_cast<std::chrono::nanoseconds>(end -
+                                                                   start)
+                  .count());
+          break;
+        }
+        case Cmd::kTeardown:
+          for (std::uint32_t p = w; p < spec.partitions; p += spec.workers) {
+            teardown_partition(p);
+          }
+          break;
+        case Cmd::kCustom:
+          (*custom)(w);
+          break;
+        case Cmd::kExit:
+          break;
+      }
+    } catch (...) {
+      errors[w] = std::current_exception();
+    }
   }
 
   /// Runs on the owning worker: the engine, the pump strand's frame and the
@@ -296,12 +309,10 @@ struct ShardedImpl {
   std::vector<std::unique_ptr<Partition>> parts;
   std::vector<std::vector<ShardMsg>> pending;  // per destination
 
-  std::vector<std::thread> pool;
-  std::mutex mu;
-  std::condition_variable cv_cmd, cv_done;
+  const std::thread::id owner;  // the constructing thread == worker 0
   Cmd cmd = Cmd::kExit;
-  std::uint64_t gen = 0;
-  std::uint32_t done = 0;
+  std::atomic<std::uint64_t> epoch{0};  // bumped once per command
+  std::atomic<std::uint32_t> done{0};   // workers 1..W-1 finished with it
   Time horizon = 0;
   const std::function<void(Shard&)>* factory = nullptr;
   const std::function<void(std::uint32_t)>* custom = nullptr;
@@ -311,8 +322,10 @@ struct ShardedImpl {
   Time now = 0;
   std::uint64_t windows = 0;
   bool setup_done = false;
-  bool torn_down = false;
   bool failed = false;
+
+  // Last: the spawned workers use every member above.
+  std::vector<std::thread> pool;
 };
 
 }  // namespace detail
@@ -364,6 +377,7 @@ ShardedEngine::ShardedEngine(Spec spec)
 ShardedEngine::~ShardedEngine() = default;
 
 void ShardedEngine::setup(const std::function<void(Shard&)>& factory) {
+  impl_->check_owner();
   DCS_CHECK_MSG(!impl_->setup_done, "setup() may only be called once");
   impl_->setup_done = true;
   impl_->factory = &factory;
@@ -375,6 +389,7 @@ void ShardedEngine::setup(const std::function<void(Shard&)>& factory) {
 void ShardedEngine::run() { run_until(Engine::kForever); }
 
 void ShardedEngine::run_until(Time t) {
+  impl_->check_owner();
   DCS_CHECK_MSG(impl_->setup_done, "call setup() before running");
   DCS_CHECK_MSG(!impl_->failed, "a worker already failed");
   for (;;) {
@@ -420,6 +435,7 @@ std::uint32_t ShardedEngine::workers() const { return impl_->spec.workers; }
 
 void ShardedEngine::for_each_worker(
     const std::function<void(std::uint32_t)>& fn) {
+  impl_->check_owner();
   impl_->custom = &fn;
   impl_->command(detail::ShardedImpl::Cmd::kCustom);
   impl_->custom = nullptr;

@@ -11,10 +11,13 @@
 //                nodes and always produces the same per-partition dispatch
 //                stream.
 //   worker       an OS thread that owns partitions p where p % workers == w
-//                and runs them in ascending index order.  The worker count
-//                (`--shards=N` in the benches) is pure execution policy:
-//                any value produces the same merged fingerprint, so a
-//                1-worker run is the oracle for an N-worker run.
+//                and runs them in ascending index order.  Worker 0 is the
+//                thread that constructed the ShardedEngine (the caller):
+//                only workers 1..W-1 are spawned, so a 1-worker run creates
+//                no thread at all.  The worker count (`--shards=N` in the
+//                benches) is pure execution policy: any value produces the
+//                same merged fingerprint, so a 1-worker run is the oracle
+//                for an N-worker run.
 //   window       one conservative-PDES round.  With lookahead L (the
 //                minimum cross-partition message latency, i.e. the fabric
 //                wire latency), the coordinator computes
@@ -24,8 +27,11 @@
 //                No event in [M, H] can generate a cross message delivered
 //                at or before H (its delivery is stamped >= M + L > H), so
 //                every partition may run run_until(H) in parallel with no
-//                further synchronization.  Barrier; collect outboxes;
-//                repeat.
+//                further synchronization.  The caller publishes the window
+//                by bumping an atomic epoch (spawned workers park on it
+//                with C++20 atomic wait), runs worker 0's partitions
+//                itself, then waits on an atomic done count.  Collect
+//                outboxes; repeat.
 //
 // Cross-partition messages travel through per-partition mailboxes.  A
 // message sent at time tau is stamped t = tau + L (+ any extra delay) and
@@ -48,7 +54,11 @@
 // Partition setup (the factory), every event dispatch, cross-message
 // delivery AND teardown (workload + engine destruction) run on the owning
 // worker.  This is what lets the frame slab, strand context, audit hook and
-// trace registry stay thread_local instead of locked.
+// trace registry stay thread_local instead of locked.  Because worker 0 is
+// the caller, its partitions use the CALLER's thread_locals: its registry
+// (worker 0's metrics land there immediately), audit/stall hooks, trace
+// sinks and slab.  setup(), run()/run_until(), for_each_worker() and the
+// destructor must therefore all run on the constructing thread (checked).
 #pragma once
 
 #include <coroutine>
@@ -121,13 +131,15 @@ class Shard {
 };
 
 /// Coordinator for a sharded run.  Construct, setup(), run() (or repeated
-/// run_until() for chopped runs), read the merged fingerprint, destroy.
+/// run_until() for chopped runs), read the merged fingerprint, destroy —
+/// all on one thread, which is also worker 0.
 class ShardedEngine {
  public:
   struct Spec {
     /// Fixed logical partition count — part of the workload topology.
     std::uint32_t partitions = 1;
-    /// Worker threads (the `--shards` knob).  Clamped to [1, partitions].
+    /// Workers (the `--shards` knob), clamped to [1, partitions].  The
+    /// constructing thread is worker 0; workers - 1 threads are spawned.
     std::uint32_t workers = 1;
     /// Conservative lookahead in virtual ns; must be >= 1.  Use the fabric
     /// wire latency (FabricParams::link_latency) for fabric workloads.
@@ -141,15 +153,17 @@ class ShardedEngine {
   /// engine) and joins the pool.  Collect per-worker thread_local state you
   /// still need (trace registries: trace/shard_metrics.hpp) with
   /// for_each_worker() BEFORE destruction — worker TLS dies with the pool.
+  /// Must run on the constructing thread.
   ~ShardedEngine();
 
   /// Runs `factory` once per partition ON ITS OWNING WORKER, ascending
-  /// index order within each worker.  Must be called exactly once, before
-  /// run()/run_until().
+  /// index order within each worker (worker 0's partitions on the calling
+  /// thread).  Must be called exactly once, before run()/run_until().
   void setup(const std::function<void(Shard&)>& factory);
 
   /// Runs until every partition is drained and no cross message is in
   /// flight.  Rethrows the first worker exception (lowest worker index).
+  /// run()/run_until() must be called on the constructing thread.
   void run();
   /// Runs through virtual time `t` inclusive; clocks clamp to `t`.
   /// Callable repeatedly (chopped runs resume exactly).
@@ -171,11 +185,12 @@ class ShardedEngine {
   std::uint32_t partitions() const;
   std::uint32_t workers() const;
 
-  /// Runs `fn(worker_index)` once on every worker thread, barrier'd on both
-  /// sides.  Use between runs (never concurrently with one) to collect
-  /// per-thread state the workers own — e.g. each worker's
-  /// trace::Registry::global().  Writes to distinct per-worker slots need no
-  /// locking; the barriers order them against the caller.
+  /// Runs `fn(worker_index)` once on every worker thread (`fn(0)` on the
+  /// calling thread), barrier'd on both sides.  Use between runs (never
+  /// concurrently with one) to collect per-thread state the workers own —
+  /// e.g. each worker's trace::Registry::global().  Writes to distinct
+  /// per-worker slots need no locking; the barriers order them against the
+  /// caller.
   void for_each_worker(const std::function<void(std::uint32_t)>& fn);
 
   /// Per-partition events dispatched (telemetry; partition order).

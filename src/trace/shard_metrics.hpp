@@ -5,7 +5,9 @@
 // its own registry — and that registry dies with the worker thread.  This
 // helper drains them into the coordinator's registry while the pool is
 // still alive.  Call it after the last run_until() and before the
-// ShardedEngine is destroyed.
+// ShardedEngine is destroyed.  Worker 0 is the coordinating thread itself,
+// so its share is already in that registry: reset it before run(), never
+// between run() and this call.
 //
 // Merge order is worker 0, 1, ... but the result does not depend on it:
 // Registry::merge is value-additive (counters add, distributions merge

@@ -182,6 +182,9 @@ sim::Task<void> count_into_global(Shard& shard) {
 
 TEST(ObsShardTest, CollectedShardRegistriesEnumerateSortedAndByteStable) {
   const auto run = [](std::uint32_t workers) {
+    // Reset before the run: worker 0 is this thread, so its partitions
+    // record straight into this registry during run().
+    trace::Registry::global().reset();
     ShardedEngine sharded({.partitions = kPartitions,
                            .workers = workers,
                            .lookahead = kLookahead});
@@ -189,7 +192,6 @@ TEST(ObsShardTest, CollectedShardRegistriesEnumerateSortedAndByteStable) {
       shard.engine().spawn(count_into_global(shard));
     });
     sharded.run();
-    trace::Registry::global().reset();
     trace::collect_shard_registries(sharded);
     const auto names = trace::Registry::global().names();
     EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));

@@ -7,9 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
 #include <memory>
 #include <mutex>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -61,6 +64,28 @@ sim::Task<void> one_ping(Shard& shard) {
 sim::Task<void> boom_after_delay(Shard& shard) {
   co_await shard.engine().delay(10);
   throw std::runtime_error("shard boom");
+}
+
+sim::Task<void> boom_named(Shard& shard) {
+  co_await shard.engine().delay(10);
+  throw std::runtime_error("boom " + std::to_string(shard.index()));
+}
+
+/// Records the thread that destroys it: parked with Shard::keep_alive, it
+/// dies in partition teardown.
+struct RecordTidOnDestroy {
+  std::thread::id* out;
+  ~RecordTidOnDestroy() { *out = std::this_thread::get_id(); }
+};
+
+/// OS threads alive in this process right now.
+std::size_t live_threads() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++n;
+  }
+  return n;
 }
 
 /// Eight spaced sends that fan around the ring with a 4-hop forwarding tag.
@@ -128,6 +153,20 @@ TEST(ShardMergeTest, WorkerCountNeverChangesTheFingerprint) {
   EXPECT_GT(oracle.cross, 0u);
   for (std::uint32_t workers : {2u, 3u, 4u, 8u}) {
     EXPECT_EQ(run_grid(8, workers, 42), oracle) << "workers=" << workers;
+  }
+}
+
+TEST(ShardMergeTest, EveryWorkerCountAndCutMatchTheOneWorkerOracle) {
+  // Worker 0 is the caller at every count; 16 workers spawn 15 threads.
+  const RunResult oracle = run_grid(16, 1, /*seed=*/5);
+  EXPECT_GT(oracle.cross, 0u);
+  for (std::uint32_t workers : {1u, 2u, 3u, 4u, 8u, 16u}) {
+    EXPECT_EQ(run_grid(16, workers, 5), oracle) << "workers=" << workers;
+    const RunResult chopped = run_grid(16, workers, 5, /*chunks=*/5);
+    EXPECT_EQ(chopped.fingerprint, oracle.fingerprint) << "workers=" << workers;
+    EXPECT_EQ(chopped.events, oracle.events) << "workers=" << workers;
+    EXPECT_EQ(chopped.cross, oracle.cross) << "workers=" << workers;
+    EXPECT_EQ(chopped.end, std::max<sim::Time>(oracle.end, 5 * 7777));
   }
 }
 
@@ -206,8 +245,9 @@ TEST(ShardMergeTest, SendStampsLookahead) {
 
 TEST(ShardMergeTest, PartitionsRunOnTheirOwnWorkerThreads) {
   // The affinity contract: setup, delivery and strand execution for one
-  // partition all happen on one OS thread, and with workers == partitions
-  // two partitions run on different threads.
+  // partition all happen on one OS thread.  Worker 0 is the calling thread,
+  // so partition 0 runs here; with workers == partitions partition 1 runs
+  // on the one spawned worker.
   std::vector<std::thread::id> setup_tid(2), handler_tid(2);
   {
     ShardedEngine sharded(spec_for(2, 2));
@@ -222,8 +262,39 @@ TEST(ShardMergeTest, PartitionsRunOnTheirOwnWorkerThreads) {
   }
   EXPECT_EQ(setup_tid[0], handler_tid[0]);
   EXPECT_EQ(setup_tid[1], handler_tid[1]);
-  EXPECT_NE(setup_tid[0], setup_tid[1]);
-  EXPECT_NE(setup_tid[0], std::this_thread::get_id());
+  EXPECT_EQ(setup_tid[0], std::this_thread::get_id());
+  EXPECT_NE(setup_tid[1], std::this_thread::get_id());
+}
+
+TEST(ShardMergeTest, OneWorkerRunsEverythingOnTheCallerAndSpawnsNoThread) {
+  const auto caller = std::this_thread::get_id();
+  const std::size_t threads_before = live_threads();
+  std::vector<std::thread::id> setup_tid(2), handler_tid(2), teardown_tid(2);
+  std::thread::id for_each_tid;
+  std::size_t threads_in_run = 0;
+  {
+    ShardedEngine sharded(spec_for(2, 1));
+    sharded.setup([&](Shard& shard) {
+      setup_tid[shard.index()] = std::this_thread::get_id();
+      shard.set_handler([&](Shard& s, const ShardMsg&) {
+        handler_tid[s.index()] = std::this_thread::get_id();
+        threads_in_run = live_threads();
+      });
+      shard.keep_alive(
+          std::make_shared<RecordTidOnDestroy>(&teardown_tid[shard.index()]));
+      shard.engine().spawn(one_ping(shard));
+    });
+    sharded.run();
+    sharded.for_each_worker(
+        [&](std::uint32_t) { for_each_tid = std::this_thread::get_id(); });
+  }
+  for (std::uint32_t p = 0; p < 2; ++p) {
+    EXPECT_EQ(setup_tid[p], caller) << "partition " << p;
+    EXPECT_EQ(handler_tid[p], caller) << "partition " << p;
+    EXPECT_EQ(teardown_tid[p], caller) << "partition " << p;
+  }
+  EXPECT_EQ(for_each_tid, caller);
+  EXPECT_EQ(threads_in_run, threads_before);
 }
 
 TEST(ShardMergeTest, FabricWorkloadsShardDeterministically) {
@@ -263,13 +334,20 @@ TEST(ShardMergeTest, RegistryCollectionGathersAllWorkers) {
     shard.engine().spawn(count_once(shard));
   });
   sharded.run();
-  // Recorded on worker threads: invisible here until collected.
+  // Worker 0 is this thread: partitions 0 and 2 already counted here.  The
+  // spawned worker's partitions 1 and 3 are invisible until collected.
   const auto* before = trace::Registry::global().find_counter("shard.test.events");
-  EXPECT_TRUE(before == nullptr || before->value == 0);
+  ASSERT_NE(before, nullptr);
+  EXPECT_EQ(before->value, 1u + 3u);
   trace::collect_shard_registries(sharded);
   const auto* after = trace::Registry::global().find_counter("shard.test.events");
   ASSERT_NE(after, nullptr);
   EXPECT_EQ(after->value, 1u + 2u + 3u + 4u);
+  // Collecting again moves nothing twice.
+  trace::collect_shard_registries(sharded);
+  const auto* again = trace::Registry::global().find_counter("shard.test.events");
+  ASSERT_NE(again, nullptr);
+  EXPECT_EQ(again->value, 1u + 2u + 3u + 4u);
   trace::Registry::global().reset();
 }
 
@@ -281,6 +359,37 @@ TEST(ShardMergeTest, WorkerExceptionsPropagate) {
     }
   });
   EXPECT_THROW(sharded.run(), std::runtime_error);
+}
+
+TEST(ShardMergeTest, LowestPartitionExceptionWinsTheWindow) {
+  // Partitions 0 and 1 throw at the same virtual time, inside one window;
+  // with 2+ workers they throw on different threads.  run() rethrows the
+  // lowest worker index's error, i.e. partition 0's.
+  for (std::uint32_t workers : {1u, 2u, 4u}) {
+    ShardedEngine sharded(spec_for(4, workers));
+    sharded.setup([](Shard& shard) {
+      if (shard.index() < 2) shard.engine().spawn(boom_named(shard));
+    });
+    try {
+      sharded.run();
+      ADD_FAILURE() << "no exception at workers=" << workers;
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "boom 0") << "workers=" << workers;
+    }
+  }
+}
+
+TEST(ShardMergeDeathTest, RunOffTheConstructingThreadAborts) {
+  // Worker 0's frames live in the constructing thread's slab, so driving
+  // the engine from any other thread is a contract violation.
+  EXPECT_DEATH(
+      {
+        ShardedEngine sharded(spec_for(2, 2));
+        sharded.setup([](Shard&) {});
+        std::thread other([&sharded] { sharded.run(); });
+        other.join();
+      },
+      "off the thread that constructed it");
 }
 
 TEST(ShardMergeTest, TelemetryCoversEveryPartitionAndWorker) {
