@@ -16,28 +16,24 @@
 // `--shards` value.  `--shards=1` is the sequential oracle; any divergence
 // at higher worker counts is a merge bug, not noise.
 //
-// `--bench-wall-json FILE` writes dcs-bench-wall-v1 telemetry with
-// LIST-valued fields: `events` is per-partition (partition order) and
-// `wall_ns` is per-worker (worker order), because a sharded run has no
-// single meaningful scalar for either — workers overlap in wall time and
-// partitions do unequal shares of the work.  tools/bench_compare.py reduces
-// the lists (sum of events, max of wall_ns) when comparing.
+// The run is one harness scenario, `zipf/nodes=N` (obs::Harness::
+// run_sharded), so every harness file flag works as in any bench but
+// --trace-out and --critical-path, which would need one tracer per
+// partition engine.  Its dcs-bench-v1 snapshot (the fingerprint, the
+// per-partition event counts and the collected registry) is byte-identical
+// for every `--shards` value.
 #include <algorithm>
 #include <array>
-#include <chrono>
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <memory>
-#include <numeric>
-#include <ostream>
-#include <sstream>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
-#include "common/json.hpp"
 #include "common/rng.hpp"
 #include "common/zipf.hpp"
 #include "ddss/ddss.hpp"
@@ -49,9 +45,9 @@
 #include "obs/slo.hpp"
 #include "obs/timeseries.hpp"
 #include "sim/shard.hpp"
+#include "sim/sync.hpp"
 #include "trace/exemplar.hpp"
 #include "trace/flight.hpp"
-#include "trace/shard_metrics.hpp"
 #include "trace/trace.hpp"
 
 namespace dcs {
@@ -81,7 +77,8 @@ struct ScaleConfig {
   std::uint32_t hot_shard = kNoHotShard;
   std::uint64_t scrape_us = 25;  // telemetry scrape cadence (virtual us)
   std::uint64_t scrapes = 20;    // scrape sweeps per partition
-  bool observe = false;          // --timeseries-out / --slo requested
+  /// --timeseries-out / --slo / --postmortem-dir: run the health plane.
+  bool observe = false;
   bool attribute = false;        // --hotset-out / --exemplars-out / --hot-keys
 };
 
@@ -101,12 +98,22 @@ struct PartitionHost {
         locks(net, /*home=*/0),
         zipf(cfg.nodes, cfg.alpha) {}
 
+  /// The local cohort queue of `node`'s strands for `lock`.  N-CoSED
+  /// admits one strand per node per lock, so a node's strands queue here
+  /// first and only the head of the queue asks the lock manager.  An
+  /// uncontended acquire schedules no event.
+  sim::Mutex& cohort(fabric::NodeId node, dlm::LockId lock) {
+    return cohorts.try_emplace(std::pair{node, lock}, fab.engine())
+        .first->second;
+  }
+
   fabric::Fabric fab;
   verbs::Network net;
   ddss::Ddss substrate;
   dlm::NcosedLockManager locks;
   ZipfSampler zipf;
   std::vector<ddss::Allocation> allocs;
+  std::map<std::pair<fabric::NodeId, dlm::LockId>, sim::Mutex> cohorts;
   /// Per-partition serve-path registry: the telemetry exporter mirrors
   /// THIS registry (not the worker's thread-local one), so the exported
   /// page is a function of the partition, never of the --shards layout.
@@ -131,15 +138,16 @@ struct PartitionDump {
   obs::TimeSeriesStore store;
   std::vector<obs::AlertEvent> alerts;
   std::uint64_t scrapes = 0;
-  std::uint64_t publishes = 0;
+  std::uint64_t firing = 0;  // (rule, node) pairs firing after the last sweep
   std::uint64_t flight_trips = 0;
+  std::uint64_t lost_dumps = 0;  // post-mortems the recorder could not write
   std::vector<std::string> dump_paths;
   /// Attribution slice (--hotset-out / --exemplars-out): the serve path
   /// feeds THESE sketches explicitly — never the worker's ambient hot
   /// sink — so their contents are a function of the partition alone and
   /// the merged dumps are byte-identical for every --shards value.  Only
-  /// the owning partition's strands touch its slot, and worker join
-  /// publishes the writes to the main thread.
+  /// the owning partition's strands touch its slot, and the run's closing
+  /// barrier publishes the writes to the calling thread.
   obs::HeavyHitters hot;
   trace::ExemplarStore exemplars;
   std::uint64_t serves = 0;
@@ -147,12 +155,13 @@ struct PartitionDump {
 
 /// Per-partition observability plane: an RDMA-Sync exporter/scraper pair
 /// over the partition's serve registry, a windowed time-series store and
-/// an SLO engine wired into a flight recorder.  Lives on the partition's
-/// owning worker (Shard::keep_alive), like PartitionHost.
+/// an SLO engine (the built-in burn rule plus the --slo rules) wired into
+/// a flight recorder.  Lives on the partition's owning worker
+/// (Shard::keep_alive), like PartitionHost.
 struct ObsPlane {
   ObsPlane(sim::Shard& shard, PartitionHost& host, const ScaleConfig& cfg,
            const obs::HarnessOptions& opts,
-           const std::vector<obs::SloRule>& extra_rules)
+           const std::vector<obs::SloRule>& rules)
       : exporter(host.net, /*node=*/0, serve_schema(),
                  microseconds(cfg.scrape_us), &host.serve_reg),
         scraper(host.net, /*frontend=*/host.fab.size() > 1 ? 1 : 0),
@@ -176,7 +185,7 @@ struct ObsPlane {
     burn.slow_burn = 2.0;
     burn.trip_postmortem = true;  // dumps only when --postmortem-dir is set
     slo.add_rule(std::move(burn));
-    for (const auto& rule : extra_rules) slo.add_rule(rule);
+    for (const obs::SloRule& rule : rules) slo.add_rule(rule);
     slo.set_flight(&flight);
   }
 
@@ -267,8 +276,9 @@ sim::Task<void> scrape_strand(sim::Shard& shard,
   slot.store = obs->store;
   slot.alerts = obs->slo.alerts();
   slot.scrapes = obs->scraper.scrapes();
-  slot.publishes = obs->exporter.publishes();
+  slot.firing = obs->slo.firing().size();
   slot.flight_trips = obs->flight.trips();
+  slot.lost_dumps = obs->flight.lost_dumps();
   slot.dump_paths = obs->flight.dump_paths();
 }
 
@@ -308,9 +318,12 @@ sim::Task<void> client_strand(sim::Shard& shard,
     }
     if (op % 8 == 0) {
       const auto lock_id = static_cast<dlm::LockId>(key % 16);
+      sim::Mutex& cohort = host->cohort(node, lock_id);
+      co_await cohort.acquire();
       co_await host->locks.lock(node, lock_id, dlm::LockMode::kExclusive);
       co_await host->fab.node(node).execute(microseconds(2));
       co_await host->locks.unlock(node, lock_id);
+      cohort.release();
     }
     reg.counter("scale.local.ops").add(1);
   }
@@ -331,8 +344,8 @@ sim::Task<void> boot(sim::Shard& shard, std::shared_ptr<PartitionHost> host,
 }
 
 void setup_partition(sim::Shard& shard, const ScaleConfig& cfg,
+                     const obs::Harness& h,
                      const obs::HarnessOptions& opts,
-                     const std::vector<obs::SloRule>& extra_rules,
                      std::vector<PartitionDump>* slots) {
   auto host = std::make_shared<PartitionHost>(shard.engine(), cfg);
   host->substrate.start();
@@ -351,7 +364,7 @@ void setup_partition(sim::Shard& shard, const ScaleConfig& cfg,
   shard.keep_alive(host);
   if (cfg.observe) {
     auto obs = std::make_shared<ObsPlane>(shard, *host, cfg, opts,
-                                          extra_rules);
+                                          h.slo_rules());
     obs->exporter.start(cfg.scrapes + 1);
     shard.engine().spawn(scrape_strand(shard, obs, cfg, slots));
     shard.keep_alive(obs);
@@ -363,249 +376,150 @@ std::uint64_t counter_value(const char* name) {
   return c != nullptr ? c->value : 0;
 }
 
-bool parse_u64(const char* arg, const char* flag, std::uint64_t* out,
-               std::uint64_t max = UINT64_MAX) {
-  const std::size_t n = std::strlen(flag);
-  if (std::strncmp(arg, flag, n) != 0 || arg[n] != '=') return false;
-  *out = obs::count_flag(flag, arg + n + 1, 0, max);
-  return true;
-}
-
-int run(const ScaleConfig& cfg, const obs::HarnessOptions& opts) {
-  using Clock = std::chrono::steady_clock;
-  trace::Registry::global().reset();
-  std::vector<obs::SloRule> extra_rules;
-  if (!opts.slo_rules.empty()) {
-    std::string error;
-    extra_rules = obs::parse_slo_rules_file(opts.slo_rules, &error);
-    if (!error.empty()) {
-      std::fprintf(stderr, "datacenter_scale: %s\n", error.c_str());
-      return 2;
-    }
-  }
-  std::vector<PartitionDump> slots(cfg.partitions);
-  const auto wall_start = Clock::now();
-  sim::ShardedEngine sharded({.partitions = cfg.partitions,
-                              .workers = cfg.shards,
-                              .lookahead = fabric::FabricParams{}.link_latency});
-  sharded.setup([&cfg, &opts, &extra_rules, &slots](sim::Shard& shard) {
-    setup_partition(shard, cfg, opts, extra_rules, &slots);
-  });
-  sharded.run();
-  const auto wall_ns = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                           wall_start)
-          .count());
-  trace::collect_shard_registries(sharded);
-
-  const auto events = sharded.partition_events();
-  const auto worker_wall = sharded.worker_wall_ns();
-  const std::uint64_t total_events = sharded.events_dispatched();
-  const std::uint64_t busiest_worker_ns =
-      *std::max_element(worker_wall.begin(), worker_wall.end());
-  const double secs = static_cast<double>(wall_ns) / 1e9;
-  const double eps = secs > 0 ? static_cast<double>(total_events) / secs : 0;
-
-  const std::uint64_t resp = counter_value("scale.remote.resp");
-  const std::uint64_t rtt_total = counter_value("scale.remote.rtt_total_ns");
+/// Prints the header line, records the run's results once every worker's
+/// registry is collected, and hands the partitions' health planes and
+/// attribution slices to the harness in partition order.  Node sets are disjoint (each partition
+/// ingests under its own index) and the sketch and exemplar merges are
+/// grouping-independent, so — like the fingerprint — every dump is
+/// byte-identical for every --shards value.
+void report(obs::ShardedScenario& s, const ScaleConfig& cfg,
+            const std::vector<PartitionDump>& slots) {
+  sim::ShardedEngine& sharded = s.engine();
   std::printf("datacenter_scale: nodes=%zu partitions=%u shards=%u seed=%" PRIu64
               "\n",
               cfg.nodes, cfg.partitions, sharded.workers(), cfg.seed);
-  std::printf("  fingerprint      0x%016" PRIx64 "   <- identical for every --shards\n",
-              sharded.merged_fingerprint());
-  std::printf("  events           %" PRIu64 " (%" PRIu64
-              " cross msgs, %" PRIu64 " windows)\n",
-              total_events, sharded.cross_messages(), sharded.windows());
-  std::printf("  virtual time     %.3f ms\n",
-              static_cast<double>(sharded.now()) / 1e6);
-  std::printf("  local ops        %" PRIu64 "\n", counter_value("scale.local.ops"));
-  std::printf("  remote req/resp  %" PRIu64 "/%" PRIu64 " (mean rtt %.2f us)\n",
-              counter_value("scale.remote.req"), resp,
-              resp > 0 ? static_cast<double>(rtt_total) / resp / 1e3 : 0.0);
-  std::printf("  wall             %.1f ms total, %.1f ms busiest worker, "
-              "%.0f events/sec\n",
-              static_cast<double>(wall_ns) / 1e6,
-              static_cast<double>(busiest_worker_ns) / 1e6, eps);
+  // A double holds 53 bits exactly: the fingerprint goes in two halves.
+  const std::uint64_t fp = sharded.merged_fingerprint();
+  s.metric("fingerprint.hi", static_cast<double>(fp >> 32));
+  s.metric("fingerprint.lo", static_cast<double>(fp & 0xffffffffu));
+  s.metric("events", static_cast<double>(sharded.events_dispatched()));
+  s.metric("cross_messages", static_cast<double>(sharded.cross_messages()));
+  s.metric("windows", static_cast<double>(sharded.windows()));
+  s.metric("virtual_ns", static_cast<double>(sharded.now()));
+  // Per-partition shares are deterministic and show the Zipf skew.
+  const auto events = sharded.partition_events();
+  for (std::size_t p = 0; p < events.size(); ++p) {
+    s.metric("events.p" + std::to_string(p), static_cast<double>(events[p]));
+  }
+  const std::uint64_t resp = counter_value("scale.remote.resp");
+  s.metric("local_ops", static_cast<double>(counter_value("scale.local.ops")));
+  s.metric("remote_req",
+           static_cast<double>(counter_value("scale.remote.req")));
+  s.metric("remote_resp", static_cast<double>(resp));
+  s.metric("rtt_mean_us",
+           resp > 0 ? static_cast<double>(
+                          counter_value("scale.remote.rtt_total_ns")) /
+                          resp / 1e3
+                    : 0.0);
+  const auto worker_wall = sharded.worker_wall_ns();
+  std::fprintf(stderr, "  wall             %.1f ms busiest worker\n",
+               static_cast<double>(*std::max_element(worker_wall.begin(),
+                                                     worker_wall.end())) /
+                   1e6);
 
-  bool ok = true;  // every requested dump was written
-
+  std::uint64_t scrapes = 0, transitions = 0, firing = 0, trips = 0;
+  std::uint64_t serves = 0;
+  for (const PartitionDump& slot : slots) {
+    if (cfg.observe) s.health(slot.store, slot.alerts, slot.lost_dumps);
+    if (cfg.attribute) s.attribution(slot.hot, slot.exemplars);
+    scrapes += slot.scrapes;
+    transitions += slot.alerts.size();
+    firing += slot.firing;
+    trips += slot.flight_trips;
+    serves += slot.serves;
+    for (const auto& path : slot.dump_paths) {
+      std::fprintf(stderr, "  postmortem: %s\n", path.c_str());
+    }
+  }
   if (cfg.observe) {
-    // Merge the per-partition health planes in partition order.  Node sets
-    // are disjoint (each partition ingests under its own index), so the
-    // merged dump — like the fingerprint — is byte-identical for every
-    // --shards value.
-    obs::TimeSeriesStore merged(
-        {.window = microseconds(cfg.scrape_us), .retention = 64});
-    obs::SloEngine merged_slo(merged);
-    std::uint64_t scrapes = 0, trips = 0;
-    std::vector<std::string> dumps;
-    for (const PartitionDump& slot : slots) {
-      merged.merge(slot.store);
-      merged_slo.absorb(slot.alerts);
-      scrapes += slot.scrapes;
-      trips += slot.flight_trips;
-      dumps.insert(dumps.end(), slot.dump_paths.begin(),
-                   slot.dump_paths.end());
-    }
-    std::map<std::pair<std::string, std::uint32_t>, bool> final_state;
-    for (const auto& a : merged_slo.alerts()) {
-      final_state[{a.rule, a.node}] = a.firing;
-    }
-    std::size_t firing = 0;
-    for (const auto& [key, last] : final_state) {
-      (void)key;
-      if (last) ++firing;
-    }
-    std::printf("  health plane     %" PRIu64 " scrapes, %zu alert "
-                "transition(s), %zu firing at end, %" PRIu64
-                " flight trip(s)\n",
-                scrapes, merged_slo.alerts().size(), firing, trips);
-    for (const auto& path : dumps) std::printf("  postmortem: %s\n", path.c_str());
-    if (!merged_slo.alerts().empty()) {
-      std::ostringstream stream;
-      obs::write_alert_stream(stream, merged_slo.alerts());
-      std::fputs(stream.str().c_str(), stdout);
-    }
-    ok &= obs::write_dump(
-        opts.timeseries_out, std::to_string(merged.all().size()) + " series",
-        [&](std::ostream& os) {
-          obs::write_timeseries_json(os, merged, merged_slo.alerts());
-        });
+    std::fprintf(stderr,
+                 "  health plane     %" PRIu64 " scrapes, %" PRIu64
+                 " alert transition(s), %" PRIu64 " firing at end, %" PRIu64
+                 " flight trip(s)\n",
+                 scrapes, transitions, firing, trips);
   }
-
   if (cfg.attribute) {
-    // Merge the per-partition attribution slices in partition order.  The
-    // space-saving merge and the exemplar argmax are both
-    // grouping-independent, so — like the fingerprint — the dumps are
-    // byte-identical for every --shards value.
-    obs::HeavyHitters hot;
-    trace::ExemplarStore exemplars;
-    std::uint64_t serves = 0;
-    for (const PartitionDump& slot : slots) {
-      hot.merge(slot.hot);
-      exemplars.merge(slot.exemplars);
-      serves += slot.serves;
-    }
-    std::printf("  attribution      %" PRIu64 " serve(s) attributed\n", serves);
-    if (opts.hot_keys > 0) {
-      for (const char* domain : {"scale.serve.node", "scale.serve.object"}) {
-        const auto entries = hot.top(domain, opts.hot_keys);
-        std::uint64_t total = 0;
-        for (const auto& e : entries) total += e.count;
-        std::printf("  hot %s (top %zu of %" PRIu64 "):\n", domain,
-                    entries.size(), total);
-        for (const auto& e : entries) {
-          std::printf("    key=%" PRIu64 " count=%" PRIu64 " error=%" PRIu64
-                      "\n",
-                      e.key, e.count, e.error);
-        }
-      }
-    }
-    ok &= obs::write_dump(opts.hotset_out, "hotset", [&](std::ostream& os) {
-      obs::write_hotset_json(os, hot);
-    });
-    ok &= obs::write_dump(opts.exemplars_out, "exemplars",
-                          [&](std::ostream& os) {
-                            trace::write_exemplar_json(os, exemplars);
-                          });
+    std::fprintf(stderr, "  attribution      %" PRIu64 " serve(s) attributed\n",
+                 serves);
   }
-
-  // dcs-bench-wall-v1 with list-valued events (per partition) and wall_ns
-  // (per worker); consumers reduce with sum / max respectively.
-  ok &= obs::write_dump(opts.wall_json, "wall telemetry",
-                        [&](std::ostream& os) {
-    char fp[32];
-    std::snprintf(fp, sizeof fp, "0x%016" PRIx64, sharded.merged_fingerprint());
-    os << "{\n  \"schema\": \"dcs-bench-wall-v1\",\n"
-       << "  \"bench\": \"datacenter_scale\",\n"
-       << "  \"peak_rss_mb\": " << fmt_fixed(obs::peak_rss_mb(), 3)
-       << ",\n  \"scenarios\": {\n"
-       << "    \"zipf/nodes=" << cfg.nodes << "\": {\n"
-       << "      \"virtual_ns\": " << sharded.now() << ",\n"
-       << "      \"fingerprint\": \"" << fp << "\",\n"
-       << "      \"partitions\": " << cfg.partitions << ",\n"
-       << "      \"shards\": " << sharded.workers() << ",\n"
-       << "      \"cross_messages\": " << sharded.cross_messages() << ",\n"
-       << "      \"events\": [";
-    for (std::size_t i = 0; i < events.size(); ++i) {
-      os << (i ? ", " : "") << events[i];
-    }
-    os << "],\n      \"wall_ns\": [";
-    for (std::size_t i = 0; i < worker_wall.size(); ++i) {
-      os << (i ? ", " : "") << worker_wall[i];
-    }
-    const double npe =
-        total_events > 0 ? static_cast<double>(wall_ns) / total_events : 0.0;
-    os << "],\n      \"events_per_sec\": " << fmt_fixed(eps, 3) << ",\n"
-       << "      \"ns_per_event\": " << fmt_fixed(npe, 3)
-       << "\n    }\n  }\n}\n";
-  });
-  return ok ? 0 : 1;
 }
 
 }  // namespace
 }  // namespace dcs
 
 int main(int argc, char** argv) {
-  auto opts = dcs::obs::extract_harness_flags(argc, argv);
-  dcs::ScaleConfig cfg;
-  std::uint64_t v = 0;
+  using namespace dcs;
+  const auto opts = obs::extract_harness_flags(argc, argv);
+  ScaleConfig cfg;
+  int rest = 1;
   for (int i = 1; i < argc; ++i) {
-    if (dcs::parse_u64(argv[i], "--nodes", &v)) {
-      cfg.nodes = static_cast<std::size_t>(v);
-    } else if (dcs::parse_u64(argv[i], "--partitions", &v, UINT32_MAX)) {
-      cfg.partitions = static_cast<std::uint32_t>(v);
-    } else if (dcs::parse_u64(argv[i], "--shards", &v, UINT32_MAX)) {
-      cfg.shards = static_cast<std::uint32_t>(v);
-    } else if (dcs::parse_u64(argv[i], "--seed", &v)) {
-      cfg.seed = v;
-    } else if (dcs::parse_u64(argv[i], "--clients", &v, UINT32_MAX)) {
-      cfg.clients = static_cast<std::uint32_t>(v);
-    } else if (dcs::parse_u64(argv[i], "--ops", &v, UINT32_MAX)) {
-      cfg.ops = static_cast<std::uint32_t>(v);
-    } else if (dcs::parse_u64(argv[i], "--hot-shard", &v, UINT32_MAX)) {
-      cfg.hot_shard = static_cast<std::uint32_t>(v);
-    } else if (dcs::parse_u64(argv[i], "--scrape-us", &v)) {
-      cfg.scrape_us = v;
-    } else if (dcs::parse_u64(argv[i], "--scrapes", &v)) {
-      cfg.scrapes = v;
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--nodes=N] [--partitions=P] [--shards=W] "
-                   "[--seed=S] [--clients=C] [--ops=K] [--hot-shard=P] "
-                   "[--scrape-us=U] [--scrapes=K] [--bench-wall-json FILE] "
-                   "[--timeseries-out FILE] [--slo FILE] "
-                   "[--postmortem-dir DIR] [--hotset-out FILE] "
-                   "[--exemplars-out FILE] [--hot-keys N]\n",
-                   argv[0]);
-      return 2;
+    const std::string_view arg = argv[i];
+    // `--name=N` into `field`, exiting 2 on a value outside [min, max].
+    const auto take = [&](std::string_view name, auto& field,
+                          std::uint64_t min = 0,
+                          std::uint64_t max = UINT32_MAX) {
+      if (!arg.starts_with(name) || arg.substr(name.size(), 1) != "=") {
+        return false;
+      }
+      field = static_cast<std::remove_reference_t<decltype(field)>>(
+          obs::count_flag(name, arg.substr(name.size() + 1), min, max));
+      return true;
+    };
+    if (!take("--nodes", cfg.nodes, 1, UINT64_MAX) &&
+        !take("--partitions", cfg.partitions) &&
+        !take("--shards", cfg.shards) &&
+        !take("--seed", cfg.seed, 0, UINT64_MAX) &&
+        !take("--clients", cfg.clients) && !take("--ops", cfg.ops) &&
+        !take("--hot-shard", cfg.hot_shard) &&
+        !take("--scrape-us", cfg.scrape_us, 1, UINT64_MAX) &&
+        !take("--scrapes", cfg.scrapes, 0, UINT64_MAX)) {
+      argv[rest++] = argv[i];
     }
   }
+  obs::reject_unknown_args(rest, argv);
   if (cfg.partitions == 0 || cfg.nodes % cfg.partitions != 0) {
     std::fprintf(stderr,
                  "datacenter_scale: --nodes must be a positive multiple of "
                  "--partitions\n");
     return 2;
   }
-  if (cfg.hot_shard != dcs::kNoHotShard && cfg.hot_shard >= cfg.partitions) {
+  if (cfg.hot_shard != kNoHotShard && cfg.hot_shard >= cfg.partitions) {
     std::fprintf(stderr, "datacenter_scale: --hot-shard out of range\n");
     return 2;
   }
-  cfg.observe = !opts.timeseries_out.empty() || !opts.slo_rules.empty();
-  // Flags this bench has no sink for exit 2 rather than write nothing.
-  // Post-mortems come from the SLO plane, which only runs when observed.
-  const std::pair<bool, const char*> unsupported[] = {
-      {!opts.bench_json.empty(), "--bench-json"},
-      {!opts.critical_path.empty(), "--critical-path"},
-      {!opts.trace_out.empty(), "--trace-out"},
-      {!opts.metrics_out.empty(), "--metrics-out"},
-      {opts.batch != 0, "--batch"},
-      {!opts.postmortem_dir.empty() && !cfg.observe,
-       "--postmortem-dir without --timeseries-out or --slo"},
-  };
-  for (const auto& [given, flag] : unsupported) {
-    dcs::obs::reject_unsupported("datacenter_scale", given, flag);
-  }
+  // One tracer per partition engine is not built, so these have no sink.
+  obs::reject_unsupported("datacenter_scale", !opts.trace_out.empty(),
+                          "--trace-out");
+  obs::reject_unsupported("datacenter_scale", !opts.critical_path.empty(),
+                          "--critical-path");
+  obs::reject_unsupported("datacenter_scale", opts.batch != 0, "--batch");
+  // Post-mortems and --slo rules need the health plane's store.
+  cfg.observe = !opts.timeseries_out.empty() || !opts.slo_rules.empty() ||
+                !opts.postmortem_dir.empty();
   cfg.attribute = opts.attribution_mode();
-  return dcs::run(cfg, opts);
+  obs::Harness h("datacenter_scale", opts);
+
+  std::vector<PartitionDump> slots(cfg.partitions);
+  const auto m = h.run_sharded(
+      "zipf/nodes=" + std::to_string(cfg.nodes),
+      {.partitions = cfg.partitions,
+       .workers = cfg.shards,
+       .lookahead = fabric::FabricParams{}.link_latency},
+      [&](sim::Shard& shard) {
+        setup_partition(shard, cfg, h, opts, &slots);
+      },
+      [&](obs::ShardedScenario& s) { report(s, cfg, slots); });
+  const auto count = [&](const char* name) {
+    return static_cast<std::uint64_t>(m.at(name));
+  };
+  std::printf("  fingerprint      0x%016" PRIx64 "   <- identical for every --shards\n",
+              count("fingerprint.hi") << 32 | count("fingerprint.lo"));
+  std::printf("  events           %" PRIu64 " (%" PRIu64
+              " cross msgs, %" PRIu64 " windows)\n",
+              count("events"), count("cross_messages"), count("windows"));
+  std::printf("  virtual time     %.3f ms\n", m.at("virtual_ns") / 1e6);
+  std::printf("  local ops        %" PRIu64 "\n", count("local_ops"));
+  std::printf("  remote req/resp  %" PRIu64 "/%" PRIu64 " (mean rtt %.2f us)\n",
+              count("remote_req"), count("remote_resp"), m.at("rtt_mean_us"));
+  return h.finish();
 }

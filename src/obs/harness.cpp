@@ -11,6 +11,7 @@
 #include "trace/critical_path.hpp"
 #include "trace/flight.hpp"
 #include "trace/hot.hpp"
+#include "trace/shard_metrics.hpp"
 
 namespace dcs::obs {
 
@@ -26,22 +27,17 @@ std::string sanitize(std::string name) {
   return name;
 }
 
-}  // namespace
-
+/// Peak resident set size of this process so far, in MB
+/// (getrusage ru_maxrss); the top-level "peak_rss_mb" of the wall JSON.
 double peak_rss_mb() {
   rusage usage{};
   getrusage(RUSAGE_SELF, &usage);
   return static_cast<double>(usage.ru_maxrss) / 1024.0;  // Linux: KB
 }
 
-std::vector<std::size_t> batch_sweep(std::size_t max) {
-  if (max == 0) return {1, 2, 4, 8};
-  std::vector<std::size_t> out;
-  for (std::size_t k = 1; k < max; k *= 2) out.push_back(k);
-  out.push_back(max);
-  return out;
-}
-
+/// Flushes `os`, the dump file at `path`, and reports "bench: WHAT -> PATH"
+/// on stderr, or "bench: cannot write PATH" when the file could not be
+/// opened or written.  Returns false on that failure.
 bool report_dump(std::ostream& os, const std::string& path,
                  const std::string& what) {
   if (!os.flush()) {
@@ -52,12 +48,25 @@ bool report_dump(std::ostream& os, const std::string& path,
   return true;
 }
 
+/// Writes one dump file: opens `path`, lets `write` fill it, and reports
+/// it (report_dump).  An empty `path` was not requested: nothing is
+/// written and the call succeeds.
 bool write_dump(const std::string& path, const std::string& what,
                 const std::function<void(std::ostream&)>& write) {
   if (path.empty()) return true;
   std::ofstream os(path);
   if (os) write(os);
   return report_dump(os, path, what);
+}
+
+}  // namespace
+
+std::vector<std::size_t> batch_sweep(std::size_t max) {
+  if (max == 0) return {1, 2, 4, 8};
+  std::vector<std::size_t> out;
+  for (std::size_t k = 1; k < max; k *= 2) out.push_back(k);
+  out.push_back(max);
+  return out;
 }
 
 Harness::Harness(std::string bench, HarnessOptions opts)
@@ -132,22 +141,6 @@ std::map<std::string, double> Harness::run(
     snap.p99 = ctx.latency_.percentile(99.0);
     snap.p100 = ctx.latency_.percentile(100.0);
   }
-  {
-    std::ostringstream reg;
-    trace::Registry::global().write_json(reg);
-    snap.registry_json = reg.str();
-  }
-  if (!opts_.metrics_out.empty()) {
-    std::ostringstream reg;
-    trace::Registry::global().write(reg);
-    snap.registry_text = reg.str();
-  }
-  if (!opts_.timeseries_out.empty() || !opts_.slo_rules.empty()) {
-    // Scenario ordinal as node id: each scenario is "one node" of the
-    // bench's cluster dump, so per-scenario history stays disjoint.
-    store_.ingest_registry(static_cast<std::uint32_t>(snapshots_.size()),
-                           eng.now(), trace::Registry::global());
-  }
   if (trace_ != nullptr) trace_->add(tracer, scenario);
   const trace::CriticalPath cp(tracer);
   if (opts_.attribution_mode()) {
@@ -169,8 +162,87 @@ std::map<std::string, double> Harness::run(
     cp.write_report(report);
     snap.critical_path_report = report.str();
   }
+  if (!opts_.timeseries_out.empty() || !opts_.slo_rules.empty()) {
+    // Scenario ordinal as node id: each scenario is "one node" of the
+    // bench's cluster dump, so per-scenario history stays disjoint.
+    store_.ingest_registry(static_cast<std::uint32_t>(snapshots_.size()),
+                           snap.virtual_ns, trace::Registry::global());
+  }
+  return record(std::move(snap));
+}
+
+std::map<std::string, double> Harness::run_sharded(
+    const std::string& scenario, const sim::ShardedEngine::Spec& spec,
+    const std::function<void(sim::Shard&)>& setup,
+    const std::function<void(ShardedScenario&)>& report) {
+  // dcs-lint: allow(R1, host wall time only feeds the dcs-bench-wall-v1
+  // report, which is outside the byte-stability contract; no sim-visible
+  // state reads this clock)
+  using Clock = std::chrono::steady_clock;
+  const auto ns_since = [](Clock::time_point from) {
+    return static_cast<double>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
+                                                             from)
+            .count());
+  };
+  // Reset before the engine exists: worker 0's partitions record into this
+  // thread's registry from setup on (trace/shard_metrics.hpp).
+  trace::Registry::global().reset();
+  const auto start = Clock::now();
+  std::map<std::string, double> metrics;
+  {
+    sim::ShardedEngine sharded(spec);
+    sharded.setup(setup);
+    Snapshot snap;
+    snap.name = scenario;
+    const auto run_start = Clock::now();
+    sharded.run();
+    snap.wall_ns = ns_since(run_start);
+    trace::collect_shard_registries(sharded);
+    ShardedScenario ctx(*this, sharded);
+    report(ctx);
+    snap.virtual_ns = sharded.now();
+    snap.events = sharded.events_dispatched();
+    snap.metrics = std::move(ctx.metrics_);
+    // Recorded before teardown, so the registry is the run's alone.
+    metrics = record(std::move(snap));
+  }
+  Snapshot& snap = snapshots_.back();
+  snap.setup_ns = ns_since(start) - snap.wall_ns;
+  return metrics;
+}
+
+std::map<std::string, double> Harness::record(Snapshot snap) {
+  {
+    std::ostringstream reg;
+    trace::Registry::global().write_json(reg);
+    snap.registry_json = reg.str();
+  }
+  if (!opts_.metrics_out.empty()) {
+    std::ostringstream reg;
+    trace::Registry::global().write(reg);
+    snap.registry_text = reg.str();
+  }
   snapshots_.push_back(std::move(snap));
   return snapshots_.back().metrics;
+}
+
+void ShardedScenario::health(const TimeSeriesStore& store,
+                             const std::vector<AlertEvent>& alerts,
+                             std::uint64_t lost_dumps) {
+  TimeSeriesStore& mine = harness_.store_;
+  if (mine.all().empty()) mine = TimeSeriesStore(store.config());
+  mine.merge(store);
+  harness_.alerts_.insert(harness_.alerts_.end(), alerts.begin(),
+                          alerts.end());
+  harness_.lost_dumps_ += lost_dumps;
+  harness_.rules_evaluated_ = true;
+}
+
+void ShardedScenario::attribution(const HeavyHitters& hot,
+                                  const trace::ExemplarStore& exemplars) {
+  harness_.hot_.merge(hot);
+  harness_.exemplars_.merge(exemplars);
 }
 
 void Harness::write_bench_json(std::ostream& os) const {
@@ -266,19 +338,20 @@ int Harness::finish() {
   }
   if (!opts_.timeseries_out.empty() || !slo_rules_.empty()) {
     SloEngine slo(store_);
-    if (!slo_rules_.empty()) {
+    slo.absorb(alerts_);
+    if (!rules_evaluated_) {
       for (const SloRule& rule : slo_rules_) slo.add_rule(rule);
       SimNanos now = 0;
       for (const Snapshot& sn : snapshots_) {
         if (sn.virtual_ns > now) now = sn.virtual_ns;
       }
       slo.evaluate(now);
-      // The alert stream goes to stderr; firing alerts are diagnostics,
-      // not a failure (the exit code stays about file I/O).
-      std::ostringstream stream;
-      write_alert_stream(stream, slo.alerts());
-      std::fputs(stream.str().c_str(), stderr);
     }
+    // The alert stream goes to stderr; firing alerts are diagnostics,
+    // not a failure (the exit code stays about file I/O).
+    std::ostringstream stream;
+    write_alert_stream(stream, slo.alerts());
+    std::fputs(stream.str().c_str(), stderr);
     ok &= write_dump(opts_.timeseries_out,
                      std::to_string(store_.all().size()) + " series",
                      [&](std::ostream& os) {

@@ -4,7 +4,9 @@
 // command — declares named scenarios and runs them here.  Each scenario
 // runs under a fresh engine with the metrics registry reset; when any
 // observability flag is given a tracer records it, and `--postmortem-dir`
-// arms a flight recorder around it.  finish() writes every requested file
+// arms a flight recorder around it.  A sharded scenario (run_sharded, as
+// in bench_datacenter_scale) runs a sim::ShardedEngine instead and hands
+// over what its partitions merged.  finish() writes every requested file
 // once:
 //
 //   --bench-json        canonical dcs-bench-v1 snapshot of every scenario:
@@ -18,8 +20,10 @@
 //   --metrics-out       plain-text registry dump per scenario
 //   --trace-out         one Chrome trace; each scenario's nodes are their
 //                       own processes, labelled with the scenario name
-//   --timeseries-out    dcs-timeseries-v1 store (scenario ordinal = node)
-//   --slo               rules evaluated against that store; alerts to stderr
+//   --timeseries-out    dcs-timeseries-v1 store (scenario ordinal = node;
+//                       a sharded scenario's partition index = node)
+//   --slo               rules evaluated against that store (per sweep, in
+//                       a sharded scenario's partitions); alerts to stderr
 //   --hotset-out, --exemplars-out, --hot-keys   DCS_HOT / exemplar sinks
 //
 // Output is byte-deterministic for same-seed runs: scenarios appear in run
@@ -53,29 +57,15 @@
 #include "obs/slo.hpp"
 #include "obs/timeseries.hpp"
 #include "sim/engine.hpp"
+#include "sim/shard.hpp"
 #include "trace/exemplar.hpp"
 #include "trace/trace.hpp"
 
 namespace dcs::obs {
 
-/// Peak resident set size of this process so far, in MB
-/// (getrusage ru_maxrss); the top-level "peak_rss_mb" of the wall JSON.
-double peak_rss_mb();
-
 /// Batch depths a bench sweeps for `--batch max` (powers of two up to and
 /// including `max`); `max == 0` yields the default sweep {1, 2, 4, 8}.
 std::vector<std::size_t> batch_sweep(std::size_t max);
-
-/// Flushes `os`, the dump file at `path`, and reports "bench: WHAT -> PATH"
-/// on stderr, or "bench: cannot write PATH" when the file could not be
-/// opened or written.  Returns false on that failure.
-bool report_dump(std::ostream& os, const std::string& path,
-                 const std::string& what);
-/// Writes one dump file: opens `path`, lets `write` fill it, and reports
-/// it (report_dump).  An empty `path` was not requested: nothing is
-/// written and the call succeeds.
-bool write_dump(const std::string& path, const std::string& what,
-                const std::function<void(std::ostream&)>& write);
 
 /// One scenario run: the engine to drive plus sinks for results.
 class Scenario {
@@ -108,6 +98,46 @@ class Scenario {
   double zipf_alpha_ = -1.0;
 };
 
+class Harness;
+
+/// The report side of a sharded scenario (Harness::run_sharded): the
+/// finished run, every worker's registry already collected, plus sinks for
+/// what the bench merged across partitions in partition order.  Per-engine
+/// sinks (tracer, flight recorder, ambient hot sink) would see only the
+/// caller's partitions, so a sharded bench feeds its own per-partition
+/// planes and hands the merged result over here.
+class ShardedScenario {
+ public:
+  ShardedScenario(Harness& harness, sim::ShardedEngine& eng)
+      : harness_(harness), eng_(eng) {}
+  ShardedScenario(const ShardedScenario&) = delete;
+  ShardedScenario& operator=(const ShardedScenario&) = delete;
+
+  sim::ShardedEngine& engine() { return eng_; }
+  /// Records a scalar result, as Scenario::metric.
+  void metric(const std::string& name, double value) {
+    metrics_[name] = value;
+  }
+  /// Hands over the health plane: a time-series store keyed by partition
+  /// index, its alert stream (the partitions evaluated Harness::slo_rules()
+  /// per sweep, so finish() evaluates none itself) and the post-mortems its
+  /// flight recorders could not write (they fail finish()).
+  /// --timeseries-out writes the store and the alerts print on stderr.
+  /// The first store handed over sets the dump's window.
+  void health(const TimeSeriesStore& store,
+              const std::vector<AlertEvent>& alerts, std::uint64_t lost_dumps);
+  /// Hands over the hot-key sketch and exemplars (--hotset-out,
+  /// --exemplars-out, --hot-keys).
+  void attribution(const HeavyHitters& hot,
+                   const trace::ExemplarStore& exemplars);
+
+ private:
+  friend class Harness;
+  Harness& harness_;
+  sim::ShardedEngine& eng_;
+  std::map<std::string, double> metrics_;
+};
+
 /// Runs scenarios and writes the requested files.
 class Harness {
  public:
@@ -124,6 +154,24 @@ class Harness {
   std::map<std::string, double> run(
       const std::string& scenario,
       const std::function<void(Scenario&)>& body);
+
+  /// Runs a sharded scenario: builds the engine from `spec` on the calling
+  /// thread under a reset registry, runs `setup` once per partition, then
+  /// run().  `wall_ns` times run() alone; everything else (build, setup,
+  /// registry collection, `report`, teardown) is `setup_ns`.  `report`
+  /// runs before teardown, so it can read the engine and the partitions'
+  /// results; the snapshot then proceeds as in run(), except that the
+  /// registry is not ingested into the time-series store, whose node ids
+  /// are the partitions' (ShardedScenario::health).  Returns the metrics
+  /// `report` recorded.
+  std::map<std::string, double> run_sharded(
+      const std::string& scenario, const sim::ShardedEngine::Spec& spec,
+      const std::function<void(sim::Shard&)>& setup,
+      const std::function<void(ShardedScenario&)>& report);
+
+  /// The parsed --slo rules, for a sharded bench to evaluate inside its
+  /// partitions' health planes (ShardedScenario::health).
+  const std::vector<SloRule>& slo_rules() const { return slo_rules_; }
 
   /// Writes the requested files.  Returns a process exit code: 1 when a
   /// file or a post-mortem dump could not be written, else 0.
@@ -149,6 +197,11 @@ class Harness {
     std::string critical_path_report;  // report, with --critical-path
   };
 
+  friend class ShardedScenario;
+
+  /// Adds the current registry to `snap`, stores it and returns its
+  /// metrics.
+  std::map<std::string, double> record(Snapshot snap);
   void write_bench_json(std::ostream& os) const;
   void write_wall_json(std::ostream& os) const;
 
@@ -157,13 +210,16 @@ class Harness {
   std::vector<SloRule> slo_rules_;
   std::vector<Snapshot> snapshots_;
   TimeSeriesStore store_;
+  std::vector<AlertEvent> alerts_;  // handed over by sharded scenarios
+  bool rules_evaluated_ = false;    // ... whose partitions ran slo_rules_
   /// --trace-out streams scenario by scenario, so it is open from the
   /// start; the other files are written whole by finish().
   std::ofstream trace_file_;
   std::unique_ptr<trace::ChromeTrace> trace_;
   /// Attribution sinks, fed across scenarios: the hot sink is installed
   /// thread-locally around each body; exemplars ingest from the tracer's
-  /// per-request critical paths after each scenario.
+  /// per-request critical paths after each scenario.  Sharded scenarios
+  /// hand theirs over instead (ShardedScenario::attribution).
   HeavyHitters hot_;
   trace::ExemplarStore exemplars_;
   std::uint64_t lost_dumps_ = 0;  // post-mortems no recorder could write

@@ -147,14 +147,15 @@ sim::Task<void> Hca::read(RemoteRegion target, std::size_t offset,
     co_await eng.delay(p.rdma_target_nic);
   }
   // Target HCA DMA-reads registered memory *now* — this is the observation
-  // instant; no target CPU is involved.
+  // instant; no target CPU is involved.  The bytes land in `dst` straight
+  // away: like on hardware, a reader of `dst` before completion races the
+  // NIC, so no staging copy is kept for the response's flight time.
   auto src = net_.hca(target.node)
                  .resolve(target.rkey, offset, dst.size(),
                           audit::AccessKind::kRead, "verbs.read");
-  std::vector<std::byte> in_flight(src.begin(), src.end());
+  std::copy(src.begin(), src.end(), dst.begin());
   // Response carries the payload back.
   co_await fab_.wire_transfer(target.node, node_, dst.size() + kHeaderBytes);
-  std::copy(in_flight.begin(), in_flight.end(), dst.begin());
   {
     DCS_TRACE_COST_SPAN(trace::Cost::kNic, "verbs", "nic.completion", node_);
     co_await eng.delay(p.rdma_completion);

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Unit tests for tools/bench_compare.py --wall: list-field reduction,
+"""Unit tests for tools/bench_compare.py --wall: ns/event of a scenario,
 the --max-ns-per-event ceiling and the peak_rss_mb report.
 
 Run directly (`python3 tests/bench_compare_wall_test.py`) or via ctest
@@ -25,26 +25,15 @@ class WallNsPerEventTest(unittest.TestCase):
         self.assertEqual(
             bench_compare.wall_ns_per_event("b/s", "baseline", doc), 42.5)
 
-    def test_list_events_are_summed(self):
-        doc = {"events": [10, 20, 30], "wall_ns": 600.0}
-        self.assertAlmostEqual(
-            bench_compare.wall_ns_per_event("b/s", "baseline", doc), 10.0)
-
-    def test_list_wall_ns_takes_the_busiest_worker(self):
-        doc = {"events": 100, "wall_ns": [100.0, 900.0, 500.0]}
-        self.assertAlmostEqual(
-            bench_compare.wall_ns_per_event("b/s", "baseline", doc), 9.0)
-
-    def test_lists_override_a_scalar_ns_per_event(self):
-        # A sharded doc's scalar ns_per_event is derived from whole-process
-        # wall time; the reduced (sum, max) pair is authoritative.
-        doc = {"events": [50, 50], "wall_ns": [400.0, 600.0],
-               "ns_per_event": 999.0}
-        self.assertAlmostEqual(
-            bench_compare.wall_ns_per_event("b/s", "baseline", doc), 6.0)
+    def test_list_valued_fields_raise_compare_error(self):
+        for doc in ({"events": [10, 20], "wall_ns": 600.0},
+                    {"events": 100, "wall_ns": [100.0, 900.0],
+                     "ns_per_event": 9.0}):
+            with self.assertRaises(bench_compare.CompareError):
+                bench_compare.wall_ns_per_event("b/s", "baseline", doc)
 
     def test_zero_events_yields_zero(self):
-        doc = {"events": [], "wall_ns": [100.0]}
+        doc = {"events": 0, "wall_ns": 100.0}
         self.assertEqual(
             bench_compare.wall_ns_per_event("b/s", "baseline", doc), 0.0)
 
@@ -65,54 +54,12 @@ class CompareWallScenarioTest(unittest.TestCase):
                                             notable)
         return notable
 
-    def test_mixed_scalar_and_list_docs_compare(self):
-        base = {"events": 100, "wall_ns": 1000.0, "ns_per_event": 10.0}
-        cand = {"events": [60, 40], "wall_ns": [1100.0, 800.0]}
-        notable = self._compare(base, cand)  # 10.0 -> 11.0 = +10%, under 15%
-        self.assertEqual(notable, [])
-
     def test_regression_beyond_threshold_is_notable(self):
-        base = {"events": [100], "wall_ns": [1000.0]}
-        cand = {"events": [100], "wall_ns": [2000.0]}
+        base = {"events": 100, "wall_ns": 1000.0}
+        cand = {"events": 100, "wall_ns": 2000.0}
         notable = self._compare(base, cand)
         self.assertEqual(len(notable), 1)
         self.assertIn("ns/event", notable[0])
-
-
-class EndToEndWallCompareTest(unittest.TestCase):
-    """Full main() run over two temp dirs with a sharded wall file."""
-
-    def _write(self, directory, wall_ns):
-        doc = {
-            "schema": "dcs-bench-wall-v1",
-            "bench": "datacenter_scale",
-            "scenarios": {
-                "zipf/nodes=256": {
-                    "virtual_ns": 509781,
-                    "events": [7778, 2085, 1289],
-                    "wall_ns": wall_ns,
-                    "events_per_sec": 1.0,
-                    "ns_per_event": 1927.25,
-                }
-            },
-        }
-        path = directory / "BENCH_datacenter_scale.wall.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
-
-    def test_wall_compare_exits_zero_on_sharded_files(self):
-        with tempfile.TemporaryDirectory() as tmp:
-            tmp = pathlib.Path(tmp)
-            (tmp / "base").mkdir()
-            (tmp / "cand").mkdir()
-            self._write(tmp / "base", [5000000.0, 3000000.0])
-            self._write(tmp / "cand", [4000000.0, 4500000.0])
-            argv = sys.argv
-            sys.argv = ["bench_compare.py", "--wall", str(tmp / "base"),
-                        str(tmp / "cand")]
-            try:
-                self.assertEqual(bench_compare.main(), 0)
-            finally:
-                sys.argv = argv
 
 
 def _run_main(argv):
@@ -146,9 +93,8 @@ class MaxNsPerEventTest(unittest.TestCase):
     def test_scenario_above_the_ceiling_exits_one(self):
         scenarios = {
             "fast": {"events": 100, "wall_ns": 1000.0, "ns_per_event": 10.0},
-            # A sharded doc reduces the same way as in the delta report:
-            # sum(events) over max(wall_ns) = 4000000 / 100.
-            "slow": {"events": [60, 40], "wall_ns": [4000000.0, 1.0]},
+            # No ns_per_event: wall_ns / events = 4000000 / 100.
+            "slow": {"events": 100, "wall_ns": 4000000.0},
         }
         self.assertEqual(bench_compare.over_ceiling(
             {"b": {"scenarios": scenarios}}, 10000.0),

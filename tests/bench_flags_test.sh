@@ -3,8 +3,7 @@
 # malformed number and a missing SLO rule file; each must exit 2 (and
 # never run a workload).  A bench with no batch sweep (all but
 # bench_ddss_latency and bench_ddss_ops) must also exit 2 naming the flag
-# on `--batch 4`, and bench_datacenter_scale on each observability flag
-# it has no sink for.
+# on `--batch 4`.
 #
 # Usage: tests/bench_flags_test.sh BENCH_BINARY...
 dir="$(mktemp -d)"
@@ -21,7 +20,7 @@ for bin in "$@"; do
     fi
   done
   case "$(basename "$bin")" in
-    bench_ddss_latency | bench_ddss_ops | bench_datacenter_scale) ;;
+    bench_ddss_latency | bench_ddss_ops) ;;
     *)
       "$bin" --batch 4 >/dev/null 2>"$dir/stderr"
       rc=$?
@@ -30,19 +29,6 @@ for bin in "$@"; do
         status=1
       fi ;;
   esac
-  [ "$(basename "$bin")" = bench_datacenter_scale ] || continue
-  for args in "--bench-json $dir/b.json" "--critical-path $dir/cp.txt" \
-    "--trace-out $dir/t.json" "--metrics-out $dir/m.txt" "--batch 4" \
-    "--postmortem-dir $dir"; do
-    # shellcheck disable=SC2086  # $args is deliberately word-split
-    "$bin" --nodes=64 $args >/dev/null 2>"$dir/stderr"
-    rc=$?
-    flag="${args%% *}"
-    if [ "$rc" -ne 2 ] || ! grep -q -- "$flag" "$dir/stderr"; then
-      echo "FAIL: $(basename "$bin") $args exited $rc, want 2 naming $flag"
-      status=1
-    fi
-  done
 done
 [ "$status" -eq 0 ] && echo "all $# benches reject bad flags with exit 2"
 exit "$status"

@@ -4,7 +4,8 @@
 // state would mix streams across partitions), merged on the main thread in
 // partition order, must produce dcs-hotset-v1 / dcs-exemplar-v1 dumps
 // byte-identical for every worker count.  Mirrors what
-// bench_datacenter_scale does with --hotset-out / --exemplars-out.
+// bench_datacenter_scale hands to obs::Harness (ShardedScenario::
+// attribution) with --hotset-out / --exemplars-out.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -84,7 +85,7 @@ Dumps run_grid(std::uint32_t workers) {
   });
   sharded.run();
   // Main-thread merge in partition order 0..P-1, the same discipline as
-  // TimeSeriesStore::merge in bench_datacenter_scale.
+  // the harness's merge of bench_datacenter_scale's partition slices.
   obs::HeavyHitters hot(8);
   trace::ExemplarStore exemplars;
   for (const Slice& s : slices) {

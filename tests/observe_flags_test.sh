@@ -2,10 +2,12 @@
 # Every observability flag a binary accepts is honoured.  Runs each `dcs`
 # run command and each bench with every file-valued flag at once and
 # asserts that each file exists and is non-empty, and that each bench
-# prints the same tables as a plain run beside it; then checks that two
-# `bench_sdp --trace-out` runs are byte-identical, that `dcs flame` reads
-# that trace, that an unwritable file or a lost post-mortem fails the run
-# with exit 1, and that `dcs wedge` writes its post-mortem.
+# prints the same tables as a plain run beside it (bench_datacenter_scale:
+# that its --bench-json is byte-identical at --shards=1/2/4 and that a
+# --slo burn rule fires in its partitions); then checks
+# that two `bench_sdp --trace-out` runs are byte-identical, that `dcs
+# flame` reads that trace, that an unwritable file or a lost post-mortem
+# fails the run with exit 1, and that `dcs wedge` writes its post-mortem.
 #
 # Usage: tests/observe_flags_test.sh DCS_BINARY BENCH_BINARY...
 dcs="$1"
@@ -42,9 +44,16 @@ observe() {
       want=1
       files="$(echo "$files" | sed 's/ trace.json//')" ;;
   esac
+  traced="--critical-path $out/critical_path.txt --trace-out $trace"
+  # A sharded run would need one tracer per partition engine, so
+  # bench_datacenter_scale rejects both tracer flags (checked below).
+  if [ "$name" = bench_datacenter_scale ]; then
+    traced=""
+    files="$(echo "$files" | sed 's/ critical_path.txt//; s/ trace.json//')"
+  fi
+  # shellcheck disable=SC2086  # $traced is deliberately word-split
   "$@" --bench-json "$out/bench.json" --bench-wall-json "$out/wall.json" \
-    --critical-path "$out/critical_path.txt" \
-    --metrics-out "$out/metrics.txt" --trace-out "$trace" \
+    --metrics-out "$out/metrics.txt" $traced \
     --timeseries-out "$out/timeseries.json" --slo "$dir/rules.slo" \
     --hotset-out "$out/hotset.json" --exemplars-out "$out/exemplars.json" \
     --postmortem-dir "$out/pm" >"$out/stdout" 2>"$out/stderr"
@@ -76,17 +85,53 @@ done
 for bin in "$@"; do
   name="$(basename "$bin")"
   if [ "$name" = bench_datacenter_scale ]; then
-    # It has no per-scenario sinks (bench_rejects_bad_flags pins that those
-    # flags exit 2): every flag it does honour, on a small cluster.
-    out="$dir/$name"
-    mkdir -p "$out/pm"
-    "$bin" --nodes=64 --bench-wall-json "$out/wall.json" \
-      --timeseries-out "$out/timeseries.json" --slo "$dir/rules.slo" \
-      --hotset-out "$out/hotset.json" --exemplars-out "$out/exemplars.json" \
-      --postmortem-dir "$out/pm" >/dev/null 2>"$out/stderr" ||
-      fail "$name exited $?: $(cat "$out/stderr")"
-    for f in wall.json timeseries.json hotset.json exemplars.json; do
-      [ -s "$out/$f" ] || fail "$name wrote no $f"
+    # Observing it runs the health plane inside the simulation, so its
+    # stdout is not compared with a plain run.  On a small cluster.
+    observe "$name" "$bin" --nodes=64
+    # The tracer flags have no sink there; a zero node count or scrape
+    # cadence is out of range.
+    for args in "--trace-out $dir/unused" "--critical-path $dir/unused" \
+      --nodes=0 --scrape-us=0; do
+      # shellcheck disable=SC2086  # $args is deliberately word-split
+      "$bin" --nodes=64 $args >/dev/null 2>"$dir/stderr"
+      rc=$?
+      flag="${args%% *}"
+      flag="${flag%%=*}"
+      { [ "$rc" -eq 2 ] && grep -q -- "$flag" "$dir/stderr"; } ||
+        fail "$name $args exited $rc, want 2 naming $flag"
+    done
+    # --slo rules run in every partition's health plane, sweep by sweep: on
+    # a hot shard a burn rule fires mid-run and writes its post-mortem, and
+    # a post-mortem that cannot be written fails the run.
+    echo "rule hot-burn burn series=scale.serve.slow total=scale.serve.total budget=0.05 postmortem" \
+      >"$dir/burn.slo"
+    mkdir -p "$dir/burn_pm"
+    "$bin" --nodes=64 --hot-shard=0 --slo "$dir/burn.slo" \
+      --postmortem-dir "$dir/burn_pm" >/dev/null 2>"$dir/stderr" ||
+      fail "$name --slo burn.slo exited $?: $(cat "$dir/stderr")"
+    grep -q "^ALERT .* hot-burn node=0 firing" "$dir/stderr" ||
+      fail "$name: the --slo burn rule did not fire on the hot shard"
+    grep -q hot-burn "$dir"/burn_pm/*.postmortem.json ||
+      fail "$name: the --slo burn rule wrote no post-mortem"
+    "$bin" --nodes=64 --hot-shard=0 --postmortem-dir "$dir/missing" \
+      >/dev/null 2>&1
+    rc=$?
+    [ "$rc" -eq 1 ] || fail "$name with a lost post-mortem exited $rc"
+    # sharded_bench_json_identical: the dcs-bench-v1 snapshot (fingerprint,
+    # per-partition events, collected registry) is byte-identical at every
+    # worker count.  --clients=64 puts 16 strands on each node, which queue
+    # on their local lock cohorts.
+    for args in "--nodes=256" "--nodes=64 --clients=64"; do
+      for w in 1 2 4; do
+        # shellcheck disable=SC2086  # $args is deliberately word-split
+        "$bin" $args --shards=$w --bench-json "$dir/sharded.$w.json" \
+          >/dev/null 2>"$dir/stderr" ||
+          fail "$name $args --shards=$w exited $?: $(cat "$dir/stderr")"
+      done
+      for w in 2 4; do
+        cmp -s "$dir/sharded.1.json" "$dir/sharded.$w.json" ||
+          fail "sharded_bench_json_identical: $name $args --bench-json differs between --shards=1 and --shards=$w"
+      done
     done
     continue
   fi

@@ -24,10 +24,9 @@ With --wall the directories hold BENCH_<name>.wall.json files
 ns/event instead.  Wall time is machine- and load-dependent, so --wall only
 REPORTS deltas beyond the threshold (default 15%) and exits zero; it
 exists to make throughput changes visible in CI logs, not to gate them.
-Sharded wall files (bench_datacenter_scale) carry list-valued `events`
-(per partition) and `wall_ns` (per worker); they are reduced to sum and
-max respectively before comparing ns/event.  Each bench's top-level
-`peak_rss_mb` (when both sides have it) is reported the same way.
+Every wall scenario carries scalar `events` and `wall_ns`; anything else
+is an input error (exit 2).  Each bench's top-level `peak_rss_mb` (when
+both sides have it) is reported the same way.
 
 --max-ns-per-event NS is the one wall-clock gate: an absolute ceiling, not
 a delta.  Any candidate scenario above NS ns/event is named and the script
@@ -137,33 +136,18 @@ def compare_scenario(label, base, cand, threshold, failures):
 
 
 def wall_ns_per_event(label, side, doc):
-    """ns/event for one wall scenario, reducing sharded list-valued fields.
-
-    Single-engine benches (src/obs/harness.cpp) write scalar `events`,
-    `wall_ns` and `ns_per_event`.  Sharded benches (bench_datacenter_scale)
-    write `events` as a per-partition list and `wall_ns` as a per-worker
-    list: partitions do unequal work and workers overlap in wall time, so
-    the faithful reduction is sum(events) over max(wall_ns) — the busiest
-    worker is the critical path.  When either field is a list the scalar
-    `ns_per_event` (if present) is ignored and recomputed from the reduced
-    values, so two runs at different --shards counts compare on the same
-    footing.
-    """
+    """ns/event for one wall scenario: its `ns_per_event`, else `wall_ns`
+    over `events`.  Both of those must be plain numbers."""
     events = doc.get("events")
     wall = doc.get("wall_ns")
-    has_lists = isinstance(events, list) or isinstance(wall, list)
-    if not has_lists and isinstance(doc.get("ns_per_event"), (int, float)):
-        return float(doc["ns_per_event"])
-    if isinstance(events, list):
-        events = sum(events)
-    if isinstance(wall, list):
-        wall = max(wall, default=0)
-    if not isinstance(events, (int, float)) or not isinstance(
-            wall, (int, float)):
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+               for v in (events, wall)):
         raise CompareError(
-            f"error: {side} scenario {label} has no usable \"ns_per_event\" "
-            f"or (\"events\", \"wall_ns\") pair — not a dcs-bench-wall-v1 "
-            f"scenario (mismatched BENCH pair?)")
+            f"error: {side} scenario {label} has no numeric \"events\" and "
+            f"\"wall_ns\" — not a dcs-bench-wall-v1 scenario "
+            f"(mismatched BENCH pair?)")
+    if isinstance(doc.get("ns_per_event"), (int, float)):
+        return float(doc["ns_per_event"])
     return float(wall) / float(events) if events else 0.0
 
 

@@ -2,8 +2,7 @@
 # Writes BENCH_<name>.json (dcs-bench-v1) for every bench binary in
 # BENCH_DIR into OUT_DIR; the paper tables go to /dev/null.  This is the
 # one bench list `tools/run_tier1.sh --bench-json` and CI's bench-smoke
-# job share: whatever bench/CMakeLists.txt builds.  bench_datacenter_scale
-# is skipped: it writes no dcs-bench-v1 snapshot (docs/SCALING.md).
+# job share: whatever bench/CMakeLists.txt builds.
 #
 # Usage: tools/run_benches.sh BENCH_DIR OUT_DIR
 set -eu
@@ -12,7 +11,6 @@ out="${2:?usage: run_benches.sh BENCH_DIR OUT_DIR}"
 mkdir -p "$out"
 for bin in "$bench_dir"/bench_*; do
   name="$(basename "$bin")"
-  [ "$name" = bench_datacenter_scale ] && continue
   "$bin" --bench-json "$out/BENCH_${name#bench_}.json" >/dev/null
 done
 echo "bench telemetry written to $out"
