@@ -172,30 +172,28 @@ sim::Task<void> CoopCacheService::dir_remove(NodeId from, DocId id,
 
 // --- data movement ---
 
-sim::Task<std::optional<std::vector<std::byte>>> CoopCacheService::remote_fetch(
-    NodeId proxy, NodeId holder, DocId id) {
+sim::Task<Body> CoopCacheService::remote_fetch(NodeId proxy, NodeId holder,
+                                               DocId id) {
   // Control handshake (locate the buffer) + RDMA read of the body.  The
   // holder's CPU stays out of the data path.
-  auto& store = store_of(holder);
-  const auto* body = store.get(id);
-  if (body == nullptr) co_return std::nullopt;  // raced with eviction
+  const Body body = store_of(holder).get(id);
+  if (body == nullptr) co_return nullptr;  // raced with eviction
   try {
     co_await net_.hca(proxy).raw_read(holder, body->size() + kDirEntryBytes);
   } catch (const verbs::RemoteTimeoutError&) {
     // Holder is down: its cached copies are gone; repair the soft state so
     // later lookups stop pointing at it.
     drop_node_cache(holder);
-    co_return std::nullopt;
+    co_return nullptr;
   }
-  // Re-check: the body pointer may have been invalidated while the read was
-  // in flight (another proxy inserting into the holder's LRU).
-  const auto* fresh = store_of(holder).get(id);
-  if (fresh == nullptr) co_return std::nullopt;
-  co_return *fresh;
+  // Re-check: the copy may have been evicted while the read was in flight
+  // (another proxy inserting into the holder's LRU).
+  co_return store_of(holder).get(id);
 }
 
-sim::Task<void> CoopCacheService::insert_with_directory(
-    NodeId actor, NodeId node, DocId id, std::vector<std::byte> body) {
+sim::Task<void> CoopCacheService::insert_with_directory(NodeId actor,
+                                                        NodeId node, DocId id,
+                                                        Body body) {
   std::vector<DocId> evicted;
   const bool cached = store_of(node).insert(
       id, std::move(body),
@@ -246,21 +244,21 @@ sim::Task<std::vector<std::byte>> CoopCacheService::serve(NodeId proxy,
 
 sim::Task<std::vector<std::byte>> CoopCacheService::serve_ac(NodeId proxy,
                                                              DocId id) {
-  if (const auto* body = store_of(proxy).get(id)) {
+  if (const Body body = store_of(proxy).get(id)) {
     ++stats_.local_hits;
     metrics().local_hits.add();
     co_return *body;
   }
   ++stats_.misses;
   metrics().misses.add();
-  auto body = co_await backend_.fetch(proxy, id);
+  const Body body = make_body(co_await backend_.fetch(proxy, id));
   (void)store_of(proxy).insert(id, body, [](DocId) {});  // AC: no directory
-  co_return body;
+  co_return *body;
 }
 
 sim::Task<std::vector<std::byte>> CoopCacheService::serve_bcc(NodeId proxy,
                                                               DocId id) {
-  if (const auto* body = store_of(proxy).get(id)) {
+  if (const Body body = store_of(proxy).get(id)) {
     ++stats_.local_hits;
     metrics().local_hits.add();
     co_return *body;
@@ -268,20 +266,21 @@ sim::Task<std::vector<std::byte>> CoopCacheService::serve_bcc(NodeId proxy,
   const auto holders = co_await dir_lookup(proxy, id);
   for (const NodeId holder : holders) {
     if (holder == proxy) continue;
-    auto body = co_await remote_fetch(proxy, holder, id);
-    if (body.has_value()) {
+    const Body body = co_await remote_fetch(proxy, holder, id);
+    if (body != nullptr) {
       ++stats_.remote_hits;
       metrics().remote_hits.add();
-      // Duplicate locally for future requests (BCC's defining behaviour).
-      co_await insert_with_directory(proxy, proxy, id, *body);
-      co_return std::move(*body);
+      // Duplicate locally for future requests (BCC's defining behaviour);
+      // the local copy shares the holder's buffer.
+      co_await insert_with_directory(proxy, proxy, id, body);
+      co_return *body;
     }
   }
   ++stats_.misses;
   metrics().misses.add();
-  auto body = co_await backend_.fetch(proxy, id);
+  const Body body = make_body(co_await backend_.fetch(proxy, id));
   co_await insert_with_directory(proxy, proxy, id, body);
-  co_return body;
+  co_return *body;
 }
 
 sim::Task<std::vector<std::byte>> CoopCacheService::serve_ccwr(NodeId proxy,
@@ -289,22 +288,22 @@ sim::Task<std::vector<std::byte>> CoopCacheService::serve_ccwr(NodeId proxy,
   // Single cluster-wide copy on the hash-designated node.
   const NodeId designated = directory_home(id);
   if (designated == proxy) {
-    if (const auto* body = store_of(proxy).get(id)) {
+    if (const Body body = store_of(proxy).get(id)) {
       ++stats_.local_hits;
       metrics().local_hits.add();
       co_return *body;
     }
   } else {
-    auto body = co_await remote_fetch(proxy, designated, id);
-    if (body.has_value()) {
+    const Body body = co_await remote_fetch(proxy, designated, id);
+    if (body != nullptr) {
       ++stats_.remote_hits;
       metrics().remote_hits.add();
-      co_return std::move(*body);  // no local duplicate
+      co_return *body;  // no local duplicate
     }
   }
   ++stats_.misses;
   metrics().misses.add();
-  auto body = co_await backend_.fetch(proxy, id);
+  const Body body = make_body(co_await backend_.fetch(proxy, id));
   if (designated == proxy) {
     co_await insert_with_directory(proxy, proxy, id, body);
   } else {
@@ -312,12 +311,12 @@ sim::Task<std::vector<std::byte>> CoopCacheService::serve_ccwr(NodeId proxy,
     // is down, serve without caching; the copy lands once it recovers.
     try {
       co_await net_.hca(proxy).raw_write(designated,
-                                         body.size() + kDirEntryBytes);
+                                         body->size() + kDirEntryBytes);
       co_await insert_with_directory(proxy, designated, id, body);
     } catch (const verbs::RemoteTimeoutError&) {
     }
   }
-  co_return body;
+  co_return *body;
 }
 
 }  // namespace dcs::cache

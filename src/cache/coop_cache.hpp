@@ -106,15 +106,14 @@ class CoopCacheService {
   sim::Task<void> dir_add(NodeId from, DocId id, NodeId holder);
   sim::Task<void> dir_remove(NodeId from, DocId id, NodeId holder);
 
-  /// Pulls a cached body from `holder` via RDMA read; nullopt if the copy
-  /// vanished (evicted) between the directory check and the read.
-  sim::Task<std::optional<std::vector<std::byte>>> remote_fetch(NodeId proxy,
-                                                                NodeId holder,
-                                                                DocId id);
+  /// Pulls a cached body from `holder` via RDMA read; null if the copy
+  /// vanished (evicted) between the directory check and the read.  The
+  /// result shares the holder's buffer.
+  sim::Task<Body> remote_fetch(NodeId proxy, NodeId holder, DocId id);
 
   /// Inserts into `node`'s store, fixing the directory on insert/evict.
   sim::Task<void> insert_with_directory(NodeId actor, NodeId node, DocId id,
-                                        std::vector<std::byte> body);
+                                        Body body);
 
   sim::Task<std::vector<std::byte>> serve_ac(NodeId proxy, DocId id);
   sim::Task<std::vector<std::byte>> serve_bcc(NodeId proxy, DocId id);

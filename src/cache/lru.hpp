@@ -1,8 +1,14 @@
 // Byte-capacity LRU document store used by every caching node.
+//
+// Cached bodies are immutable and shared: a copy duplicated into a second
+// store (a BCC remote hit) shares the holder's buffer, so host memory holds
+// one buffer per body while each store still charges the body's full size
+// against its own simulated capacity.
 #pragma once
 
 #include <cstdint>
 #include <list>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -12,6 +18,13 @@
 namespace dcs::cache {
 
 using datacenter::DocId;
+
+/// One cached document body, shared by every store that holds a copy.
+using Body = std::shared_ptr<const std::vector<std::byte>>;
+
+inline Body make_body(std::vector<std::byte> bytes) {
+  return std::make_shared<const std::vector<std::byte>>(std::move(bytes));
+}
 
 class LruStore {
  public:
@@ -23,12 +36,13 @@ class LruStore {
   std::size_t count() const { return index_.size(); }
   bool contains(DocId id) const { return index_.contains(id); }
 
-  /// Returns the body and marks the entry most-recently used.
-  const std::vector<std::byte>* get(DocId id) {
+  /// Returns the body (null when absent) and marks the entry
+  /// most-recently used.
+  Body get(DocId id) {
     const auto it = index_.find(id);
     if (it == index_.end()) return nullptr;
     entries_.splice(entries_.begin(), entries_, it->second);
-    return &it->second->body;
+    return it->second->body;
   }
 
   /// Inserts (replacing any existing copy).  Evicted victims are reported
@@ -36,20 +50,21 @@ class LruStore {
   /// Bodies larger than the whole capacity are not cached: returns false
   /// and evicts nothing.
   template <typename OnEvict>
-  [[nodiscard]] bool insert(DocId id, std::vector<std::byte> body,
-                            OnEvict&& on_evict) {
-    if (body.size() > capacity_) return false;
+  [[nodiscard]] bool insert(DocId id, Body body, OnEvict&& on_evict) {
+    DCS_CHECK(body != nullptr);
+    const std::size_t size = body->size();
+    if (size > capacity_) return false;
     erase(id);
-    while (bytes_used_ + body.size() > capacity_) {
+    while (bytes_used_ + size > capacity_) {
       DCS_CHECK(!entries_.empty());
       const Entry& victim = entries_.back();
       on_evict(victim.id);
-      bytes_used_ -= victim.body.size();
+      bytes_used_ -= victim.body->size();
       index_.erase(victim.id);
       entries_.pop_back();
       ++evictions_;
     }
-    bytes_used_ += body.size();
+    bytes_used_ += size;
     entries_.push_front(Entry{id, std::move(body)});
     index_[id] = entries_.begin();
     return true;
@@ -58,7 +73,7 @@ class LruStore {
   bool erase(DocId id) {
     const auto it = index_.find(id);
     if (it == index_.end()) return false;
-    bytes_used_ -= it->second->body.size();
+    bytes_used_ -= it->second->body->size();
     entries_.erase(it->second);
     index_.erase(it);
     return true;
@@ -69,7 +84,7 @@ class LruStore {
  private:
   struct Entry {
     DocId id;
-    std::vector<std::byte> body;
+    Body body;
   };
 
   std::size_t capacity_;

@@ -1,5 +1,7 @@
 #include "cache/remote_pager.hpp"
 
+#include "common/bytes.hpp"
+
 namespace dcs::cache {
 
 RemoteBlockCache::RemoteBlockCache(verbs::Network& net, NodeId self,
@@ -17,11 +19,8 @@ RemoteBlockCache::RemoteBlockCache(verbs::Network& net, NodeId self,
 
 std::vector<std::byte> RemoteBlockCache::disk_content(
     std::uint64_t block_id) const {
-  std::vector<std::byte> body(config_.block_bytes);
-  for (std::size_t i = 0; i < body.size(); ++i) {
-    body[i] = static_cast<std::byte>((block_id * 41 + i * 13) & 0xff);
-  }
-  return body;
+  return affine_bytes(config_.block_bytes,
+                      static_cast<std::uint8_t>(block_id * 41), 13);
 }
 
 sim::Task<std::vector<std::byte>> RemoteBlockCache::disk_read(
@@ -76,7 +75,7 @@ sim::Task<void> RemoteBlockCache::evict_to_remote(
 sim::Task<std::vector<std::byte>> RemoteBlockCache::read_block(
     std::uint64_t block_id) {
   // 1. local page cache
-  if (const auto* body = local_.get(static_cast<DocId>(block_id))) {
+  if (const Body body = local_.get(static_cast<DocId>(block_id))) {
     ++stats_.local_hits;
     co_return *body;
   }
@@ -119,15 +118,16 @@ sim::Task<std::vector<std::byte>> RemoteBlockCache::read_block(
   // Insert locally; push the LRU victims to remote memory.  The eviction
   // callback cannot run coroutines, so victims are collected then pushed.
   std::vector<DocId> evicted_ids;
+  const Body cached = make_body(std::move(body));
   (void)local_.insert(
-      static_cast<DocId>(block_id), body,
+      static_cast<DocId>(block_id), cached,
       [&evicted_ids](DocId victim) { evicted_ids.push_back(victim); });
   for (const DocId victim : evicted_ids) {
     // Reconstruct the victim's contents: blocks are clean (read cache), so
     // the canonical bytes equal the disk content.
     co_await evict_to_remote(victim, disk_content(victim));
   }
-  co_return body;
+  co_return *cached;
 }
 
 }  // namespace dcs::cache

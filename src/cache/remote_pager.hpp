@@ -52,7 +52,8 @@ class RemoteBlockCache {
   const PagerStats& stats() const { return stats_; }
   std::size_t remote_blocks() const { return remote_index_.size(); }
 
-  /// Deterministic on-disk content of a block.
+  /// Deterministic on-disk content of a block: byte i is
+  /// (41 * block_id + 13 * i) mod 256.
   std::vector<std::byte> disk_content(std::uint64_t block_id) const;
 
  private:

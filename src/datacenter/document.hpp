@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/bytes.hpp"
 #include "common/check.hpp"
 
 namespace dcs::datacenter {
@@ -31,11 +32,8 @@ class DocumentStore {
   /// Deterministic content: byte k of doc d is (d * 131 + k * 7) & 0xff.
   std::vector<std::byte> content(DocId id) const {
     DCS_CHECK(id < config_.num_docs);
-    std::vector<std::byte> bytes(config_.doc_bytes);
-    for (std::size_t k = 0; k < bytes.size(); ++k) {
-      bytes[k] = static_cast<std::byte>((id * 131u + k * 7u) & 0xffu);
-    }
-    return bytes;
+    return affine_bytes(config_.doc_bytes,
+                        static_cast<std::uint8_t>(id * 131u), 7);
   }
 
   /// Cheap integrity check used by tests and clients.

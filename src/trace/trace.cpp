@@ -1,26 +1,34 @@
 #include "trace/trace.hpp"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
+#include <charconv>
 #include <ostream>
 #include <set>
+#include <string_view>
 #include <utility>
 
 #include "common/check.hpp"
+#include "common/flat_map.hpp"
 #include "common/json.hpp"
 
 namespace dcs::trace {
 
 namespace {
 
-/// Nanoseconds rendered as microseconds with exactly 3 decimals (Chrome's
+void append_uint(std::string& out, std::uint64_t v) {
+  char buf[20];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
+
+/// Appends nanoseconds as microseconds with exactly 3 decimals (Chrome's
 /// `ts`/`dur` unit is microseconds).
-std::string ns_as_us(SimNanos t) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64 ".%03" PRIu64, t / 1000,
-                t % 1000);
-  return buf;
+void append_us(std::string& out, SimNanos t) {
+  append_uint(out, t / 1000);
+  const auto frac = static_cast<unsigned>(t % 1000);
+  const char digits[4] = {'.', static_cast<char>('0' + frac / 100),
+                          static_cast<char>('0' + frac / 10 % 10),
+                          static_cast<char>('0' + frac % 10)};
+  out.append(digits, sizeof digits);
 }
 
 }  // namespace
@@ -279,18 +287,42 @@ void ChromeTrace::add(const Tracer& tracer, const std::string& label) {
   // Metadata: pid = simulated node (after earlier runs' pids), tid =
   // category (first-seen order).
   const std::uint32_t pid_base = next_pid_;
-  std::map<std::string, std::uint32_t, std::less<>> tids;
+  // Categories, names and details are literals (rule R4), so a run has a
+  // handful of distinct pointers.  This pass escapes each one once and
+  // numbers the categories; equal strings behind distinct pointers share
+  // one tid.
+  const auto key = [](const char* text) {
+    return reinterpret_cast<std::uintptr_t>(text);
+  };
+  common::FlatMap<std::uintptr_t, std::string> escaped;
+  const auto intern = [&](const char* text) {
+    if (text == nullptr) return;
+    const auto [it, added] = escaped.emplace(key(text));
+    if (added) it->second = json_escape(text);
+  };
+  common::FlatMap<std::uintptr_t, std::uint32_t> tid_of;
+  std::map<std::string_view, std::uint32_t> tid_by_name;
   std::vector<const char*> tid_names;
   std::set<std::uint32_t> nodes;
   std::uint64_t last_request = 0, last_span = 0;
   for (const auto& ev : events) {
-    if (tids.emplace(ev.category, tids.size()).second) {
-      tid_names.push_back(ev.category);
+    const auto [tid, fresh] = tid_of.emplace(key(ev.category));
+    if (fresh) {
+      const auto [named, added] = tid_by_name.emplace(
+          ev.category, static_cast<std::uint32_t>(tid_names.size()));
+      if (added) tid_names.push_back(ev.category);
+      tid->second = named->second;
     }
+    intern(ev.category);
+    intern(ev.name);
+    intern(ev.detail);
     nodes.insert(ev.node);
     last_request = std::max(last_request, ev.request);
     last_span = std::max({last_span, ev.span, ev.parent});
   }
+  const auto esc = [&](const char* text) -> const std::string& {
+    return escaped.find(key(text))->second;
+  };
   const std::string prefix = label.empty() ? "node " : label + " node ";
   for (const std::uint32_t n : nodes) {
     next_line();
@@ -303,35 +335,59 @@ void ChromeTrace::add(const Tracer& tracer, const std::string& label) {
       next_line();
       os_ << "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":"
           << pid_base + n << ",\"tid\":" << t << ",\"args\":{\"name\":\""
-          << json_escape(tid_names[t]) << "\"}}";
+          << esc(tid_names[t]) << "\"}}";
     }
   }
 
+  std::string line;  // one event's JSON, reused across events
   for (const auto& ev : events) {
-    next_line();
     // Request roots ('R') render as complete spans; Chrome has no native
     // request phase.
-    os_ << "{\"ph\":\"" << (ev.phase == 'i' ? 'i' : 'X')
-        << "\",\"cat\":\"" << json_escape(ev.category) << "\",\"name\":\""
-        << json_escape(ev.name) << "\",\"pid\":" << pid_base + ev.node
-        << ",\"tid\":" << tids.find(std::string_view(ev.category))->second
-        << ",\"ts\":" << ns_as_us(ev.start);
+    line.assign("{\"ph\":\"");
+    line += ev.phase == 'i' ? 'i' : 'X';
+    line += "\",\"cat\":\"";
+    line += esc(ev.category);
+    line += "\",\"name\":\"";
+    line += esc(ev.name);
+    line += "\",\"pid\":";
+    append_uint(line, pid_base + ev.node);
+    line += ",\"tid\":";
+    append_uint(line, tid_of.find(key(ev.category))->second);
+    line += ",\"ts\":";
+    append_us(line, ev.start);
     if (ev.phase != 'i') {
-      os_ << ",\"dur\":" << ns_as_us(ev.end - ev.start);
+      line += ",\"dur\":";
+      append_us(line, ev.end - ev.start);
     } else {
-      os_ << ",\"s\":\"t\"";
+      line += ",\"s\":\"t\"";
     }
-    os_ << ",\"args\":{\"id\":" << ev.id;
+    line += ",\"args\":{\"id\":";
+    append_uint(line, ev.id);
     if (ev.detail != nullptr) {
-      os_ << ",\"detail\":\"" << json_escape(ev.detail) << '"';
+      line += ",\"detail\":\"";
+      line += esc(ev.detail);
+      line += '"';
     }
-    if (ev.request != 0) os_ << ",\"request\":" << request_base_ + ev.request;
-    if (ev.span != 0) os_ << ",\"span\":" << span_base_ + ev.span;
-    if (ev.parent != 0) os_ << ",\"parent\":" << span_base_ + ev.parent;
+    if (ev.request != 0) {
+      line += ",\"request\":";
+      append_uint(line, request_base_ + ev.request);
+    }
+    if (ev.span != 0) {
+      line += ",\"span\":";
+      append_uint(line, span_base_ + ev.span);
+    }
+    if (ev.parent != 0) {
+      line += ",\"parent\":";
+      append_uint(line, span_base_ + ev.parent);
+    }
     if (ev.cost != Cost::kNone) {
-      os_ << ",\"cost\":\"" << to_string(ev.cost) << '"';
+      line += ",\"cost\":\"";
+      line += to_string(ev.cost);
+      line += '"';
     }
-    os_ << "}}";
+    line += "}}";
+    next_line();
+    os_.write(line.data(), static_cast<std::streamsize>(line.size()));
   }
   events_ += events.size();
   if (!nodes.empty()) next_pid_ = pid_base + *nodes.rbegin() + 1;

@@ -11,9 +11,13 @@ namespace {
 
 // --- LruStore ---
 
+Body body_of(std::size_t bytes) {
+  return make_body(std::vector<std::byte>(bytes));
+}
+
 TEST(LruStoreTest, InsertGetRoundTrip) {
   LruStore lru(1000);
-  ASSERT_TRUE(lru.insert(1, std::vector<std::byte>(100), [](DocId) {}));
+  ASSERT_TRUE(lru.insert(1, body_of(100), [](DocId) {}));
   ASSERT_NE(lru.get(1), nullptr);
   EXPECT_EQ(lru.get(1)->size(), 100u);
   EXPECT_EQ(lru.bytes_used(), 100u);
@@ -23,11 +27,11 @@ TEST(LruStoreTest, EvictsLeastRecentlyUsed) {
   LruStore lru(300);
   std::vector<DocId> evicted;
   auto track = [&evicted](DocId id) { evicted.push_back(id); };
-  ASSERT_TRUE(lru.insert(1, std::vector<std::byte>(100), track));
-  ASSERT_TRUE(lru.insert(2, std::vector<std::byte>(100), track));
-  ASSERT_TRUE(lru.insert(3, std::vector<std::byte>(100), track));
+  ASSERT_TRUE(lru.insert(1, body_of(100), track));
+  ASSERT_TRUE(lru.insert(2, body_of(100), track));
+  ASSERT_TRUE(lru.insert(3, body_of(100), track));
   (void)lru.get(1);  // touch 1 so 2 is now the LRU victim
-  ASSERT_TRUE(lru.insert(4, std::vector<std::byte>(100), track));
+  ASSERT_TRUE(lru.insert(4, body_of(100), track));
   EXPECT_EQ(evicted, (std::vector<DocId>{2}));
   EXPECT_TRUE(lru.contains(1));
   EXPECT_FALSE(lru.contains(2));
@@ -35,24 +39,52 @@ TEST(LruStoreTest, EvictsLeastRecentlyUsed) {
 
 TEST(LruStoreTest, OversizedBodyRejected) {
   LruStore lru(100);
-  EXPECT_FALSE(lru.insert(1, std::vector<std::byte>(200), [](DocId) {}));
+  EXPECT_FALSE(lru.insert(1, body_of(200), [](DocId) {}));
   EXPECT_EQ(lru.count(), 0u);
 }
 
 TEST(LruStoreTest, ReinsertReplacesWithoutDuplicate) {
   LruStore lru(1000);
-  ASSERT_TRUE(lru.insert(1, std::vector<std::byte>(100), [](DocId) {}));
-  ASSERT_TRUE(lru.insert(1, std::vector<std::byte>(200), [](DocId) {}));
+  ASSERT_TRUE(lru.insert(1, body_of(100), [](DocId) {}));
+  ASSERT_TRUE(lru.insert(1, body_of(200), [](DocId) {}));
   EXPECT_EQ(lru.count(), 1u);
   EXPECT_EQ(lru.bytes_used(), 200u);
 }
 
 TEST(LruStoreTest, EraseFreesSpace) {
   LruStore lru(100);
-  ASSERT_TRUE(lru.insert(1, std::vector<std::byte>(100), [](DocId) {}));
+  ASSERT_TRUE(lru.insert(1, body_of(100), [](DocId) {}));
   EXPECT_TRUE(lru.erase(1));
   EXPECT_FALSE(lru.erase(1));
   EXPECT_EQ(lru.bytes_used(), 0u);
+}
+
+TEST(LruStoreTest, SharedBodyChargedToEachStore) {
+  LruStore a(1000);
+  LruStore b(1000);
+  const Body body = body_of(300);
+  ASSERT_TRUE(a.insert(1, body, [](DocId) {}));
+  ASSERT_TRUE(b.insert(1, body, [](DocId) {}));
+  EXPECT_EQ(a.bytes_used(), 300u);
+  EXPECT_EQ(b.bytes_used(), 300u);
+  EXPECT_EQ(a.get(1), b.get(1)) << "both stores share one buffer";
+}
+
+TEST(LruStoreTest, EvictingSharedBodyLeavesOtherCopyReadable) {
+  LruStore a(500);
+  LruStore b(1000);
+  Body body = make_body(std::vector<std::byte>(300, std::byte{42}));
+  ASSERT_TRUE(a.insert(1, body, [](DocId) {}));
+  ASSERT_TRUE(b.insert(1, std::move(body), [](DocId) {}));
+  std::vector<DocId> evicted;
+  ASSERT_TRUE(a.insert(2, body_of(300),
+                       [&evicted](DocId id) { evicted.push_back(id); }));
+  EXPECT_EQ(evicted, (std::vector<DocId>{1}));
+  EXPECT_EQ(a.get(1), nullptr);
+  const Body kept = b.get(1);
+  ASSERT_NE(kept, nullptr);
+  EXPECT_EQ(*kept, std::vector<std::byte>(300, std::byte{42}));
+  EXPECT_EQ(b.bytes_used(), 300u);
 }
 
 // --- cooperative caching world ---
@@ -118,6 +150,23 @@ TEST(CoopCacheTest, BccSiblingProxyGetsRemoteHit) {
   // BCC duplicates: the second proxy now hits locally.
   (void)w.request(2, 5);
   EXPECT_EQ(w.cache.stats().local_hits, 1u);
+}
+
+TEST(CoopCacheTest, BccRemoteHitSharesBodyAndAuditsClean) {
+  CacheWorld w(Scheme::kBCC, 4096, 20, 1u << 20);
+  (void)w.request(1, 5);
+  const auto body = w.request(2, 5);
+  ASSERT_EQ(w.cache.stats().remote_hits, 1u);
+  EXPECT_TRUE(w.store.verify(5, body));
+  // The duplicate shares the holder's buffer but is charged to both stores.
+  EXPECT_EQ(w.cache.cached_bytes(1), 4096u);
+  EXPECT_EQ(w.cache.cached_bytes(2), 4096u);
+  EXPECT_EQ(w.cache.audit(), "");
+  // Dropping the holder's copy leaves the duplicate intact.
+  w.cache.drop_node_cache(1);
+  EXPECT_TRUE(w.store.verify(5, w.request(2, 5)));
+  EXPECT_EQ(w.cache.stats().local_hits, 1u);
+  EXPECT_EQ(w.cache.audit(), "");
 }
 
 TEST(CoopCacheTest, RemoteHitFasterThanBackendMiss) {

@@ -20,6 +20,24 @@ TEST(DocumentStoreTest, ContentDeterministicAndVerifiable) {
   EXPECT_FALSE(store.verify(4, a));
 }
 
+TEST(DocumentStoreTest, ContentMatchesClosedForm) {
+  // Ids at and above 2^25 make id * 131 wrap in 32 bits.
+  constexpr DocId kDocs = (1u << 26) + 1;
+  for (const std::size_t size : {1, 255, 256, 257, 16384, 65537}) {
+    const DocumentStore store({.num_docs = kDocs, .doc_bytes = size});
+    for (const DocId id : {0u, 1u, 77u, 1u << 25, (1u << 25) + 3, kDocs - 1}) {
+      const auto body = store.content(id);
+      ASSERT_EQ(body.size(), size);
+      for (std::size_t k = 0; k < size; ++k) {
+        const auto want = static_cast<std::byte>(
+            (std::uint64_t{id} * 131 + std::uint64_t{k} * 7) % 256);
+        ASSERT_EQ(body[k], want) << "doc " << id << " size " << size
+                                 << " byte " << k;
+      }
+    }
+  }
+}
+
 TEST(DocumentStoreTest, CorruptionDetected) {
   DocumentStore store({.num_docs = 4, .doc_bytes = 256});
   auto body = store.content(1);

@@ -28,6 +28,7 @@ done <<'EOF'
 --requests cache --requests 0
 --file-kb cache --file-kb 0
 --file-kb cache --file-kb 2048 --ws-mb 1
+--ws-mb cache --ws-mb 2097151 --file-kb 1
 --scheme cache --scheme foo
 --waiters locks --waiters 0
 --waiters locks --waiters abc

@@ -36,6 +36,24 @@ TEST_F(PagerFixture, FirstReadComesFromDisk) {
   EXPECT_EQ(cache.stats().local_hits, 0u);
 }
 
+TEST_F(PagerFixture, DiskContentMatchesClosedForm) {
+  for (const std::size_t size : {1, 255, 256, 257, 16384, 65537}) {
+    RemoteBlockCache cache(net, 0, {1, 2}, {.block_bytes = size});
+    for (const std::uint64_t block :
+         {std::uint64_t{0}, std::uint64_t{7}, std::uint64_t{1} << 25,
+          (std::uint64_t{1} << 25) + 3, ~std::uint64_t{0}}) {
+      const auto body = cache.disk_content(block);
+      ASSERT_EQ(body.size(), size);
+      for (std::size_t i = 0; i < size; ++i) {
+        const auto want =
+            static_cast<std::byte>((block % 256 * 41 + i % 256 * 13) % 256);
+        ASSERT_EQ(body[i], want) << "block " << block << " size " << size
+                                 << " byte " << i;
+      }
+    }
+  }
+}
+
 TEST_F(PagerFixture, SecondReadHitsLocalCache) {
   RemoteBlockCache cache(net, 0, {1, 2});
   (void)read_one(cache, 7);

@@ -174,6 +174,17 @@ int cmd_cache(const Args& args, const obs::HarnessOptions& flags) {
   const std::size_t file_bytes =
       static_cast<std::size_t>(args.num("file-kb", 16, 1, ws_mb * 1024)) *
       1024;
+  // The Zipf trace keeps a CDF and a permutation entry per document.
+  constexpr std::size_t kMaxDocs = std::size_t{1} << 24;
+  const std::size_t num_docs =
+      static_cast<std::size_t>(ws_mb) * 1024 * 1024 / file_bytes;
+  if (num_docs > kMaxDocs) {
+    std::fprintf(stderr,
+                 "--ws-mb: expected at most %zu documents of %zu KB, got "
+                 "%zu\n",
+                 kMaxDocs, file_bytes / 1024, num_docs);
+    std::exit(2);
+  }
   const double alpha = args.real("alpha", 0.75, 0.0);
   const auto requests =
       static_cast<std::size_t>(args.num("requests", 3000, 1));
@@ -199,8 +210,6 @@ int cmd_cache(const Args& args, const obs::HarnessOptions& flags) {
     backends = {static_cast<fabric::NodeId>(4 + proxies_n),
                 static_cast<fabric::NodeId>(5 + proxies_n)};
 
-    const std::size_t num_docs =
-        static_cast<std::size_t>(ws_mb) * 1024 * 1024 / file_bytes;
     datacenter::DocumentStore store(
         {.num_docs = num_docs, .doc_bytes = file_bytes});
     datacenter::BackendService backend(tcp, store, backends);
