@@ -139,43 +139,6 @@ void throughput_scenario(obs::Scenario& s, Scheme scheme, int nodes) {
            static_cast<double>(total_ops) / to_secs(w.eng.now()) / 1000.0);
 }
 
-/// One scheme's column of the latency, throughput and Figure 5 tables.
-struct Column {
-  double roundtrip_us[2];             // indexed like kModes
-  std::vector<double> kops_per_s;     // per kContenders
-  std::vector<double> cascade_us[2];  // indexed like kModes, per kWaiters
-};
-
-Column run_scheme(obs::Harness& h, Scheme scheme) {
-  const std::string suffix = name_of(scheme);
-  Column col;
-  for (std::size_t m = 0; m < 2; ++m) {
-    const LockMode mode = kModes[m];
-    const bool shared = mode == LockMode::kShared;
-    col.roundtrip_us[m] =
-        h.run(std::string("uncontended/") + (shared ? "shared/" : "") + suffix,
-              [=](obs::Scenario& s) { roundtrip_scenario(s, scheme, mode); })
-            .at("roundtrip_us");
-    for (const int n : kWaiters) {
-      const std::string name = std::string("cascade/") +
-                               (shared ? "shared/" : "exclusive/") +
-                               std::to_string(n) + "/" + suffix;
-      col.cascade_us[m].push_back(h.run(name, [=](obs::Scenario& s) {
-                                     World w(s.engine(), scheme);
-                                     s.metric("cascade_us",
-                                              cascade_latency_on(w, mode, n));
-                                   }).at("cascade_us"));
-    }
-  }
-  for (const int nodes : kContenders) {
-    col.kops_per_s.push_back(
-        h.run("throughput/" + std::to_string(nodes) + "/" + suffix,
-              [=](obs::Scenario& s) { throughput_scenario(s, scheme, nodes); })
-            .at("kops_per_s"));
-  }
-  return col;
-}
-
 /// Figure 4's operations; each is counted as "<key>.one_sided_ops" and
 /// "<key>.messages".
 struct Fig4Step {
@@ -223,37 +186,60 @@ void print_fig4_op_counts(obs::Harness& h) {
       "(paper: one CAS / one FAA, no messages)");
 }
 
-void print_op_latency_table(const std::vector<Column>& cols) {
+void print_op_latency_table(obs::Harness& h) {
   Table table({"scheme", "excl lock+unlock (us)", "shared lock+unlock (us)"});
-  for (std::size_t c = 0; c < kSchemes.size(); ++c) {
-    table.add_row(name_of(kSchemes[c]),
-                  {cols[c].roundtrip_us[0], cols[c].roundtrip_us[1]}, 1);
+  for (const Scheme scheme : kSchemes) {
+    std::vector<double> row;
+    for (const LockMode mode : kModes) {
+      const bool shared = mode == LockMode::kShared;
+      row.push_back(
+          h.run(std::string("uncontended/") + (shared ? "shared/" : "") +
+                    name_of(scheme),
+                [=](obs::Scenario& s) { roundtrip_scenario(s, scheme, mode); })
+              .at("roundtrip_us"));
+    }
+    table.add_row(name_of(scheme), row, 1);
   }
   table.print(
       "Uncontended lock+unlock round-trip latency "
       "(one-sided atomics vs server messaging)");
 }
 
-void print_throughput_table(const std::vector<Column>& cols) {
+void print_throughput_table(obs::Harness& h) {
   Table table({"contending nodes", "SRSL kops/s", "DQNL kops/s",
                "N-CoSED kops/s"});
-  for (std::size_t r = 0; r < kContenders.size(); ++r) {
+  for (const int nodes : kContenders) {
     std::vector<double> row;
-    for (const Column& col : cols) row.push_back(col.kops_per_s[r]);
-    table.add_row(std::to_string(kContenders[r]), row, 1);
+    for (const Scheme scheme : kSchemes) {
+      row.push_back(
+          h.run("throughput/" + std::to_string(nodes) + "/" + name_of(scheme),
+                [=](obs::Scenario& s) {
+                  throughput_scenario(s, scheme, nodes);
+                })
+              .at("kops_per_s"));
+    }
+    table.add_row(std::to_string(nodes), row, 1);
   }
   table.print(
       "Exclusive lock throughput under contention (kops/s, one hot lock)");
 }
 
-void print_fig5(const std::vector<Column>& cols, LockMode mode,
-                const char* title) {
-  const std::size_t m = mode == LockMode::kShared ? 1 : 0;
+void print_fig5(obs::Harness& h, LockMode mode, const char* title) {
+  const std::string prefix =
+      mode == LockMode::kShared ? "cascade/shared/" : "cascade/exclusive/";
   Table table({"# waiting", "SRSL (us)", "DQNL (us)", "N-CoSED (us)"});
-  for (std::size_t r = 0; r < kWaiters.size(); ++r) {
+  for (const int n : kWaiters) {
     std::vector<double> row;
-    for (const Column& col : cols) row.push_back(col.cascade_us[m][r]);
-    table.add_row(std::to_string(kWaiters[r]), row, 1);
+    for (const Scheme scheme : kSchemes) {
+      row.push_back(h.run(prefix + std::to_string(n) + "/" + name_of(scheme),
+                          [=](obs::Scenario& s) {
+                            World w(s.engine(), scheme);
+                            s.metric("cascade_us",
+                                     cascade_latency_on(w, mode, n));
+                          })
+                        .at("cascade_us"));
+    }
+    table.add_row(std::to_string(n), row, 1);
   }
   table.print(title);
 }
@@ -265,19 +251,13 @@ int main(int argc, char** argv) {
   obs::reject_unknown_args(argc, argv);
   obs::reject_unsupported("dlm_cascade", opts.batch != 0, "--batch");
   obs::Harness h("dlm_cascade", opts);
-  // Scheme-major, in the order the dcs-bench-v1 history was recorded: a
-  // registry snapshot lists every metric name an earlier scenario
-  // registered, so interleaving the schemes would add later schemes' zero
-  // counters to SRSL's and DQNL's snapshots.
-  std::vector<Column> cols;
-  for (const Scheme scheme : kSchemes) cols.push_back(run_scheme(h, scheme));
   print_fig4_op_counts(h);
-  print_op_latency_table(cols);
-  print_throughput_table(cols);
-  print_fig5(cols, LockMode::kShared,
+  print_op_latency_table(h);
+  print_throughput_table(h);
+  print_fig5(h, LockMode::kShared,
              "Figure 5a — shared-lock cascade latency after release "
              "(paper: N-CoSED up to ~317 % better than DQNL at 16)");
-  print_fig5(cols, LockMode::kExclusive,
+  print_fig5(h, LockMode::kExclusive,
              "Figure 5b — exclusive-lock cascade latency after release "
              "(paper: N-CoSED ~39 % better than SRSL)");
   return h.finish();

@@ -219,9 +219,6 @@ int main(int argc, char** argv) {
   obs::reject_unknown_args(argc, argv);
   obs::reject_unsupported("integrated", opts.batch != 0, "--batch");
   obs::Harness h("integrated", opts);
-  // The transport pair runs first, as its dcs-bench-v1 history was
-  // recorded: a registry snapshot lists every metric name an earlier
-  // scenario registered.
   h.run("two-sided", [](obs::Scenario& s) {
     run_transport(s, datacenter::BackendTransport::kTcp);
   });

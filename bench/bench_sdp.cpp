@@ -131,11 +131,9 @@ int main(int argc, char** argv) {
   obs::reject_unknown_args(argc, argv);
   obs::reject_unsupported("sdp", opts.batch != 0, "--batch");
   obs::Harness h("sdp", opts);
-  // One fixed 32 KB x 16 stream per mode runs first, as its dcs-bench-v1
-  // history was recorded (a registry snapshot lists every metric name an
-  // earlier scenario registered).  `--trace-out` shows the three modes'
-  // sends, receives and stall spans side by side, byte-identical run to
-  // run (docs/OBSERVABILITY.md).
+  // One fixed 32 KB x 16 stream per mode: `--trace-out` shows the three
+  // modes' sends, receives and stall spans side by side, byte-identical run
+  // to run (docs/OBSERVABILITY.md).
   for (const SdpMode mode : kModes) {
     h.run(std::string("stream/") + to_string(mode), [mode](obs::Scenario& s) {
       stream_scenario(s, mode, 32768, 16);

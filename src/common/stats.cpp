@@ -86,6 +86,11 @@ std::uint64_t LogHistogram::bucket_count(std::size_t bucket) const {
   return buckets_[bucket];
 }
 
+void LogHistogram::merge(const LogHistogram& other) {
+  for (std::size_t b = 0; b < kBuckets; ++b) buckets_[b] += other.buckets_[b];
+  total_ += other.total_;
+}
+
 std::string LogHistogram::to_string() const {
   std::ostringstream out;
   for (std::size_t b = 0; b < kBuckets; ++b) {

@@ -60,6 +60,8 @@ class LogHistogram {
   /// One line per nonempty bucket: "[lo, hi): count".
   std::string to_string() const;
   std::uint64_t bucket_count(std::size_t bucket) const;
+  /// Adds `other`'s samples bucket-wise.
+  void merge(const LogHistogram& other);
 
   static constexpr std::size_t kBuckets = 64;
 

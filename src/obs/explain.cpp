@@ -1,10 +1,8 @@
 #include "obs/explain.hpp"
 
 #include <cstdio>
-#include <fstream>
 #include <map>
 #include <ostream>
-#include <sstream>
 #include <vector>
 
 #include "common/json.hpp"
@@ -20,17 +18,10 @@ using trace::inspect::Json;
 /// exit code (2) already reported on `err`.
 int load_schema(const std::string& file, const char* schema_id, Json* out,
                 std::ostream& err) {
-  std::ifstream in(file);
-  if (!in) {
-    err << "explain: cannot open " << file << "\n";
-    return 2;
-  }
-  std::ostringstream text;
-  text << in.rdbuf();
   try {
-    *out = trace::inspect::parse_json(text.str());
+    *out = trace::inspect::parse_json_file(file);
   } catch (const std::exception& e) {
-    err << "explain: " << file << ": " << e.what() << "\n";
+    err << "explain: " << e.what() << "\n";
     return 2;
   }
   const Json* schema = out->find("schema");

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <fstream>
 #include <map>
 #include <ostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -38,18 +36,11 @@ std::uint64_t to_ns(const Json* us) {
 
 int run_flame(const std::string& trace_file, std::ostream& out,
               std::ostream& err) {
-  std::ifstream in(trace_file);
-  if (!in) {
-    err << "flame: cannot open " << trace_file << "\n";
-    return 2;
-  }
-  std::ostringstream text;
-  text << in.rdbuf();
   Json root;
   try {
-    root = trace::inspect::parse_json(text.str());
+    root = trace::inspect::parse_json_file(trace_file);
   } catch (const std::exception& e) {
-    err << "flame: " << trace_file << ": " << e.what() << "\n";
+    err << "flame: " << e.what() << "\n";
     return 2;
   }
   const Json* events = root.find("traceEvents");

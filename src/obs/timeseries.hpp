@@ -93,8 +93,10 @@ class TimeSeriesStore {
 
   /// Ingests a registry sweep directly (no scrape path): counters and
   /// distributions as counter series (delta of value / sample count),
-  /// gauges as gauges, histograms as histogram series.  Used by the bench
-  /// harness, where every scenario's registry is already in hand.
+  /// gauges as gauges, histograms as histogram series.  Only the entries
+  /// `reg.names()` lists (touched since its last reset) become series.
+  /// Used by the bench harness, where every scenario's registry is already
+  /// in hand.
   void ingest_registry(std::uint32_t node, SimNanos at,
                        const trace::Registry& reg);
 

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <fstream>
 #include <map>
 #include <ostream>
-#include <sstream>
 #include <vector>
 
 #include "common/json.hpp"
@@ -88,17 +86,10 @@ std::string layer_of(const std::string& name) {
 }
 
 int load(const std::string& file, Loaded* out, std::ostream& err) {
-  std::ifstream in(file);
-  if (!in) {
-    err << "top: cannot open " << file << "\n";
-    return 2;
-  }
-  std::ostringstream text;
-  text << in.rdbuf();
   try {
-    out->root = trace::inspect::parse_json(text.str());
+    out->root = trace::inspect::parse_json_file(file);
   } catch (const std::exception& e) {
-    err << "top: " << file << ": " << e.what() << "\n";
+    err << "top: " << e.what() << "\n";
     return 2;
   }
   const Json* schema = out->root.find("schema");

@@ -348,18 +348,22 @@ Document load_trace(Document doc) {
 
 }  // namespace
 
-Document load(const std::string& path) {
+Json parse_json_file(const std::string& path) {
   std::ifstream is(path);
   if (!is) throw std::runtime_error("cannot open " + path);
   std::ostringstream buffer;
   buffer << is.rdbuf();
-  Document doc;
-  doc.path = path;
   try {
-    doc.root = parse_json(buffer.str());
+    return parse_json(buffer.str());
   } catch (const std::exception& e) {
     throw std::runtime_error(path + ": " + e.what());
   }
+}
+
+Document load(const std::string& path) {
+  Document doc;
+  doc.path = path;
+  doc.root = parse_json_file(path);
   if (doc.root.type != Json::Type::kObject) {
     throw std::runtime_error(path + ": top-level JSON object expected");
   }

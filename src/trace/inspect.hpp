@@ -46,6 +46,10 @@ struct Json {
 /// Throws std::runtime_error with an offset on malformed input.
 Json parse_json(std::string_view text);
 
+/// Reads and parses the file at `path`.  Throws std::runtime_error saying
+/// "cannot open PATH" or "PATH: <parse error>".
+Json parse_json_file(const std::string& path);
+
 /// One normalized record (a flight-ring record or a trace event).
 struct Entry {
   SimNanos time = 0;

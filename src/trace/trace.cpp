@@ -94,10 +94,21 @@ const Histogram* Registry::find_histogram(std::string_view name) const {
              : nullptr;
 }
 
+bool Registry::touched(const Metric& metric) {
+  switch (metric.kind) {
+    case Kind::kCounter: return metric.counter.value != 0;
+    case Kind::kGauge: return metric.gauge.value != 0.0;
+    case Kind::kDistribution: return metric.dist.stat.count() != 0;
+    case Kind::kHist: return metric.hist.hist.count() != 0;
+  }
+  return false;
+}
+
 std::vector<std::string> Registry::names() const {
   std::vector<std::string> out;
-  out.reserve(metrics_.size());
-  for (const auto& [name, metric] : metrics_) out.push_back(name);
+  for (const auto& [name, metric] : metrics_) {
+    if (touched(metric)) out.push_back(name);
+  }
   return out;
 }
 
@@ -124,14 +135,7 @@ void Registry::merge(const Registry& other) {
         ours.dist.stat.merge(theirs.dist.stat);
         break;
       case Kind::kHist:
-        for (std::size_t b = 0; b < LogHistogram::kBuckets; ++b) {
-          const std::uint64_t n = theirs.hist.hist.bucket_count(b);
-          // LogHistogram has no bucket-add; replay one representative value
-          // per sample (lower bound of the bucket) which lands in the same
-          // bucket by construction.
-          const std::uint64_t lo = b == 0 ? 0 : (1ULL << (b - 1));
-          for (std::uint64_t i = 0; i < n; ++i) ours.hist.hist.add(lo);
-        }
+        ours.hist.hist.merge(theirs.hist.hist);
         break;
     }
   }
@@ -140,6 +144,7 @@ void Registry::merge(const Registry& other) {
 void Registry::write(std::ostream& os) const {
   os << "# dcs metrics v1 (names: layer.component.metric; times in ns)\n";
   for (const auto& [name, metric] : metrics_) {
+    if (!touched(metric)) continue;
     switch (metric.kind) {
       case Kind::kCounter:
         os << "counter " << name << ' ' << metric.counter.value << '\n';
@@ -175,6 +180,7 @@ void Registry::write_json(std::ostream& os) const {
   os << '{';
   bool first = true;
   for (const auto& [name, metric] : metrics_) {
+    if (!touched(metric)) continue;
     os << (first ? "" : ", ") << '"' << name << "\": ";
     first = false;
     switch (metric.kind) {

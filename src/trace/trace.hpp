@@ -12,6 +12,10 @@
 //             workers never race — sharded runs merge worker registries at
 //             teardown); handles stay valid for the thread's lifetime
 //             (reset() zeroes values but never removes entries).
+//             Enumeration (names(), write(), write_json()) lists only the
+//             entries touched since the last reset(), so a snapshot taken
+//             after reset() + run holds that run's metrics alone, whatever
+//             ran on the thread before.
 //
 //   Tracer    records spans (op type, node, id, start/end sim::Time) and
 //             instant events while installed as the process-wide current
@@ -93,12 +97,19 @@ class Registry {
   const Distribution* find_distribution(std::string_view name) const;
   const Histogram* find_histogram(std::string_view name) const;
 
-  /// All registered names in sorted order (the emission order of write()).
+  /// The names of every touched entry, in sorted order (the emission order
+  /// of write()).  An entry is touched when it no longer holds its reset()
+  /// state: a nonzero counter or gauge, or a distribution or histogram with
+  /// samples.  So a value explicitly written as 0 (a gauge set to 0, a
+  /// counter added 0) is not listed either.
   std::vector<std::string> names() const;
+  /// Every registered entry, touched or not.
   std::size_t size() const { return metrics_.size(); }
 
-  /// Zeroes every value but keeps all registrations (handles stay valid).
-  /// Call before a run whose metrics output must stand alone.
+  /// Zeroes every value but keeps all registrations (handles stay valid),
+  /// so no entry is touched until the next update.  Call before a run
+  /// whose metrics output must stand alone: what the run leaves touched is
+  /// what it recorded.
   void reset();
 
   /// Folds `other` into this registry: counters add, gauges take the other
@@ -106,11 +117,12 @@ class Registry {
   /// bucket-wise.  Metrics absent on one side are created.
   void merge(const Registry& other);
 
-  /// Plain-text dump, one metric per line, sorted by name, fixed-precision
-  /// numbers — byte-deterministic for identical metric state.
+  /// Plain-text dump of the touched entries (see names()), one metric per
+  /// line, sorted by name, fixed-precision numbers — byte-deterministic for
+  /// identical metric state.
   void write(std::ostream& os) const;
 
-  /// Same content as a single JSON object, sorted by name: counters as
+  /// Same entries as a single JSON object, sorted by name: counters as
   /// integers, gauges fixed-precision, distributions/histograms as
   /// {"count", ...} objects.  Embedded in BENCH_*.json (docs/BENCHMARKS.md).
   void write_json(std::ostream& os) const;
@@ -126,6 +138,8 @@ class Registry {
   };
 
   Metric& get(std::string_view name, Kind kind);
+  /// False while `metric` still holds its reset() state.
+  static bool touched(const Metric& metric);
 
   // std::map: stable nodes (references survive later insertions) and
   // sorted iteration for deterministic output.

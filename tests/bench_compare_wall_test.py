@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
 """Unit tests for tools/bench_compare.py --wall: ns/event of a scenario,
-the --max-ns-per-event ceiling and the peak_rss_mb report.
+the --max-ns-per-event ceiling and the peak_rss_mb report; plus the
+report-only registry key-set diff of dcs-bench-v1 scenarios.
 
 Run directly (`python3 tests/bench_compare_wall_test.py`) or via ctest
 (registered in tests/CMakeLists.txt as bench_compare_wall_test).
 """
 
+import contextlib
 import importlib.util
+import io
 import json
 import pathlib
 import sys
@@ -137,6 +140,40 @@ class PeakRssTest(unittest.TestCase):
             self.assertEqual(
                 _run_main(["--wall", str(tmp / "base"), str(tmp / "cand")]),
                 0)
+
+
+class RegistryKeysTest(unittest.TestCase):
+    """Registry keys on one side only are named, never fatal."""
+
+    def test_one_sided_keys_are_reported_and_marked(self):
+        def scenario(registry):
+            return {"virtual_ns": 100, "latency_ns": {"count": 0},
+                    "registry": registry}
+
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = pathlib.Path(tmp)
+            for side, registry in (
+                    ("base", {"a.zero": 0, "b.hot": 3,
+                              "d.dist": {"count": 0, "mean": 0.0},
+                              "k.kept": 1}),
+                    ("cand", {"k.kept": 1, "n.new": 2})):
+                (tmp / side).mkdir()
+                doc = {"schema": "dcs-bench-v1", "bench": "b",
+                       "scenarios": {"s": scenario(registry)}}
+                (tmp / side / "BENCH_b.json").write_text(json.dumps(doc),
+                                                         encoding="utf-8")
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = _run_main([str(tmp / "base"), str(tmp / "cand")])
+            self.assertEqual(code, 0)
+            text = out.getvalue()
+            self.assertIn("b/s a.zero only in baseline (zero)", text)
+            self.assertIn("b/s b.hot only in baseline (non-zero)", text)
+            self.assertIn("b/s d.dist only in baseline (zero)", text)
+            self.assertIn("b/s n.new only in candidate", text)
+            self.assertNotIn("k.kept", text)
+            self.assertIn("registry keys only in baseline: 3 (2 zero, "
+                          "1 non-zero); only in candidate: 1", text)
 
 
 class SchemaGateTest(unittest.TestCase):

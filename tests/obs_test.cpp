@@ -16,11 +16,13 @@
 #include "common/stats.hpp"
 #include "monitor/telemetry_schema.hpp"
 #include "obs/flame.hpp"
+#include "obs/harness.hpp"
 #include "obs/slo.hpp"
 #include "obs/timeseries.hpp"
 #include "obs/top.hpp"
 #include "sim/engine.hpp"
 #include "trace/flight.hpp"
+#include "trace/inspect.hpp"
 #include "trace/trace.hpp"
 
 namespace dcs {
@@ -199,6 +201,39 @@ TEST(TimeSeriesStoreTest, DumpIsByteStable) {
   EXPECT_NE(first.find("\"alerts\""), std::string::npos);
   // Node 0 must dump before node 1 regardless of ingest order.
   EXPECT_LT(first.find("\"node\": 0"), first.find("\"node\": 1"));
+}
+
+/// Runs scenario "a" (touching x.a) when `with_a`, then scenario "b"
+/// (touching x.b), and returns b's registry object as its dcs-bench-v1 file
+/// prints it.
+std::string registry_of_b(bool with_a) {
+  obs::HarnessOptions opts;
+  opts.bench_json = ::testing::TempDir() + "/obs_harness_ab.json";
+  obs::Harness h("ab", opts);
+  if (with_a) {
+    h.run("a", [](obs::Scenario&) {
+      trace::Registry::global().counter("x.a").add(1);
+    });
+  }
+  h.run("b", [](obs::Scenario&) {
+    trace::Registry::global().counter("x.b").add(2);
+  });
+  EXPECT_EQ(h.finish(), 0);
+  const trace::inspect::Json doc =
+      trace::inspect::parse_json_file(opts.bench_json);
+  const trace::inspect::Json* b = doc.find("scenarios")->find("b");
+  if (b == nullptr) return "no scenario b";
+  std::string out;
+  for (const auto& [name, value] : b->find("registry")->fields) {
+    out += name + "=" + value.raw + ";";
+  }
+  return out;
+}
+
+TEST(HarnessTest, SnapshotListsOnlyWhatItsScenarioTouched) {
+  const std::string after_a = registry_of_b(true);
+  EXPECT_EQ(after_a, "x.b=2;");  // no zero-valued x.a left over from "a"
+  EXPECT_EQ(after_a, registry_of_b(false));
 }
 
 TEST(SloRulesTest, ParsesEveryRuleKind) {

@@ -54,8 +54,14 @@ TEST(TraceRegistryTest, ResetZeroesValuesButKeepsRegistrations) {
   EXPECT_EQ(reg.size(), 2u);
   EXPECT_EQ(c.value, 0u);  // same handle, zeroed
   EXPECT_EQ(reg.find_distribution("a.lat")->stat.count(), 0u);
+  // Nothing is touched since reset(), so nothing is enumerated.
+  EXPECT_TRUE(reg.names().empty());
+  std::ostringstream json;
+  reg.write_json(json);
+  EXPECT_EQ(json.str(), "{}");
   c.add(1);
   EXPECT_EQ(reg.find_counter("a.ops")->value, 1u);
+  EXPECT_EQ(reg.names(), std::vector<std::string>{"a.ops"});
 }
 
 TEST(TraceRegistryTest, MergeFoldsEveryMetricKind) {
@@ -67,15 +73,22 @@ TEST(TraceRegistryTest, MergeFoldsEveryMetricKind) {
   a.distribution("n.lat").record(1.0);
   b.distribution("n.lat").record(3.0);
   b.gauge("n.depth").set(9.0);
+  a.histogram("n.batch").record(0);
   b.histogram("n.batch").record(5);
   b.histogram("n.batch").record(6);
+  b.histogram("n.batch").record(std::uint64_t{1} << 63);
   a.merge(b);
   EXPECT_EQ(a.find_counter("n.ops")->value, 7u);
   EXPECT_EQ(a.find_counter("only.b")->value, 1u);
   EXPECT_EQ(a.find_distribution("n.lat")->stat.count(), 2u);
   EXPECT_DOUBLE_EQ(a.find_distribution("n.lat")->stat.mean(), 2.0);
   EXPECT_DOUBLE_EQ(a.find_gauge("n.depth")->value, 9.0);
-  EXPECT_EQ(a.find_histogram("n.batch")->hist.count(), 2u);
+  // Histograms add bucket-wise, the top bucket included.
+  const LogHistogram& h = a.find_histogram("n.batch")->hist;
+  EXPECT_EQ(h.count(), 4u);
+  EXPECT_EQ(h.bucket_count(0), 1u);
+  EXPECT_EQ(h.bucket_count(3), 2u);  // [4,8)
+  EXPECT_EQ(h.bucket_count(LogHistogram::kBuckets - 1), 1u);
 }
 
 TEST(TraceRegistryTest, WriteIsSortedAndParseable) {

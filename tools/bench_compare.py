@@ -17,7 +17,11 @@ The simulator is deterministic, so on identical code the comparison is
 exact: any drift at all means the change altered simulated behaviour, and
 drift beyond the threshold fails the build.  Scenarios present on only one
 side are reported but never fatal (benches gain and lose scenarios as the
-code grows).
+code grows).  So are registry keys present on only one side of a compared
+scenario: each is named, a key only in the baseline is marked zero or
+non-zero, and a summary line counts them (a snapshot lists only the
+metrics its scenario touched, so a change that stops touching a metric
+drops its key).
 
 With --wall the directories hold BENCH_<name>.wall.json files
 (dcs-bench-wall-v1, `--bench-wall-json`) and the script compares wall-clock
@@ -135,6 +139,28 @@ def compare_scenario(label, base, cand, threshold, failures):
               f"{delta:+8.2f}%  {status}")
 
 
+def is_zero(value):
+    """True for a registry value in its reset state: 0 or {"count": 0}."""
+    if isinstance(value, dict):
+        return value.get("count", 0) == 0
+    return value == 0
+
+
+def compare_registry_keys(label, base, cand, tally):
+    """Names the registry keys one side of a scenario lacks; adds them to
+    `tally` ("zero", "non-zero": only in baseline; "added": only in
+    candidate).  Never fatal."""
+    b = base.get("registry", {})
+    c = cand.get("registry", {})
+    for key in sorted(set(b) - set(c)):
+        kind = "zero" if is_zero(b[key]) else "non-zero"
+        tally[kind] += 1
+        print(f"  note: registry key {label} {key} only in baseline ({kind})")
+    for key in sorted(set(c) - set(b)):
+        tally["added"] += 1
+        print(f"  note: registry key {label} {key} only in candidate")
+
+
 def wall_ns_per_event(label, side, doc):
     """ns/event for one wall scenario: its `ns_per_event`, else `wall_ns`
     over `events`.  Both of those must be plain numbers."""
@@ -227,6 +253,7 @@ def main() -> int:
 
     failures = []
     compared = 0
+    keys = {"zero": 0, "non-zero": 0, "added": 0}
     print(f"  {'bench/scenario':50s} {'quantity':10s} {'baseline':>16s} "
           f"{'candidate':>16s} {'delta':>9s}")
     for bench in sorted(base_set):
@@ -249,6 +276,8 @@ def main() -> int:
             else:
                 compare_scenario(f"{bench}/{scenario}", base[scenario],
                                  cand[scenario], args.threshold, failures)
+                compare_registry_keys(f"{bench}/{scenario}", base[scenario],
+                                      cand[scenario], keys)
             compared += 1
         for scenario in sorted(set(cand) - set(base)):
             print(f"  note: scenario {bench}/{scenario} only in candidate")
@@ -280,6 +309,9 @@ def main() -> int:
         print(f"every candidate scenario is at or under "
               f"{args.max_ns_per_event:g} ns/event")
         return 0
+    print(f"\nregistry keys only in baseline: "
+          f"{keys['zero'] + keys['non-zero']} ({keys['zero']} zero, "
+          f"{keys['non-zero']} non-zero); only in candidate: {keys['added']}")
     if failures:
         print(f"\n{len(failures)} regression(s) beyond "
               f"{args.threshold:.1f}%:")
