@@ -55,6 +55,10 @@ class Fabric {
   std::uint64_t bytes_transferred() const { return bytes_transferred_; }
 
  private:
+  /// Occupies src's NIC for `serialization` (a memory-speed copy on
+  /// loopback); shared by every transfer.
+  sim::Task<void> serialize(NodeId src, NodeId dst, SimNanos serialization);
+  /// serialize() plus the propagation hop.
   sim::Task<void> transfer_impl(NodeId src, NodeId dst, SimNanos serialization);
 
   sim::Engine& eng_;

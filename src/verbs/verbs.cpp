@@ -123,297 +123,171 @@ sim::Task<void> Hca::check_alive(NodeId target) {
                            " unreachable (retries exhausted)");
 }
 
-// --- one-sided ops ---
+// --- one-sided ops: each is a one-op batch on the shared path ---
 
 sim::Task<void> Hca::read(RemoteRegion target, std::size_t offset,
                           std::span<std::byte> dst) {
-  ++one_sided_ops_;
-  metrics().read_ops.add();
-  metrics().read_bytes.add(dst.size());
   DCS_TRACE_SPAN("verbs", "read", node_, target.rkey);
-  DCS_HOT("verbs.home", target.node, dst.size());
-  co_await check_alive(target.node);
-  auto& eng = engine();
-  const auto& p = fab_.params();
-  {
-    DCS_TRACE_COST_SPAN(trace::Cost::kNic, "verbs", "nic.post", node_);
-    co_await eng.delay(p.rdma_post_overhead);
-  }
-  // Request packet travels to the target HCA.
-  co_await fab_.wire_transfer(node_, target.node,
-                              fabric::FabricParams::kControlBytes);
-  {
-    DCS_TRACE_COST_SPAN(trace::Cost::kNic, "verbs", "nic.target", node_);
-    co_await eng.delay(p.rdma_target_nic);
-  }
-  // Target HCA DMA-reads registered memory *now* — this is the observation
-  // instant; no target CPU is involved.  The bytes land in `dst` straight
-  // away: like on hardware, a reader of `dst` before completion races the
-  // NIC, so no staging copy is kept for the response's flight time.
-  auto src = net_.hca(target.node)
-                 .resolve(target.rkey, offset, dst.size(),
-                          audit::AccessKind::kRead, "verbs.read");
-  std::copy(src.begin(), src.end(), dst.begin());
-  // Response carries the payload back.
-  co_await fab_.wire_transfer(target.node, node_, dst.size() + kHeaderBytes);
-  {
-    DCS_TRACE_COST_SPAN(trace::Cost::kNic, "verbs", "nic.completion", node_);
-    co_await eng.delay(p.rdma_completion);
-  }
+  OpBatch b;
+  b.read(target, offset, dst);
+  co_await run(b);
 }
 
 sim::Task<void> Hca::write(RemoteRegion target, std::size_t offset,
                            std::span<const std::byte> src) {
-  ++one_sided_ops_;
-  metrics().write_ops.add();
-  metrics().write_bytes.add(src.size());
   DCS_TRACE_SPAN("verbs", "write", node_, target.rkey);
-  DCS_HOT("verbs.home", target.node, src.size());
-  co_await check_alive(target.node);
-  auto& eng = engine();
-  const auto& p = fab_.params();
-  {
-    DCS_TRACE_COST_SPAN(trace::Cost::kNic, "verbs", "nic.post", node_);
-    co_await eng.delay(p.rdma_post_overhead);
-  }
-  // Snapshot the source buffer at post time (HW reads it via DMA then).
-  std::vector<std::byte> in_flight(src.begin(), src.end());
-  co_await fab_.wire_transfer(node_, target.node,
-                              in_flight.size() + kHeaderBytes);
-  {
-    DCS_TRACE_COST_SPAN(trace::Cost::kNic, "verbs", "nic.target", node_);
-    co_await eng.delay(p.rdma_target_nic);
-  }
-  auto dst = net_.hca(target.node)
-                 .resolve(target.rkey, offset, in_flight.size(),
-                          audit::AccessKind::kWrite, "verbs.write");
-  std::copy(in_flight.begin(), in_flight.end(), dst.begin());
-  // RC ack back to the initiator completes the work request.
-  co_await fab_.wire_transfer(target.node, node_,
-                              fabric::FabricParams::kControlBytes);
-  {
-    DCS_TRACE_COST_SPAN(trace::Cost::kNic, "verbs", "nic.completion", node_);
-    co_await eng.delay(p.rdma_completion);
-  }
+  OpBatch b;
+  b.write(target, offset, src);
+  co_await run(b);
 }
 
 sim::Task<std::uint64_t> Hca::compare_and_swap(RemoteRegion target,
                                                std::size_t offset,
                                                std::uint64_t compare,
                                                std::uint64_t swap) {
-  ++one_sided_ops_;
-  metrics().cas_ops.add();
   DCS_TRACE_SPAN("verbs", "cas", node_, target.rkey);
-  DCS_HOT("verbs.home", target.node, 1);
-  co_await check_alive(target.node);
-  auto& eng = engine();
-  const auto& p = fab_.params();
-  if (auto* a = audit::Auditor::current()) {
-    a->on_atomic_shape(target.node, offset, 8, "verbs.cas");
-  }
-  if (offset % 8 != 0) {
-    throw RemoteAccessError("atomic requires 8-byte alignment");
-  }
-  {
-    DCS_TRACE_COST_SPAN(trace::Cost::kNic, "verbs", "nic.post", node_);
-    co_await eng.delay(p.rdma_post_overhead);
-  }
-  co_await fab_.wire_transfer(node_, target.node,
-                              fabric::FabricParams::kControlBytes);
-  {
-    DCS_TRACE_COST_SPAN(trace::Cost::kNic, "verbs", "nic.atomic", node_);
-    co_await eng.delay(p.atomic_execute);
-  }
-  // The atomic executes instantaneously in virtual time at the target HCA;
-  // single-threaded event dispatch guarantees atomicity.
-  auto bytes = net_.hca(target.node)
-                   .resolve(target.rkey, offset, 8,
-                            audit::AccessKind::kAtomic, "verbs.cas");
   std::uint64_t old = 0;
-  std::memcpy(&old, bytes.data(), 8);
-  // Records on the *target* node under the initiator's request context, so
-  // a post-mortem timeline shows the request touching the remote lock word.
-  DCS_LOG("verbs", "cas.execute", target.node, old, swap);
-  if (old == compare) {
-    std::memcpy(bytes.data(), &swap, 8);
-  }
-  co_await fab_.wire_transfer(target.node, node_,
-                              fabric::FabricParams::kControlBytes);
-  {
-    DCS_TRACE_COST_SPAN(trace::Cost::kNic, "verbs", "nic.completion", node_);
-    co_await eng.delay(p.rdma_completion);
-  }
+  OpBatch b;
+  b.compare_and_swap(target, offset, compare, swap, &old);
+  co_await run(b);
   co_return old;
 }
 
 sim::Task<std::uint64_t> Hca::fetch_and_add(RemoteRegion target,
                                             std::size_t offset,
                                             std::uint64_t add) {
-  ++one_sided_ops_;
-  metrics().faa_ops.add();
   DCS_TRACE_SPAN("verbs", "faa", node_, target.rkey);
-  DCS_HOT("verbs.home", target.node, 1);
-  co_await check_alive(target.node);
-  auto& eng = engine();
-  const auto& p = fab_.params();
-  if (auto* a = audit::Auditor::current()) {
-    a->on_atomic_shape(target.node, offset, 8, "verbs.faa");
-  }
-  if (offset % 8 != 0) {
-    throw RemoteAccessError("atomic requires 8-byte alignment");
-  }
-  {
-    DCS_TRACE_COST_SPAN(trace::Cost::kNic, "verbs", "nic.post", node_);
-    co_await eng.delay(p.rdma_post_overhead);
-  }
-  co_await fab_.wire_transfer(node_, target.node,
-                              fabric::FabricParams::kControlBytes);
-  {
-    DCS_TRACE_COST_SPAN(trace::Cost::kNic, "verbs", "nic.atomic", node_);
-    co_await eng.delay(p.atomic_execute);
-  }
-  auto bytes = net_.hca(target.node)
-                   .resolve(target.rkey, offset, 8,
-                            audit::AccessKind::kAtomic, "verbs.faa");
   std::uint64_t old = 0;
-  std::memcpy(&old, bytes.data(), 8);
-  const std::uint64_t updated = old + add;
-  DCS_LOG("verbs", "faa.execute", target.node, old, add);
-  std::memcpy(bytes.data(), &updated, 8);
-  co_await fab_.wire_transfer(target.node, node_,
-                              fabric::FabricParams::kControlBytes);
-  {
-    DCS_TRACE_COST_SPAN(trace::Cost::kNic, "verbs", "nic.completion", node_);
-    co_await eng.delay(p.rdma_completion);
-  }
+  OpBatch b;
+  b.fetch_and_add(target, offset, add, &old);
+  co_await run(b);
   co_return old;
 }
 
 // --- batched work queue ---
 
+namespace {
+template <typename Span>
+std::size_t total_bytes(const std::vector<Span>& sges) {
+  std::size_t total = 0;
+  for (const auto& sge : sges) total += sge.size();
+  return total;
+}
+}  // namespace
+
+OpBatch::WorkRequest& OpBatch::append(OpKind kind, NodeId target,
+                                   std::uint32_t rkey, std::size_t offset,
+                                   std::size_t total_len) {
+  auto& wr = wrs_.emplace_back();
+  wr.kind = kind;
+  wr.target = target;
+  wr.rkey = rkey;
+  wr.offset = offset;
+  wr.total_len = total_len;
+  return wr;
+}
+
 void OpBatch::read(RemoteRegion target, std::size_t offset,
                    std::span<std::byte> dst) {
-  read(target, offset, std::vector<std::span<std::byte>>{dst});
+  auto& wr = append(OpKind::kRead, target.node, target.rkey, offset,
+                    dst.size());
+  wr.dst_sges = Segments<std::byte>(dst);
 }
 
 void OpBatch::read(RemoteRegion target, std::size_t offset,
                    std::vector<std::span<std::byte>> sges) {
-  WorkRequest wr;
-  wr.kind = OpKind::kRead;
-  wr.target = target.node;
-  wr.rkey = target.rkey;
-  wr.offset = offset;
-  for (const auto& sge : sges) wr.total_len += sge.size();
-  wr.dst_sges = std::move(sges);
-  wrs_.push_back(std::move(wr));
+  auto& wr = append(OpKind::kRead, target.node, target.rkey, offset,
+                    total_bytes(sges));
+  wr.dst_sges = Segments<std::byte>(std::move(sges));
 }
 
 void OpBatch::write(RemoteRegion target, std::size_t offset,
                     std::span<const std::byte> src) {
-  write(target, offset, std::vector<std::span<const std::byte>>{src});
+  auto& wr = append(OpKind::kWrite, target.node, target.rkey, offset,
+                    src.size());
+  wr.src_sges = Segments<const std::byte>(src);
 }
 
 void OpBatch::write(RemoteRegion target, std::size_t offset,
                     std::vector<std::span<const std::byte>> sges) {
-  WorkRequest wr;
-  wr.kind = OpKind::kWrite;
-  wr.target = target.node;
-  wr.rkey = target.rkey;
-  wr.offset = offset;
-  for (const auto& sge : sges) wr.total_len += sge.size();
-  wr.src_sges = std::move(sges);
-  wrs_.push_back(std::move(wr));
+  auto& wr = append(OpKind::kWrite, target.node, target.rkey, offset,
+                    total_bytes(sges));
+  wr.src_sges = Segments<const std::byte>(std::move(sges));
 }
 
 void OpBatch::compare_and_swap(RemoteRegion target, std::size_t offset,
                                std::uint64_t compare, std::uint64_t swap,
                                std::uint64_t* old_out) {
-  WorkRequest wr;
-  wr.kind = OpKind::kCas;
-  wr.target = target.node;
-  wr.rkey = target.rkey;
-  wr.offset = offset;
-  wr.total_len = 8;
+  auto& wr = append(OpKind::kCas, target.node, target.rkey, offset, 8);
   wr.arg0 = compare;
   wr.arg1 = swap;
   wr.old_out = old_out;
-  wrs_.push_back(std::move(wr));
 }
 
 void OpBatch::fetch_and_add(RemoteRegion target, std::size_t offset,
                             std::uint64_t add, std::uint64_t* old_out) {
-  WorkRequest wr;
-  wr.kind = OpKind::kFaa;
-  wr.target = target.node;
-  wr.rkey = target.rkey;
-  wr.offset = offset;
-  wr.total_len = 8;
+  auto& wr = append(OpKind::kFaa, target.node, target.rkey, offset, 8);
   wr.arg0 = add;
   wr.old_out = old_out;
-  wrs_.push_back(std::move(wr));
 }
 
 void OpBatch::send(NodeId dst, std::uint32_t tag,
                    std::vector<std::byte> payload) {
-  WorkRequest wr;
-  wr.kind = OpKind::kSend;
-  wr.target = dst;
-  wr.total_len = payload.size();
+  auto& wr = append(OpKind::kSend, dst, 0, 0, payload.size());
   wr.tag = tag;
   wr.payload = std::move(payload);
-  wrs_.push_back(std::move(wr));
 }
 
-void Hca::execute_at_target(OpBatch::WorkRequest& wr,
-                            std::vector<std::byte>& data,
-                            std::uint64_t& old_value) {
+void Hca::execute_at_target(OpBatch::WorkRequest& wr) {
   Hca& target = net_.hca(wr.target);
   switch (wr.kind) {
     case OpBatch::OpKind::kRead: {
-      // Target HCA DMA-reads registered memory *now*; one descriptor per
-      // SGE segment, each observed by the auditor individually.
-      data.reserve(wr.total_len);
+      // Target HCA DMA-reads registered memory *now* — the observation
+      // instant — one descriptor per SGE segment, each observed by the
+      // auditor individually.  The bytes land in the segments straight
+      // away: like on hardware, a reader of them before completion races
+      // the NIC, so no staging copy rides the response.
       std::size_t covered = 0;
-      for (const auto& sge : wr.dst_sges) {
+      for (const auto& sge : wr.dst_sges.view()) {
         auto src = target.resolve(wr.rkey, wr.offset + covered, sge.size(),
-                                  audit::AccessKind::kRead, "verbs.batch.read");
-        data.insert(data.end(), src.begin(), src.end());
+                                  audit::AccessKind::kRead, "verbs.read");
+        std::copy(src.begin(), src.end(), sge.begin());
         covered += sge.size();
       }
       break;
     }
     case OpBatch::OpKind::kWrite: {
       std::size_t covered = 0;
-      std::size_t consumed = 0;
-      for (const auto& sge : wr.src_sges) {
-        auto dst =
-            target.resolve(wr.rkey, wr.offset + covered, sge.size(),
-                           audit::AccessKind::kWrite, "verbs.batch.write");
-        std::copy(data.begin() + static_cast<std::ptrdiff_t>(consumed),
-                  data.begin() + static_cast<std::ptrdiff_t>(consumed +
-                                                             sge.size()),
-                  dst.begin());
+      for (const auto& sge : wr.src_sges.view()) {
+        auto dst = target.resolve(wr.rkey, wr.offset + covered, sge.size(),
+                                  audit::AccessKind::kWrite, "verbs.write");
+        std::copy_n(wr.payload.begin() + static_cast<std::ptrdiff_t>(covered),
+                    sge.size(), dst.begin());
         covered += sge.size();
-        consumed += sge.size();
       }
       break;
     }
     case OpBatch::OpKind::kCas: {
+      // The atomic executes instantaneously in virtual time at the target
+      // HCA; single-threaded event dispatch guarantees atomicity.
       auto bytes = target.resolve(wr.rkey, wr.offset, 8,
-                                  audit::AccessKind::kAtomic, "verbs.batch.cas");
-      std::memcpy(&old_value, bytes.data(), 8);
-      DCS_LOG("verbs", "cas.execute", wr.target, old_value, wr.arg1);
-      if (old_value == wr.arg0) {
+                                  audit::AccessKind::kAtomic, "verbs.cas");
+      std::memcpy(&wr.old_value, bytes.data(), 8);
+      // Records on the *target* node under the initiator's request context,
+      // so a post-mortem timeline shows the request touching the remote
+      // lock word.
+      DCS_LOG("verbs", "cas.execute", wr.target, wr.old_value, wr.arg1);
+      if (wr.old_value == wr.arg0) {
         std::memcpy(bytes.data(), &wr.arg1, 8);
       }
       break;
     }
     case OpBatch::OpKind::kFaa: {
       auto bytes = target.resolve(wr.rkey, wr.offset, 8,
-                                  audit::AccessKind::kAtomic, "verbs.batch.faa");
-      std::memcpy(&old_value, bytes.data(), 8);
-      const std::uint64_t updated = old_value + wr.arg0;
-      DCS_LOG("verbs", "faa.execute", wr.target, old_value, wr.arg0);
+                                  audit::AccessKind::kAtomic, "verbs.faa");
+      std::memcpy(&wr.old_value, bytes.data(), 8);
+      const std::uint64_t updated = wr.old_value + wr.arg0;
+      DCS_LOG("verbs", "faa.execute", wr.target, wr.old_value, wr.arg0);
       std::memcpy(bytes.data(), &updated, 8);
       break;
     }
@@ -431,82 +305,75 @@ sim::Task<void> Hca::post(OpBatch batch) {
   m.batch_posts.add();
   m.batch_ops.add(batch.wrs_.size());
   DCS_TRACE_SPAN("verbs", "batch.post", node_, batch.wrs_.size());
+  co_await run(batch);
+}
+
+sim::Task<void> Hca::run(OpBatch& batch) {
+  auto& m = metrics();
   auto& eng = engine();
   const auto& p = fab_.params();
+  auto& wrs = batch.wrs_;
 
   // Wire footprint of each half of a work request: write/send requests carry
   // the payload, read responses carry the data; everything else is control.
   const auto request_bytes = [](const OpBatch::WorkRequest& wr) {
-    switch (wr.kind) {
-      case OpBatch::OpKind::kWrite:
-        return wr.total_len + kHeaderBytes;
-      case OpBatch::OpKind::kSend:
-        return wr.payload.size() + kHeaderBytes;
-      default:
-        return static_cast<std::size_t>(fabric::FabricParams::kControlBytes);
+    if (wr.kind == OpBatch::OpKind::kWrite ||
+        wr.kind == OpBatch::OpKind::kSend) {
+      return wr.payload.size() + kHeaderBytes;
     }
+    return static_cast<std::size_t>(fabric::FabricParams::kControlBytes);
   };
   const auto response_bytes = [](const OpBatch::WorkRequest& wr) {
     if (wr.kind == OpBatch::OpKind::kRead) return wr.total_len + kHeaderBytes;
     return static_cast<std::size_t>(fabric::FabricParams::kControlBytes);
   };
 
-  // Validate shape and charge per-op statistics at post time, exactly as the
-  // serial calls would.
+  // Validate shape and charge per-op statistics at post time.  Each
+  // one-sided op weighs on its home node's hot set: bytes for read and
+  // write, 1 for an atomic.
   bool any_one_sided = false;
-  for (const auto& wr : batch.wrs_) {
+  for (const auto& wr : wrs) {
     switch (wr.kind) {
       case OpBatch::OpKind::kRead:
-        ++one_sided_ops_;
         m.read_ops.add();
         m.read_bytes.add(wr.total_len);
-        any_one_sided = true;
         break;
       case OpBatch::OpKind::kWrite:
-        ++one_sided_ops_;
         m.write_ops.add();
         m.write_bytes.add(wr.total_len);
-        any_one_sided = true;
         break;
       case OpBatch::OpKind::kCas:
-      case OpBatch::OpKind::kFaa: {
-        ++one_sided_ops_;
-        const bool is_cas = wr.kind == OpBatch::OpKind::kCas;
-        if (is_cas) {
-          m.cas_ops.add();
-        } else {
-          m.faa_ops.add();
-        }
-        any_one_sided = true;
-        if (auto* a = audit::Auditor::current()) {
-          a->on_atomic_shape(wr.target, wr.offset, 8,
-                             is_cas ? "verbs.batch.cas" : "verbs.batch.faa");
-        }
-        if (wr.offset % 8 != 0) {
-          throw RemoteAccessError("atomic requires 8-byte alignment");
-        }
+        m.cas_ops.add();
         break;
-      }
+      case OpBatch::OpKind::kFaa:
+        m.faa_ops.add();
+        break;
       case OpBatch::OpKind::kSend:
         ++messages_sent_;
         m.send_msgs.add();
         m.send_bytes.add(wr.payload.size());
-        break;
+        continue;
+    }
+    ++one_sided_ops_;
+    any_one_sided = true;
+    const bool atomic = wr.kind == OpBatch::OpKind::kCas ||
+                        wr.kind == OpBatch::OpKind::kFaa;
+    DCS_HOT("verbs.home", wr.target, atomic ? 1 : wr.total_len);
+    if (atomic) {
+      if (auto* a = audit::Auditor::current()) {
+        a->on_atomic_shape(
+            wr.target, wr.offset, 8,
+            wr.kind == OpBatch::OpKind::kCas ? "verbs.cas" : "verbs.faa");
+      }
+      if (wr.offset % 8 != 0) {
+        throw RemoteAccessError("atomic requires 8-byte alignment");
+      }
     }
   }
 
-  // Liveness per distinct target, in posting order (RC retry semantics).
-  {
-    std::vector<NodeId> checked;
-    for (const auto& wr : batch.wrs_) {
-      if (std::find(checked.begin(), checked.end(), wr.target) !=
-          checked.end()) {
-        continue;
-      }
-      checked.push_back(wr.target);
-      co_await check_alive(wr.target);
-    }
-  }
+  // Liveness in posting order (RC retry semantics): the first op whose
+  // target is down fails the batch after the retry window.
+  for (const auto& wr : wrs) co_await check_alive(wr.target);
 
   // One doorbell for the whole batch.
   {
@@ -516,26 +383,19 @@ sim::Task<void> Hca::post(OpBatch batch) {
   }
 
   // Requests serialize back-to-back at this NIC: request k+1 goes onto the
-  // wire while request k is still in flight.  `flight_start[k]` marks when
-  // request k's last byte left; it lands at flight_start + link_latency.
-  struct InFlight {
-    sim::Time flight_start = 0;
-    std::vector<std::byte> data;  // write gather snapshot / read return data
-    std::uint64_t old_value = 0;  // cas / faa result
-  };
-  std::vector<InFlight> fl(batch.wrs_.size());
-  for (std::size_t i = 0; i < batch.wrs_.size(); ++i) {
-    auto& wr = batch.wrs_[i];
+  // wire while request k is still in flight.  `flight_start` marks when a
+  // request's last byte left; it lands one link latency later.
+  for (auto& wr : wrs) {
     if (wr.kind == OpBatch::OpKind::kWrite) {
       // Gather SGEs into the wire buffer now — HW DMA-reads them at
       // serialization time.
-      fl[i].data.reserve(wr.total_len);
-      for (const auto& sge : wr.src_sges) {
-        fl[i].data.insert(fl[i].data.end(), sge.begin(), sge.end());
+      wr.payload.reserve(wr.total_len);
+      for (const auto& sge : wr.src_sges.view()) {
+        wr.payload.insert(wr.payload.end(), sge.begin(), sge.end());
       }
     }
     co_await fab_.serialize_only(node_, wr.target, request_bytes(wr));
-    fl[i].flight_start = eng.now();
+    wr.flight_start = eng.now();
   }
 
   // Retire ops in posting order: wait for the request to land, charge the
@@ -543,14 +403,12 @@ sim::Task<void> Hca::post(OpBatch batch) {
   // response at the target.  The single wake happens after the *last*
   // response lands, so the poster pays one completion for the batch.
   sim::Time last_response = eng.now();
-  for (std::size_t i = 0; i < batch.wrs_.size(); ++i) {
-    auto& wr = batch.wrs_[i];
-    const bool loopback = wr.target == node_;
-    const sim::Time arrival =
-        fl[i].flight_start + (loopback ? 0 : p.link_latency);
-    if (eng.now() < arrival) {
-      DCS_TRACE_COST_SPAN(trace::Cost::kWire, "verbs", "wire", node_);
-      co_await eng.delay(arrival - eng.now());
+  NodeId last_responder = node_;
+  for (auto& wr : wrs) {
+    const sim::Time hop = wr.target == node_ ? 0 : p.link_latency;
+    if (eng.now() < wr.flight_start + hop) {
+      DCS_TRACE_COST_SPAN(trace::Cost::kWire, "fabric", "wire", node_);
+      co_await eng.delay(wr.flight_start + hop - eng.now());
     }
     switch (wr.kind) {
       case OpBatch::OpKind::kRead:
@@ -568,42 +426,44 @@ sim::Task<void> Hca::post(OpBatch batch) {
       case OpBatch::OpKind::kSend:
         break;  // delivery is free of target-NIC setup beyond the wire
     }
-    execute_at_target(wr, fl[i].data, fl[i].old_value);
+    execute_at_target(wr);
     co_await fab_.serialize_only(wr.target, node_, response_bytes(wr));
-    const sim::Time resp_arrival = eng.now() + (loopback ? 0 : p.link_latency);
-    last_response = std::max(last_response, resp_arrival);
+    if (eng.now() + hop > last_response) {
+      last_response = eng.now() + hop;
+      last_responder = wr.target;
+    }
   }
   if (eng.now() < last_response) {
-    DCS_TRACE_COST_SPAN(trace::Cost::kWire, "verbs", "wire", node_);
+    DCS_TRACE_COST_SPAN(trace::Cost::kWire, "fabric", "wire", last_responder);
     co_await eng.delay(last_response - eng.now());
   }
 
-  // Completion: scatter read data / store atomic results, then one coalesced
-  // wake for the whole batch.
-  for (std::size_t i = 0; i < batch.wrs_.size(); ++i) {
-    auto& wr = batch.wrs_[i];
-    switch (wr.kind) {
-      case OpBatch::OpKind::kRead: {
-        std::size_t consumed = 0;
-        for (auto& sge : wr.dst_sges) {
-          std::copy(
-              fl[i].data.begin() + static_cast<std::ptrdiff_t>(consumed),
-              fl[i].data.begin() +
-                  static_cast<std::ptrdiff_t>(consumed + sge.size()),
-              sge.begin());
-          consumed += sge.size();
-        }
-        break;
-      }
-      case OpBatch::OpKind::kCas:
-      case OpBatch::OpKind::kFaa:
-        if (wr.old_out != nullptr) *wr.old_out = fl[i].old_value;
-        break;
-      default:
-        break;
-    }
+  // Completion: store atomic results, then one coalesced wake for the batch.
+  for (const auto& wr : wrs) {
+    if (wr.old_out != nullptr) *wr.old_out = wr.old_value;
   }
   if (any_one_sided) {
+    DCS_TRACE_COST_SPAN(trace::Cost::kNic, "verbs", "nic.completion", node_);
+    co_await eng.delay(p.rdma_completion);
+  }
+}
+
+sim::Task<void> Hca::raw_transfer(NodeId dst, std::size_t request,
+                                  std::size_t response) {
+  co_await check_alive(dst);
+  auto& eng = engine();
+  const auto& p = fab_.params();
+  {
+    DCS_TRACE_COST_SPAN(trace::Cost::kNic, "verbs", "nic.post", node_);
+    co_await eng.delay(p.rdma_post_overhead);
+  }
+  co_await fab_.wire_transfer(node_, dst, request);
+  {
+    DCS_TRACE_COST_SPAN(trace::Cost::kNic, "verbs", "nic.target", node_);
+    co_await eng.delay(p.rdma_target_nic);
+  }
+  co_await fab_.wire_transfer(dst, node_, response);
+  {
     DCS_TRACE_COST_SPAN(trace::Cost::kNic, "verbs", "nic.completion", node_);
     co_await eng.delay(p.rdma_completion);
   }
@@ -614,23 +474,8 @@ sim::Task<void> Hca::raw_write(NodeId dst, std::size_t bytes) {
   metrics().raw_write_ops.add();
   metrics().raw_write_bytes.add(bytes);
   DCS_TRACE_SPAN("verbs", "raw_write", node_, bytes);
-  co_await check_alive(dst);
-  auto& eng = engine();
-  const auto& p = fab_.params();
-  {
-    DCS_TRACE_COST_SPAN(trace::Cost::kNic, "verbs", "nic.post", node_);
-    co_await eng.delay(p.rdma_post_overhead);
-  }
-  co_await fab_.wire_transfer(node_, dst, bytes + kHeaderBytes);
-  {
-    DCS_TRACE_COST_SPAN(trace::Cost::kNic, "verbs", "nic.target", node_);
-    co_await eng.delay(p.rdma_target_nic);
-  }
-  co_await fab_.wire_transfer(dst, node_, fabric::FabricParams::kControlBytes);
-  {
-    DCS_TRACE_COST_SPAN(trace::Cost::kNic, "verbs", "nic.completion", node_);
-    co_await eng.delay(p.rdma_completion);
-  }
+  co_await raw_transfer(dst, bytes + kHeaderBytes,
+                        fabric::FabricParams::kControlBytes);
 }
 
 sim::Task<void> Hca::raw_read(NodeId dst, std::size_t bytes) {
@@ -638,23 +483,8 @@ sim::Task<void> Hca::raw_read(NodeId dst, std::size_t bytes) {
   metrics().raw_read_ops.add();
   metrics().raw_read_bytes.add(bytes);
   DCS_TRACE_SPAN("verbs", "raw_read", node_, bytes);
-  co_await check_alive(dst);
-  auto& eng = engine();
-  const auto& p = fab_.params();
-  {
-    DCS_TRACE_COST_SPAN(trace::Cost::kNic, "verbs", "nic.post", node_);
-    co_await eng.delay(p.rdma_post_overhead);
-  }
-  co_await fab_.wire_transfer(node_, dst, fabric::FabricParams::kControlBytes);
-  {
-    DCS_TRACE_COST_SPAN(trace::Cost::kNic, "verbs", "nic.target", node_);
-    co_await eng.delay(p.rdma_target_nic);
-  }
-  co_await fab_.wire_transfer(dst, node_, bytes + kHeaderBytes);
-  {
-    DCS_TRACE_COST_SPAN(trace::Cost::kNic, "verbs", "nic.completion", node_);
-    co_await eng.delay(p.rdma_completion);
-  }
+  co_await raw_transfer(dst, fabric::FabricParams::kControlBytes,
+                        bytes + kHeaderBytes);
 }
 
 sim::Task<void> Hca::multicast(std::span<const NodeId> group,
@@ -704,23 +534,10 @@ void Hca::deliver(Message msg) { queue_for(msg.tag).push(std::move(msg)); }
 
 sim::Task<void> Hca::send(NodeId dst, std::uint32_t tag,
                           std::vector<std::byte> payload) {
-  ++messages_sent_;
-  metrics().send_msgs.add();
-  metrics().send_bytes.add(payload.size());
   DCS_TRACE_SPAN("verbs", "send", node_, tag);
-  co_await check_alive(dst);
-  auto& eng = engine();
-  const auto& p = fab_.params();
-  {
-    DCS_TRACE_COST_SPAN(trace::Cost::kNic, "verbs", "nic.post", node_);
-    co_await eng.delay(p.send_post_overhead);
-  }
-  const std::size_t bytes = payload.size() + kHeaderBytes;
-  co_await fab_.wire_transfer(node_, dst, bytes);
-  net_.hca(dst).deliver(
-      Message{node_, tag, std::move(payload), trace::current_request()});
-  // RC ack.
-  co_await fab_.wire_transfer(dst, node_, fabric::FabricParams::kControlBytes);
+  OpBatch b;
+  b.send(dst, tag, std::move(payload));
+  co_await run(b);
 }
 
 sim::Task<Message> Hca::recv(std::uint32_t tag) {

@@ -80,7 +80,9 @@ class Network;
 /// SGE rules: segments are local buffers; the remote range is always the
 /// contiguous [offset, offset + sum(segment lengths)).  Each segment is a
 /// separate DMA descriptor — the access auditor observes every segment
-/// individually, at the op's remote execution instant.
+/// individually, at the op's remote execution instant.  Read segments are
+/// filled at that instant, write segments are gathered when the request
+/// serializes.
 class OpBatch {
  public:
   /// Read [offset, offset+dst.size()) from `target` into `dst`.
@@ -112,20 +114,48 @@ class OpBatch {
 
   enum class OpKind : std::uint8_t { kRead, kWrite, kCas, kFaa, kSend };
 
+  /// The local segments of a read (Byte = std::byte) or a write
+  /// (Byte = const std::byte).  A single segment — every serial verb —
+  /// is held inline and allocates nothing.
+  template <typename Byte>
+  class Segments {
+   public:
+    Segments() = default;
+    explicit Segments(std::span<Byte> one) : one_(one), inline_(true) {}
+    explicit Segments(std::vector<std::span<Byte>> many)
+        : many_(std::move(many)) {}
+    std::span<const std::span<Byte>> view() const {
+      if (inline_) return {&one_, 1};
+      return many_;
+    }
+
+   private:
+    std::span<Byte> one_;
+    bool inline_ = false;
+    std::vector<std::span<Byte>> many_;
+  };
+
   struct WorkRequest {
     OpKind kind = OpKind::kRead;
     NodeId target = 0;
     std::uint32_t rkey = 0;
     std::size_t offset = 0;
     std::size_t total_len = 0;  // sum of SGE lengths / payload size
-    std::vector<std::span<std::byte>> dst_sges;        // read
-    std::vector<std::span<const std::byte>> src_sges;  // write
+    Segments<std::byte> dst_sges;        // read
+    Segments<const std::byte> src_sges;  // write
     std::uint64_t arg0 = 0;  // cas: compare; faa: add
     std::uint64_t arg1 = 0;  // cas: swap
     std::uint64_t* old_out = nullptr;
     std::uint32_t tag = 0;            // send
-    std::vector<std::byte> payload;   // send
+    std::vector<std::byte> payload;   // send; write: gather snapshot
+    // Filled in by Hca::run.
+    sim::Time flight_start = 0;   // when the request's last byte left
+    std::uint64_t old_value = 0;  // cas / faa result
   };
+
+  /// Appends a work request with the fields every op kind shares.
+  WorkRequest& append(OpKind kind, NodeId target, std::uint32_t rkey,
+                      std::size_t offset, std::size_t total_len);
 
   std::vector<WorkRequest> wrs_;
 };
@@ -173,10 +203,12 @@ class Hca {
   /// back-to-back at this NIC (request k+1 overlaps request k's flight),
   /// execute at their targets in posting order, and the poster wakes once —
   /// after the last response lands — paying one completion cost for the
-  /// batch.  A batch of one op costs exactly the same as the serial call.
-  /// One-sided ops still consume zero target CPU.  Errors (unknown rkey,
-  /// bounds, dead target) surface as the same exceptions as the serial
-  /// path; ops that executed before the faulting op remain executed.
+  /// batch.  Every serial verb above is a one-op batch run through the same
+  /// path.  One-sided ops still consume zero target CPU.  Errors surface in
+  /// a fixed order: a misaligned atomic at post time, then a dead target
+  /// (after the retry window), then unknown rkey / bounds at the faulting
+  /// op's execution; ops that executed before the faulting op remain
+  /// executed, including the bytes already landed by earlier reads.
   sim::Task<void> post(OpBatch batch);
 
   /// Timing-only one-sided write: models the full RDMA write cost to `dst`
@@ -228,10 +260,16 @@ class Hca {
   void deliver(Message msg);
   sim::Channel<Message>& queue_for(std::uint32_t tag);
 
-  /// Executes one batched work request at the target (resolve per SGE
-  /// segment + data movement / atomic execute / mailbox delivery).
-  void execute_at_target(OpBatch::WorkRequest& wr, std::vector<std::byte>& data,
-                         std::uint64_t& old_value);
+  /// The one execution path of every verb but multicast: validation and
+  /// per-op counters, liveness, one doorbell, pipelined requests, in-order
+  /// retire at the targets and one completion.
+  sim::Task<void> run(OpBatch& batch);
+  /// Executes one work request at the target (resolve per SGE segment +
+  /// data movement / atomic execute / mailbox delivery).
+  void execute_at_target(OpBatch::WorkRequest& wr);
+  /// Timing-only one-sided op: `request` bytes out, `response` bytes back.
+  sim::Task<void> raw_transfer(NodeId dst, std::size_t request,
+                               std::size_t response);
 
   Network& net_;
   fabric::Fabric& fab_;

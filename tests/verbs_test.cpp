@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
+#include <string_view>
 
+#include "trace/hot.hpp"
 #include "verbs/verbs.hpp"
 #include "verbs/wire.hpp"
 
@@ -212,6 +215,36 @@ TEST_F(VerbsFixture, MisalignedAtomicRaises) {
   EXPECT_TRUE(caught);
 }
 
+// Alignment is checked at post time, before liveness: a misaligned atomic
+// to a dead node fails at once instead of after the retry window.
+TEST_F(VerbsFixture, MisalignedAtomicToFailedNodeRaisesAtOnce) {
+  auto region = net.hca(1).allocate_region(16);
+  fab.node(1).fail();
+  int access_errors = 0;
+  int timeouts = 0;
+  eng.spawn([](Network& n, RemoteRegion r, int& access,
+               int& timeout) -> sim::Task<void> {
+    try {
+      (void)co_await n.hca(0).compare_and_swap(r, 4, 0, 1);
+    } catch (const RemoteAccessError&) {
+      ++access;
+    } catch (const RemoteTimeoutError&) {
+      ++timeout;
+    }
+    try {
+      (void)co_await n.hca(0).fetch_and_add(r, 12, 1);
+    } catch (const RemoteAccessError&) {
+      ++access;
+    } catch (const RemoteTimeoutError&) {
+      ++timeout;
+    }
+  }(net, region, access_errors, timeouts));
+  eng.run();
+  EXPECT_EQ(access_errors, 2);
+  EXPECT_EQ(timeouts, 0);
+  EXPECT_EQ(eng.now(), 0u);
+}
+
 TEST_F(VerbsFixture, SendRecvDeliversTaggedMessages) {
   std::vector<std::string> got;
   eng.spawn([](Network& n, std::vector<std::string>& out) -> sim::Task<void> {
@@ -322,6 +355,66 @@ TEST_F(VerbsFixture, BatchScatterGatherMovesBytes) {
   EXPECT_EQ(back, make_bytes({3, 4, 5, 6, 7, 8}));
 }
 
+// Read bytes land in their destination at the execution instant, so a
+// batch that faults on a later op has already filled an earlier read's dst.
+TEST_F(VerbsFixture, BatchFaultLeavesEarlierReadLanded) {
+  auto region = net.hca(1).allocate_region(8);
+  const auto seed = make_bytes({9, 8, 7, 6});
+  auto mem = net.hca(1).host().memory().bytes(region.addr, seed.size());
+  std::copy(seed.begin(), seed.end(), mem.begin());
+  RemoteRegion bogus = region;
+  bogus.rkey += 1000;
+  std::vector<std::byte> first(4), second(4);
+  bool caught = false;
+  eng.spawn([](Network& n, RemoteRegion good, RemoteRegion bad,
+               std::vector<std::byte>& a, std::vector<std::byte>& b,
+               bool& c) -> sim::Task<void> {
+    OpBatch batch;
+    batch.read(good, 0, a);
+    batch.read(bad, 0, b);
+    try {
+      co_await n.hca(0).post(std::move(batch));
+    } catch (const RemoteAccessError&) {
+      c = true;
+    }
+  }(net, region, bogus, first, second, caught));
+  eng.run();
+  EXPECT_TRUE(caught);
+  EXPECT_EQ(first, seed);
+  EXPECT_EQ(second, std::vector<std::byte>(4));
+}
+
+// Batched one-sided ops feed the `verbs.home` hot set like serial ones:
+// one record per read, weighted by its bytes.
+TEST_F(VerbsFixture, BatchedReadsChargeVerbsHomeHotSet) {
+  struct HomeWeights : trace::HotSink {
+    std::map<std::uint64_t, std::uint64_t> weight;
+    int records = 0;
+    void record_hot(const char* domain, std::uint64_t key,
+                    std::uint64_t w) override {
+      if (std::string_view(domain) != "verbs.home") return;
+      weight[key] += w;
+      ++records;
+    }
+  } sink;
+  trace::ScopedHotSink armed(&sink);
+  auto region = net.hca(2).allocate_region(64);
+  std::vector<std::byte> a(8), b(16), c(24);
+  eng.spawn([](Network& n, RemoteRegion r, std::vector<std::byte>& x,
+               std::vector<std::byte>& y,
+               std::vector<std::byte>& z) -> sim::Task<void> {
+    OpBatch batch;
+    batch.read(r, 0, x);
+    batch.read(r, 8, y);
+    batch.read(r, 24, z);
+    co_await n.hca(0).post(std::move(batch));
+  }(net, region, a, b, c));
+  eng.run();
+  EXPECT_EQ(sink.records, 3);
+  EXPECT_EQ(sink.weight.size(), 1u);
+  EXPECT_EQ(sink.weight[2], 8u + 16u + 24u);
+}
+
 TEST_F(VerbsFixture, BatchExecutesOpsInPostingOrder) {
   auto region = net.hca(2).allocate_region(8);
   std::uint64_t old1 = 99, old2 = 99, old3 = 99;
@@ -405,10 +498,10 @@ TEST_F(VerbsFixture, BatchedSendsDeliverTaggedMessages) {
   EXPECT_EQ(tag2_got, "for-two");
 }
 
-// A batch of one is delay-for-delay identical to the serial verb: same
-// doorbell charge, same wire serialization, same target-side delays, same
-// completion charge.  Timing equivalence keeps every rewired caller's
-// dcs-bench-v1 output byte-identical at depth 1.
+// Every serial verb is a one-op batch, so posting a batch of one is
+// event-for-event identical to the serial call: same doorbell, same wire
+// serialization, same target-side delays, same completion — same dispatch
+// fingerprint, not merely the same end time.
 TEST(VerbsBatchTiming, BatchOfOneMatchesSerialDelayForDelay) {
   auto run = [](bool batched) {
     sim::Engine eng;
@@ -446,9 +539,12 @@ TEST(VerbsBatchTiming, BatchOfOneMatchesSerialDelayForDelay) {
       }
     }(net, region, buf, batched));
     eng.run();
-    return eng.now();
+    return std::pair{eng.now(), eng.dispatch_fingerprint()};
   };
-  EXPECT_EQ(run(false), run(true));
+  const auto serial = run(false);
+  const auto batched = run(true);
+  EXPECT_EQ(serial.first, batched.first);
+  EXPECT_EQ(serial.second, batched.second);
 }
 
 // Depth-8 pipelining: serialization of op k+1 overlaps the flight of op k
