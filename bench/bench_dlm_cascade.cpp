@@ -12,25 +12,14 @@
 #include <memory>
 
 #include "common/table.hpp"
-#include "dlm/dqnl.hpp"
-#include "dlm/ncosed.hpp"
-#include "dlm/srsl.hpp"
 #include "obs/harness.hpp"
+#include "scenarios/scenarios.hpp"
 
 namespace {
 
 using namespace dcs;
 using dlm::LockMode;
-
-enum class Scheme { kSrsl, kDqnl, kNcosed };
-const char* name_of(Scheme s) {
-  switch (s) {
-    case Scheme::kSrsl: return "SRSL";
-    case Scheme::kDqnl: return "DQNL";
-    case Scheme::kNcosed: return "N-CoSED";
-  }
-  return "?";
-}
+using dlm::Scheme;
 
 struct World {
   sim::Engine& eng;
@@ -42,54 +31,12 @@ struct World {
       : eng(engine),
         fab(eng, fabric::FabricParams{},
             {.num_nodes = 20, .cores_per_node = 2}),
-        net(fab) {
-    switch (scheme) {
-      case Scheme::kSrsl: {
-        auto srsl = std::make_unique<dlm::SrslLockManager>(net, 0);
-        srsl->start();
-        mgr = std::move(srsl);
-        break;
-      }
-      case Scheme::kDqnl:
-        mgr = std::make_unique<dlm::DqnlLockManager>(net, 0);
-        break;
-      case Scheme::kNcosed:
-        mgr = std::make_unique<dlm::NcosedLockManager>(net, 0);
-        break;
-    }
-  }
+        net(fab),
+        mgr(dlm::make_lock_manager(scheme, net, 0)) {}
 };
 
 const std::vector<Scheme> kSchemes = {Scheme::kSrsl, Scheme::kDqnl,
                                       Scheme::kNcosed};
-
-/// Latency (µs) from the holder's release to the LAST pending waiter grant.
-double cascade_latency_on(World& w, LockMode mode, int waiters) {
-  SimNanos release_at = 0, last_grant = 0;
-  int granted = 0;
-  w.eng.spawn([](World& world, SimNanos& rel) -> sim::Task<void> {
-    co_await world.mgr->lock_exclusive(1, 0);
-    co_await world.eng.delay(milliseconds(2));
-    rel = world.eng.now();
-    co_await world.mgr->unlock(1, 0);
-  }(w, release_at));
-  for (int i = 0; i < waiters; ++i) {
-    w.eng.spawn([](World& world, fabric::NodeId self, LockMode m, int& g,
-                   SimNanos& last) -> sim::Task<void> {
-      co_await world.eng.delay(microseconds(100 + 10 * self));
-      {
-        trace::Request req("dlm.acquire", self, self);
-        co_await world.mgr->lock(self, 0, m);
-      }
-      ++g;
-      last = std::max(last, world.eng.now());
-      co_await world.mgr->unlock(self, 0);
-    }(w, static_cast<fabric::NodeId>(2 + i), mode, granted, last_grant));
-  }
-  w.eng.run();
-  DCS_CHECK(granted == waiters);
-  return to_micros(last_grant - release_at);
-}
 
 const std::vector<int> kWaiters = {1, 2, 4, 8, 16};
 const std::vector<int> kContenders = {1, 4, 8};
@@ -194,11 +141,11 @@ void print_op_latency_table(obs::Harness& h) {
       const bool shared = mode == LockMode::kShared;
       row.push_back(
           h.run(std::string("uncontended/") + (shared ? "shared/" : "") +
-                    name_of(scheme),
+                    dlm::to_string(scheme),
                 [=](obs::Scenario& s) { roundtrip_scenario(s, scheme, mode); })
               .at("roundtrip_us"));
     }
-    table.add_row(name_of(scheme), row, 1);
+    table.add_row(dlm::to_string(scheme), row, 1);
   }
   table.print(
       "Uncontended lock+unlock round-trip latency "
@@ -212,7 +159,8 @@ void print_throughput_table(obs::Harness& h) {
     std::vector<double> row;
     for (const Scheme scheme : kSchemes) {
       row.push_back(
-          h.run("throughput/" + std::to_string(nodes) + "/" + name_of(scheme),
+          h.run("throughput/" + std::to_string(nodes) + "/" +
+                    dlm::to_string(scheme),
                 [=](obs::Scenario& s) {
                   throughput_scenario(s, scheme, nodes);
                 })
@@ -231,13 +179,15 @@ void print_fig5(obs::Harness& h, LockMode mode, const char* title) {
   for (const int n : kWaiters) {
     std::vector<double> row;
     for (const Scheme scheme : kSchemes) {
-      row.push_back(h.run(prefix + std::to_string(n) + "/" + name_of(scheme),
-                          [=](obs::Scenario& s) {
-                            World w(s.engine(), scheme);
-                            s.metric("cascade_us",
-                                     cascade_latency_on(w, mode, n));
-                          })
-                        .at("cascade_us"));
+      row.push_back(
+          h.run(prefix + std::to_string(n) + "/" + dlm::to_string(scheme),
+                [=](obs::Scenario& s) {
+                  World w(s.engine(), scheme);
+                  s.metric("cascade_us",
+                           scenarios::run_lock_cascade(w.eng, *w.mgr, mode, n)
+                               .cascade_us());
+                })
+              .at("cascade_us"));
     }
     table.add_row(std::to_string(n), row, 1);
   }

@@ -34,8 +34,8 @@ void qos_scenario(obs::Scenario& s, double premium_weight) {
   }(eng, sched));
   eng.run_until(milliseconds(140));
 
-  auto& prem = const_cast<datacenter::QosClassStats&>(sched.stats(0));
-  auto& stan = const_cast<datacenter::QosClassStats&>(sched.stats(1));
+  const auto& prem = sched.stats(0);
+  const auto& stan = sched.stats(1);
   const double total_cpu =
       static_cast<double>(prem.cpu_consumed + stan.cpu_consumed);
   s.metric("premium_p95_us", prem.latency_us.percentile(95));
@@ -87,7 +87,7 @@ void admission_scenario(obs::Scenario& s, int sessions, bool with_admission) {
     }(eng, adm));
   }
   eng.run_until(seconds(3));
-  auto& stats = const_cast<datacenter::AdmissionStats&>(adm.stats());
+  const auto& stats = adm.stats();
   s.metric("admitted_p95_us", stats.admitted_latency_us.percentile(95));
   s.metric("drop_rate", stats.drop_rate());
   s.metric("served", static_cast<double>(stats.admitted));

@@ -5,7 +5,7 @@
 #include "common/json.hpp"
 #include "common/table.hpp"
 #include "obs/harness.hpp"
-#include "storm/storm.hpp"
+#include "scenarios/scenarios.hpp"
 
 namespace {
 
@@ -19,21 +19,8 @@ double query_time_ms(obs::Harness& h, storm::ControlPlane plane,
   const std::string name = std::string("query/") + storm::to_string(plane) +
                            "/" + std::to_string(records);
   const auto m = h.run(name, [=](obs::Scenario& s) {
-    auto& eng = s.engine();
-    fabric::Fabric fab(eng, fabric::FabricParams{},
-                       {.num_nodes = 5, .cores_per_node = 2});
-    verbs::Network net(fab);
-    sockets::TcpNetwork tcp(fab);
-    storm::StormCluster cluster(net, tcp, plane, 0, 1, {2, 3, 4});
-    eng.spawn(cluster.start());
-    eng.run();
-    storm::QueryResult result;
-    eng.spawn([](storm::StormCluster& c, std::uint64_t n,
-                 storm::QueryResult& out) -> sim::Task<void> {
-      out = co_await c.run_query(n);
-    }(cluster, records, result));
-    eng.run();
-    s.metric("query_ms", to_millis(result.elapsed));
+    scenarios::StormSite site(s.engine(), plane);
+    s.metric("query_ms", to_millis(site.query(records).elapsed));
   });
   return m.at("query_ms");
 }

@@ -44,14 +44,14 @@ void RunningStat::merge(const RunningStat& other) {
   n_ += other.n_;
 }
 
-void LatencySamples::ensure_sorted() {
+void LatencySamples::ensure_sorted() const {
   if (!sorted_) {
     std::sort(samples_.begin(), samples_.end());
     sorted_ = true;
   }
 }
 
-double LatencySamples::percentile(double p) {
+double LatencySamples::percentile(double p) const {
   DCS_CHECK(p >= 0.0 && p <= 100.0);
   if (samples_.empty()) return 0.0;
   ensure_sorted();
@@ -69,7 +69,7 @@ double LatencySamples::mean() const {
   return sum / static_cast<double>(samples_.size());
 }
 
-double LatencySamples::max() {
+double LatencySamples::max() const {
   if (samples_.empty()) return 0.0;
   ensure_sorted();
   return samples_.back();

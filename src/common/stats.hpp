@@ -34,22 +34,24 @@ class RunningStat {
 /// Sample reservoir with exact percentiles (sorts on demand).
 ///
 /// Experiment runs record at most a few million latency samples, so keeping
-/// them all is cheap and keeps percentile math exact.
+/// them all is cheap and keeps percentile math exact.  The queries are
+/// const: the first one after an add() sorts the reservoir in place, which
+/// changes no query's answer.
 class LatencySamples {
  public:
   void add(double v) { samples_.push_back(v); sorted_ = false; }
   std::size_t count() const { return samples_.size(); }
 
-  double percentile(double p);  // p in [0,100]
-  double median() { return percentile(50.0); }
+  double percentile(double p) const;  // p in [0,100]
+  double median() const { return percentile(50.0); }
   double mean() const;
-  double max();
+  double max() const;
   void clear() { samples_.clear(); sorted_ = false; }
 
  private:
-  void ensure_sorted();
-  std::vector<double> samples_;
-  bool sorted_ = true;
+  void ensure_sorted() const;
+  mutable std::vector<double> samples_;
+  mutable bool sorted_ = true;
 };
 
 /// Power-of-two bucketed histogram for value distributions (e.g. queue depths).

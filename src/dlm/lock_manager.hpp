@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 
 #include "sim/engine.hpp"
 #include "verbs/verbs.hpp"
@@ -49,6 +50,18 @@ class LockManager {
     return lock(self, id, LockMode::kExclusive);
   }
 };
+
+/// The three schemes above, for callers that pick one at run time.
+enum class Scheme { kSrsl, kDqnl, kNcosed };
+
+/// The manager's name(): "SRSL", "DQNL" or "N-CoSED".
+const char* to_string(Scheme scheme);
+
+/// A `scheme` lock manager whose lock state lives on `home`; an SRSL lock
+/// server is already started there.
+std::unique_ptr<LockManager> make_lock_manager(Scheme scheme,
+                                               verbs::Network& net,
+                                               NodeId home);
 
 /// Verbs message-tag bases used by the lock protocols.  Each protocol's
 /// per-lock mailboxes live at base + lock id; lock ids must stay below

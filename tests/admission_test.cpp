@@ -78,7 +78,7 @@ TEST(AdmissionTest, AdmittedLatencyBoundedUnderOverload) {
     }(w));
   }
   w.eng.run_until(seconds(2));
-  auto& stats = const_cast<AdmissionStats&>(w.adm.stats());
+  const auto& stats = w.adm.stats();
   ASSERT_GT(stats.admitted, 0u);
   // Each admitted request runs ~1 ms with at most ~3 queued ahead per node
   // (plus round-robin slices): p95 must stay within a small multiple.

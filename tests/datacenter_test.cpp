@@ -154,7 +154,7 @@ TEST_F(TierFixture, LatencyRecordedPerRequest) {
   ClientFarm clients(tcp, {0}, farm.proxies(), store, {.sessions = 2});
   eng.spawn(clients.run({1, 2, 3, 4, 5, 6}));
   eng.run();
-  auto& stats = const_cast<RunStats&>(clients.stats());
+  const auto& stats = clients.stats();
   EXPECT_EQ(stats.latency_us.count(), 6u);
   EXPECT_GT(stats.latency_us.mean(), 0.0);
 }

@@ -3,6 +3,8 @@
 # command does not honour, stray or valueless arguments and a missing SLO
 # rule file; each must exit 2 and name the offending argument on stderr
 # (never abort, raise SIGFPE or run with a silently substituted default).
+# Counts that size a fabric or spawn one coroutine each are capped so a
+# run has at most 1024 nodes (and `monitor --jobs` at most 1024 jobs).
 #
 # Usage: tests/dcs_flags_test.sh DCS_BINARY
 bin="$1"
@@ -34,6 +36,14 @@ done <<'EOF'
 --waiters locks --waiters abc
 --waiters locks --waiters -3
 --scheme locks --scheme foo
+--waiters locks --waiters 1021
+--waiters locks --waiters 2147483647
+--waiters wedge --waiters 1023
+--waiters wedge --waiters 2147483647
+--proxies cache --proxies 1019
+--proxies cache --proxies 2147483647
+--jobs monitor --jobs 1025
+--jobs monitor --jobs 2147483647
 --mode locks --mode foo
 --scheme monitor --scheme foo
 --plane storm --plane foo

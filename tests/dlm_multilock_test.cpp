@@ -4,23 +4,20 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "common/rng.hpp"
-#include "dlm/dqnl.hpp"
+#include "dlm/lock_manager.hpp"
 #include "dlm/ncosed.hpp"
-#include "dlm/srsl.hpp"
 
 namespace dcs::dlm {
 namespace {
 
-enum class Scheme { kSrsl, kDqnl, kNcosed };
-const char* scheme_name(Scheme s) {
-  switch (s) {
-    case Scheme::kSrsl: return "SRSL";
-    case Scheme::kDqnl: return "DQNL";
-    case Scheme::kNcosed: return "NCoSED";
-  }
-  return "?";
+// Parameter names: gtest allows only alphanumerics ("N-CoSED" -> "NCoSED").
+std::string scheme_name(Scheme s) {
+  std::string name = to_string(s);
+  std::erase(name, '-');
+  return name;
 }
 
 struct World {
@@ -32,22 +29,8 @@ struct World {
   explicit World(Scheme scheme, std::size_t nodes = 10)
       : fab(eng, fabric::FabricParams{},
             {.num_nodes = nodes, .cores_per_node = 2}),
-        net(fab) {
-    switch (scheme) {
-      case Scheme::kSrsl: {
-        auto srsl = std::make_unique<SrslLockManager>(net, 0);
-        srsl->start();
-        mgr = std::move(srsl);
-        break;
-      }
-      case Scheme::kDqnl:
-        mgr = std::make_unique<DqnlLockManager>(net, 0, 32);
-        break;
-      case Scheme::kNcosed:
-        mgr = std::make_unique<NcosedLockManager>(net, 0, 32);
-        break;
-    }
-  }
+        net(fab),
+        mgr(make_lock_manager(scheme, net, 0)) {}
 };
 
 class MultiLock : public ::testing::TestWithParam<Scheme> {};

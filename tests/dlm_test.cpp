@@ -4,24 +4,21 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "common/rng.hpp"
 #include "dlm/dqnl.hpp"
-#include "dlm/ncosed.hpp"
-#include "dlm/srsl.hpp"
+#include "dlm/lock_manager.hpp"
+#include "scenarios/scenarios.hpp"
 
 namespace dcs::dlm {
 namespace {
 
-enum class Scheme { kSrsl, kDqnl, kNcosed };
-
-const char* scheme_name(Scheme s) {
-  switch (s) {
-    case Scheme::kSrsl: return "SRSL";
-    case Scheme::kDqnl: return "DQNL";
-    case Scheme::kNcosed: return "NCoSED";
-  }
-  return "?";
+// Parameter names: gtest allows only alphanumerics ("N-CoSED" -> "NCoSED").
+std::string scheme_name(Scheme s) {
+  std::string name = to_string(s);
+  std::erase(name, '-');
+  return name;
 }
 
 struct World {
@@ -33,22 +30,8 @@ struct World {
   explicit World(Scheme scheme, std::size_t nodes = 18)
       : fab(eng, fabric::FabricParams{},
             {.num_nodes = nodes, .cores_per_node = 2}),
-        net(fab) {
-    switch (scheme) {
-      case Scheme::kSrsl: {
-        auto srsl = std::make_unique<SrslLockManager>(net, 0);
-        srsl->start();
-        mgr = std::move(srsl);
-        break;
-      }
-      case Scheme::kDqnl:
-        mgr = std::make_unique<DqnlLockManager>(net, 0);
-        break;
-      case Scheme::kNcosed:
-        mgr = std::make_unique<NcosedLockManager>(net, 0);
-        break;
-    }
-  }
+        net(fab),
+        mgr(make_lock_manager(scheme, net, 0)) {}
 };
 
 class DlmAllSchemes : public ::testing::TestWithParam<Scheme> {};
@@ -294,32 +277,12 @@ TEST(DlmFig4Test, SrslBurnsServerCpu) {
 
 // --- cascade shapes (Figure 5) ---
 
-// Latency from the moment the long-held lock is released until the last of
-// `waiters` pending requests is granted.
-SimNanos cascade_latency(Scheme scheme, LockMode mode, int waiters) {
+// Microseconds from the moment the long-held lock is released until the
+// last of `waiters` pending requests is granted: the Figure 5 cascade.
+double cascade_latency(Scheme scheme, LockMode mode, int waiters) {
   World w(scheme);
-  SimNanos release_at = 0, last_grant = 0;
-  int granted = 0;
-  // Holder: takes the lock exclusively, sleeps, releases.
-  w.eng.spawn([](World& world, SimNanos& rel) -> sim::Task<void> {
-    co_await world.mgr->lock_exclusive(1, 0);
-    co_await world.eng.delay(milliseconds(2));
-    rel = world.eng.now();
-    co_await world.mgr->unlock(1, 0);
-  }(w, release_at));
-  for (int i = 0; i < waiters; ++i) {
-    w.eng.spawn([](World& world, NodeId self, LockMode m, int& g,
-                   SimNanos& last) -> sim::Task<void> {
-      co_await world.eng.delay(microseconds(100 + 10 * self));
-      co_await world.mgr->lock(self, 0, m);
-      ++g;
-      last = std::max(last, world.eng.now());
-      co_await world.mgr->unlock(self, 0);
-    }(w, static_cast<NodeId>(2 + i), mode, granted, last_grant));
-  }
-  w.eng.run();
-  DCS_CHECK(granted == waiters);
-  return last_grant - release_at;
+  return scenarios::run_lock_cascade(w.eng, *w.mgr, mode, waiters)
+      .cascade_us();
 }
 
 TEST(DlmCascadeTest, SharedCascadeNcosedBeatsDqnlAndSrsl) {
@@ -330,7 +293,7 @@ TEST(DlmCascadeTest, SharedCascadeNcosedBeatsDqnlAndSrsl) {
   EXPECT_LT(nc, dq);
   EXPECT_LT(nc, sr);
   // DQNL serializes shared grants: the gap should be large (paper: ~317 %).
-  EXPECT_GT(static_cast<double>(dq) / static_cast<double>(nc), 2.0);
+  EXPECT_GT(dq / nc, 2.0);
 }
 
 TEST(DlmCascadeTest, ExclusiveCascadeNcosedBeatsSrsl) {

@@ -5,16 +5,12 @@
 // parameter space" complement to the targeted unit tests.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <tuple>
 
 #include "cache/coop_cache.hpp"
 #include "common/zipf.hpp"
-#include "dlm/dqnl.hpp"
-#include "dlm/ncosed.hpp"
-#include "dlm/srsl.hpp"
 #include "monitor/monitor.hpp"
-#include "storm/storm.hpp"
+#include "scenarios/scenarios.hpp"
 
 namespace dcs {
 namespace {
@@ -76,17 +72,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 // --- lock cascade invariants across schemes x waiter counts -----------------
 
-enum class LockScheme { kSrsl, kDqnl, kNcosed };
-using DlmSweepParam = std::tuple<LockScheme, int>;
-
-const char* lock_scheme_name(LockScheme s) {
-  switch (s) {
-    case LockScheme::kSrsl: return "SRSL";
-    case LockScheme::kDqnl: return "DQNL";
-    case LockScheme::kNcosed: return "NCoSED";
-  }
-  return "?";
-}
+using DlmSweepParam = std::tuple<dlm::Scheme, int>;
 
 class DlmCascadeSweep : public ::testing::TestWithParam<DlmSweepParam> {};
 
@@ -96,55 +82,29 @@ TEST_P(DlmCascadeSweep, AllWaitersGrantedExactlyOnceAfterRelease) {
   fabric::Fabric fab(eng, fabric::FabricParams{},
                      {.num_nodes = 20, .cores_per_node = 2});
   verbs::Network net(fab);
-  std::unique_ptr<dlm::LockManager> mgr;
-  switch (scheme) {
-    case LockScheme::kSrsl: {
-      auto srsl = std::make_unique<dlm::SrslLockManager>(net, 0);
-      srsl->start();
-      mgr = std::move(srsl);
-      break;
-    }
-    case LockScheme::kDqnl:
-      mgr = std::make_unique<dlm::DqnlLockManager>(net, 0);
-      break;
-    case LockScheme::kNcosed:
-      mgr = std::make_unique<dlm::NcosedLockManager>(net, 0);
-      break;
-  }
-  std::vector<int> grants(20, 0);
-  SimNanos release_at = 0;
-  eng.spawn([](sim::Engine& e, dlm::LockManager& m, SimNanos& rel)
-                -> sim::Task<void> {
-    co_await m.lock_exclusive(1, 0);
-    co_await e.delay(milliseconds(1));
-    rel = e.now();
-    co_await m.unlock(1, 0);
-  }(eng, *mgr, release_at));
+  const auto mgr = dlm::make_lock_manager(scheme, net, 0);
+  const auto r = scenarios::run_lock_cascade(eng, *mgr, dlm::LockMode::kShared,
+                                             waiters);
+  // Each waiter records its grant once; none is granted before the holder
+  // released.
+  ASSERT_NE(r.release_at, 0u);
+  ASSERT_EQ(r.granted_at.size(), static_cast<std::size_t>(waiters));
   for (int i = 0; i < waiters; ++i) {
-    eng.spawn([](sim::Engine& e, dlm::LockManager& m, fabric::NodeId self,
-                 std::vector<int>& g, const SimNanos& rel) -> sim::Task<void> {
-      co_await e.delay(microseconds(50 + 7 * self));
-      co_await m.lock_shared(self, 0);
-      // Invariant: no grant before the holder released.
-      DCS_CHECK(rel != 0 && e.now() >= rel);
-      ++g[self];
-      co_await m.unlock(self, 0);
-    }(eng, *mgr, static_cast<fabric::NodeId>(2 + i), grants, release_at));
-  }
-  eng.run();
-  for (int i = 0; i < waiters; ++i) {
-    EXPECT_EQ(grants[2 + i], 1) << "waiter " << i;
+    EXPECT_GE(r.granted_at[static_cast<std::size_t>(i)], r.release_at)
+        << "waiter " << i;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Grid, DlmCascadeSweep,
-    ::testing::Combine(::testing::Values(LockScheme::kSrsl, LockScheme::kDqnl,
-                                         LockScheme::kNcosed),
+    ::testing::Combine(::testing::Values(dlm::Scheme::kSrsl,
+                                         dlm::Scheme::kDqnl,
+                                         dlm::Scheme::kNcosed),
                        ::testing::Values(1, 3, 7, 15)),
     [](const auto& param_info) {
-      return std::string(lock_scheme_name(std::get<0>(param_info.param))) + "_w" +
-             std::to_string(std::get<1>(param_info.param));
+      std::string name = dlm::to_string(std::get<0>(param_info.param));
+      std::erase(name, '-');
+      return name + "_w" + std::to_string(std::get<1>(param_info.param));
     });
 
 // --- STORM record-count sweep ------------------------------------------------
@@ -156,19 +116,8 @@ class StormSweep
 TEST_P(StormSweep, ScanAccountingExactAtEveryScale) {
   const auto [plane, records] = GetParam();
   sim::Engine eng;
-  fabric::Fabric fab(eng, fabric::FabricParams{},
-                     {.num_nodes = 5, .cores_per_node = 2});
-  verbs::Network net(fab);
-  sockets::TcpNetwork tcp(fab);
-  storm::StormCluster cluster(net, tcp, plane, 0, 1, {2, 3, 4});
-  eng.spawn(cluster.start());
-  eng.run();
-  storm::QueryResult result;
-  eng.spawn([](storm::StormCluster& c, std::uint64_t n,
-               storm::QueryResult& out) -> sim::Task<void> {
-    out = co_await c.run_query(n);
-  }(cluster, records, result));
-  eng.run();
+  scenarios::StormSite site(eng, plane);
+  const storm::QueryResult result = site.query(records);
   EXPECT_EQ(result.records_scanned, records);
   const auto expected_hits = static_cast<std::uint64_t>(
       static_cast<double>(records) * 0.02);

@@ -31,15 +31,9 @@
 #include <vector>
 
 #include "audit/audit.hpp"
-#include "cache/coop_cache.hpp"
 #include "common/json.hpp"
 #include "common/table.hpp"
-#include "common/zipf.hpp"
-#include "datacenter/clients.hpp"
-#include "datacenter/webfarm.hpp"
-#include "dlm/dqnl.hpp"
 #include "dlm/ncosed.hpp"
-#include "dlm/srsl.hpp"
 #include "monitor/monitor.hpp"
 #include "monitor/watchdog.hpp"
 #include "obs/explain.hpp"
@@ -47,14 +41,20 @@
 #include "obs/flame.hpp"
 #include "obs/harness.hpp"
 #include "obs/top.hpp"
+#include "scenarios/scenarios.hpp"
 #include "sim/sync.hpp"
-#include "storm/storm.hpp"
 #include "trace/flight.hpp"
 #include "trace/inspect.hpp"
 
 using namespace dcs;
 
 namespace {
+
+/// The largest fabric a run command builds: the 1024 nodes of the largest
+/// bench fabric (`bench_datacenter_scale --nodes=1024`).
+constexpr int kMaxNodes = 1024;
+/// `dcs monitor --jobs`: at most this many busy jobs on the probed node.
+constexpr int kMaxJobs = 1024;
 
 /// The `--key value` arguments of one command.  A command reads every
 /// key it knows first and then calls reject_unread(), which exits 2 naming
@@ -168,7 +168,9 @@ int cmd_cache(const Args& args, const obs::HarnessOptions& flags) {
                        cache::Scheme::kHYBCC}) {
     if (scheme_name == cache::to_string(s)) scheme = s;
   }
-  const auto proxies_n = static_cast<std::size_t>(args.num("proxies", 2, 1));
+  // The site's fabric has `proxies + 6` nodes.
+  const auto proxies_n =
+      static_cast<std::size_t>(args.num("proxies", 2, 1, kMaxNodes - 6));
   const int ws_mb = args.num("ws-mb", 12, 1, INT_MAX / 1024);
   // At least one document must fit in the working set.
   const std::size_t file_bytes =
@@ -176,8 +178,8 @@ int cmd_cache(const Args& args, const obs::HarnessOptions& flags) {
       1024;
   // The Zipf trace keeps a CDF and a permutation entry per document.
   constexpr std::size_t kMaxDocs = std::size_t{1} << 24;
-  const std::size_t num_docs =
-      static_cast<std::size_t>(ws_mb) * 1024 * 1024 / file_bytes;
+  const std::size_t ws_bytes = static_cast<std::size_t>(ws_mb) << 20;
+  const std::size_t num_docs = ws_bytes / file_bytes;
   if (num_docs > kMaxDocs) {
     std::fprintf(stderr,
                  "--ws-mb: expected at most %zu documents of %zu KB, got "
@@ -195,58 +197,39 @@ int cmd_cache(const Args& args, const obs::HarnessOptions& flags) {
   int rc = 0;
   obs::Harness h("dcs_cache", flags);
   h.run("run", [&](obs::Scenario& s) {
-    sim::Engine& eng = s.engine();
-    fabric::Fabric fab(eng, fabric::FabricParams{},
-                       {.num_nodes = 6 + proxies_n, .cores_per_node = 2,
-                        .mem_per_node = 64u << 20});
-    verbs::Network net(fab);
-    sockets::TcpNetwork tcp(fab);
-    std::vector<fabric::NodeId> proxies, donors, backends;
-    for (std::size_t i = 0; i < proxies_n; ++i) {
-      proxies.push_back(static_cast<fabric::NodeId>(2 + i));
-    }
-    donors = {static_cast<fabric::NodeId>(2 + proxies_n),
-              static_cast<fabric::NodeId>(3 + proxies_n)};
-    backends = {static_cast<fabric::NodeId>(4 + proxies_n),
-                static_cast<fabric::NodeId>(5 + proxies_n)};
-
-    datacenter::DocumentStore store(
-        {.num_docs = num_docs, .doc_bytes = file_bytes});
-    datacenter::BackendService backend(tcp, store, backends);
-    backend.start();
-    cache::CoopCacheService coop(net, backend, store, scheme, proxies, donors,
-                                 {.capacity_per_node = cache_mb << 20});
-    datacenter::WebFarm farm(tcp, proxies, coop.handler());
-    farm.start();
-    datacenter::ClientFarm clients(tcp, {0, 1}, proxies, store,
-                                   {.sessions = 4 * proxies_n});
-    ZipfTrace trace(num_docs, alpha, requests, 42);
-    eng.spawn(clients.run({trace.requests().begin(), trace.requests().end()}));
-    eng.run();
-
+    const auto site = scenarios::run_coop_site(
+        s.engine(), {.scheme = scheme,
+                     .proxies = proxies_n,
+                     .doc_bytes = file_bytes,
+                     .working_set_bytes = ws_bytes,
+                     .cache_bytes_per_node = cache_mb << 20,
+                     .alpha = alpha,
+                     .requests = requests,
+                     .trace_seed = 42});
     Table t({"metric", "value"});
     t.add_row({"scheme", cache::to_string(scheme)});
-    t.add_row({"throughput", fmt_fixed(clients.stats().tps(), 0) + " TPS"});
-    t.add_row({"mean latency",
-               fmt_fixed(const_cast<datacenter::RunStats&>(clients.stats())
-                             .latency_us.mean(),
-                         0) + " us"});
-    t.add_row({"hit rate", fmt_fixed(100 * coop.stats().hit_rate(), 1) + " %"});
+    t.add_row({"throughput", fmt_fixed(site.tps, 0) + " TPS"});
+    t.add_row({"mean latency", fmt_fixed(site.mean_latency_us, 0) + " us"});
+    t.add_row({"hit rate", fmt_fixed(100 * site.hit_rate, 1) + " %"});
     t.add_row({"integrity failures",
-               std::to_string(clients.stats().integrity_failures)});
-    const std::string audit = coop.audit();
-    t.add_row({"audit", audit.empty() ? "clean" : audit});
+               std::to_string(site.integrity_failures)});
+    t.add_row({"audit", site.audit.empty() ? "clean" : site.audit});
     t.print("cooperative cache run (" + std::to_string(proxies_n) +
             " proxies, " + std::to_string(file_bytes / 1024) + " KB docs, a=" +
             fmt_fixed(alpha, 2) + ")");
-    rc = audit.empty() ? 0 : 1;  // a failed invariant audit fails the run
+    rc = site.audit.empty() ? 0 : 1;  // a failed invariant audit fails the run
   });
   return std::max(rc, h.finish());
 }
 
 int cmd_locks(const Args& args, const obs::HarnessOptions& flags) {
-  const std::string scheme = args.one_of("scheme", {"ncosed", "srsl", "dqnl"});
-  const int waiters = args.num("waiters", 8, 1);
+  const std::string scheme_name =
+      args.one_of("scheme", {"ncosed", "srsl", "dqnl"});
+  const auto scheme = scheme_name == "srsl"   ? dlm::Scheme::kSrsl
+                      : scheme_name == "dqnl" ? dlm::Scheme::kDqnl
+                                              : dlm::Scheme::kNcosed;
+  // The run's fabric has `waiters + 4` nodes.
+  const int waiters = args.num("waiters", 8, 1, kMaxNodes - 4);
   const std::string mode_name = args.one_of("mode", {"shared", "exclusive"});
   const auto mode = mode_name == "shared" ? dlm::LockMode::kShared
                                           : dlm::LockMode::kExclusive;
@@ -254,52 +237,19 @@ int cmd_locks(const Args& args, const obs::HarnessOptions& flags) {
 
   obs::Harness h("dcs_locks", flags);
   h.run("run", [&](obs::Scenario& s) {
-    sim::Engine& eng = s.engine();
-    fabric::Fabric fab(eng, fabric::FabricParams{},
+    fabric::Fabric fab(s.engine(), fabric::FabricParams{},
                        {.num_nodes = static_cast<std::size_t>(waiters + 4),
                         .cores_per_node = 2});
     verbs::Network net(fab);
-    std::unique_ptr<dlm::LockManager> mgr;
-    if (scheme == "srsl") {
-      auto srsl = std::make_unique<dlm::SrslLockManager>(net, 0);
-      srsl->start();
-      mgr = std::move(srsl);
-    } else if (scheme == "dqnl") {
-      mgr = std::make_unique<dlm::DqnlLockManager>(net, 0);
-    } else {
-      mgr = std::make_unique<dlm::NcosedLockManager>(net, 0);
-    }
-
-    SimNanos release_at = 0, last_grant = 0;
-    eng.spawn([](sim::Engine& e, dlm::LockManager& m, SimNanos& rel)
-                  -> sim::Task<void> {
-      co_await m.lock_exclusive(1, 0);
-      co_await e.delay(milliseconds(1));
-      rel = e.now();
-      co_await m.unlock(1, 0);
-    }(eng, *mgr, release_at));
-    for (int i = 0; i < waiters; ++i) {
-      eng.spawn([](sim::Engine& e, dlm::LockManager& m, fabric::NodeId self,
-                   dlm::LockMode md, SimNanos& last) -> sim::Task<void> {
-        co_await e.delay(microseconds(50 + 10 * self));
-        {
-          // Request root so --critical-path splits acquire latency into
-          // lock-wait vs protocol cost.
-          trace::Request req("dlm.acquire", self, self);
-          co_await m.lock(self, 0, md);
-        }
-        last = std::max(last, e.now());
-        co_await m.unlock(self, 0);
-      }(eng, *mgr, static_cast<fabric::NodeId>(2 + i), mode, last_grant));
-    }
-    eng.run();
+    const auto mgr = dlm::make_lock_manager(scheme, net, 0);
+    const auto cascade =
+        scenarios::run_lock_cascade(s.engine(), *mgr, mode, waiters);
 
     Table t({"metric", "value"});
     t.add_row({"scheme", mgr->name()});
     t.add_row({"mode", mode_name});
     t.add_row({"waiters", std::to_string(waiters)});
-    t.add_row({"cascade latency",
-               fmt_fixed(to_micros(last_grant - release_at), 1) + " us"});
+    t.add_row({"cascade latency", fmt_fixed(cascade.cascade_us(), 1) + " us"});
     t.print("lock cascade run");
   });
   return h.finish();
@@ -314,7 +264,7 @@ int cmd_monitor(const Args& args, const obs::HarnessOptions& flags) {
   if (scheme_name == "socket-async") scheme = monitor::MonScheme::kSocketAsync;
   if (scheme_name == "rdma-async") scheme = monitor::MonScheme::kRdmaAsync;
   if (scheme_name == "e-rdma-sync") scheme = monitor::MonScheme::kERdmaSync;
-  const int jobs = args.num("jobs", 4);
+  const int jobs = args.num("jobs", 4, 0, kMaxJobs);
   args.reject_unread();
 
   obs::Harness h("dcs_monitor", flags);
@@ -365,21 +315,14 @@ int cmd_storm(const Args& args, const obs::HarnessOptions& flags) {
 
   obs::Harness h("dcs_storm", flags);
   h.run("run", [&](obs::Scenario& s) {
-    sim::Engine& eng = s.engine();
-    fabric::Fabric fab(eng, fabric::FabricParams{},
-                       {.num_nodes = 5, .cores_per_node = 2});
-    verbs::Network net(fab);
-    sockets::TcpNetwork tcp(fab);
-    storm::StormCluster cluster(net, tcp, plane, 0, 1, {2, 3, 4});
-    eng.spawn(cluster.start());
-    eng.run();
+    scenarios::StormSite site(s.engine(), plane);
     storm::QueryResult result;
-    eng.spawn([](storm::StormCluster& c, std::uint64_t n,
-                 storm::QueryResult& out) -> sim::Task<void> {
+    site.eng.spawn([](storm::StormCluster& c, std::uint64_t n,
+                      storm::QueryResult& out) -> sim::Task<void> {
       trace::Request req("storm.query", 0, n);
       out = co_await c.run_query(n);
-    }(cluster, records, result));
-    eng.run();
+    }(site.cluster, records, result));
+    site.eng.run();
 
     Table t({"metric", "value"});
     t.add_row({"control plane", storm::to_string(plane)});
@@ -405,7 +348,8 @@ int cmd_storm(const Args& args, const obs::HarnessOptions& flags) {
 int cmd_wedge(const Args& args) {
   const std::string scenario =
       args.one_of("scenario", {"stall", "deadline", "violation"});
-  const int waiters = args.num("waiters", 3);
+  // The run's fabric has `waiters + 2` nodes.
+  const int waiters = args.num("waiters", 3, 0, kMaxNodes - 2);
   trace::FlightConfig fc;
   fc.ring_capacity = static_cast<std::size_t>(args.num("ring", 128));
   fc.postmortem_dir = args.text("postmortem-dir", ".");
