@@ -194,7 +194,6 @@ void print_a3(obs::Harness& h) {
 int main(int argc, char** argv) {
   const auto opts = obs::extract_harness_flags(argc, argv);
   obs::reject_unknown_args(argc, argv);
-  obs::reject_unsupported("ablation_fabric", opts.batch != 0, "--batch");
   obs::Harness h("ablation_fabric", opts);
   print_a1(h);
   print_a2(h);

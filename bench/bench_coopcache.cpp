@@ -60,7 +60,6 @@ void print_fig6(obs::Harness& h, std::size_t num_proxies, const char* title) {
 int main(int argc, char** argv) {
   const auto opts = obs::extract_harness_flags(argc, argv);
   obs::reject_unknown_args(argc, argv);
-  obs::reject_unsupported("coopcache", opts.batch != 0, "--batch");
   obs::Harness h("coopcache", opts);
   print_fig6(h, 2,
              "Figure 6a — data-center throughput (TPS), two proxy nodes "

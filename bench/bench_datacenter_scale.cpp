@@ -492,7 +492,6 @@ int main(int argc, char** argv) {
                           "--trace-out");
   obs::reject_unsupported("datacenter_scale", !opts.critical_path.empty(),
                           "--critical-path");
-  obs::reject_unsupported("datacenter_scale", opts.batch != 0, "--batch");
   // Post-mortems and --slo rules need the health plane's store.
   cfg.observe = !opts.timeseries_out.empty() || !opts.slo_rules.empty() ||
                 !opts.postmortem_dir.empty();

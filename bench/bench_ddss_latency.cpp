@@ -93,12 +93,12 @@ void print_fig3a(obs::Harness& h) {
       "(paper: 1-byte ~tens of us, Strict most expensive)");
 }
 
-// Batched sweep (--batch N picks the max depth) of the doorbell-batchable
-// models; lock-based models fall back to serial inside put_many.
-void run_batch_sweep(obs::Harness& h, std::size_t max_depth) {
+// Batched sweep of the doorbell-batchable models; lock-based models fall
+// back to serial inside put_many.
+void run_batch_sweep(obs::Harness& h) {
   for (const auto model : {ddss::Coherence::kNull, ddss::Coherence::kRead,
                            ddss::Coherence::kVersion}) {
-    for (const std::size_t depth : obs::batch_sweep(max_depth)) {
+    for (const std::size_t depth : obs::kBatchDepths) {
       h.run(std::string("put/") + ddss::to_string(model) + "/batch=" +
                 std::to_string(depth),
             [model, depth](obs::Scenario& s) {
@@ -117,6 +117,6 @@ int main(int argc, char** argv) {
   obs::reject_unknown_args(argc, argv);
   obs::Harness h("ddss_latency", opts);
   print_fig3a(h);
-  run_batch_sweep(h, opts.batch);
+  run_batch_sweep(h);
   return h.finish();
 }

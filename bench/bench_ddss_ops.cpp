@@ -192,11 +192,11 @@ void print_aggregator_table(obs::Harness& h) {
       "bandwidth aggregation");
 }
 
-// Batched sweep (--batch N picks the max depth).
-void run_batch_sweep(obs::Harness& h, std::size_t max_depth) {
+// Batched sweep of the doorbell-batchable get models.
+void run_batch_sweep(obs::Harness& h) {
   for (const auto model : {ddss::Coherence::kNull, ddss::Coherence::kWrite,
                            ddss::Coherence::kRead}) {
-    for (const std::size_t depth : obs::batch_sweep(max_depth)) {
+    for (const std::size_t depth : obs::kBatchDepths) {
       h.run(std::string("get/") + ddss::to_string(model) + "/batch=" +
                 std::to_string(depth),
             [&](obs::Scenario& s) {
@@ -263,7 +263,7 @@ int main(int argc, char** argv) {
   print_ipc_table(h);
   print_placement_table(h);
   print_aggregator_table(h);
-  run_batch_sweep(h, opts.batch);
+  run_batch_sweep(h);
   run_zipf(h);
   return h.finish();
 }

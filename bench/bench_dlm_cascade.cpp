@@ -199,7 +199,6 @@ void print_fig5(obs::Harness& h, LockMode mode, const char* title) {
 int main(int argc, char** argv) {
   const auto opts = obs::extract_harness_flags(argc, argv);
   obs::reject_unknown_args(argc, argv);
-  obs::reject_unsupported("dlm_cascade", opts.batch != 0, "--batch");
   obs::Harness h("dlm_cascade", opts);
   print_fig4_op_counts(h);
   print_op_latency_table(h);

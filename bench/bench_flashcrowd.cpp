@@ -141,7 +141,6 @@ void print_table(obs::Harness& h) {
 int main(int argc, char** argv) {
   const auto opts = obs::extract_harness_flags(argc, argv);
   obs::reject_unknown_args(argc, argv);
-  obs::reject_unsupported("flashcrowd", opts.batch != 0, "--batch");
   obs::Harness h("flashcrowd", opts);
   print_table(h);
   return h.finish();

@@ -217,7 +217,6 @@ void run_transport(obs::Scenario& s, datacenter::BackendTransport t) {
 int main(int argc, char** argv) {
   const auto opts = obs::extract_harness_flags(argc, argv);
   obs::reject_unknown_args(argc, argv);
-  obs::reject_unsupported("integrated", opts.batch != 0, "--batch");
   obs::Harness h("integrated", opts);
   h.run("two-sided", [](obs::Scenario& s) {
     run_transport(s, datacenter::BackendTransport::kTcp);

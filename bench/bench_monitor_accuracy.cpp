@@ -174,7 +174,6 @@ void run_telemetry(obs::Harness& h) {
 int main(int argc, char** argv) {
   const auto opts = obs::extract_harness_flags(argc, argv);
   obs::reject_unknown_args(argc, argv);
-  obs::reject_unsupported("monitor_accuracy", opts.batch != 0, "--batch");
   obs::Harness h("monitor_accuracy", opts);
   print_fig8a(h);
   print_intrusiveness(h);

@@ -180,7 +180,6 @@ int main(int argc, char** argv) {
     }
   }
   obs::reject_unknown_args(rest, argv);
-  obs::reject_unsupported("monitor_zipf", flags.batch != 0, "--batch");
   obs::Harness h("monitor_zipf", flags);
   print_fig8b(h, 1);
   if (cores_variant > 1) print_fig8b(h, cores_variant);

@@ -121,7 +121,6 @@ void print_admission_table(obs::Harness& h) {
 int main(int argc, char** argv) {
   const auto opts = obs::extract_harness_flags(argc, argv);
   obs::reject_unknown_args(argc, argv);
-  obs::reject_unsupported("qos", opts.batch != 0, "--batch");
   obs::Harness h("qos", opts);
   print_qos_table(h);
   print_admission_table(h);

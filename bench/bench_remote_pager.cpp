@@ -111,7 +111,6 @@ void print_sweep_table(obs::Harness& h) {
 int main(int argc, char** argv) {
   const auto opts = obs::extract_harness_flags(argc, argv);
   obs::reject_unknown_args(argc, argv);
-  obs::reject_unsupported("remote_pager", opts.batch != 0, "--batch");
   obs::Harness h("remote_pager", opts);
   print_penalty_table(h);
   print_sweep_table(h);

@@ -129,7 +129,6 @@ void print_datacenter_table(obs::Harness& h) {
 int main(int argc, char** argv) {
   const auto opts = obs::extract_harness_flags(argc, argv);
   obs::reject_unknown_args(argc, argv);
-  obs::reject_unsupported("sdp", opts.batch != 0, "--batch");
   obs::Harness h("sdp", opts);
   // One fixed 32 KB x 16 stream per mode: `--trace-out` shows the three
   // modes' sends, receives and stall spans side by side, byte-identical run

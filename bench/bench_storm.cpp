@@ -45,7 +45,6 @@ void print_fig3b(obs::Harness& h) {
 int main(int argc, char** argv) {
   const auto opts = obs::extract_harness_flags(argc, argv);
   obs::reject_unknown_args(argc, argv);
-  obs::reject_unsupported("storm", opts.batch != 0, "--batch");
   obs::Harness h("storm", opts);
   print_fig3b(h);
   return h.finish();

@@ -1,7 +1,6 @@
 #include "common/stats.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <sstream>
 
@@ -76,8 +75,7 @@ double LatencySamples::max() const {
 }
 
 void LogHistogram::add(std::uint64_t v) {
-  const auto bucket = static_cast<std::size_t>(v == 0 ? 0 : std::bit_width(v));
-  buckets_[std::min(bucket, kBuckets - 1)]++;
+  buckets_[bucket_of(v)]++;
   ++total_;
 }
 

@@ -1,6 +1,7 @@
 // Online statistics and latency histograms for experiment harnesses.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -57,6 +58,15 @@ class LatencySamples {
 /// Power-of-two bucketed histogram for value distributions (e.g. queue depths).
 class LogHistogram {
  public:
+  static constexpr std::size_t kBuckets = 64;
+
+  /// The bucket `v` lands in: bit_width(v), so bucket 0 holds 0 and bucket
+  /// b > 0 holds [2^(b-1), 2^b), clamped to the last bucket.
+  static constexpr std::uint32_t bucket_of(std::uint64_t v) {
+    const auto b = static_cast<std::size_t>(std::bit_width(v));
+    return static_cast<std::uint32_t>(b < kBuckets ? b : kBuckets - 1);
+  }
+
   void add(std::uint64_t v);
   std::uint64_t count() const { return total_; }
   /// One line per nonempty bucket: "[lo, hi): count".
@@ -64,8 +74,6 @@ class LogHistogram {
   std::uint64_t bucket_count(std::size_t bucket) const;
   /// Adds `other`'s samples bucket-wise.
   void merge(const LogHistogram& other);
-
-  static constexpr std::size_t kBuckets = 64;
 
  private:
   std::uint64_t buckets_[kBuckets] = {};

@@ -116,53 +116,29 @@ sim::Task<void> GlobalAggregator::write(NodeId actor,
                                         const GlobalExtent& extent,
                                         std::size_t offset,
                                         std::span<const std::byte> src) {
-  const auto spans = decompose(extent, offset, src.size());
   // Fragment fan-out is one OpBatch per home node: all pieces living on a
   // donor share a single doorbell + coalesced completion, and their
   // serializations pipeline the flights.  Homes proceed concurrently.
-  std::vector<std::pair<NodeId, verbs::OpBatch>> per_home;
-  for (const auto& span : spans) {
+  verbs::PerTarget homes;
+  for (const auto& span : decompose(extent, offset, src.size())) {
     const auto& piece = extent.pieces[span.piece_index];
-    auto it = std::find_if(per_home.begin(), per_home.end(),
-                           [&](const auto& e) { return e.first == piece.node; });
-    if (it == per_home.end()) {
-      per_home.emplace_back(piece.node, verbs::OpBatch{});
-      it = per_home.end() - 1;
-    }
-    it->second.write(piece, span.piece_off,
-                     src.subspan(span.extent_off, span.len));
+    homes.to(piece.node).write(piece, span.piece_off,
+                               src.subspan(span.extent_off, span.len));
   }
-  std::vector<sim::Task<void>> ops;
-  ops.reserve(per_home.size());
-  for (auto& [home, batch] : per_home) {
-    ops.push_back(net_.hca(actor).post(std::move(batch)));
-  }
-  co_await net_.fabric().engine().when_all(std::move(ops));
+  co_await homes.post(net_.hca(actor));
 }
 
 sim::Task<void> GlobalAggregator::read(NodeId actor,
                                        const GlobalExtent& extent,
                                        std::size_t offset,
                                        std::span<std::byte> dst) {
-  const auto spans = decompose(extent, offset, dst.size());
-  std::vector<std::pair<NodeId, verbs::OpBatch>> per_home;
-  for (const auto& span : spans) {
+  verbs::PerTarget homes;
+  for (const auto& span : decompose(extent, offset, dst.size())) {
     const auto& piece = extent.pieces[span.piece_index];
-    auto it = std::find_if(per_home.begin(), per_home.end(),
-                           [&](const auto& e) { return e.first == piece.node; });
-    if (it == per_home.end()) {
-      per_home.emplace_back(piece.node, verbs::OpBatch{});
-      it = per_home.end() - 1;
-    }
-    it->second.read(piece, span.piece_off,
-                    dst.subspan(span.extent_off, span.len));
+    homes.to(piece.node).read(piece, span.piece_off,
+                              dst.subspan(span.extent_off, span.len));
   }
-  std::vector<sim::Task<void>> ops;
-  ops.reserve(per_home.size());
-  for (auto& [home, batch] : per_home) {
-    ops.push_back(net_.hca(actor).post(std::move(batch)));
-  }
-  co_await net_.fabric().engine().when_all(std::move(ops));
+  co_await homes.post(net_.hca(actor));
 }
 
 }  // namespace dcs::ddss

@@ -1,7 +1,6 @@
 #include "ddss/ddss.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cstring>
 #include <utility>
 
@@ -35,7 +34,11 @@ DdssMetrics& metrics() { return trace::thread_metrics<DdssMetrics>(); }
 
 enum class Op : std::uint8_t { kAlloc = 1, kFree = 2 };
 
+constexpr std::uint32_t kControlTag = 0xDD55;     // the daemon's verbs tag
+constexpr std::uint32_t kInvalidateTag = 0xDD57;  // write-invalidate tag
 constexpr std::uint32_t kReplyTagBase = 0xDD560000;
+/// Backoff between lock CAS retries, torn-version retries and version polls.
+constexpr SimNanos kBackoff = microseconds(2);
 
 /// Cluster-unique identifier of a temporal allocation's cached datum.
 std::uint64_t temporal_tag(const Allocation& alloc) {
@@ -71,9 +74,7 @@ const char* to_string(Coherence c) {
 }
 
 Ddss::Ddss(verbs::Network& net, DdssConfig config)
-    : net_(net), config_(config) {
-  DCS_CHECK(config_.delta_versions >= 2);
-}
+    : net_(net), config_(config) {}
 
 void Ddss::start() {
   DCS_CHECK_MSG(!started_, "Ddss::start called twice");
@@ -90,14 +91,14 @@ void Ddss::start() {
 sim::Task<void> Ddss::invalidation_listener(NodeId node) {
   auto& hca = net_.hca(node);
   for (;;) {
-    verbs::Message msg = co_await hca.recv(config_.invalidate_tag);
+    verbs::Message msg = co_await hca.recv(kInvalidateTag);
     verbs::Decoder dec(msg.payload);
     temporal_cache_.erase(CacheKey{node, dec.u64()});
   }
 }
 
 std::size_t Ddss::storage_bytes(std::size_t size, Coherence c) const {
-  return c == Coherence::kDelta ? size * config_.delta_versions : size;
+  return c == Coherence::kDelta ? size * kDeltaVersions : size;
 }
 
 NodeId Ddss::pick_home(NodeId requester, Placement placement,
@@ -139,7 +140,7 @@ NodeId Ddss::pick_home(NodeId requester, Placement placement,
 sim::Task<void> Ddss::daemon(NodeId node) {
   auto& hca = net_.hca(node);
   for (;;) {
-    verbs::Message msg = co_await hca.recv(config_.control_tag);
+    verbs::Message msg = co_await hca.recv(kControlTag);
     // Home-node servicing is charged to the client's trace context.
     trace::AdoptContext adopted(msg.ctx);
     verbs::Decoder dec(msg.payload);
@@ -222,7 +223,7 @@ sim::Task<Allocation> Client::allocate(std::size_t size, Coherence coherence,
   verbs::Encoder req;
   req.u8(static_cast<std::uint8_t>(Op::kAlloc)).u32(reply_tag).u64(storage);
   auto& hca = ddss_.net_.hca(node_);
-  co_await hca.send(home, ddss_.config_.control_tag, req.take());
+  co_await hca.send(home, kControlTag, req.take());
   verbs::Message reply = co_await hca.recv(reply_tag);
   verbs::Decoder dec(reply.payload);
   if (dec.u8() == 0) {
@@ -264,7 +265,7 @@ sim::Task<void> Client::release(Allocation alloc) {
   encode_region(req, alloc.data);
   encode_region(req, alloc.meta);
   auto& hca = ddss_.net_.hca(node_);
-  co_await hca.send(alloc.home, ddss_.config_.control_tag, req.take());
+  co_await hca.send(alloc.home, kControlTag, req.take());
   (void)co_await hca.recv(reply_tag);
 }
 
@@ -297,7 +298,7 @@ sim::Task<void> Client::lock(const Allocation& alloc) {
                                                    MetaLayout::kLock, 0, self);
     if (old == 0) co_return;
     metrics().lock_cas_retries.add();
-    co_await ddss_.engine().delay(ddss_.config_.lock_backoff);
+    co_await ddss_.engine().delay(kBackoff);
   }
 }
 
@@ -307,6 +308,56 @@ sim::Task<void> Client::unlock(const Allocation& alloc) {
   const auto old =
       co_await hca.compare_and_swap(alloc.meta, MetaLayout::kLock, self, 0);
   DCS_CHECK_MSG(old == self, "unlock by non-owner");
+}
+
+void Client::stage_put(verbs::OpBatch& batch, const Allocation& alloc,
+                       std::span<const std::byte> value, std::size_t offset,
+                       OpWords& words) {
+  // Posting order is execution order at the home: each update lands after
+  // the data write, so a reader never validates against unwritten data.
+  batch.write(alloc.data, offset, value);
+  switch (alloc.coherence) {
+    case Coherence::kRead:
+    case Coherence::kVersion:
+    case Coherence::kStrict:
+      batch.fetch_and_add(alloc.meta, MetaLayout::kVersion, 1);
+      break;
+    case Coherence::kDelta:
+      batch.fetch_and_add(alloc.meta, MetaLayout::kDeltaHead, 1);
+      break;
+    case Coherence::kTemporal:
+      verbs::store_u64(words.image, 0, ddss_.engine().now());
+      batch.write(alloc.meta, MetaLayout::kTimestamp, words.image);
+      break;
+    case Coherence::kNull:
+    case Coherence::kWrite:
+      break;
+  }
+  if (alloc.coherence == Coherence::kWrite ||
+      alloc.coherence == Coherence::kStrict) {
+    batch.compare_and_swap(alloc.meta, MetaLayout::kLock, node_ + 1, 0,
+                           &words.unlock_old);
+    words.unlocks = true;
+  }
+}
+
+void Client::stage_get(verbs::OpBatch& batch, const Allocation& alloc,
+                       std::span<std::byte> out, OpWords& words) {
+  batch.read(alloc.data, 0, out);
+  if (alloc.coherence == Coherence::kRead) {
+    // Executes after the data read: sees the version that data committed.
+    batch.read(alloc.meta, MetaLayout::kVersion, words.image);
+  }
+  if (alloc.coherence == Coherence::kStrict) {
+    batch.compare_and_swap(alloc.meta, MetaLayout::kLock, node_ + 1, 0,
+                           &words.unlock_old);
+    words.unlocks = true;
+  }
+}
+
+void Client::check_unlock(const OpWords& words) const {
+  DCS_CHECK_MSG(!words.unlocks || words.unlock_old == node_ + 1,
+                "unlock by non-owner");
 }
 
 sim::Task<void> Client::put(const Allocation& alloc,
@@ -320,77 +371,37 @@ sim::Task<void> Client::put(const Allocation& alloc,
   const SimNanos put_t0 = ddss_.engine().now();
   co_await ipc_hop();
   auto& hca = ddss_.net_.hca(node_);
-  switch (alloc.coherence) {
-    case Coherence::kNull:
-      co_await hca.write(alloc.data, 0, value);
-      break;
-    case Coherence::kRead:
-    case Coherence::kVersion: {
-      // Writers bump the version so readers can validate.  One batch: the
-      // bump executes at the home after the data write (posting order), so
-      // readers still never validate against unwritten data.
-      verbs::OpBatch batch;
-      batch.write(alloc.data, 0, value);
-      batch.fetch_and_add(alloc.meta, MetaLayout::kVersion, 1);
-      co_await hca.post(std::move(batch));
-      break;
-    }
-    case Coherence::kWrite: {
-      co_await lock(alloc);
-      // Write + unlock-CAS ride one doorbell; the CAS executes after the
-      // write lands at the home, exactly the serial release ordering.
-      std::uint64_t old = 0;
-      verbs::OpBatch batch;
-      batch.write(alloc.data, 0, value);
-      batch.compare_and_swap(alloc.meta, MetaLayout::kLock, node_ + 1, 0,
-                             &old);
-      co_await hca.post(std::move(batch));
-      DCS_CHECK_MSG(old == node_ + 1, "unlock by non-owner");
-      break;
-    }
-    case Coherence::kStrict: {
-      co_await lock(alloc);
-      std::uint64_t old = 0;
-      verbs::OpBatch batch;
-      batch.write(alloc.data, 0, value);
-      batch.fetch_and_add(alloc.meta, MetaLayout::kVersion, 1);
-      batch.compare_and_swap(alloc.meta, MetaLayout::kLock, node_ + 1, 0,
-                             &old);
-      co_await hca.post(std::move(batch));
-      DCS_CHECK_MSG(old == node_ + 1, "unlock by non-owner");
-      break;
-    }
-    case Coherence::kDelta: {
-      // Single-writer ring: place the new version, then publish the head.
-      std::byte head_img[8];
-      co_await hca.read(alloc.meta, MetaLayout::kDeltaHead, head_img);
-      const auto head = verbs::load_u64(head_img, 0);
-      const std::size_t slot = head % ddss_.config_.delta_versions;
-      verbs::OpBatch batch;
-      batch.write(alloc.data, slot * alloc.size, value);
-      batch.fetch_and_add(alloc.meta, MetaLayout::kDeltaHead, 1);
-      co_await hca.post(std::move(batch));
-      break;
-    }
-    case Coherence::kTemporal: {
-      std::byte ts_img[8];
-      verbs::store_u64(ts_img, 0, ddss_.engine().now());
-      verbs::OpBatch batch;
-      batch.write(alloc.data, 0, value);
-      batch.write(alloc.meta, MetaLayout::kTimestamp, ts_img);
-      co_await hca.post(std::move(batch));
-      invalidate_cached(alloc);  // our own node re-reads fresh data
-      if (ddss_.config_.temporal_write_invalidate) {
-        const auto tag = temporal_tag(alloc);
-        auto it = ddss_.temporal_sharers_.find(tag);
-        if (it != ddss_.temporal_sharers_.end() && !it->second.empty()) {
-          std::vector<NodeId> group(it->second.begin(), it->second.end());
-          ddss_.temporal_sharers_.erase(it);
-          co_await hca.multicast(group, ddss_.config_.invalidate_tag,
-                                 verbs::Encoder().u64(tag).take());
-        }
+  if (alloc.coherence == Coherence::kWrite ||
+      alloc.coherence == Coherence::kStrict) {
+    co_await lock(alloc);
+  }
+  std::size_t offset = 0;
+  if (alloc.coherence == Coherence::kDelta) {
+    // Single-writer ring: the new version goes to the slot after the head.
+    std::byte head_img[8];
+    co_await hca.read(alloc.meta, MetaLayout::kDeltaHead, head_img);
+    offset = (verbs::load_u64(head_img, 0) % kDeltaVersions) * alloc.size;
+  }
+  OpWords words;
+  verbs::OpBatch batch;
+  stage_put(batch, alloc, value, offset, words);
+  if (batch.size() == 1) {
+    co_await hca.write(alloc.data, offset, value);  // the lone data write
+  } else {
+    co_await hca.post(std::move(batch));
+  }
+  check_unlock(words);
+  if (alloc.coherence == Coherence::kTemporal) {
+    invalidate_cached(alloc);  // our own node re-reads fresh data
+    if (ddss_.config_.temporal_write_invalidate) {
+      const auto tag = temporal_tag(alloc);
+      auto it = ddss_.temporal_sharers_.find(tag);
+      if (it != ddss_.temporal_sharers_.end() && !it->second.empty()) {
+        std::vector<NodeId> group(it->second.begin(), it->second.end());
+        ddss_.temporal_sharers_.erase(it);
+        co_await hca.multicast(group, kInvalidateTag,
+                               verbs::Encoder().u64(tag).take());
       }
-      break;
     }
   }
   metrics().put_latency.record_ns(ddss_.engine().now() - put_t0);
@@ -406,61 +417,42 @@ sim::Task<void> Client::get(const Allocation& alloc, std::span<std::byte> out) {
   const SimNanos get_t0 = ddss_.engine().now();
   co_await ipc_hop();
   auto& hca = ddss_.net_.hca(node_);
-  switch (alloc.coherence) {
-    case Coherence::kNull:
-    case Coherence::kWrite:
-      co_await hca.read(alloc.data, 0, out);
-      break;
-    case Coherence::kRead: {
-      // One validation read: sees a committed version number with the data.
-      // Data + version ride one batch — the version read executes at the
-      // home after the data read, preserving the commit-visibility check.
-      std::byte ver_img[8];
-      verbs::OpBatch batch;
-      batch.read(alloc.data, 0, out);
-      batch.read(alloc.meta, MetaLayout::kVersion, ver_img);
-      co_await hca.post(std::move(batch));
-      break;
+  const bool temporal = alloc.coherence == Coherence::kTemporal;
+  const Ddss::CacheKey key{node_, temporal_tag(alloc)};
+  const auto now = ddss_.engine().now();
+  if (temporal) {
+    auto it = ddss_.temporal_cache_.find(key);
+    if (it != ddss_.temporal_cache_.end() &&
+        now - it->second.fetched_at < ddss_.config_.temporal_ttl &&
+        it->second.value.size() >= out.size()) {
+      std::copy_n(it->second.value.begin(), out.size(), out.begin());
+      metrics().temporal_hits.add();
+      metrics().get_latency.record_ns(ddss_.engine().now() - get_t0);
+      co_return;
     }
-    case Coherence::kVersion:
-      (void)co_await get_versioned(alloc, out);
-      break;
-    case Coherence::kStrict: {
-      co_await lock(alloc);
-      std::uint64_t old = 0;
-      verbs::OpBatch batch;
-      batch.read(alloc.data, 0, out);
-      batch.compare_and_swap(alloc.meta, MetaLayout::kLock, node_ + 1, 0,
-                             &old);
+    metrics().temporal_misses.add();
+  }
+  if (alloc.coherence == Coherence::kVersion) {
+    (void)co_await get_versioned(alloc, out);
+  } else if (alloc.coherence == Coherence::kDelta) {
+    co_await get_delta(alloc, 0, out);
+  } else {
+    if (alloc.coherence == Coherence::kStrict) co_await lock(alloc);
+    OpWords words;
+    verbs::OpBatch batch;
+    stage_get(batch, alloc, out, words);
+    if (batch.size() == 1) {
+      co_await hca.read(alloc.data, 0, out);  // the lone data read
+    } else {
       co_await hca.post(std::move(batch));
-      DCS_CHECK_MSG(old == node_ + 1, "unlock by non-owner");
-      break;
     }
-    case Coherence::kDelta:
-      co_await get_delta(alloc, 0, out);
-      break;
-    case Coherence::kTemporal: {
-      const Ddss::CacheKey key{node_, temporal_tag(alloc)};
-      auto it = ddss_.temporal_cache_.find(key);
-      const auto now = ddss_.engine().now();
-      if (it != ddss_.temporal_cache_.end() &&
-          now - it->second.fetched_at < ddss_.config_.temporal_ttl &&
-          it->second.value.size() >= out.size()) {
-        std::copy_n(it->second.value.begin(), out.size(), out.begin());
-        metrics().temporal_hits.add();
-        metrics().get_latency.record_ns(ddss_.engine().now() - get_t0);
-        co_return;
-      }
-      metrics().temporal_misses.add();
-      co_await hca.read(alloc.data, 0, out);
-      Ddss::CacheEntry entry;
-      entry.value.assign(out.begin(), out.end());
-      entry.fetched_at = now;
-      ddss_.temporal_cache_[key] = std::move(entry);
-      if (ddss_.config_.temporal_write_invalidate) {
-        ddss_.temporal_sharers_[temporal_tag(alloc)].insert(node_);
-      }
-      break;
+    check_unlock(words);
+  }
+  if (temporal) {
+    ddss_.temporal_cache_[key] =
+        Ddss::CacheEntry{{out.begin(), out.end()}, now};
+    if (ddss_.config_.temporal_write_invalidate) {
+      ddss_.temporal_sharers_[key.key].insert(node_);
     }
   }
   metrics().get_latency.record_ns(ddss_.engine().now() - get_t0);
@@ -484,14 +476,14 @@ sim::Task<std::uint64_t> Client::get_versioned(const Allocation& alloc,
     const auto v2 = verbs::load_u64(v2_img, 0);
     if (v1 == v2) co_return v2;
     metrics().version_retries.add();
-    co_await ddss_.engine().delay(ddss_.config_.lock_backoff);
+    co_await ddss_.engine().delay(kBackoff);
   }
 }
 
 sim::Task<void> Client::get_delta(const Allocation& alloc, std::size_t age,
                                   std::span<std::byte> out) {
   DCS_CHECK(alloc.coherence == Coherence::kDelta);
-  DCS_CHECK_MSG(age < ddss_.config_.delta_versions,
+  DCS_CHECK_MSG(age < kDeltaVersions,
                 "delta age beyond retained window");
   auto& hca = ddss_.net_.hca(node_);
   std::byte head_img[8];
@@ -502,8 +494,7 @@ sim::Task<void> Client::get_delta(const Allocation& alloc, std::size_t age,
     throw DdssError("delta get before first put");
   }
   DCS_CHECK_MSG(age < head, "delta age older than history");
-  const std::size_t slot =
-      (head - 1 - age) % ddss_.config_.delta_versions;
+  const std::size_t slot = (head - 1 - age) % kDeltaVersions;
   co_await hca.read(alloc.data, slot * alloc.size, out);
 }
 
@@ -519,7 +510,7 @@ sim::Task<std::uint64_t> Client::wait_version(const Allocation& alloc,
   for (;;) {
     const auto v = co_await version(alloc);
     if (v >= min_version) co_return v;
-    co_await ddss_.engine().delay(ddss_.config_.lock_backoff);
+    co_await ddss_.engine().delay(kBackoff);
   }
 }
 
@@ -528,8 +519,8 @@ void Client::invalidate_cached(const Allocation& alloc) {
 }
 
 namespace {
-/// True when the model's put/get is a fixed op sequence we can enqueue into
-/// a per-home batch (no locks, no cache protocol).
+/// True when the model's put/get is a fixed op sequence that can join a
+/// per-home batch (no lock, no ring head, no cache protocol).
 bool batchable_put(Coherence c) {
   return c == Coherence::kNull || c == Coherence::kRead ||
          c == Coherence::kVersion;
@@ -545,12 +536,13 @@ sim::Task<void> Client::put_many(std::span<const PutOp> ops) {
   DCS_TRACE_SPAN("ddss", "put_many", node_, ops.size());
   const SimNanos t0 = ddss_.engine().now();
   co_await ipc_hop();
-  auto& hca = ddss_.net_.hca(node_);
-  // One OpBatch per home node, filled in op order so same-home puts retire
-  // in posting order at that home.
-  std::vector<std::pair<NodeId, verbs::OpBatch>> per_home;
+  // One batch per home, filled in op order so same-home puts retire in
+  // posting order at that home.
+  verbs::PerTarget homes;
+  std::vector<OpWords> words(ops.size());
   std::size_t batched = 0;
-  for (const PutOp& op : ops) {
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    const PutOp& op = ops[i];
     const Allocation& alloc = *op.alloc;
     DCS_CHECK(alloc.valid());
     DCS_CHECK_MSG(op.value.size() <= alloc.size, "put larger than allocation");
@@ -558,25 +550,11 @@ sim::Task<void> Client::put_many(std::span<const PutOp> ops) {
     DCS_HOT("ddss.object", alloc.key, 1);
     metrics().put_ops.add();
     metrics().put_bytes.add(op.value.size());
-    auto it = std::find_if(per_home.begin(), per_home.end(),
-                           [&](const auto& e) { return e.first == alloc.home; });
-    if (it == per_home.end()) {
-      per_home.emplace_back(alloc.home, verbs::OpBatch{});
-      it = per_home.end() - 1;
-    }
-    it->second.write(alloc.data, 0, op.value);
-    if (alloc.coherence != Coherence::kNull) {
-      it->second.fetch_and_add(alloc.meta, MetaLayout::kVersion, 1);
-    }
+    stage_put(homes.to(alloc.home), alloc, op.value, 0, words[i]);
     ++batched;
   }
   if (batched > 0) {
-    std::vector<sim::Task<void>> posts;
-    posts.reserve(per_home.size());
-    for (auto& [home, batch] : per_home) {
-      posts.push_back(hca.post(std::move(batch)));
-    }
-    co_await ddss_.engine().when_all(std::move(posts));
+    co_await homes.post(ddss_.net_.hca(node_));
     // Per-op latency under batching is the batch latency: every op in the
     // batch completes at the coalesced wake.
     for (std::size_t i = 0; i < batched; ++i) {
@@ -595,10 +573,8 @@ sim::Task<void> Client::get_many(std::span<const GetOp> ops) {
   DCS_TRACE_SPAN("ddss", "get_many", node_, ops.size());
   const SimNanos t0 = ddss_.engine().now();
   co_await ipc_hop();
-  auto& hca = ddss_.net_.hca(node_);
-  std::vector<std::pair<NodeId, verbs::OpBatch>> per_home;
-  // Version-word scratch, one slot per op (only kRead uses its slot).
-  std::vector<std::array<std::byte, 8>> ver_imgs(ops.size());
+  verbs::PerTarget homes;
+  std::vector<OpWords> words(ops.size());
   std::size_t batched = 0;
   for (std::size_t i = 0; i < ops.size(); ++i) {
     const GetOp& op = ops[i];
@@ -609,25 +585,11 @@ sim::Task<void> Client::get_many(std::span<const GetOp> ops) {
     DCS_HOT("ddss.object", alloc.key, 1);
     metrics().get_ops.add();
     metrics().get_bytes.add(op.out.size());
-    auto it = std::find_if(per_home.begin(), per_home.end(),
-                           [&](const auto& e) { return e.first == alloc.home; });
-    if (it == per_home.end()) {
-      per_home.emplace_back(alloc.home, verbs::OpBatch{});
-      it = per_home.end() - 1;
-    }
-    it->second.read(alloc.data, 0, op.out);
-    if (alloc.coherence == Coherence::kRead) {
-      it->second.read(alloc.meta, MetaLayout::kVersion, ver_imgs[i]);
-    }
+    stage_get(homes.to(alloc.home), alloc, op.out, words[i]);
     ++batched;
   }
   if (batched > 0) {
-    std::vector<sim::Task<void>> posts;
-    posts.reserve(per_home.size());
-    for (auto& [home, batch] : per_home) {
-      posts.push_back(hca.post(std::move(batch)));
-    }
-    co_await ddss_.engine().when_all(std::move(posts));
+    co_await homes.post(ddss_.net_.hca(node_));
     for (std::size_t i = 0; i < batched; ++i) {
       metrics().get_latency.record_ns(ddss_.engine().now() - t0);
     }

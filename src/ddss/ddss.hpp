@@ -62,17 +62,17 @@ enum class Placement : std::uint8_t {
 };
 
 struct DdssConfig {
-  std::size_t delta_versions = 4;          // ring depth for kDelta
+  /// How long a kTemporal get serves its node's cached copy.
   SimNanos temporal_ttl = milliseconds(10);
-  SimNanos lock_backoff = microseconds(2); // CAS retry backoff
-  std::uint32_t control_tag = 0xDD55;      // verbs tag of the daemon
   /// Write-invalidate upgrade for kTemporal: writers multicast an
   /// invalidation to every node holding a cached copy (one hardware
   /// multicast, Figure 1's "Multicast" box), so readers never serve a
   /// stale value — TTL becomes a backstop instead of the contract.
   bool temporal_write_invalidate = false;
-  std::uint32_t invalidate_tag = 0xDD57;
 };
+
+/// kDelta ring depth: get_delta reaches at most this many versions back.
+inline constexpr std::size_t kDeltaVersions = 4;
 
 class DdssError : public std::runtime_error {
  public:
@@ -130,13 +130,13 @@ class Client {
 
   /// Batched multi-allocation put: ops are grouped by home node and each
   /// home gets ONE verbs::OpBatch (one doorbell, pipelined wire, one
-  /// coalesced completion) carrying every write + version bump for that
-  /// home.  Lock-based models (kWrite/kStrict) and kTemporal fall back to
-  /// serial puts — their lock/invalidation protocols are inherently
-  /// multi-round.  Per-op semantics are identical to put().
+  /// coalesced completion, verbs::PerTarget) carrying every write + version
+  /// bump for that home.  kWrite/kStrict (lock), kDelta (head read) and
+  /// kTemporal (invalidation) need a round before or after their commit and
+  /// fall back to serial puts.  Per-op semantics are identical to put().
   sim::Task<void> put_many(std::span<const PutOp> ops);
-  /// Batched multi-allocation get, same grouping rules; kStrict and
-  /// kTemporal fall back to serial gets.
+  /// Batched multi-allocation get, same grouping rules; kVersion (retry
+  /// loop), kStrict, kDelta and kTemporal fall back to serial gets.
   sim::Task<void> get_many(std::span<const GetOp> ops);
 
   /// Reads the value together with the version that produced it
@@ -144,7 +144,7 @@ class Client {
   sim::Task<std::uint64_t> get_versioned(const Allocation& alloc,
                                          std::span<std::byte> out);
   /// Reads a delta-coherent allocation `age` versions behind the head
-  /// (0 = current).  Requires kDelta; age < delta_versions.
+  /// (0 = current).  Requires kDelta; age < kDeltaVersions.
   sim::Task<void> get_delta(const Allocation& alloc, std::size_t age,
                             std::span<std::byte> out);
 
@@ -177,7 +177,27 @@ class Client {
   void invalidate_cached(const Allocation& alloc);
 
  private:
+  /// Words a staged op's verbs read into or gather from; they must outlive
+  /// the batch's completion.
+  struct OpWords {
+    std::byte image[8] = {};       // Read get: version; Temporal put: time
+    std::uint64_t unlock_old = 0;  // Write/Strict: the unlock CAS's result
+    bool unlocks = false;          // an unlock CAS was staged
+  };
+
   sim::Task<void> ipc_hop();
+  /// Appends `alloc`'s coherence-model commit sequence for a put of
+  /// `value` at data `offset` (the kDelta ring slot, else 0): the data
+  /// write, then the version / head / timestamp update, then the unlock.
+  void stage_put(verbs::OpBatch& batch, const Allocation& alloc,
+                 std::span<const std::byte> value, std::size_t offset,
+                 OpWords& words);
+  /// Appends the model's get sequence: the data read, then kRead's version
+  /// read, then kStrict's unlock.
+  void stage_get(verbs::OpBatch& batch, const Allocation& alloc,
+                 std::span<std::byte> out, OpWords& words);
+  /// Checks that a staged unlock found this node holding the lock.
+  void check_unlock(const OpWords& words) const;
 
   Ddss& ddss_;
   NodeId node_;
@@ -212,7 +232,6 @@ class Ddss {
   struct CacheEntry {
     std::vector<std::byte> value;
     SimNanos fetched_at = 0;
-    std::uint64_t version = 0;
   };
   struct CacheKey {
     NodeId node;

@@ -1,11 +1,12 @@
 #include "obs/explain.hpp"
 
 #include <cstdio>
-#include <map>
 #include <ostream>
 #include <vector>
 
 #include "common/json.hpp"
+#include "common/stats.hpp"
+#include "obs/top.hpp"
 #include "trace/inspect.hpp"
 
 namespace dcs::obs {
@@ -40,16 +41,6 @@ int load_schema(const std::string& file, const char* schema_id, Json* out,
 std::uint64_t field_u64(const Json& row, const char* key) {
   const Json* v = row.find(key);
   return v != nullptr ? v->u64_or(0) : 0;
-}
-
-/// LogHistogram/ExemplarStore bucketing, for self-check cross-validation.
-std::uint32_t bucket_of(std::uint64_t v) {
-  std::uint32_t b = 0;
-  while (v != 0) {
-    ++b;
-    v >>= 1;
-  }
-  return b < 63u ? b : 63u;
 }
 
 // --- self-checks, one per schema ---
@@ -166,7 +157,7 @@ int check_exemplars(const Json& root, const std::string& file,
       if (count->u64_or(0) == 0) {
         return complain("empty bucket retained in " + name->str);
       }
-      if (bucket_of(max_ns->u64_or(0)) !=
+      if (LogHistogram::bucket_of(max_ns->u64_or(0)) !=
           static_cast<std::uint32_t>(idx->u64_or(0))) {
         return complain("exemplar latency outside its bucket in " +
                         name->str);
@@ -186,37 +177,6 @@ int check_exemplars(const Json& root, const std::string& file,
 }
 
 // --- report sections ---
-
-void report_alerts(const Json& root, std::ostream& out) {
-  const Json* alerts = root.find("alerts");
-  std::map<std::pair<std::string, std::uint32_t>, const Json*> state;
-  std::size_t transitions = 0;
-  if (alerts != nullptr && alerts->type == Json::Type::kArray) {
-    for (const Json& a : alerts->items) {
-      const Json* rule = a.find("rule");
-      const Json* node = a.find("node");
-      if (rule == nullptr || node == nullptr) continue;
-      state[{rule->str, static_cast<std::uint32_t>(node->u64_or(0))}] = &a;
-      ++transitions;
-    }
-  }
-  out << "  rules (" << transitions << " transition(s)):\n";
-  bool any = false;
-  for (const auto& [key, a] : state) {
-    const Json* st = a->find("state");
-    if (st == nullptr || st->str != "firing") continue;
-    any = true;
-    const Json* value = a->find("value");
-    const Json* threshold = a->find("threshold");
-    const Json* t = a->find("t");
-    out << "  FIRING " << key.first << " node=" << key.second
-        << " since t=" << (t != nullptr ? t->raw : "?")
-        << " value=" << fmt_fixed(value != nullptr ? value->number : 0.0, 3)
-        << " threshold="
-        << fmt_fixed(threshold != nullptr ? threshold->number : 0.0, 3) << "\n";
-  }
-  if (!any) out << "  (none firing)\n";
-}
 
 void report_capture(const Json& root, std::ostream& out) {
   // Capture transitions live in the flight rings of a postmortem dump:
@@ -358,7 +318,7 @@ int run_explain(const std::string& file, const ExplainOptions& opts,
   }
 
   out << "explain (" << file << ")\n\n";
-  report_alerts(timeseries, out);
+  print_firing_alerts(timeseries.find("alerts"), "rules", std::nullopt, out);
   if (!opts.postmortem.empty()) report_capture(postmortem, out);
   if (!opts.hotset.empty()) report_hotset(hotset, opts.top, out);
   if (!opts.exemplars.empty()) report_exemplars(exemplars, opts.top, out);

@@ -108,7 +108,6 @@ HarnessOptions extract_harness_flags(int& argc, char** argv) {
   opts.postmortem_dir = str("--postmortem-dir");
   opts.exemplars_out = str("--exemplars-out");
   opts.hotset_out = str("--hotset-out");
-  opts.batch = count("--batch");
   opts.hot_keys = count("--hot-keys");
   return opts;
 }

@@ -31,7 +31,6 @@ namespace dcs::obs {
 ///   --hotset-out FILE       dcs-hotset-v1 hot-key sketch dump
 ///   --hot-keys N            print the top-N hot-key table per domain
 ///   --postmortem-dir DIR    arm a flight recorder around every scenario
-///   --batch N               maximum verbs batch depth to sweep
 struct HarnessOptions {
   std::string bench_json;     // canonical BENCH_<name>.json
   std::string wall_json;      // wall-clock BENCH_<name>.wall.json
@@ -43,17 +42,12 @@ struct HarnessOptions {
   std::string trace_out;      // Chrome trace_event JSON file
   std::string metrics_out;    // plain-text metrics dump file
   std::string postmortem_dir; // flight-recorder dump directory
-  /// --batch N: maximum batch depth for benches that sweep the batched
-  /// verbs data path (0 = the bench's default sweep).  Benches record the
-  /// depth per scenario via Scenario::batch_depth; it lands as a "batch"
-  /// field in the wall JSON so batch depth is a first-class bench axis.
-  std::size_t batch = 0;
   /// --hot-keys N: print the top-N entries of every DCS_HOT domain after
   /// the run (0 = no table).  Independent of --hotset-out.
   std::size_t hot_keys = 0;
 
-  /// Any observability flag given (everything but --batch): the harness
-  /// installs a tracer around every scenario.
+  /// Any observability flag given: the harness installs a tracer around
+  /// every scenario.
   bool observed() const {
     return !bench_json.empty() || !wall_json.empty() ||
            !critical_path.empty() || !metrics_out.empty() ||
@@ -90,7 +84,7 @@ std::string_view choice_flag(std::string_view flag, std::string_view text,
 
 /// Removes the flags above (each as `--flag value`) from argv, shifting
 /// later arguments down and decrementing argc, and returns their values.
-/// Exits 2 on a malformed --batch / --hot-keys value.
+/// Exits 2 on a malformed --hot-keys value.
 HarnessOptions extract_harness_flags(int& argc, char** argv);
 
 /// Exits 2 naming argv[1] when any argument is left in argv[1..argc):
@@ -99,7 +93,7 @@ void reject_unknown_args(int argc, char** argv);
 
 /// Exits 2 with "PROG: FLAG is not supported" when `given`.  A binary
 /// calls it for every flag extract_harness_flags accepted that it has no
-/// use for (e.g. --batch in a bench with no batch sweep), so that no
+/// use for (e.g. --trace-out in a sharded bench), so that no
 /// accepted flag is silently ignored.
 void reject_unsupported(std::string_view prog, bool given,
                         std::string_view flag);

@@ -61,14 +61,6 @@ bool write_dump(const std::string& path, const std::string& what,
 
 }  // namespace
 
-std::vector<std::size_t> batch_sweep(std::size_t max) {
-  if (max == 0) return {1, 2, 4, 8};
-  std::vector<std::size_t> out;
-  for (std::size_t k = 1; k < max; k *= 2) out.push_back(k);
-  out.push_back(max);
-  return out;
-}
-
 Harness::Harness(std::string bench, HarnessOptions opts)
     : bench_(std::move(bench)), opts_(std::move(opts)) {
   if (!opts_.slo_rules.empty()) {

@@ -43,6 +43,7 @@
 //   }
 #pragma once
 
+#include <array>
 #include <functional>
 #include <fstream>
 #include <map>
@@ -63,9 +64,8 @@
 
 namespace dcs::obs {
 
-/// Batch depths a bench sweeps for `--batch max` (powers of two up to and
-/// including `max`); `max == 0` yields the default sweep {1, 2, 4, 8}.
-std::vector<std::size_t> batch_sweep(std::size_t max);
+/// Verbs batch depths the batched DDSS sweeps run (`batch=N` scenarios).
+inline constexpr std::array<std::size_t, 4> kBatchDepths{1, 2, 4, 8};
 
 /// One scenario run: the engine to drive plus sinks for results.
 class Scenario {

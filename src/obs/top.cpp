@@ -234,25 +234,31 @@ int run_top(const std::string& file, const TopOptions& opts, std::ostream& out,
     out << line;
   }
 
-  // --- firing alerts: replay transitions, report final state ---
-  const Json* alerts = doc.root.find("alerts");
+  out << "\n";
+  print_firing_alerts(doc.root.find("alerts"), "alerts", opts.node, out);
+  return 0;
+}
+
+void print_firing_alerts(const Json* alerts, std::string_view header,
+                         std::optional<std::uint32_t> node, std::ostream& out) {
+  // Replay the transitions; the last one per (rule, node) is its state.
   std::map<std::pair<std::string, std::uint32_t>, const Json*> state;
   std::size_t transitions = 0;
   if (alerts != nullptr) {
     for (const Json& a : alerts->items) {
       const Json* rule = a.find("rule");
-      const Json* node = a.find("node");
-      if (rule == nullptr || node == nullptr) continue;
-      state[{rule->str, static_cast<std::uint32_t>(node->u64_or(0))}] = &a;
+      const Json* at = a.find("node");
+      if (rule == nullptr || at == nullptr) continue;
+      state[{rule->str, static_cast<std::uint32_t>(at->u64_or(0))}] = &a;
       ++transitions;
     }
   }
-  out << "\n  alerts (" << transitions << " transition(s)):\n";
+  out << "  " << header << " (" << transitions << " transition(s)):\n";
   bool any = false;
   for (const auto& [key, a] : state) {
     const Json* st = a->find("state");
     if (st == nullptr || st->str != "firing") continue;
-    if (opts.node && key.second != *opts.node) continue;
+    if (node && key.second != *node) continue;
     any = true;
     const Json* value = a->find("value");
     const Json* threshold = a->find("threshold");
@@ -263,7 +269,6 @@ int run_top(const std::string& file, const TopOptions& opts, std::ostream& out,
         << fmt_fixed(threshold != nullptr ? threshold->number : 0.0, 3) << "\n";
   }
   if (!any) out << "  (none firing)\n";
-  return 0;
 }
 
 }  // namespace dcs::obs

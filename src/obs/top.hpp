@@ -13,6 +13,11 @@
 #include <iosfwd>
 #include <optional>
 #include <string>
+#include <string_view>
+
+namespace dcs::trace::inspect {
+struct Json;
+}
 
 namespace dcs::obs {
 
@@ -29,5 +34,13 @@ struct TopOptions {
 /// 0 success, 1 failed self-check, 2 load/usage error.
 int run_top(const std::string& file, const TopOptions& opts, std::ostream& out,
             std::ostream& err);
+
+/// Replays a dcs-timeseries-v1 `alerts` array (null = none) and prints
+/// "  HEADER (N transition(s)):" and then one FIRING line per (rule, node)
+/// whose last transition fired, restricted to `node` when given.  `dcs
+/// top` and `dcs explain` share it.
+void print_firing_alerts(const trace::inspect::Json* alerts,
+                         std::string_view header,
+                         std::optional<std::uint32_t> node, std::ostream& out);
 
 }  // namespace dcs::obs

@@ -1,8 +1,9 @@
 #include "trace/exemplar.hpp"
 
-#include <bit>
 #include <ostream>
 #include <utility>
+
+#include "common/stats.hpp"
 
 namespace dcs::trace {
 
@@ -19,18 +20,12 @@ bool better_exemplar(SimNanos cand_ns, std::uint64_t cand_req,
 
 }  // namespace
 
-std::uint32_t ExemplarStore::bucket_of(SimNanos v) {
-  const std::uint32_t b =
-      v == 0 ? 0u : static_cast<std::uint32_t>(std::bit_width(v));
-  return b < 63u ? b : 63u;
-}
-
 void ExemplarStore::record(
     std::uint32_t node, std::string name, SimNanos latency_ns,
     std::uint64_t request,
     const std::array<SimNanos, kCostCategories>& cost_ns) {
   auto& buckets = series_[Key{node, std::move(name)}];
-  const std::uint32_t b = bucket_of(latency_ns);
+  const std::uint32_t b = LogHistogram::bucket_of(latency_ns);
   auto [it, inserted] = buckets.try_emplace(b);
   ExemplarBucket& cell = it->second;
   cell.bucket = b;

@@ -44,10 +44,6 @@ struct ExemplarBucket {
 /// Exemplar-carrying latency histograms keyed by (node, series name).
 class ExemplarStore {
  public:
-  /// LogHistogram's bucketing: 0 -> bucket 0, otherwise bit_width(v),
-  /// clamped to 63.
-  static std::uint32_t bucket_of(SimNanos v);
-
   /// Records one observation of `latency_ns` for (node, series), offering
   /// (request, cost_ns) as the cell's exemplar.
   void record(std::uint32_t node, std::string name, SimNanos latency_ns,

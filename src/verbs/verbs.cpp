@@ -308,6 +308,23 @@ sim::Task<void> Hca::post(OpBatch batch) {
   co_await run(batch);
 }
 
+OpBatch& PerTarget::to(NodeId target) {
+  for (auto& [node, batch] : batches_) {
+    if (node == target) return batch;
+  }
+  return batches_.emplace_back(target, OpBatch{}).second;
+}
+
+sim::Task<void> PerTarget::post(Hca& hca) {
+  std::vector<sim::Task<void>> posts;
+  posts.reserve(batches_.size());
+  for (auto& [target, batch] : batches_) {
+    posts.push_back(hca.post(std::move(batch)));
+  }
+  batches_.clear();
+  return hca.engine().when_all(std::move(posts));
+}
+
 sim::Task<void> Hca::run(OpBatch& batch) {
   auto& m = metrics();
   auto& eng = engine();

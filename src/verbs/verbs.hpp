@@ -16,6 +16,7 @@
 #include <memory>
 #include <span>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "audit/audit.hpp"
@@ -282,6 +283,22 @@ class Hca {
       recv_queues_;
   std::uint64_t one_sided_ops_ = 0;
   std::uint64_t messages_sent_ = 0;
+};
+
+/// Fan-out of one poster's work over several targets: one `OpBatch` per
+/// target node, so each target gets one doorbell and one coalesced
+/// completion, and the targets proceed concurrently.
+class PerTarget {
+ public:
+  /// The batch for `target`, created on first use.  The reference is valid
+  /// until the next `to()`.
+  OpBatch& to(NodeId target);
+  /// Posts every batch from `hca` in first-use order and completes when the
+  /// last one does.  Leaves this fan-out empty.
+  sim::Task<void> post(Hca& hca);
+
+ private:
+  std::vector<std::pair<NodeId, OpBatch>> batches_;
 };
 
 /// One Hca per fabric node.

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/stats.hpp"
 #include "common/zipf.hpp"
 #include "monitor/telemetry_schema.hpp"
 #include "obs/explain.hpp"
@@ -185,7 +186,7 @@ TEST(ExemplarStoreTest, KeepsTheMaxLatencyRequestPerBucket) {
   ASSERT_EQ(all.size(), 1u);
   ASSERT_EQ(all[0].buckets.size(), 1u);  // 1024..2047 share log2 bucket 11
   const auto& b = all[0].buckets[0];
-  EXPECT_EQ(b.bucket, ExemplarStore::bucket_of(1500));
+  EXPECT_EQ(b.bucket, LogHistogram::bucket_of(1500));
   EXPECT_EQ(b.count, 3u);
   EXPECT_EQ(b.max_ns, 1500u);
   EXPECT_EQ(b.request, 9u);

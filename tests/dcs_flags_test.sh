@@ -5,6 +5,7 @@
 # (never abort, raise SIGFPE or run with a silently substituted default).
 # Counts that size a fabric or spawn one coroutine each are capped so a
 # run has at most 1024 nodes (and `monitor --jobs` at most 1024 jobs).
+# The offline tools' `--node` filters must accept node 0 (exit 0).
 #
 # Usage: tests/dcs_flags_test.sh DCS_BINARY
 bin="$1"
@@ -57,6 +58,19 @@ stray locks stray
 --bench-json wedge --bench-json w.json
 /nonexistent/rules.slo locks --slo /nonexistent/rules.slo
 EOF
+dir="$(mktemp -d)"
+"$bin" locks --timeseries-out "$dir/ts.json" --trace-out "$dir/trace.json" \
+  >/dev/null 2>&1
+for args in "top $dir/ts.json --node 0" "inspect $dir/trace.json --node 0"; do
+  # shellcheck disable=SC2086  # $args is deliberately word-split
+  "$bin" $args >/dev/null 2>"$err"
+  rc=$?
+  if [ "$rc" -ne 0 ]; then
+    echo "FAIL: dcs $args exited $rc, want 0: $(cat "$err")"
+    status=1
+  fi
+done
+rm -rf "$dir"
 rm -f "$err"
 [ "$status" -eq 0 ] && echo "all $count bad dcs arguments rejected with exit 2"
 exit "$status"

@@ -1,11 +1,15 @@
 // Tests for the Distributed Data Sharing Substrate: allocation/release,
 // placement, all coherence models (parameterized), versioning, delta rings,
-// temporal caching, locking, and multi-writer safety.
+// temporal caching, locking, multi-writer safety and batched put/get.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstring>
+#include <span>
 
 #include "ddss/ddss.hpp"
+#include "trace/trace.hpp"
 
 namespace dcs::ddss {
 namespace {
@@ -363,6 +367,132 @@ TEST_F(DdssFixture, PutLatencyOrderingMatchesFig3aShape) {
   const auto strict_lat = measure(Coherence::kStrict);
   EXPECT_LT(null_lat, write_lat);
   EXPECT_LT(write_lat, strict_lat);
+}
+
+TEST_F(DdssFixture, ManyOpsRoundTripAcrossModelsAndHomes) {
+  // Two allocations per model, spread round-robin over all four homes, so
+  // every home's batch carries several models and the serial fallbacks
+  // (Write/Strict/Delta/Temporal puts, Version/Strict/Delta/Temporal gets)
+  // interleave with the batched ones.  Two rounds: the second overwrites.
+  constexpr Coherence kModels[] = {
+      Coherence::kNull,   Coherence::kRead,  Coherence::kWrite,
+      Coherence::kStrict, Coherence::kVersion, Coherence::kDelta,
+      Coherence::kTemporal};
+  constexpr std::size_t kAllocs = 2 * std::size(kModels);
+  std::vector<std::vector<std::byte>> got(kAllocs,
+                                          std::vector<std::byte>(48));
+  std::vector<NodeId> homes;
+  eng.spawn([](Ddss& d, std::span<const Coherence> models,
+               std::vector<std::vector<std::byte>>& out,
+               std::vector<NodeId>& home_of) -> sim::Task<void> {
+    auto c = d.client(0);
+    std::vector<Allocation> allocs;
+    for (int copy = 0; copy < 2; ++copy) {
+      for (const Coherence m : models) {
+        allocs.push_back(co_await c.allocate(48, m, Placement::kRoundRobin));
+        home_of.push_back(allocs.back().home);
+      }
+    }
+    for (std::uint8_t round = 1; round <= 2; ++round) {
+      std::vector<std::vector<std::byte>> values;
+      std::vector<Client::PutOp> puts;
+      for (std::size_t i = 0; i < allocs.size(); ++i) {
+        values.push_back(value_bytes(
+            static_cast<std::uint8_t>(round * 0x40 + i), 48));
+      }
+      for (std::size_t i = 0; i < allocs.size(); ++i) {
+        puts.push_back({&allocs[i], values[i]});
+      }
+      co_await c.put_many(puts);
+      std::vector<Client::GetOp> gets;
+      for (std::size_t i = 0; i < allocs.size(); ++i) {
+        gets.push_back({&allocs[i], out[i]});
+      }
+      co_await c.get_many(gets);
+      for (std::size_t i = 0; i < allocs.size(); ++i) {
+        if (out[i] != values[i]) throw std::runtime_error("round-trip");
+      }
+    }
+  }(ddss, kModels, got, homes));
+  EXPECT_NO_THROW(eng.run());
+  EXPECT_EQ(homes.size(), kAllocs);
+  for (NodeId n = 0; n < 4; ++n) {
+    EXPECT_GE(std::count(homes.begin(), homes.end(), n), 2) << "home " << n;
+  }
+  for (std::size_t i = 0; i < kAllocs; ++i) {
+    EXPECT_EQ(got[i],
+              value_bytes(static_cast<std::uint8_t>(0x80 + i), 48))
+        << to_string(kModels[i % std::size(kModels)]);
+  }
+}
+
+/// The verbs registry counters a put or get can move.
+constexpr const char* kVerbsCounters[] = {
+    "verbs.read.ops",  "verbs.read.bytes", "verbs.write.ops",
+    "verbs.write.bytes", "verbs.faa.ops",  "verbs.cas.ops"};
+using VerbsCounts = std::array<std::uint64_t, std::size(kVerbsCounters)>;
+
+VerbsCounts verbs_counts() {
+  VerbsCounts out{};
+  const auto& reg = trace::Registry::global();
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    if (const auto* c = reg.find_counter(kVerbsCounters[i])) out[i] = c->value;
+  }
+  return out;
+}
+
+VerbsCounts operator-(VerbsCounts a, const VerbsCounts& b) {
+  for (std::size_t i = 0; i < a.size(); ++i) a[i] -= b[i];
+  return a;
+}
+
+// A one-op put_many / get_many of a batchable model stages the same verbs
+// as put / get: the model's sequence is decided in one place.
+TEST_F(DdssFixture, OneOpPutManyMovesTheSameVerbsAsPut) {
+  for (const Coherence m :
+       {Coherence::kNull, Coherence::kRead, Coherence::kVersion}) {
+    VerbsCounts serial{}, batched{};
+    eng.spawn([](Ddss& d, Coherence model, VerbsCounts& one,
+                 VerbsCounts& many) -> sim::Task<void> {
+      auto c = d.client(0);
+      auto a = co_await c.allocate(64, model, Placement::kRemote);
+      const auto value = value_bytes(0x3C);
+      auto before = verbs_counts();
+      co_await c.put(a, value);
+      one = verbs_counts() - before;
+      const Client::PutOp op{&a, value};
+      before = verbs_counts();
+      co_await c.put_many(std::span(&op, 1));
+      many = verbs_counts() - before;
+    }(ddss, m, serial, batched));
+    eng.run();
+    EXPECT_NE(serial, VerbsCounts{}) << to_string(m);
+    EXPECT_EQ(serial, batched) << to_string(m);
+  }
+}
+
+TEST_F(DdssFixture, OneOpGetManyMovesTheSameVerbsAsGet) {
+  for (const Coherence m :
+       {Coherence::kNull, Coherence::kWrite, Coherence::kRead}) {
+    VerbsCounts serial{}, batched{};
+    eng.spawn([](Ddss& d, Coherence model, VerbsCounts& one,
+                 VerbsCounts& many) -> sim::Task<void> {
+      auto c = d.client(0);
+      auto a = co_await c.allocate(64, model, Placement::kRemote);
+      co_await c.put(a, value_bytes(0x3C));
+      std::vector<std::byte> out(64);
+      auto before = verbs_counts();
+      co_await c.get(a, out);
+      one = verbs_counts() - before;
+      const Client::GetOp op{&a, out};
+      before = verbs_counts();
+      co_await c.get_many(std::span(&op, 1));
+      many = verbs_counts() - before;
+    }(ddss, m, serial, batched));
+    eng.run();
+    EXPECT_NE(serial, VerbsCounts{}) << to_string(m);
+    EXPECT_EQ(serial, batched) << to_string(m);
+  }
 }
 
 TEST_F(DdssFixture, AllocationsServedCounted) {

@@ -239,9 +239,8 @@ TEST(ObserveFlagsTest, PostmortemDirSelectsTheHarness) {
 }
 
 TEST(ObserveFlagsTest, ExtractsNumericFlags) {
-  Argv a({"bench", "--batch", "8", "--hot-keys", "3"});
+  Argv a({"bench", "--hot-keys", "3"});
   const auto opts = obs::extract_harness_flags(a.argc, a.argv.data());
-  EXPECT_EQ(opts.batch, 8u);
   EXPECT_EQ(opts.hot_keys, 3u);
   EXPECT_TRUE(opts.attribution_mode());
   EXPECT_EQ(a.argc, 1);
@@ -266,11 +265,11 @@ TEST(ObserveFlagsTest, ParseRealAcceptsOnlyFiniteNumbers) {
   }
 }
 
-TEST(ObserveFlagsDeathTest, MalformedBatchExitsTwoNamingTheFlag) {
-  Argv a({"bench", "--batch", "abc"});
+TEST(ObserveFlagsDeathTest, MalformedHotKeysExitsTwoNamingTheFlag) {
+  Argv a({"bench", "--hot-keys", "abc"});
   EXPECT_EXIT(obs::extract_harness_flags(a.argc, a.argv.data()),
               ::testing::ExitedWithCode(2),
-              "--batch: expected a non-negative integer, got 'abc'");
+              "--hot-keys: expected a non-negative integer, got 'abc'");
 }
 
 TEST(ObserveFlagsDeathTest, NegativeHotKeysExitsTwoInsteadOfWrapping) {

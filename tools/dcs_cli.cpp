@@ -463,7 +463,7 @@ int cmd_inspect(int argc, char** argv) {
       opts.self_check = true;
     } else if (flag == "--node") {
       opts.node = static_cast<std::uint32_t>(
-          obs::count_flag(flag, value(), UINT32_MAX));
+          obs::count_flag(flag, value(), 0, UINT32_MAX));
     } else if (flag == "--layer") {
       opts.layer = value();
     } else if (flag == "--request") {
@@ -510,7 +510,7 @@ int cmd_top(int argc, char** argv) {
       opts.self_check = true;
     } else if (flag == "--node") {
       opts.node = static_cast<std::uint32_t>(
-          obs::count_flag(flag, value(), UINT32_MAX));
+          obs::count_flag(flag, value(), 0, UINT32_MAX));
     } else if (flag == "--windows") {
       opts.windows =
           static_cast<std::size_t>(obs::count_flag(flag, value()));
@@ -648,8 +648,6 @@ int main(int argc, char** argv) {
       cmd == "cache" || cmd == "locks" || cmd == "monitor" || cmd == "storm";
   obs::HarnessOptions flags;
   if (observed) flags = obs::extract_harness_flags(argc, argv);
-  // No dcs command sweeps a batch depth.
-  obs::reject_unsupported("dcs", flags.batch != 0, "--batch");
   const Args args(argc, argv);
   if (cmd == "params") return cmd_params(args);
   if (cmd == "cache") return cmd_cache(args, flags);
