@@ -61,6 +61,7 @@ sim::Task<void> BackendService::session(NodeId node,
       config_.generate_bytes_per_ns);
   co_await fab.node(node).execute(config_.request_cpu + generate_ns);
   co_await conn->send(node, store_.content(id));
+  conn->close(node);
 }
 
 sim::Task<std::vector<std::byte>> BackendService::fetch(NodeId proxy,
@@ -76,6 +77,7 @@ sim::Task<std::vector<std::byte>> BackendService::fetch(NodeId proxy,
       co_await tcp_.connect(proxy, backend, config_.port);
   co_await conn->send(proxy, verbs::Encoder().u32(id).take());
   auto reply = co_await conn->recv(proxy);
+  conn->close(proxy);
   co_return reply;
 }
 

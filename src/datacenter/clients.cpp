@@ -26,7 +26,9 @@ sim::Task<void> ClientFarm::run(std::vector<DocId> trace) {
   const std::size_t sessions = std::min(config_.sessions, trace.size());
   std::vector<sim::Task<void>> tasks;
   tasks.reserve(sessions);
-  const std::size_t per = (trace.size() + sessions - 1) / sessions;
+  // An empty trace opens no session (and must not divide by zero).
+  const std::size_t per =
+      sessions == 0 ? 0 : (trace.size() + sessions - 1) / sessions;
   for (std::size_t s = 0; s < sessions; ++s) {
     const std::size_t begin = s * per;
     const std::size_t end = std::min(trace.size(), begin + per);
@@ -60,6 +62,7 @@ sim::Task<void> ClientFarm::session(NodeId client, NodeId proxy,
   }
   // Empty request ends the keep-alive session at the proxy.
   co_await conn->send(client, {});
+  conn->close(client);
 }
 
 }  // namespace dcs::datacenter

@@ -35,7 +35,10 @@ sim::Task<void> WebFarm::session(NodeId node, sockets::TcpConnection* conn) {
   auto& fab = tcp_.fabric();
   for (;;) {
     auto request = co_await conn->recv_msg(node);
-    if (request.payload.empty()) co_return;
+    if (request.payload.empty()) {
+      conn->close(node);
+      co_return;
+    }
     // Serve in the client's causal context: everything the proxy does for
     // this request (parse, handler, response send) is attributed to it.
     trace::AdoptContext adopted(request.ctx);

@@ -1,5 +1,7 @@
 #include "sockets/tcp.hpp"
 
+#include <utility>
+
 #include "trace/trace.hpp"
 
 namespace dcs::sockets {
@@ -18,22 +20,40 @@ struct TcpMetrics {
 TcpMetrics& metrics() { return trace::thread_metrics<TcpMetrics>(); }
 }  // namespace
 
-TcpConnection::TcpConnection(TcpNetwork& net, NodeId a, NodeId b)
-    : net_(net), a_(a), b_(b), to_a_(net.engine()), to_b_(net.engine()) {}
+TcpConnection::TcpConnection(TcpNetwork& net, NodeId a, NodeId b,
+                             std::size_t slot)
+    : net_(net),
+      a_(a),
+      b_(b),
+      side_a_(net.engine()),
+      side_b_(net.engine()),
+      slot_(slot) {}
 
 NodeId TcpConnection::peer_of(NodeId self) const {
   DCS_CHECK(self == a_ || self == b_);
   return self == a_ ? b_ : a_;
 }
 
-TcpConnection::Dir& TcpConnection::inbound(NodeId self) {
-  DCS_CHECK(self == a_ || self == b_);
-  return self == a_ ? to_a_ : to_b_;
+TcpConnection::Side& TcpConnection::side(NodeId node) {
+  DCS_CHECK(node == a_ || node == b_);
+  return node == a_ ? side_a_ : side_b_;
+}
+
+TcpConnection::Side& TcpConnection::open_side(NodeId self) {
+  Side& s = side(self);
+  DCS_CHECK_MSG(!s.closed, "TCP side used after close()");
+  return s;
+}
+
+void TcpConnection::close(NodeId self) {
+  open_side(self).closed = true;
+  if (side_a_.closed && side_b_.closed) net_.destroy(*this);  // frees *this
 }
 
 sim::Task<void> TcpConnection::send(NodeId self, std::vector<std::byte> payload) {
   auto& fab = net_.fabric();
   const auto& p = fab.params();
+  (void)open_side(self);
   const NodeId dst = peer_of(self);
   metrics().sends.add();
   metrics().send_bytes.add(payload.size());
@@ -42,7 +62,7 @@ sim::Task<void> TcpConnection::send(NodeId self, std::vector<std::byte> payload)
   co_await fab.node(self).execute(p.tcp_per_message_cpu +
                                   p.copy_time(payload.size()));
   co_await fab.tcp_wire_transfer(self, dst, payload.size() + kTcpHeaderBytes);
-  inbound(dst).queue.push(
+  side(dst).inbound.push(
       TcpMessage{std::move(payload), trace::current_request()});
 }
 
@@ -54,7 +74,7 @@ sim::Task<std::vector<std::byte>> TcpConnection::recv(NodeId self) {
 sim::Task<TcpMessage> TcpConnection::recv_msg(NodeId self) {
   auto& fab = net_.fabric();
   const auto& p = fab.params();
-  TcpMessage msg = co_await inbound(self).queue.recv();
+  TcpMessage msg = co_await open_side(self).inbound.recv();
   metrics().recvs.add();
   DCS_TRACE_SPAN("sockets", "tcp.recv", self, msg.payload.size());
   // The receive-path kernel work belongs to the sender's request even when
@@ -94,10 +114,19 @@ sim::Task<TcpConnection*> TcpNetwork::connect(NodeId client, NodeId server,
   co_await fab_.node(server).execute(p.tcp_per_message_cpu);
   co_await fab_.tcp_wire_transfer(server, client, kTcpHeaderBytes);
 
-  conns_.push_back(std::make_unique<TcpConnection>(*this, client, server));
+  conns_.push_back(std::unique_ptr<TcpConnection>(
+      new TcpConnection(*this, client, server, conns_.size())));
   TcpConnection* conn = conns_.back().get();
   backlog(server, port).push(conn);
   co_return conn;
+}
+
+void TcpNetwork::destroy(TcpConnection& conn) {
+  const std::size_t slot = conn.slot_;
+  DCS_CHECK(slot < conns_.size() && conns_[slot].get() == &conn);
+  std::swap(conns_[slot], conns_.back());
+  conns_[slot]->slot_ = slot;
+  conns_.pop_back();
 }
 
 sim::Task<TcpConnection*> TcpNetwork::accept(NodeId node, std::uint16_t port) {

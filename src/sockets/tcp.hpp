@@ -32,9 +32,14 @@ struct TcpMessage {
 };
 
 /// A connected, message-oriented TCP stream endpoint pair.
+///
+/// Each endpoint ("side") is closed separately with close().  The owning
+/// TcpNetwork destroys the connection as soon as both sides have closed, so
+/// a side must not touch the connection after closing it: send, recv or
+/// close on a closed side is a DCS_CHECK failure.  Sending to a peer that
+/// has closed is allowed; the message is dropped with the connection.
 class TcpConnection {
  public:
-  TcpConnection(TcpNetwork& net, NodeId a, NodeId b);
   TcpConnection(const TcpConnection&) = delete;
   TcpConnection& operator=(const TcpConnection&) = delete;
 
@@ -49,18 +54,31 @@ class TcpConnection {
   /// Like recv(), but also surfaces the sender's request context.
   sim::Task<TcpMessage> recv_msg(NodeId self);
 
+  /// Ends `self`'s side.  Charges no simulated time and sends nothing (the
+  /// model has no FIN), so the peer learns of the close only through the
+  /// application protocol.  If the peer has already closed, this frees the
+  /// connection before returning.
+  void close(NodeId self);
+
   NodeId peer_of(NodeId self) const;
 
  private:
-  struct Dir {
-    explicit Dir(sim::Engine& eng) : queue(eng) {}
-    sim::Channel<TcpMessage> queue;
+  friend class TcpNetwork;
+
+  TcpConnection(TcpNetwork& net, NodeId a, NodeId b, std::size_t slot);
+
+  struct Side {
+    explicit Side(sim::Engine& eng) : inbound(eng) {}
+    sim::Channel<TcpMessage> inbound;  // messages addressed to this side
+    bool closed = false;
   };
-  Dir& inbound(NodeId self);
+  Side& side(NodeId node);  // DCS_CHECKs that `node` is an endpoint
+  Side& open_side(NodeId self);  // ... and that its side has not closed
 
   TcpNetwork& net_;
   NodeId a_, b_;
-  Dir to_a_, to_b_;
+  Side side_a_, side_b_;
+  std::size_t slot_;  // index in TcpNetwork::conns_
 };
 
 /// Factory for listeners and connections.
@@ -73,13 +91,16 @@ class TcpNetwork {
   fabric::Fabric& fabric() { return fab_; }
   sim::Engine& engine() { return fab_.engine(); }
 
-  /// Client side: connect to (server, port). Costs one handshake RTT and
-  /// completes once the server has called accept().
+  /// Client side: connect to (server, port). Costs one handshake RTT, then
+  /// queues the connection in the listener's backlog and returns without
+  /// waiting for the server to accept() it; the client may send at once.
   sim::Task<TcpConnection*> connect(NodeId client, NodeId server,
                                     std::uint16_t port);
   /// Server side: waits for the next incoming connection on (node, port).
   sim::Task<TcpConnection*> accept(NodeId node, std::uint16_t port);
 
+  /// Connections with at least one side still open (a connection is freed
+  /// when both sides have closed; see TcpConnection::close).
   std::size_t connection_count() const { return conns_.size(); }
 
  private:
@@ -97,9 +118,12 @@ class TcpNetwork {
   };
 
   sim::Channel<TcpConnection*>& backlog(NodeId node, std::uint16_t port);
+  /// Frees `conn` (both sides closed) by moving the last connection into
+  /// its slot.
+  void destroy(TcpConnection& conn);
 
   fabric::Fabric& fab_;
-  std::vector<std::unique_ptr<TcpConnection>> conns_;
+  std::vector<std::unique_ptr<TcpConnection>> conns_;  // the open ones
   std::unordered_map<PendingKey, std::unique_ptr<sim::Channel<TcpConnection*>>,
                      PendingKeyHash>
       backlogs_;

@@ -131,6 +131,7 @@ sim::Task<void> StormCluster::data_daemon(NodeId node) {
                                        batch_hits * config_.record_bytes);
       }
     }
+    conn->close(node);
   }
 }
 
@@ -167,6 +168,7 @@ sim::Task<QueryResult> StormCluster::run_query(std::uint64_t total_records) {
         res.records_returned += dec.u64();
         if (dec.u64() != 0) break;  // final batch flag
       }
+      conn->close(self.coordinator_);
       res.records_scanned += records;
     }(*this, n, per_node + extra, result));
   }

@@ -119,6 +119,22 @@ TEST_F(TierFixture, EndToEndClientProxyBackend) {
   EXPECT_EQ(clients.stats().integrity_failures, 0u);
   EXPECT_GT(clients.stats().tps(), 0.0);
   EXPECT_EQ(farm.requests_served(), 200u);
+  // Every backend fetch and every client session closed both of its ends.
+  EXPECT_EQ(tcp.connection_count(), 0u);
+}
+
+TEST_F(TierFixture, EmptyClientRunCompletesWithNoRequests) {
+  ClientFarm clients(tcp, {0}, {1}, store, {.sessions = 4});
+  bool done = false;
+  eng.spawn([](ClientFarm& c, bool& out) -> sim::Task<void> {
+    co_await c.run({});
+    out = true;
+  }(clients, done));
+  eng.run();
+  EXPECT_TRUE(done);
+  EXPECT_EQ(clients.stats().completed, 0u);
+  EXPECT_EQ(clients.stats().latency_us.count(), 0u);
+  EXPECT_EQ(tcp.connection_count(), 0u);
 }
 
 TEST_F(TierFixture, MoreSessionsRaiseThroughput) {

@@ -108,6 +108,100 @@ TEST_F(SocketsFixture, TcpRecvDelayedByServerLoad) {
   EXPECT_GT(loaded, 5 * idle);
 }
 
+// --- TCP connection lifetime ---
+
+// Connects 0 -> 1 and accepts at 1; `out` receives the connection.
+sim::Task<void> open_pair(TcpNetwork& t, TcpConnection*& out) {
+  TcpConnection* client = co_await t.connect(0, 1, 80);
+  out = co_await t.accept(1, 80);
+  EXPECT_EQ(out, client);
+}
+
+TEST_F(SocketsFixture, TcpConnectionFreedOnceBothSidesClose) {
+  TcpConnection* conn = nullptr;
+  eng.spawn(open_pair(tcp, conn));
+  eng.run();
+  ASSERT_NE(conn, nullptr);
+  EXPECT_EQ(tcp.connection_count(), 1u);
+  conn->close(0);
+  EXPECT_EQ(tcp.connection_count(), 1u);
+  conn->close(1);
+  EXPECT_EQ(tcp.connection_count(), 0u);
+}
+
+TEST_F(SocketsFixture, TcpCloseChargesNoTimeAndSchedulesNothing) {
+  TcpConnection* conn = nullptr;
+  eng.spawn(open_pair(tcp, conn));
+  eng.run();
+  const SimNanos before = eng.now();
+  const std::uint64_t events = eng.events_dispatched();
+  conn->close(1);
+  conn->close(0);
+  eng.run();
+  EXPECT_EQ(eng.now(), before);
+  EXPECT_EQ(eng.events_dispatched(), events);
+}
+
+TEST_F(SocketsFixture, TcpFreeingOneConnectionKeepsTheOthersWorking) {
+  // Freeing moves another connection into the freed slot: the survivors
+  // must still deliver.
+  std::vector<TcpConnection*> conns(3, nullptr);
+  for (auto& c : conns) eng.spawn(open_pair(tcp, c));
+  eng.run();
+  conns[0]->close(0);
+  conns[0]->close(1);
+  EXPECT_EQ(tcp.connection_count(), 2u);
+  std::vector<std::byte> got;
+  eng.spawn([](TcpConnection* c, std::vector<std::byte>& out)
+                -> sim::Task<void> {
+    co_await c->send(0, pattern_bytes(32));
+    out = co_await c->recv(1);
+    c->close(0);
+    c->close(1);
+  }(conns[1], got));
+  eng.run();
+  EXPECT_EQ(got, pattern_bytes(32));
+  EXPECT_EQ(tcp.connection_count(), 1u);
+}
+
+using SocketsDeathTest = SocketsFixture;
+
+TEST_F(SocketsDeathTest, SendOnClosedSideAborts) {
+  TcpConnection* conn = nullptr;
+  eng.spawn(open_pair(tcp, conn));
+  eng.run();
+  conn->close(0);
+  EXPECT_DEATH(
+      {
+        eng.spawn(conn->send(0, pattern_bytes(8)));
+        eng.run();
+      },
+      "after close");
+}
+
+TEST_F(SocketsDeathTest, RecvOnClosedSideAborts) {
+  TcpConnection* conn = nullptr;
+  eng.spawn(open_pair(tcp, conn));
+  eng.run();
+  conn->close(1);
+  EXPECT_DEATH(
+      {
+        eng.spawn([](TcpConnection* c) -> sim::Task<void> {
+          (void)co_await c->recv(1);
+        }(conn));
+        eng.run();
+      },
+      "after close");
+}
+
+TEST_F(SocketsDeathTest, CloseTwiceAborts) {
+  TcpConnection* conn = nullptr;
+  eng.spawn(open_pair(tcp, conn));
+  eng.run();
+  conn->close(0);
+  EXPECT_DEATH(conn->close(0), "after close");
+}
+
 // --- SDP variants ---
 
 sim::Task<void> pump(SdpStream& s, std::size_t msg, int count) {
