@@ -5,8 +5,8 @@
 // hard ceiling on end-to-end experiment throughput.  This bench drives the
 // scheduler's distinct hot paths in isolation:
 //
-//   timer_churn     future-dated delays across the calendar wheel and the
-//                   far-future overflow heap (64 tasks x 2000 random delays);
+//   timer_churn     future-dated delays through the timer heap, from 1 ns to
+//                   10 ms out (64 tasks x 2000 random delays);
 //   channel_pingpong the same-time ready path: two coroutines bouncing a
 //                   token through two channels (schedule_now per hop);
 //   spawn_join_storm coroutine-frame allocation churn: batches of short
@@ -35,8 +35,7 @@ void timer_churn(Engine& eng, int tasks, int steps) {
     eng.spawn([](Engine& e, int self, int n) -> Task<void> {
       Rng rng(0x7157c000ULL + static_cast<std::uint64_t>(self));
       for (int i = 0; i < n; ++i) {
-        // 1 ns .. 10 ms: most delays land in the calendar wheel, the long
-        // tail exercises the overflow heap and wheel re-basing.
+        // 1 ns .. 10 ms: 64 pending timers spread far apart in time.
         co_await e.delay(rng.uniform(1, 10'000'000));
       }
     }(eng, id, steps));

@@ -97,10 +97,10 @@ sim::Task<std::vector<std::byte>> BackendService::fetch_sdp(NodeId proxy,
       kSdpReplyTagBase + (next_fetch_tag_++ & 0xFFFF);
   co_await hca.send(backend, kSdpRequestTag,
                     verbs::Encoder().u32(id).u32(reply_tag).take());
-  auto avail = co_await hca.recv(reply_tag);  // SrcAvail: body is ready
+  auto avail = co_await hca.recv_reply(reply_tag);  // SrcAvail: body ready
   verbs::Decoder dec(avail.payload);
   const auto bytes = dec.u64();
-  co_await hca.raw_read(backend, bytes);      // zero-copy pull
+  co_await hca.raw_read(backend, bytes);  // zero-copy pull
   co_return store_.content(id);
 }
 

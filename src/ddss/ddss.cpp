@@ -224,7 +224,7 @@ sim::Task<Allocation> Client::allocate(std::size_t size, Coherence coherence,
   req.u8(static_cast<std::uint8_t>(Op::kAlloc)).u32(reply_tag).u64(storage);
   auto& hca = ddss_.net_.hca(node_);
   co_await hca.send(home, kControlTag, req.take());
-  verbs::Message reply = co_await hca.recv(reply_tag);
+  verbs::Message reply = co_await hca.recv_reply(reply_tag);
   verbs::Decoder dec(reply.payload);
   if (dec.u8() == 0) {
     DCS_LOG("ddss", "alloc_fail.home_exhausted", node_, home);
@@ -266,7 +266,7 @@ sim::Task<void> Client::release(Allocation alloc) {
   encode_region(req, alloc.meta);
   auto& hca = ddss_.net_.hca(node_);
   co_await hca.send(alloc.home, kControlTag, req.take());
-  (void)co_await hca.recv(reply_tag);
+  (void)co_await hca.recv_reply(reply_tag);
 }
 
 sim::Task<std::uint64_t> Client::fetch_add(const Allocation& alloc,

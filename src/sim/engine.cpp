@@ -5,19 +5,6 @@
 
 namespace dcs::sim {
 
-namespace {
-
-/// Min-heap comparator over (time, seq): used for wheel buckets and the
-/// overflow heap via std::push_heap/pop_heap.
-struct TimerLater {
-  template <typename E>
-  bool operator()(const E& a, const E& b) const {
-    return a.t != b.t ? a.t > b.t : a.seq > b.seq;
-  }
-};
-
-}  // namespace
-
 Engine::~Engine() {
   reap_finished();
   // Destroy any still-live root frames; child frames are owned by parents and
@@ -40,98 +27,51 @@ void Engine::ring_grow() {
   ring_head_ = 0;
 }
 
-void Engine::timer_push(TimerEntry e) {
-  ++timer_count_;
-  if (e.t < next_timer_) next_timer_ = e.t;
-  std::uint64_t slot = (e.t >> kBucketBits) - wheel_base_;
-  if (slot >= kBuckets) {
-    // Out of window.  If the wheel is empty nothing pins the base, so slide
-    // the window up to the current time first; the entry (and any overflow
-    // now in range) may then land in a bucket.
-    if (wheel_count_ == 0) {
-      rebase_wheel();
-      slot = (e.t >> kBucketBits) - wheel_base_;
-    }
-    if (slot >= kBuckets) {
-      overflow_.push_back(e);
-      std::push_heap(overflow_.begin(), overflow_.end(), TimerLater{});
-      return;
-    }
+void Engine::timer_push(const TimerEntry& e) {
+  // Sift a hole up from the new leaf, then drop the entry into it.
+  timers_.push_back(e);
+  TimerEntry* const heap = timers_.data();
+  const TimerKey key = e.key();
+  std::size_t i = timers_.size() - 1;
+  while (i != 0) {
+    const std::size_t parent = (i - 1) >> 2;
+    if (heap[parent].key() < key) break;
+    heap[i] = heap[parent];
+    i = parent;
   }
-  auto& bucket = wheel_[slot];
-  bucket.push_back(e);
-  std::push_heap(bucket.begin(), bucket.end(), TimerLater{});
-  wheel_bits_[slot >> 6] |= 1ULL << (slot & 63);
-  ++wheel_count_;
-}
-
-void Engine::rebase_wheel() {
-  wheel_base_ = now_ >> kBucketBits;
-  // Migrate overflow entries that the new window covers.  This keeps the
-  // invariant that every overflow deadline lies beyond every wheel deadline,
-  // so the pop path never has to compare the two.
-  std::size_t kept = 0;
-  for (TimerEntry& e : overflow_) {
-    const std::uint64_t slot = (e.t >> kBucketBits) - wheel_base_;
-    if (slot < kBuckets) {
-      auto& bucket = wheel_[slot];
-      bucket.push_back(e);
-      std::push_heap(bucket.begin(), bucket.end(), TimerLater{});
-      wheel_bits_[slot >> 6] |= 1ULL << (slot & 63);
-      ++wheel_count_;
-    } else {
-      overflow_[kept++] = e;
-    }
-  }
-  if (kept != overflow_.size()) {
-    overflow_.resize(kept);
-    std::make_heap(overflow_.begin(), overflow_.end(), TimerLater{});
-  }
-}
-
-std::size_t Engine::first_occupied_from(std::size_t slot) const {
-  // The caller guarantees an occupied bucket at `slot` or beyond exists, so
-  // the scan terminates.
-  std::size_t word = slot >> 6;
-  std::uint64_t bits = wheel_bits_[word] & (~0ULL << (slot & 63));
-  while (bits == 0) bits = wheel_bits_[++word];
-  return (word << 6) + static_cast<std::size_t>(std::countr_zero(bits));
+  heap[i] = e;
 }
 
 Engine::TimerEntry Engine::timer_pop() {
-  --timer_count_;
-  TimerEntry out;
-  if (wheel_count_ != 0) {
-    // Every wheel deadline is >= now_ and this scan found the first occupied
-    // bucket, so that bucket holds the global minimum (bucket time ranges
-    // are disjoint and ordered, and the overflow invariant puts every
-    // overflow deadline after every wheel deadline).
-    const std::uint64_t now_bucket = now_ >> kBucketBits;
-    const std::size_t slot = first_occupied_from(
-        now_bucket > wheel_base_ ? now_bucket - wheel_base_ : 0);
-    auto& bucket = wheel_[slot];
-    std::pop_heap(bucket.begin(), bucket.end(), TimerLater{});
-    out = bucket.back();
-    bucket.pop_back();
-    --wheel_count_;
-    if (!bucket.empty()) {
-      next_timer_ = bucket.front().t;
-      return out;
+  // Sift the last leaf down from the root's hole.  Keys are unique (counter
+  // seqs never repeat, and the sharded runner schedules at most one cross
+  // wake per time), so the child selection never has to break a tie.
+  const TimerEntry top = timers_.front();
+  const TimerEntry last = timers_.back();
+  timers_.pop_back();
+  const std::size_t n = timers_.size();
+  if (n == 0) return top;
+  TimerEntry* const heap = timers_.data();
+  const TimerKey key = last.key();
+  std::size_t i = 0;
+  for (;;) {
+    const std::size_t first = 4 * i + 1;
+    if (first >= n) break;
+    const std::size_t end = std::min(first + 4, n);
+    std::size_t best = first;
+    TimerKey best_key = heap[first].key();
+    for (std::size_t c = first + 1; c < end; ++c) {
+      const TimerKey k = heap[c].key();
+      const bool less = k < best_key;
+      best = less ? c : best;
+      best_key = less ? k : best_key;
     }
-    wheel_bits_[slot >> 6] &= ~(1ULL << (slot & 63));
-    if (wheel_count_ != 0) {
-      // Resume the bitmap scan where this one left off rather than
-      // restarting from now_'s bucket.
-      next_timer_ = wheel_[first_occupied_from(slot + 1)].front().t;
-      return out;
-    }
-  } else {
-    std::pop_heap(overflow_.begin(), overflow_.end(), TimerLater{});
-    out = overflow_.back();
-    overflow_.pop_back();
+    if (key < best_key) break;
+    heap[i] = heap[best];
+    i = best;
   }
-  next_timer_ = overflow_.empty() ? kNever : overflow_.front().t;
-  return out;
+  heap[i] = last;
+  return top;
 }
 
 void Engine::spawn(Task<void> task) {
@@ -199,7 +139,7 @@ void Engine::run_until(Time t) {
     while (!stopped_) {
       std::coroutine_handle<> h;
       std::uint64_t seq;
-      if (timer_count_ != 0 && next_timer_ <= now_) {
+      if (!timers_.empty() && timers_.front().t <= now_) {
         // Timers that have come due at the current time run before the ready
         // ring: their seqs predate every same-time ring entry (see header).
         const TimerEntry e = timer_pop();
@@ -213,8 +153,8 @@ void Engine::run_until(Time t) {
         h = e.h;
         seq = e.seq;
         strand_ctx() = e.ctx;
-      } else if (timer_count_ != 0) {
-        if (next_timer_ > t) break;
+      } else if (!timers_.empty()) {
+        if (timers_.front().t > t) break;
         const TimerEntry e = timer_pop();
         // Ready ring empty and the next timer far away: the clock is about
         // to leap.  Only this rare time-advancing branch pays the check, so
@@ -243,7 +183,7 @@ void Engine::run_until(Time t) {
   // alive is deadlocked: the parked strands can never be woken again.
   // Bounded runs exit with parked roots routinely, so only t == forever
   // counts.
-  if (stall != nullptr && !stopped_ && t == kNever && root_count_ > 0) {
+  if (stall != nullptr && !stopped_ && t == kForever && root_count_ > 0) {
     stall->on_wedged(root_count_);
   }
   // Virtual time passes up to the bound even if no event lands exactly on it

@@ -12,13 +12,10 @@
 //                spawns).  A plain FIFO ring buffer: same-time dispatch order
 //                is insertion order, so no comparisons at all on the
 //                schedule_now fast path.
-//   calendar     future timers within ~4 ms of now, bucketed by bits 12+ of
-//   wheel        their deadline (1024 buckets x 4096 ns).  Buckets hold a
-//                few unsorted entries each; popping min-scans the first
-//                occupied bucket, found via a 1024-bit occupancy bitmap.
-//   overflow     far-future timers beyond the wheel window, in one (time,
-//   heap         seq) min-heap.  When the wheel drains, the window re-bases
-//                at the current time and in-window overflow entries migrate.
+//   timer heap   every future timer, in one contiguous 4-ary (time, seq)
+//                min-heap.  A partition keeps a few dozen timers pending, so
+//                the whole heap stays cache-resident; each level compares
+//                the 128-bit key (time << 64 | seq) of up to four children.
 //
 // Ordering invariant: dispatch order is lexicographic (time, seq) with seq
 // assigned at schedule time.  The split preserves it without a global
@@ -32,8 +29,7 @@
 // (un)installed only while the loop is not running.
 #pragma once
 
-#include <array>
-#include <bit>
+#include <algorithm>
 #include <coroutine>
 #include <cstdint>
 #include <vector>
@@ -68,7 +64,7 @@ class Engine {
   /// the conservative-PDES safe horizon derives from.
   Time next_event_time() const {
     if (ring_size_ != 0) return now_;
-    if (timer_count_ != 0) return next_timer_ > now_ ? next_timer_ : now_;
+    if (!timers_.empty()) return std::max(timers_.front().t, now_);
     return kForever;
   }
 
@@ -115,6 +111,13 @@ class Engine {
   /// Runs until the virtual clock would pass `t` (events at exactly `t` run).
   /// Remaining events stay queued; now() is clamped to `t` on return.
   void run_until(Time t);
+  /// The clock clamp of run_until(t) on an engine with nothing due at or
+  /// before `t` (next_event_time() > t): dispatches nothing.  The sharded
+  /// runner applies it to idle partitions instead of running them.
+  void advance_idle(Time t) {
+    DCS_CHECK_MSG(next_event_time() > t, "advance_idle over pending work");
+    if (now_ < t) now_ = t;
+  }
   /// Requests the loop to stop after the current event.
   void stop() { stopped_ = true; }
 
@@ -140,9 +143,7 @@ class Engine {
   // Dispatch-structure occupancy, exposed for post-mortem engine-state
   // snapshots (src/trace/flight).  All O(1).
   std::size_t ready_ring_size() const { return ring_size_; }
-  std::size_t wheel_timer_count() const { return wheel_count_; }
-  std::size_t overflow_timer_count() const { return overflow_.size(); }
-  std::size_t pending_timer_count() const { return timer_count_; }
+  std::size_t pending_timer_count() const { return timers_.size(); }
 
   /// Awaitable: suspend for `d` nanoseconds of virtual time.
   auto delay(Time d) {
@@ -176,11 +177,6 @@ class Engine {
   void on_child_error(std::exception_ptr error);
 
  private:
-  // The wheel covers kBuckets * 2^kBucketBits ns (~4.2 ms) from its base.
-  static constexpr std::size_t kBucketBits = 12;
-  static constexpr std::size_t kBuckets = 1024;
-  static constexpr Time kNever = kForever;
-
   // Entries snapshot the scheduling strand's trace context.  The engine
   // installs it before the resume so spawned roots and woken waiters start
   // with a follows-from link; awaiters that saved their own context in
@@ -190,11 +186,14 @@ class Engine {
     std::uint64_t seq;
     StrandCtx ctx;
   };
+  // (time << 64 | seq): one integer compare orders two timers.
+  __extension__ typedef unsigned __int128 TimerKey;
   struct TimerEntry {
     Time t;
     std::uint64_t seq;
     std::coroutine_handle<> h;
     StrandCtx ctx;
+    TimerKey key() const { return (static_cast<TimerKey>(t) << 64) | seq; }
   };
 
   void ring_push(std::coroutine_handle<> h, std::uint64_t seq) {
@@ -205,10 +204,8 @@ class Engine {
   }
   void ring_grow();
 
-  void timer_push(TimerEntry e);
+  void timer_push(const TimerEntry& e);
   TimerEntry timer_pop();
-  void rebase_wheel();
-  std::size_t first_occupied_from(std::size_t slot) const;
 
   void reap_finished();
 
@@ -217,16 +214,8 @@ class Engine {
   std::size_t ring_head_ = 0;
   std::size_t ring_size_ = 0;
 
-  // Calendar wheel + overflow heap.  `wheel_base_` is the absolute bucket
-  // number (time >> kBucketBits) slot 0 maps to; the window never rotates,
-  // it re-bases when the wheel is empty.
-  std::array<std::vector<TimerEntry>, kBuckets> wheel_;
-  std::uint64_t wheel_bits_[kBuckets / 64] = {};
-  std::uint64_t wheel_base_ = 0;
-  std::size_t wheel_count_ = 0;
-  std::vector<TimerEntry> overflow_;
-  std::size_t timer_count_ = 0;  // wheel_count_ + overflow_.size()
-  Time next_timer_ = kNever;     // min pending timer deadline (valid iff any)
+  // Timer heap: 4-ary min-heap on key(), children of i at 4i+1 .. 4i+4.
+  std::vector<TimerEntry> timers_;
 
   // Live spawned roots: intrusive doubly-linked list through PromiseBase.
   detail::PromiseBase* roots_head_ = nullptr;

@@ -49,6 +49,17 @@ struct Partition {
   std::uint64_t next_send_seq = 0;
   std::uint64_t cross_fp = kFnvOffset;
   std::uint64_t cross_delivered = 0;
+
+  // Set by the coordinator before each window: the partition has a due
+  // delivery or an event at or before the horizon.  Idle partitions are
+  // not run; the coordinator clamps their clocks instead.
+  bool active = false;
+};
+
+/// A spawned worker's wake word, on its own cache line: the coordinator
+/// bumps it to hand that worker a command.
+struct alignas(64) WakeSlot {
+  std::atomic<std::uint64_t> epoch{0};
 };
 
 struct ShardedImpl {
@@ -66,6 +77,8 @@ struct ShardedImpl {
     pending.resize(spec.partitions);
     errors.resize(spec.workers);
     wall_ns.assign(spec.workers, 0);
+    busy.assign(spec.workers, 0);
+    wake = std::make_unique<WakeSlot[]>(spec.workers);
     // Worker 0 is the constructing thread itself: only 1..W-1 are spawned.
     pool.reserve(spec.workers - 1);
     for (std::uint32_t w = 1; w < spec.workers; ++w) {
@@ -91,18 +104,24 @@ struct ShardedImpl {
                   "(that thread is worker 0)");
   }
 
-  /// Publishes `c` to workers 1..W-1, runs worker 0's share inline, then
-  /// blocks until the others report done.  The epoch increment (release)
-  /// publishes `cmd` and every coordinator write before it; each worker's
+  /// Publishes `c` to workers 1..W-1 (for a window, only those that own an
+  /// active partition), runs worker 0's share inline, then blocks until the
+  /// woken workers report done.  A wake-word increment (release) publishes
+  /// `cmd`, `awake` and every coordinator write before it; each worker's
   /// done increment (release) publishes its partitions' writes back.
   void command(Cmd c) {
     cmd = c;
+    if (c != Cmd::kWindow) std::fill(busy.begin(), busy.end(), 1);
+    awake = static_cast<std::uint32_t>(
+        std::count(busy.begin() + 1, busy.end(), 1));
     done.store(0, std::memory_order_relaxed);
-    epoch.fetch_add(1, std::memory_order_release);
-    epoch.notify_all();
+    for (std::uint32_t w = 1; w < spec.workers; ++w) {
+      if (!busy[w]) continue;
+      wake[w].epoch.fetch_add(1, std::memory_order_release);
+      wake[w].epoch.notify_one();
+    }
     run_command(0, c);
-    const std::uint32_t others = spec.workers - 1;
-    for (std::uint32_t d = done.load(std::memory_order_acquire); d != others;
+    for (std::uint32_t d = done.load(std::memory_order_acquire); d != awake;
          d = done.load(std::memory_order_acquire)) {
       done.wait(d, std::memory_order_acquire);
     }
@@ -123,7 +142,11 @@ struct ShardedImpl {
   void window(Time h) {
     // Route every message due inside this window to its destination, in
     // (t, src, seq) order.  `due` is empty here: the previous window's
-    // horizon covered everything then due, so the pump drained it.
+    // horizon covered everything then due, so the pump drained it.  A
+    // partition left with nothing to do through `h` only needs the clock
+    // clamp its run_until(h) would apply; nothing another partition does
+    // inside the window can reach it before the next one.
+    std::fill(busy.begin(), busy.end(), 0);
     for (std::uint32_t dst = 0; dst < spec.partitions; ++dst) {
       auto& vec = pending[dst];
       auto& due = parts[dst]->due;
@@ -137,6 +160,13 @@ struct ShardedImpl {
                   return std::tie(x.t, x.src, x.seq) <
                          std::tie(y.t, y.src, y.seq);
                 });
+      Partition& part = *parts[dst];
+      part.active = !due.empty() || part.eng->next_event_time() <= h;
+      if (part.active) {
+        busy[dst % spec.workers] = 1;
+      } else {
+        part.eng->advance_idle(h);
+      }
     }
     horizon = h;
     command(Cmd::kWindow);
@@ -167,17 +197,20 @@ struct ShardedImpl {
 
   // --- worker side ---
 
-  /// Workers 1..W-1: park until the epoch moves, run the published command,
-  /// report done.  The coordinator never publishes epoch N+1 before every
-  /// worker reported N, so no epoch is ever skipped.
+  /// Workers 1..W-1: park until the wake word moves, run the published
+  /// command, report done.  The coordinator never bumps a wake word again
+  /// before every woken worker reported, so no command is ever skipped.
   void worker_main(std::uint32_t w) {
+    std::atomic<std::uint64_t>& word = wake[w].epoch;
     for (std::uint64_t seen = 0;;) {
-      epoch.wait(seen, std::memory_order_acquire);
-      seen = epoch.load(std::memory_order_acquire);
+      word.wait(seen, std::memory_order_acquire);
+      seen = word.load(std::memory_order_acquire);
+      // Read before reporting done: the coordinator rewrites both for the
+      // next command as soon as the last woken worker has reported.
       const Cmd c = cmd;
+      const std::uint32_t woken = awake;
       run_command(w, c);
-      if (done.fetch_add(1, std::memory_order_release) + 1 ==
-          spec.workers - 1) {
+      if (done.fetch_add(1, std::memory_order_release) + 1 == woken) {
         done.notify_one();
       }
       if (c == Cmd::kExit) return;
@@ -199,7 +232,7 @@ struct ShardedImpl {
           // contract; no sim-visible state reads this clock)
           const auto start = std::chrono::steady_clock::now();
           for (std::uint32_t p = w; p < spec.partitions; p += spec.workers) {
-            run_partition(p, horizon);
+            if (parts[p]->active) run_partition(p, horizon);
           }
           // dcs-lint: allow(R1, same wall-telemetry measurement as above)
           const auto end = std::chrono::steady_clock::now();
@@ -311,8 +344,10 @@ struct ShardedImpl {
 
   const std::thread::id owner;  // the constructing thread == worker 0
   Cmd cmd = Cmd::kExit;
-  std::atomic<std::uint64_t> epoch{0};  // bumped once per command
-  std::atomic<std::uint32_t> done{0};   // workers 1..W-1 finished with it
+  std::vector<char> busy;                // per worker: owns an active partition
+  std::unique_ptr<WakeSlot[]> wake;      // per worker; slot 0 (caller) unused
+  std::uint32_t awake = 0;               // workers woken for `cmd`
+  std::atomic<std::uint32_t> done{0};    // woken workers finished with it
   Time horizon = 0;
   const std::function<void(Shard&)>* factory = nullptr;
   const std::function<void(std::uint32_t)>* custom = nullptr;

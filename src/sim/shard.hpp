@@ -5,7 +5,7 @@
 // runner scales that model across cores WITHOUT giving the anchor up:
 //
 //   partition    a fixed slice of the simulated world (its own Engine,
-//                strands, calendar wheel, frame slab, trace registry).  The
+//                strands, timer heap, frame slab, trace registry).  The
 //                partition count is part of the workload topology and never
 //                changes with the machine: partition p always holds the same
 //                nodes and always produces the same per-partition dispatch
@@ -27,9 +27,13 @@
 //                No event in [M, H] can generate a cross message delivered
 //                at or before H (its delivery is stamped >= M + L > H), so
 //                every partition may run run_until(H) in parallel with no
-//                further synchronization.  The caller publishes the window
-//                by bumping an atomic epoch (spawned workers park on it
-//                with C++20 atomic wait), runs worker 0's partitions
+//                further synchronization.  A partition with no due message
+//                and no event at or before H is idle: the coordinator only
+//                clamps its clock to H (what run_until(H) would do), and a
+//                worker that owns no active partition is not woken.  The
+//                caller publishes the window by bumping the wake word of
+//                each busy worker (spawned workers park on theirs with
+//                C++20 atomic wait), runs worker 0's active partitions
 //                itself, then waits on an atomic done count.  Collect
 //                outboxes; repeat.
 //

@@ -108,7 +108,9 @@ sim::Task<void> StormCluster::data_daemon(NodeId node) {
         static_cast<double>(records) * config_.selectivity);
     std::uint64_t scanned = 0;
     std::uint64_t shipped = 0;
-    while (scanned < records) {
+    // At least one batch: an empty partition still ends the stream with a
+    // final (empty) batch, which the querier waits for.
+    do {
       const std::uint64_t batch =
           std::min<std::uint64_t>(config_.batch_records, records - scanned);
       // Scan the batch.
@@ -130,7 +132,7 @@ sim::Task<void> StormCluster::data_daemon(NodeId node) {
         co_await fab.tcp_wire_transfer(node, coordinator_,
                                        batch_hits * config_.record_bytes);
       }
-    }
+    } while (scanned < records);
     conn->close(node);
   }
 }

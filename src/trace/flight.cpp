@@ -346,8 +346,7 @@ void FlightRecorder::write_postmortem(std::ostream& os, const char* reason,
      << ", \"last_dispatch_seq\": " << eng_.last_dispatch_seq()
      << ", \"dispatch_fingerprint\": \"" << buf << "\""
      << ", \"ready_ring\": " << eng_.ready_ring_size()
-     << ", \"wheel_timers\": " << eng_.wheel_timer_count()
-     << ", \"overflow_timers\": " << eng_.overflow_timer_count()
+     << ", \"timers\": " << eng_.pending_timer_count()
      << ", \"live_roots\": " << eng_.live_roots() << "},\n";
   os << "  \"metrics\": ";
   Registry::global().write_json(os);

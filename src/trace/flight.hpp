@@ -27,7 +27,7 @@
 // A dump contains the ring contents for all nodes, a metrics registry
 // snapshot, the in-flight request table with each request's partial
 // critical path (per-Cost nanoseconds charged so far), and engine state
-// (ready-ring/wheel/overflow occupancy, dispatch fingerprint).  All output
+// (ready-ring and timer-heap occupancy, dispatch fingerprint).  All output
 // is byte-deterministic for a given seed.  `dcs inspect` (trace/inspect)
 // queries the dumps offline.
 #pragma once

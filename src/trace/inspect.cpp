@@ -441,7 +441,7 @@ int run_self_check(const Document& doc, std::ostream& out,
     if (const Json* engine = doc.root.find("engine")) {
       for (const char* key :
            {"now_ns", "events_dispatched", "dispatch_fingerprint",
-            "ready_ring", "wheel_timers", "overflow_timers", "live_roots"}) {
+            "ready_ring", "timers", "live_roots"}) {
         if (engine->find(key) == nullptr) {
           problems.push_back(std::string("engine missing \"") + key + "\"");
         }

@@ -568,6 +568,13 @@ sim::Task<Message> Hca::recv(std::uint32_t tag) {
   co_return msg;
 }
 
+sim::Task<Message> Hca::recv_reply(std::uint32_t tag) {
+  Message msg = co_await recv(tag);
+  DCS_CHECK_MSG(queue_for(tag).empty(), "second message on a reply tag");
+  recv_queues_.erase(tag);
+  co_return msg;
+}
+
 std::optional<Message> Hca::try_recv(std::uint32_t tag) {
   return queue_for(tag).try_recv();
 }

@@ -236,12 +236,18 @@ class Hca {
   /// Receives the next message with the given tag (any source); charges the
   /// receive-path CPU cost on this host.
   sim::Task<Message> recv(std::uint32_t tag);
+  /// Receives the one reply of an exchange on a fresh per-exchange `tag`
+  /// (as recv()), then drops that tag's mailbox, so reply tags leave no
+  /// mailbox behind.
+  sim::Task<Message> recv_reply(std::uint32_t tag);
   /// Non-blocking receive attempt (no CPU charged on miss).
   std::optional<Message> try_recv(std::uint32_t tag);
 
   // --- statistics ---
   std::uint64_t one_sided_ops() const { return one_sided_ops_; }
   std::uint64_t messages_sent() const { return messages_sent_; }
+  /// Tags that currently have a receive mailbox on this HCA.
+  std::size_t mailbox_count() const { return recv_queues_.size(); }
 
  private:
   friend class Network;

@@ -84,6 +84,25 @@ TEST_F(DdssFixture, ReleaseReturnsMemory) {
   EXPECT_NO_THROW(eng.run());
 }
 
+TEST_F(DdssFixture, ReplyTagsLeaveNoMailboxes) {
+  // Every allocate/release receives its one reply on a fresh tag; the
+  // tag's mailbox goes away with the reply.  The first pair lets the
+  // long-lived daemon mailboxes appear before the count is taken.
+  std::size_t before = 0;
+  eng.spawn([](Ddss& d, verbs::Hca& hca,
+               std::size_t& first) -> sim::Task<void> {
+    auto c = d.client(1);
+    for (int i = 0; i < 17; ++i) {
+      co_await c.release(co_await c.allocate(64, Coherence::kNull,
+                                             Placement::kRemote));
+      if (i == 0) first = hca.mailbox_count();
+    }
+  }(ddss, net.hca(1), before));
+  eng.run();
+  EXPECT_GT(before, 0u);
+  EXPECT_EQ(net.hca(1).mailbox_count(), before);
+}
+
 TEST_F(DdssFixture, AllocationFailureThrows) {
   bool threw = false;
   eng.spawn([](Ddss& d, bool& t) -> sim::Task<void> {

@@ -183,6 +183,52 @@ TEST(ShardMergeTest, ChoppedRunsResumeExactly) {
   EXPECT_EQ(nine.end, std::max<sim::Time>(oracle.end, 9 * 7777));
 }
 
+/// Sends to the partition two away every `gap` ns, `sends` times.
+sim::Task<void> paced_sender(Shard& shard, sim::Time gap, int sends) {
+  for (int i = 0; i < sends; ++i) {
+    co_await shard.engine().delay(gap);
+    shard.send((shard.index() + 2) % shard.partitions(), /*tag=*/0, i);
+  }
+}
+
+TEST(ShardMergeTest, IdlePartitionsKeepTheFingerprintAndTheClock) {
+  // Partitions 0 and 2 exchange a message every 300 ns; 1 and 3 only every
+  // 40 us, so most windows find nothing due on them, and at 2 and 4
+  // workers worker 1 owns only those.  Idle partitions are clamped, not
+  // run: every clock must still land on each cut.
+  auto run = [](std::uint32_t workers, bool chopped) {
+    ShardedEngine sharded(spec_for(4, workers));
+    std::vector<Shard*> shards(4);
+    sharded.setup([&shards](Shard& shard) {
+      shards[shard.index()] = &shard;
+      const bool busy = shard.index() % 2 == 0;
+      shard.engine().spawn(paced_sender(
+          shard, busy ? sim::Time{300} : microseconds(40), busy ? 400 : 3));
+    });
+    if (chopped) {
+      for (const sim::Time cut : {5'000, 17'777, 40'001, 90'000, 150'000}) {
+        sharded.run_until(cut);
+        EXPECT_EQ(sharded.now(), cut) << "workers=" << workers;
+        for (Shard* shard : shards) {
+          EXPECT_EQ(shard->engine().now(), cut)
+              << "workers=" << workers << " partition=" << shard->index();
+        }
+      }
+    }
+    sharded.run();
+    return RunResult{.fingerprint = sharded.merged_fingerprint(),
+                     .events = sharded.events_dispatched(),
+                     .cross = sharded.cross_messages(),
+                     .end = 0};
+  };
+  const RunResult oracle = run(1, false);
+  EXPECT_EQ(oracle.cross, 2u * 400u + 2u * 3u);
+  for (std::uint32_t workers : {1u, 2u, 4u}) {
+    EXPECT_EQ(run(workers, false), oracle) << "workers=" << workers;
+    EXPECT_EQ(run(workers, true), oracle) << "workers=" << workers;
+  }
+}
+
 TEST(ShardMergeTest, DifferentSeedsDiffer) {
   EXPECT_NE(run_grid(4, 2, 1).fingerprint, run_grid(4, 2, 2).fingerprint);
 }

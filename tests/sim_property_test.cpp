@@ -3,6 +3,11 @@
 // and clock monotonicity.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <coroutine>
+#include <utility>
+#include <vector>
+
 #include "common/rng.hpp"
 #include "sim/engine.hpp"
 #include "sim/sync.hpp"
@@ -181,6 +186,94 @@ TEST(SimPropertyTest, WhenAllWithRandomDurationsFinishesAtMax) {
   }(eng, durations, expected));
   EXPECT_NO_THROW(eng.run());
   EXPECT_EQ(eng.now(), expected);
+}
+
+// Timer-heap oracle.  Every schedule call draws the next seq, so the test
+// can name each wake's (time, seq) as it asks for it; the dispatch stream
+// must be exactly those coordinates in sorted order.  Strands live on even
+// times and cross wakes on odd ones: a cross wake (seq kCrossSeq) runs
+// before same-time ready-ring entries, so the two never share a time here.
+using Coord = std::pair<Time, std::uint64_t>;
+
+struct HeapOracle {
+  std::vector<Coord> scheduled;
+  std::vector<Coord> dispatched;
+  std::uint64_t next_seq = 0;
+  std::coroutine_handle<> parked{};
+};
+
+Task<void> random_sleeper(Engine& e, HeapOracle& o, std::uint64_t seed) {
+  Rng rng(seed);
+  o.dispatched.emplace_back(e.now(), e.last_dispatch_seq());
+  for (int step = 0; step < 40; ++step) {
+    Time d = 0;
+    switch (rng.uniform(5)) {
+      case 0:  // same-time yield
+        break;
+      case 1:
+      case 2:
+        d = 2 * rng.uniform(1, 32);
+        break;
+      case 3:  // a shared boundary: many strands tie there
+        d = 1024 - e.now() % 1024;
+        break;
+      case 4:  // beyond a 4.2 ms horizon
+        d = 2 * rng.uniform(2'500'000, 10'000'000);
+        break;
+    }
+    o.scheduled.emplace_back(e.now() + d, o.next_seq++);
+    co_await e.delay(d);
+    o.dispatched.emplace_back(e.now(), e.last_dispatch_seq());
+  }
+}
+
+Task<void> cross_parker(Engine& e, HeapOracle& o) {
+  struct Park {
+    HeapOracle& o;
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h) { o.parked = h; }
+    void await_resume() { o.parked = {}; }
+  };
+  for (;;) {
+    o.dispatched.emplace_back(e.now(), e.last_dispatch_seq());
+    co_await Park{o};
+  }
+}
+
+TEST(SimPropertyTest, TimerDispatchFollowsTheSortedScheduleUnderChoppedRuns) {
+  Engine eng;
+  HeapOracle o;
+  Rng rng(2024);
+  for (std::uint64_t i = 0; i < 64; ++i) {
+    o.scheduled.emplace_back(0, o.next_seq++);
+    eng.spawn(random_sleeper(eng, o, 77 + i));
+  }
+  o.scheduled.emplace_back(0, o.next_seq++);
+  eng.spawn(cross_parker(eng, o));
+  eng.run_until(0);
+  for (Time cut = 7'000'001; eng.next_event_time() != Engine::kForever;
+       cut += 7'000'001) {
+    // Three cross wakes at distinct odd times inside the next chunk.
+    std::vector<Time> wakes;
+    while (wakes.size() < 3) {
+      const Time t = eng.now() + 1 + 2 * rng.uniform(0, 3'000'000);
+      if (std::find(wakes.begin(), wakes.end(), t) == wakes.end()) {
+        wakes.push_back(t);
+      }
+    }
+    ASSERT_TRUE(o.parked);
+    for (const Time t : wakes) {
+      eng.schedule_cross(o.parked, t);
+      o.scheduled.emplace_back(t, Engine::kCrossSeq);
+    }
+    eng.run_until(cut);
+    ASSERT_EQ(eng.now(), cut);
+  }
+  std::sort(o.scheduled.begin(), o.scheduled.end());
+  EXPECT_GT(o.scheduled.back().first, Time{20'000'000});
+  EXPECT_EQ(eng.events_dispatched(), o.scheduled.size());
+  EXPECT_EQ(o.dispatched, o.scheduled);
+  EXPECT_EQ(eng.pending_timer_count(), 0u);
 }
 
 TEST(SimPropertyTest, ManyEngineLifecyclesAreIndependent) {

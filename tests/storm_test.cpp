@@ -77,6 +77,19 @@ TEST_P(StormBothPlanes, BackToBackQueriesWork) {
   }
 }
 
+TEST_P(StormBothPlanes, FewerRecordsThanDataNodesComplete) {
+  // 0 and 2 records over 3 data nodes leave some partitions empty; each
+  // still ends its stream with a final empty batch, so the query completes.
+  StormWorld w(GetParam());
+  const std::size_t cached = GetParam() == ControlPlane::kSockets ? 4 : 0;
+  for (const std::uint64_t records : {2u, 0u}) {
+    const auto r = w.query(records);
+    EXPECT_EQ(r.records_scanned, records) << records << " records";
+    EXPECT_GT(r.elapsed, 0u) << records << " records";
+    EXPECT_EQ(w.tcp.connection_count(), cached) << records << " records";
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Planes, StormBothPlanes,
                          ::testing::Values(ControlPlane::kSockets,
                                            ControlPlane::kDdss),
