@@ -1,7 +1,7 @@
 // Datacenter-scale sharded benchmark (docs/SCALING.md).
 //
 // Partitions a 1024-node datacenter across `--partitions` engine shards and
-// runs them on `--shards` worker threads (sim/shard.hpp).  Each partition
+// runs them on `--shards` workers (sim/shard.hpp).  Each partition
 // hosts a real slice of the stack — a Fabric cluster with two-core nodes, a
 // verbs network, a DDSS substrate and an N-CoSED lock manager — and a set
 // of client strands issuing Zipf-distributed requests over the GLOBAL node
@@ -83,9 +83,9 @@ struct ScaleConfig {
 };
 
 /// Everything one partition owns: a Fabric slice of the datacenter plus the
-/// services running on it.  Built by the setup factory on the partition's
-/// owning worker and parked there via Shard::keep_alive, so construction
-/// and destruction both happen on that worker's thread (the affinity
+/// services running on it.  Built by the setup factory in the partition's
+/// worker context and parked there via Shard::keep_alive, so construction
+/// and destruction both happen in that context (the per-worker-context
 /// contract in sim/shard.hpp).
 struct PartitionHost {
   PartitionHost(sim::Engine& eng, const ScaleConfig& cfg)
@@ -115,7 +115,7 @@ struct PartitionHost {
   std::vector<ddss::Allocation> allocs;
   std::map<std::pair<fabric::NodeId, dlm::LockId>, sim::Mutex> cohorts;
   /// Per-partition serve-path registry: the telemetry exporter mirrors
-  /// THIS registry (not the worker's thread-local one), so the exported
+  /// THIS registry (not the worker context's one), so the exported
   /// page is a function of the partition, never of the --shards layout.
   trace::Registry serve_reg;
 };
@@ -156,7 +156,7 @@ struct PartitionDump {
 /// Per-partition observability plane: an RDMA-Sync exporter/scraper pair
 /// over the partition's serve registry, a windowed time-series store and
 /// an SLO engine (the built-in burn rule plus the --slo rules) wired into
-/// a flight recorder.  Lives on the partition's owning worker
+/// a flight recorder.  Lives in the partition's worker context
 /// (Shard::keep_alive), like PartitionHost.
 struct ObsPlane {
   ObsPlane(sim::Shard& shard, PartitionHost& host, const ScaleConfig& cfg,

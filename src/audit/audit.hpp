@@ -101,9 +101,10 @@ class Auditor final : public sim::AuditHook {
   Auditor(const Auditor&) = delete;
   Auditor& operator=(const Auditor&) = delete;
 
-  /// Makes this the process-wide auditor (at most one at a time) and hooks
-  /// the simulation engine.  Install before constructing the workload so
-  /// region registrations and sync-range marks are observed.
+  /// Makes this the current execution context's auditor (at most one at a
+  /// time) and hooks the simulation engine.  Install before constructing
+  /// the workload so region registrations and sync-range marks are
+  /// observed.
   void install();
   void uninstall();
   bool installed() const;

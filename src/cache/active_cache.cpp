@@ -19,7 +19,7 @@ struct ActiveMetrics {
   static trace::Registry& reg() { return trace::Registry::global(); }
 };
 
-ActiveMetrics& metrics() { return trace::thread_metrics<ActiveMetrics>(); }
+ActiveMetrics& metrics() { return trace::context_metrics<ActiveMetrics>(); }
 }  // namespace
 
 const char* to_string(DynamicPolicy p) {

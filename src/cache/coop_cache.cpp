@@ -21,7 +21,7 @@ struct CoopMetrics {
   static trace::Registry& reg() { return trace::Registry::global(); }
 };
 
-CoopMetrics& metrics() { return trace::thread_metrics<CoopMetrics>(); }
+CoopMetrics& metrics() { return trace::context_metrics<CoopMetrics>(); }
 }  // namespace
 
 const char* to_string(Scheme s) {

@@ -30,7 +30,7 @@ struct DdssMetrics {
   static trace::Registry& reg() { return trace::Registry::global(); }
 };
 
-DdssMetrics& metrics() { return trace::thread_metrics<DdssMetrics>(); }
+DdssMetrics& metrics() { return trace::context_metrics<DdssMetrics>(); }
 
 enum class Op : std::uint8_t { kAlloc = 1, kFree = 2 };
 

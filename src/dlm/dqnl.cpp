@@ -17,7 +17,7 @@ struct DqnlMetrics {
   static trace::Registry& reg() { return trace::Registry::global(); }
 };
 
-DqnlMetrics& metrics() { return trace::thread_metrics<DqnlMetrics>(); }
+DqnlMetrics& metrics() { return trace::context_metrics<DqnlMetrics>(); }
 }  // namespace
 
 DqnlLockManager::DqnlLockManager(verbs::Network& net, NodeId home,

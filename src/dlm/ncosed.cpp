@@ -28,7 +28,7 @@ struct NcosedMetrics {
   static trace::Registry& reg() { return trace::Registry::global(); }
 };
 
-NcosedMetrics& metrics() { return trace::thread_metrics<NcosedMetrics>(); }
+NcosedMetrics& metrics() { return trace::context_metrics<NcosedMetrics>(); }
 }  // namespace
 
 NcosedLockManager::NcosedLockManager(verbs::Network& net, NodeId home,

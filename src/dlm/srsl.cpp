@@ -19,7 +19,7 @@ struct SrslMetrics {
   static trace::Registry& reg() { return trace::Registry::global(); }
 };
 
-SrslMetrics& metrics() { return trace::thread_metrics<SrslMetrics>(); }
+SrslMetrics& metrics() { return trace::context_metrics<SrslMetrics>(); }
 
 std::uint64_t holder_key(NodeId node, LockId id) {
   return (static_cast<std::uint64_t>(node) << 32) | id;

@@ -37,10 +37,10 @@ using fabric::NodeId;
 /// it.  Mirroring is kernel-context work (like fabric::Node's kernel page
 /// sync): zero simulated CPU, so exporting costs the target nothing.
 ///
-/// The mirror source defaults to the calling thread's
+/// The mirror source defaults to the current execution context's
 /// trace::Registry::global().  Sharded workloads that want per-partition
 /// telemetry (independent of the `--shards` worker layout, where one
-/// thread-local registry accumulates several partitions) pass an explicit
+/// worker's registry accumulates several partitions) pass an explicit
 /// `source` registry instead.
 class TelemetryExporter {
  public:

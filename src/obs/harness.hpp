@@ -216,10 +216,11 @@ class Harness {
   /// start; the other files are written whole by finish().
   std::ofstream trace_file_;
   std::unique_ptr<trace::ChromeTrace> trace_;
-  /// Attribution sinks, fed across scenarios: the hot sink is installed
-  /// thread-locally around each body; exemplars ingest from the tracer's
-  /// per-request critical paths after each scenario.  Sharded scenarios
-  /// hand theirs over instead (ShardedScenario::attribution).
+  /// Attribution sinks, fed across scenarios: the hot sink is installed in
+  /// the caller's execution context around each body; exemplars ingest
+  /// from the tracer's per-request critical paths after each scenario.
+  /// Sharded scenarios hand theirs over instead
+  /// (ShardedScenario::attribution).
   HeavyHitters hot_;
   trace::ExemplarStore exemplars_;
   std::uint64_t lost_dumps_ = 0;  // post-mortems no recorder could write

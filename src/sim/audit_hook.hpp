@@ -3,9 +3,10 @@
 // The engine and the synchronization primitives publish the events a
 // happens-before checker needs — coroutine scheduling, strand suspension and
 // resumption, and release/acquire pairs on sync objects — through a single
-// process-wide hook slot.  The simulator itself has no idea what a checker
-// does with them: `dcs::audit::Auditor` installs itself here, and with no
-// hook installed every call site costs exactly one pointer test.
+// hook slot in the current execution context (sim/context.hpp).  The
+// simulator itself has no idea what a checker does with them:
+// `dcs::audit::Auditor` installs itself here, and with no hook installed
+// every call site costs one context lookup and one pointer test.
 //
 // Vocabulary (mirrors docs/AUDIT.md):
 //   strand   one logical thread of execution: a spawned root process and
@@ -17,6 +18,8 @@
 #pragma once
 
 #include <cstdint>
+
+#include "sim/context.hpp"
 
 namespace dcs::sim {
 
@@ -72,10 +75,11 @@ class AuditHook {
   // --- cross-shard boundaries ---
 
   /// A sharded run (sim/shard.hpp) delivered an inbound cross-shard message
-  /// on the current strand.  The sender ran on another OS thread under a
-  /// different hook instance, so no release/acquire pairing is possible;
-  /// instead the delivery opens a fresh vector-clock epoch on the receiving
-  /// strand, ordered by the deterministic merge position (src shard, seq).
+  /// on the current strand.  The sender ran in another worker's context
+  /// under a different hook instance, so no release/acquire pairing is
+  /// possible; instead the delivery opens a fresh vector-clock epoch on the
+  /// receiving strand, ordered by the deterministic merge position (src
+  /// shard, seq).
   /// Default: ignored, so checkers that predate sharding stay correct.
   virtual void on_cross_shard(std::uint32_t src_shard, std::uint64_t seq) {
     (void)src_shard;
@@ -83,13 +87,11 @@ class AuditHook {
   }
 };
 
-/// The installed hook for this thread, or nullptr.  One slot per OS thread:
-/// each shard worker of a sharded run (sim/shard.hpp) may install its own
-/// checker over its own engine, and a hook installed on the main thread
-/// never observes (or races with) another shard's dispatches.
-inline AuditHook*& audit_hook() {
-  static thread_local AuditHook* hook = nullptr;
-  return hook;
-}
+/// The hook installed in the current execution context, or nullptr.  One
+/// slot per context (sim/context.hpp): each worker of a sharded run
+/// (sim/shard.hpp) may install its own checker over its own partitions, and
+/// a hook installed in the caller's context never observes (or races with)
+/// another worker's dispatches.
+inline AuditHook*& audit_hook() { return context().audit_hook(); }
 
 }  // namespace dcs::sim

@@ -22,7 +22,7 @@
 // comparison structure because a timer for time T is always scheduled while
 // now < T, so every timer seq at T is smaller than every ready-ring seq
 // enqueued at T; draining same-time timers before the ring is exactly
-// (time, seq) order.
+// (time, seq) order.  The one exception is a cross wake (kCrossSeq below).
 //
 // The per-dispatch instrumentation cost is one cached pointer test: the
 // audit/trace hook is sampled once per run_until call, so hooks must be
@@ -86,9 +86,15 @@ class Engine {
   }
 
   /// Sequence number of every cross-shard wake: a fixed value in a band
-  /// above anything the counter assigns, so same-time counter entries
-  /// dispatch first and the (time, seq) fingerprint contribution of a
-  /// cross delivery is a pure function of its delivery time.
+  /// above anything the counter assigns, so the (time, seq) fingerprint
+  /// contribution of a cross delivery is a pure function of its delivery
+  /// time.  A cross wake is a timer: at time T it dispatches after the
+  /// counter-assigned timers due at T but BEFORE the ready-ring entries
+  /// strands enqueue at T after T's first timer, whose seqs are smaller.
+  /// E.g. timer (10, 2), then cross (10, kCrossSeq), then the yield the
+  /// timer's strand queued, (10, 3).  So the stream is not lexicographic in
+  /// (t, seq) at a cross-wake time, but the order is the same for every
+  /// worker count and cut, and fingerprints depend on it.
   static constexpr std::uint64_t kCrossSeq = std::uint64_t{1} << 62;
 
   /// Schedules a cross-shard delivery wake (sim/shard.hpp) at strictly
@@ -127,7 +133,8 @@ class Engine {
   std::uint64_t events_dispatched() const { return dispatched_; }
   /// Sequence number of the most recently dispatched event.  Together with
   /// now() this names the dispatch's (time, seq) coordinates; the
-  /// determinism oracle asserts the stream is lexicographically increasing.
+  /// determinism oracle asserts the stream is lexicographically increasing
+  /// (for an engine with no cross wakes, see kCrossSeq).
   std::uint64_t last_dispatch_seq() const { return last_seq_; }
   /// FNV-style hash over every dispatched (time, seq) pair.  Two runs that
   /// dispatched the same events in the same order have the same value;

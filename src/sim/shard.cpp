@@ -3,12 +3,13 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <deque>
 #include <exception>
 #include <thread>
 #include <tuple>
+#include <utility>
 
 #include "common/check.hpp"
+#include "sim/context.hpp"
 #include "sim/slab.hpp"
 #include "sim/task.hpp"
 
@@ -30,16 +31,20 @@ Time safe_horizon(Time m, Time lookahead) {
 
 /// One logical partition.  Everything here except `outbox` (drained by the
 /// coordinator between windows) and `due` (filled by the coordinator between
-/// windows) is touched only by the owning worker; the epoch publish and the
-/// done count order the coordinator's accesses against the worker's.
+/// windows) is touched only inside its worker's share; the share's claim
+/// word and the done count order those accesses against the coordinator's
+/// and against the thread that runs the next share.
 struct Partition {
   std::unique_ptr<Engine> eng;
   std::unique_ptr<Shard> shard;
   std::function<void(Shard&, const ShardMsg&)> handler;
 
   // Inbound: this window's deliveries, sorted by (t, src, seq); the pump
-  // strand drains it inside virtual time and re-parks when empty.
-  std::deque<ShardMsg> due;
+  // strand drains it (advancing `next_due`) inside virtual time and
+  // re-parks when none is due.  Both vectors keep their capacity from one
+  // window to the next, so routing allocates nothing in steady state.
+  std::vector<ShardMsg> due;
+  std::size_t next_due = 0;
   std::coroutine_handle<> parked{};
 
   // Outbound: messages sent during the current window, in send order.
@@ -56,14 +61,36 @@ struct Partition {
   bool active = false;
 };
 
-/// A spawned worker's wake word, on its own cache line: the coordinator
-/// bumps it to hand that worker a command.
-struct alignas(64) WakeSlot {
-  std::atomic<std::uint64_t> epoch{0};
+/// A worker's claim word, on its own cache line.  The coordinator posts a
+/// command to the worker by storing 2 * epoch (even: unclaimed); the first
+/// thread to move it to 2 * epoch + 1 runs the worker's share.  A spawned
+/// worker sleeps on `parked` (C++20 atomic wait), which it sets before it
+/// sleeps and a post clears, so a worker already woken but not yet run by
+/// the host costs later posts no second wake.
+struct alignas(64) ClaimSlot {
+  std::atomic<std::uint32_t> word{0};
+  std::atomic<std::uint32_t> parked{0};
+
+  /// Stores `value` and wakes the worker if it may be asleep.  seq_cst on
+  /// both sides: either the worker's check after setting `parked` sees
+  /// `value`, or this exchange sees `parked` set.
+  void post(std::uint32_t value) {
+    word.store(value);
+    if (parked.exchange(0) != 0) parked.notify_one();
+  }
+  /// Worker side: sleeps until a post clears `parked`, unless the word
+  /// has already moved on from `seen`.  May return with the word unchanged
+  /// (a post the worker had already seen cleared `parked`).
+  void park(std::uint32_t seen) {
+    parked.store(1);
+    if (word.load() == seen) parked.wait(1);
+  }
 };
+/// Tells a spawned worker to exit; odd, so never a posted (even) word.
+constexpr std::uint32_t kExitWord = 1;
 
 struct ShardedImpl {
-  enum class Cmd : std::uint8_t { kSetup, kWindow, kTeardown, kCustom, kExit };
+  enum class Cmd : std::uint8_t { kSetup, kWindow, kTeardown, kCustom };
 
   explicit ShardedImpl(ShardedEngine::Spec s)
       : spec(s), owner(std::this_thread::get_id()) {
@@ -78,7 +105,14 @@ struct ShardedImpl {
     errors.resize(spec.workers);
     wall_ns.assign(spec.workers, 0);
     busy.assign(spec.workers, 0);
-    wake = std::make_unique<WakeSlot[]>(spec.workers);
+    slots = std::make_unique<ClaimSlot[]>(spec.workers);
+    // Worker 0 runs in the caller's own context; the others get fresh ones.
+    contexts.push_back(&context());
+    owned_contexts.reserve(spec.workers - 1);
+    for (std::uint32_t w = 1; w < spec.workers; ++w) {
+      owned_contexts.push_back(std::make_unique<Context>());
+      contexts.push_back(owned_contexts.back().get());
+    }
     // Worker 0 is the constructing thread itself: only 1..W-1 are spawned.
     pool.reserve(spec.workers - 1);
     for (std::uint32_t w = 1; w < spec.workers; ++w) {
@@ -89,15 +123,17 @@ struct ShardedImpl {
   ~ShardedImpl() {
     check_owner();
     command(Cmd::kTeardown);
-    command(Cmd::kExit);
+    // Every posted word has been claimed, so the exit word is never lost
+    // to a claim.
+    for (std::uint32_t w = 1; w < spec.workers; ++w) slots[w].post(kExitWord);
     for (auto& t : pool) t.join();
   }
 
   // --- coordinator side (the constructing thread, which is worker 0) ---
 
-  /// Worker 0's partitions live in the constructing thread's thread_locals
-  /// (frame slab, strand context, hooks, registry), so every call that
-  /// runs them must come from that thread.
+  /// Worker 0's partitions live in the constructing thread's context (frame
+  /// slab, hooks, registry), and setup, runs and teardown are ordered by
+  /// the caller's program order, so every call must come from that thread.
   void check_owner() const {
     DCS_CHECK_MSG(std::this_thread::get_id() == owner,
                   "ShardedEngine used off the thread that constructed it "
@@ -105,24 +141,36 @@ struct ShardedImpl {
   }
 
   /// Publishes `c` to workers 1..W-1 (for a window, only those that own an
-  /// active partition), runs worker 0's share inline, then blocks until the
-  /// woken workers report done.  A wake-word increment (release) publishes
-  /// `cmd`, `awake` and every coordinator write before it; each worker's
-  /// done increment (release) publishes its partitions' writes back.
+  /// active partition) as claimable shares, runs worker 0's share, then
+  /// claims and runs every posted share no spawned worker has started.  It
+  /// waits only for the shares a spawned worker claimed first.  The post
+  /// publishes `cmd`, `done` and every coordinator write before it to the
+  /// claimer; a spawned worker's done increment (release) publishes its
+  /// share's writes back.  A worker's share therefore runs on whichever
+  /// thread claims it, always in that worker's context.
   void command(Cmd c) {
     cmd = c;
     if (c != Cmd::kWindow) std::fill(busy.begin(), busy.end(), 1);
-    awake = static_cast<std::uint32_t>(
-        std::count(busy.begin() + 1, busy.end(), 1));
+    const std::uint32_t post = 2 * ++epoch;
     done.store(0, std::memory_order_relaxed);
     for (std::uint32_t w = 1; w < spec.workers; ++w) {
-      if (!busy[w]) continue;
-      wake[w].epoch.fetch_add(1, std::memory_order_release);
-      wake[w].epoch.notify_one();
+      if (busy[w]) slots[w].post(post);
     }
-    run_command(0, c);
-    for (std::uint32_t d = done.load(std::memory_order_acquire); d != awake;
-         d = done.load(std::memory_order_acquire)) {
+    run_share(0);
+    std::uint32_t claimed_elsewhere = 0;
+    for (std::uint32_t w = 1; w < spec.workers; ++w) {
+      if (!busy[w]) continue;
+      std::uint32_t expected = post;
+      if (slots[w].word.compare_exchange_strong(expected, post + 1,
+                                                std::memory_order_acq_rel,
+                                                std::memory_order_acquire)) {
+        run_share(w);
+      } else {
+        ++claimed_elsewhere;
+      }
+    }
+    for (std::uint32_t d = done.load(std::memory_order_acquire);
+         d != claimed_elsewhere; d = done.load(std::memory_order_acquire)) {
       done.wait(d, std::memory_order_acquire);
     }
   }
@@ -149,9 +197,14 @@ struct ShardedImpl {
     std::fill(busy.begin(), busy.end(), 0);
     for (std::uint32_t dst = 0; dst < spec.partitions; ++dst) {
       auto& vec = pending[dst];
-      auto& due = parts[dst]->due;
-      DCS_CHECK(due.empty());
-      auto ready = std::stable_partition(
+      Partition& part = *parts[dst];
+      auto& due = part.due;
+      DCS_CHECK(part.next_due == due.size());
+      due.clear();
+      part.next_due = 0;
+      // The split need not be stable: the due list is sorted by a unique
+      // key below, and the rest is only ever scanned or split again.
+      auto ready = std::partition(
           vec.begin(), vec.end(), [&](const ShardMsg& m) { return m.t > h; });
       std::move(ready, vec.end(), std::back_inserter(due));
       vec.erase(ready, vec.end());
@@ -160,7 +213,6 @@ struct ShardedImpl {
                   return std::tie(x.t, x.src, x.seq) <
                          std::tie(y.t, y.src, y.seq);
                 });
-      Partition& part = *parts[dst];
       part.active = !due.empty() || part.eng->next_event_time() <= h;
       if (part.active) {
         busy[dst % spec.workers] = 1;
@@ -197,24 +249,42 @@ struct ShardedImpl {
 
   // --- worker side ---
 
-  /// Workers 1..W-1: park until the wake word moves, run the published
-  /// command, report done.  The coordinator never bumps a wake word again
-  /// before every woken worker reported, so no command is ever skipped.
+  /// Spawned workers 1..W-1: park until the claim word moves, claim the
+  /// posted share if the coordinator has not, run it, report done.
   void worker_main(std::uint32_t w) {
-    std::atomic<std::uint64_t>& word = wake[w].epoch;
-    for (std::uint64_t seen = 0;;) {
-      word.wait(seen, std::memory_order_acquire);
+    std::atomic<std::uint32_t>& word = slots[w].word;
+    for (std::uint32_t seen = 0;;) {
+      slots[w].park(seen);
       seen = word.load(std::memory_order_acquire);
-      // Read before reporting done: the coordinator rewrites both for the
-      // next command as soon as the last woken worker has reported.
-      const Cmd c = cmd;
-      const std::uint32_t woken = awake;
-      run_command(w, c);
-      if (done.fetch_add(1, std::memory_order_release) + 1 == woken) {
-        done.notify_one();
+      // A failed claim reloads `seen`: the coordinator took the share, or
+      // has already posted the next one.
+      while (seen % 2 == 0) {
+        if (word.compare_exchange_weak(seen, seen + 1,
+                                       std::memory_order_acq_rel,
+                                       std::memory_order_acquire)) {
+          ++seen;
+          run_share(w);
+          done.fetch_add(1, std::memory_order_release);
+          done.notify_one();
+          break;
+        }
       }
-      if (c == Cmd::kExit) return;
+      if (seen == kExitWord) return;
     }
+  }
+
+  /// Runs worker `w`'s share of `cmd` in `w`'s context on the calling
+  /// thread.  A share of a worker other than 0 starts with an empty strand
+  /// context, whichever thread runs it (sim/strand.hpp).
+  void run_share(std::uint32_t w) {
+    ContextScope scope(*contexts[w]);
+    if (w == 0) {
+      run_command(0, cmd);
+      return;
+    }
+    const StrandCtx outer = std::exchange(strand_ctx(), StrandCtx{});
+    run_command(w, cmd);
+    strand_ctx() = outer;
   }
 
   /// Worker `w`'s share of `c`; an exception lands in errors[w].
@@ -250,16 +320,14 @@ struct ShardedImpl {
         case Cmd::kCustom:
           (*custom)(w);
           break;
-        case Cmd::kExit:
-          break;
       }
     } catch (...) {
       errors[w] = std::current_exception();
     }
   }
 
-  /// Runs on the owning worker: the engine, the pump strand's frame and the
-  /// factory's spawns are all born on this thread.
+  /// Runs in the owning worker's context: the engine, the pump strand's
+  /// frame and the factory's spawns are all born in its slab.
   void setup_partition(std::uint32_t p) {
     auto& part = *parts[p];
     part.eng = std::make_unique<Engine>();
@@ -286,9 +354,9 @@ struct ShardedImpl {
     part.eng->run_until(h);
   }
 
-  /// Runs on the owning worker: destroys the workload, then the engine
-  /// (which destroys the parked pump frame) — every frame dies on the
-  /// thread whose slab allocated it.
+  /// Runs in the owning worker's context: destroys the workload, then the
+  /// engine (which destroys the parked pump frame) — every frame dies in
+  /// the slab that allocated it.
   void teardown_partition(std::uint32_t p) {
     auto& part = *parts[p];
     part.handler = nullptr;
@@ -321,12 +389,12 @@ struct ShardedImpl {
       }
     };
     for (;;) {
-      if (part.due.empty() || part.due.front().t > eng.now()) {
+      if (part.next_due == part.due.size() ||
+          part.due[part.next_due].t > eng.now()) {
         co_await ParkAwaiter{part};
         continue;
       }
-      ShardMsg msg = std::move(part.due.front());
-      part.due.pop_front();
+      ShardMsg msg = std::move(part.due[part.next_due++]);
       part.cross_fp = fold(part.cross_fp, msg.t);
       part.cross_fp = fold(part.cross_fp, (std::uint64_t{msg.src} << 32) |
                                               std::uint64_t{msg.dst});
@@ -343,16 +411,18 @@ struct ShardedImpl {
   std::vector<std::vector<ShardMsg>> pending;  // per destination
 
   const std::thread::id owner;  // the constructing thread == worker 0
-  Cmd cmd = Cmd::kExit;
+  Cmd cmd = Cmd::kSetup;
   std::vector<char> busy;                // per worker: owns an active partition
-  std::unique_ptr<WakeSlot[]> wake;      // per worker; slot 0 (caller) unused
-  std::uint32_t awake = 0;               // workers woken for `cmd`
-  std::atomic<std::uint32_t> done{0};    // woken workers finished with it
+  std::unique_ptr<ClaimSlot[]> slots;    // per worker; slot 0 (caller) unused
+  std::uint32_t epoch = 0;               // commands posted so far
+  std::atomic<std::uint32_t> done{0};    // shares spawned workers finished
+  std::vector<Context*> contexts;        // per worker; [0] is the caller's
+  std::vector<std::unique_ptr<Context>> owned_contexts;  // workers 1..W-1
   Time horizon = 0;
   const std::function<void(Shard&)>* factory = nullptr;
   const std::function<void(std::uint32_t)>* custom = nullptr;
   std::vector<std::exception_ptr> errors;   // per worker
-  std::vector<std::uint64_t> wall_ns;       // per worker
+  std::vector<std::uint64_t> wall_ns;       // per worker share
 
   Time now = 0;
   std::uint64_t windows = 0;

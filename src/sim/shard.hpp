@@ -5,19 +5,23 @@
 // runner scales that model across cores WITHOUT giving the anchor up:
 //
 //   partition    a fixed slice of the simulated world (its own Engine,
-//                strands, timer heap, frame slab, trace registry).  The
+//                strands and timer heap).  The
 //                partition count is part of the workload topology and never
 //                changes with the machine: partition p always holds the same
 //                nodes and always produces the same per-partition dispatch
 //                stream.
-//   worker       an OS thread that owns partitions p where p % workers == w
-//                and runs them in ascending index order.  Worker 0 is the
-//                thread that constructed the ShardedEngine (the caller):
-//                only workers 1..W-1 are spawned, so a 1-worker run creates
-//                no thread at all.  The worker count (`--shards=N` in the
-//                benches) is pure execution policy: any value produces the
-//                same merged fingerprint, so a 1-worker run is the oracle
-//                for an N-worker run.
+//   worker       owns partitions p where p % workers == w, with one
+//                execution context (sim/context.hpp: frame slab, hooks,
+//                trace sinks, registry) in which all of them run.  A
+//                worker's share of a command runs its partitions in
+//                ascending index order, in its context, on whichever
+//                thread claims the share.  Worker 0's context is the
+//                caller's (the thread that constructed the ShardedEngine);
+//                workers 1..W-1 each get a spawned thread, so a 1-worker
+//                run creates no thread at all.  The worker count
+//                (`--shards=N` in the benches) is pure execution policy:
+//                any value produces the same merged fingerprint, so a
+//                1-worker run is the oracle for an N-worker run.
 //   window       one conservative-PDES round.  With lookahead L (the
 //                minimum cross-partition message latency, i.e. the fabric
 //                wire latency), the coordinator computes
@@ -30,12 +34,13 @@
 //                further synchronization.  A partition with no due message
 //                and no event at or before H is idle: the coordinator only
 //                clamps its clock to H (what run_until(H) would do), and a
-//                worker that owns no active partition is not woken.  The
-//                caller publishes the window by bumping the wake word of
-//                each busy worker (spawned workers park on theirs with
-//                C++20 atomic wait), runs worker 0's active partitions
-//                itself, then waits on an atomic done count.  Collect
-//                outboxes; repeat.
+//                worker that owns no active partition has no share.  The
+//                caller posts each busy worker's share on its claim word
+//                (waking that worker's thread if it sleeps), runs worker
+//                0's share, then claims and runs every share no spawned
+//                worker has started, and waits on an atomic done count
+//                only for the shares they claimed.  Collect outboxes;
+//                repeat.
 //
 // Cross-partition messages travel through per-partition mailboxes.  A
 // message sent at time tau is stamped t = tau + L (+ any extra delay) and
@@ -53,16 +58,17 @@
 //   - changing the partition count legitimately changes the fingerprint
 //     (per-partition seq streams differ) — it is a different topology.
 //
-// Thread-affinity contract (docs/SCALING.md, "Worker affinity"): every
-// coroutine frame is allocated and freed on the thread that owns its engine.
-// Partition setup (the factory), every event dispatch, cross-message
-// delivery AND teardown (workload + engine destruction) run on the owning
-// worker.  This is what lets the frame slab, strand context, audit hook and
-// trace registry stay thread_local instead of locked.  Because worker 0 is
-// the caller, its partitions use the CALLER's thread_locals: its registry
-// (worker 0's metrics land there immediately), audit/stall hooks, trace
-// sinks and slab.  setup(), run()/run_until(), for_each_worker() and the
-// destructor must therefore all run on the constructing thread (checked).
+// Per-worker-context contract (docs/SCALING.md): partition setup (the
+// factory), every event dispatch, cross-message delivery AND teardown
+// (workload + engine destruction) run in the owning worker's context, so
+// every coroutine frame is allocated and freed in one slab, and the hooks,
+// sinks and registry a partition sees never change.  Only the OS thread
+// may change between commands; the claim word and the done count order one
+// thread's use of a context before the next.  Worker 0's context is the
+// CALLER's: its registry (worker 0's metrics land there immediately),
+// audit/stall hooks, trace sinks and slab.  setup(), run()/run_until(),
+// for_each_worker() and the destructor must all run on the constructing
+// thread (checked).
 #pragma once
 
 #include <coroutine>
@@ -96,8 +102,9 @@ struct ShardedImpl;
 }  // namespace detail
 
 /// Per-partition handle passed to the setup factory and usable from strands
-/// of that partition.  All methods must be called on the owning worker
-/// (which is automatic for code running inside the partition's engine).
+/// of that partition.  All methods must be called inside the owning
+/// worker's share (which is automatic for code running inside the
+/// partition's engine).
 class Shard {
  public:
   /// This partition's engine: spawn strands, take delays, build workloads.
@@ -118,8 +125,8 @@ class Shard {
             std::uint64_t b = 0, std::vector<std::byte> payload = {},
             Time extra = 0);
 
-  /// Parks `obj` until partition teardown (which runs on the owning
-  /// worker).  Use for the workload graph built by the setup factory.
+  /// Parks `obj` until partition teardown (which runs in the owning
+  /// worker's context).  Use for the workload graph built by the setup factory.
   void keep_alive(std::shared_ptr<void> obj);
 
   /// Events dispatched and cross messages delivered by this partition.
@@ -142,8 +149,9 @@ class ShardedEngine {
   struct Spec {
     /// Fixed logical partition count — part of the workload topology.
     std::uint32_t partitions = 1;
-    /// Workers (the `--shards` knob), clamped to [1, partitions].  The
-    /// constructing thread is worker 0; workers - 1 threads are spawned.
+    /// Workers (the `--shards` knob), clamped to [1, partitions].  Worker 0
+    /// runs in the constructing thread's context; workers - 1 threads are
+    /// spawned, and each other worker gets a context of its own.
     std::uint32_t workers = 1;
     /// Conservative lookahead in virtual ns; must be >= 1.  Use the fabric
     /// wire latency (FabricParams::link_latency) for fabric workloads.
@@ -153,14 +161,14 @@ class ShardedEngine {
   explicit ShardedEngine(Spec spec);
   ShardedEngine(const ShardedEngine&) = delete;
   ShardedEngine& operator=(const ShardedEngine&) = delete;
-  /// Tears down every partition on its owning worker (workload first, then
-  /// engine) and joins the pool.  Collect per-worker thread_local state you
-  /// still need (trace registries: trace/shard_metrics.hpp) with
-  /// for_each_worker() BEFORE destruction — worker TLS dies with the pool.
+  /// Tears down every partition in its worker's context (workload first,
+  /// then engine), joins the pool and destroys the worker contexts.
+  /// Collect per-worker state you still need (trace registries:
+  /// trace/shard_metrics.hpp) with for_each_worker() BEFORE destruction.
   /// Must run on the constructing thread.
   ~ShardedEngine();
 
-  /// Runs `factory` once per partition ON ITS OWNING WORKER, ascending
+  /// Runs `factory` once per partition IN ITS WORKER'S CONTEXT, ascending
   /// index order within each worker (worker 0's partitions on the calling
   /// thread).  Must be called exactly once, before run()/run_until().
   void setup(const std::function<void(Shard&)>& factory);
@@ -189,17 +197,18 @@ class ShardedEngine {
   std::uint32_t partitions() const;
   std::uint32_t workers() const;
 
-  /// Runs `fn(worker_index)` once on every worker thread (`fn(0)` on the
-  /// calling thread), barrier'd on both sides.  Use between runs (never
-  /// concurrently with one) to collect per-thread state the workers own —
-  /// e.g. each worker's trace::Registry::global().  Writes to distinct
-  /// per-worker slots need no locking; the barriers order them against the
-  /// caller.
+  /// Runs `fn(w)` once for every worker w, in w's context (`fn(0)` on the
+  /// calling thread; the others on whichever thread claims them),
+  /// barrier'd on both sides.  Use between runs (never concurrently with
+  /// one) to collect per-worker state — e.g. each worker's
+  /// trace::Registry::global().  Writes to distinct per-worker slots need
+  /// no locking; the barriers order them against the caller.
   void for_each_worker(const std::function<void(std::uint32_t)>& fn);
 
   /// Per-partition events dispatched (telemetry; partition order).
   std::vector<std::uint64_t> partition_events() const;
-  /// Per-worker wall-clock ns spent inside windows (telemetry).
+  /// Per-worker wall-clock ns spent running that worker's window shares,
+  /// whichever thread ran them (telemetry).
   std::vector<std::uint64_t> worker_wall_ns() const;
   /// PDES windows executed so far.
   std::uint64_t windows() const;

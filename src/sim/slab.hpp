@@ -13,19 +13,20 @@
 //   - every block carries a 16-byte header recording its full size, so the
 //     plain (unsized) operator delete the coroutine machinery may call can
 //     route the block back to the right free list;
-//   - blocks are carved from 64 KiB chunks owned by the per-thread
-//     instance; chunks are never returned while the thread runs (they stay
-//     reachable, so LeakSanitizer is happy) and are released at thread exit;
+//   - blocks are carved from 64 KiB chunks owned by the slab; chunks are
+//     never returned while its context lives (they stay reachable, so
+//     LeakSanitizer is happy) and are released with the context;
 //   - under AddressSanitizer, free blocks are poisoned, so a resumed
 //     coroutine touching a frame that already completed faults exactly like
 //     a heap use-after-free would.
 //
-// The slab is one instance per OS thread (thread_local, same policy as
-// sim::audit_hook), so it still needs no locking.  The contract a sharded
-// run (sim/shard.hpp) must uphold: every coroutine frame is allocated and
-// freed on the thread that owns its engine — partitions are pinned to one
-// worker for their whole life, and setup/teardown of a partition's workload
-// run on that worker, never on the coordinator.
+// The slab is one instance per execution context (sim/context.hpp), so it
+// needs no locking: at most one thread runs in a context at a time.  The
+// contract a sharded run (sim/shard.hpp) upholds: every coroutine frame is
+// allocated and freed in the context of the worker that owns its engine —
+// a partition belongs to one worker for its whole life, and its setup,
+// windows and teardown all run in that worker's context, on whichever
+// thread runs the share.
 #pragma once
 
 #include <cstddef>
@@ -51,6 +52,10 @@
 #define DCS_SLAB_UNPOISON(p, n) ((void)(p), (void)(n))
 #endif
 
+namespace dcs::sim {
+class Context;
+}  // namespace dcs::sim
+
 namespace dcs::sim::detail {
 
 class FrameSlab {
@@ -74,11 +79,6 @@ class FrameSlab {
     std::uint64_t chunks = 0;      // 64 KiB chunks ever carved
     std::uint64_t live = 0;        // frames currently allocated
   };
-
-  static FrameSlab& instance() {
-    static thread_local FrameSlab slab;
-    return slab;
-  }
 
   void* allocate(std::size_t frame_size) {
     ++stats_.allocs;
@@ -128,6 +128,7 @@ class FrameSlab {
     FreeNode* next;
   };
 
+  friend class dcs::sim::Context;
   FrameSlab() = default;
   FrameSlab(const FrameSlab&) = delete;
   FrameSlab& operator=(const FrameSlab&) = delete;

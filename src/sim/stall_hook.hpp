@@ -23,6 +23,7 @@
 #include <cstddef>
 
 #include "common/units.hpp"
+#include "sim/context.hpp"
 
 namespace dcs::sim {
 
@@ -43,12 +44,10 @@ class StallHook {
   virtual void on_wedged(std::size_t live_roots) = 0;
 };
 
-/// The installed hook for this thread, or nullptr.  Thread-local for the
-/// same reason as sim::audit_hook(): every engine of a sharded run lives on
-/// exactly one worker thread, and its stall detector must watch only it.
-inline StallHook*& stall_hook() {
-  static thread_local StallHook* hook = nullptr;
-  return hook;
-}
+/// The hook installed in the current execution context, or nullptr.  Per
+/// context for the same reason as sim::audit_hook(): every engine of a
+/// sharded run belongs to exactly one worker, and that worker's stall
+/// detector must watch only its own partitions.
+inline StallHook*& stall_hook() { return context().stall_hook(); }
 
 }  // namespace dcs::sim

@@ -8,10 +8,13 @@
 // link.  The slot lives in sim (not trace) because the engine and the sync
 // primitives cannot depend on the trace layer.
 //
-// The slot is thread_local (not a process global): a sharded run
-// (sim/shard.hpp) drives one engine per worker thread, and each worker's
-// strands must not leak context into another shard's.  Single-threaded
-// programs see exactly the old process-global behaviour.
+// The slot is thread_local, not part of the execution context
+// (sim/context.hpp): it names the strand running on this thread right now,
+// every schedule and dispatch touches it, and Engine::run_until saves and
+// restores it around each run, so it carries nothing from one run to the
+// next.  A sharded run (sim/shard.hpp) starts every share of a worker other
+// than 0 with an empty slot, whichever thread runs it, so no strand leaks
+// context into another worker's partitions.
 //
 // `request` is the causal request id a request-scoped tracer assigns
 // (0 = untracked), `span` the innermost open span on this strand

@@ -13,9 +13,10 @@
 // Task objects but complete through a shared JoinState instead of a
 // continuation (see engine.hpp).
 //
-// Frames are allocated from the process-wide FrameSlab (slab.hpp) via the
-// promise's operator new/delete: spawn/finish/respawn churn recycles frames
-// out of free lists instead of hitting the general-purpose heap.
+// Frames are allocated from the current execution context's FrameSlab
+// (slab.hpp, context.hpp) via the promise's operator new/delete:
+// spawn/finish/respawn churn recycles frames out of free lists instead of
+// hitting the general-purpose heap.
 #pragma once
 
 #include <coroutine>
@@ -24,7 +25,7 @@
 #include <utility>
 
 #include "common/check.hpp"
-#include "sim/slab.hpp"
+#include "sim/context.hpp"
 
 namespace dcs::sim {
 
@@ -58,13 +59,13 @@ struct PromiseBase {
   // delete are provided: the frame's own size is recorded in a block
   // header, so either entry point finds the right free list.
   static void* operator new(std::size_t size) {
-    return FrameSlab::instance().allocate(size);
+    return context().slab().allocate(size);
   }
   static void operator delete(void* p) noexcept {
-    FrameSlab::instance().deallocate(p);
+    context().slab().deallocate(p);
   }
   static void operator delete(void* p, std::size_t) noexcept {
-    FrameSlab::instance().deallocate(p);
+    context().slab().deallocate(p);
   }
 
   struct FinalAwaiter {

@@ -16,7 +16,7 @@ struct FlowMetrics {
   static trace::Registry& reg() { return trace::Registry::global(); }
 };
 
-FlowMetrics& flow_metrics() { return trace::thread_metrics<FlowMetrics>(); }
+FlowMetrics& flow_metrics() { return trace::context_metrics<FlowMetrics>(); }
 }  // namespace
 
 FlowStreamBase::FlowStreamBase(verbs::Network& net, NodeId src, NodeId dst,

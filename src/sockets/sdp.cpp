@@ -21,7 +21,7 @@ struct SdpMetrics {
   static trace::Registry& reg() { return trace::Registry::global(); }
 };
 
-SdpMetrics& metrics() { return trace::thread_metrics<SdpMetrics>(); }
+SdpMetrics& metrics() { return trace::context_metrics<SdpMetrics>(); }
 }  // namespace
 
 const char* to_string(SdpMode mode) {

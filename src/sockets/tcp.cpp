@@ -17,7 +17,7 @@ struct TcpMetrics {
   static trace::Registry& reg() { return trace::Registry::global(); }
 };
 
-TcpMetrics& metrics() { return trace::thread_metrics<TcpMetrics>(); }
+TcpMetrics& metrics() { return trace::context_metrics<TcpMetrics>(); }
 }  // namespace
 
 TcpConnection::TcpConnection(TcpNetwork& net, NodeId a, NodeId b,

@@ -86,8 +86,9 @@ class FlightRecorder final : public sim::StallHook {
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
-  /// Makes this the process-wide recorder (at most one at a time) and
-  /// installs the engine stall hook.  Only while the loop is not running.
+  /// Makes this the current execution context's recorder (at most one at a
+  /// time) and installs the engine stall hook.  Only while the loop is not
+  /// running.
   void install();
   void uninstall();
   bool installed() const;

@@ -12,20 +12,23 @@
 //
 //   - compiled out entirely under DCS_TRACE_DISABLED (arguments are never
 //     evaluated);
-//   - with tracing compiled in but no sink installed, one thread-local
-//     load and one predictable branch per site;
+//   - with tracing compiled in but no sink installed, one context lookup
+//     and one predictable branch per site;
 //   - the domain argument must be a string literal (dcs-lint rule R4), so
 //     hot-set dumps stay grep-able and byte-stable.
 //
-// The sink pointer is thread_local, like trace::detail::Sinks: a sink
-// installed on the main thread observes only main-thread engines, and
-// sharded runs (sim/shard.hpp) must NOT install an ambient sink — workers
-// multiplex partitions, so partition attribution there uses explicit
-// per-partition sketches fed from the serve path instead (the same idiom
-// as the per-partition serve registry in bench_datacenter_scale).
+// The sink pointer lives in the execution context (sim/context.hpp), like
+// trace::detail::Sinks: a sink installed in the caller's context observes
+// only the engines that run in it, and sharded runs (sim/shard.hpp) must NOT
+// install an ambient sink — a worker runs several partitions, so partition
+// attribution there uses explicit per-partition sketches fed from the serve
+// path instead (the same idiom as the per-partition serve registry in
+// bench_datacenter_scale).
 #pragma once
 
 #include <cstdint>
+
+#include "sim/context.hpp"
 
 namespace dcs::trace {
 
@@ -43,15 +46,13 @@ class HotSink {
 
 namespace detail {
 
-/// One sink per OS thread (see header comment for the sharding rationale).
-inline HotSink*& hot_sink() {
-  static thread_local HotSink* sink = nullptr;
-  return sink;
-}
+/// One sink per execution context (see header comment for the sharding
+/// rationale).
+inline HotSink*& hot_sink() { return sim::context().local<HotSink*>(); }
 
 }  // namespace detail
 
-/// Makes `sink` the calling thread's DCS_HOT receiver (nullptr disarms).
+/// Makes `sink` the current context's DCS_HOT receiver (nullptr disarms).
 /// Returns the previous sink so scoped installers can restore it.
 inline HotSink* set_hot_sink(HotSink* sink) {
   HotSink* prev = detail::hot_sink();
@@ -59,7 +60,7 @@ inline HotSink* set_hot_sink(HotSink* sink) {
   return prev;
 }
 
-/// The calling thread's installed sink, or nullptr.
+/// The current context's installed sink, or nullptr.
 inline HotSink* current_hot_sink() { return detail::hot_sink(); }
 
 /// RAII installer: arms `sink` for the scope, restores the previous sink
@@ -77,7 +78,7 @@ class ScopedHotSink {
 
 }  // namespace dcs::trace
 
-/// Reports one hot-key observation to the thread's installed sink.
+/// Reports one hot-key observation to the current context's sink.
 /// `domain` must be a string literal (dcs-lint R4); `key`/`weight` are
 /// evaluated only when a sink is installed.
 #ifndef DCS_TRACE_DISABLED

@@ -1,11 +1,11 @@
 // Metric collection across shard workers.
 //
-// trace::Registry::global() is one instance per OS thread (see trace.hpp),
-// so in a sharded run every worker accumulates its partitions' counters in
-// its own registry — and that registry dies with the worker thread.  This
-// helper drains them into the coordinator's registry while the pool is
-// still alive.  Call it after the last run_until() and before the
-// ShardedEngine is destroyed.  Worker 0 is the coordinating thread itself,
+// trace::Registry::global() is one instance per execution context (see
+// trace.hpp), so in a sharded run every worker accumulates its partitions'
+// counters in its own context's registry — and that registry dies with the
+// ShardedEngine.  This helper drains them into the caller's registry while
+// the engine is still alive.  Call it after the last run_until() and before
+// the ShardedEngine is destroyed.  Worker 0's context is the caller's own,
 // so its share is already in that registry: reset it before run(), never
 // between run() and this call.
 //
@@ -26,7 +26,7 @@
 
 namespace dcs::trace {
 
-/// Folds every worker's Registry::global() into the calling thread's
+/// Folds every worker context's Registry::global() into the caller's
 /// Registry::global() and resets the workers' registries (so repeated
 /// collection never double-counts).
 inline void collect_shard_registries(sim::ShardedEngine& sharded) {

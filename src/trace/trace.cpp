@@ -36,12 +36,12 @@ void append_us(std::string& out, SimNanos t) {
 // --- Registry ---
 
 Registry& Registry::global() {
-  // One registry per OS thread: instrumentation on a shard worker lands in
-  // that worker's registry, which the sharded runner folds into the
-  // coordinator's via merge() in deterministic partition order at teardown
-  // (sim/shard.hpp).  Single-threaded programs see the old process-global.
-  static thread_local Registry instance;
-  return instance;
+  // One registry per execution context: instrumentation in a shard worker's
+  // context lands in that worker's registry, which
+  // trace::collect_shard_registries folds into the caller's
+  // (trace/shard_metrics.hpp).  Single-threaded programs see one registry
+  // per thread.
+  return sim::context().local<Registry>();
 }
 
 Registry::Metric& Registry::get(std::string_view name, Kind kind) {

@@ -7,19 +7,19 @@
 //             A layer resolves its handles once (the lookup is a map walk)
 //             and then updates them with plain arithmetic — near-zero cost
 //             on the hot path.  Names follow `layer.component.metric`.
-//             `Registry::global()` is the per-thread instance every
-//             built-in layer registers into (one per OS thread, so shard
-//             workers never race — sharded runs merge worker registries at
-//             teardown); handles stay valid for the thread's lifetime
-//             (reset() zeroes values but never removes entries).
+//             `Registry::global()` is the instance every built-in layer
+//             registers into: one per execution context (sim/context.hpp),
+//             so shard workers never race — sharded runs merge worker
+//             registries at teardown; handles stay valid for the context's
+//             lifetime (reset() zeroes values but never removes entries).
 //             Enumeration (names(), write(), write_json()) lists only the
 //             entries touched since the last reset(), so a snapshot taken
 //             after reset() + run holds that run's metrics alone, whatever
-//             ran on the thread before.
+//             ran in the context before.
 //
 //   Tracer    records spans (op type, node, id, start/end sim::Time) and
-//             instant events while installed as the process-wide current
-//             tracer.  Emits Chrome `trace_event` JSON (load in
+//             instant events while installed as the current execution
+//             context's tracer.  Emits Chrome `trace_event` JSON (load in
 //             chrome://tracing or https://ui.perfetto.dev) and a plain-text
 //             per-operation summary table.  With no tracer installed the
 //             instrumentation costs exactly one pointer test per site.
@@ -38,6 +38,7 @@
 
 #include "common/stats.hpp"
 #include "common/units.hpp"
+#include "sim/context.hpp"
 #include "sim/engine.hpp"
 #include "sim/strand.hpp"
 
@@ -81,8 +82,9 @@ class Registry {
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
 
-  /// The per-thread registry all built-in instrumentation on this thread
-  /// uses (see the header comment for the sharding rationale).
+  /// The current execution context's registry, which all built-in
+  /// instrumentation running in that context uses (see the header comment
+  /// for the sharding rationale).
   static Registry& global();
 
   Counter& counter(std::string_view name);
@@ -146,15 +148,15 @@ class Registry {
   std::map<std::string, Metric, std::less<>> metrics_;
 };
 
-/// The calling thread's instance of a layer's cached metric handles.  `T`
-/// resolves its handles from Registry::global() on construction, so each
-/// OS thread (each shard worker) gets handles into its own registry; the
-/// only way layers cache handles, because a process-wide static would pin
-/// the first caller's registry and race every other worker on it.
+/// The current execution context's instance of a layer's cached metric
+/// handles.  `T` resolves its handles from Registry::global() on
+/// construction, so each context (each shard worker) gets handles into its
+/// own registry; the only way layers cache handles, because a process-wide
+/// static would pin the first caller's registry and race every other worker
+/// on it.
 template <class T>
-T& thread_metrics() {
-  thread_local T m;
-  return m;
+T& context_metrics() {
+  return sim::context().local<T>();
 }
 
 // --- simulated-time tracer ---
@@ -206,7 +208,8 @@ class Tracer {
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
-  /// Makes this the process-wide current tracer (at most one at a time).
+  /// Makes this the current execution context's tracer (at most one at a
+  /// time).
   void install();
   /// Stops recording; safe to call when not installed.
   void uninstall();
@@ -286,14 +289,12 @@ struct Sinks {
   bool any = false;
 };
 
-// One sink set per OS thread: a tracer or flight recorder installed on the
-// main thread observes only main-thread engines, and each shard worker of a
-// sharded run (sim/shard.hpp) may arm its own recorder over its own engine
-// without racing.  Single-threaded programs behave exactly as before.
-inline Sinks& sinks() {
-  static thread_local Sinks instance;
-  return instance;
-}
+// One sink set per execution context (sim/context.hpp): a tracer or flight
+// recorder installed in the caller's context observes only the engines that
+// run in it, and each worker of a sharded run (sim/shard.hpp) may arm its
+// own recorder over its own partitions without racing.  Single-threaded
+// programs only ever use their thread's default context.
+inline Sinks& sinks() { return sim::context().local<Sinks>(); }
 
 inline bool armed() { return sinks().any; }
 

@@ -12,11 +12,11 @@ namespace dcs::verbs {
 namespace {
 constexpr std::size_t kHeaderBytes = 32;  // transport header on payloads
 
-/// Handles into the global registry, resolved once per thread.  The
-/// registry is one instance per OS thread (trace.hpp), so the cache must
+/// Handles into the global registry, resolved once per execution context.
+/// The registry is one instance per context (trace.hpp), so the cache must
 /// be too: a process-wide cache would pin the first caller's registry and
-/// dangle once that thread exits — e.g. verbs traffic on a second
-/// ShardedEngine worker pool after the first pool was torn down.
+/// dangle once that context dies — e.g. verbs traffic on a second
+/// ShardedEngine after the first one was torn down.
 struct Metrics {
   trace::Counter& read_ops = reg().counter("verbs.read.ops");
   trace::Counter& read_bytes = reg().counter("verbs.read.bytes");
@@ -39,7 +39,7 @@ struct Metrics {
   static trace::Registry& reg() { return trace::Registry::global(); }
 };
 
-Metrics& metrics() { return trace::thread_metrics<Metrics>(); }
+Metrics& metrics() { return trace::context_metrics<Metrics>(); }
 }  // namespace
 
 Hca::Hca(Network& net, fabric::Fabric& fab, NodeId node)

@@ -62,8 +62,8 @@ struct PartResult {
 
 /// One partition's world: a 2-node fabric (node 0 exports, node 1 is the
 /// scraping front-end) and the partition-owned registry the serve path
-/// writes — explicit, not thread-local, so the exported page is a function
-/// of the partition and never of the worker layout.
+/// writes — explicit, not the worker context's, so the exported page is a
+/// function of the partition and never of the worker layout.
 struct Plane {
   Plane(Shard& shard)
       : fab(shard.engine(), fabric::FabricParams{},

@@ -5,9 +5,11 @@
 // pins the cross-shard merge rule itself: (t, src, seq) delivery order and
 // lookahead-stamped delivery times.
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -18,7 +20,9 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/check.hpp"
 #include "fabric/fabric.hpp"
+#include "sim/context.hpp"
 #include "sim/shard.hpp"
 #include "trace/shard_metrics.hpp"
 #include "trace/trace.hpp"
@@ -113,8 +117,11 @@ sim::Task<void> scatter(Shard& shard, std::uint32_t strand, std::uint64_t seed) 
   }
 }
 
-void install_forwarding(Shard& shard, std::uint64_t seed) {
-  shard.set_handler([seed](Shard& s, const ShardMsg& msg) {
+/// `on_delivery`, when set, also runs for every delivered message.
+void install_forwarding(Shard& shard, std::uint64_t seed,
+                        std::function<void(Shard&)> on_delivery = {}) {
+  shard.set_handler([seed, on_delivery](Shard& s, const ShardMsg& msg) {
+    if (on_delivery) on_delivery(s);
     if (msg.tag >= 1) {
       // Forward the hop chain: deterministic next destination derived from
       // the message coordinates, not from any ambient state.
@@ -289,27 +296,107 @@ TEST(ShardMergeTest, SendStampsLookahead) {
   EXPECT_EQ(delivered_at, sent_at + kLookahead);
 }
 
-TEST(ShardMergeTest, PartitionsRunOnTheirOwnWorkerThreads) {
-  // The affinity contract: setup, delivery and strand execution for one
-  // partition all happen on one OS thread.  Worker 0 is the calling thread,
-  // so partition 0 runs here; with workers == partitions partition 1 runs
-  // on the one spawned worker.
-  std::vector<std::thread::id> setup_tid(2), handler_tid(2);
-  {
-    ShardedEngine sharded(spec_for(2, 2));
-    sharded.setup([&](Shard& shard) {
-      setup_tid[shard.index()] = std::this_thread::get_id();
-      shard.set_handler([&handler_tid](Shard& s, const ShardMsg&) {
-        handler_tid[s.index()] = std::this_thread::get_id();
+/// The execution context code sees: its frame slab and its registry.
+struct SeenContext {
+  const void* slab = nullptr;
+  const void* registry = nullptr;
+  bool operator==(const SeenContext&) const = default;
+};
+
+SeenContext seen_context() {
+  return {&sim::context().slab(), &trace::Registry::global()};
+}
+
+/// Records the context that destroys it: parked with Shard::keep_alive, it
+/// dies in partition teardown.
+struct RecordContextOnDestroy {
+  SeenContext* out;
+  ~RecordContextOnDestroy() { *out = seen_context(); }
+};
+
+TEST(ShardMergeTest, PartitionsKeepTheirWorkerContext) {
+  // The per-worker-context contract: a partition's setup, every delivery
+  // and its teardown see one context (one frame slab, one registry), that
+  // of worker p % workers, whichever thread runs the share.  Worker 0's
+  // context is the caller's own.
+  const SeenContext caller = seen_context();
+  for (std::uint32_t workers : {2u, 4u}) {
+    std::vector<SeenContext> setup(8), teardown(8);
+    std::vector<std::vector<SeenContext>> delivery(8);
+    {
+      ShardedEngine sharded(spec_for(8, workers));
+      sharded.setup([&](Shard& shard) {
+        setup[shard.index()] = seen_context();
+        install_forwarding(shard, 3, [&delivery](Shard& s) {
+          delivery[s.index()].push_back(seen_context());
+        });
+        shard.keep_alive(std::make_shared<RecordContextOnDestroy>(
+            &teardown[shard.index()]));
       });
-      shard.engine().spawn(one_ping(shard));
+      sharded.run();
+    }
+    for (std::uint32_t p = 0; p < 8; ++p) {
+      SCOPED_TRACE("workers=" + std::to_string(workers) +
+                   " partition=" + std::to_string(p));
+      EXPECT_FALSE(delivery[p].empty());
+      for (const SeenContext& seen : delivery[p]) EXPECT_EQ(seen, setup[p]);
+      EXPECT_EQ(teardown[p], setup[p]);
+      EXPECT_EQ(setup[p], setup[p % workers]);
+      EXPECT_EQ(setup[p] == caller, p % workers == 0);
+    }
+    for (std::uint32_t a = 0; a < workers; ++a) {
+      for (std::uint32_t b = a + 1; b < workers; ++b) {
+        EXPECT_NE(setup[a], setup[b]) << "workers " << a << " and " << b;
+      }
+    }
+  }
+}
+
+/// Pins the calling thread (and the threads it spawns) to one CPU of its
+/// current mask for the guard's lifetime.
+class PinToOneCpu {
+ public:
+  PinToOneCpu() {
+    DCS_CHECK(sched_getaffinity(0, sizeof saved_, &saved_) == 0);
+    int cpu = 0;
+    while (!CPU_ISSET(cpu, &saved_)) ++cpu;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    DCS_CHECK(sched_setaffinity(0, sizeof one, &one) == 0);
+  }
+  ~PinToOneCpu() { sched_setaffinity(0, sizeof saved_, &saved_); }
+  PinToOneCpu(const PinToOneCpu&) = delete;
+  PinToOneCpu& operator=(const PinToOneCpu&) = delete;
+
+ private:
+  cpu_set_t saved_;
+};
+
+TEST(ShardMergeTest, OnOneCpuTheCallerRunsOtherWorkersShares) {
+  // With every thread on one CPU a spawned worker rarely has the CPU when
+  // its share is posted, so the caller claims and runs the share itself
+  // (in that worker's context) instead of waiting.  The fingerprint is the
+  // 1-worker one either way.
+  const PinToOneCpu pin;
+  const RunResult oracle = run_grid(8, 1, /*seed=*/42);
+  const auto caller = std::this_thread::get_id();
+  for (std::uint32_t workers : {2u, 4u}) {
+    std::vector<char> on_caller(8, 0);
+    ShardedEngine sharded(spec_for(8, workers));
+    sharded.setup([&](Shard& shard) {
+      install_forwarding(shard, 42, [&on_caller, caller](Shard& s) {
+        if (std::this_thread::get_id() == caller) on_caller[s.index()] = 1;
+      });
     });
     sharded.run();
+    EXPECT_EQ(sharded.merged_fingerprint(), oracle.fingerprint)
+        << "workers=" << workers;
+    EXPECT_EQ(sharded.events_dispatched(), oracle.events);
+    bool odd_on_caller = false;
+    for (std::uint32_t p = 1; p < 8; p += 2) odd_on_caller |= on_caller[p] != 0;
+    EXPECT_TRUE(odd_on_caller) << "workers=" << workers;
   }
-  EXPECT_EQ(setup_tid[0], handler_tid[0]);
-  EXPECT_EQ(setup_tid[1], handler_tid[1]);
-  EXPECT_EQ(setup_tid[0], std::this_thread::get_id());
-  EXPECT_NE(setup_tid[1], std::this_thread::get_id());
 }
 
 TEST(ShardMergeTest, OneWorkerRunsEverythingOnTheCallerAndSpawnsNoThread) {

@@ -276,6 +276,33 @@ TEST(SimPropertyTest, TimerDispatchFollowsTheSortedScheduleUnderChoppedRuns) {
   EXPECT_EQ(eng.pending_timer_count(), 0u);
 }
 
+Task<void> delay_then_yield(Engine& e, HeapOracle& o) {
+  o.dispatched.emplace_back(e.now(), e.last_dispatch_seq());
+  co_await e.delay(10);
+  o.dispatched.emplace_back(e.now(), e.last_dispatch_seq());
+  co_await e.yield();
+  o.dispatched.emplace_back(e.now(), e.last_dispatch_seq());
+}
+
+TEST(SimPropertyTest, CrossWakeRunsWithTheDueTimersBeforeSameTimeRingEntries) {
+  // At time T every due timer, the cross wake included, drains before the
+  // ready-ring entries strands enqueue at T after T's first timer, although
+  // those hold smaller seqs than kCrossSeq.  So at a cross-wake time the
+  // stream is not lexicographic in (t, seq); sharded fingerprints depend on
+  // exactly this order.
+  Engine eng;
+  HeapOracle o;
+  eng.spawn(cross_parker(eng, o));       // (0, 0)
+  eng.spawn(delay_then_yield(eng, o));   // (0, 1), timer (10, 2), yield seq 3
+  eng.run_until(0);
+  ASSERT_TRUE(o.parked);
+  eng.schedule_cross(o.parked, 10);
+  eng.run();
+  const std::vector<Coord> want = {
+      {0, 0}, {0, 1}, {10, 2}, {10, Engine::kCrossSeq}, {10, 3}};
+  EXPECT_EQ(o.dispatched, want);
+}
+
 TEST(SimPropertyTest, ManyEngineLifecyclesAreIndependent) {
   // Engines must not share hidden state: interleaved construction and runs
   // give the same results as isolated ones.

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "sim/engine.hpp"
+#include "sim/context.hpp"
 #include "sim/slab.hpp"
 #include "sim/sync.hpp"
 
@@ -18,24 +19,24 @@ namespace {
 
 using detail::FrameSlab;
 
-/// Deltas against the process-wide slab counters (tests share the binary).
+/// Deltas against this thread's slab counters (tests share the binary).
 struct StatDelta {
-  FrameSlab::Stats before = FrameSlab::instance().stats();
+  FrameSlab::Stats before = context().slab().stats();
 
   std::uint64_t allocs() const {
-    return FrameSlab::instance().stats().allocs - before.allocs;
+    return context().slab().stats().allocs - before.allocs;
   }
   std::uint64_t reuses() const {
-    return FrameSlab::instance().stats().reuses - before.reuses;
+    return context().slab().stats().reuses - before.reuses;
   }
   std::uint64_t heap_allocs() const {
-    return FrameSlab::instance().stats().heap_allocs - before.heap_allocs;
+    return context().slab().stats().heap_allocs - before.heap_allocs;
   }
   std::uint64_t chunks() const {
-    return FrameSlab::instance().stats().chunks - before.chunks;
+    return context().slab().stats().chunks - before.chunks;
   }
   std::int64_t live() const {
-    return static_cast<std::int64_t>(FrameSlab::instance().stats().live) -
+    return static_cast<std::int64_t>(context().slab().stats().live) -
            static_cast<std::int64_t>(before.live);
   }
 };
