@@ -1,6 +1,7 @@
 // DDSS operation microbenchmarks beyond Figure 3a: get() latency per
 // coherence model, the IPC-virtualization overhead, placement policies,
-// and the global memory aggregator's striping bandwidth.
+// the global memory aggregator's striping bandwidth, and puts that contend
+// for Write/Strict allocation locks.
 #include "common/json.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
@@ -253,6 +254,90 @@ void run_zipf(obs::Harness& h) {
   });
 }
 
+/// Contended puts: `nodes` client nodes (1..nodes), `strands` closed-loop
+/// strands on each, put 64 B values to Zipf(0.9)-hot allocations, all eight
+/// hosted on node 0.  Every put takes the allocation's lock, so the hot
+/// ranks queue; with 2 strands per node, strands of one node also contend
+/// with each other.
+void contended_put_scenario(obs::Scenario& s, ddss::Coherence model,
+                            std::size_t nodes, std::size_t strands) {
+  constexpr std::size_t kAllocs = 8;
+  constexpr int kPuts = 32;  // per strand
+  auto& eng = s.engine();
+  fabric::Fabric fab(eng, fabric::FabricParams{},
+                     {.num_nodes = nodes + 1, .cores_per_node = 2,
+                      .mem_per_node = 1u << 20});
+  verbs::Network net(fab);
+  ddss::Ddss substrate(net);
+  substrate.start();
+  std::vector<ddss::Allocation> allocs;
+  eng.spawn([](ddss::Ddss& d, ddss::Coherence m,
+               std::vector<ddss::Allocation>& out) -> sim::Task<void> {
+    auto home = d.client(0);
+    for (std::size_t j = 0; j < kAllocs; ++j) {
+      out.push_back(co_await home.allocate(64, m, ddss::Placement::kLocal));
+    }
+  }(substrate, model, allocs));
+  eng.run();
+  const ZipfSampler zipf(kAllocs, 0.9);
+  LatencySamples latency;
+  for (std::size_t n = 1; n <= nodes; ++n) {
+    for (std::size_t k = 0; k < strands; ++k) {
+      eng.spawn([](sim::Engine& e, ddss::Ddss& d, fabric::NodeId self,
+                   std::uint64_t seed, const ZipfSampler& z,
+                   const std::vector<ddss::Allocation>& as, obs::Scenario& out,
+                   LatencySamples& lat) -> sim::Task<void> {
+        auto client = d.client(self);
+        Rng rng(seed);
+        std::vector<std::byte> value(64, static_cast<std::byte>(self));
+        for (int i = 0; i < kPuts; ++i) {
+          co_await e.delay(rng.uniform(nanoseconds(0), microseconds(2)));
+          const auto& alloc = as[z.sample(rng)];
+          const auto t0 = e.now();
+          co_await client.put(alloc, value);
+          const auto ns = static_cast<double>(e.now() - t0);
+          out.latency_ns(ns);
+          lat.add(ns);
+        }
+      }(eng, substrate, static_cast<fabric::NodeId>(n), n * 131 + k, zipf,
+                     allocs, s, latency));
+    }
+  }
+  eng.run();
+  const auto* retries =
+      trace::Registry::global().find_counter("ddss.lock.cas_retries");
+  s.metric("cas_retries",
+           retries != nullptr ? static_cast<double>(retries->value) : 0.0);
+  s.metric("p99_us", latency.percentile(99.0) / 1000.0);
+  s.metric("events", static_cast<double>(eng.events_dispatched()));
+}
+
+void print_contended_table(obs::Harness& h) {
+  Table table({"cell", "lock CAS retries", "put p99 (us)", "events"});
+  for (const auto model : {ddss::Coherence::kWrite, ddss::Coherence::kStrict}) {
+    for (const std::size_t nodes : {4ul, 16ul}) {
+      const std::string name = std::string("put/contended/") +
+                               ddss::to_string(model) + "/" +
+                               std::to_string(nodes);
+      const auto m = h.run(name, [model, nodes](obs::Scenario& s) {
+        contended_put_scenario(s, model, nodes, 1);
+      });
+      table.add_row({name, fmt_fixed(m.at("cas_retries"), 0),
+                     fmt_fixed(m.at("p99_us"), 2),
+                     fmt_fixed(m.at("events"), 0)});
+    }
+  }
+  const std::string name = "put/contended/Strict/8x2";
+  const auto m = h.run(name, [](obs::Scenario& s) {
+    contended_put_scenario(s, ddss::Coherence::kStrict, 8, 2);
+  });
+  table.add_row({name, fmt_fixed(m.at("cas_retries"), 0),
+                 fmt_fixed(m.at("p99_us"), 2), fmt_fixed(m.at("events"), 0)});
+  table.print(
+      "DDSS contended puts — N client nodes (x2: two strands per node) on "
+      "Zipf-hot allocations of one home");
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -265,5 +350,6 @@ int main(int argc, char** argv) {
   print_aggregator_table(h);
   run_batch_sweep(h);
   run_zipf(h);
+  print_contended_table(h);
   return h.finish();
 }
