@@ -37,7 +37,12 @@ enum class Op : std::uint8_t { kAlloc = 1, kFree = 2 };
 constexpr std::uint32_t kControlTag = 0xDD55;     // the daemon's verbs tag
 constexpr std::uint32_t kInvalidateTag = 0xDD57;  // write-invalidate tag
 constexpr std::uint32_t kReplyTagBase = 0xDD560000;
-/// Backoff between lock CAS retries, torn-version retries and version polls.
+/// An allocation lock's queue mailboxes (dlm::QueueLock): base + key, for
+/// keys below kLockKeys.
+constexpr std::uint32_t kLockWaitTagBase = 0xD1000000;
+constexpr std::uint32_t kLockGrantTagBase = 0xD2000000;
+constexpr std::uint64_t kLockKeys = 0x1000000;
+/// Backoff between torn-version retries and between version polls.
 constexpr SimNanos kBackoff = microseconds(2);
 
 /// Cluster-unique identifier of a temporal allocation's cached datum.
@@ -258,6 +263,15 @@ sim::Task<void> Client::release(Allocation alloc) {
   DCS_TRACE_SPAN("ddss", "release", node_, alloc.key);
   co_await ipc_hop();
   invalidate_cached(alloc);
+  // A node may release an allocation it still holds the lock of; no strand
+  // may be queued for it.
+  auto& cohorts = ddss_.cohorts_;
+  for (auto it = cohorts.lower_bound({alloc.key, 0});
+       it != cohorts.end() && it->first.first == alloc.key;
+       it = cohorts.erase(it)) {
+    DCS_CHECK_MSG(it->second.held && it->second.turn.waiting() == 0,
+                  "release of an allocation whose lock is queued for");
+  }
   const std::uint32_t reply_tag =
       kReplyTagBase + 0x8000 + (ddss_.next_reply_++ & 0x7FFF);
   verbs::Encoder req;
@@ -290,24 +304,64 @@ sim::Task<std::uint64_t> Client::compare_swap(const Allocation& alloc,
       alloc.data, offset, expected, desired);
 }
 
+dlm::QueueLock Client::queue_lock(const Allocation& alloc) const {
+  const auto tag = static_cast<std::uint32_t>(alloc.key);
+  return {.table = alloc.meta,
+          .offset = MetaLayout::kLock,
+          .wait_tag = kLockWaitTagBase + tag,
+          .grant_tag = kLockGrantTagBase + tag,
+          .owner = &ddss_,
+          .scheme = "ddss",
+          .id = alloc.key};
+}
+
 sim::Task<void> Client::lock(const Allocation& alloc) {
-  auto& hca = ddss_.net_.hca(node_);
-  const std::uint64_t self = node_ + 1;
-  for (;;) {
-    const auto old = co_await hca.compare_and_swap(alloc.meta,
-                                                   MetaLayout::kLock, 0, self);
-    if (old == 0) co_return;
-    metrics().lock_cas_retries.add();
-    co_await ddss_.engine().delay(kBackoff);
-  }
+  DCS_CHECK(alloc.valid());
+  DCS_CHECK_MSG(alloc.key < kLockKeys, "allocation key beyond lock tags");
+  // Strands of this node queue locally first; only the turn holder joins
+  // the remote queue, so the node is in it at most once.
+  Ddss::Cohort& cohort =
+      ddss_.cohorts_.try_emplace({alloc.key, node_}, ddss_.engine())
+          .first->second;
+  co_await cohort.turn.acquire();
+  const auto retries =
+      co_await queue_lock(alloc).acquire(ddss_.net_.hca(node_));
+  metrics().lock_cas_retries.add(retries);
+  cohort.held = true;
 }
 
 sim::Task<void> Client::unlock(const Allocation& alloc) {
-  auto& hca = ddss_.net_.hca(node_);
-  const std::uint64_t self = node_ + 1;
-  const auto old =
-      co_await hca.compare_and_swap(alloc.meta, MetaLayout::kLock, self, 0);
-  DCS_CHECK_MSG(old == self, "unlock by non-owner");
+  drop_hold(alloc);
+  const auto old = co_await ddss_.net_.hca(node_).compare_and_swap(
+      alloc.meta, MetaLayout::kLock, node_ + 1, 0);
+  co_await finish_unlock(alloc, old);
+}
+
+void Client::drop_hold(const Allocation& alloc) {
+  auto it = ddss_.cohorts_.find({alloc.key, node_});
+  DCS_CHECK_MSG(it != ddss_.cohorts_.end() && it->second.held,
+                "unlock by non-owner");
+  it->second.held = false;
+  if (auto* a = audit::Auditor::current()) {
+    a->lock_released(&ddss_, "ddss", alloc.key, node_);
+  }
+}
+
+sim::Task<void> Client::finish_unlock(const Allocation& alloc,
+                                      std::uint64_t unlock_old) {
+  co_await queue_lock(alloc).hand_off(ddss_.net_.hca(node_), unlock_old);
+  auto it = ddss_.cohorts_.find({alloc.key, node_});
+  it->second.turn.release();
+  // Idle: no local strand took the turn.
+  if (it->second.turn.available() > 0) ddss_.cohorts_.erase(it);
+}
+
+void Client::stage_unlock(verbs::OpBatch& batch, const Allocation& alloc,
+                          OpWords& words) {
+  drop_hold(alloc);
+  batch.compare_and_swap(alloc.meta, MetaLayout::kLock, node_ + 1, 0,
+                         &words.unlock_old);
+  words.unlocks = true;
 }
 
 void Client::stage_put(verbs::OpBatch& batch, const Allocation& alloc,
@@ -335,9 +389,7 @@ void Client::stage_put(verbs::OpBatch& batch, const Allocation& alloc,
   }
   if (alloc.coherence == Coherence::kWrite ||
       alloc.coherence == Coherence::kStrict) {
-    batch.compare_and_swap(alloc.meta, MetaLayout::kLock, node_ + 1, 0,
-                           &words.unlock_old);
-    words.unlocks = true;
+    stage_unlock(batch, alloc, words);
   }
 }
 
@@ -349,15 +401,8 @@ void Client::stage_get(verbs::OpBatch& batch, const Allocation& alloc,
     batch.read(alloc.meta, MetaLayout::kVersion, words.image);
   }
   if (alloc.coherence == Coherence::kStrict) {
-    batch.compare_and_swap(alloc.meta, MetaLayout::kLock, node_ + 1, 0,
-                           &words.unlock_old);
-    words.unlocks = true;
+    stage_unlock(batch, alloc, words);
   }
-}
-
-void Client::check_unlock(const OpWords& words) const {
-  DCS_CHECK_MSG(!words.unlocks || words.unlock_old == node_ + 1,
-                "unlock by non-owner");
 }
 
 sim::Task<void> Client::put(const Allocation& alloc,
@@ -390,7 +435,9 @@ sim::Task<void> Client::put(const Allocation& alloc,
   } else {
     co_await hca.post(std::move(batch));
   }
-  check_unlock(words);
+  // The data write retired at the home before the unlock CAS did, so a
+  // successor granted now sees it.
+  if (words.unlocks) co_await finish_unlock(alloc, words.unlock_old);
   if (alloc.coherence == Coherence::kTemporal) {
     invalidate_cached(alloc);  // our own node re-reads fresh data
     if (ddss_.config_.temporal_write_invalidate) {
@@ -446,7 +493,7 @@ sim::Task<void> Client::get(const Allocation& alloc, std::span<std::byte> out) {
     } else {
       co_await hca.post(std::move(batch));
     }
-    check_unlock(words);
+    if (words.unlocks) co_await finish_unlock(alloc, words.unlock_old);
   }
   if (temporal) {
     ddss_.temporal_cache_[key] =

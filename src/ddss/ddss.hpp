@@ -10,9 +10,12 @@
 //                              daemon on each home node
 //   - Data placement ......... local / remote / round-robin / least-loaded
 //                              home selection
-//   - Locking mechanisms ..... per-allocation CAS spinlock in the metadata
-//                              word (the advanced queue-based manager lives
-//                              in dcs::dlm)
+//   - Locking mechanisms ..... per-allocation queue lock on the metadata
+//                              lock word (dlm::QueueLock, DQNL's queue):
+//                              waiters queue behind the tail and get a
+//                              one-message handoff.  Strands of one node
+//                              first queue in a local cohort, so only one of
+//                              them is in the remote queue
 //   - Coherency & consistency  six models (below) plus versioned reads
 //
 // Coherence models (costs of put/get differ per model — Figure 3a):
@@ -33,8 +36,10 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <utility>
 #include <vector>
 
+#include "dlm/queue_lock.hpp"
 #include "sim/sync.hpp"
 #include "verbs/verbs.hpp"
 
@@ -169,7 +174,9 @@ class Client {
                                         std::uint64_t expected,
                                         std::uint64_t desired);
 
-  /// Explicit lock/unlock of the allocation's metadata lock.
+  /// Explicit lock/unlock of the allocation's metadata lock.  The lock is
+  /// held per node: a strand of this node takes it after the node's earlier
+  /// strands have released it, and only the node that holds it may unlock.
   sim::Task<void> lock(const Allocation& alloc);
   sim::Task<void> unlock(const Allocation& alloc);
 
@@ -196,8 +203,19 @@ class Client {
   /// read, then kStrict's unlock.
   void stage_get(verbs::OpBatch& batch, const Allocation& alloc,
                  std::span<std::byte> out, OpWords& words);
-  /// Checks that a staged unlock found this node holding the lock.
-  void check_unlock(const OpWords& words) const;
+  /// Appends the unlock CAS(node+1 -> 0), after checking that this node
+  /// holds the lock and ending its hold.
+  void stage_unlock(verbs::OpBatch& batch, const Allocation& alloc,
+                    OpWords& words);
+  /// Ends this node's hold on `alloc`'s lock, ahead of its unlock CAS.
+  void drop_hold(const Allocation& alloc);
+  /// After the unlock CAS returned `unlock_old`: grants the lock to a remote
+  /// successor, if that CAS found one, then passes it to this node's next
+  /// queued strand.
+  sim::Task<void> finish_unlock(const Allocation& alloc,
+                                std::uint64_t unlock_old);
+  /// `alloc`'s lock word and its queue-lock mailboxes.
+  dlm::QueueLock queue_lock(const Allocation& alloc) const;
 
   Ddss& ddss_;
   NodeId node_;
@@ -225,6 +243,8 @@ class Ddss {
   sim::Engine& engine() { return net_.fabric().engine(); }
 
   std::uint64_t allocations_served() const { return allocations_served_; }
+  /// (node, allocation) pairs whose lock a strand holds or waits for.
+  std::size_t lock_cohorts() const { return cohorts_.size(); }
 
  private:
   friend class Client;
@@ -238,6 +258,15 @@ class Ddss {
     std::uint64_t key;
     auto operator<=>(const CacheKey&) const = default;
   };
+  /// The strands of one node that hold or want one allocation's lock, in a
+  /// local FIFO: only the strand holding `turn` is in the remote queue.
+  struct Cohort {
+    explicit Cohort(sim::Engine& eng) : turn(eng, 1) {}
+    sim::Semaphore turn;
+    bool held = false;  // the node holds the lock (ownership record)
+  };
+  /// Keyed by (allocation key, node).
+  using CohortKey = std::pair<std::uint64_t, NodeId>;
 
   sim::Task<void> daemon(NodeId node);
   sim::Task<void> invalidation_listener(NodeId node);
@@ -255,6 +284,8 @@ class Ddss {
   std::map<CacheKey, CacheEntry> temporal_cache_;
   // Write-invalidate bookkeeping: which nodes cached each temporal datum.
   std::map<std::uint64_t, std::set<NodeId>> temporal_sharers_;
+  // Lock cohorts; an entry lives while a strand holds or waits for the lock.
+  std::map<CohortKey, Cohort> cohorts_;
 };
 
 }  // namespace dcs::ddss

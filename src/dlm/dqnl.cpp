@@ -2,7 +2,6 @@
 
 #include "audit/audit.hpp"
 #include "trace/trace.hpp"
-#include "verbs/wire.hpp"
 
 namespace dcs::dlm {
 
@@ -41,6 +40,16 @@ DqnlLockManager::~DqnlLockManager() {
   net_.hca(home_).free_region(table_);
 }
 
+QueueLock DqnlLockManager::queue(LockId id) const {
+  return {.table = table_,
+          .offset = static_cast<std::size_t>(id) * 8,
+          .wait_tag = tags::kDqnlWait + id,
+          .grant_tag = tags::kDqnlGrant + id,
+          .owner = this,
+          .scheme = "dqnl",
+          .id = id};
+}
+
 sim::Task<void> DqnlLockManager::lock(NodeId self, LockId id, LockMode mode) {
   // DQNL has no shared mode; readers queue like writers.
   (void)mode;
@@ -49,35 +58,9 @@ sim::Task<void> DqnlLockManager::lock(NodeId self, LockId id, LockMode mode) {
   DCS_TRACE_COST_SPAN(trace::Cost::kLockWait, "dlm", "lock", self, id,
                       "DQNL");
   const SimNanos t0 = net_.fabric().engine().now();
-  auto& hca = net_.hca(self);
-  const std::size_t off = static_cast<std::size_t>(id) * 8;
-  const std::uint64_t me = self + 1;
-
-  // Atomic swap of the tail word, emulated with a CAS retry loop (IB verbs
-  // expose CAS and FAA; [10] builds its queue from exactly these).
-  std::uint64_t prev = 0;
-  for (;;) {
-    const auto old = co_await hca.compare_and_swap(table_, off, prev, me);
-    if (old == prev) break;
-    prev = old;
-    ++cas_retries_;
-    metrics().cas_retries.add();
-  }
-
-  if (prev == 0) {
-    if (auto* a = audit::Auditor::current()) {
-      a->lock_granted(this, "dqnl", id, self, /*exclusive=*/true);
-    }
-    metrics().lock_latency.record_ns(net_.fabric().engine().now() - t0);
-    co_return;  // lock was free
-  }
-  // Tell the previous tail we are behind it, then wait for its grant.
-  co_await hca.send(static_cast<NodeId>(prev - 1), tags::kDqnlWait + id,
-                    verbs::Encoder().u32(self).take());
-  (void)co_await hca.recv(tags::kDqnlGrant + id);
-  if (auto* a = audit::Auditor::current()) {
-    a->lock_granted(this, "dqnl", id, self, /*exclusive=*/true);
-  }
+  const auto retries = co_await queue(id).acquire(net_.hca(self));
+  cas_retries_ += retries;
+  metrics().cas_retries.add(retries);
   metrics().lock_latency.record_ns(net_.fabric().engine().now() - t0);
 }
 
@@ -86,36 +69,18 @@ sim::Task<void> DqnlLockManager::unlock(NodeId self, LockId id) {
   metrics().unlocks.add();
   DCS_TRACE_SPAN("dlm", "unlock", self, id, "DQNL");
   auto& hca = net_.hca(self);
-  const std::size_t off = static_cast<std::size_t>(id) * 8;
-  const std::uint64_t me = self + 1;
+  const QueueLock q = queue(id);
   if (auto* a = audit::Auditor::current()) {
     a->lock_released(this, "dqnl", id, self);
   }
 
-  // Direct handoff: a successor that already announced itself gets the lock
-  // with a single message, no atomic needed.
-  if (auto pending = hca.try_recv(tags::kDqnlWait + id)) {
-    const NodeId successor = verbs::Decoder(pending->payload).u32();
-    if (auto* a = audit::Auditor::current()) {
-      a->lock_handoff(this, "dqnl", id, self, successor);
-    }
-    co_await hca.send(successor, tags::kDqnlGrant + id,
-                      verbs::Encoder().u32(id).take());
+  // A successor that already announced itself gets the lock without a CAS.
+  if (auto pending = hca.try_recv(q.wait_tag)) {
+    co_await q.grant(hca, *pending);
     co_return;
   }
-
-  // Fast path: nobody queued behind us.
-  const auto old = co_await hca.compare_and_swap(table_, off, me, 0);
-  if (old == me) co_return;
-
-  // Someone swapped in behind us; their notification names our successor.
-  verbs::Message msg = co_await hca.recv(tags::kDqnlWait + id);
-  const NodeId successor = verbs::Decoder(msg.payload).u32();
-  if (auto* a = audit::Auditor::current()) {
-    a->lock_handoff(this, "dqnl", id, self, successor);
-  }
-  co_await hca.send(successor, tags::kDqnlGrant + id,
-                    verbs::Encoder().u32(id).take());
+  const auto old = co_await hca.compare_and_swap(table_, q.offset, self + 1, 0);
+  co_await q.hand_off(hca, old);
 }
 
 }  // namespace dcs::dlm

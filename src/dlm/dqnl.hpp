@@ -4,16 +4,16 @@
 // The home node hosts one 64-bit word per lock holding the id of the tail
 // of a distributed waiter queue (0 = free).  A requester atomically swaps
 // itself in with a CAS retry loop; if the previous tail was non-zero it
-// notifies that node and waits for a direct grant at release time.
+// notifies that node and waits for a direct grant at release time.  The
+// queue itself is dlm::QueueLock, which DDSS's allocation locks share.
 //
 // Shared locks are NOT supported natively: every request is exclusive, so a
 // crowd of readers serializes into a grant chain — the weakness N-CoSED's
 // fetch-and-add path removes (Figure 5a).
 #pragma once
 
-#include <unordered_map>
-
 #include "dlm/lock_manager.hpp"
+#include "dlm/queue_lock.hpp"
 
 namespace dcs::dlm {
 
@@ -30,6 +30,9 @@ class DqnlLockManager final : public LockManager {
   std::uint64_t cas_retries() const { return cas_retries_; }
 
  private:
+  /// Lock `id`'s tail word and mailboxes.
+  QueueLock queue(LockId id) const;
+
   verbs::Network& net_;
   NodeId home_;
   std::size_t max_locks_;

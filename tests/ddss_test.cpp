@@ -1,6 +1,7 @@
 // Tests for the Distributed Data Sharing Substrate: allocation/release,
 // placement, all coherence models (parameterized), versioning, delta rings,
-// temporal caching, locking, multi-writer safety and batched put/get.
+// temporal caching, locking, multi-writer safety and batched put/get, and
+// the allocation lock's queue and per-node cohorts under contention.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,6 +9,8 @@
 #include <cstring>
 #include <span>
 
+#include "audit/audit.hpp"
+#include "common/rng.hpp"
 #include "ddss/ddss.hpp"
 #include "trace/trace.hpp"
 
@@ -522,6 +525,202 @@ TEST_F(DdssFixture, AllocationsServedCounted) {
   }(ddss));
   eng.run();
   EXPECT_EQ(ddss.allocations_served(), 2u);
+}
+
+// --- the allocation lock: a queue lock with per-node cohorts ---
+
+TEST_F(DdssFixture, UncontendedLockIsOneCasEachWay) {
+  // Figure 3a's op counts: a Write put is the lock CAS, then one batch
+  // holding the data write and the unlock CAS; no lock message is sent.
+  VerbsCounts moved{};
+  std::uint64_t sends = 0;
+  eng.spawn([](Ddss& d, VerbsCounts& out,
+               std::uint64_t& msgs) -> sim::Task<void> {
+    auto c = d.client(1);
+    auto a = co_await c.allocate(64, Coherence::kWrite, Placement::kRemote);
+    const auto before = verbs_counts();
+    const auto sent = d.network().hca(1).messages_sent();
+    co_await c.put(a, value_bytes(0x11));
+    out = verbs_counts() - before;
+    msgs = d.network().hca(1).messages_sent() - sent;
+  }(ddss, moved, sends));
+  eng.run();
+  EXPECT_EQ(moved, (VerbsCounts{0, 0, 1, 64, 0, 2}));
+  EXPECT_EQ(sends, 0u);
+  EXPECT_EQ(ddss.lock_cohorts(), 0u);
+}
+
+/// Eight nodes; the contention tests run one strand on each, and a second
+/// strand on nodes 1..3 whose lock requests queue behind the first one's
+/// in the node's cohort.
+struct DdssLockFixture : ::testing::Test {
+  static constexpr NodeId kNodes = 8;
+  static constexpr NodeId kDoubled = 3;  // nodes 1..kDoubled run 2 strands
+
+  sim::Engine eng;
+  fabric::Fabric fab{eng, fabric::FabricParams{},
+                     {.num_nodes = kNodes, .cores_per_node = 2,
+                      .mem_per_node = 1u << 20}};
+  verbs::Network net{fab};
+  Ddss ddss{net};
+  audit::Auditor auditor{eng};
+
+  void SetUp() override {
+    auditor.install();
+    ddss.start();
+  }
+
+  Allocation allocate(Coherence model) {
+    Allocation a;
+    eng.spawn([](Ddss& d, Coherence m, Allocation& out) -> sim::Task<void> {
+      out = co_await d.client(0).allocate(64, m);
+      co_await d.client(0).put(out, value_bytes(0xEE));
+    }(ddss, model, a));
+    eng.run();
+    return a;
+  }
+
+  std::string first_report() const {
+    return auditor.report_count() > 0 ? auditor.reports()[0].message : "";
+  }
+};
+
+std::uint64_t lock_cas_retries() {
+  const auto* c =
+      trace::Registry::global().find_counter("ddss.lock.cas_retries");
+  return c != nullptr ? c->value : 0;
+}
+
+TEST_F(DdssLockFixture, GrantsInFifoOrderAcrossNodes) {
+  for (const Coherence model : {Coherence::kWrite, Coherence::kStrict}) {
+    const Allocation a = allocate(model);
+    // Each strand logs its id on entering and on leaving its section.
+    std::vector<int> log;
+    const auto strand = [](Ddss& d, NodeId node, int id, SimNanos start,
+                           const Allocation& alloc,
+                           std::vector<int>& out) -> sim::Task<void> {
+      co_await d.engine().delay(start);
+      auto c = d.client(node);
+      co_await c.lock(alloc);
+      out.push_back(id);
+      co_await d.engine().delay(microseconds(100));
+      out.push_back(id);
+      co_await c.unlock(alloc);
+    };
+    // First strands arrive 10 us apart, so all have queued before node 0
+    // lets go.  The second strands arrive while their node's first strand
+    // still waits, so they join the tail only after it has released: behind
+    // node 7, in the order their nodes were granted.
+    for (NodeId n = 0; n < kNodes; ++n) {
+      eng.spawn(strand(ddss, n, static_cast<int>(n), microseconds(10) * n, a,
+                       log));
+    }
+    for (NodeId n = 1; n <= kDoubled; ++n) {
+      eng.spawn(strand(ddss, n, static_cast<int>(10 + n), microseconds(85),
+                       a, log));
+    }
+    eng.run();
+    std::vector<int> expected;
+    for (const int id : {0, 1, 2, 3, 4, 5, 6, 7, 11, 12, 13}) {
+      expected.insert(expected.end(), {id, id});
+    }
+    EXPECT_EQ(log, expected) << to_string(model);
+    EXPECT_EQ(ddss.lock_cohorts(), 0u) << to_string(model);
+  }
+  EXPECT_EQ(auditor.report_count(), 0u) << first_report();
+}
+
+TEST_F(DdssLockFixture, ContendedPutsAndGetsStayCleanAndLeaveNothingBehind) {
+  const std::array<Allocation, 2> allocs = {allocate(Coherence::kWrite),
+                                            allocate(Coherence::kStrict)};
+  std::vector<std::size_t> mailboxes(kNodes);
+  for (NodeId n = 0; n < kNodes; ++n) {
+    mailboxes[n] = net.hca(n).mailbox_count();
+  }
+  const std::uint64_t retries_before = lock_cas_retries();
+  std::uint64_t acquisitions = 0;
+  std::uint64_t torn = 0;
+  // Puts to either allocation and Strict gets, back to back: every op takes
+  // a lock, and each put writes one byte value throughout.
+  const auto strand = [](Ddss& d, NodeId node, std::uint64_t seed,
+                         const std::array<Allocation, 2>& as,
+                         std::uint64_t& locks,
+                         std::uint64_t& bad) -> sim::Task<void> {
+    auto c = d.client(node);
+    Rng rng(seed);
+    std::vector<std::byte> out(64);
+    for (int i = 0; i < 24; ++i) {
+      const std::uint64_t op = rng.uniform(3);
+      if (op < 2) {
+        co_await c.put(as[op], value_bytes(static_cast<std::uint8_t>(seed)));
+      } else {
+        co_await c.get(as[1], out);
+        bad += std::count(out.begin(), out.end(), out[0]) != 64 ? 1 : 0;
+      }
+      ++locks;
+    }
+  };
+  for (NodeId n = 0; n < kNodes; ++n) {
+    eng.spawn(strand(ddss, n, n + 1, allocs, acquisitions, torn));
+  }
+  for (NodeId n = 1; n <= kDoubled; ++n) {
+    eng.spawn(strand(ddss, n, 100 + n, allocs, acquisitions, torn));
+  }
+  eng.run();
+  EXPECT_EQ(acquisitions, 24u * (kNodes + kDoubled));
+  EXPECT_EQ(torn, 0u);
+  EXPECT_EQ(auditor.report_count(), 0u) << first_report();
+  // No lock mailbox or cohort outlives the run.
+  for (NodeId n = 0; n < kNodes; ++n) {
+    EXPECT_EQ(net.hca(n).mailbox_count(), mailboxes[n]) << "node " << n;
+  }
+  EXPECT_EQ(ddss.lock_cohorts(), 0u);
+  // A waiter retries its swap-in CAS only while its guess of the tail is
+  // stale: once when it finds the lock held, again if the tail moved
+  // meanwhile.  A spin lock retries every backoff for as long as it waits.
+  const std::uint64_t retries = lock_cas_retries() - retries_before;
+  EXPECT_GT(retries, 0u);
+  EXPECT_LE(retries, 2 * acquisitions);
+}
+
+TEST_F(DdssFixture, ReleaseDropsAHeldLock) {
+  eng.spawn([](Ddss& d) -> sim::Task<void> {
+    auto c = d.client(1);
+    auto a = co_await c.allocate(64, Coherence::kStrict);
+    co_await c.lock(a);
+    co_await c.release(a);
+  }(ddss));
+  eng.run();
+  EXPECT_EQ(ddss.lock_cohorts(), 0u);
+}
+
+using DdssDeathTest = DdssFixture;
+
+TEST_F(DdssDeathTest, UnlockByNonOwnerAborts) {
+  Allocation a;
+  eng.spawn([](Ddss& d, Allocation& out) -> sim::Task<void> {
+    auto owner = d.client(0);
+    out = co_await owner.allocate(64, Coherence::kWrite);
+    co_await owner.lock(out);
+  }(ddss, a));
+  eng.run();
+  // Node 0 holds the lock; node 1 neither holds nor waits for it.
+  EXPECT_DEATH(
+      {
+        eng.spawn(ddss.client(1).unlock(a));
+        eng.run();
+      },
+      "unlock by non-owner");
+  // So does a second unlock by the node that held it.
+  EXPECT_DEATH(
+      {
+        eng.spawn([](Ddss& d, const Allocation& alloc) -> sim::Task<void> {
+          co_await d.client(0).unlock(alloc);
+          co_await d.client(0).unlock(alloc);
+        }(ddss, a));
+        eng.run();
+      },
+      "unlock by non-owner");
 }
 
 }  // namespace
