@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "audit/audit.hpp"
+#include "dlm/queue_lock.hpp"
 #include "trace/hot.hpp"
 #include "trace/trace.hpp"
 #include "verbs/wire.hpp"

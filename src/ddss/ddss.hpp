@@ -39,9 +39,12 @@
 #include <utility>
 #include <vector>
 
-#include "dlm/queue_lock.hpp"
 #include "sim/sync.hpp"
 #include "verbs/verbs.hpp"
+
+namespace dcs::dlm {
+struct QueueLock;
+}  // namespace dcs::dlm
 
 namespace dcs::ddss {
 

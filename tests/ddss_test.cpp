@@ -707,7 +707,9 @@ TEST_F(DdssDeathTest, UnlockByNonOwnerAborts) {
   // Node 0 holds the lock; node 1 neither holds nor waits for it.
   EXPECT_DEATH(
       {
-        eng.spawn(ddss.client(1).unlock(a));
+        eng.spawn([](Ddss& d, const Allocation& alloc) -> sim::Task<void> {
+          co_await d.client(1).unlock(alloc);
+        }(ddss, a));
         eng.run();
       },
       "unlock by non-owner");
