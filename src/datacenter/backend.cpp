@@ -48,7 +48,7 @@ sim::Task<void> BackendService::session(NodeId node,
   // One request per connection (HTTP/1.0-style), so abandoned connections
   // do not accumulate parked sessions.
   auto& fab = tcp_.fabric();
-  auto request = co_await conn->recv_msg(node);
+  auto request = co_await conn->recv(node);
   // Generation runs in the proxy's request context: under the TCP
   // transport the origin's CPU burn shows up in the request's host-cpu
   // attribution — the entanglement one-sided transports remove.
@@ -76,7 +76,7 @@ sim::Task<std::vector<std::byte>> BackendService::fetch(NodeId proxy,
   sockets::TcpConnection* conn =
       co_await tcp_.connect(proxy, backend, config_.port);
   co_await conn->send(proxy, verbs::Encoder().u32(id).take());
-  auto reply = co_await conn->recv(proxy);
+  auto reply = (co_await conn->recv(proxy)).payload;
   conn->close(proxy);
   co_return reply;
 }

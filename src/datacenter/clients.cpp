@@ -54,7 +54,7 @@ sim::Task<void> ClientFarm::session(NodeId client, NodeId proxy,
       // Request root: the critical-path analyzer attributes this window.
       trace::Request req("web.request", client, id);
       co_await conn->send(client, verbs::Encoder().u32(id).take());
-      body = co_await conn->recv(client);
+      body = (co_await conn->recv(client)).payload;
     }
     stats_.latency_us.add(to_micros(eng.now() - t0));
     ++stats_.completed;

@@ -34,7 +34,7 @@ sim::Task<void> WebFarm::session(NodeId node, sockets::TcpConnection* conn) {
   // requests.  An empty request payload ends the session.
   auto& fab = tcp_.fabric();
   for (;;) {
-    auto request = co_await conn->recv_msg(node);
+    auto request = co_await conn->recv(node);
     if (request.payload.empty()) {
       conn->close(node);
       co_return;

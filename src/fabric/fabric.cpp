@@ -15,46 +15,41 @@ Fabric::Fabric(sim::Engine& eng, FabricParams params, ClusterSpec spec)
   }
 }
 
-sim::Task<void> Fabric::serialize(NodeId src, NodeId dst,
-                                  SimNanos serialization) {
+sim::Task<void> Fabric::transfer(NodeId src, NodeId dst, std::size_t bytes,
+                                 SimNanos serialization, bool propagate) {
   DCS_CHECK_MSG(src < nodes_.size() && dst < nodes_.size(), "invalid node id");
+  bytes_transferred_ += bytes;
   if (src == dst) {
     // Loopback: no wire; charge a single copy at memory speed.
     DCS_TRACE_COST_SPAN(trace::Cost::kNic, "fabric", "nic.loopback", src);
     co_await eng_.delay(serialization / 4);
     co_return;
   }
-  // NIC contention (the tx mutex) and serialization both live on the HCA;
-  // one nic-cost interval covers the pair.
-  DCS_TRACE_COST_SPAN(trace::Cost::kNic, "fabric", "nic.tx", src);
-  auto guard = co_await nodes_[src]->nic_tx().scoped();
-  co_await eng_.delay(serialization);
-}
-
-sim::Task<void> Fabric::transfer_impl(NodeId src, NodeId dst,
-                                      SimNanos serialization) {
-  co_await serialize(src, dst, serialization);
-  if (src == dst) co_return;
+  {
+    // NIC contention (the tx mutex) and serialization both live on the HCA;
+    // one nic-cost interval covers the pair.
+    DCS_TRACE_COST_SPAN(trace::Cost::kNic, "fabric", "nic.tx", src);
+    auto guard = co_await nodes_[src]->nic_tx().scoped();
+    co_await eng_.delay(serialization);
+  }
+  if (!propagate) co_return;
   DCS_TRACE_COST_SPAN(trace::Cost::kWire, "fabric", "wire", src);
   co_await eng_.delay(params_.link_latency);
 }
 
 sim::Task<void> Fabric::wire_transfer(NodeId src, NodeId dst,
                                       std::size_t bytes) {
-  bytes_transferred_ += bytes;
-  co_await transfer_impl(src, dst, params_.wire_time(bytes));
+  return transfer(src, dst, bytes, params_.wire_time(bytes), true);
 }
 
 sim::Task<void> Fabric::tcp_wire_transfer(NodeId src, NodeId dst,
                                           std::size_t bytes) {
-  bytes_transferred_ += bytes;
-  co_await transfer_impl(src, dst, params_.tcp_wire_time(bytes));
+  return transfer(src, dst, bytes, params_.tcp_wire_time(bytes), true);
 }
 
 sim::Task<void> Fabric::serialize_only(NodeId src, NodeId dst,
                                        std::size_t bytes) {
-  bytes_transferred_ += bytes;
-  co_await serialize(src, dst, params_.wire_time(bytes));
+  return transfer(src, dst, bytes, params_.wire_time(bytes), false);
 }
 
 }  // namespace dcs::fabric

@@ -55,11 +55,11 @@ class Fabric {
   std::uint64_t bytes_transferred() const { return bytes_transferred_; }
 
  private:
-  /// Occupies src's NIC for `serialization` (a memory-speed copy on
-  /// loopback); shared by every transfer.
-  sim::Task<void> serialize(NodeId src, NodeId dst, SimNanos serialization);
-  /// serialize() plus the propagation hop.
-  sim::Task<void> transfer_impl(NodeId src, NodeId dst, SimNanos serialization);
+  /// The one coroutine frame of every transfer: accounts `bytes`, occupies
+  /// src's NIC for `serialization` (a quarter of it as a memory-speed copy
+  /// on loopback), then, if `propagate`, waits out the link latency.
+  sim::Task<void> transfer(NodeId src, NodeId dst, std::size_t bytes,
+                           SimNanos serialization, bool propagate);
 
   sim::Engine& eng_;
   FabricParams params_;

@@ -159,7 +159,7 @@ sim::Task<void> ResourceMonitor::socket_push_daemon(NodeId target) {
   }(*this, target, conn));
   // ...and a receive loop on the front-end updating the cached sample.
   for (;;) {
-    auto payload = co_await conn->recv(frontend_);
+    auto payload = (co_await conn->recv(frontend_)).payload;
     last_sample_[target] = decode_sample(payload);
   }
 }
@@ -188,7 +188,7 @@ sim::Task<Sample> ResourceMonitor::query(NodeId target) {
     case MonScheme::kSocketSync: {
       auto* conn = co_await connection_to(target);
       co_await conn->send(frontend_, verbs::Encoder().u8(1).take());
-      auto reply = co_await conn->recv(frontend_);
+      auto reply = (co_await conn->recv(frontend_)).payload;
       co_return decode_sample(reply);
     }
     case MonScheme::kSocketAsync:

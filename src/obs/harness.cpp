@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "common/json.hpp"
+#include "sim/context.hpp"
 #include "trace/critical_path.hpp"
 #include "trace/flight.hpp"
 #include "trace/hot.hpp"
@@ -116,6 +117,7 @@ std::map<std::string, double> Harness::run(
   snap.name = scenario;
   snap.virtual_ns = eng.now();
   snap.events = eng.events_dispatched();
+  snap.frames = eng.host_run_frames();
   snap.wall_ns = static_cast<double>(eng.host_run_ns());
   snap.setup_ns = static_cast<double>(
                       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -187,9 +189,18 @@ std::map<std::string, double> Harness::run_sharded(
     sharded.setup(setup);
     Snapshot snap;
     snap.name = scenario;
+    // Run-phase frames: each worker context's slab allocations across run().
+    std::vector<std::uint64_t> frames(sharded.workers());
+    sharded.for_each_worker([&frames](std::uint32_t w) {
+      frames[w] = sim::context().slab().stats().allocs;
+    });
     const auto run_start = Clock::now();
     sharded.run();
     snap.wall_ns = ns_since(run_start);
+    sharded.for_each_worker([&frames](std::uint32_t w) {
+      frames[w] = sim::context().slab().stats().allocs - frames[w];
+    });
+    for (const std::uint64_t f : frames) snap.frames += f;
     trace::collect_shard_registries(sharded);
     ShardedScenario ctx(*this, sharded);
     report(ctx);
@@ -283,6 +294,7 @@ void Harness::write_wall_json(std::ostream& os) const {
     os << "    " << quoted(sn.name) << ": {\n"
        << "      \"virtual_ns\": " << sn.virtual_ns << ",\n"
        << "      \"events\": " << sn.events << ",\n"
+       << "      \"frames\": " << sn.frames << ",\n"
        << "      \"setup_ns\": " << fmt_fixed(sn.setup_ns, 3) << ",\n"
        << "      \"wall_ns\": " << fmt_fixed(sn.wall_ns, 3) << ",\n"
        << "      \"events_per_sec\": " << fmt_fixed(eps, 3) << ",\n"

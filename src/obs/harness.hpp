@@ -12,8 +12,9 @@
 //   --bench-json        canonical dcs-bench-v1 snapshot of every scenario:
 //                       metrics, latency percentiles, registry, critical path
 //   --bench-wall-json   dcs-bench-wall-v1: wall-clock events/sec and
-//                       ns/event of each scenario's engine runs, the host
-//                       time spent around them (setup), and the peak RSS.
+//                       ns/event of each scenario's engine runs, the
+//                       coroutine frames they allocate, the host time spent
+//                       around them (setup), and the peak RSS.
 //                       Wall time varies run to run, so it never enters
 //                       dcs-bench-v1.
 //   --critical-path     plain-text attribution report per scenario
@@ -183,6 +184,7 @@ class Harness {
     SimNanos virtual_ns = 0;
     // Wall-clock telemetry, written only to the `.wall.json` sibling.
     std::uint64_t events = 0;    // engine events dispatched by the scenario
+    std::uint64_t frames = 0;    // coroutine frames allocated inside runs
     double setup_ns = 0;         // host time in the body outside runs
     double wall_ns = 0;          // host time inside engine runs
     std::size_t batch = 0;       // verbs batch depth (0 = not batched)

@@ -123,6 +123,8 @@ void Engine::run_until(Time t) {
   using HostClock = std::chrono::steady_clock;
   const HostClock::time_point host_start =
       time_host_runs_ ? HostClock::now() : HostClock::time_point{};
+  const std::uint64_t frames_start =
+      time_host_runs_ ? context().slab().stats().allocs : 0;
   stopped_ = false;
   // The caller's strand context must not leak into dispatched strands, nor
   // the last strand's context into the caller.
@@ -195,6 +197,7 @@ void Engine::run_until(Time t) {
         std::chrono::duration_cast<std::chrono::nanoseconds>(HostClock::now() -
                                                              host_start)
             .count());
+    host_run_frames_ += context().slab().stats().allocs - frames_start;
   }
   if (error_) {
     auto err = std::exchange(error_, nullptr);

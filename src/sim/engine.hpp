@@ -143,9 +143,12 @@ class Engine {
   /// Host-time telemetry: while enabled, run()/run_until() add the host
   /// (wall-clock) nanoseconds they spend to host_run_ns().  This is the run
   /// phase of a scenario, without the setup and teardown around it.  Off by
-  /// default; no simulated state reads it.
+  /// default; no simulated state reads it.  The same runs also add the
+  /// coroutine frames they allocate (the context's FrameSlab allocations) to
+  /// host_run_frames().
   void time_host_runs(bool on) { time_host_runs_ = on; }
   std::uint64_t host_run_ns() const { return host_run_ns_; }
+  std::uint64_t host_run_frames() const { return host_run_frames_; }
 
   // Dispatch-structure occupancy, exposed for post-mortem engine-state
   // snapshots (src/trace/flight).  All O(1).
@@ -236,6 +239,7 @@ class Engine {
   std::uint64_t last_seq_ = 0;
   std::uint64_t fingerprint_ = 0xcbf29ce484222325ULL;
   std::uint64_t host_run_ns_ = 0;
+  std::uint64_t host_run_frames_ = 0;
   bool stopped_ = false;
   bool time_host_runs_ = false;
 };

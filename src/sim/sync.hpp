@@ -165,9 +165,20 @@ class Mutex {
     Mutex* m_;
   };
 
-  Task<Guard> scoped() {
-    co_await acquire();
-    co_return Guard{this};
+  /// A frameless awaiter, not a Task: `auto guard = co_await m.scoped();`
+  /// takes the mutex (FIFO, as acquire()) and allocates no coroutine frame.
+  auto scoped() {
+    struct Awaiter {
+      decltype(std::declval<Semaphore&>().acquire()) take;
+      Mutex* m;
+      bool await_ready() const noexcept { return take.await_ready(); }
+      void await_suspend(std::coroutine_handle<> h) { take.await_suspend(h); }
+      Guard await_resume() const noexcept {
+        take.await_resume();
+        return Guard{m};
+      }
+    };
+    return Awaiter{sem_.acquire(), this};
   }
 
  private:

@@ -150,11 +150,6 @@ sim::Task<void> SdpStream::send_zero_copy(std::vector<std::byte> payload) {
   co_await done.wait();
 }
 
-sim::Task<void> SdpStream::rendezvous_transfer(std::size_t bytes) {
-  // The receiver RDMA-reads the advertised buffer straight into user memory.
-  co_await net_.hca(dst_).raw_read(src_, bytes);
-}
-
 // --- AZ-SDP ---
 
 sim::Task<void> SdpStream::send_async_zero_copy(std::vector<std::byte> payload) {
@@ -224,8 +219,9 @@ sim::Task<std::vector<std::byte>> SdpStream::recv() {
     // sender's request.
     trace::AdoptContext adopted(d.ctx);
     if (d.completion != nullptr) {
-      // Zero-copy rendezvous: pull the payload, then release the sender.
-      co_await rendezvous_transfer(d.payload.size());
+      // Zero-copy rendezvous: RDMA-read the advertised buffer straight into
+      // user memory, then release the sender.
+      co_await net_.hca(dst_).raw_read(src_, d.payload.size());
       d.completion->set();
       co_return std::move(d.payload);
     }

@@ -73,8 +73,6 @@ class SdpStream {
   sim::Task<void> send_async_zero_copy(std::vector<std::byte> payload);
   /// Background half of an AZ-SDP send.
   sim::Task<void> az_transfer(std::vector<std::byte> payload);
-  /// The receiver-driven RDMA read of an advertised source buffer.
-  sim::Task<void> rendezvous_transfer(std::size_t bytes);
   sim::Task<void> return_credit_after_wire();
 
   verbs::Network& net_;

@@ -66,12 +66,7 @@ sim::Task<void> TcpConnection::send(NodeId self, std::vector<std::byte> payload)
       TcpMessage{std::move(payload), trace::current_request()});
 }
 
-sim::Task<std::vector<std::byte>> TcpConnection::recv(NodeId self) {
-  TcpMessage msg = co_await recv_msg(self);
-  co_return std::move(msg.payload);
-}
-
-sim::Task<TcpMessage> TcpConnection::recv_msg(NodeId self) {
+sim::Task<TcpMessage> TcpConnection::recv(NodeId self) {
   auto& fab = net_.fabric();
   const auto& p = fab.params();
   TcpMessage msg = co_await open_side(self).inbound.recv();

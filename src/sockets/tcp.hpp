@@ -49,10 +49,8 @@ class TcpConnection {
 
   /// Receives the next message at `self`. Charges interrupt wake-up plus
   /// receive-path kernel CPU (schedulable: waits in the run queue under
-  /// load) before returning the payload.
-  sim::Task<std::vector<std::byte>> recv(NodeId self);
-  /// Like recv(), but also surfaces the sender's request context.
-  sim::Task<TcpMessage> recv_msg(NodeId self);
+  /// load) before returning the payload and the sender's request context.
+  sim::Task<TcpMessage> recv(NodeId self);
 
   /// Ends `self`'s side.  Charges no simulated time and sends nothing (the
   /// model has no FIN), so the peer learns of the close only through the

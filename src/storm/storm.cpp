@@ -94,7 +94,7 @@ sim::Task<void> StormCluster::data_daemon(NodeId node) {
   auto& fab = net_.fabric();
   for (;;) {
     auto* conn = co_await tcp_.accept(node, config_.data_port);
-    auto query = co_await conn->recv_msg(node);
+    auto query = co_await conn->recv(node);
     // Scan, control ops and result shipping all happen on behalf of the
     // query that arrived in this message.
     trace::AdoptContext adopted(query.ctx);
@@ -165,7 +165,7 @@ sim::Task<QueryResult> StormCluster::run_query(std::uint64_t total_records) {
       co_await conn->send(self.coordinator_,
                           verbs::Encoder().u64(records).take());
       for (;;) {
-        auto batch = co_await conn->recv(self.coordinator_);
+        auto batch = (co_await conn->recv(self.coordinator_)).payload;
         verbs::Decoder dec(batch);
         res.records_returned += dec.u64();
         if (dec.u64() != 0) break;  // final batch flag

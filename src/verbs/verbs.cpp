@@ -112,8 +112,7 @@ std::span<std::byte> Hca::resolve(std::uint32_t rkey, std::size_t offset,
   return host().memory().bytes(reg.addr + offset, len);
 }
 
-sim::Task<void> Hca::check_alive(NodeId target) {
-  if (target == node_ || !fab_.node(target).failed()) co_return;
+sim::Task<void> Hca::time_out(NodeId target) {
   // The RC engine retransmits until the retry count is exhausted, then
   // completes the WQE in error.
   co_await engine().delay(fab_.params().op_timeout);
@@ -178,7 +177,13 @@ std::size_t total_bytes(const std::vector<Span>& sges) {
 OpBatch::WorkRequest& OpBatch::append(OpKind kind, NodeId target,
                                    std::uint32_t rkey, std::size_t offset,
                                    std::size_t total_len) {
-  auto& wr = wrs_.emplace_back();
+  WorkRequest* slot = &one_;
+  if (one_used_) {
+    if (many_.empty()) many_.push_back(std::move(one_));
+    slot = &many_.emplace_back();
+  }
+  one_used_ = true;
+  WorkRequest& wr = *slot;
   wr.kind = kind;
   wr.target = target;
   wr.rkey = rkey;
@@ -300,11 +305,11 @@ void Hca::execute_at_target(OpBatch::WorkRequest& wr) {
 }
 
 sim::Task<void> Hca::post(OpBatch batch) {
-  if (batch.wrs_.empty()) co_return;
+  if (batch.empty()) co_return;
   auto& m = metrics();
   m.batch_posts.add();
-  m.batch_ops.add(batch.wrs_.size());
-  DCS_TRACE_SPAN("verbs", "batch.post", node_, batch.wrs_.size());
+  m.batch_ops.add(batch.size());
+  DCS_TRACE_SPAN("verbs", "batch.post", node_, batch.size());
   co_await run(batch);
 }
 
@@ -329,7 +334,7 @@ sim::Task<void> Hca::run(OpBatch& batch) {
   auto& m = metrics();
   auto& eng = engine();
   const auto& p = fab_.params();
-  auto& wrs = batch.wrs_;
+  const std::span<OpBatch::WorkRequest> wrs = batch.requests();
 
   // Wire footprint of each half of a work request: write/send requests carry
   // the payload, read responses carry the data; everything else is control.
@@ -390,7 +395,9 @@ sim::Task<void> Hca::run(OpBatch& batch) {
 
   // Liveness in posting order (RC retry semantics): the first op whose
   // target is down fails the batch after the retry window.
-  for (const auto& wr : wrs) co_await check_alive(wr.target);
+  for (const auto& wr : wrs) {
+    if (!reachable(wr.target)) co_await time_out(wr.target);
+  }
 
   // One doorbell for the whole batch.
   {
@@ -465,34 +472,29 @@ sim::Task<void> Hca::run(OpBatch& batch) {
   }
 }
 
-sim::Task<void> Hca::raw_transfer(NodeId dst, std::size_t request,
-                                  std::size_t response) {
-  co_await check_alive(dst);
-  auto& eng = engine();
-  const auto& p = fab_.params();
-  {
-    DCS_TRACE_COST_SPAN(trace::Cost::kNic, "verbs", "nic.post", node_);
-    co_await eng.delay(p.rdma_post_overhead);
-  }
-  co_await fab_.wire_transfer(node_, dst, request);
-  {
-    DCS_TRACE_COST_SPAN(trace::Cost::kNic, "verbs", "nic.target", node_);
-    co_await eng.delay(p.rdma_target_nic);
-  }
-  co_await fab_.wire_transfer(dst, node_, response);
-  {
-    DCS_TRACE_COST_SPAN(trace::Cost::kNic, "verbs", "nic.completion", node_);
-    co_await eng.delay(p.rdma_completion);
-  }
-}
+// raw_write and raw_read are one frame each: the span names differ, and a
+// span name must be a literal at its DCS_TRACE_SPAN site.
 
 sim::Task<void> Hca::raw_write(NodeId dst, std::size_t bytes) {
   ++one_sided_ops_;
   metrics().raw_write_ops.add();
   metrics().raw_write_bytes.add(bytes);
   DCS_TRACE_SPAN("verbs", "raw_write", node_, bytes);
-  co_await raw_transfer(dst, bytes + kHeaderBytes,
-                        fabric::FabricParams::kControlBytes);
+  if (!reachable(dst)) co_await time_out(dst);
+  auto& eng = engine();
+  const auto& p = fab_.params();
+  {
+    DCS_TRACE_COST_SPAN(trace::Cost::kNic, "verbs", "nic.post", node_);
+    co_await eng.delay(p.rdma_post_overhead);
+  }
+  co_await fab_.wire_transfer(node_, dst, bytes + kHeaderBytes);
+  {
+    DCS_TRACE_COST_SPAN(trace::Cost::kNic, "verbs", "nic.target", node_);
+    co_await eng.delay(p.rdma_target_nic);
+  }
+  co_await fab_.wire_transfer(dst, node_, fabric::FabricParams::kControlBytes);
+  DCS_TRACE_COST_SPAN(trace::Cost::kNic, "verbs", "nic.completion", node_);
+  co_await eng.delay(p.rdma_completion);
 }
 
 sim::Task<void> Hca::raw_read(NodeId dst, std::size_t bytes) {
@@ -500,8 +502,21 @@ sim::Task<void> Hca::raw_read(NodeId dst, std::size_t bytes) {
   metrics().raw_read_ops.add();
   metrics().raw_read_bytes.add(bytes);
   DCS_TRACE_SPAN("verbs", "raw_read", node_, bytes);
-  co_await raw_transfer(dst, fabric::FabricParams::kControlBytes,
-                        bytes + kHeaderBytes);
+  if (!reachable(dst)) co_await time_out(dst);
+  auto& eng = engine();
+  const auto& p = fab_.params();
+  {
+    DCS_TRACE_COST_SPAN(trace::Cost::kNic, "verbs", "nic.post", node_);
+    co_await eng.delay(p.rdma_post_overhead);
+  }
+  co_await fab_.wire_transfer(node_, dst, fabric::FabricParams::kControlBytes);
+  {
+    DCS_TRACE_COST_SPAN(trace::Cost::kNic, "verbs", "nic.target", node_);
+    co_await eng.delay(p.rdma_target_nic);
+  }
+  co_await fab_.wire_transfer(dst, node_, bytes + kHeaderBytes);
+  DCS_TRACE_COST_SPAN(trace::Cost::kNic, "verbs", "nic.completion", node_);
+  co_await eng.delay(p.rdma_completion);
 }
 
 sim::Task<void> Hca::multicast(std::span<const NodeId> group,
@@ -576,7 +591,11 @@ sim::Task<Message> Hca::recv_reply(std::uint32_t tag) {
 }
 
 std::optional<Message> Hca::try_recv(std::uint32_t tag) {
-  return queue_for(tag).try_recv();
+  // A miss must not create the tag's mailbox: pollers of tags that never
+  // receive (DQNL's unlock fast path) would leave one empty Channel each.
+  const auto it = recv_queues_.find(tag);
+  if (it == recv_queues_.end()) return std::nullopt;
+  return it->second->try_recv();
 }
 
 }  // namespace dcs::verbs

@@ -107,8 +107,10 @@ class OpBatch {
   /// Two-sided send riding the same doorbell.
   void send(NodeId dst, std::uint32_t tag, std::vector<std::byte> payload);
 
-  std::size_t size() const { return wrs_.size(); }
-  bool empty() const { return wrs_.empty(); }
+  std::size_t size() const {
+    return many_.empty() ? (one_used_ ? 1 : 0) : many_.size();
+  }
+  bool empty() const { return size() == 0; }
 
  private:
   friend class Hca;
@@ -157,8 +159,18 @@ class OpBatch {
   /// Appends a work request with the fields every op kind shares.
   WorkRequest& append(OpKind kind, NodeId target, std::uint32_t rkey,
                       std::size_t offset, std::size_t total_len);
+  /// The work requests in posting order.
+  std::span<WorkRequest> requests() {
+    if (!many_.empty()) return many_;
+    return {&one_, one_used_ ? 1u : 0u};
+  }
 
-  std::vector<WorkRequest> wrs_;
+  // The first request is held inline, so a one-op batch — every serial
+  // verb — allocates nothing.  A second request moves it into `many_`, which
+  // then holds them all.
+  WorkRequest one_;
+  bool one_used_ = false;
+  std::vector<WorkRequest> many_;
 };
 
 class Hca {
@@ -257,8 +269,13 @@ class Hca {
     std::size_t len;
   };
 
-  /// Throws RemoteTimeoutError after the retry window if `target` is down.
-  sim::Task<void> check_alive(NodeId target);
+  /// Whether a one-sided op can reach `target` (the inline liveness check).
+  bool reachable(NodeId target) {
+    return target == node_ || !fab_.node(target).failed();
+  }
+  /// For an unreachable target: waits out the retry window, then throws
+  /// RemoteTimeoutError.
+  sim::Task<void> time_out(NodeId target);
   /// Target-side validation + execution helpers (run at the target HCA).
   /// `kind`/`site` describe the access to the installed auditor, if any.
   std::span<std::byte> resolve(std::uint32_t rkey, std::size_t offset,
@@ -274,9 +291,6 @@ class Hca {
   /// Executes one work request at the target (resolve per SGE segment +
   /// data movement / atomic execute / mailbox delivery).
   void execute_at_target(OpBatch::WorkRequest& wr);
-  /// Timing-only one-sided op: `request` bytes out, `response` bytes back.
-  sim::Task<void> raw_transfer(NodeId dst, std::size_t request,
-                               std::size_t response);
 
   Network& net_;
   fabric::Fabric& fab_;

@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Unit tests for tools/bench_compare.py --wall: ns/event of a scenario,
-the --max-ns-per-event ceiling and the peak_rss_mb report; plus the
+the --max-ns-per-event ceiling, and the peak_rss_mb and frames/event
+reports; plus the
 report-only registry key-set diff of dcs-bench-v1 scenarios.
 
 Run directly (`python3 tests/bench_compare_wall_test.py`) or via ctest
@@ -140,6 +141,76 @@ class PeakRssTest(unittest.TestCase):
             self.assertEqual(
                 _run_main(["--wall", str(tmp / "base"), str(tmp / "cand")]),
                 0)
+
+
+class FramesPerEventTest(unittest.TestCase):
+    """frames/event is report-only and optional on either side."""
+
+    def test_frames_over_events(self):
+        doc = {"events": 200, "wall_ns": 1.0, "frames": 50}
+        self.assertEqual(
+            bench_compare.wall_frames_per_event("b/s", "baseline", doc), 0.25)
+        doc = {"events": 0, "wall_ns": 1.0, "frames": 0}
+        self.assertEqual(
+            bench_compare.wall_frames_per_event("b/s", "baseline", doc), 0.0)
+
+    def test_missing_field_yields_none(self):
+        self.assertIsNone(bench_compare.wall_frames_per_event(
+            "b/s", "baseline", {"events": 10, "wall_ns": 1.0}))
+
+    def test_non_numeric_field_raises_compare_error(self):
+        for frames in ("9", [1, 2], True):
+            with self.assertRaises(bench_compare.CompareError):
+                bench_compare.wall_frames_per_event(
+                    "b/s", "candidate",
+                    {"events": 10, "wall_ns": 1.0, "frames": frames})
+
+    def test_delta_is_reported_never_fatal(self):
+        notable = []
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            bench_compare.compare_wall_frames(
+                "b/s", {"events": 100, "wall_ns": 1.0, "frames": 150},
+                {"events": 100, "wall_ns": 1.0, "frames": 60}, 15.0, notable)
+        self.assertEqual(notable,
+                         ["b/s frames/event: 1.500 -> 0.600 (-60.00%)"])
+        self.assertIn("FEWER", out.getvalue())
+
+    def test_main_reports_frames_and_exits_zero(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = pathlib.Path(tmp)
+            (tmp / "base").mkdir()
+            (tmp / "cand").mkdir()
+            MaxNsPerEventTest._write(
+                tmp / "base", {"s": {"events": 10, "wall_ns": 100.0,
+                                     "frames": 30}})
+            MaxNsPerEventTest._write(
+                tmp / "cand", {"s": {"events": 10, "wall_ns": 100.0,
+                                     "frames": 10}})
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = _run_main(["--wall", str(tmp / "base"),
+                                  str(tmp / "cand")])
+            self.assertEqual(code, 0)
+            self.assertIn("frames/ev", out.getvalue())
+            self.assertIn("b/s frames/event: 3.000 -> 1.000", out.getvalue())
+
+    def test_files_without_the_field_compare(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = pathlib.Path(tmp)
+            (tmp / "base").mkdir()
+            (tmp / "cand").mkdir()
+            MaxNsPerEventTest._write(
+                tmp / "base", {"s": {"events": 10, "wall_ns": 100.0}})
+            MaxNsPerEventTest._write(
+                tmp / "cand", {"s": {"events": 10, "wall_ns": 100.0,
+                                     "frames": 10}})
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = _run_main(["--wall", str(tmp / "base"),
+                                  str(tmp / "cand")])
+            self.assertEqual(code, 0)
+            self.assertNotIn("frames/ev", out.getvalue())
 
 
 class RegistryKeysTest(unittest.TestCase):

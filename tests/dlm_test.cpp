@@ -211,6 +211,27 @@ TEST(DlmDqnlTest, CasRetriesCountedUnderContention) {
   EXPECT_GT(dqnl->cas_retries(), 0u);
 }
 
+TEST(DlmDqnlTest, UnlockLeavesNoEmptyMailboxBehind) {
+  // DQNL's unlock polls its WAIT tag with try_recv; a miss must not create
+  // that tag's mailbox, so uncontended lock/unlock of many ids leaves the
+  // node's mailbox count where it started.
+  World w(Scheme::kDqnl);
+  verbs::Hca& hca = w.net.hca(1);
+  std::size_t before = 0;
+  std::size_t after = 0;
+  w.eng.spawn([](World& world, verbs::Hca& h, std::size_t& b,
+                 std::size_t& a) -> sim::Task<void> {
+    b = h.mailbox_count();
+    for (LockId id = 0; id < 10; ++id) {
+      co_await world.mgr->lock_exclusive(1, id);
+      co_await world.mgr->unlock(1, id);
+    }
+    a = h.mailbox_count();
+  }(w, hca, before, after));
+  w.eng.run();
+  EXPECT_EQ(after, before);
+}
+
 // --- Figure 4 wire-level traces ---
 
 TEST(DlmFig4Test, ExclusiveOnFreeLockIsOneAtomic) {

@@ -236,6 +236,54 @@ TEST(HarnessTest, SnapshotListsOnlyWhatItsScenarioTouched) {
   EXPECT_EQ(after_a, registry_of_b(false));
 }
 
+sim::Task<void> no_op() { co_return; }
+
+/// Awaits `n` child tasks, one timer apart: n frames in the run phase.
+sim::Task<void> await_children(sim::Engine& eng, int n) {
+  for (int i = 0; i < n; ++i) {
+    co_await no_op();
+    co_await eng.delay(1);
+  }
+}
+
+/// The "frames" field of scenario "s" in the wall file `h` wrote.
+std::string wall_frames(obs::Harness& h, const std::string& path) {
+  EXPECT_EQ(h.finish(), 0);
+  const trace::inspect::Json doc = trace::inspect::parse_json_file(path);
+  const trace::inspect::Json* frames =
+      doc.find("scenarios")->find("s")->find("frames");
+  return frames != nullptr ? frames->raw : "missing";
+}
+
+TEST(HarnessTest, WallFramesCountTheRunPhaseOnly) {
+  // The root is spawned before run(), so only its 5 children count.
+  obs::HarnessOptions opts;
+  opts.wall_json = ::testing::TempDir() + "/obs_harness_frames.wall.json";
+  obs::Harness h("frames", opts);
+  h.run("s", [](obs::Scenario& s) {
+    s.engine().spawn(await_children(s.engine(), 5));
+    s.engine().run();
+  });
+  EXPECT_EQ(wall_frames(h, opts.wall_json), "5");
+}
+
+TEST(HarnessTest, ShardedWallFramesSumEveryWorker) {
+  // 4 partitions, each running 3 children: 12 frames for any worker count.
+  for (const std::uint32_t workers : {1u, 2u}) {
+    obs::HarnessOptions opts;
+    opts.wall_json = ::testing::TempDir() + "/obs_harness_frames_" +
+                     std::to_string(workers) + ".wall.json";
+    obs::Harness h("frames", opts);
+    h.run_sharded(
+        "s", {.partitions = 4, .workers = workers, .lookahead = 10},
+        [](sim::Shard& shard) {
+          shard.engine().spawn(await_children(shard.engine(), 3));
+        },
+        [](obs::ShardedScenario&) {});
+    EXPECT_EQ(wall_frames(h, opts.wall_json), "12") << workers << " workers";
+  }
+}
+
 TEST(SloRulesTest, ParsesEveryRuleKind) {
   std::istringstream in(
       "# latency and budget rules\n"

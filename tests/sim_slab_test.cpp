@@ -5,41 +5,17 @@
 // poisoning also turns any touch of a freed frame into a hard fault.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <vector>
 
 #include "sim/engine.hpp"
-#include "sim/context.hpp"
-#include "sim/slab.hpp"
 #include "sim/sync.hpp"
+#include "slab_delta.hpp"
 
 namespace dcs::sim {
 namespace {
-
-using detail::FrameSlab;
-
-/// Deltas against this thread's slab counters (tests share the binary).
-struct StatDelta {
-  FrameSlab::Stats before = context().slab().stats();
-
-  std::uint64_t allocs() const {
-    return context().slab().stats().allocs - before.allocs;
-  }
-  std::uint64_t reuses() const {
-    return context().slab().stats().reuses - before.reuses;
-  }
-  std::uint64_t heap_allocs() const {
-    return context().slab().stats().heap_allocs - before.heap_allocs;
-  }
-  std::uint64_t chunks() const {
-    return context().slab().stats().chunks - before.chunks;
-  }
-  std::int64_t live() const {
-    return static_cast<std::int64_t>(context().slab().stats().live) -
-           static_cast<std::int64_t>(before.live);
-  }
-};
 
 Task<void> yield_once(Engine& eng) { co_await eng.yield(); }
 
@@ -150,6 +126,29 @@ TEST(SlabTest, ChannelRecvAllocatesNoFrames) {
   eng.run();
   EXPECT_EQ(d.allocs(), roots_only)
       << "2000 channel receives must not allocate coroutine frames";
+}
+
+TEST(SlabTest, MutexScopedAllocatesNoFrames) {
+  // scoped() is a frameless awaiter too: contended and uncontended takes of
+  // the guard cost no frame beyond the two roots.
+  Engine eng;
+  Mutex m(eng);
+  int inside = 0;
+  int peak = 0;
+  StatDelta d;
+  for (int r = 0; r < 2; ++r) {
+    eng.spawn([](Engine& e, Mutex& mtx, int& in, int& pk) -> Task<void> {
+      for (int i = 0; i < 100; ++i) {
+        auto guard = co_await mtx.scoped();
+        pk = std::max(pk, ++in);
+        co_await e.delay(10);
+        --in;
+      }
+    }(eng, m, inside, peak));
+  }
+  eng.run();
+  EXPECT_EQ(d.allocs(), 2u) << "200 mutex takes must not allocate frames";
+  EXPECT_EQ(peak, 1);
 }
 
 }  // namespace

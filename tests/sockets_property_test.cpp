@@ -99,7 +99,7 @@ TEST(TcpPropertyTest, InterleavedDuplexStreamsStayOrdered) {
     for (int i = 0; i < kMessages; ++i) {
       // Interleave sending and receiving.
       co_await conn->send(1, tagged_bytes(1000 + i, 128));
-      const auto got = co_await conn->recv(1);
+      const auto got = (co_await conn->recv(1)).payload;
       if (got != tagged_bytes(2000 + i, 96)) ++bad;
     }
   }(tcp, a_bad));
@@ -107,7 +107,7 @@ TEST(TcpPropertyTest, InterleavedDuplexStreamsStayOrdered) {
     TcpConnection* conn = co_await t.connect(0, 1, 80);
     for (int i = 0; i < kMessages; ++i) {
       co_await conn->send(0, tagged_bytes(2000 + i, 96));
-      const auto got = co_await conn->recv(0);
+      const auto got = (co_await conn->recv(0)).payload;
       if (got != tagged_bytes(1000 + i, 128)) ++bad;
     }
   }(tcp, b_bad));
@@ -126,7 +126,7 @@ TEST(TcpPropertyTest, ManyParallelConnectionsIsolated) {
   for (int c = 0; c < kConns; ++c) {
     eng.spawn([](TcpNetwork& t, int id, int& bad) -> sim::Task<void> {
       TcpConnection* conn = co_await t.accept(3, 8000 + id % 4);
-      const auto got = co_await conn->recv(3);
+      const auto got = (co_await conn->recv(3)).payload;
       verbs::Decoder dec(got);
       if (dec.u32() % 4 != static_cast<std::uint32_t>(id % 4)) ++bad;
       (void)id;

@@ -30,7 +30,7 @@ TEST_F(SocketsFixture, TcpConnectAcceptSendRecv) {
   std::vector<std::byte> got;
   eng.spawn([](TcpNetwork& t, std::vector<std::byte>& out) -> sim::Task<void> {
     TcpConnection* conn = co_await t.accept(1, 80);
-    out = co_await conn->recv(1);
+    out = (co_await conn->recv(1)).payload;
   }(tcp, got));
   eng.spawn([](TcpNetwork& t) -> sim::Task<void> {
     TcpConnection* conn = co_await t.connect(0, 1, 80);
@@ -45,13 +45,13 @@ TEST_F(SocketsFixture, TcpIsBidirectional) {
   eng.spawn([](TcpNetwork& t, bool& ok) -> sim::Task<void> {
     TcpConnection* conn = co_await t.accept(1, 80);
     auto req = co_await conn->recv(1);
-    co_await conn->send(1, std::move(req));  // echo
+    co_await conn->send(1, std::move(req.payload));  // echo
     (void)ok;
   }(tcp, round_trip));
   eng.spawn([](TcpNetwork& t, bool& ok) -> sim::Task<void> {
     TcpConnection* conn = co_await t.connect(0, 1, 80);
     co_await conn->send(0, pattern_bytes(64));
-    auto reply = co_await conn->recv(0);
+    auto reply = (co_await conn->recv(0)).payload;
     ok = (reply == pattern_bytes(64));
   }(tcp, round_trip));
   eng.run();
@@ -89,7 +89,7 @@ TEST_F(SocketsFixture, TcpRecvDelayedByServerLoad) {
     eng2.spawn([](TcpNetwork& t) -> sim::Task<void> {
       TcpConnection* conn = co_await t.accept(1, 80);
       auto req = co_await conn->recv(1);
-      co_await conn->send(1, std::move(req));
+      co_await conn->send(1, std::move(req.payload));
     }(tcp2));
     eng2.spawn([](TcpNetwork& t, sim::Engine& e, SimNanos& lat)
                    -> sim::Task<void> {
@@ -155,7 +155,7 @@ TEST_F(SocketsFixture, TcpFreeingOneConnectionKeepsTheOthersWorking) {
   eng.spawn([](TcpConnection* c, std::vector<std::byte>& out)
                 -> sim::Task<void> {
     co_await c->send(0, pattern_bytes(32));
-    out = co_await c->recv(1);
+    out = (co_await c->recv(1)).payload;
     c->close(0);
     c->close(1);
   }(conns[1], got));

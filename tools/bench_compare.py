@@ -29,8 +29,10 @@ ns/event instead.  Wall time is machine- and load-dependent, so --wall only
 REPORTS deltas beyond the threshold (default 15%) and exits zero; it
 exists to make throughput changes visible in CI logs, not to gate them.
 Every wall scenario carries scalar `events` and `wall_ns`; anything else
-is an input error (exit 2).  Each bench's top-level `peak_rss_mb` (when
-both sides have it) is reported the same way.
+is an input error (exit 2).  Each bench's top-level `peak_rss_mb` and
+each scenario's frames/event (coroutine frames allocated in the run phase,
+`frames` over `events`), when both sides have them, are reported the same
+way.
 
 --max-ns-per-event NS is the one wall-clock gate: an absolute ceiling, not
 a delta.  Any candidate scenario above NS ns/event is named and the script
@@ -191,6 +193,36 @@ def compare_wall_scenario(label, base, cand, threshold, notable):
           f"{delta:+8.2f}%  {status}")
 
 
+def wall_frames_per_event(label, side, doc):
+    """frames/event for one wall scenario, or None when it has no `frames`
+    field (files written before the field existed)."""
+    if "frames" not in doc:
+        return None
+    frames = doc["frames"]
+    if not isinstance(frames, (int, float)) or isinstance(frames, bool):
+        raise CompareError(
+            f"error: {side} scenario {label} has a non-numeric \"frames\"")
+    events = doc.get("events")
+    return float(frames) / float(events) if events else 0.0
+
+
+def compare_wall_frames(label, base, cand, threshold, notable):
+    """frames/event delta, report-only like ns/event; skipped when either
+    side lacks the field."""
+    b = wall_frames_per_event(label, "baseline", base)
+    c = wall_frames_per_event(label, "candidate", cand)
+    if b is None or c is None:
+        return
+    delta = pct_change(b, c)
+    status = "ok"
+    if abs(delta) > threshold:
+        status = "MORE" if delta > 0 else "FEWER"
+        notable.append(f"{label} frames/event: {b:.3f} -> {c:.3f} "
+                       f"({delta:+.2f}%)")
+    print(f"  {label:50s} {'frames/ev':10s} {b:>16.3f} {c:>16.3f} "
+          f"{delta:+8.2f}%  {status}")
+
+
 def compare_peak_rss(bench, base_doc, cand_doc, threshold, notable):
     """Top-level peak_rss_mb delta, report-only; skipped when either side
     predates the field."""
@@ -273,6 +305,8 @@ def main() -> int:
                 compare_wall_scenario(f"{bench}/{scenario}", base[scenario],
                                       cand[scenario], args.threshold,
                                       failures)
+                compare_wall_frames(f"{bench}/{scenario}", base[scenario],
+                                    cand[scenario], args.threshold, failures)
             else:
                 compare_scenario(f"{bench}/{scenario}", base[scenario],
                                  cand[scenario], args.threshold, failures)
