@@ -45,7 +45,6 @@ class QosScheduler {
   /// request has been fully processed.
   sim::Task<void> submit(std::size_t cls, SimNanos cpu);
 
-  std::size_t num_classes() const { return classes_.size(); }
   const QosClassStats& stats(std::size_t cls) const {
     return stats_.at(cls);
   }

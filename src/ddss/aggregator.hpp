@@ -60,7 +60,6 @@ class GlobalAggregator {
   sim::Task<void> read(NodeId actor, const GlobalExtent& extent,
                        std::size_t offset, std::span<std::byte> dst);
 
-  std::size_t donor_count() const { return donors_.size(); }
   /// Free registered memory summed across donors (approximate capacity).
   std::size_t free_bytes() const;
 

@@ -239,17 +239,8 @@ sim::Task<void> NcosedLockManager::unlock_exclusive_impl(NodeId self,
   // no lock-window operation is needed at all — grant our epoch's shared
   // waiters and pass the lock along with one message.
   if (auto pending = hca.try_recv(tags::kNcWaitExcl + id)) {
-    verbs::Decoder dec(pending->payload);
-    const NodeId successor = dec.u32();
-    const std::uint32_t owed_shared = dec.u32();
     metrics().handoffs.add();
-    DCS_LOG("dlm", "ncosed.handoff", self, successor, owed_shared);
-    if (auto* a = audit::Auditor::current()) {
-      a->lock_handoff(this, "ncosed", id, self, successor);
-    }
-    co_await grant_shared_batch(self, id, owed_shared);
-    co_await hca.send(successor, tags::kNcHandoff + id,
-                      verbs::Encoder().u32(id).take());
+    co_await hand_off(self, id, *pending);
     co_return;
   }
 
@@ -270,19 +261,24 @@ sim::Task<void> NcosedLockManager::unlock_exclusive_impl(NodeId self,
     }
     // A newer exclusive closed our epoch; its notification carries the
     // number of shared waiters we owe grants to.
-    verbs::Message msg = co_await hca.recv(tags::kNcWaitExcl + id);
-    verbs::Decoder dec(msg.payload);
-    const NodeId successor = dec.u32();
-    const std::uint32_t owed_shared = dec.u32();
-    DCS_LOG("dlm", "ncosed.handoff", self, successor, owed_shared);
-    if (auto* a = audit::Auditor::current()) {
-      a->lock_handoff(this, "ncosed", id, self, successor);
-    }
-    co_await grant_shared_batch(self, id, owed_shared);
-    co_await hca.send(successor, tags::kNcHandoff + id,
-                      verbs::Encoder().u32(id).take());
+    const verbs::Message wait = co_await hca.recv(tags::kNcWaitExcl + id);
+    co_await hand_off(self, id, wait);
     co_return;
   }
+}
+
+sim::Task<void> NcosedLockManager::hand_off(NodeId self, LockId id,
+                                            const verbs::Message& wait) {
+  verbs::Decoder dec(wait.payload);
+  const NodeId successor = dec.u32();
+  const std::uint32_t owed_shared = dec.u32();
+  DCS_LOG("dlm", "ncosed.handoff", self, successor, owed_shared);
+  if (auto* a = audit::Auditor::current()) {
+    a->lock_handoff(this, "ncosed", id, self, successor);
+  }
+  co_await grant_shared_batch(self, id, owed_shared);
+  co_await net_.hca(self).send(successor, tags::kNcHandoff + id,
+                               verbs::Encoder().u32(id).take());
 }
 
 }  // namespace dcs::dlm

@@ -56,6 +56,9 @@ class NcosedLockManager final : public LockManager {
   sim::Task<void> lock_exclusive_impl(NodeId self, LockId id);
   sim::Task<void> unlock_shared_impl(NodeId self, LockId id);
   sim::Task<void> unlock_exclusive_impl(NodeId self, LockId id);
+  /// Passes the lock to the exclusive successor named by its WAIT message:
+  /// grants the shared waiters our epoch owes, then sends the HANDOFF.
+  sim::Task<void> hand_off(NodeId self, LockId id, const verbs::Message& wait);
   /// Receives `count` shared-waiter notifications and grants them in a batch.
   sim::Task<void> grant_shared_batch(NodeId self, LockId id,
                                      std::uint32_t count);

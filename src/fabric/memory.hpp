@@ -37,7 +37,6 @@ class NodeMemory {
 
   std::size_t capacity() const { return size_ - kReservedPrefix; }
   std::size_t used() const { return used_; }
-  std::size_t allocation_count() const { return allocated_.size(); }
 
   /// Direct access for simulated DMA.  Bounds-checked.
   std::span<std::byte> bytes(MemAddr addr, std::size_t len);

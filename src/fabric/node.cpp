@@ -62,7 +62,6 @@ sim::Task<void> Node::execute(SimNanos work) {
     }
     remaining -= slice;
     busy_ns_ += slice;
-    core.busy_ns += slice;
     core.slot.release();
     sync_kernel_page();
   }
@@ -88,7 +87,6 @@ sim::Task<void> Node::execute_unsliced(SimNanos work) {
     co_await eng_.delay(work);
   }
   busy_ns_ += work;
-  core.busy_ns += work;
   core.slot.release();
   --runnable_;
   --core.queued;

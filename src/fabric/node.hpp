@@ -63,14 +63,6 @@ class Node {
   /// Current run-queue length (running + waiting-to-run jobs, all cores).
   std::uint64_t runnable() const { return runnable_; }
   std::uint64_t busy_ns() const { return busy_ns_; }
-  /// Busy time accumulated by one core (per-core attribution telemetry).
-  std::uint64_t core_busy_ns(std::size_t core) const {
-    return cores_state_[core]->busy_ns;
-  }
-  /// Jobs currently bound to one core (running + waiting on its queue).
-  std::uint64_t core_queued(std::size_t core) const {
-    return cores_state_[core]->queued;
-  }
   /// CPU utilization over the whole run so far, in [0, 1].
   double utilization() const;
 
@@ -106,7 +98,6 @@ class Node {
     explicit Core(sim::Engine& eng) : slot(eng, 1) {}
     sim::Semaphore slot;
     std::uint64_t queued = 0;   // jobs bound here (running + waiting)
-    std::uint64_t busy_ns = 0;
   };
 
   void sync_kernel_page();

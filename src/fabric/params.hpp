@@ -66,12 +66,6 @@ struct FabricParams {
 
   static FabricParams infiniband_ddr() { return FabricParams{}; }
 
-  static FabricParams host_tcp_only() {
-    FabricParams p;
-    p.wire_bytes_per_ns = 1.25;  // 10GigE raw
-    return p;
-  }
-
   /// Control-packet size used by RDMA request/ack messages on the wire.
   static constexpr std::size_t kControlBytes = 64;
 

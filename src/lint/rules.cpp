@@ -211,6 +211,7 @@ struct TraceMacro {
 const std::vector<TraceMacro>& r4_macros() {
   static const std::vector<TraceMacro> kMacros = {
       {"DCS_TRACE_SPAN", 0, 1},
+      {"DCS_TRACE_SPAN_INTO", 1, 2},
       {"DCS_TRACE_INSTANT", 0, 1},
       {"DCS_TRACE_COST_SPAN", 1, 2},
       {"DCS_LOG", 0, 1},

@@ -59,8 +59,6 @@ class Event {
   Event(const Event&) = delete;
   Event& operator=(const Event&) = delete;
 
-  bool is_set() const { return set_; }
-
   /// Wakes all current waiters and latches the set state.
   void set() {
     if (auto* hook = audit_hook()) hook->release(this);

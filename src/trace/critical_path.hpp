@@ -53,8 +53,6 @@ class CriticalPath {
   const std::vector<Breakdown>& requests() const { return requests_; }
   /// All requests folded together (label "all").
   const Breakdown& aggregate() const { return aggregate_; }
-  /// Requests folded by request name, sorted by name.
-  const std::vector<Breakdown>& by_name() const { return by_name_; }
 
   /// Plain-text report: aggregate block plus a per-request-name table.
   void write_report(std::ostream& os) const;

@@ -518,6 +518,12 @@ class AdoptContext {
   ::dcs::trace::Span DCS_TRACE_CAT(dcs_trace_span_, __LINE__) {  \
     category, name, node __VA_OPT__(, ) __VA_ARGS__              \
   }
+/// Span opened into `slot`, a std::optional<trace::Span>, instead of a
+/// block: for a coroutine that picks one of several literal names at run
+/// time and holds the span to its end.  The slot closes the span when it
+/// is destroyed, so declare it first to close it last.
+#define DCS_TRACE_SPAN_INTO(slot, category, name, node, ...) \
+  (slot).emplace(category, name, node __VA_OPT__(, ) __VA_ARGS__)
 /// Scoped span whose duration is charged to a Cost category by the
 /// critical-path analyzer.  `cost` is a trace::Cost enumerator.
 #define DCS_TRACE_COST_SPAN(cost, category, name, node, ...)     \
@@ -546,6 +552,7 @@ class AdoptContext {
   } while (0)
 #else
 #define DCS_TRACE_SPAN(category, name, node, ...) ((void)0)
+#define DCS_TRACE_SPAN_INTO(slot, category, name, node, ...) ((void)0)
 #define DCS_TRACE_COST_SPAN(cost, category, name, node, ...) ((void)0)
 #define DCS_TRACE_INSTANT(category, name, node, ...) ((void)0)
 #define DCS_LOG(layer, opcode, node, ...) ((void)0)

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 #include <string>
 
 #include "trace/hot.hpp"
@@ -124,43 +125,57 @@ sim::Task<void> Hca::time_out(NodeId target) {
 
 // --- one-sided ops: each is a one-op batch on the shared path ---
 
+namespace {
+/// A one-op batch built in the returned object: passed straight to
+/// `Hca::run`, it becomes run's argument without a move out of a local.
+template <typename Add>
+OpBatch one_op(Add add) {
+  OpBatch b;
+  add(b);
+  return b;
+}
+}  // namespace
+
 sim::Task<void> Hca::read(RemoteRegion target, std::size_t offset,
                           std::span<std::byte> dst) {
-  DCS_TRACE_SPAN("verbs", "read", node_, target.rkey);
-  OpBatch b;
-  b.read(target, offset, dst);
-  co_await run(b);
+  return run(one_op([&](OpBatch& b) { b.read(target, offset, dst); }));
 }
 
 sim::Task<void> Hca::write(RemoteRegion target, std::size_t offset,
                            std::span<const std::byte> src) {
-  DCS_TRACE_SPAN("verbs", "write", node_, target.rkey);
-  OpBatch b;
-  b.write(target, offset, src);
-  co_await run(b);
+  return run(one_op([&](OpBatch& b) { b.write(target, offset, src); }));
 }
 
 sim::Task<std::uint64_t> Hca::compare_and_swap(RemoteRegion target,
                                                std::size_t offset,
                                                std::uint64_t compare,
                                                std::uint64_t swap) {
-  DCS_TRACE_SPAN("verbs", "cas", node_, target.rkey);
   std::uint64_t old = 0;
-  OpBatch b;
-  b.compare_and_swap(target, offset, compare, swap, &old);
-  co_await run(b);
+  co_await run(one_op([&](OpBatch& b) {
+    b.compare_and_swap(target, offset, compare, swap, &old);
+  }));
   co_return old;
 }
 
 sim::Task<std::uint64_t> Hca::fetch_and_add(RemoteRegion target,
                                             std::size_t offset,
                                             std::uint64_t add) {
-  DCS_TRACE_SPAN("verbs", "faa", node_, target.rkey);
   std::uint64_t old = 0;
-  OpBatch b;
-  b.fetch_and_add(target, offset, add, &old);
-  co_await run(b);
+  co_await run(one_op(
+      [&](OpBatch& b) { b.fetch_and_add(target, offset, add, &old); }));
   co_return old;
+}
+
+sim::Task<void> Hca::raw_write(NodeId dst, std::size_t bytes) {
+  return run(one_op([&](OpBatch& b) {
+    b.append(OpBatch::OpKind::kRawWrite, dst, 0, 0, bytes);
+  }));
+}
+
+sim::Task<void> Hca::raw_read(NodeId dst, std::size_t bytes) {
+  return run(one_op([&](OpBatch& b) {
+    b.append(OpBatch::OpKind::kRawRead, dst, 0, 0, bytes);
+  }));
 }
 
 // --- batched work queue ---
@@ -301,16 +316,14 @@ void Hca::execute_at_target(OpBatch::WorkRequest& wr) {
                              trace::current_request()});
       break;
     }
+    case OpBatch::OpKind::kRawRead:
+    case OpBatch::OpKind::kRawWrite:
+      break;  // timing only: no memory behind the transfer
   }
 }
 
 sim::Task<void> Hca::post(OpBatch batch) {
-  if (batch.empty()) co_return;
-  auto& m = metrics();
-  m.batch_posts.add();
-  m.batch_ops.add(batch.size());
-  DCS_TRACE_SPAN("verbs", "batch.post", node_, batch.size());
-  co_await run(batch);
+  return run(std::move(batch), /*posted=*/true);
 }
 
 OpBatch& PerTarget::to(NodeId target) {
@@ -330,31 +343,70 @@ sim::Task<void> PerTarget::post(Hca& hca) {
   return hca.engine().when_all(std::move(posts));
 }
 
-sim::Task<void> Hca::run(OpBatch& batch) {
+sim::Task<void> Hca::run(OpBatch batch, bool posted) {
+  // The verb's span: declared first, so it closes after everything below.
+  std::optional<trace::Span> span;
+  if (batch.empty()) co_return;
   auto& m = metrics();
   auto& eng = engine();
   const auto& p = fab_.params();
   const std::span<OpBatch::WorkRequest> wrs = batch.requests();
 
+  if (posted) {
+    m.batch_posts.add();
+    m.batch_ops.add(wrs.size());
+    DCS_TRACE_SPAN_INTO(span, "verbs", "batch.post", node_, wrs.size());
+  } else {
+    const OpBatch::WorkRequest& wr = wrs.front();
+    switch (wr.kind) {
+      case OpBatch::OpKind::kRead:
+        DCS_TRACE_SPAN_INTO(span, "verbs", "read", node_, wr.rkey);
+        break;
+      case OpBatch::OpKind::kWrite:
+        DCS_TRACE_SPAN_INTO(span, "verbs", "write", node_, wr.rkey);
+        break;
+      case OpBatch::OpKind::kCas:
+        DCS_TRACE_SPAN_INTO(span, "verbs", "cas", node_, wr.rkey);
+        break;
+      case OpBatch::OpKind::kFaa:
+        DCS_TRACE_SPAN_INTO(span, "verbs", "faa", node_, wr.rkey);
+        break;
+      case OpBatch::OpKind::kSend:
+        DCS_TRACE_SPAN_INTO(span, "verbs", "send", node_, wr.tag);
+        break;
+      case OpBatch::OpKind::kRawRead:
+        DCS_TRACE_SPAN_INTO(span, "verbs", "raw_read", node_, wr.total_len);
+        break;
+      case OpBatch::OpKind::kRawWrite:
+        DCS_TRACE_SPAN_INTO(span, "verbs", "raw_write", node_, wr.total_len);
+        break;
+    }
+  }
+
   // Wire footprint of each half of a work request: write/send requests carry
   // the payload, read responses carry the data; everything else is control.
   const auto request_bytes = [](const OpBatch::WorkRequest& wr) {
     if (wr.kind == OpBatch::OpKind::kWrite ||
-        wr.kind == OpBatch::OpKind::kSend) {
-      return wr.payload.size() + kHeaderBytes;
+        wr.kind == OpBatch::OpKind::kSend ||
+        wr.kind == OpBatch::OpKind::kRawWrite) {
+      return wr.total_len + kHeaderBytes;
     }
     return static_cast<std::size_t>(fabric::FabricParams::kControlBytes);
   };
   const auto response_bytes = [](const OpBatch::WorkRequest& wr) {
-    if (wr.kind == OpBatch::OpKind::kRead) return wr.total_len + kHeaderBytes;
+    if (wr.kind == OpBatch::OpKind::kRead ||
+        wr.kind == OpBatch::OpKind::kRawRead) {
+      return wr.total_len + kHeaderBytes;
+    }
     return static_cast<std::size_t>(fabric::FabricParams::kControlBytes);
   };
 
   // Validate shape and charge per-op statistics at post time.  Each
-  // one-sided op weighs on its home node's hot set: bytes for read and
-  // write, 1 for an atomic.
+  // one-sided op on registered memory weighs on its home node's hot set:
+  // bytes for read and write, 1 for an atomic.
   bool any_one_sided = false;
   for (const auto& wr : wrs) {
+    bool timing_only = false;
     switch (wr.kind) {
       case OpBatch::OpKind::kRead:
         m.read_ops.add();
@@ -375,9 +427,20 @@ sim::Task<void> Hca::run(OpBatch& batch) {
         m.send_msgs.add();
         m.send_bytes.add(wr.payload.size());
         continue;
+      case OpBatch::OpKind::kRawRead:
+        m.raw_read_ops.add();
+        m.raw_read_bytes.add(wr.total_len);
+        timing_only = true;
+        break;
+      case OpBatch::OpKind::kRawWrite:
+        m.raw_write_ops.add();
+        m.raw_write_bytes.add(wr.total_len);
+        timing_only = true;
+        break;
     }
     ++one_sided_ops_;
     any_one_sided = true;
+    if (timing_only) continue;
     const bool atomic = wr.kind == OpBatch::OpKind::kCas ||
                         wr.kind == OpBatch::OpKind::kFaa;
     DCS_HOT("verbs.home", wr.target, atomic ? 1 : wr.total_len);
@@ -436,7 +499,9 @@ sim::Task<void> Hca::run(OpBatch& batch) {
     }
     switch (wr.kind) {
       case OpBatch::OpKind::kRead:
-      case OpBatch::OpKind::kWrite: {
+      case OpBatch::OpKind::kWrite:
+      case OpBatch::OpKind::kRawRead:
+      case OpBatch::OpKind::kRawWrite: {
         DCS_TRACE_COST_SPAN(trace::Cost::kNic, "verbs", "nic.target", node_);
         co_await eng.delay(p.rdma_target_nic);
         break;
@@ -472,53 +537,6 @@ sim::Task<void> Hca::run(OpBatch& batch) {
   }
 }
 
-// raw_write and raw_read are one frame each: the span names differ, and a
-// span name must be a literal at its DCS_TRACE_SPAN site.
-
-sim::Task<void> Hca::raw_write(NodeId dst, std::size_t bytes) {
-  ++one_sided_ops_;
-  metrics().raw_write_ops.add();
-  metrics().raw_write_bytes.add(bytes);
-  DCS_TRACE_SPAN("verbs", "raw_write", node_, bytes);
-  if (!reachable(dst)) co_await time_out(dst);
-  auto& eng = engine();
-  const auto& p = fab_.params();
-  {
-    DCS_TRACE_COST_SPAN(trace::Cost::kNic, "verbs", "nic.post", node_);
-    co_await eng.delay(p.rdma_post_overhead);
-  }
-  co_await fab_.wire_transfer(node_, dst, bytes + kHeaderBytes);
-  {
-    DCS_TRACE_COST_SPAN(trace::Cost::kNic, "verbs", "nic.target", node_);
-    co_await eng.delay(p.rdma_target_nic);
-  }
-  co_await fab_.wire_transfer(dst, node_, fabric::FabricParams::kControlBytes);
-  DCS_TRACE_COST_SPAN(trace::Cost::kNic, "verbs", "nic.completion", node_);
-  co_await eng.delay(p.rdma_completion);
-}
-
-sim::Task<void> Hca::raw_read(NodeId dst, std::size_t bytes) {
-  ++one_sided_ops_;
-  metrics().raw_read_ops.add();
-  metrics().raw_read_bytes.add(bytes);
-  DCS_TRACE_SPAN("verbs", "raw_read", node_, bytes);
-  if (!reachable(dst)) co_await time_out(dst);
-  auto& eng = engine();
-  const auto& p = fab_.params();
-  {
-    DCS_TRACE_COST_SPAN(trace::Cost::kNic, "verbs", "nic.post", node_);
-    co_await eng.delay(p.rdma_post_overhead);
-  }
-  co_await fab_.wire_transfer(node_, dst, fabric::FabricParams::kControlBytes);
-  {
-    DCS_TRACE_COST_SPAN(trace::Cost::kNic, "verbs", "nic.target", node_);
-    co_await eng.delay(p.rdma_target_nic);
-  }
-  co_await fab_.wire_transfer(dst, node_, bytes + kHeaderBytes);
-  DCS_TRACE_COST_SPAN(trace::Cost::kNic, "verbs", "nic.completion", node_);
-  co_await eng.delay(p.rdma_completion);
-}
-
 sim::Task<void> Hca::multicast(std::span<const NodeId> group,
                                std::uint32_t tag,
                                std::vector<std::byte> payload) {
@@ -526,22 +544,20 @@ sim::Task<void> Hca::multicast(std::span<const NodeId> group,
   ++messages_sent_;
   metrics().multicast_msgs.add();
   DCS_TRACE_SPAN("verbs", "multicast", node_, payload.size());
-  auto& eng = engine();
-  const auto& p = fab_.params();
   {
     DCS_TRACE_COST_SPAN(trace::Cost::kNic, "verbs", "nic.post", node_);
-    co_await eng.delay(p.send_post_overhead);
+    co_await engine().delay(fab_.params().send_post_overhead);
   }
   // One serialization at the sender; the switch replicates to all members.
-  {
-    DCS_TRACE_COST_SPAN(trace::Cost::kNic, "verbs", "nic.tx", node_);
-    auto guard = co_await host().nic_tx().scoped();
-    co_await eng.delay(p.wire_time(payload.size() + kHeaderBytes));
-  }
-  {
-    DCS_TRACE_COST_SPAN(trace::Cost::kWire, "verbs", "wire", node_);
-    co_await eng.delay(p.link_latency);
-  }
+  // The frame crosses the sender's link even when the sender is the only
+  // member (the switch drops its loopback copy), so the transfer names a
+  // remote node: the first remote member, else the sender's neighbour.
+  const auto remote = std::find_if(group.begin(), group.end(),
+                                   [&](NodeId m) { return m != node_; });
+  const NodeId via = remote != group.end()
+                         ? *remote
+                         : static_cast<NodeId>((node_ + 1) % fab_.size());
+  co_await fab_.wire_transfer(node_, via, payload.size() + kHeaderBytes);
   const std::uint64_t ctx = trace::current_request();
   for (const NodeId member : group) {
     if (member == node_) continue;  // loopback suppressed, as in IB MC
@@ -566,10 +582,8 @@ void Hca::deliver(Message msg) { queue_for(msg.tag).push(std::move(msg)); }
 
 sim::Task<void> Hca::send(NodeId dst, std::uint32_t tag,
                           std::vector<std::byte> payload) {
-  DCS_TRACE_SPAN("verbs", "send", node_, tag);
-  OpBatch b;
-  b.send(dst, tag, std::move(payload));
-  co_await run(b);
+  return run(
+      one_op([&](OpBatch& b) { b.send(dst, tag, std::move(payload)); }));
 }
 
 sim::Task<Message> Hca::recv(std::uint32_t tag) {

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <utility>
@@ -115,7 +116,11 @@ class OpBatch {
  private:
   friend class Hca;
 
-  enum class OpKind : std::uint8_t { kRead, kWrite, kCas, kFaa, kSend };
+  /// kRawRead / kRawWrite are Hca::raw_read / raw_write: timing-only
+  /// transfers of `total_len` bytes with no registered memory behind them.
+  enum class OpKind : std::uint8_t {
+    kRead, kWrite, kCas, kFaa, kSend, kRawRead, kRawWrite
+  };
 
   /// The local segments of a read (Byte = std::byte) or a write
   /// (Byte = const std::byte).  A single segment — every serial verb —
@@ -216,12 +221,13 @@ class Hca {
   /// back-to-back at this NIC (request k+1 overlaps request k's flight),
   /// execute at their targets in posting order, and the poster wakes once —
   /// after the last response lands — paying one completion cost for the
-  /// batch.  Every serial verb above is a one-op batch run through the same
-  /// path.  One-sided ops still consume zero target CPU.  Errors surface in
-  /// a fixed order: a misaligned atomic at post time, then a dead target
-  /// (after the retry window), then unknown rkey / bounds at the faulting
-  /// op's execution; ops that executed before the faulting op remain
-  /// executed, including the bytes already landed by earlier reads.
+  /// batch.  Every serial verb above, and both raw transfers below, are
+  /// one-op batches run through the same path.  One-sided ops still consume
+  /// zero target CPU.  Errors surface in a fixed order: a misaligned atomic
+  /// at post time, then a dead target (after the retry window), then unknown
+  /// rkey / bounds at the faulting op's execution; ops that executed before
+  /// the faulting op remain executed, including the bytes already landed by
+  /// earlier reads.
   sim::Task<void> post(OpBatch batch);
 
   /// Timing-only one-sided write: models the full RDMA write cost to `dst`
@@ -284,10 +290,13 @@ class Hca {
   void deliver(Message msg);
   sim::Channel<Message>& queue_for(std::uint32_t tag);
 
-  /// The one execution path of every verb but multicast: validation and
+  /// The one execution path of every verb but multicast: the verb's span
+  /// (`batch.post` if `posted`, else the one op's verb name), validation and
   /// per-op counters, liveness, one doorbell, pipelined requests, in-order
-  /// retire at the targets and one completion.
-  sim::Task<void> run(OpBatch& batch);
+  /// retire at the targets and one completion.  Its frame is the only one a
+  /// verb allocates above the fabric transfers, but for the frame CAS and
+  /// FAA keep to return the old value.
+  sim::Task<void> run(OpBatch batch, bool posted = false);
   /// Executes one work request at the target (resolve per SGE segment +
   /// data movement / atomic execute / mailbox delivery).
   void execute_at_target(OpBatch::WorkRequest& wr);

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "trace/flight.hpp"
 #include "trace/hot.hpp"
 #include "trace/trace.hpp"
@@ -30,10 +32,13 @@ TEST(FlightDisabledTest, MacrosCompileToNothingEvenWhenArmed) {
   DCS_LOG("test", "op", 1, poison(), poison());
   DCS_TRACE_INSTANT("test", "mark", 1, poison());
   DCS_HOT("test.object", poison(), poison());
+  std::optional<Span> slot;
   {
     DCS_TRACE_SPAN("test", "span", 1, poison());
     DCS_TRACE_COST_SPAN(Cost::kNic, "test", "cost", 1, poison());
+    DCS_TRACE_SPAN_INTO(slot, "test", "into", 1, poison());
   }
+  EXPECT_FALSE(slot.has_value());
 
   EXPECT_EQ(tracer.event_count(), 0u);
   EXPECT_TRUE(fr.nodes().empty());

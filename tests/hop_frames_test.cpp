@@ -69,6 +69,9 @@ TEST_F(HopFixture, FabricTransfersAreOneFrame) {
       << "loopback";
 }
 
+// Every verb but multicast is one Hca::run frame plus the two
+// serializations of its request and response: the serial verbs, the raw
+// transfers and a posted batch allocate no frame of their own.
 TEST_F(HopFixture, RawVerbIsOneFramePlusTwoTransfers) {
   EXPECT_EQ(frames_of([this] { return net.hca(0).raw_write(1, 8192); }), 3u);
   EXPECT_EQ(frames_of([this] { return net.hca(0).raw_read(1, 8192); }), 3u);
@@ -77,12 +80,45 @@ TEST_F(HopFixture, RawVerbIsOneFramePlusTwoTransfers) {
 TEST_F(HopFixture, OneOpReadIsVerbRunAndTwoSerializations) {
   const verbs::RemoteRegion region = net.hca(1).allocate_region(64);
   std::vector<std::byte> dst(64);
-  EXPECT_EQ(frames_of([&] { return net.hca(0).read(region, 0, dst); }), 4u);
+  EXPECT_EQ(frames_of([&] { return net.hca(0).read(region, 0, dst); }), 3u);
   // A one-op batch holds its work request inline: once the metric handles
   // and engine queues exist, a serial read touches no heap at all.
   const std::uint64_t news = heap_news;
-  EXPECT_EQ(frames_of([&] { return net.hca(0).read(region, 0, dst); }), 4u);
+  EXPECT_EQ(frames_of([&] { return net.hca(0).read(region, 0, dst); }), 3u);
   EXPECT_EQ(heap_news - news, 0u);
+}
+
+TEST_F(HopFixture, SerialVerbsAndPostAreVerbRunAndTwoSerializations) {
+  const verbs::RemoteRegion region = net.hca(1).allocate_region(64);
+  std::vector<std::byte> buf(64);
+  EXPECT_EQ(frames_of([&] { return net.hca(0).write(region, 0, buf); }), 3u);
+  EXPECT_EQ(frames_of([&] {
+              return net.hca(0).send(1, 7, std::vector<std::byte>(64));
+            }),
+            3u);
+  EXPECT_EQ(frames_of([&] {
+              verbs::OpBatch b;
+              b.read(region, 0, buf);
+              return net.hca(0).post(std::move(b));
+            }),
+            3u);
+  EXPECT_EQ(frames_of([&] { return net.hca(0).post(verbs::OpBatch{}); }), 1u)
+      << "an empty batch still costs its run frame, and nothing else";
+  // An atomic keeps one frame to hand back the old value.
+  EXPECT_EQ(frames_of([&] {
+              return net.hca(0).compare_and_swap(region, 0, 0, 1);
+            }),
+            4u);
+  EXPECT_EQ(frames_of([&] { return net.hca(0).fetch_and_add(region, 0, 1); }),
+            4u);
+}
+
+TEST_F(HopFixture, MulticastIsOneFramePlusOneTransfer) {
+  const std::vector<NodeId> group = {1, 2};
+  EXPECT_EQ(frames_of([&] {
+              return net.hca(0).multicast(group, 9, std::vector<std::byte>(64));
+            }),
+            2u);
 }
 
 TEST_F(HopFixture, TcpReceiveIsRecvPlusHostExecute) {

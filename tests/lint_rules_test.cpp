@@ -177,6 +177,28 @@ TEST(LintRules, R4CleanLiteralNamesAndAdjacentConcat) {
   EXPECT_TRUE(r.active.empty());
 }
 
+// DCS_TRACE_SPAN_INTO's first argument is the optional slot, not a name:
+// category and name are its second and third arguments.
+TEST(LintRules, R4FlagsRuntimeNamesInSpanInto) {
+  auto r = run({{"src/verbs/qp.cpp",
+                 "void f(int node, const char* verb) {\n"
+                 "  std::optional<trace::Span> span;\n"
+                 "  DCS_TRACE_SPAN_INTO(span, \"verbs\", verb, node, 1);\n"
+                 "  DCS_TRACE_SPAN_INTO(span, layer, \"read\", node);\n"
+                 "}\n"}});
+  EXPECT_EQ(rules_of(r.active), (std::vector<std::string>{"R4", "R4"}));
+}
+
+TEST(LintRules, R4CleanLiteralSpanInto) {
+  auto r = run({{"src/verbs/qp.cpp",
+                 "void f(int node, std::uint32_t rkey) {\n"
+                 "  std::optional<trace::Span> span;\n"
+                 "  DCS_TRACE_SPAN_INTO(span, \"verbs\", \"read\", node, "
+                 "rkey);\n"
+                 "}\n"}});
+  EXPECT_TRUE(r.active.empty());
+}
+
 TEST(LintRules, R4SkipsMacroDefinitionsAndAppliesEverywhere) {
   auto r = run({{"src/trace/trace.hpp",
                  "#define DCS_LOG(layer, opcode, node, ...) \\\n"

@@ -106,6 +106,33 @@ TEST_F(McFixture, BackToBackMulticastsSerializeAtSenderNic) {
   }
 }
 
+// The one serialization crosses the fabric, so the wire-byte count sees the
+// frame once, however many members the group has.
+TEST_F(McFixture, MulticastCountsItsWireBytesOnce) {
+  const std::uint64_t before = fab.bytes_transferred();
+  eng.spawn([](verbs::Network& n) -> sim::Task<void> {
+    const std::vector<fabric::NodeId> group = {1, 2, 3, 4};
+    co_await n.hca(0).multicast(group, 8, std::vector<std::byte>(8192));
+  }(net));
+  eng.run();
+  EXPECT_EQ(fab.bytes_transferred() - before, 8192u + 32u)
+      << "payload plus the transport header";
+}
+
+// A group of only the sender still puts the frame on its link (the switch
+// drops the loopback copy): the full serialization and hop, no delivery.
+TEST_F(McFixture, SenderOnlyGroupPaysTheWireAndDeliversNothing) {
+  eng.spawn([](verbs::Network& n) -> sim::Task<void> {
+    const std::vector<fabric::NodeId> group = {0};
+    co_await n.hca(0).multicast(group, 8, std::vector<std::byte>(4096));
+  }(net));
+  eng.run();
+  const auto& p = fab.params();
+  EXPECT_EQ(eng.now(),
+            p.send_post_overhead + p.wire_time(4096 + 32) + p.link_latency);
+  EXPECT_FALSE(net.hca(0).try_recv(8).has_value());
+}
+
 // --- DDSS temporal write-invalidate ----------------------------------------
 
 struct InvalidateFixture : ::testing::Test {

@@ -5,9 +5,12 @@
 
 #include <cstring>
 #include <map>
+#include <string>
 #include <string_view>
+#include <vector>
 
 #include "trace/hot.hpp"
+#include "trace/trace.hpp"
 #include "verbs/verbs.hpp"
 #include "verbs/wire.hpp"
 
@@ -576,6 +579,130 @@ TEST(VerbsBatchTiming, DeepBatchPipelinesTheWire) {
   const auto eight_batched = run(0, 8);
   EXPECT_LT(eight_batched, eight_serial);
   EXPECT_GT(eight_batched, one_serial);
+}
+
+// --- raw (timing-only) transfers ---
+
+constexpr std::size_t kRawBytes = 8192;
+constexpr std::size_t kPayloadHeader = 32;  // transport header on payloads
+
+/// Runs one raw transfer from node 0 to `dst` under a tracer; returns the
+/// completion time, the wire bytes it added and its spans in close order
+/// ("category name@node").
+struct RawRun {
+  sim::Time done = 0;
+  std::uint64_t bytes = 0;
+  std::vector<std::string> spans;
+};
+
+RawRun run_raw(bool write, fabric::NodeId dst) {
+  sim::Engine eng;
+  fabric::Fabric fab(eng, fabric::FabricParams{},
+                     {.num_nodes = 2, .cores_per_node = 2});
+  Network net(fab);
+  trace::Tracer tracer(eng);
+  tracer.install();
+  eng.spawn([](Hca& hca, fabric::NodeId to, bool w) -> sim::Task<void> {
+    if (w) {
+      co_await hca.raw_write(to, kRawBytes);
+    } else {
+      co_await hca.raw_read(to, kRawBytes);
+    }
+  }(net.hca(0), dst, write));
+  eng.run();
+  tracer.uninstall();
+  RawRun out{eng.now(), fab.bytes_transferred(), {}};
+  for (const auto& ev : tracer.events()) {
+    out.spans.push_back(std::string(ev.category) + " " + ev.name + "@" +
+                        std::to_string(ev.node));
+  }
+  return out;
+}
+
+TEST(VerbsRawTransfer, WriteCostsPostWireTargetWireCompletion) {
+  const fabric::FabricParams p;
+  const RawRun r = run_raw(true, 1);
+  EXPECT_EQ(r.done, p.rdma_post_overhead +
+                        p.wire_time(kRawBytes + kPayloadHeader) +
+                        p.link_latency + p.rdma_target_nic +
+                        p.wire_time(fabric::FabricParams::kControlBytes) +
+                        p.link_latency + p.rdma_completion);
+  EXPECT_EQ(r.bytes, kRawBytes + kPayloadHeader +
+                         fabric::FabricParams::kControlBytes);
+  EXPECT_EQ(r.spans,
+            (std::vector<std::string>{"verbs nic.post@0", "fabric nic.tx@0",
+                                      "fabric wire@0", "verbs nic.target@0",
+                                      "fabric nic.tx@1", "fabric wire@1",
+                                      "verbs nic.completion@0",
+                                      "verbs raw_write@0"}));
+}
+
+TEST(VerbsRawTransfer, ReadCostsPostWireTargetWireCompletion) {
+  const fabric::FabricParams p;
+  const RawRun r = run_raw(false, 1);
+  EXPECT_EQ(r.done, p.rdma_post_overhead +
+                        p.wire_time(fabric::FabricParams::kControlBytes) +
+                        p.link_latency + p.rdma_target_nic +
+                        p.wire_time(kRawBytes + kPayloadHeader) +
+                        p.link_latency + p.rdma_completion);
+  EXPECT_EQ(r.bytes, kRawBytes + kPayloadHeader +
+                         fabric::FabricParams::kControlBytes);
+  EXPECT_EQ(r.spans,
+            (std::vector<std::string>{"verbs nic.post@0", "fabric nic.tx@0",
+                                      "fabric wire@0", "verbs nic.target@0",
+                                      "fabric nic.tx@1", "fabric wire@1",
+                                      "verbs nic.completion@0",
+                                      "verbs raw_read@0"}));
+}
+
+// Loopback: both halves are one memory-speed copy each, and no link hop.
+TEST(VerbsRawTransfer, LoopbackChargesMemoryCopiesAndNoWire) {
+  const fabric::FabricParams p;
+  for (const bool write : {true, false}) {
+    const RawRun r = run_raw(write, 0);
+    EXPECT_EQ(r.done, p.rdma_post_overhead +
+                          p.wire_time(kRawBytes + kPayloadHeader) / 4 +
+                          p.rdma_target_nic +
+                          p.wire_time(fabric::FabricParams::kControlBytes) / 4 +
+                          p.rdma_completion)
+        << (write ? "raw_write" : "raw_read");
+    EXPECT_EQ(r.bytes, kRawBytes + kPayloadHeader +
+                           fabric::FabricParams::kControlBytes);
+    EXPECT_EQ(r.spans.size(), 6u);
+    EXPECT_EQ(r.spans[1], "fabric nic.loopback@0");
+    EXPECT_EQ(r.spans[3], "fabric nic.loopback@0");
+  }
+}
+
+TEST_F(VerbsFixture, RawTransferToDeadNodeTimesOut) {
+  trace::Registry::global().reset();
+  fab.node(1).fail();
+  int timeouts = 0;
+  eng.spawn([](Network& n, int& count) -> sim::Task<void> {
+    try {
+      co_await n.hca(0).raw_write(1, kRawBytes);
+    } catch (const RemoteTimeoutError&) {
+      ++count;
+    }
+    try {
+      co_await n.hca(0).raw_read(1, kRawBytes);
+    } catch (const RemoteTimeoutError&) {
+      ++count;
+    }
+  }(net, timeouts));
+  eng.run();
+  EXPECT_EQ(timeouts, 2);
+  EXPECT_EQ(eng.now(), 2 * fab.params().op_timeout);
+  EXPECT_EQ(fab.bytes_transferred(), 0u);
+  const auto* errors =
+      trace::Registry::global().find_counter("verbs.hca.remote_errors");
+  ASSERT_NE(errors, nullptr);
+  EXPECT_EQ(errors->value, 2u);
+  const auto* writes =
+      trace::Registry::global().find_counter("verbs.raw_write.ops");
+  ASSERT_NE(writes, nullptr);
+  EXPECT_EQ(writes->value, 1u);
+  EXPECT_EQ(net.hca(0).one_sided_ops(), 2u);
 }
 
 // --- wire encoder/decoder ---
