@@ -1,67 +1,13 @@
 #include "trace/flight.hpp"
 
-#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <fstream>
 #include <ostream>
 
-#include "common/check.hpp"
 #include "common/json.hpp"
 
 namespace dcs::trace {
-
-namespace {
-
-FlightRecorder* g_current_flight = nullptr;
-
-}  // namespace
-
-// --- trace.hpp forwarding shims ---
-
-namespace detail {
-
-SimNanos flight_now(FlightRecorder* fr) { return fr->now(); }
-
-std::uint64_t flight_next_request(FlightRecorder* fr) {
-  return fr->next_request_id();
-}
-
-std::uint64_t flight_next_span(FlightRecorder* fr) {
-  return fr->next_span_id();
-}
-
-void flight_span(FlightRecorder* fr, const TraceEvent& ev) {
-  fr->span_close(ev);
-}
-
-void flight_request_begin(FlightRecorder* fr, std::uint64_t request,
-                          const char* name, std::uint32_t node,
-                          std::uint64_t id) {
-  fr->request_begin(request, name, node, id);
-}
-
-void flight_request_end(FlightRecorder* fr, std::uint64_t request,
-                        const char* name, std::uint32_t node,
-                        std::uint64_t id) {
-  fr->request_end(request, name, node, id);
-}
-
-void emit_instant(const char* category, const char* name, std::uint32_t node,
-                  std::uint64_t id, const char* detail) {
-  Sinks& s = sinks();
-  if (s.tracer != nullptr) s.tracer->instant(category, name, node, id, detail);
-  if (s.flight != nullptr) s.flight->instant(category, name, node, id);
-}
-
-void emit_log(const char* layer, const char* opcode, std::uint32_t node,
-              std::uint64_t a0, std::uint64_t a1) {
-  Sinks& s = sinks();
-  if (s.tracer != nullptr) s.tracer->instant(layer, opcode, node, a0);
-  if (s.flight != nullptr) s.flight->log(layer, opcode, node, a0, a1);
-}
-
-}  // namespace detail
 
 // --- FlightRecorder ---
 
@@ -74,53 +20,85 @@ FlightRecorder::FlightRecorder(sim::Engine& eng, FlightConfig config)
 FlightRecorder::~FlightRecorder() { uninstall(); }
 
 void FlightRecorder::install() {
-  DCS_CHECK_MSG(g_current_flight == nullptr || g_current_flight == this,
-                "another flight recorder is already installed");
-  g_current_flight = this;
-  auto& s = detail::sinks();
-  s.flight = this;
-  s.any = true;
+  detail::sinks().attach(detail::Sinks::kRing, this, eng_,
+                         "another flight recorder is already installed");
   sim::stall_hook() = this;
 }
 
 void FlightRecorder::uninstall() {
-  if (g_current_flight != this) return;
-  g_current_flight = nullptr;
-  auto& s = detail::sinks();
-  s.flight = nullptr;
-  s.any = s.tracer != nullptr;
+  if (!detail::sinks().detach(detail::Sinks::kRing, this)) return;
   if (sim::stall_hook() == this) sim::stall_hook() = nullptr;
 }
 
-bool FlightRecorder::installed() const { return g_current_flight == this; }
-
-FlightRecorder* FlightRecorder::current() { return g_current_flight; }
-
-void FlightRecorder::push(std::uint32_t node, const FlightRecord& rec) {
-  Ring& ring = rings_[node];
-  ++ring.offered;
-  if (ring.buf.size() < config_.ring_capacity) {
-    ring.buf.push_back(rec);
-  } else {
-    ring.buf[ring.total % config_.ring_capacity] = rec;
-  }
-  ++ring.total;
+FlightRecorder* FlightRecorder::current() {
+  return static_cast<FlightRecorder*>(
+      detail::sinks().consumers[detail::Sinks::kRing]);
 }
 
-void FlightRecorder::push_sampled(std::uint32_t node,
-                                  const FlightRecord& rec) {
-  if (full_capture_ || config_.sample_period <= 1) {
-    push(node, rec);
-    return;
-  }
-  Ring& ring = rings_[node];
+void FlightRecorder::keep(const TraceEvent& ev, std::uint64_t a1,
+                          bool sampled) {
+  Ring& ring = rings_[ev.node];
   // Keep the 1st, (N+1)th, ... offered record per node — a deterministic
   // decimation in offer order, so same-seed runs sample identically.
-  if (ring.offered % config_.sample_period != 0) {
-    ++ring.offered;
+  const bool decimate = sampled && !full_capture_ &&
+                        config_.sample_period > 1 &&
+                        ring.offered % config_.sample_period != 0;
+  ++ring.offered;
+  if (!decimate) {
+    const bool closed = ev.phase == 'X' || ev.phase == 'R';
+    FlightRecord rec;
+    rec.time = ev.end;
+    rec.request = ev.request;
+    rec.layer = ev.category;
+    rec.opcode = ev.name;
+    rec.a0 = ev.id;
+    rec.a1 = ev.phase == 'X' ? ev.end - ev.start : a1;  // span duration
+    rec.node = ev.node;
+    rec.kind = closed ? 'S' : ev.phase;
+    if (ring.buf.size() < config_.ring_capacity) {
+      ring.buf.push_back(rec);
+    } else {
+      ring.buf[ring.total % config_.ring_capacity] = rec;
+    }
+    ++ring.total;
+  }
+  if (ev.request == 0) return;
+  const auto it = in_flight_.find(ev.request);
+  if (it == in_flight_.end()) return;
+  if (ev.phase == 'R') {
+    in_flight_.erase(it);
     return;
   }
-  push(node, rec);
+  it->second.last_activity = ev.end;
+  if (ev.cost != Cost::kNone) {
+    it->second.cost_ns[static_cast<std::size_t>(ev.cost) - 1] +=
+        ev.end - ev.start;
+  }
+}
+
+void FlightRecorder::record(const TraceEvent& ev, std::uint64_t a1) {
+  // Request closes are always kept: they end a request's story.
+  keep(ev, a1, /*sampled=*/ev.phase != 'R');
+}
+
+void FlightRecorder::open_request(const TraceEvent& ev) {
+  in_flight_[ev.request] = InFlight{.name = ev.name,
+                                    .id = ev.id,
+                                    .node = ev.node,
+                                    .start = ev.start,
+                                    .last_activity = ev.start};
+}
+
+void FlightRecorder::log(const char* layer, const char* opcode,
+                         std::uint32_t node, std::uint64_t a0,
+                         std::uint64_t a1) {
+  keep(detail::instant_event(eng_.now(), layer, opcode, node, a0, 'L'), a1,
+       /*sampled=*/true);
+}
+
+void FlightRecorder::violation(const char* checker) {
+  keep(detail::instant_event(eng_.now(), "audit", checker, 0, 0, 'V'), 0,
+       /*sampled=*/false);
 }
 
 void FlightRecorder::set_full_capture(bool on) {
@@ -128,114 +106,10 @@ void FlightRecorder::set_full_capture(bool on) {
   full_capture_ = on;
   // The transition record rides in the ring itself (node 0) so postmortem
   // dumps show exactly when deep capture armed; it bypasses sampling.
-  FlightRecord rec;
-  rec.time = eng_.now();
-  rec.request = sim::strand_ctx().request;
-  rec.layer = "flight";
-  rec.opcode = on ? "capture.full" : "capture.sampled";
-  rec.a0 = config_.sample_period;
-  rec.node = 0;
-  rec.kind = 'L';
-  push(0, rec);
-}
-
-void FlightRecorder::touch(std::uint64_t request) {
-  if (request == 0) return;
-  const auto it = in_flight_.find(request);
-  if (it != in_flight_.end()) it->second.last_activity = eng_.now();
-}
-
-void FlightRecorder::log(const char* layer, const char* opcode,
-                         std::uint32_t node, std::uint64_t a0,
-                         std::uint64_t a1) {
-  FlightRecord rec;
-  rec.time = eng_.now();
-  rec.request = sim::strand_ctx().request;
-  rec.layer = layer;
-  rec.opcode = opcode;
-  rec.a0 = a0;
-  rec.a1 = a1;
-  rec.node = node;
-  rec.kind = 'L';
-  push_sampled(node, rec);
-  touch(rec.request);
-}
-
-void FlightRecorder::instant(const char* category, const char* name,
-                             std::uint32_t node, std::uint64_t id) {
-  FlightRecord rec;
-  rec.time = eng_.now();
-  rec.request = sim::strand_ctx().request;
-  rec.layer = category;
-  rec.opcode = name;
-  rec.a0 = id;
-  rec.node = node;
-  rec.kind = 'i';
-  push_sampled(node, rec);
-  touch(rec.request);
-}
-
-void FlightRecorder::span_close(const TraceEvent& ev) {
-  // Mirror the tracer's filter: zero-length cost intervals carry no
-  // information and would flood the ring from contention-free fast paths.
-  if (ev.cost != Cost::kNone && ev.end == ev.start) return;
-  FlightRecord rec;
-  rec.time = ev.end;
-  rec.request = ev.request;
-  rec.layer = ev.category;
-  rec.opcode = ev.name;
-  rec.a0 = ev.id;
-  rec.a1 = ev.end - ev.start;  // span duration
-  rec.node = ev.node;
-  rec.kind = 'S';
-  push_sampled(ev.node, rec);
-  if (ev.request != 0) {
-    const auto it = in_flight_.find(ev.request);
-    if (it != in_flight_.end()) {
-      it->second.last_activity = ev.end;
-      if (ev.cost != Cost::kNone) {
-        it->second.cost_ns[static_cast<std::size_t>(ev.cost) - 1] +=
-            ev.end - ev.start;
-      }
-    }
-  }
-}
-
-void FlightRecorder::violation(const char* checker) {
-  FlightRecord rec;
-  rec.time = eng_.now();
-  rec.request = sim::strand_ctx().request;
-  rec.layer = "audit";
-  rec.opcode = checker;
-  rec.node = 0;
-  rec.kind = 'V';
-  push(0, rec);
-  touch(rec.request);
-}
-
-void FlightRecorder::request_begin(std::uint64_t request, const char* name,
-                                   std::uint32_t node, std::uint64_t id) {
-  InFlight entry;
-  entry.name = name;
-  entry.id = id;
-  entry.node = node;
-  entry.start = eng_.now();
-  entry.last_activity = entry.start;
-  in_flight_[request] = entry;
-}
-
-void FlightRecorder::request_end(std::uint64_t request, const char* name,
-                                 std::uint32_t node, std::uint64_t id) {
-  in_flight_.erase(request);
-  FlightRecord rec;
-  rec.time = eng_.now();
-  rec.request = request;
-  rec.layer = "request";
-  rec.opcode = name;
-  rec.a0 = id;
-  rec.node = node;
-  rec.kind = 'S';
-  push(node, rec);
+  keep(detail::instant_event(eng_.now(), "flight",
+                             on ? "capture.full" : "capture.sampled", 0,
+                             config_.sample_period, 'L'),
+       0, /*sampled=*/false);
 }
 
 std::vector<std::uint32_t> FlightRecorder::nodes() const {
@@ -298,6 +172,10 @@ void FlightRecorder::on_time_jump(SimNanos from, SimNanos to) {
 }
 
 void FlightRecorder::on_wedged(std::size_t live_roots) {
+  // Parked roots alone are not a verdict either: a server loop waiting on
+  // receive leaves a healthy run draining that way.  Only a request still
+  // in flight is evidence that something never finished.
+  if (in_flight_.empty()) return;
   trip("engine-stall",
        "engine drained with " + std::to_string(live_roots) +
            " live root(s) still parked; no event can wake them");

@@ -4,14 +4,14 @@
 // critical-path reports, dcs-bench-v1) is written at the end of a healthy
 // run.  When a request wedges on a lost credit, a lock cascade deadlocks,
 // or an audit violation throws, the run dies with a one-line error and the
-// context evaporates.  The FlightRecorder is the black box: while
+// context evaporates.  The FlightRecorder is the black box: the per-node
+// ring retention policy of the context's record stream (trace.hpp).  While
 // installed it keeps, per node, a bounded ring of compact structured
 // records — virtual time, request (strand context), layer, opcode, two
-// u64 arguments — fed from the existing DCS_TRACE_* sites and the DCS_LOG
-// structured-log macro.  Old records age out; recording never allocates
-// after the ring warms up and costs a few stores per site.  With no
-// recorder (and no tracer) installed every site is one predictable branch,
-// the same contract the tracer has always had.
+// u64 arguments — filled from the stream's spans, instants, DCS_LOG
+// records and request closes, with the same clock and ids a tracer
+// attached beside it sees.  Old records age out; recording never
+// allocates after the ring warms up and costs a few stores per site.
 //
 // Trip conditions snapshot everything into a deterministic
 // `dcs-postmortem-v1` JSON dump (docs/OBSERVABILITY.md):
@@ -22,7 +22,8 @@
 //             against a load-adjusted deadline (e-RDMA-Sync load signal).
 //   stall     the recorder implements sim::StallHook: a virtual-time jump
 //             past `stall_horizon` with stale in-flight requests, or an
-//             unbounded run draining with live roots, trips a dump.
+//             unbounded run draining with live roots while a request is
+//             still in flight, trips a dump.
 //
 // A dump contains the ring contents for all nodes, a metrics registry
 // snapshot, the in-flight request table with each request's partial
@@ -46,8 +47,9 @@
 
 namespace dcs::trace {
 
-/// One ring record.  Layer/opcode must be string literals (same contract
-/// as TraceEvent): the ring stores pointers, never copies.
+/// One ring record, filled from a stream record (TraceEvent) in exactly one
+/// place.  Layer/opcode must be string literals (same contract as
+/// TraceEvent): the ring stores pointers, never copies.
 struct FlightRecord {
   SimNanos time = 0;
   std::uint64_t request = 0;  // strand context at record time (0 untracked)
@@ -79,24 +81,22 @@ struct FlightConfig {
   std::size_t sample_period = 1;
 };
 
-class FlightRecorder final : public sim::StallHook {
+class FlightRecorder final : public sim::StallHook, public Sink {
  public:
   explicit FlightRecorder(sim::Engine& eng, FlightConfig config = {});
   ~FlightRecorder() override;
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
-  /// Makes this the current execution context's recorder (at most one at a
-  /// time) and installs the engine stall hook.  Only while the loop is not
-  /// running.
+  /// Attaches this recorder to the current execution context's stream (at
+  /// most one recorder per context) and installs the context's engine
+  /// stall hook.  Only while the loop is not running.
   void install();
   void uninstall();
-  bool installed() const;
-  /// The installed recorder, or nullptr.
+  /// The recorder installed in the caller's execution context, or nullptr.
   static FlightRecorder* current();
 
   sim::Engine& engine() { return eng_; }
-  SimNanos now() const { return eng_.now(); }
   const FlightConfig& config() const { return config_; }
 
   /// Flips sampled capture (config().sample_period) to full capture and
@@ -106,24 +106,20 @@ class FlightRecorder final : public sim::StallHook {
   void set_full_capture(bool on);
   bool full_capture() const { return full_capture_; }
 
-  // --- recording (macros and trace.hpp detail shims call these) ---
+  // --- recording ---
 
+  /// A stream record: kept in its node's ring (spans, instants and logs
+  /// subject to sampling), and charged to its request when that request is
+  /// in flight — any record refreshes its activity, a span with a Cost
+  /// category adds to its partial critical path, a request close ends it.
+  void record(const TraceEvent& ev, std::uint64_t a1) override;
+  /// Enters a request into the in-flight table.
+  void open_request(const TraceEvent& ev) override;
+  /// A log record straight into this recorder, installed or not.
   void log(const char* layer, const char* opcode, std::uint32_t node,
            std::uint64_t a0 = 0, std::uint64_t a1 = 0);
-  void instant(const char* category, const char* name, std::uint32_t node,
-               std::uint64_t id = 0);
-  /// Span close: ring record plus a partial-critical-path charge when the
-  /// span carried a Cost category and belongs to an in-flight request.
-  void span_close(const TraceEvent& ev);
   /// Audit violation: ring record (node 0) ahead of any AuditError.
   void violation(const char* checker);
-
-  std::uint64_t next_request_id() { return ++last_request_id_; }
-  std::uint64_t next_span_id() { return ++last_span_id_; }
-  void request_begin(std::uint64_t request, const char* name,
-                     std::uint32_t node, std::uint64_t id);
-  void request_end(std::uint64_t request, const char* name,
-                   std::uint32_t node, std::uint64_t id);
 
   // --- in-flight request table ---
 
@@ -184,19 +180,16 @@ class FlightRecorder final : public sim::StallHook {
     std::uint64_t offered = 0;      // records offered, kept or sampled away
   };
 
-  void push(std::uint32_t node, const FlightRecord& rec);
-  /// Push subject to the capture policy: drops all but every Nth offered
-  /// record per node when sampling and not in full capture.
-  void push_sampled(std::uint32_t node, const FlightRecord& rec);
-  /// Refreshes last_activity for an in-flight request (any record counts).
-  void touch(std::uint64_t request);
+  /// The one place a ring record is filled: offers `ev` to its node's
+  /// ring — when `sampled`, subject to the capture policy, which keeps
+  /// every Nth offered record per node unless in full capture — and
+  /// updates the in-flight table.
+  void keep(const TraceEvent& ev, std::uint64_t a1, bool sampled);
 
   sim::Engine& eng_;
   FlightConfig config_;
   std::map<std::uint32_t, Ring> rings_;
   std::map<std::uint64_t, InFlight> in_flight_;
-  std::uint64_t last_request_id_ = 0;
-  std::uint64_t last_span_id_ = 0;
   std::uint64_t trips_ = 0;
   std::uint64_t lost_dumps_ = 0;
   bool full_capture_ = false;

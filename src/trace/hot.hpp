@@ -18,8 +18,9 @@
 //     hot-set dumps stay grep-able and byte-stable.
 //
 // The sink pointer lives in the execution context (sim/context.hpp), like
-// trace::detail::Sinks: a sink installed in the caller's context observes
-// only the engines that run in it, and sharded runs (sim/shard.hpp) must NOT
+// the trace record stream's sink set (trace::detail::Sinks): a sink
+// installed in the caller's context observes only the engines that run in
+// it, and sharded runs (sim/shard.hpp) must NOT
 // install an ambient sink — a worker runs several partitions, so partition
 // attribution there uses explicit per-partition sketches fed from the serve
 // path instead (the same idiom as the per-partition serve registry in

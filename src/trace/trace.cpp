@@ -202,7 +202,7 @@ void Registry::write_json(std::ostream& os) const {
   os << '}';
 }
 
-// --- Tracer ---
+// --- Cost ---
 
 const char* to_string(Cost c) {
   switch (c) {
@@ -217,61 +217,79 @@ const char* to_string(Cost c) {
   return "?";
 }
 
+// --- the record stream ---
+
+namespace detail {
+
+void Sinks::attach(Slot slot, Sink* sink, sim::Engine& eng,
+                   const char* taken) {
+  DCS_CHECK_MSG(consumers[slot] == nullptr || consumers[slot] == sink, taken);
+  DCS_CHECK_MSG(clock == nullptr || clock == &eng,
+                "a tracer and a flight recorder in one context must share "
+                "one engine");
+  if (clock == nullptr) {
+    clock = &eng;
+    last_request = 0;
+    last_span = 0;
+  }
+  consumers[slot] = sink;
+}
+
+bool Sinks::detach(Slot slot, const Sink* sink) {
+  if (consumers[slot] != sink) return false;
+  consumers[slot] = nullptr;
+  if (consumers[kKeepAll] == nullptr && consumers[kRing] == nullptr) {
+    clock = nullptr;
+  }
+  return true;
+}
+
+TraceEvent instant_event(SimNanos now, const char* category, const char* name,
+                         std::uint32_t node, std::uint64_t id, char phase) {
+  TraceEvent ev;
+  ev.category = category;
+  ev.name = name;
+  ev.id = id;
+  ev.start = now;
+  ev.end = now;
+  ev.request = sim::strand_ctx().request;
+  ev.node = node;
+  ev.phase = phase;
+  return ev;
+}
+
+void emit_instant(const char* category, const char* name, std::uint32_t node,
+                  std::uint64_t id, const char* detail) {
+  const Sinks& s = sinks();
+  TraceEvent ev = instant_event(s.now(), category, name, node, id, 'i');
+  ev.detail = detail;
+  s.record(ev);
+}
+
+void emit_log(const char* layer, const char* opcode, std::uint32_t node,
+              std::uint64_t a0, std::uint64_t a1) {
+  const Sinks& s = sinks();
+  s.record(instant_event(s.now(), layer, opcode, node, a0, 'L'), a1);
+}
+
+}  // namespace detail
+
+// --- Tracer ---
+
 Tracer::~Tracer() { uninstall(); }
 
 void Tracer::install() {
-  auto& s = detail::sinks();
-  DCS_CHECK_MSG(s.tracer == nullptr || s.tracer == this,
-                "another tracer is already installed");
-  s.tracer = this;
-  s.any = true;
+  detail::sinks().attach(detail::Sinks::kKeepAll, this, eng_,
+                         "another tracer is already installed");
 }
 
 void Tracer::uninstall() {
-  auto& s = detail::sinks();
-  if (s.tracer == this) {
-    s.tracer = nullptr;
-    s.any = s.flight != nullptr;
-  }
+  detail::sinks().detach(detail::Sinks::kKeepAll, this);
 }
 
-void Tracer::instant(const char* category, const char* name,
-                     std::uint32_t node, std::uint64_t id,
-                     const char* detail) {
-  TraceEvent ev;
-  ev.category = category;
-  ev.name = name;
-  ev.detail = detail;
-  ev.id = id;
-  ev.start = eng_.now();
-  ev.end = eng_.now();
-  ev.request = sim::strand_ctx().request;
-  ev.node = node;
-  ev.phase = 'i';
+void Tracer::record(const TraceEvent& ev, std::uint64_t /*a1*/) {
   events_.push_back(ev);
-}
-
-void Tracer::complete(const char* category, const char* name,
-                      std::uint32_t node, std::uint64_t id,
-                      const char* detail, sim::Time start, sim::Time end) {
-  TraceEvent ev;
-  ev.category = category;
-  ev.name = name;
-  ev.detail = detail;
-  ev.id = id;
-  ev.start = start;
-  ev.end = end;
-  ev.node = node;
-  ev.phase = 'X';
-  events_.push_back(ev);
-}
-
-void Tracer::record(const TraceEvent& ev) {
-  // A zero-length cost interval cannot influence attribution; skip it so
-  // contention-free fast paths (uncontended run queue, available credits)
-  // do not double the event volume.
-  if (ev.cost != Cost::kNone && ev.end == ev.start) return;
-  events_.push_back(ev);
+  if (ev.phase == 'L') events_.back().phase = 'i';
 }
 
 // --- ChromeTrace ---
@@ -399,32 +417,6 @@ void ChromeTrace::add(const Tracer& tracer, const std::string& label) {
   if (!nodes.empty()) next_pid_ = pid_base + *nodes.rbegin() + 1;
   request_base_ += last_request;
   span_base_ += last_span;
-}
-
-void Tracer::write_summary(std::ostream& os) const {
-  struct Agg {
-    RunningStat span_us;
-    std::uint64_t instants = 0;
-  };
-  std::map<std::string, Agg> aggs;
-  for (const auto& ev : events_) {
-    Agg& a = aggs[std::string(ev.category) + '.' + ev.name];
-    if (ev.phase == 'i') {
-      ++a.instants;
-    } else {
-      a.span_us.add(to_micros(ev.end - ev.start));
-    }
-  }
-  os << "# trace summary: " << events_.size() << " events\n";
-  os << "# operation | spans | total us | mean us | min us | max us | "
-        "instants\n";
-  for (const auto& [key, a] : aggs) {
-    os << key << " | " << a.span_us.count() << " | "
-       << fmt_fixed(a.span_us.sum(), 3) << " | "
-       << fmt_fixed(a.span_us.mean(), 3) << " | "
-       << fmt_fixed(a.span_us.min(), 3) << " | "
-       << fmt_fixed(a.span_us.max(), 3) << " | " << a.instants << '\n';
-  }
 }
 
 }  // namespace dcs::trace

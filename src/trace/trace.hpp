@@ -17,18 +17,27 @@
 //             after reset() + run holds that run's metrics alone, whatever
 //             ran in the context before.
 //
-//   Tracer    records spans (op type, node, id, start/end sim::Time) and
-//             instant events while installed as the current execution
-//             context's tracer.  Emits Chrome `trace_event` JSON (load in
-//             chrome://tracing or https://ui.perfetto.dev) and a plain-text
-//             per-operation summary table.  With no tracer installed the
-//             instrumentation costs exactly one pointer test per site.
+//   Records   spans, instants, logs and request roots (op type, node, id,
+//             start/end sim::Time, causal ids) form ONE stream per
+//             execution context.  The context's sink set (detail::Sinks)
+//             owns the virtual clock, the request and span id counters and
+//             the armed state; at most one consumer per retention policy
+//             attaches to it through the Sink interface:
+//               Tracer          keep all — the event vector behind Chrome
+//                               `trace_event` JSON (chrome://tracing,
+//                               https://ui.perfetto.dev) and CriticalPath;
+//               FlightRecorder  per-node ring plus the open-request table
+//                               behind post-mortem dumps (trace/flight.hpp).
+//             Both see the same records with the same ids, so attaching one
+//             never changes what the other keeps.  With nothing attached an
+//             instrumentation site costs one context lookup and one branch.
 //
-// Both outputs are deterministic: the simulation engine replays
+// Every output is deterministic: the simulation engine replays
 // identically for a given seed, and the writers format numbers with fixed
 // precision, so two same-seed runs produce byte-identical files.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <iosfwd>
 #include <map>
@@ -182,9 +191,9 @@ inline constexpr std::size_t kCostCategories = 6;
 /// Stable report name ("host-cpu", "nic", ...); "none" for kNone.
 const char* to_string(Cost c);
 
-/// One recorded event.  Category/name/detail must be string literals (or
-/// otherwise outlive the tracer): events store the pointers, not copies,
-/// so recording is a few stores with no allocation.
+/// One record of the stream.  Category/name/detail must be string literals
+/// (or otherwise outlive every consumer): records carry the pointers, not
+/// copies, so recording is a few stores with no allocation.
 struct TraceEvent {
   const char* category = "";   // layer, e.g. "verbs"
   const char* name = "";       // operation, e.g. "read"
@@ -193,14 +202,88 @@ struct TraceEvent {
   sim::Time start = 0;
   sim::Time end = 0;           // == start for instants
   std::uint64_t request = 0;   // causal request context (0 = untracked)
-  std::uint64_t span = 0;      // span id within the tracer (0 = none)
+  std::uint64_t span = 0;      // span id within the run (0 = none)
   std::uint64_t parent = 0;    // enclosing span on the same strand (0 = root)
   std::uint32_t node = 0;
   Cost cost = Cost::kNone;
-  char phase = 'X';            // 'X' span, 'i' instant, 'R' request root
+  char phase = 'X';  // 'X' span, 'i' instant, 'L' log, 'R' request root
 };
 
-class Tracer {
+/// A consumer of its execution context's record stream, attached to the
+/// context's sink set (detail::Sinks) by install().  The two retention
+/// policies: Tracer keeps every record, FlightRecorder a ring per node.
+class Sink {
+ public:
+  /// A closed span ('X'), an instant ('i'), a log record ('L'; `a1` is its
+  /// second argument, 0 for every other phase) or a closed request ('R').
+  virtual void record(const TraceEvent& ev, std::uint64_t a1) = 0;
+  /// A request opened: its phase-'R' record with end == start.
+  virtual void open_request(const TraceEvent& ev) = 0;
+
+ protected:
+  ~Sink() = default;
+};
+
+namespace detail {
+
+/// The record stream of one execution context (sim/context.hpp): the
+/// virtual clock every record is stamped with, the request and span id
+/// counters, and at most one consumer per retention policy.  Each worker
+/// of a sharded run (sim/shard.hpp) has its own, so a tracer or flight
+/// recorder installed in one worker observes only that worker's engines
+/// and never races another's.  Single-threaded programs only ever use
+/// their thread's default context.
+struct Sinks {
+  enum Slot : std::uint8_t { kKeepAll = 0, kRing = 1 };
+
+  /// The bound engine; non-null exactly while a consumer is attached, so
+  /// it is also the armed flag every site tests.
+  sim::Engine* clock = nullptr;
+  std::array<Sink*, 2> consumers{};
+  std::uint64_t last_request = 0;
+  std::uint64_t last_span = 0;
+
+  bool armed() const { return clock != nullptr; }
+  SimNanos now() const { return clock->now(); }
+
+  /// Attaches `sink` to `slot` bound to `eng`, aborting with `taken` when
+  /// another sink holds the slot.  Arming starts both id counters at zero,
+  /// so ids are a function of the armed run alone.
+  void attach(Slot slot, Sink* sink, sim::Engine& eng, const char* taken);
+  /// Detaches `sink` if it holds `slot`; false otherwise.
+  bool detach(Slot slot, const Sink* sink);
+
+  void record(const TraceEvent& ev, std::uint64_t a1 = 0) const {
+    for (Sink* s : consumers) {
+      if (s != nullptr) s->record(ev, a1);
+    }
+  }
+  void open_request(const TraceEvent& ev) const {
+    for (Sink* s : consumers) {
+      if (s != nullptr) s->open_request(ev);
+    }
+  }
+};
+
+inline Sinks& sinks() { return sim::context().local<Sinks>(); }
+
+inline bool armed() { return sinks().armed(); }
+
+/// A zero-duration record at `now`, charged to the running strand's
+/// request.
+TraceEvent instant_event(SimNanos now, const char* category, const char* name,
+                         std::uint32_t node, std::uint64_t id, char phase);
+/// Bodies of DCS_TRACE_INSTANT / DCS_LOG once armed() passed.
+void emit_instant(const char* category, const char* name, std::uint32_t node,
+                  std::uint64_t id = 0, const char* detail = nullptr);
+void emit_log(const char* layer, const char* opcode, std::uint32_t node,
+              std::uint64_t a0 = 0, std::uint64_t a1 = 0);
+
+}  // namespace detail
+
+/// Keep-all retention: every record of the stream, in order, for Chrome
+/// JSON (ChromeTrace) and critical-path attribution (CriticalPath).
+class Tracer final : public Sink {
  public:
   /// Binds to the engine whose virtual clock timestamps events.
   explicit Tracer(sim::Engine& eng) : eng_(eng) {}
@@ -208,41 +291,23 @@ class Tracer {
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
-  /// Makes this the current execution context's tracer (at most one at a
-  /// time).
+  /// Attaches this tracer to the current execution context's stream (at
+  /// most one tracer at a time).
   void install();
   /// Stops recording; safe to call when not installed.
   void uninstall();
 
-  sim::Time now() const { return eng_.now(); }
-
-  void instant(const char* category, const char* name, std::uint32_t node,
-               std::uint64_t id = 0, const char* detail = nullptr);
-  void complete(const char* category, const char* name, std::uint32_t node,
-                std::uint64_t id, const char* detail, sim::Time start,
-                sim::Time end);
-  /// Fully-specified span record (causal links + cost category); used by
-  /// Span and Request.  Zero-duration cost intervals are dropped: they
-  /// contribute nothing to attribution and only bloat the event stream.
-  void record(const TraceEvent& ev);
-
-  /// Fresh causal ids.  Allocation order follows event order, so ids are
-  /// deterministic across same-seed runs.
-  std::uint64_t next_request_id() { return ++last_request_id_; }
-  std::uint64_t next_span_id() { return ++last_span_id_; }
+  /// Keeps `ev`; a log record is kept as an instant whose id is its first
+  /// argument.
+  void record(const TraceEvent& ev, std::uint64_t a1) override;
+  void open_request(const TraceEvent&) override {}
 
   std::size_t event_count() const { return events_.size(); }
   const std::vector<TraceEvent>& events() const { return events_; }
 
-  /// Plain-text per-(category,name) aggregate: count, total/mean/min/max
-  /// span time in microseconds.  Deterministic.
-  void write_summary(std::ostream& os) const;
-
  private:
   sim::Engine& eng_;
   std::vector<TraceEvent> events_;
-  std::uint64_t last_request_id_ = 0;
-  std::uint64_t last_span_id_ = 0;
 };
 
 /// Chrome trace_event JSON (chrome://tracing, Perfetto) of one or more
@@ -273,90 +338,40 @@ class ChromeTrace {
   std::uint64_t span_base_ = 0;
 };
 
-class FlightRecorder;
-
-namespace detail {
-
-/// The two record sinks an instrumentation site can feed: the full tracer
-/// (unbounded event vector, Chrome JSON) and the flight recorder (bounded
-/// per-node rings, post-mortem dumps — src/trace/flight.hpp).  Either, both
-/// or neither may be installed; `any` is kept equal to (tracer || flight)
-/// by the install/uninstall paths so the disarmed gate stays one load and
-/// one predictable branch.
-struct Sinks {
-  Tracer* tracer = nullptr;
-  FlightRecorder* flight = nullptr;
-  bool any = false;
-};
-
-// One sink set per execution context (sim/context.hpp): a tracer or flight
-// recorder installed in the caller's context observes only the engines that
-// run in it, and each worker of a sharded run (sim/shard.hpp) may arm its
-// own recorder over its own partitions without racing.  Single-threaded
-// programs only ever use their thread's default context.
-inline Sinks& sinks() { return sim::context().local<Sinks>(); }
-
-inline bool armed() { return sinks().any; }
-
-// Flight-recorder forwarding, out of line so this header does not need the
-// FlightRecorder definition (defined in flight.cpp).
-SimNanos flight_now(FlightRecorder* fr);
-std::uint64_t flight_next_request(FlightRecorder* fr);
-std::uint64_t flight_next_span(FlightRecorder* fr);
-void flight_span(FlightRecorder* fr, const TraceEvent& ev);
-void flight_request_begin(FlightRecorder* fr, std::uint64_t request,
-                          const char* name, std::uint32_t node,
-                          std::uint64_t id);
-void flight_request_end(FlightRecorder* fr, std::uint64_t request,
-                        const char* name, std::uint32_t node,
-                        std::uint64_t id);
-/// Fan-out bodies of DCS_TRACE_INSTANT / DCS_LOG once armed() passed.
-void emit_instant(const char* category, const char* name, std::uint32_t node,
-                  std::uint64_t id = 0, const char* detail = nullptr);
-void emit_log(const char* layer, const char* opcode, std::uint32_t node,
-              std::uint64_t a0 = 0, std::uint64_t a1 = 0);
-
-/// Virtual time as seen by whichever sink is installed (both are bound to
-/// the same engine when both are installed).
-inline SimNanos observed_now() {
-  Sinks& s = sinks();
-  return s.tracer != nullptr ? s.tracer->now() : flight_now(s.flight);
+/// The installed tracer, or nullptr.
+inline Tracer* current_tracer() {
+  return static_cast<Tracer*>(
+      detail::sinks().consumers[detail::Sinks::kKeepAll]);
 }
 
-}  // namespace detail
-
-/// The installed tracer, or nullptr (the one-branch gate every
-/// instrumentation site tests).
-inline Tracer* current_tracer() { return detail::sinks().tracer; }
-
 /// RAII span: records start time at construction, emits a complete event
-/// at destruction.  Lives in a coroutine frame across co_awaits.  When no
-/// tracer is installed construction and destruction are each one branch.
+/// at destruction.  Lives in a coroutine frame across co_awaits.  Unarmed
+/// (nothing attached to the context's stream at construction), a span
+/// costs one branch at construction and one on its own member at
+/// destruction.
 ///
-/// While a tracer is installed a span also threads itself into the ambient
-/// strand context: it becomes the strand's innermost span for its lifetime
-/// (children point back via `parent`) and inherits the strand's request id.
+/// An armed span also threads itself into the ambient strand context: it
+/// becomes the strand's innermost span for its lifetime (children point
+/// back via `parent`) and inherits the strand's request id.
 class Span {
  public:
   Span(const char* category, const char* name, std::uint32_t node,
        std::uint64_t id = 0, const char* detail = nullptr,
        Cost cost = Cost::kNone) {
-    if (detail::armed()) {
-      auto& s = detail::sinks();
-      tracer_ = s.tracer;
-      flight_ = s.flight;
+    detail::Sinks& s = detail::sinks();
+    if (s.armed()) {
+      sinks_ = &s;
       category_ = category;
       name_ = name;
       detail_ = detail;
       id_ = id;
       node_ = node;
       cost_ = cost;
-      start_ = detail::observed_now();
+      start_ = s.now();
       auto& ctx = sim::strand_ctx();
       request_ = ctx.request;
       parent_ = ctx.span;
-      span_ = tracer_ != nullptr ? tracer_->next_span_id()
-                                 : detail::flight_next_span(flight_);
+      span_ = ++s.last_span;
       ctx.span = span_;
     }
   }
@@ -365,35 +380,35 @@ class Span {
        std::uint64_t id = 0, const char* detail = nullptr)
       : Span(category, name, node, id, detail, cost) {}
   ~Span() {
-    // Re-check installation: a span parked in a coroutine frame may be
-    // destroyed at engine teardown, after the sinks were uninstalled.
-    auto& s = detail::sinks();
-    const bool traced = tracer_ != nullptr && tracer_ == s.tracer;
-    const bool recorded = flight_ != nullptr && flight_ == s.flight;
-    if (!traced && !recorded) return;
+    // A span parked in a coroutine frame may be destroyed at engine
+    // teardown, after every consumer detached.
+    if (sinks_ == nullptr || !sinks_->armed()) return;
     sim::strand_ctx().span = parent_;
+    const sim::Time end = sinks_->now();
+    // A zero-length cost interval cannot influence attribution; dropping
+    // it keeps contention-free fast paths (uncontended run queue, available
+    // credits) from doubling the stream.
+    if (cost_ != Cost::kNone && end == start_) return;
     TraceEvent ev;
     ev.category = category_;
     ev.name = name_;
     ev.detail = detail_;
     ev.id = id_;
     ev.start = start_;
-    ev.end = detail::observed_now();
+    ev.end = end;
     ev.request = request_;
     ev.span = span_;
     ev.parent = parent_;
     ev.node = node_;
     ev.cost = cost_;
     ev.phase = 'X';
-    if (traced) tracer_->record(ev);
-    if (recorded) detail::flight_span(flight_, ev);
+    sinks_->record(ev);
   }
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
  private:
-  Tracer* tracer_ = nullptr;
-  FlightRecorder* flight_ = nullptr;
+  detail::Sinks* sinks_ = nullptr;  // the stream armed at construction
   const char* category_ = "";
   const char* name_ = "";
   const char* detail_ = nullptr;
@@ -416,60 +431,50 @@ inline std::uint64_t current_request() { return sim::strand_ctx().request; }
 /// end-to-end window the critical-path analyzer attributes.  Restores the
 /// previous strand context on destruction, so requests nest and wrapping a
 /// sub-operation inside an outer request replaces (not extends) the
-/// attribution window.  Free when no tracer is installed.
+/// attribution window.  Free when nothing is attached to the stream.
 class Request {
  public:
   Request(const char* name, std::uint32_t node, std::uint64_t id = 0) {
-    if (detail::armed()) {
-      auto& s = detail::sinks();
-      tracer_ = s.tracer;
-      flight_ = s.flight;
+    detail::Sinks& s = detail::sinks();
+    if (s.armed()) {
+      sinks_ = &s;
       name_ = name;
       node_ = node;
       id_ = id;
-      start_ = detail::observed_now();
+      start_ = s.now();
       prev_ = sim::strand_ctx();
-      // The tracer owns request-id allocation when present so both sinks
-      // agree on ids; flight-only runs allocate from the recorder.
-      request_ = tracer_ != nullptr ? tracer_->next_request_id()
-                                    : detail::flight_next_request(flight_);
+      request_ = ++s.last_request;
       sim::strand_ctx() = {request_, 0};
-      if (flight_ != nullptr) {
-        detail::flight_request_begin(flight_, request_, name_, node_, id_);
-      }
+      s.open_request(event(start_));
     }
   }
   ~Request() {
-    auto& s = detail::sinks();
-    const bool traced = tracer_ != nullptr && tracer_ == s.tracer;
-    const bool recorded = flight_ != nullptr && flight_ == s.flight;
-    if (!traced && !recorded) return;
+    if (sinks_ == nullptr || !sinks_->armed()) return;
     sim::strand_ctx() = prev_;
-    if (traced) {
-      TraceEvent ev;
-      ev.category = "request";
-      ev.name = name_;
-      ev.id = id_;
-      ev.start = start_;
-      ev.end = tracer_->now();
-      ev.request = request_;
-      ev.node = node_;
-      ev.phase = 'R';
-      tracer_->record(ev);
-    }
-    if (recorded) {
-      detail::flight_request_end(flight_, request_, name_, node_, id_);
-    }
+    sinks_->record(event(sinks_->now()));
   }
   Request(const Request&) = delete;
   Request& operator=(const Request&) = delete;
 
-  /// 0 when neither a tracer nor a flight recorder is installed.
+  /// 0 when nothing was attached to the stream at construction.
   std::uint64_t id() const { return request_; }
 
  private:
-  Tracer* tracer_ = nullptr;
-  FlightRecorder* flight_ = nullptr;
+  /// This request's phase-'R' record, closed at `end`.
+  TraceEvent event(sim::Time end) const {
+    TraceEvent ev;
+    ev.category = "request";
+    ev.name = name_;
+    ev.id = id_;
+    ev.start = start_;
+    ev.end = end;
+    ev.request = request_;
+    ev.node = node_;
+    ev.phase = 'R';
+    return ev;
+  }
+
+  detail::Sinks* sinks_ = nullptr;  // the stream armed at construction
   const char* name_ = "";
   std::uint64_t id_ = 0;
   std::uint64_t request_ = 0;
@@ -507,9 +512,9 @@ class AdoptContext {
 // --- instrumentation macros ---
 //
 // Compile-time removable (define DCS_TRACE_DISABLED) and runtime-cheap:
-// with tracing compiled in but no tracer installed each site costs one
-// pointer test.  Arguments after `node` are optional: (id) or
-// (id, detail).
+// with tracing compiled in but nothing attached to the context's stream
+// each site costs one context lookup and one branch.  Arguments after
+// `node` are optional: (id) or (id, detail).
 #ifndef DCS_TRACE_DISABLED
 #define DCS_TRACE_CAT_(a, b) a##b
 #define DCS_TRACE_CAT(a, b) DCS_TRACE_CAT_(a, b)
@@ -540,8 +545,8 @@ class AdoptContext {
   } while (0)
 /// Structured log record: layer and opcode string literals plus up to two
 /// integer arguments, stamped with virtual time and the current request.
-/// Feeds the flight recorder's bounded per-node ring (and, when a tracer is
-/// installed, the trace as an instant).  Meant for error and stall paths:
+/// Feeds the flight recorder's bounded per-node ring (and a tracer, which
+/// keeps it as an instant).  Meant for error and stall paths:
 /// the records survive in the ring until a post-mortem dump needs them.
 #define DCS_LOG(layer, opcode, node, ...)                         \
   do {                                                            \

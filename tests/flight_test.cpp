@@ -1,7 +1,9 @@
 // Flight recorder and post-mortem capture: ring wraparound, disarmed
 // cost, trip conditions (engine stall, deadline watchdog, audit
-// violation), byte-identical same-seed dumps, and the `dcs inspect`
-// offline queries over the dumps they produce.
+// violation) and a healthy run that must not trip, byte-identical
+// same-seed dumps, a tracer and a recorder sharing one record stream
+// without changing each other's output, and the `dcs inspect` offline
+// queries over the dumps they produce.
 #include <cstdio>
 #include <fstream>
 #include <set>
@@ -13,6 +15,7 @@
 
 #include "audit/audit.hpp"
 #include "dlm/ncosed.hpp"
+#include "dlm/srsl.hpp"
 #include "monitor/watchdog.hpp"
 #include "sim/sync.hpp"
 #include "trace/flight.hpp"
@@ -192,6 +195,85 @@ TEST(FlightPostmortemTest, WrittenDumpIsNotLost) {
   ASSERT_EQ(fr.dump_paths().size(), 1u);
   EXPECT_EQ(fr.lost_dumps(), 0u);
   std::remove(fr.dump_paths()[0].c_str());
+}
+
+// --- healthy runs never trip ---
+
+TEST(FlightPostmortemTest, HealthySrslRunDrainsWithoutATrip) {
+  Registry::global().reset();
+  sim::Engine eng;
+  fabric::Fabric fab(eng, fabric::FabricParams{},
+                     {.num_nodes = 4, .cores_per_node = 2,
+                      .mem_per_node = 1u << 20});
+  verbs::Network net(fab);
+  dlm::SrslLockManager mgr(net, 0);
+  FlightRecorder fr(eng, {.ring_capacity = 64});
+  fr.install();
+  mgr.start();
+  for (NodeId node = 1; node <= 3; ++node) {
+    eng.spawn([](dlm::LockManager& m, NodeId self) -> sim::Task<void> {
+      Request req("srsl.cycle", self, self);
+      co_await m.lock(self, 0, dlm::LockMode::kExclusive);
+      co_await m.unlock(self, 0);
+    }(mgr, node));
+  }
+  eng.run();
+  // The lock server stays parked on receive, so the run drains with a live
+  // root; with every request finished that is not a wedge.
+  EXPECT_GE(eng.live_roots(), 1u);
+  EXPECT_TRUE(fr.in_flight().empty());
+  EXPECT_EQ(fr.trips(), 0u);
+  fr.uninstall();
+}
+
+// --- one record stream: attaching one consumer never changes the other ---
+
+struct ObservedCascade {
+  std::string chrome;      // Chrome JSON; empty when untraced
+  std::string postmortem;  // the engine-stall dump; empty when unrecorded
+};
+
+ObservedCascade observe_cascade(bool traced, bool recorded) {
+  Registry::global().reset();
+  WedgeWorld w;
+  Tracer tracer(w.eng);
+  FlightRecorder fr(w.eng, {.ring_capacity = 128});
+  if (traced) tracer.install();
+  if (recorded) fr.install();
+  w.spawn_cascade();
+  w.eng.run();
+  fr.uninstall();
+  tracer.uninstall();
+  ObservedCascade out;
+  if (traced) {
+    std::ostringstream os;
+    ChromeTrace chrome(os);
+    chrome.add(tracer);
+    chrome.close();
+    out.chrome = os.str();
+  }
+  if (recorded) {
+    EXPECT_EQ(fr.last_reason(), "engine-stall");
+    std::ostringstream os;
+    fr.write_postmortem(os, fr.last_reason().c_str(), fr.last_detail());
+    out.postmortem = os.str();
+  }
+  return out;
+}
+
+TEST(FlightStreamTest, RecordingLeavesTheTraceByteIdentical) {
+  const ObservedCascade traced = observe_cascade(true, false);
+  const ObservedCascade both = observe_cascade(true, true);
+  EXPECT_NE(traced.chrome.find("\"request\":"), std::string::npos);
+  EXPECT_NE(traced.chrome.find("holder.parked"), std::string::npos);
+  EXPECT_EQ(traced.chrome, both.chrome);
+}
+
+TEST(FlightStreamTest, TracingLeavesThePostmortemByteIdentical) {
+  const ObservedCascade recorded = observe_cascade(false, true);
+  const ObservedCascade both = observe_cascade(true, true);
+  EXPECT_NE(recorded.postmortem.find("wedge.acquire"), std::string::npos);
+  EXPECT_EQ(recorded.postmortem, both.postmortem);
 }
 
 // --- audit-violation trip (OnViolation::kPostmortem) ---

@@ -6,7 +6,8 @@
 // charge the scraped node zero target CPU, and (c) produce byte-identical
 // merged dcs-timeseries-v1 dumps for every --shards worker count.  Also
 // pins collect_shard_registries' sorted-enumeration contract (the
-// sortedness assert added with the obs layer).
+// sortedness assert added with the obs layer), and that each worker
+// context arms a flight recorder of its own.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,6 +22,7 @@
 #include "obs/slo.hpp"
 #include "obs/timeseries.hpp"
 #include "sim/shard.hpp"
+#include "trace/flight.hpp"
 #include "trace/shard_metrics.hpp"
 #include "trace/trace.hpp"
 #include "verbs/verbs.hpp"
@@ -204,6 +206,51 @@ TEST(ObsShardTest, CollectedShardRegistriesEnumerateSortedAndByteStable) {
   EXPECT_NE(oracle.find("a.first"), std::string::npos);
   EXPECT_EQ(run(2), oracle);
   EXPECT_EQ(run(4), oracle);
+}
+
+sim::Task<void> log_partition(Shard& shard) {
+  for (std::uint64_t k = 0; k < 3; ++k) {
+    co_await shard.engine().delay(100 * (k + 1));
+    DCS_LOG("test", "part", shard.index(), shard.index(), k);
+  }
+}
+
+TEST(ObsShardTest, EachWorkerContextArmsItsOwnFlightRecorder) {
+  constexpr std::uint32_t kParts = 2;
+  std::vector<trace::FlightRecorder*> recorders(kParts, nullptr);
+  std::vector<trace::FlightRecorder*> current(kParts, nullptr);
+  {
+    // One partition per worker, so each recorder arms the record stream of
+    // its own worker's context.
+    ShardedEngine sharded(
+        {.partitions = kParts, .workers = kParts, .lookahead = kLookahead});
+    sharded.setup([&recorders](Shard& shard) {
+      auto fr = std::make_shared<trace::FlightRecorder>(
+          shard.engine(), trace::FlightConfig{.ring_capacity = 16});
+      fr->install();
+      recorders[shard.index()] = fr.get();
+      shard.engine().spawn(log_partition(shard));
+      shard.keep_alive(fr);  // torn down, so uninstalled, in its context
+    });
+    sharded.run();
+    sharded.for_each_worker([&current](std::uint32_t w) {
+      current[w] = trace::FlightRecorder::current();
+    });
+    for (std::uint32_t p = 0; p < kParts; ++p) {
+      ASSERT_NE(recorders[p], nullptr);
+      EXPECT_EQ(current[p], recorders[p]) << "worker " << p;
+      // Only the partition's own DCS_LOG records reach its ring.
+      EXPECT_EQ(recorders[p]->nodes(), std::vector<std::uint32_t>{p});
+      const auto recs = recorders[p]->records(p);
+      ASSERT_EQ(recs.size(), 3u) << "partition " << p;
+      for (std::size_t k = 0; k < recs.size(); ++k) {
+        EXPECT_STREQ(recs[k].opcode, "part");
+        EXPECT_EQ(recs[k].a0, p);
+        EXPECT_EQ(recs[k].a1, k);
+      }
+    }
+  }
+  EXPECT_EQ(trace::FlightRecorder::current(), nullptr);
 }
 
 }  // namespace
