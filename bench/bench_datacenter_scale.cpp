@@ -17,11 +17,11 @@
 // at higher worker counts is a merge bug, not noise.
 //
 // The run is one harness scenario, `zipf/nodes=N` (obs::Harness::
-// run_sharded), so every harness file flag works as in any bench but
-// --trace-out and --critical-path, which would need one tracer per
-// partition engine.  Its dcs-bench-v1 snapshot (the fingerprint, the
-// per-partition event counts and the collected registry) is byte-identical
-// for every `--shards` value.
+// run_sharded), so every harness file flag works as in any bench: the
+// harness traces and flight-records each partition in its own context.
+// Its dcs-bench-v1 snapshot (the fingerprint, the per-partition event
+// counts and the collected registry), its trace and its critical path are
+// byte-identical for every `--shards` value.
 #include <algorithm>
 #include <array>
 #include <cinttypes>
@@ -61,6 +61,18 @@ constexpr std::size_t kAllocs = 8;       // DDSS allocations per partition
 constexpr std::size_t kValueBytes = 64;  // payload size of every put/get
 
 constexpr std::uint32_t kNoHotShard = ~0u;
+
+// Caps on the count flags: every partition owns an engine, an execution
+// context and a Fabric slice, and every worker beyond the first is a
+// thread, so an unbounded value would exhaust memory or threads before
+// the run starts.  A larger value exits 2 naming the flag.
+constexpr std::uint64_t kMaxNodes = 4096;
+constexpr std::uint64_t kMaxPartitions = 256;
+constexpr std::uint64_t kMaxShards = 64;
+constexpr std::uint64_t kMaxClients = 256;  // per partition
+constexpr std::uint64_t kMaxOps = 1u << 20;  // per client strand
+constexpr std::uint64_t kMaxScrapeUs = 1u << 20;
+constexpr std::uint64_t kMaxScrapes = 1u << 16;
 /// A served request slower than this counts against the slow-serve budget.
 constexpr SimNanos kSlowServeNs = 20000;
 
@@ -84,8 +96,8 @@ struct ScaleConfig {
 
 /// Everything one partition owns: a Fabric slice of the datacenter plus the
 /// services running on it.  Built by the setup factory in the partition's
-/// worker context and parked there via Shard::keep_alive, so construction
-/// and destruction both happen in that context (the per-worker-context
+/// context and parked there via Shard::keep_alive, so construction and
+/// destruction both happen in that context (the per-partition-context
 /// contract in sim/shard.hpp).
 struct PartitionHost {
   PartitionHost(sim::Engine& eng, const ScaleConfig& cfg)
@@ -115,8 +127,8 @@ struct PartitionHost {
   std::vector<ddss::Allocation> allocs;
   std::map<std::pair<fabric::NodeId, dlm::LockId>, sim::Mutex> cohorts;
   /// Per-partition serve-path registry: the telemetry exporter mirrors
-  /// THIS registry (not the worker context's one), so the exported
-  /// page is a function of the partition, never of the --shards layout.
+  /// THIS registry (not the partition context's one, which every layer
+  /// records into), so the exported page holds the serve path alone.
   trace::Registry serve_reg;
 };
 
@@ -139,15 +151,12 @@ struct PartitionDump {
   std::vector<obs::AlertEvent> alerts;
   std::uint64_t scrapes = 0;
   std::uint64_t firing = 0;  // (rule, node) pairs firing after the last sweep
-  std::uint64_t flight_trips = 0;
-  std::uint64_t lost_dumps = 0;  // post-mortems the recorder could not write
-  std::vector<std::string> dump_paths;
   /// Attribution slice (--hotset-out / --exemplars-out): the serve path
-  /// feeds THESE sketches explicitly — never the worker's ambient hot
-  /// sink — so their contents are a function of the partition alone and
-  /// the merged dumps are byte-identical for every --shards value.  Only
-  /// the owning partition's strands touch its slot, and the run's closing
-  /// barrier publishes the writes to the calling thread.
+  /// feeds THESE sketches explicitly, never the partition's ambient hot
+  /// sink, so the pinned dumps hold the serve-path domains alone (the
+  /// ambient DCS_HOT sites of every DDSS, verbs and N-CoSED op would add
+  /// theirs).  Only the owning partition's strands touch its slot, and the
+  /// run's closing barrier publishes the writes to the calling thread.
   obs::HeavyHitters hot;
   trace::ExemplarStore exemplars;
   std::uint64_t serves = 0;
@@ -156,22 +165,17 @@ struct PartitionDump {
 /// Per-partition observability plane: an RDMA-Sync exporter/scraper pair
 /// over the partition's serve registry, a windowed time-series store and
 /// an SLO engine (the built-in burn rule plus the --slo rules) wired into
-/// a flight recorder.  Lives in the partition's worker context
-/// (Shard::keep_alive), like PartitionHost.
+/// the flight recorder the harness armed in the partition's context under
+/// --postmortem-dir.  Lives in the partition's context (Shard::keep_alive),
+/// like PartitionHost.
 struct ObsPlane {
-  ObsPlane(sim::Shard& shard, PartitionHost& host, const ScaleConfig& cfg,
-           const obs::HarnessOptions& opts,
+  ObsPlane(PartitionHost& host, const ScaleConfig& cfg,
            const std::vector<obs::SloRule>& rules)
       : exporter(host.net, /*node=*/0, serve_schema(),
                  microseconds(cfg.scrape_us), &host.serve_reg),
         scraper(host.net, /*frontend=*/host.fab.size() > 1 ? 1 : 0),
         store({.window = microseconds(cfg.scrape_us), .retention = 64}),
-        slo(store),
-        flight(shard.engine(),
-               trace::FlightConfig{
-                   .postmortem_dir = opts.postmortem_dir,
-                   .prefix = "datacenter_scale.p" +
-                             std::to_string(shard.index())}) {
+        slo(store) {
     scraper.attach(exporter);
     obs::SloRule burn;
     burn.name = DCS_SLO_NAME("serve-slow-burn");
@@ -186,14 +190,13 @@ struct ObsPlane {
     burn.trip_postmortem = true;  // dumps only when --postmortem-dir is set
     slo.add_rule(std::move(burn));
     for (const obs::SloRule& rule : rules) slo.add_rule(rule);
-    slo.set_flight(&flight);
+    slo.set_flight(trace::FlightRecorder::current());
   }
 
   monitor::TelemetryExporter exporter;
   monitor::TelemetryScraper scraper;
   obs::TimeSeriesStore store;
   obs::SloEngine slo;
-  trace::FlightRecorder flight;
 };
 
 // Coroutines below are free functions taking the shared host by value: a
@@ -277,9 +280,6 @@ sim::Task<void> scrape_strand(sim::Shard& shard,
   slot.alerts = obs->slo.alerts();
   slot.scrapes = obs->scraper.scrapes();
   slot.firing = obs->slo.firing().size();
-  slot.flight_trips = obs->flight.trips();
-  slot.lost_dumps = obs->flight.lost_dumps();
-  slot.dump_paths = obs->flight.dump_paths();
 }
 
 /// One client strand: Zipf-keyed requests over the global node space.
@@ -344,9 +344,7 @@ sim::Task<void> boot(sim::Shard& shard, std::shared_ptr<PartitionHost> host,
 }
 
 void setup_partition(sim::Shard& shard, const ScaleConfig& cfg,
-                     const obs::Harness& h,
-                     const obs::HarnessOptions& opts,
-                     std::vector<PartitionDump>* slots) {
+                     const obs::Harness& h, std::vector<PartitionDump>* slots) {
   auto host = std::make_shared<PartitionHost>(shard.engine(), cfg);
   host->substrate.start();
   shard.set_handler([host, cfg, slots](sim::Shard& s,
@@ -363,8 +361,7 @@ void setup_partition(sim::Shard& shard, const ScaleConfig& cfg,
   shard.engine().spawn(boot(shard, host, cfg));
   shard.keep_alive(host);
   if (cfg.observe) {
-    auto obs = std::make_shared<ObsPlane>(shard, *host, cfg, opts,
-                                          h.slo_rules());
+    auto obs = std::make_shared<ObsPlane>(*host, cfg, h.slo_rules());
     obs->exporter.start(cfg.scrapes + 1);
     shard.engine().spawn(scrape_strand(shard, obs, cfg, slots));
     shard.keep_alive(obs);
@@ -376,12 +373,12 @@ std::uint64_t counter_value(const char* name) {
   return c != nullptr ? c->value : 0;
 }
 
-/// Prints the header line, records the run's results once every worker's
-/// registry is collected, and hands the partitions' health planes and
-/// attribution slices to the harness in partition order.  Node sets are disjoint (each partition
-/// ingests under its own index) and the sketch and exemplar merges are
-/// grouping-independent, so — like the fingerprint — every dump is
-/// byte-identical for every --shards value.
+/// Prints the header line, records the run's results once every
+/// partition's registry is collected, and hands the partitions' health
+/// planes and attribution slices to the harness in partition order.  Node
+/// sets are disjoint (each partition ingests under its own index), so —
+/// like the fingerprint — every dump is byte-identical for every --shards
+/// value.
 void report(obs::ShardedScenario& s, const ScaleConfig& cfg,
             const std::vector<PartitionDump>& slots) {
   sim::ShardedEngine& sharded = s.engine();
@@ -411,26 +408,24 @@ void report(obs::ShardedScenario& s, const ScaleConfig& cfg,
                           counter_value("scale.remote.rtt_total_ns")) /
                           resp / 1e3
                     : 0.0);
-  const auto worker_wall = sharded.worker_wall_ns();
-  std::fprintf(stderr, "  wall             %.1f ms busiest worker\n",
-               static_cast<double>(*std::max_element(worker_wall.begin(),
-                                                     worker_wall.end())) /
+  const auto thread_wall = sharded.worker_wall_ns();
+  std::fprintf(stderr, "  wall             %.1f ms busiest thread\n",
+               static_cast<double>(*std::max_element(thread_wall.begin(),
+                                                     thread_wall.end())) /
                    1e6);
 
-  std::uint64_t scrapes = 0, transitions = 0, firing = 0, trips = 0;
-  std::uint64_t serves = 0;
+  std::uint64_t scrapes = 0, transitions = 0, firing = 0, serves = 0;
   for (const PartitionDump& slot : slots) {
-    if (cfg.observe) s.health(slot.store, slot.alerts, slot.lost_dumps);
+    if (cfg.observe) s.health(slot.store, slot.alerts);
     if (cfg.attribute) s.attribution(slot.hot, slot.exemplars);
     scrapes += slot.scrapes;
     transitions += slot.alerts.size();
     firing += slot.firing;
-    trips += slot.flight_trips;
     serves += slot.serves;
-    for (const auto& path : slot.dump_paths) {
-      std::fprintf(stderr, "  postmortem: %s\n", path.c_str());
-    }
   }
+  // Each trip of a partition's recorder counts in its registry (and prints
+  // its dump path itself).
+  const std::uint64_t trips = counter_value("flight.trips");
   if (cfg.observe) {
     std::fprintf(stderr,
                  "  health plane     %" PRIu64 " scrapes, %" PRIu64
@@ -456,8 +451,7 @@ int main(int argc, char** argv) {
     const std::string_view arg = argv[i];
     // `--name=N` into `field`, exiting 2 on a value outside [min, max].
     const auto take = [&](std::string_view name, auto& field,
-                          std::uint64_t min = 0,
-                          std::uint64_t max = UINT32_MAX) {
+                          std::uint64_t min, std::uint64_t max) {
       if (!arg.starts_with(name) || arg.substr(name.size(), 1) != "=") {
         return false;
       }
@@ -465,14 +459,15 @@ int main(int argc, char** argv) {
           obs::count_flag(name, arg.substr(name.size() + 1), min, max));
       return true;
     };
-    if (!take("--nodes", cfg.nodes, 1, UINT64_MAX) &&
-        !take("--partitions", cfg.partitions) &&
-        !take("--shards", cfg.shards) &&
+    if (!take("--nodes", cfg.nodes, 1, kMaxNodes) &&
+        !take("--partitions", cfg.partitions, 0, kMaxPartitions) &&
+        !take("--shards", cfg.shards, 0, kMaxShards) &&
         !take("--seed", cfg.seed, 0, UINT64_MAX) &&
-        !take("--clients", cfg.clients) && !take("--ops", cfg.ops) &&
-        !take("--hot-shard", cfg.hot_shard) &&
-        !take("--scrape-us", cfg.scrape_us, 1, UINT64_MAX) &&
-        !take("--scrapes", cfg.scrapes, 0, UINT64_MAX)) {
+        !take("--clients", cfg.clients, 0, kMaxClients) &&
+        !take("--ops", cfg.ops, 0, kMaxOps) &&
+        !take("--hot-shard", cfg.hot_shard, 0, UINT32_MAX) &&
+        !take("--scrape-us", cfg.scrape_us, 1, kMaxScrapeUs) &&
+        !take("--scrapes", cfg.scrapes, 0, kMaxScrapes)) {
       argv[rest++] = argv[i];
     }
   }
@@ -487,11 +482,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "datacenter_scale: --hot-shard out of range\n");
     return 2;
   }
-  // One tracer per partition engine is not built, so these have no sink.
-  obs::reject_unsupported("datacenter_scale", !opts.trace_out.empty(),
-                          "--trace-out");
-  obs::reject_unsupported("datacenter_scale", !opts.critical_path.empty(),
-                          "--critical-path");
   // Post-mortems and --slo rules need the health plane's store.
   cfg.observe = !opts.timeseries_out.empty() || !opts.slo_rules.empty() ||
                 !opts.postmortem_dir.empty();
@@ -505,7 +495,7 @@ int main(int argc, char** argv) {
        .workers = cfg.shards,
        .lookahead = fabric::FabricParams{}.link_latency},
       [&](sim::Shard& shard) {
-        setup_partition(shard, cfg, h, opts, &slots);
+        setup_partition(shard, cfg, h, &slots);
       },
       [&](obs::ShardedScenario& s) { report(s, cfg, slots); });
   const auto count = [&](const char* name) {

@@ -179,8 +179,8 @@ void Auditor::acquire(const void* obj) {
 }
 
 void Auditor::on_cross_shard(std::uint32_t src_shard, std::uint64_t seq) {
-  // The sender ran in another worker's context under a different Auditor
-  // (or none), so there
+  // The sender ran in another partition's context under a different
+  // Auditor (or none), so there
   // is no release/acquire pair to join here.  The sharded runner's merge
   // order (time, src shard, seq) is the ordering authority; locally the
   // delivery just opens a fresh epoch on the pump strand so accesses made

@@ -38,9 +38,9 @@ using fabric::NodeId;
 /// sync): zero simulated CPU, so exporting costs the target nothing.
 ///
 /// The mirror source defaults to the current execution context's
-/// trace::Registry::global().  Sharded workloads that want per-partition
-/// telemetry (independent of the `--shards` worker layout, where one
-/// worker's registry accumulates several partitions) pass an explicit
+/// trace::Registry::global(), which every layer running in that context
+/// records into.  Workloads that want a page holding one service's
+/// series alone (bench_datacenter_scale's serve path) pass an explicit
 /// `source` registry instead.
 class TelemetryExporter {
  public:

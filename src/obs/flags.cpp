@@ -118,13 +118,4 @@ void reject_unknown_args(int argc, char** argv) {
   std::exit(2);
 }
 
-void reject_unsupported(std::string_view prog, bool given,
-                        std::string_view flag) {
-  if (!given) return;
-  std::fprintf(stderr, "%.*s: %.*s is not supported\n",
-               static_cast<int>(prog.size()), prog.data(),
-               static_cast<int>(flag.size()), flag.data());
-  std::exit(2);
-}
-
 }  // namespace dcs::obs

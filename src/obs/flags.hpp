@@ -91,11 +91,4 @@ HarnessOptions extract_harness_flags(int& argc, char** argv);
 /// call once every flag a binary knows has been removed.
 void reject_unknown_args(int argc, char** argv);
 
-/// Exits 2 with "PROG: FLAG is not supported" when `given`.  A binary
-/// calls it for every flag extract_harness_flags accepted that it has no
-/// use for (e.g. --trace-out in a sharded bench), so that no
-/// accepted flag is silently ignored.
-void reject_unsupported(std::string_view prog, bool given,
-                        std::string_view flag);
-
 }  // namespace dcs::obs

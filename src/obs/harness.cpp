@@ -146,16 +146,7 @@ std::map<std::string, double> Harness::run(
                         bd.name, bd.total, bd.request, bd.by_cost);
     }
   }
-  if (cp.aggregate().count > 0) {
-    std::ostringstream agg;
-    trace::write_breakdown_json(agg, cp.aggregate());
-    snap.critical_path_json = agg.str();
-  }
-  if (!opts_.critical_path.empty()) {
-    std::ostringstream report;
-    cp.write_report(report);
-    snap.critical_path_report = report.str();
-  }
+  critical_path(cp, snap);
   if (!opts_.timeseries_out.empty() || !opts_.slo_rules.empty()) {
     // Scenario ordinal as node id: each scenario is "one node" of the
     // bench's cluster dump, so per-scenario history stays disjoint.
@@ -179,40 +170,85 @@ std::map<std::string, double> Harness::run_sharded(
                                                              from)
             .count());
   };
-  // Reset before the engine exists: worker 0's partitions record into this
-  // thread's registry from setup on (trace/shard_metrics.hpp).
+  // The partitions' registries are collected into this one: reset, it
+  // holds this run's metrics alone.
   trace::Registry::global().reset();
   const auto start = Clock::now();
+  // What run() arms around a scenario, armed in each partition's own
+  // context before its setup: a tracer when the run is observed, a flight
+  // recorder under --postmortem-dir.  Both outlive the engine.
+  std::vector<std::unique_ptr<trace::Tracer>> tracers(spec.partitions);
+  std::vector<std::unique_ptr<trace::FlightRecorder>> flights(spec.partitions);
   std::map<std::string, double> metrics;
   {
     sim::ShardedEngine sharded(spec);
-    sharded.setup(setup);
+    sharded.setup([&](sim::Shard& shard) {
+      const std::uint32_t p = shard.index();
+      if (opts_.observed()) {
+        tracers[p] = std::make_unique<trace::Tracer>(shard.engine());
+        tracers[p]->install();
+      }
+      if (!opts_.postmortem_dir.empty()) {
+        flights[p] = std::make_unique<trace::FlightRecorder>(
+            shard.engine(),
+            trace::FlightConfig{.postmortem_dir = opts_.postmortem_dir,
+                                .prefix = bench_ + ".p" + std::to_string(p)});
+        flights[p]->install();
+      }
+      setup(shard);
+    });
     Snapshot snap;
     snap.name = scenario;
-    // Run-phase frames: each worker context's slab allocations across run().
-    std::vector<std::uint64_t> frames(sharded.workers());
-    sharded.for_each_worker([&frames](std::uint32_t w) {
-      frames[w] = sim::context().slab().stats().allocs;
+    // Run-phase frames: each partition context's slab allocations across
+    // run().
+    std::vector<std::uint64_t> frames(sharded.partitions());
+    sharded.for_each_partition([&frames](std::uint32_t p) {
+      frames[p] = sim::context().slab().stats().allocs;
     });
     const auto run_start = Clock::now();
     sharded.run();
     snap.wall_ns = ns_since(run_start);
-    sharded.for_each_worker([&frames](std::uint32_t w) {
-      frames[w] = sim::context().slab().stats().allocs - frames[w];
+    sharded.for_each_partition([&](std::uint32_t p) {
+      frames[p] = sim::context().slab().stats().allocs - frames[p];
+      if (flights[p] != nullptr) flights[p]->uninstall();
+      if (tracers[p] != nullptr) tracers[p]->uninstall();
     });
     for (const std::uint64_t f : frames) snap.frames += f;
+    std::vector<const trace::Tracer*> runs;
+    for (std::uint32_t p = 0; p < sharded.partitions(); ++p) {
+      if (flights[p] != nullptr) lost_dumps_ += flights[p]->lost_dumps();
+      if (tracers[p] == nullptr) continue;
+      runs.push_back(tracers[p].get());
+      if (trace_ != nullptr) {
+        trace_->add(*tracers[p], scenario + "/p" + std::to_string(p));
+      }
+    }
     trace::collect_shard_registries(sharded);
     ShardedScenario ctx(*this, sharded);
     report(ctx);
     snap.virtual_ns = sharded.now();
     snap.events = sharded.events_dispatched();
     snap.metrics = std::move(ctx.metrics_);
+    critical_path(trace::CriticalPath(runs), snap);
     // Recorded before teardown, so the registry is the run's alone.
     metrics = record(std::move(snap));
   }
   Snapshot& snap = snapshots_.back();
   snap.setup_ns = ns_since(start) - snap.wall_ns;
   return metrics;
+}
+
+void Harness::critical_path(const trace::CriticalPath& cp, Snapshot& snap) {
+  if (cp.aggregate().count > 0) {
+    std::ostringstream agg;
+    trace::write_breakdown_json(agg, cp.aggregate());
+    snap.critical_path_json = agg.str();
+  }
+  if (!opts_.critical_path.empty()) {
+    std::ostringstream report;
+    cp.write_report(report);
+    snap.critical_path_report = report.str();
+  }
 }
 
 std::map<std::string, double> Harness::record(Snapshot snap) {
@@ -231,14 +267,12 @@ std::map<std::string, double> Harness::record(Snapshot snap) {
 }
 
 void ShardedScenario::health(const TimeSeriesStore& store,
-                             const std::vector<AlertEvent>& alerts,
-                             std::uint64_t lost_dumps) {
+                             const std::vector<AlertEvent>& alerts) {
   TimeSeriesStore& mine = harness_.store_;
   if (mine.all().empty()) mine = TimeSeriesStore(store.config());
   mine.merge(store);
   harness_.alerts_.insert(harness_.alerts_.end(), alerts.begin(),
                           alerts.end());
-  harness_.lost_dumps_ += lost_dumps;
   harness_.rules_evaluated_ = true;
 }
 

@@ -5,8 +5,10 @@
 // runs under a fresh engine with the metrics registry reset; when any
 // observability flag is given a tracer records it, and `--postmortem-dir`
 // arms a flight recorder around it.  A sharded scenario (run_sharded, as
-// in bench_datacenter_scale) runs a sim::ShardedEngine instead and hands
-// over what its partitions merged.  finish() writes every requested file
+// in bench_datacenter_scale) runs a sim::ShardedEngine instead: each of
+// its partitions gets the same tracer and flight recorder in its own
+// execution context, and the partitions' registries, traces and critical
+// paths merge in partition order.  finish() writes every requested file
 // once:
 //
 //   --bench-json        canonical dcs-bench-v1 snapshot of every scenario:
@@ -21,6 +23,7 @@
 //   --metrics-out       plain-text registry dump per scenario
 //   --trace-out         one Chrome trace; each scenario's nodes are their
 //                       own processes, labelled with the scenario name
+//                       (and "/p<k>" for partition k of a sharded one)
 //   --timeseries-out    dcs-timeseries-v1 store (scenario ordinal = node;
 //                       a sharded scenario's partition index = node)
 //   --slo               rules evaluated against that store (per sweep, in
@@ -63,6 +66,10 @@
 #include "trace/exemplar.hpp"
 #include "trace/trace.hpp"
 
+namespace dcs::trace {
+class CriticalPath;
+}  // namespace dcs::trace
+
 namespace dcs::obs {
 
 /// Verbs batch depths the batched DDSS sweeps run (`batch=N` scenarios).
@@ -102,11 +109,13 @@ class Scenario {
 class Harness;
 
 /// The report side of a sharded scenario (Harness::run_sharded): the
-/// finished run, every worker's registry already collected, plus sinks for
-/// what the bench merged across partitions in partition order.  Per-engine
-/// sinks (tracer, flight recorder, ambient hot sink) would see only the
-/// caller's partitions, so a sharded bench feeds its own per-partition
-/// planes and hands the merged result over here.
+/// finished run, every partition's registry already collected, plus sinks
+/// for what the bench merged across partitions in partition order.  The
+/// harness traces and flight-records each partition itself; the health
+/// plane and the attribution slices are the bench's own, kept per
+/// partition and handed over here.  They stay explicit so that the dumps
+/// hold what the bench pins: the ambient DCS_HOT sites of every DDSS,
+/// verbs and N-CoSED op would add domains to --hotset-out.
 class ShardedScenario {
  public:
   ShardedScenario(Harness& harness, sim::ShardedEngine& eng)
@@ -120,13 +129,12 @@ class ShardedScenario {
     metrics_[name] = value;
   }
   /// Hands over the health plane: a time-series store keyed by partition
-  /// index, its alert stream (the partitions evaluated Harness::slo_rules()
-  /// per sweep, so finish() evaluates none itself) and the post-mortems its
-  /// flight recorders could not write (they fail finish()).
+  /// index and its alert stream (the partitions evaluated
+  /// Harness::slo_rules() per sweep, so finish() evaluates none itself).
   /// --timeseries-out writes the store and the alerts print on stderr.
   /// The first store handed over sets the dump's window.
   void health(const TimeSeriesStore& store,
-              const std::vector<AlertEvent>& alerts, std::uint64_t lost_dumps);
+              const std::vector<AlertEvent>& alerts);
   /// Hands over the hot-key sketch and exemplars (--hotset-out,
   /// --exemplars-out, --hot-keys).
   void attribution(const HeavyHitters& hot,
@@ -157,14 +165,19 @@ class Harness {
       const std::function<void(Scenario&)>& body);
 
   /// Runs a sharded scenario: builds the engine from `spec` on the calling
-  /// thread under a reset registry, runs `setup` once per partition, then
-  /// run().  `wall_ns` times run() alone; everything else (build, setup,
-  /// registry collection, `report`, teardown) is `setup_ns`.  `report`
-  /// runs before teardown, so it can read the engine and the partitions'
-  /// results; the snapshot then proceeds as in run(), except that the
-  /// registry is not ingested into the time-series store, whose node ids
-  /// are the partitions' (ShardedScenario::health).  Returns the metrics
-  /// `report` recorded.
+  /// thread under a reset registry, arms each partition's tracer and
+  /// flight recorder (as run() arms a scenario's) in the partition's
+  /// context, runs `setup` once per partition there, then run().  A
+  /// partition's setup reaches its recorder with
+  /// trace::FlightRecorder::current().  `wall_ns` times run() alone;
+  /// everything else (build, setup, registry collection, `report`,
+  /// teardown) is `setup_ns`.  `report` runs before teardown, so it can
+  /// read the engine and the partitions' results; the snapshot then
+  /// proceeds as in run(), except that the registry is not ingested into
+  /// the time-series store, whose node ids are the partitions'
+  /// (ShardedScenario::health), and that no exemplar is taken from the
+  /// traces (ShardedScenario::attribution).  Returns the metrics `report`
+  /// recorded.
   std::map<std::string, double> run_sharded(
       const std::string& scenario, const sim::ShardedEngine::Spec& spec,
       const std::function<void(sim::Shard&)>& setup,
@@ -204,6 +217,9 @@ class Harness {
   /// Adds the current registry to `snap`, stores it and returns its
   /// metrics.
   std::map<std::string, double> record(Snapshot snap);
+  /// Fills `snap`'s critical-path block and, with --critical-path, its
+  /// report.
+  void critical_path(const trace::CriticalPath& cp, Snapshot& snap);
   void write_bench_json(std::ostream& os) const;
   void write_wall_json(std::ostream& os) const;
 

@@ -75,7 +75,7 @@ class AuditHook {
   // --- cross-shard boundaries ---
 
   /// A sharded run (sim/shard.hpp) delivered an inbound cross-shard message
-  /// on the current strand.  The sender ran in another worker's context
+  /// on the current strand.  The sender ran in another partition's context
   /// under a different hook instance, so no release/acquire pairing is
   /// possible; instead the delivery opens a fresh vector-clock epoch on the
   /// receiving strand, ordered by the deterministic merge position (src
@@ -88,10 +88,10 @@ class AuditHook {
 };
 
 /// The hook installed in the current execution context, or nullptr.  One
-/// slot per context (sim/context.hpp): each worker of a sharded run
-/// (sim/shard.hpp) may install its own checker over its own partitions, and
-/// a hook installed in the caller's context never observes (or races with)
-/// another worker's dispatches.
+/// slot per context (sim/context.hpp): each partition of a sharded run
+/// (sim/shard.hpp) has its own context, so it may install its own checker
+/// from its setup factory, and a hook installed in the caller's context
+/// never observes (or races with) a partition's dispatches.
 inline AuditHook*& audit_hook() { return context().audit_hook(); }
 
 }  // namespace dcs::sim

@@ -18,7 +18,7 @@ Context::~Context() {
 
 std::size_t Context::next_local_id() {
   // dcs-lint: allow(R2, a slot index is handed out once per local<T> type,
-  // and two worker threads may each touch a new type for the first time)
+  // and two shard threads may each touch a new type for the first time)
   static std::atomic<std::size_t> next{0};
   const std::size_t id = next.fetch_add(1, std::memory_order_relaxed);
   DCS_CHECK_MSG(id < kMaxLocals, "too many Context::local types");

@@ -1,28 +1,28 @@
-// Execution contexts: the ambient per-worker state simulated code reaches
-// without an argument.
+// Execution contexts: the ambient state simulated code reaches without an
+// argument.
 //
 // Code running inside an engine finds a handful of things ambiently, through
 // free functions rather than parameters: the coroutine frame slab
 // (slab.hpp), the audit and stall hooks (audit_hook.hpp, stall_hook.hpp), and
 // in the layers above sim the metrics registry, the cached metric handles,
-// the trace sinks and the hot-key sink (trace/trace.hpp, trace/hot.hpp).  All
-// of them live in one sim::Context, and the context the calling thread
-// currently runs in is reached through a single thread_local pointer.
+// the trace record stream and the hot-key sink (trace/trace.hpp,
+// trace/hot.hpp).  All of them live in one sim::Context, and the context the
+// calling thread currently runs in is reached through a single thread_local
+// pointer.
 //
 //   - Every OS thread has a default context of its own, bound on first use.
 //     A single-threaded program only ever sees that one, so it behaves as if
 //     every piece of ambient state were a thread_local of its own.
-//   - A sharded run (sim/shard.hpp) owns one context per worker.  Worker 0's
-//     is the constructing thread's current context; every other worker's is
-//     created with the run.  Whichever OS thread runs a worker's share of a
-//     window installs that worker's context for the share (ContextScope), so
-//     a partition's setup, dispatches, deliveries and teardown always see
-//     the same slab, hooks, registry and sinks, even when the thread that
-//     runs them changes from one window to the next.
+//   - A sharded run (sim/shard.hpp) owns one context per partition, created
+//     with the run; none is the caller's.  Whichever OS thread claims a
+//     partition installs the partition's context while it runs it
+//     (ContextScope), so a partition's setup, dispatches, deliveries and
+//     teardown always see the same slab, hooks, registry and sinks, even
+//     when the thread that runs them changes from one window to the next.
 //
 // A context is not thread-safe: at most one thread runs in it at a time.
 // The sharded runner's hand-offs (the claim word and the done count in
-// shard.cpp) order one thread's use of a worker context before the next.
+// shard.cpp) order one thread's use of a partition context before the next.
 //
 // Upper layers keep their per-context state in `Context::local<T>()`: one
 // default-constructed T per context, created on first use and destroyed

@@ -31,10 +31,14 @@ Time safe_horizon(Time m, Time lookahead) {
 
 /// One logical partition.  Everything here except `outbox` (drained by the
 /// coordinator between windows) and `due` (filled by the coordinator between
-/// windows) is touched only inside its worker's share; the share's claim
-/// word and the done count order those accesses against the coordinator's
-/// and against the thread that runs the next share.
+/// windows) is touched only by the thread that claimed the partition for
+/// the current command; the claim word and the done count order those
+/// accesses against the coordinator's and against the next claimer's.
 struct Partition {
+  /// Where setup, every window run, every delivery and teardown of this
+  /// partition run: its frame slab, hooks, record stream, hot sink and
+  /// registry.
+  Context ctx;
   std::unique_ptr<Engine> eng;
   std::unique_ptr<Shard> shard;
   std::function<void(Shard&, const ShardMsg&)> handler;
@@ -55,39 +59,31 @@ struct Partition {
   std::uint64_t cross_fp = kFnvOffset;
   std::uint64_t cross_delivered = 0;
 
-  // Set by the coordinator before each window: the partition has a due
-  // delivery or an event at or before the horizon.  Idle partitions are
-  // not run; the coordinator clamps their clocks instead.
-  bool active = false;
+  std::exception_ptr error;  // thrown by this partition during a command
 };
 
-/// A worker's claim word, on its own cache line.  The coordinator posts a
-/// command to the worker by storing 2 * epoch (even: unclaimed); the first
-/// thread to move it to 2 * epoch + 1 runs the worker's share.  A spawned
-/// worker sleeps on `parked` (C++20 atomic wait), which it sets before it
-/// sleeps and a post clears, so a worker already woken but not yet run by
-/// the host costs later posts no second wake.
-struct alignas(64) ClaimSlot {
-  std::atomic<std::uint32_t> word{0};
-  std::atomic<std::uint32_t> parked{0};
+/// The claim word: a command's epoch in the high half, the number of its
+/// list entries nobody has claimed yet in the low half.  Claiming moves
+/// (epoch, left) to (epoch, left - 1) by compare-and-swap and runs entry
+/// size - left, so a claimer that lags a command behind fails its swap
+/// instead of taking an entry of the next one.
+constexpr std::uint64_t ticket(std::uint32_t epoch, std::uint32_t left) {
+  return (std::uint64_t{epoch} << 32) | left;
+}
+constexpr std::uint32_t epoch_of(std::uint64_t t) {
+  return static_cast<std::uint32_t>(t >> 32);
+}
+constexpr std::uint32_t left_of(std::uint64_t t) {
+  return static_cast<std::uint32_t>(t);
+}
 
-  /// Stores `value` and wakes the worker if it may be asleep.  seq_cst on
-  /// both sides: either the worker's check after setting `parked` sees
-  /// `value`, or this exchange sees `parked` set.
-  void post(std::uint32_t value) {
-    word.store(value);
-    if (parked.exchange(0) != 0) parked.notify_one();
-  }
-  /// Worker side: sleeps until a post clears `parked`, unless the word
-  /// has already moved on from `seen`.  May return with the word unchanged
-  /// (a post the worker had already seen cleared `parked`).
-  void park(std::uint32_t seen) {
-    parked.store(1);
-    if (word.load() == seen) parked.wait(1);
-  }
+/// A spawned thread's sleep flag, on its own cache line.  The thread sets
+/// it before it sleeps and the caller clears it when it wakes the thread,
+/// so a thread the host has woken but not yet run is not woken again (a
+/// system call) by every later command.
+struct alignas(64) SleepFlag {
+  std::atomic<std::uint32_t> asleep{0};
 };
-/// Tells a spawned worker to exit; odd, so never a posted (even) word.
-constexpr std::uint32_t kExitWord = 1;
 
 struct ShardedImpl {
   enum class Cmd : std::uint8_t { kSetup, kWindow, kTeardown, kCustom };
@@ -102,75 +98,69 @@ struct ShardedImpl {
       parts.push_back(std::make_unique<Partition>());
     }
     pending.resize(spec.partitions);
-    errors.resize(spec.workers);
+    claims.reserve(spec.partitions);
     wall_ns.assign(spec.workers, 0);
-    busy.assign(spec.workers, 0);
-    slots = std::make_unique<ClaimSlot[]>(spec.workers);
-    // Worker 0 runs in the caller's own context; the others get fresh ones.
-    contexts.push_back(&context());
-    owned_contexts.reserve(spec.workers - 1);
-    for (std::uint32_t w = 1; w < spec.workers; ++w) {
-      owned_contexts.push_back(std::make_unique<Context>());
-      contexts.push_back(owned_contexts.back().get());
-    }
-    // Worker 0 is the constructing thread itself: only 1..W-1 are spawned.
+    // The constructing thread is one of the workers: only 1..W-1 are spawned.
+    sleepers = std::make_unique<SleepFlag[]>(spec.workers - 1);
     pool.reserve(spec.workers - 1);
-    for (std::uint32_t w = 1; w < spec.workers; ++w) {
-      pool.emplace_back([this, w] { worker_main(w); });
+    for (std::uint32_t t = 1; t < spec.workers; ++t) {
+      pool.emplace_back([this, t] { worker_main(t); });
     }
   }
 
   ~ShardedImpl() {
     check_owner();
     command(Cmd::kTeardown);
-    // Every posted word has been claimed, so the exit word is never lost
-    // to a claim.
-    for (std::uint32_t w = 1; w < spec.workers; ++w) slots[w].post(kExitWord);
+    // A new epoch with nothing to claim: every spawned thread wakes, sees
+    // `stop` and exits.
+    stop.store(true);
+    ticket_word.store(ticket(++epoch, 0));
+    for (std::uint32_t t = 0; t + 1 < spec.workers; ++t) {
+      sleepers[t].asleep.store(0);
+      sleepers[t].asleep.notify_one();
+    }
     for (auto& t : pool) t.join();
   }
 
-  // --- coordinator side (the constructing thread, which is worker 0) ---
+  // --- coordinator side (the constructing thread) ---
 
-  /// Worker 0's partitions live in the constructing thread's context (frame
-  /// slab, hooks, registry), and setup, runs and teardown are ordered by
-  /// the caller's program order, so every call must come from that thread.
+  /// The coordinator's state (the command, its list, the pending routes)
+  /// is unsynchronized and its commands run in the caller's program order,
+  /// so every call must come from the constructing thread.
   void check_owner() const {
     DCS_CHECK_MSG(std::this_thread::get_id() == owner,
-                  "ShardedEngine used off the thread that constructed it "
-                  "(that thread is worker 0)");
+                  "ShardedEngine used off the thread that constructed it");
   }
 
-  /// Publishes `c` to workers 1..W-1 (for a window, only those that own an
-  /// active partition) as claimable shares, runs worker 0's share, then
-  /// claims and runs every posted share no spawned worker has started.  It
-  /// waits only for the shares a spawned worker claimed first.  The post
-  /// publishes `cmd`, `done` and every coordinator write before it to the
-  /// claimer; a spawned worker's done increment (release) publishes its
-  /// share's writes back.  A worker's share therefore runs on whichever
-  /// thread claims it, always in that worker's context.
+  /// Runs `c` for every partition on `claims` (for a window, the active
+  /// ones; for every other command, all of them).  Publishes the list as
+  /// a new claim word, wakes up to one sleeping spawned thread per entry
+  /// beyond the caller's own first, claims and runs entries until none is
+  /// left, then waits only for the entries spawned threads claimed.  The
+  /// word's store publishes `cmd`, `claims` and every coordinator write
+  /// before it to each claimer; a spawned thread's done increment
+  /// (release) publishes its partitions' writes back.  seq_cst on the
+  /// word and the sleep flags: either a thread about to sleep sees the new
+  /// word, or the caller sees its flag set.
   void command(Cmd c) {
     cmd = c;
-    if (c != Cmd::kWindow) std::fill(busy.begin(), busy.end(), 1);
-    const std::uint32_t post = 2 * ++epoch;
-    done.store(0, std::memory_order_relaxed);
-    for (std::uint32_t w = 1; w < spec.workers; ++w) {
-      if (busy[w]) slots[w].post(post);
+    if (c != Cmd::kWindow) {
+      claims.clear();
+      for (std::uint32_t p = 0; p < spec.partitions; ++p) claims.push_back(p);
     }
-    run_share(0);
-    std::uint32_t claimed_elsewhere = 0;
-    for (std::uint32_t w = 1; w < spec.workers; ++w) {
-      if (!busy[w]) continue;
-      std::uint32_t expected = post;
-      if (slots[w].word.compare_exchange_strong(expected, post + 1,
-                                                std::memory_order_acq_rel,
-                                                std::memory_order_acquire)) {
-        run_share(w);
-      } else {
-        ++claimed_elsewhere;
+    const auto n = static_cast<std::uint32_t>(claims.size());
+    done.store(0, std::memory_order_relaxed);
+    ticket_word.store(ticket(++epoch, n));
+    std::uint32_t wake = std::min(n, spec.workers) - 1;
+    for (std::uint32_t t = 0; wake > 0 && t + 1 < spec.workers; ++t) {
+      if (sleepers[t].asleep.exchange(0) != 0) {
+        sleepers[t].asleep.notify_one();
+        --wake;
       }
     }
-    for (std::uint32_t d = done.load(std::memory_order_acquire);
-         d != claimed_elsewhere; d = done.load(std::memory_order_acquire)) {
+    const std::uint32_t elsewhere = n - run_claims(0, epoch);
+    for (std::uint32_t d = done.load(std::memory_order_acquire); d != elsewhere;
+         d = done.load(std::memory_order_acquire)) {
       done.wait(d, std::memory_order_acquire);
     }
   }
@@ -194,7 +184,7 @@ struct ShardedImpl {
     // partition left with nothing to do through `h` only needs the clock
     // clamp its run_until(h) would apply; nothing another partition does
     // inside the window can reach it before the next one.
-    std::fill(busy.begin(), busy.end(), 0);
+    claims.clear();
     for (std::uint32_t dst = 0; dst < spec.partitions; ++dst) {
       auto& vec = pending[dst];
       Partition& part = *parts[dst];
@@ -213,16 +203,15 @@ struct ShardedImpl {
                   return std::tie(x.t, x.src, x.seq) <
                          std::tie(y.t, y.src, y.seq);
                 });
-      part.active = !due.empty() || part.eng->next_event_time() <= h;
-      if (part.active) {
-        busy[dst % spec.workers] = 1;
+      if (!due.empty() || part.eng->next_event_time() <= h) {
+        claims.push_back(dst);
       } else {
         part.eng->advance_idle(h);
       }
     }
     horizon = h;
     command(Cmd::kWindow);
-    rethrow_worker_error();
+    rethrow_error();
     // Collect this window's sends in partition order: the pending lists are
     // rebuilt identically no matter how many workers ran the window.
     for (auto& p : parts) {
@@ -236,108 +225,109 @@ struct ShardedImpl {
     ++windows;
   }
 
-  void rethrow_worker_error() {
-    for (auto& e : errors) {
-      if (e) {
+  void rethrow_error() {
+    for (auto& p : parts) {
+      if (p->error) {
         failed = true;
-        std::exception_ptr err = e;
-        e = nullptr;
-        std::rethrow_exception(err);
+        std::rethrow_exception(std::exchange(p->error, nullptr));
       }
     }
   }
 
-  // --- worker side ---
+  // --- claimer side (the coordinator and the spawned threads) ---
 
-  /// Spawned workers 1..W-1: park until the claim word moves, claim the
-  /// posted share if the coordinator has not, run it, report done.
-  void worker_main(std::uint32_t w) {
-    std::atomic<std::uint32_t>& word = slots[w].word;
+  /// Spawned thread `t`: sleep until woken for a command it has not seen,
+  /// claim and run entries of it until none is left, report how many it
+  /// ran.
+  void worker_main(std::uint32_t t) {
+    std::atomic<std::uint32_t>& asleep = sleepers[t - 1].asleep;
     for (std::uint32_t seen = 0;;) {
-      slots[w].park(seen);
-      seen = word.load(std::memory_order_acquire);
-      // A failed claim reloads `seen`: the coordinator took the share, or
-      // has already posted the next one.
-      while (seen % 2 == 0) {
-        if (word.compare_exchange_weak(seen, seen + 1,
-                                       std::memory_order_acq_rel,
-                                       std::memory_order_acquire)) {
-          ++seen;
-          run_share(w);
-          done.fetch_add(1, std::memory_order_release);
-          done.notify_one();
-          break;
-        }
+      asleep.store(1);
+      if (epoch_of(ticket_word.load()) == seen) asleep.wait(1);
+      asleep.store(0);  // awake: the caller spends no wake on this thread
+      seen = epoch_of(ticket_word.load());
+      if (stop.load()) return;
+      if (const std::uint32_t ran = run_claims(t, seen); ran > 0) {
+        done.fetch_add(ran, std::memory_order_release);
+        done.notify_one();
       }
-      if (seen == kExitWord) return;
     }
   }
 
-  /// Runs worker `w`'s share of `cmd` in `w`'s context on the calling
-  /// thread.  A share of a worker other than 0 starts with an empty strand
-  /// context, whichever thread runs it (sim/strand.hpp).
-  void run_share(std::uint32_t w) {
-    ContextScope scope(*contexts[w]);
-    if (w == 0) {
-      run_command(0, cmd);
-      return;
+  /// Claims and runs entries of command `e` on the calling thread, thread
+  /// `t`, until the list is exhausted or the word has moved past `e`;
+  /// returns how many it ran.  The host time from the first claim to the
+  /// last entry's end is thread `t`'s window telemetry.
+  std::uint32_t run_claims(std::uint32_t t, std::uint32_t e) {
+    // dcs-lint: allow(R1, per-thread wall telemetry only feeds the
+    // dcs-bench-wall-v1 report, which is outside the byte-stability
+    // contract; no sim-visible state reads this clock)
+    using Clock = std::chrono::steady_clock;
+    std::uint32_t ran = 0;
+    Clock::time_point start;
+    std::uint64_t w = ticket_word.load(std::memory_order_acquire);
+    while (epoch_of(w) == e && left_of(w) > 0) {
+      if (!ticket_word.compare_exchange_weak(w, w - 1,
+                                             std::memory_order_acq_rel,
+                                             std::memory_order_acquire)) {
+        continue;
+      }
+      if (ran++ == 0) start = Clock::now();
+      run_partition(claims[claims.size() - left_of(w)]);
+      w = ticket_word.load(std::memory_order_acquire);
     }
+    if (ran > 0 && cmd == Cmd::kWindow) {
+      wall_ns[t] += static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
+                                                               start)
+              .count());
+    }
+    return ran;
+  }
+
+  /// Runs partition `p`'s part of `cmd` in p's context on the calling
+  /// thread, starting from an empty strand context (sim/strand.hpp); an
+  /// exception lands in the partition's `error`.
+  void run_partition(std::uint32_t p) {
+    Partition& part = *parts[p];
+    ContextScope scope(part.ctx);
     const StrandCtx outer = std::exchange(strand_ctx(), StrandCtx{});
-    run_command(w, cmd);
-    strand_ctx() = outer;
-  }
-
-  /// Worker `w`'s share of `c`; an exception lands in errors[w].
-  void run_command(std::uint32_t w, Cmd c) {
     try {
-      switch (c) {
+      switch (cmd) {
         case Cmd::kSetup:
-          for (std::uint32_t p = w; p < spec.partitions; p += spec.workers) {
-            setup_partition(p);
-          }
+          setup_partition(part, p);
           break;
-        case Cmd::kWindow: {
-          // dcs-lint: allow(R1, per-worker wall telemetry only feeds the
-          // dcs-bench-wall-v1 report, which is outside the byte-stability
-          // contract; no sim-visible state reads this clock)
-          const auto start = std::chrono::steady_clock::now();
-          for (std::uint32_t p = w; p < spec.partitions; p += spec.workers) {
-            if (parts[p]->active) run_partition(p, horizon);
-          }
-          // dcs-lint: allow(R1, same wall-telemetry measurement as above)
-          const auto end = std::chrono::steady_clock::now();
-          wall_ns[w] += static_cast<std::uint64_t>(
-              std::chrono::duration_cast<std::chrono::nanoseconds>(end -
-                                                                   start)
-                  .count());
+        case Cmd::kWindow:
+          run_window(part);
           break;
-        }
         case Cmd::kTeardown:
-          for (std::uint32_t p = w; p < spec.partitions; p += spec.workers) {
-            teardown_partition(p);
-          }
+          // Destroys the workload, then the engine (which destroys the
+          // parked pump frame): every frame dies in the slab that
+          // allocated it.
+          part.handler = nullptr;
+          part.keep.clear();
+          part.eng.reset();
           break;
         case Cmd::kCustom:
-          (*custom)(w);
+          (*custom)(p);
           break;
       }
     } catch (...) {
-      errors[w] = std::current_exception();
+      part.error = std::current_exception();
     }
+    strand_ctx() = outer;
   }
 
-  /// Runs in the owning worker's context: the engine, the pump strand's
-  /// frame and the factory's spawns are all born in its slab.
-  void setup_partition(std::uint32_t p) {
-    auto& part = *parts[p];
+  /// The engine, the pump strand's frame and the factory's spawns are all
+  /// born in the partition's slab.
+  void setup_partition(Partition& part, std::uint32_t p) {
     part.eng = std::make_unique<Engine>();
     part.shard.reset(new Shard(*this, p));
     part.eng->spawn(pump(*part.eng, part));
     if (factory) (*factory)(*part.shard);
   }
 
-  void run_partition(std::uint32_t p, Time h) {
-    auto& part = *parts[p];
+  void run_window(Partition& part) {
     if (!part.due.empty()) {
       // Schedule one wake per distinct delivery time, all up front.  The
       // pump handles every message at one time then re-parks before the
@@ -351,17 +341,7 @@ struct ShardedImpl {
         prev = msg.t;
       }
     }
-    part.eng->run_until(h);
-  }
-
-  /// Runs in the owning worker's context: destroys the workload, then the
-  /// engine (which destroys the parked pump frame) — every frame dies in
-  /// the slab that allocated it.
-  void teardown_partition(std::uint32_t p) {
-    auto& part = *parts[p];
-    part.handler = nullptr;
-    part.keep.clear();
-    part.eng.reset();
+    part.eng->run_until(horizon);
   }
 
   /// Long-lived delivery strand: parks until a cross wake fires, then
@@ -410,26 +390,25 @@ struct ShardedImpl {
   std::vector<std::unique_ptr<Partition>> parts;
   std::vector<std::vector<ShardMsg>> pending;  // per destination
 
-  const std::thread::id owner;  // the constructing thread == worker 0
+  const std::thread::id owner;  // the constructing thread
   Cmd cmd = Cmd::kSetup;
-  std::vector<char> busy;                // per worker: owns an active partition
-  std::unique_ptr<ClaimSlot[]> slots;    // per worker; slot 0 (caller) unused
-  std::uint32_t epoch = 0;               // commands posted so far
-  std::atomic<std::uint32_t> done{0};    // shares spawned workers finished
-  std::vector<Context*> contexts;        // per worker; [0] is the caller's
-  std::vector<std::unique_ptr<Context>> owned_contexts;  // workers 1..W-1
+  std::vector<std::uint32_t> claims;  // the current command's partitions
+  std::uint32_t epoch = 0;            // commands posted so far
+  std::atomic<std::uint64_t> ticket_word{0};  // ticket(epoch, left)
+  std::unique_ptr<SleepFlag[]> sleepers;      // spawned thread t's is [t - 1]
+  std::atomic<std::uint32_t> done{0};  // entries spawned threads finished
+  std::atomic<bool> stop{false};         // set once, before the last post
   Time horizon = 0;
   const std::function<void(Shard&)>* factory = nullptr;
   const std::function<void(std::uint32_t)>* custom = nullptr;
-  std::vector<std::exception_ptr> errors;   // per worker
-  std::vector<std::uint64_t> wall_ns;       // per worker share
+  std::vector<std::uint64_t> wall_ns;  // per thread: window partitions run
 
   Time now = 0;
   std::uint64_t windows = 0;
   bool setup_done = false;
   bool failed = false;
 
-  // Last: the spawned workers use every member above.
+  // Last: the spawned threads use every member above.
   std::vector<std::thread> pool;
 };
 
@@ -488,7 +467,7 @@ void ShardedEngine::setup(const std::function<void(Shard&)>& factory) {
   impl_->factory = &factory;
   impl_->command(detail::ShardedImpl::Cmd::kSetup);
   impl_->factory = nullptr;
-  impl_->rethrow_worker_error();
+  impl_->rethrow_error();
 }
 
 void ShardedEngine::run() { run_until(Engine::kForever); }
@@ -496,7 +475,7 @@ void ShardedEngine::run() { run_until(Engine::kForever); }
 void ShardedEngine::run_until(Time t) {
   impl_->check_owner();
   DCS_CHECK_MSG(impl_->setup_done, "call setup() before running");
-  DCS_CHECK_MSG(!impl_->failed, "a worker already failed");
+  DCS_CHECK_MSG(!impl_->failed, "a partition already failed");
   for (;;) {
     const Time m = impl_->min_time();
     if (m == Engine::kForever || m > t) {
@@ -538,13 +517,13 @@ std::uint32_t ShardedEngine::partitions() const {
 
 std::uint32_t ShardedEngine::workers() const { return impl_->spec.workers; }
 
-void ShardedEngine::for_each_worker(
+void ShardedEngine::for_each_partition(
     const std::function<void(std::uint32_t)>& fn) {
   impl_->check_owner();
   impl_->custom = &fn;
   impl_->command(detail::ShardedImpl::Cmd::kCustom);
   impl_->custom = nullptr;
-  impl_->rethrow_worker_error();
+  impl_->rethrow_error();
 }
 
 std::vector<std::uint64_t> ShardedEngine::partition_events() const {

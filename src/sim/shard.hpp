@@ -5,23 +5,24 @@
 // runner scales that model across cores WITHOUT giving the anchor up:
 //
 //   partition    a fixed slice of the simulated world (its own Engine,
-//                strands and timer heap).  The
-//                partition count is part of the workload topology and never
-//                changes with the machine: partition p always holds the same
-//                nodes and always produces the same per-partition dispatch
-//                stream.
-//   worker       owns partitions p where p % workers == w, with one
-//                execution context (sim/context.hpp: frame slab, hooks,
-//                trace sinks, registry) in which all of them run.  A
-//                worker's share of a command runs its partitions in
-//                ascending index order, in its context, on whichever
-//                thread claims the share.  Worker 0's context is the
-//                caller's (the thread that constructed the ShardedEngine);
-//                workers 1..W-1 each get a spawned thread, so a 1-worker
-//                run creates no thread at all.  The worker count
-//                (`--shards=N` in the benches) is pure execution policy:
-//                any value produces the same merged fingerprint, so a
-//                1-worker run is the oracle for an N-worker run.
+//                strands and timer heap) and its own execution context
+//                (sim/context.hpp: frame slab, hooks, record stream, hot
+//                sink, registry).  The partition count is part of the
+//                workload topology and never changes with the machine:
+//                partition p always holds the same nodes and always
+//                produces the same per-partition dispatch stream.
+//   worker       a thread that runs partitions.  The caller (the thread
+//                that constructed the ShardedEngine) is one; workers - 1
+//                more are spawned, so a 1-worker run creates no thread at
+//                all.  No partition belongs to a worker: every command
+//                (setup, a window, teardown, for_each_partition) publishes
+//                its list of partitions, and the caller and the spawned
+//                threads claim entries from that list through one shared
+//                index, running each claimed partition in the partition's
+//                own context.  The worker count (`--shards=N` in the
+//                benches) is pure execution policy: any value produces the
+//                same merged fingerprint and the same per-partition state,
+//                so a 1-worker run is the oracle for an N-worker run.
 //   window       one conservative-PDES round.  With lookahead L (the
 //                minimum cross-partition message latency, i.e. the fabric
 //                wire latency), the coordinator computes
@@ -33,14 +34,12 @@
 //                every partition may run run_until(H) in parallel with no
 //                further synchronization.  A partition with no due message
 //                and no event at or before H is idle: the coordinator only
-//                clamps its clock to H (what run_until(H) would do), and a
-//                worker that owns no active partition has no share.  The
-//                caller posts each busy worker's share on its claim word
-//                (waking that worker's thread if it sleeps), runs worker
-//                0's share, then claims and runs every share no spawned
-//                worker has started, and waits on an atomic done count
-//                only for the shares they claimed.  Collect outboxes;
-//                repeat.
+//                clamps its clock to H (what run_until(H) would do).  The
+//                window's list holds the active partitions alone.  The
+//                caller publishes it (waking up to one sleeping thread per
+//                entry beyond its own first), claims and runs entries until
+//                none is left, then waits only for the entries the spawned
+//                threads claimed.  Collect outboxes; repeat.
 //
 // Cross-partition messages travel through per-partition mailboxes.  A
 // message sent at time tau is stamped t = tau + L (+ any extra delay) and
@@ -58,17 +57,18 @@
 //   - changing the partition count legitimately changes the fingerprint
 //     (per-partition seq streams differ) — it is a different topology.
 //
-// Per-worker-context contract (docs/SCALING.md): partition setup (the
-// factory), every event dispatch, cross-message delivery AND teardown
-// (workload + engine destruction) run in the owning worker's context, so
-// every coroutine frame is allocated and freed in one slab, and the hooks,
-// sinks and registry a partition sees never change.  Only the OS thread
-// may change between commands; the claim word and the done count order one
-// thread's use of a context before the next.  Worker 0's context is the
-// CALLER's: its registry (worker 0's metrics land there immediately),
-// audit/stall hooks, trace sinks and slab.  setup(), run()/run_until(),
-// for_each_worker() and the destructor must all run on the constructing
-// thread (checked).
+// Per-partition-context contract (docs/SCALING.md): partition p's setup
+// (the factory), every event dispatch, cross-message delivery AND teardown
+// (workload + engine destruction) run in p's own context, so every
+// coroutine frame is allocated and freed in p's slab, and the hooks, record
+// stream, hot sink and registry p sees are p's alone, whatever thread runs
+// it.  Only the OS thread changes from one command to the next; the claim
+// word and the done count order one thread's use of a context before the
+// next.  No partition runs in the caller's context: per-partition state is
+// collected with for_each_partition (trace/shard_metrics.hpp for
+// registries).  setup(), run()/run_until(), for_each_partition() and the
+// destructor must all run on the constructing thread (checked), which keeps
+// the commands in its program order without a lock.
 #pragma once
 
 #include <coroutine>
@@ -102,9 +102,8 @@ struct ShardedImpl;
 }  // namespace detail
 
 /// Per-partition handle passed to the setup factory and usable from strands
-/// of that partition.  All methods must be called inside the owning
-/// worker's share (which is automatic for code running inside the
-/// partition's engine).
+/// of that partition.  All methods must be called while the partition runs
+/// (which is automatic for code running inside the partition's engine).
 class Shard {
  public:
   /// This partition's engine: spawn strands, take delays, build workloads.
@@ -125,8 +124,8 @@ class Shard {
             std::uint64_t b = 0, std::vector<std::byte> payload = {},
             Time extra = 0);
 
-  /// Parks `obj` until partition teardown (which runs in the owning
-  /// worker's context).  Use for the workload graph built by the setup factory.
+  /// Parks `obj` until partition teardown (which runs in the partition's
+  /// context).  Use for the workload graph built by the setup factory.
   void keep_alive(std::shared_ptr<void> obj);
 
   /// Events dispatched and cross messages delivered by this partition.
@@ -143,15 +142,15 @@ class Shard {
 
 /// Coordinator for a sharded run.  Construct, setup(), run() (or repeated
 /// run_until() for chopped runs), read the merged fingerprint, destroy —
-/// all on one thread, which is also worker 0.
+/// all on one thread, which also runs partitions itself.
 class ShardedEngine {
  public:
   struct Spec {
     /// Fixed logical partition count — part of the workload topology.
     std::uint32_t partitions = 1;
-    /// Workers (the `--shards` knob), clamped to [1, partitions].  Worker 0
-    /// runs in the constructing thread's context; workers - 1 threads are
-    /// spawned, and each other worker gets a context of its own.
+    /// Threads that run partitions (the `--shards` knob), clamped to
+    /// [1, partitions]: the constructing thread plus workers - 1 spawned
+    /// ones.
     std::uint32_t workers = 1;
     /// Conservative lookahead in virtual ns; must be >= 1.  Use the fabric
     /// wire latency (FabricParams::link_latency) for fabric workloads.
@@ -161,20 +160,21 @@ class ShardedEngine {
   explicit ShardedEngine(Spec spec);
   ShardedEngine(const ShardedEngine&) = delete;
   ShardedEngine& operator=(const ShardedEngine&) = delete;
-  /// Tears down every partition in its worker's context (workload first,
-  /// then engine), joins the pool and destroys the worker contexts.
-  /// Collect per-worker state you still need (trace registries:
-  /// trace/shard_metrics.hpp) with for_each_worker() BEFORE destruction.
+  /// Tears down every partition in its context (workload first, then
+  /// engine), joins the pool and destroys the partition contexts.  Collect
+  /// per-partition state you still need (trace registries:
+  /// trace/shard_metrics.hpp) with for_each_partition() BEFORE destruction.
   /// Must run on the constructing thread.
   ~ShardedEngine();
 
-  /// Runs `factory` once per partition IN ITS WORKER'S CONTEXT, ascending
-  /// index order within each worker (worker 0's partitions on the calling
-  /// thread).  Must be called exactly once, before run()/run_until().
+  /// Runs `factory` once per partition IN THAT PARTITION'S CONTEXT, on
+  /// whichever thread claims it.  Must be called exactly once, before
+  /// run()/run_until().
   void setup(const std::function<void(Shard&)>& factory);
 
   /// Runs until every partition is drained and no cross message is in
-  /// flight.  Rethrows the first worker exception (lowest worker index).
+  /// flight.  Rethrows the exception of the lowest-indexed partition that
+  /// threw.
   /// run()/run_until() must be called on the constructing thread.
   void run();
   /// Runs through virtual time `t` inclusive; clocks clamp to `t`.
@@ -197,18 +197,23 @@ class ShardedEngine {
   std::uint32_t partitions() const;
   std::uint32_t workers() const;
 
-  /// Runs `fn(w)` once for every worker w, in w's context (`fn(0)` on the
-  /// calling thread; the others on whichever thread claims them),
-  /// barrier'd on both sides.  Use between runs (never concurrently with
-  /// one) to collect per-worker state — e.g. each worker's
-  /// trace::Registry::global().  Writes to distinct per-worker slots need
-  /// no locking; the barriers order them against the caller.
-  void for_each_worker(const std::function<void(std::uint32_t)>& fn);
+  /// Runs `fn(p)` once for every partition p, in p's context on whichever
+  /// thread claims it, barrier'd on both sides.  Use between runs (never
+  /// concurrently with one) to arm or collect per-partition state — e.g.
+  /// each partition's trace::Registry::global().  Writes to distinct
+  /// per-partition slots need no locking; the barriers order them against
+  /// the caller.
+  void for_each_partition(const std::function<void(std::uint32_t)>& fn);
+  /// Old name of for_each_partition, kept for perfbench.
+  void for_each_worker(const std::function<void(std::uint32_t)>& fn) {
+    for_each_partition(fn);
+  }
 
   /// Per-partition events dispatched (telemetry; partition order).
   std::vector<std::uint64_t> partition_events() const;
-  /// Per-worker wall-clock ns spent running that worker's window shares,
-  /// whichever thread ran them (telemetry).
+  /// Per-thread wall-clock ns spent running the window partitions it
+  /// claimed: [0] is the constructing thread, [t] spawned thread t
+  /// (telemetry).
   std::vector<std::uint64_t> worker_wall_ns() const;
   /// PDES windows executed so far.
   std::uint64_t windows() const;

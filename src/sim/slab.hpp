@@ -22,11 +22,10 @@
 //
 // The slab is one instance per execution context (sim/context.hpp), so it
 // needs no locking: at most one thread runs in a context at a time.  The
-// contract a sharded run (sim/shard.hpp) upholds: every coroutine frame is
-// allocated and freed in the context of the worker that owns its engine —
-// a partition belongs to one worker for its whole life, and its setup,
-// windows and teardown all run in that worker's context, on whichever
-// thread runs the share.
+// contract a sharded run (sim/shard.hpp) upholds: every partition has a
+// context of its own, and its setup, windows and teardown all run in it,
+// on whichever thread claims the partition, so every coroutine frame is
+// allocated and freed in its partition's slab.
 #pragma once
 
 #include <cstddef>
@@ -147,7 +146,10 @@ class FrameSlab {
 
   std::byte* carve(std::size_t block_size) {
     if (bump_left_ < block_size) {
-      chunks_.push_back(std::make_unique<std::byte[]>(kChunkBytes));
+      // Default-initialised, not zero-filled: a chunk's pages become
+      // resident as blocks are carved from them, not all at once.
+      chunks_.push_back(
+          std::make_unique_for_overwrite<std::byte[]>(kChunkBytes));
       ++stats_.chunks;
       bump_ = chunks_.back().get();
       bump_left_ = kChunkBytes;

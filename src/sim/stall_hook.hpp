@@ -46,8 +46,8 @@ class StallHook {
 
 /// The hook installed in the current execution context, or nullptr.  Per
 /// context for the same reason as sim::audit_hook(): every engine of a
-/// sharded run belongs to exactly one worker, and that worker's stall
-/// detector must watch only its own partitions.
+/// sharded run has a context of its own, and its stall detector must
+/// watch only that engine.
 inline StallHook*& stall_hook() { return context().stall_hook(); }
 
 }  // namespace dcs::sim

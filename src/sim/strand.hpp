@@ -12,9 +12,9 @@
 // (sim/context.hpp): it names the strand running on this thread right now,
 // every schedule and dispatch touches it, and Engine::run_until saves and
 // restores it around each run, so it carries nothing from one run to the
-// next.  A sharded run (sim/shard.hpp) starts every share of a worker other
-// than 0 with an empty slot, whichever thread runs it, so no strand leaks
-// context into another worker's partitions.
+// next.  A sharded run (sim/shard.hpp) starts every claimed partition with
+// an empty slot, whichever thread runs it, so no strand leaks context into
+// another partition.
 //
 // `request` is the causal request id a request-scoped tracer assigns
 // (0 = untracked), `span` the innermost open span on this strand

@@ -72,7 +72,19 @@ double Breakdown::attributed_fraction() const {
   return static_cast<double>(attributed()) / static_cast<double>(total);
 }
 
-CriticalPath::CriticalPath(const Tracer& tracer) {
+CriticalPath::CriticalPath(const Tracer& tracer)
+    : CriticalPath(std::vector<const Tracer*>{&tracer}) {}
+
+CriticalPath::CriticalPath(const std::vector<const Tracer*>& runs) {
+  aggregate_.name = "all";
+  aggregate_.count = 0;
+  std::map<std::string, Breakdown> named;
+  for (const Tracer* run : runs) add_run(*run, named);
+  for (auto& [name, b] : named) by_name_.push_back(std::move(b));
+}
+
+void CriticalPath::add_run(const Tracer& tracer,
+                           std::map<std::string, Breakdown>& named) {
   // Request windows and per-request cost intervals, keyed by request id
   // (std::map: deterministic order).
   std::map<std::uint64_t, Breakdown> windows;
@@ -92,9 +104,6 @@ CriticalPath::CriticalPath(const Tracer& tracer) {
     }
   }
 
-  aggregate_.name = "all";
-  aggregate_.count = 0;
-  std::map<std::string, Breakdown> named;
   for (auto& [req, b] : windows) {
     auto& ivs = intervals[req];
     // Recover the window sentinel, then clip cost intervals to it.
@@ -133,7 +142,6 @@ CriticalPath::CriticalPath(const Tracer& tracer) {
     }
     requests_.push_back(std::move(b));
   }
-  for (auto& [name, b] : named) by_name_.push_back(std::move(b));
 }
 
 void CriticalPath::write_report(std::ostream& os) const {

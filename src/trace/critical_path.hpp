@@ -20,6 +20,7 @@
 #include <array>
 #include <cstdint>
 #include <iosfwd>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -48,8 +49,11 @@ struct Breakdown {
 class CriticalPath {
  public:
   explicit CriticalPath(const Tracer& tracer);
+  /// Several runs, each with its own request ids (one tracer per partition
+  /// of a sharded run): folded run by run, in the given order.
+  explicit CriticalPath(const std::vector<const Tracer*>& runs);
 
-  /// One entry per request root, in request-id order.
+  /// One entry per request root, run by run, in request-id order.
   const std::vector<Breakdown>& requests() const { return requests_; }
   /// All requests folded together (label "all").
   const Breakdown& aggregate() const { return aggregate_; }
@@ -60,6 +64,8 @@ class CriticalPath {
   void write_json(std::ostream& os) const;
 
  private:
+  void add_run(const Tracer& tracer, std::map<std::string, Breakdown>& named);
+
   std::vector<Breakdown> requests_;
   std::vector<Breakdown> by_name_;
   Breakdown aggregate_;

@@ -20,11 +20,13 @@
 // The sink pointer lives in the execution context (sim/context.hpp), like
 // the trace record stream's sink set (trace::detail::Sinks): a sink
 // installed in the caller's context observes only the engines that run in
-// it, and sharded runs (sim/shard.hpp) must NOT
-// install an ambient sink — a worker runs several partitions, so partition
-// attribution there uses explicit per-partition sketches fed from the serve
-// path instead (the same idiom as the per-partition serve registry in
-// bench_datacenter_scale).
+// it.  Every partition of a sharded run (sim/shard.hpp) has a context of
+// its own, so a sink installed there would see that partition alone; the
+// harness still installs none in sharded runs, because these sites fire on
+// every DDSS, verbs and N-CoSED op and would add their domains to the
+// pinned hot-set dumps.  Sharded attribution uses explicit per-partition
+// sketches fed from the serve path instead (the same idiom as the
+// per-partition serve registry in bench_datacenter_scale).
 #pragma once
 
 #include <cstdint>

@@ -1,18 +1,17 @@
-// Metric collection across shard workers.
+// Metric collection across shard partitions.
 //
 // trace::Registry::global() is one instance per execution context (see
-// trace.hpp), so in a sharded run every worker accumulates its partitions'
-// counters in its own context's registry — and that registry dies with the
-// ShardedEngine.  This helper drains them into the caller's registry while
-// the engine is still alive.  Call it after the last run_until() and before
-// the ShardedEngine is destroyed.  Worker 0's context is the caller's own,
-// so its share is already in that registry: reset it before run(), never
-// between run() and this call.
+// trace.hpp), and every partition of a sharded run has a context of its own
+// (sim/shard.hpp), so each partition accumulates its counters in its own
+// registry — and that registry dies with the ShardedEngine.  This helper
+// drains them into the caller's registry while the engine is still alive.
+// Call it after the last run_until() and before the ShardedEngine is
+// destroyed.  No partition records into the caller's registry, so what the
+// caller's registry held before is kept and added to.
 //
-// Merge order is worker 0, 1, ... but the result does not depend on it:
-// Registry::merge is value-additive (counters add, distributions merge
-// exactly), so the collected content is a pure function of what the
-// partitions recorded — identical for every worker count.
+// Registries merge in partition order, so the collected content is a pure
+// function of what each partition recorded — identical for every worker
+// count by construction.
 #pragma once
 
 #include <algorithm>
@@ -26,19 +25,18 @@
 
 namespace dcs::trace {
 
-/// Folds every worker context's Registry::global() into the caller's
-/// Registry::global() and resets the workers' registries (so repeated
+/// Folds every partition context's Registry::global() into the caller's
+/// Registry::global() and resets the partitions' registries (so repeated
 /// collection never double-counts).
 inline void collect_shard_registries(sim::ShardedEngine& sharded) {
-  std::vector<std::unique_ptr<Registry>> slots(sharded.workers());
-  sharded.for_each_worker([&](std::uint32_t w) {
-    slots[w] = std::make_unique<Registry>();
-    slots[w]->merge(Registry::global());
+  std::vector<std::unique_ptr<Registry>> slots(sharded.partitions());
+  sharded.for_each_partition([&](std::uint32_t p) {
+    slots[p] = std::make_unique<Registry>();
+    slots[p]->merge(Registry::global());
     Registry::global().reset();
   });
   for (const auto& slot : slots) Registry::global().merge(*slot);
-  // The collected registry must enumerate in sorted series-name order no
-  // matter how many workers contributed or in what order they merged —
+  // The collected registry must enumerate in sorted series-name order —
   // the byte-identity contract every emitter downstream of a sharded run
   // (write_json, the obs time-series ingest) relies on.
   const auto names = Registry::global().names();

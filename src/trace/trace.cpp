@@ -36,8 +36,8 @@ void append_us(std::string& out, SimNanos t) {
 // --- Registry ---
 
 Registry& Registry::global() {
-  // One registry per execution context: instrumentation in a shard worker's
-  // context lands in that worker's registry, which
+  // One registry per execution context: instrumentation in a shard
+  // partition lands in that partition's registry, which
   // trace::collect_shard_registries folds into the caller's
   // (trace/shard_metrics.hpp).  Single-threaded programs see one registry
   // per thread.

@@ -9,9 +9,10 @@
 //             on the hot path.  Names follow `layer.component.metric`.
 //             `Registry::global()` is the instance every built-in layer
 //             registers into: one per execution context (sim/context.hpp),
-//             so shard workers never race — sharded runs merge worker
-//             registries at teardown; handles stay valid for the context's
-//             lifetime (reset() zeroes values but never removes entries).
+//             so shard partitions never race — sharded runs merge the
+//             partition registries at teardown; handles stay valid for the
+//             context's lifetime (reset() zeroes values but never removes
+//             entries).
 //             Enumeration (names(), write(), write_json()) lists only the
 //             entries touched since the last reset(), so a snapshot taken
 //             after reset() + run holds that run's metrics alone, whatever
@@ -159,10 +160,10 @@ class Registry {
 
 /// The current execution context's instance of a layer's cached metric
 /// handles.  `T` resolves its handles from Registry::global() on
-/// construction, so each context (each shard worker) gets handles into its
-/// own registry; the only way layers cache handles, because a process-wide
-/// static would pin the first caller's registry and race every other worker
-/// on it.
+/// construction, so each context (each shard partition) gets handles into
+/// its own registry; the only way layers cache handles, because a
+/// process-wide static would pin the first caller's registry and race every
+/// other thread on it.
 template <class T>
 T& context_metrics() {
   return sim::context().local<T>();
@@ -228,11 +229,11 @@ namespace detail {
 
 /// The record stream of one execution context (sim/context.hpp): the
 /// virtual clock every record is stamped with, the request and span id
-/// counters, and at most one consumer per retention policy.  Each worker
+/// counters, and at most one consumer per retention policy.  Each partition
 /// of a sharded run (sim/shard.hpp) has its own, so a tracer or flight
-/// recorder installed in one worker observes only that worker's engines
-/// and never races another's.  Single-threaded programs only ever use
-/// their thread's default context.
+/// recorder installed in one partition observes only that partition's
+/// engine and never races another's.  Single-threaded programs only ever
+/// use their thread's default context.
 struct Sinks {
   enum Slot : std::uint8_t { kKeepAll = 0, kRing = 1 };
 

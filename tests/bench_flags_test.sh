@@ -2,7 +2,9 @@
 # Runs every bench binary given as an argument with an unknown flag, a
 # malformed number and a missing SLO rule file; each must exit 2 (and
 # never run a workload).  Every bench must also exit 2 naming the flag on
-# `--batch 4`: no bench takes a batch depth.
+# `--batch 4`: no bench takes a batch depth.  bench_datacenter_scale must
+# exit 2 naming the flag on each count flag just past its range (a value
+# it accepts is never run here: the caps exist because those are huge).
 #
 # Usage: tests/bench_flags_test.sh BENCH_BINARY...
 dir="$(mktemp -d)"
@@ -24,6 +26,18 @@ for bin in "$@"; do
     echo "FAIL: $(basename "$bin") --batch 4 exited $rc, want 2 naming --batch"
     status=1
   fi
+  [ "$(basename "$bin")" = bench_datacenter_scale ] || continue
+  for arg in --nodes=0 --nodes=4097 --partitions=257 --shards=65 \
+    --clients=257 --ops=1048577 --scrape-us=0 --scrape-us=1048577 \
+    --scrapes=65537 --nodes=18446744073709551615 --shards=4294967295; do
+    "$bin" "$arg" >/dev/null 2>"$dir/stderr"
+    rc=$?
+    flag="${arg%%=*}"
+    if [ "$rc" -ne 2 ] || ! grep -q -- "$flag" "$dir/stderr"; then
+      echo "FAIL: bench_datacenter_scale $arg exited $rc, want 2 naming $flag"
+      status=1
+    fi
+  done
 done
 [ "$status" -eq 0 ] && echo "all $# benches reject bad flags with exit 2"
 exit "$status"

@@ -1,7 +1,7 @@
 // Attribution under the sharded runner: per-partition HeavyHitters and
 // ExemplarStore instances fed explicitly from the serve path (never the
-// worker's ambient hot sink — workers multiplex partitions, so ambient
-// state would mix streams across partitions), merged on the main thread in
+// partition's ambient hot sink, whose DDSS, verbs and N-CoSED sites would
+// add domains to the pinned dumps), merged on the main thread in
 // partition order, must produce dcs-hotset-v1 / dcs-exemplar-v1 dumps
 // byte-identical for every worker count.  Mirrors what
 // bench_datacenter_scale hands to obs::Harness (ShardedScenario::

@@ -6,7 +6,7 @@
 // charge the scraped node zero target CPU, and (c) produce byte-identical
 // merged dcs-timeseries-v1 dumps for every --shards worker count.  Also
 // pins collect_shard_registries' sorted-enumeration contract (the
-// sortedness assert added with the obs layer), and that each worker
+// sortedness assert added with the obs layer), and that each partition
 // context arms a flight recorder of its own.
 #include <gtest/gtest.h>
 
@@ -184,8 +184,8 @@ sim::Task<void> count_into_global(Shard& shard) {
 
 TEST(ObsShardTest, CollectedShardRegistriesEnumerateSortedAndByteStable) {
   const auto run = [](std::uint32_t workers) {
-    // Reset before the run: worker 0 is this thread, so its partitions
-    // record straight into this registry during run().
+    // The partitions record into their own contexts' registries; this one
+    // holds what they merge into.
     trace::Registry::global().reset();
     ShardedEngine sharded({.partitions = kPartitions,
                            .workers = workers,
@@ -215,15 +215,15 @@ sim::Task<void> log_partition(Shard& shard) {
   }
 }
 
-TEST(ObsShardTest, EachWorkerContextArmsItsOwnFlightRecorder) {
+TEST(ObsShardTest, EachPartitionContextArmsItsOwnFlightRecorder) {
   constexpr std::uint32_t kParts = 2;
   std::vector<trace::FlightRecorder*> recorders(kParts, nullptr);
   std::vector<trace::FlightRecorder*> current(kParts, nullptr);
   {
-    // One partition per worker, so each recorder arms the record stream of
-    // its own worker's context.
+    // Both partitions on one worker: each recorder still arms the record
+    // stream of its own partition's context.
     ShardedEngine sharded(
-        {.partitions = kParts, .workers = kParts, .lookahead = kLookahead});
+        {.partitions = kParts, .workers = 1, .lookahead = kLookahead});
     sharded.setup([&recorders](Shard& shard) {
       auto fr = std::make_shared<trace::FlightRecorder>(
           shard.engine(), trace::FlightConfig{.ring_capacity = 16});
@@ -233,12 +233,12 @@ TEST(ObsShardTest, EachWorkerContextArmsItsOwnFlightRecorder) {
       shard.keep_alive(fr);  // torn down, so uninstalled, in its context
     });
     sharded.run();
-    sharded.for_each_worker([&current](std::uint32_t w) {
-      current[w] = trace::FlightRecorder::current();
+    sharded.for_each_partition([&current](std::uint32_t p) {
+      current[p] = trace::FlightRecorder::current();
     });
     for (std::uint32_t p = 0; p < kParts; ++p) {
       ASSERT_NE(recorders[p], nullptr);
-      EXPECT_EQ(current[p], recorders[p]) << "worker " << p;
+      EXPECT_EQ(current[p], recorders[p]) << "partition " << p;
       // Only the partition's own DCS_LOG records reach its ring.
       EXPECT_EQ(recorders[p]->nodes(), std::vector<std::uint32_t>{p});
       const auto recs = recorders[p]->records(p);

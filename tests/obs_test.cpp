@@ -267,9 +267,10 @@ TEST(HarnessTest, WallFramesCountTheRunPhaseOnly) {
   EXPECT_EQ(wall_frames(h, opts.wall_json), "5");
 }
 
-TEST(HarnessTest, ShardedWallFramesSumEveryWorker) {
-  // 4 partitions, each running 3 children: 12 frames for any worker count.
-  for (const std::uint32_t workers : {1u, 2u}) {
+TEST(HarnessTest, ShardedWallFramesSumEveryPartition) {
+  // 4 partitions, each running 3 children in its own context's slab: 12
+  // frames for any worker count.
+  for (const std::uint32_t workers : {1u, 2u, 4u}) {
     obs::HarnessOptions opts;
     opts.wall_json = ::testing::TempDir() + "/obs_harness_frames_" +
                      std::to_string(workers) + ".wall.json";

@@ -3,8 +3,9 @@
 # run command and each bench with every file-valued flag at once and
 # asserts that each file exists and is non-empty, and that each bench
 # prints the same tables as a plain run beside it (bench_datacenter_scale:
-# that its --bench-json is byte-identical at --shards=1/2/4 and that a
-# --slo burn rule fires in its partitions); then checks
+# that its --bench-json, trace, critical path and post-mortems are
+# byte-identical at --shards=1/2/4 and that a --slo burn rule fires in its
+# partitions); then checks
 # that two `bench_sdp --trace-out` runs are byte-identical, that `dcs
 # flame` reads that trace, that an unwritable file or a lost post-mortem
 # fails the run with exit 1, and that `dcs wedge` writes its post-mortem.
@@ -44,16 +45,9 @@ observe() {
       want=1
       files="$(echo "$files" | sed 's/ trace.json//')" ;;
   esac
-  traced="--critical-path $out/critical_path.txt --trace-out $trace"
-  # A sharded run would need one tracer per partition engine, so
-  # bench_datacenter_scale rejects both tracer flags (checked below).
-  if [ "$name" = bench_datacenter_scale ]; then
-    traced=""
-    files="$(echo "$files" | sed 's/ critical_path.txt//; s/ trace.json//')"
-  fi
-  # shellcheck disable=SC2086  # $traced is deliberately word-split
   "$@" --bench-json "$out/bench.json" --bench-wall-json "$out/wall.json" \
-    --metrics-out "$out/metrics.txt" $traced \
+    --metrics-out "$out/metrics.txt" \
+    --critical-path "$out/critical_path.txt" --trace-out "$trace" \
     --timeseries-out "$out/timeseries.json" --slo "$dir/rules.slo" \
     --hotset-out "$out/hotset.json" --exemplars-out "$out/exemplars.json" \
     --postmortem-dir "$out/pm" >"$out/stdout" 2>"$out/stderr"
@@ -88,18 +82,6 @@ for bin in "$@"; do
     # Observing it runs the health plane inside the simulation, so its
     # stdout is not compared with a plain run.  On a small cluster.
     observe "$name" "$bin" --nodes=64
-    # The tracer flags have no sink there; a zero node count or scrape
-    # cadence is out of range.
-    for args in "--trace-out $dir/unused" "--critical-path $dir/unused" \
-      --nodes=0 --scrape-us=0; do
-      # shellcheck disable=SC2086  # $args is deliberately word-split
-      "$bin" --nodes=64 $args >/dev/null 2>"$dir/stderr"
-      rc=$?
-      flag="${args%% *}"
-      flag="${flag%%=*}"
-      { [ "$rc" -eq 2 ] && grep -q -- "$flag" "$dir/stderr"; } ||
-        fail "$name $args exited $rc, want 2 naming $flag"
-    done
     # --slo rules run in every partition's health plane, sweep by sweep: on
     # a hot shard a burn rule fires mid-run and writes its post-mortem, and
     # a post-mortem that cannot be written fails the run.
@@ -132,6 +114,29 @@ for bin in "$@"; do
         cmp -s "$dir/sharded.1.json" "$dir/sharded.$w.json" ||
           fail "sharded_bench_json_identical: $name $args --bench-json differs between --shards=1 and --shards=$w"
       done
+    done
+    # sharded_observers_identical: every partition is traced and flight-
+    # recorded in its own context, so the trace, the critical path and the
+    # post-mortems are byte-identical at every worker count, and the hot
+    # shard's dump rings hold the partition's own DDSS, verbs and N-CoSED
+    # records.
+    for w in 1 2 4; do
+      mkdir -p "$dir/pm.$w"
+      "$bin" --nodes=64 --hot-shard=0 --shards=$w \
+        --trace-out "$dir/trace.$w.json" \
+        --critical-path "$dir/critical_path.$w.txt" \
+        --postmortem-dir "$dir/pm.$w" >/dev/null 2>"$dir/stderr" ||
+        fail "$name observed at --shards=$w exited $?: $(cat "$dir/stderr")"
+    done
+    for w in 2 4; do
+      { cmp -s "$dir/trace.1.json" "$dir/trace.$w.json" &&
+        cmp -s "$dir/critical_path.1.txt" "$dir/critical_path.$w.txt" &&
+        diff -r "$dir/pm.1" "$dir/pm.$w" >/dev/null; } ||
+        fail "sharded_observers_identical: $name trace, critical path or post-mortems differ between --shards=1 and --shards=$w"
+    done
+    for layer in ddss verbs dlm; do
+      grep -q "\"layer\": \"$layer\"" "$dir"/pm.1/*.postmortem.json ||
+        fail "sharded_observers_identical: $name post-mortem ring holds no $layer record"
     done
     continue
   fi

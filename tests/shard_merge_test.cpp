@@ -164,7 +164,8 @@ TEST(ShardMergeTest, WorkerCountNeverChangesTheFingerprint) {
 }
 
 TEST(ShardMergeTest, EveryWorkerCountAndCutMatchTheOneWorkerOracle) {
-  // Worker 0 is the caller at every count; 16 workers spawn 15 threads.
+  // The caller is one of the workers at every count; 16 workers spawn 15
+  // threads.
   const RunResult oracle = run_grid(16, 1, /*seed=*/5);
   EXPECT_GT(oracle.cross, 0u);
   for (std::uint32_t workers : {1u, 2u, 3u, 4u, 8u, 16u}) {
@@ -314,15 +315,24 @@ struct RecordContextOnDestroy {
   ~RecordContextOnDestroy() { *out = seen_context(); }
 };
 
-TEST(ShardMergeTest, PartitionsKeepTheirWorkerContext) {
-  // The per-worker-context contract: a partition's setup, every delivery
-  // and its teardown see one context (one frame slab, one registry), that
-  // of worker p % workers, whichever thread runs the share.  Worker 0's
-  // context is the caller's own.
+/// Records the context of six wakes three lookaheads apart, so each one
+/// falls in a window of its own.
+sim::Task<void> record_wakes(Shard& shard, std::vector<SeenContext>* out) {
+  for (int k = 0; k < 6; ++k) {
+    co_await shard.engine().delay(3 * kLookahead);
+    out->push_back(seen_context());
+  }
+}
+
+TEST(ShardMergeTest, EachPartitionKeepsItsOwnContext) {
+  // The per-partition-context contract: partition p's setup, every window
+  // it runs in, every delivery and its teardown see one context (one frame
+  // slab, one registry), p's own — never the caller's nor another
+  // partition's — whatever thread claims it.
   const SeenContext caller = seen_context();
-  for (std::uint32_t workers : {2u, 4u}) {
+  for (std::uint32_t workers : {1u, 2u, 4u}) {
     std::vector<SeenContext> setup(8), teardown(8);
-    std::vector<std::vector<SeenContext>> delivery(8);
+    std::vector<std::vector<SeenContext>> windows(8), delivery(8);
     {
       ShardedEngine sharded(spec_for(8, workers));
       sharded.setup([&](Shard& shard) {
@@ -330,6 +340,7 @@ TEST(ShardMergeTest, PartitionsKeepTheirWorkerContext) {
         install_forwarding(shard, 3, [&delivery](Shard& s) {
           delivery[s.index()].push_back(seen_context());
         });
+        shard.engine().spawn(record_wakes(shard, &windows[shard.index()]));
         shard.keep_alive(std::make_shared<RecordContextOnDestroy>(
             &teardown[shard.index()]));
       });
@@ -338,15 +349,15 @@ TEST(ShardMergeTest, PartitionsKeepTheirWorkerContext) {
     for (std::uint32_t p = 0; p < 8; ++p) {
       SCOPED_TRACE("workers=" + std::to_string(workers) +
                    " partition=" + std::to_string(p));
+      EXPECT_EQ(windows[p].size(), 6u);
+      for (const SeenContext& seen : windows[p]) EXPECT_EQ(seen, setup[p]);
       EXPECT_FALSE(delivery[p].empty());
       for (const SeenContext& seen : delivery[p]) EXPECT_EQ(seen, setup[p]);
       EXPECT_EQ(teardown[p], setup[p]);
-      EXPECT_EQ(setup[p], setup[p % workers]);
-      EXPECT_EQ(setup[p] == caller, p % workers == 0);
-    }
-    for (std::uint32_t a = 0; a < workers; ++a) {
-      for (std::uint32_t b = a + 1; b < workers; ++b) {
-        EXPECT_NE(setup[a], setup[b]) << "workers " << a << " and " << b;
+      EXPECT_NE(setup[p], caller);
+      for (std::uint32_t q = 0; q < p; ++q) {
+        EXPECT_NE(setup[p].slab, setup[q].slab) << "partition " << q;
+        EXPECT_NE(setup[p].registry, setup[q].registry) << "partition " << q;
       }
     }
   }
@@ -374,9 +385,9 @@ class PinToOneCpu {
 };
 
 TEST(ShardMergeTest, OnOneCpuTheCallerRunsOtherWorkersShares) {
-  // With every thread on one CPU a spawned worker rarely has the CPU when
-  // its share is posted, so the caller claims and runs the share itself
-  // (in that worker's context) instead of waiting.  The fingerprint is the
+  // With every thread on one CPU a spawned thread rarely has the CPU when
+  // a window is posted, so the caller claims and runs (in each partition's
+  // own context) what a spawned thread would have.  The fingerprint is the
   // 1-worker one either way.
   const PinToOneCpu pin;
   const RunResult oracle = run_grid(8, 1, /*seed=*/42);
@@ -418,7 +429,7 @@ TEST(ShardMergeTest, OneWorkerRunsEverythingOnTheCallerAndSpawnsNoThread) {
       shard.engine().spawn(one_ping(shard));
     });
     sharded.run();
-    sharded.for_each_worker(
+    sharded.for_each_partition(
         [&](std::uint32_t) { for_each_tid = std::this_thread::get_id(); });
   }
   for (std::uint32_t p = 0; p < 2; ++p) {
@@ -467,11 +478,10 @@ TEST(ShardMergeTest, RegistryCollectionGathersAllWorkers) {
     shard.engine().spawn(count_once(shard));
   });
   sharded.run();
-  // Worker 0 is this thread: partitions 0 and 2 already counted here.  The
-  // spawned worker's partitions 1 and 3 are invisible until collected.
+  // Every partition counts in its own context's registry, so nothing is
+  // visible on this thread until collected.
   const auto* before = trace::Registry::global().find_counter("shard.test.events");
-  ASSERT_NE(before, nullptr);
-  EXPECT_EQ(before->value, 1u + 3u);
+  EXPECT_TRUE(before == nullptr || before->value == 0u);
   trace::collect_shard_registries(sharded);
   const auto* after = trace::Registry::global().find_counter("shard.test.events");
   ASSERT_NE(after, nullptr);
@@ -496,8 +506,8 @@ TEST(ShardMergeTest, WorkerExceptionsPropagate) {
 
 TEST(ShardMergeTest, LowestPartitionExceptionWinsTheWindow) {
   // Partitions 0 and 1 throw at the same virtual time, inside one window;
-  // with 2+ workers they throw on different threads.  run() rethrows the
-  // lowest worker index's error, i.e. partition 0's.
+  // with 2+ workers they may throw on different threads.  run() rethrows
+  // the lowest partition index's error, i.e. partition 0's.
   for (std::uint32_t workers : {1u, 2u, 4u}) {
     ShardedEngine sharded(spec_for(4, workers));
     sharded.setup([](Shard& shard) {
@@ -513,8 +523,9 @@ TEST(ShardMergeTest, LowestPartitionExceptionWinsTheWindow) {
 }
 
 TEST(ShardMergeDeathTest, RunOffTheConstructingThreadAborts) {
-  // Worker 0's frames live in the constructing thread's slab, so driving
-  // the engine from any other thread is a contract violation.
+  // The coordinator's state is unsynchronized and its commands run in the
+  // constructing thread's program order, so driving the engine from any
+  // other thread is a contract violation.
   EXPECT_DEATH(
       {
         ShardedEngine sharded(spec_for(2, 2));
