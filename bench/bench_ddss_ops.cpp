@@ -1,7 +1,7 @@
 // DDSS operation microbenchmarks beyond Figure 3a: get() latency per
 // coherence model, the IPC-virtualization overhead, placement policies,
-// the global memory aggregator's striping bandwidth, and puts that contend
-// for Write/Strict allocation locks.
+// the global memory aggregator's striping bandwidth, and puts and Strict
+// gets that contend for Write/Strict allocation locks.
 #include "common/json.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
@@ -254,15 +254,16 @@ void run_zipf(obs::Harness& h) {
   });
 }
 
-/// Contended puts: `nodes` client nodes (1..nodes), `strands` closed-loop
+/// Contended ops: `nodes` client nodes (1..nodes), `strands` closed-loop
 /// strands on each, put 64 B values to Zipf(0.9)-hot allocations, all eight
 /// hosted on node 0.  Every put takes the allocation's lock, so the hot
 /// ranks queue; with 2 strands per node, strands of one node also contend
-/// with each other.
-void contended_put_scenario(obs::Scenario& s, ddss::Coherence model,
-                            std::size_t nodes, std::size_t strands) {
+/// with each other.  With `mixed`, three ops in four are gets instead.
+void contended_scenario(obs::Scenario& s, ddss::Coherence model,
+                        std::size_t nodes, std::size_t strands,
+                        bool mixed = false) {
   constexpr std::size_t kAllocs = 8;
-  constexpr int kPuts = 32;  // per strand
+  constexpr int kOps = 32;  // per strand
   auto& eng = s.engine();
   fabric::Fabric fab(eng, fabric::FabricParams{},
                      {.num_nodes = nodes + 1, .cores_per_node = 2,
@@ -284,23 +285,28 @@ void contended_put_scenario(obs::Scenario& s, ddss::Coherence model,
   for (std::size_t n = 1; n <= nodes; ++n) {
     for (std::size_t k = 0; k < strands; ++k) {
       eng.spawn([](sim::Engine& e, ddss::Ddss& d, fabric::NodeId self,
-                   std::uint64_t seed, const ZipfSampler& z,
+                   std::uint64_t seed, bool gets, const ZipfSampler& z,
                    const std::vector<ddss::Allocation>& as, obs::Scenario& out,
                    LatencySamples& lat) -> sim::Task<void> {
         auto client = d.client(self);
         Rng rng(seed);
         std::vector<std::byte> value(64, static_cast<std::byte>(self));
-        for (int i = 0; i < kPuts; ++i) {
+        std::vector<std::byte> got(64);
+        for (int i = 0; i < kOps; ++i) {
           co_await e.delay(rng.uniform(nanoseconds(0), microseconds(2)));
           const auto& alloc = as[z.sample(rng)];
           const auto t0 = e.now();
-          co_await client.put(alloc, value);
+          if (gets && rng.uniform(4) != 0) {
+            co_await client.get(alloc, got);
+          } else {
+            co_await client.put(alloc, value);
+          }
           const auto ns = static_cast<double>(e.now() - t0);
           out.latency_ns(ns);
           lat.add(ns);
         }
-      }(eng, substrate, static_cast<fabric::NodeId>(n), n * 131 + k, zipf,
-                     allocs, s, latency));
+      }(eng, substrate, static_cast<fabric::NodeId>(n), n * 131 + k, mixed,
+                     zipf, allocs, s, latency));
     }
   }
   eng.run();
@@ -320,7 +326,7 @@ void print_contended_table(obs::Harness& h) {
                                ddss::to_string(model) + "/" +
                                std::to_string(nodes);
       const auto m = h.run(name, [model, nodes](obs::Scenario& s) {
-        contended_put_scenario(s, model, nodes, 1);
+        contended_scenario(s, model, nodes, 1);
       });
       table.add_row({name, fmt_fixed(m.at("cas_retries"), 0),
                      fmt_fixed(m.at("p99_us"), 2),
@@ -329,13 +335,28 @@ void print_contended_table(obs::Harness& h) {
   }
   const std::string name = "put/contended/Strict/8x2";
   const auto m = h.run(name, [](obs::Scenario& s) {
-    contended_put_scenario(s, ddss::Coherence::kStrict, 8, 2);
+    contended_scenario(s, ddss::Coherence::kStrict, 8, 2);
   });
   table.add_row({name, fmt_fixed(m.at("cas_retries"), 0),
                  fmt_fixed(m.at("p99_us"), 2), fmt_fixed(m.at("events"), 0)});
   table.print(
       "DDSS contended puts — N client nodes (x2: two strands per node) on "
       "Zipf-hot allocations of one home");
+}
+
+/// Strict gets share their node's tenure of an allocation lock, so the
+/// four strands of a node read a hot allocation under one remote hold.
+void print_contended_get_table(obs::Harness& h) {
+  Table table({"cell", "lock CAS retries", "op p99 (us)", "events"});
+  const std::string name = "get/contended/Strict/8x4";
+  const auto m = h.run(name, [](obs::Scenario& s) {
+    contended_scenario(s, ddss::Coherence::kStrict, 8, 4, /*mixed=*/true);
+  });
+  table.add_row({name, fmt_fixed(m.at("cas_retries"), 0),
+                 fmt_fixed(m.at("p99_us"), 2), fmt_fixed(m.at("events"), 0)});
+  table.print(
+      "DDSS contended Strict gets — 8 client nodes x 4 strands, 3 gets per "
+      "put, on Zipf-hot allocations of one home");
 }
 
 }  // namespace
@@ -351,5 +372,6 @@ int main(int argc, char** argv) {
   run_batch_sweep(h);
   run_zipf(h);
   print_contended_table(h);
+  print_contended_get_table(h);
   return h.finish();
 }

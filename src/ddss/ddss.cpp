@@ -265,13 +265,14 @@ sim::Task<void> Client::release(Allocation alloc) {
   co_await ipc_hop();
   invalidate_cached(alloc);
   // A node may release an allocation it still holds the lock of; no strand
-  // may be queued for it.
+  // may be queued for it or reading under it.
   auto& cohorts = ddss_.cohorts_;
   for (auto it = cohorts.lower_bound({alloc.key, 0});
        it != cohorts.end() && it->first.first == alloc.key;
        it = cohorts.erase(it)) {
-    DCS_CHECK_MSG(it->second.held && it->second.turn.waiting() == 0,
-                  "release of an allocation whose lock is queued for");
+    const Ddss::Cohort& c = it->second;
+    DCS_CHECK_MSG(c.held && c.waiters.empty() && !c.reading,
+                  "release of an allocation whose lock is queued for or read");
   }
   const std::uint32_t reply_tag =
       kReplyTagBase + 0x8000 + (ddss_.next_reply_++ & 0x7FFF);
@@ -316,19 +317,70 @@ dlm::QueueLock Client::queue_lock(const Allocation& alloc) const {
           .id = alloc.key};
 }
 
-sim::Task<void> Client::lock(const Allocation& alloc) {
+struct Ddss::Cohort::Wait {
+  Cohort& cohort;
+  bool read;
+  sim::StrandCtx saved{};
+  std::uint64_t audit_token = 0;
+
+  bool await_ready() const noexcept { return false; }
+  void await_suspend(std::coroutine_handle<> h) {
+    cohort.waiters.push_back({h, read});
+    saved = sim::strand_ctx();
+    if (auto* hook = sim::audit_hook()) audit_token = hook->suspend_strand();
+  }
+  void await_resume() const noexcept {
+    sim::strand_ctx() = saved;
+    if (auto* hook = sim::audit_hook()) {
+      hook->resume_strand(audit_token);
+      hook->acquire(&cohort);
+    }
+  }
+};
+
+sim::Task<void> Client::enter(const Allocation& alloc, bool read) {
   DCS_CHECK(alloc.valid());
   DCS_CHECK_MSG(alloc.key < kLockKeys, "allocation key beyond lock tags");
-  // Strands of this node queue locally first; only the turn holder joins
-  // the remote queue, so the node is in it at most once.
-  Ddss::Cohort& cohort =
-      ddss_.cohorts_.try_emplace({alloc.key, node_}, ddss_.engine())
-          .first->second;
-  co_await cohort.turn.acquire();
+  DCS_TRACE_COST_SPAN(trace::Cost::kLockWait, "ddss", "lock", node_, alloc.key,
+                      to_string(alloc.coherence));
+  // Strands of this node queue locally first; only a tenure's first strand
+  // joins the remote queue, so the node is in it at most once.
+  Ddss::Cohort& cohort = ddss_.cohorts_[{alloc.key, node_}];
+  if (cohort.active == 0) {
+    // A new cohort: this strand leads the node's first tenure.
+    cohort.active = 1;
+    cohort.reading = read;
+  } else if (read && cohort.reading && cohort.held && cohort.waiters.empty()) {
+    ++cohort.active;  // joins the node's read tenure
+    if (auto* hook = sim::audit_hook()) hook->acquire(&cohort);
+    co_return;
+  } else {
+    co_await Ddss::Cohort::Wait{cohort, read};
+    // Woken either to lead the next tenure, or admitted to a read tenure
+    // whose leader already holds the lock.
+    if (cohort.held) co_return;
+  }
   const auto retries =
       co_await queue_lock(alloc).acquire(ddss_.net_.hca(node_));
   metrics().lock_cas_retries.add(retries);
   cohort.held = true;
+  if (read) {
+    // The gets that queued behind this acquire share the tenure.
+    if (auto* hook = sim::audit_hook()) hook->release(&cohort);
+    while (!cohort.waiters.empty() && cohort.waiters.front().read) {
+      ++cohort.active;
+      ddss_.engine().schedule_now(cohort.waiters.front().strand);
+      cohort.waiters.pop_front();
+    }
+  }
+}
+
+bool Client::leave_shared(const Allocation& alloc) {
+  Ddss::Cohort& cohort = ddss_.cohorts_.find({alloc.key, node_})->second;
+  if (cohort.active == 1) return false;
+  --cohort.active;
+  if (auto* hook = sim::audit_hook()) hook->release(&cohort);
+  return true;
 }
 
 sim::Task<void> Client::unlock(const Allocation& alloc) {
@@ -343,6 +395,8 @@ void Client::drop_hold(const Allocation& alloc) {
   DCS_CHECK_MSG(it != ddss_.cohorts_.end() && it->second.held,
                 "unlock by non-owner");
   it->second.held = false;
+  // The unlock CAS publishes what every strand of the tenure did.
+  if (auto* hook = sim::audit_hook()) hook->acquire(&it->second);
   if (auto* a = audit::Auditor::current()) {
     a->lock_released(&ddss_, "ddss", alloc.key, node_);
   }
@@ -352,9 +406,18 @@ sim::Task<void> Client::finish_unlock(const Allocation& alloc,
                                       std::uint64_t unlock_old) {
   co_await queue_lock(alloc).hand_off(ddss_.net_.hca(node_), unlock_old);
   auto it = ddss_.cohorts_.find({alloc.key, node_});
-  it->second.turn.release();
-  // Idle: no local strand took the turn.
-  if (it->second.turn.available() > 0) ddss_.cohorts_.erase(it);
+  Ddss::Cohort& cohort = it->second;
+  if (cohort.waiters.empty()) {
+    ddss_.cohorts_.erase(it);  // idle: no local strand waits
+    co_return;
+  }
+  // The first waiter leads the node's next tenure.
+  if (auto* hook = sim::audit_hook()) hook->release(&cohort);
+  const Ddss::Cohort::Waiter next = cohort.waiters.front();
+  cohort.waiters.pop_front();
+  cohort.active = 1;
+  cohort.reading = next.read;
+  ddss_.engine().schedule_now(next.strand);
 }
 
 void Client::stage_unlock(verbs::OpBatch& batch, const Allocation& alloc,
@@ -401,7 +464,10 @@ void Client::stage_get(verbs::OpBatch& batch, const Allocation& alloc,
     // Executes after the data read: sees the version that data committed.
     batch.read(alloc.meta, MetaLayout::kVersion, words.image);
   }
-  if (alloc.coherence == Coherence::kStrict) {
+  // A get with company in its read tenure leaves the unlock to the last
+  // reader out.
+  if (alloc.coherence == Coherence::kStrict &&
+      ddss_.cohorts_.find({alloc.key, node_})->second.active == 1) {
     stage_unlock(batch, alloc, words);
   }
 }
@@ -419,7 +485,7 @@ sim::Task<void> Client::put(const Allocation& alloc,
   auto& hca = ddss_.net_.hca(node_);
   if (alloc.coherence == Coherence::kWrite ||
       alloc.coherence == Coherence::kStrict) {
-    co_await lock(alloc);
+    co_await enter(alloc, /*read=*/false);
   }
   std::size_t offset = 0;
   if (alloc.coherence == Coherence::kDelta) {
@@ -485,7 +551,8 @@ sim::Task<void> Client::get(const Allocation& alloc, std::span<std::byte> out) {
   } else if (alloc.coherence == Coherence::kDelta) {
     co_await get_delta(alloc, 0, out);
   } else {
-    if (alloc.coherence == Coherence::kStrict) co_await lock(alloc);
+    const bool strict = alloc.coherence == Coherence::kStrict;
+    if (strict) co_await enter(alloc, /*read=*/true);
     OpWords words;
     verbs::OpBatch batch;
     stage_get(batch, alloc, out, words);
@@ -494,7 +561,11 @@ sim::Task<void> Client::get(const Allocation& alloc, std::span<std::byte> out) {
     } else {
       co_await hca.post(std::move(batch));
     }
-    if (words.unlocks) co_await finish_unlock(alloc, words.unlock_old);
+    if (words.unlocks) {
+      co_await finish_unlock(alloc, words.unlock_old);
+    } else if (strict && !leave_shared(alloc)) {
+      co_await unlock(alloc);  // the last reader out lets go of the tenure
+    }
   }
   if (temporal) {
     ddss_.temporal_cache_[key] =

@@ -14,8 +14,10 @@
 //                              lock word (dlm::QueueLock, DQNL's queue):
 //                              waiters queue behind the tail and get a
 //                              one-message handoff.  Strands of one node
-//                              first queue in a local cohort, so only one of
-//                              them is in the remote queue
+//                              first queue in a local cohort, a reader/writer
+//                              gate: the node's Strict gets share one tenure
+//                              of the lock, puts take one each, and only a
+//                              tenure's first strand is in the remote queue
 //   - Coherency & consistency  six models (below) plus versioned reads
 //
 // Coherence models (costs of put/get differ per model — Figure 3a):
@@ -23,7 +25,8 @@
 //   kRead      reads must see a committed value: put = write + version bump,
 //              get = version-validated read
 //   kWrite     writes serialized: put = lock + write + unlock, get = read
-//   kStrict    reads and writes serialized: both sides take the lock
+//   kStrict    reads and writes serialized: both sides take the lock; the
+//              gets of one node share its tenure, so reads exclude only puts
 //   kVersion   optimistic: put = write + version bump, get = double-read
 //              validation loop, retry on torn version
 //   kDelta     last-K versions retained in a ring: put appends, get can
@@ -32,7 +35,9 @@
 //              entry is younger than the TTL
 #pragma once
 
+#include <coroutine>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <optional>
 #include <set>
@@ -179,8 +184,9 @@ class Client {
 
   /// Explicit lock/unlock of the allocation's metadata lock.  The lock is
   /// held per node: a strand of this node takes it after the node's earlier
-  /// strands have released it, and only the node that holds it may unlock.
-  sim::Task<void> lock(const Allocation& alloc);
+  /// strands have left it, and only the node that holds it may unlock.  An
+  /// explicit lock is exclusive, like a put's; only Strict gets share one.
+  sim::Task<void> lock(const Allocation& alloc) { return enter(alloc, false); }
   sim::Task<void> unlock(const Allocation& alloc);
 
   /// Drops any temporally-cached copy of `alloc` held by this node.
@@ -196,6 +202,13 @@ class Client {
   };
 
   sim::Task<void> ipc_hop();
+  /// Enters a tenure of this node's hold on `alloc`'s lock: waits in the
+  /// node's cohort, then takes the remote lock if this strand leads the
+  /// tenure.  A `read` strand (a Strict get) shares a read tenure.
+  sim::Task<void> enter(const Allocation& alloc, bool read);
+  /// Leaves a read tenure that other readers still share.  Returns false,
+  /// leaving the tenure as it is, to its last reader, which must unlock.
+  bool leave_shared(const Allocation& alloc);
   /// Appends `alloc`'s coherence-model commit sequence for a put of
   /// `value` at data `offset` (the kDelta ring slot, else 0): the data
   /// write, then the version / head / timestamp update, then the unlock.
@@ -203,7 +216,7 @@ class Client {
                  std::span<const std::byte> value, std::size_t offset,
                  OpWords& words);
   /// Appends the model's get sequence: the data read, then kRead's version
-  /// read, then kStrict's unlock.
+  /// read, then kStrict's unlock if this get is alone in its read tenure.
   void stage_get(verbs::OpBatch& batch, const Allocation& alloc,
                  std::span<std::byte> out, OpWords& words);
   /// Appends the unlock CAS(node+1 -> 0), after checking that this node
@@ -213,8 +226,8 @@ class Client {
   /// Ends this node's hold on `alloc`'s lock, ahead of its unlock CAS.
   void drop_hold(const Allocation& alloc);
   /// After the unlock CAS returned `unlock_old`: grants the lock to a remote
-  /// successor, if that CAS found one, then passes it to this node's next
-  /// queued strand.
+  /// successor, if that CAS found one, then lets this node's first waiting
+  /// strand lead its next tenure.
   sim::Task<void> finish_unlock(const Allocation& alloc,
                                 std::uint64_t unlock_old);
   /// `alloc`'s lock word and its queue-lock mailboxes.
@@ -261,12 +274,25 @@ class Ddss {
     std::uint64_t key;
     auto operator<=>(const CacheKey&) const = default;
   };
-  /// The strands of one node that hold or want one allocation's lock, in a
-  /// local FIFO: only the strand holding `turn` is in the remote queue.
+  /// The strands of one node that hold or want one allocation's lock: a
+  /// local reader/writer gate in front of the remote lock.  A tenure of the
+  /// node's hold serves one writer (a put or an explicit lock) or a group
+  /// of Strict gets.  A get joins the current read tenure while the lock is
+  /// held and no strand waits; otherwise strands wait in FIFO order, so a
+  /// put is never overtaken by later gets.  Only the first strand of a
+  /// tenure joins the remote queue, and only its last one releases it.
   struct Cohort {
-    explicit Cohort(sim::Engine& eng) : turn(eng, 1) {}
-    sim::Semaphore turn;
-    bool held = false;  // the node holds the lock (ownership record)
+    struct Waiter {
+      std::coroutine_handle<> strand;
+      bool read = false;  // a Strict get, which may share a read tenure
+    };
+    struct Wait;  // awaitable: parks a strand at the tail of `waiters`
+    std::deque<Waiter> waiters;  // strands waiting for a tenure, FIFO
+    std::size_t active = 0;      // strands in the current tenure
+    bool reading = false;        // the current tenure is a read tenure
+    // The node holds the lock and its unlock CAS is not yet staged
+    // (ownership record); no get joins a tenure that is letting go.
+    bool held = false;
   };
   /// Keyed by (allocation key, node).
   using CohortKey = std::pair<std::uint64_t, NodeId>;

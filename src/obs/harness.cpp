@@ -28,9 +28,21 @@ std::string sanitize(std::string name) {
   return name;
 }
 
-/// Peak resident set size of this process so far, in MB
-/// (getrusage ru_maxrss); the top-level "peak_rss_mb" of the wall JSON.
+/// Peak resident set size of this process so far, in MB; the top-level
+/// "peak_rss_mb" of the wall JSON.  Reads VmHWM from /proc/self/status,
+/// which belongs to this address space: getrusage's ru_maxrss is carried
+/// across exec, so it never reads below the RSS of the process that
+/// spawned this one.  Falls back to ru_maxrss where /proc is unreadable.
 double peak_rss_mb() {
+  if (std::FILE* f = std::fopen("/proc/self/status", "r")) {
+    char line[256];
+    long kb = -1;
+    while (kb < 0 && std::fgets(line, sizeof line, f) != nullptr) {
+      if (std::sscanf(line, "VmHWM: %ld kB", &kb) != 1) kb = -1;
+    }
+    std::fclose(f);
+    if (kb >= 0) return static_cast<double>(kb) / 1024.0;
+  }
   rusage usage{};
   getrusage(RUSAGE_SELF, &usage);
   return static_cast<double>(usage.ru_maxrss) / 1024.0;  // Linux: KB

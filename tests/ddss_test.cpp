@@ -683,6 +683,115 @@ TEST_F(DdssLockFixture, ContendedPutsAndGetsStayCleanAndLeaveNothingBehind) {
   EXPECT_LE(retries, 2 * acquisitions);
 }
 
+// --- Strict gets of one node share its tenure of the lock ---
+
+/// Waits until `reads` more verbs reads have been posted than `base`: the
+/// posts are counted when they leave, so those reads are in flight.
+sim::Task<void> await_reads_posted(sim::Engine& eng, std::uint64_t base,
+                                   std::uint64_t reads) {
+  while (verbs_counts()[0] - base < reads) {
+    co_await eng.delay(nanoseconds(100));
+  }
+}
+
+TEST_F(DdssLockFixture, StrictGetsOfOneNodeShareOneLockHold) {
+  const Allocation a = allocate(Coherence::kStrict);
+  constexpr int kReaders = 4;
+  std::vector<std::vector<std::byte>> got(kReaders,
+                                          std::vector<std::byte>(64));
+  const VerbsCounts before = verbs_counts();
+  for (auto& out : got) {
+    eng.spawn([](Ddss& d, const Allocation& alloc,
+                 std::vector<std::byte>& buf) -> sim::Task<void> {
+      co_await d.client(1).get(alloc, buf);
+    }(ddss, a, out));
+  }
+  eng.run();
+  const VerbsCounts moved = verbs_counts() - before;
+  // One lock CAS and one unlock CAS for the four reads.
+  EXPECT_EQ(moved, (VerbsCounts{kReaders, kReaders * 64, 0, 0, 0, 2}));
+  for (const auto& out : got) EXPECT_EQ(out, value_bytes(0xEE));
+  EXPECT_EQ(ddss.lock_cohorts(), 0u);
+  EXPECT_EQ(auditor.report_count(), 0u) << first_report();
+}
+
+TEST_F(DdssLockFixture, GetBehindAQueuedPutWaitsForIt) {
+  const Allocation a = allocate(Coherence::kStrict);
+  std::vector<int> done;  // ids in completion order
+  std::vector<std::byte> r2_got(64);
+  const auto get = [](Ddss& d, int id, const Allocation& alloc,
+                      std::vector<std::byte>& buf,
+                      std::vector<int>& order) -> sim::Task<void> {
+    co_await d.client(1).get(alloc, buf);
+    order.push_back(id);
+  };
+  const auto put = [](Ddss& d, int id, const Allocation& alloc,
+                      std::vector<int>& order) -> sim::Task<void> {
+    co_await d.client(1).put(alloc, value_bytes(0x55));
+    order.push_back(id);
+  };
+  // R1a and R1b hold node 1's read tenure; while their reads are in
+  // flight, put W queues, then R2 arrives behind it.
+  std::vector<std::byte> r1a(64), r1b(64);
+  eng.spawn(get(ddss, 1, a, r1a, done));
+  eng.spawn(get(ddss, 2, a, r1b, done));
+  eng.spawn([](Ddss& d, std::uint64_t base, auto spawn_w,
+               auto spawn_r2) -> sim::Task<void> {
+    co_await await_reads_posted(d.engine(), base, 2);
+    d.engine().spawn(spawn_w());
+    d.engine().spawn(spawn_r2());
+  }(ddss, verbs_counts()[0],
+    [&] { return put(ddss, 3, a, done); },
+    [&] { return get(ddss, 4, a, r2_got, done); }));
+  eng.run();
+  EXPECT_EQ(done, (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_EQ(r1a, value_bytes(0xEE));
+  EXPECT_EQ(r1b, value_bytes(0xEE));
+  EXPECT_EQ(r2_got, value_bytes(0x55));  // R2 read W's value
+  EXPECT_EQ(ddss.lock_cohorts(), 0u);
+  EXPECT_EQ(auditor.report_count(), 0u) << first_report();
+}
+
+TEST_F(DdssLockFixture, MixedStrictOpsFromThreeNodesStayClean) {
+  const Allocation a = allocate(Coherence::kStrict);
+  constexpr NodeId kClients = 3;
+  constexpr int kStrands = 4;
+  std::uint64_t gets = 0;
+  std::uint64_t bad = 0;
+  // Each strand puts its own byte value; every get must return one
+  // allocation-wide value that some put (or the initial 0xEE) wrote.
+  const auto strand = [](Ddss& d, NodeId node, std::uint8_t fill,
+                         const Allocation& alloc, std::uint64_t& reads,
+                         std::uint64_t& wrong) -> sim::Task<void> {
+    auto c = d.client(node);
+    Rng rng(fill);
+    std::vector<std::byte> out(64);
+    for (int i = 0; i < 24; ++i) {
+      co_await d.engine().delay(rng.uniform(nanoseconds(0), microseconds(2)));
+      if (rng.uniform(4) == 0) {
+        co_await c.put(alloc, value_bytes(fill));
+        continue;
+      }
+      co_await c.get(alloc, out);
+      ++reads;
+      const auto v = std::to_integer<std::uint8_t>(out[0]);
+      const bool written = v == 0xEE || (v >= 1 && v <= kClients * kStrands);
+      wrong += !written || std::count(out.begin(), out.end(), out[0]) != 64;
+    }
+  };
+  std::uint8_t fill = 1;
+  for (NodeId n = 1; n <= kClients; ++n) {
+    for (int k = 0; k < kStrands; ++k) {
+      eng.spawn(strand(ddss, n, fill++, a, gets, bad));
+    }
+  }
+  eng.run();
+  EXPECT_GT(gets, 0u);
+  EXPECT_EQ(bad, 0u);
+  EXPECT_EQ(auditor.report_count(), 0u) << first_report();
+  EXPECT_EQ(ddss.lock_cohorts(), 0u);
+}
+
 TEST_F(DdssFixture, ReleaseDropsAHeldLock) {
   eng.spawn([](Ddss& d) -> sim::Task<void> {
     auto c = d.client(1);
@@ -723,6 +832,34 @@ TEST_F(DdssDeathTest, UnlockByNonOwnerAborts) {
         eng.run();
       },
       "unlock by non-owner");
+}
+
+TEST_F(DdssDeathTest, ReleaseUnderActiveReadersAborts) {
+  Allocation a;
+  eng.spawn([](Ddss& d, Allocation& out) -> sim::Task<void> {
+    out = co_await d.client(0).allocate(64, Coherence::kStrict);
+    co_await d.client(0).put(out, value_bytes(0x11));
+  }(ddss, a));
+  eng.run();
+  // Two Strict gets of node 1 share its read tenure; node 1 releases the
+  // allocation while both reads are in flight.
+  EXPECT_DEATH(
+      {
+        const auto get = [](Ddss& d, const Allocation& alloc)
+            -> sim::Task<void> {
+          std::vector<std::byte> out(64);
+          co_await d.client(1).get(alloc, out);
+        };
+        eng.spawn(get(ddss, a));
+        eng.spawn(get(ddss, a));
+        eng.spawn([](Ddss& d, const Allocation& alloc,
+                     std::uint64_t base) -> sim::Task<void> {
+          co_await await_reads_posted(d.engine(), base, 2);
+          co_await d.client(1).release(alloc);
+        }(ddss, a, verbs_counts()[0]));
+        eng.run();
+      },
+      "release of an allocation whose lock is queued for or read");
 }
 
 }  // namespace
