@@ -26,7 +26,6 @@
 #include <array>
 #include <cinttypes>
 #include <cstdio>
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -45,7 +44,6 @@
 #include "obs/slo.hpp"
 #include "obs/timeseries.hpp"
 #include "sim/shard.hpp"
-#include "sim/sync.hpp"
 #include "trace/exemplar.hpp"
 #include "trace/flight.hpp"
 #include "trace/trace.hpp"
@@ -110,22 +108,12 @@ struct PartitionHost {
         locks(net, /*home=*/0),
         zipf(cfg.nodes, cfg.alpha) {}
 
-  /// The local cohort queue of `node`'s strands for `lock`.  N-CoSED
-  /// admits one strand per node per lock, so a node's strands queue here
-  /// first and only the head of the queue asks the lock manager.  An
-  /// uncontended acquire schedules no event.
-  sim::Mutex& cohort(fabric::NodeId node, dlm::LockId lock) {
-    return cohorts.try_emplace(std::pair{node, lock}, fab.engine())
-        .first->second;
-  }
-
   fabric::Fabric fab;
   verbs::Network net;
   ddss::Ddss substrate;
   dlm::NcosedLockManager locks;
   ZipfSampler zipf;
   std::vector<ddss::Allocation> allocs;
-  std::map<std::pair<fabric::NodeId, dlm::LockId>, sim::Mutex> cohorts;
   /// Per-partition serve-path registry: the telemetry exporter mirrors
   /// THIS registry (not the partition context's one, which every layer
   /// records into), so the exported page holds the serve path alone.
@@ -318,12 +306,9 @@ sim::Task<void> client_strand(sim::Shard& shard,
     }
     if (op % 8 == 0) {
       const auto lock_id = static_cast<dlm::LockId>(key % 16);
-      sim::Mutex& cohort = host->cohort(node, lock_id);
-      co_await cohort.acquire();
       co_await host->locks.lock(node, lock_id, dlm::LockMode::kExclusive);
       co_await host->fab.node(node).execute(microseconds(2));
       co_await host->locks.unlock(node, lock_id);
-      cohort.release();
     }
     reg.counter("scale.local.ops").add(1);
   }

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "audit/audit.hpp"
-#include "dlm/queue_lock.hpp"
 #include "trace/hot.hpp"
 #include "trace/trace.hpp"
 #include "verbs/wire.hpp"
@@ -266,14 +265,9 @@ sim::Task<void> Client::release(Allocation alloc) {
   invalidate_cached(alloc);
   // A node may release an allocation it still holds the lock of; no strand
   // may be queued for it or reading under it.
-  auto& cohorts = ddss_.cohorts_;
-  for (auto it = cohorts.lower_bound({alloc.key, 0});
-       it != cohorts.end() && it->first.first == alloc.key;
-       it = cohorts.erase(it)) {
-    const Ddss::Cohort& c = it->second;
-    DCS_CHECK_MSG(c.held && c.waiters.empty() && !c.reading,
-                  "release of an allocation whose lock is queued for or read");
-  }
+  const bool idle = ddss_.lock_cohort_.forget(alloc.key);
+  DCS_CHECK_MSG(idle,
+                "release of an allocation whose lock is queued for or read");
   const std::uint32_t reply_tag =
       kReplyTagBase + 0x8000 + (ddss_.next_reply_++ & 0x7FFF);
   verbs::Encoder req;
@@ -317,112 +311,46 @@ dlm::QueueLock Client::queue_lock(const Allocation& alloc) const {
           .id = alloc.key};
 }
 
-struct Ddss::Cohort::Wait {
-  Cohort& cohort;
-  bool read;
-  sim::StrandCtx saved{};
-  std::uint64_t audit_token = 0;
-
-  bool await_ready() const noexcept { return false; }
-  void await_suspend(std::coroutine_handle<> h) {
-    cohort.waiters.push_back({h, read});
-    saved = sim::strand_ctx();
-    if (auto* hook = sim::audit_hook()) audit_token = hook->suspend_strand();
-  }
-  void await_resume() const noexcept {
-    sim::strand_ctx() = saved;
-    if (auto* hook = sim::audit_hook()) {
-      hook->resume_strand(audit_token);
-      hook->acquire(&cohort);
-    }
-  }
-};
-
-sim::Task<void> Client::enter(const Allocation& alloc, bool read) {
+sim::Task<void> Client::enter(const Allocation& alloc, dlm::LockMode mode) {
   DCS_CHECK(alloc.valid());
   DCS_CHECK_MSG(alloc.key < kLockKeys, "allocation key beyond lock tags");
   DCS_TRACE_COST_SPAN(trace::Cost::kLockWait, "ddss", "lock", node_, alloc.key,
                       to_string(alloc.coherence));
   // Strands of this node queue locally first; only a tenure's first strand
   // joins the remote queue, so the node is in it at most once.
-  Ddss::Cohort& cohort = ddss_.cohorts_[{alloc.key, node_}];
-  if (cohort.active == 0) {
-    // A new cohort: this strand leads the node's first tenure.
-    cohort.active = 1;
-    cohort.reading = read;
-  } else if (read && cohort.reading && cohort.held && cohort.waiters.empty()) {
-    ++cohort.active;  // joins the node's read tenure
-    if (auto* hook = sim::audit_hook()) hook->acquire(&cohort);
-    co_return;
-  } else {
-    co_await Ddss::Cohort::Wait{cohort, read};
-    // Woken either to lead the next tenure, or admitted to a read tenure
-    // whose leader already holds the lock.
-    if (cohort.held) co_return;
-  }
+  const bool lead = co_await ddss_.lock_cohort_.enter(alloc.key, node_, mode);
+  if (!lead) co_return;
   const auto retries =
       co_await queue_lock(alloc).acquire(ddss_.net_.hca(node_));
   metrics().lock_cas_retries.add(retries);
-  cohort.held = true;
-  if (read) {
-    // The gets that queued behind this acquire share the tenure.
-    if (auto* hook = sim::audit_hook()) hook->release(&cohort);
-    while (!cohort.waiters.empty() && cohort.waiters.front().read) {
-      ++cohort.active;
-      ddss_.engine().schedule_now(cohort.waiters.front().strand);
-      cohort.waiters.pop_front();
-    }
-  }
-}
-
-bool Client::leave_shared(const Allocation& alloc) {
-  Ddss::Cohort& cohort = ddss_.cohorts_.find({alloc.key, node_})->second;
-  if (cohort.active == 1) return false;
-  --cohort.active;
-  if (auto* hook = sim::audit_hook()) hook->release(&cohort);
-  return true;
+  ddss_.lock_cohort_.acquired(alloc.key, node_);
 }
 
 sim::Task<void> Client::unlock(const Allocation& alloc) {
-  drop_hold(alloc);
+  if (!drop_hold(alloc)) co_return;  // other readers still share the tenure
   const auto old = co_await ddss_.net_.hca(node_).compare_and_swap(
       alloc.meta, MetaLayout::kLock, node_ + 1, 0);
   co_await finish_unlock(alloc, old);
 }
 
-void Client::drop_hold(const Allocation& alloc) {
-  auto it = ddss_.cohorts_.find({alloc.key, node_});
-  DCS_CHECK_MSG(it != ddss_.cohorts_.end() && it->second.held,
-                "unlock by non-owner");
-  it->second.held = false;
-  // The unlock CAS publishes what every strand of the tenure did.
-  if (auto* hook = sim::audit_hook()) hook->acquire(&it->second);
+bool Client::drop_hold(const Allocation& alloc) {
+  if (!ddss_.lock_cohort_.leave(alloc.key, node_)) return false;
   if (auto* a = audit::Auditor::current()) {
     a->lock_released(&ddss_, "ddss", alloc.key, node_);
   }
+  return true;
 }
 
 sim::Task<void> Client::finish_unlock(const Allocation& alloc,
                                       std::uint64_t unlock_old) {
   co_await queue_lock(alloc).hand_off(ddss_.net_.hca(node_), unlock_old);
-  auto it = ddss_.cohorts_.find({alloc.key, node_});
-  Ddss::Cohort& cohort = it->second;
-  if (cohort.waiters.empty()) {
-    ddss_.cohorts_.erase(it);  // idle: no local strand waits
-    co_return;
-  }
-  // The first waiter leads the node's next tenure.
-  if (auto* hook = sim::audit_hook()) hook->release(&cohort);
-  const Ddss::Cohort::Waiter next = cohort.waiters.front();
-  cohort.waiters.pop_front();
-  cohort.active = 1;
-  cohort.reading = next.read;
-  ddss_.engine().schedule_now(next.strand);
+  ddss_.lock_cohort_.finish(alloc.key, node_);
 }
 
 void Client::stage_unlock(verbs::OpBatch& batch, const Allocation& alloc,
                           OpWords& words) {
-  drop_hold(alloc);
+  const bool last = drop_hold(alloc);
+  DCS_CHECK(last);
   batch.compare_and_swap(alloc.meta, MetaLayout::kLock, node_ + 1, 0,
                          &words.unlock_old);
   words.unlocks = true;
@@ -467,7 +395,7 @@ void Client::stage_get(verbs::OpBatch& batch, const Allocation& alloc,
   // A get with company in its read tenure leaves the unlock to the last
   // reader out.
   if (alloc.coherence == Coherence::kStrict &&
-      ddss_.cohorts_.find({alloc.key, node_})->second.active == 1) {
+      ddss_.lock_cohort_.alone(alloc.key, node_)) {
     stage_unlock(batch, alloc, words);
   }
 }
@@ -485,7 +413,7 @@ sim::Task<void> Client::put(const Allocation& alloc,
   auto& hca = ddss_.net_.hca(node_);
   if (alloc.coherence == Coherence::kWrite ||
       alloc.coherence == Coherence::kStrict) {
-    co_await enter(alloc, /*read=*/false);
+    co_await enter(alloc, dlm::LockMode::kExclusive);
   }
   std::size_t offset = 0;
   if (alloc.coherence == Coherence::kDelta) {
@@ -552,7 +480,7 @@ sim::Task<void> Client::get(const Allocation& alloc, std::span<std::byte> out) {
     co_await get_delta(alloc, 0, out);
   } else {
     const bool strict = alloc.coherence == Coherence::kStrict;
-    if (strict) co_await enter(alloc, /*read=*/true);
+    if (strict) co_await enter(alloc, dlm::LockMode::kShared);
     OpWords words;
     verbs::OpBatch batch;
     stage_get(batch, alloc, out, words);
@@ -563,8 +491,10 @@ sim::Task<void> Client::get(const Allocation& alloc, std::span<std::byte> out) {
     }
     if (words.unlocks) {
       co_await finish_unlock(alloc, words.unlock_old);
-    } else if (strict && !leave_shared(alloc)) {
+    } else if (strict && ddss_.lock_cohort_.alone(alloc.key, node_)) {
       co_await unlock(alloc);  // the last reader out lets go of the tenure
+    } else if (strict) {
+      drop_hold(alloc);  // other readers still share the tenure
     }
   }
   if (temporal) {

@@ -14,9 +14,10 @@
 //                              lock word (dlm::QueueLock, DQNL's queue):
 //                              waiters queue behind the tail and get a
 //                              one-message handoff.  Strands of one node
-//                              first queue in a local cohort, a reader/writer
-//                              gate: the node's Strict gets share one tenure
-//                              of the lock, puts take one each, and only a
+//                              first meet in the allocation's dlm::Cohort,
+//                              the node-local gate every RDMA lock shares:
+//                              the node's Strict gets share one tenure of
+//                              the lock, puts take one each, and only a
 //                              tenure's first strand is in the remote queue
 //   - Coherency & consistency  six models (below) plus versioned reads
 //
@@ -35,21 +36,15 @@
 //              entry is younger than the TTL
 #pragma once
 
-#include <coroutine>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <optional>
 #include <set>
-#include <utility>
 #include <vector>
 
-#include "sim/sync.hpp"
+#include "dlm/cohort.hpp"
+#include "dlm/queue_lock.hpp"
 #include "verbs/verbs.hpp"
-
-namespace dcs::dlm {
-struct QueueLock;
-}  // namespace dcs::dlm
 
 namespace dcs::ddss {
 
@@ -186,7 +181,9 @@ class Client {
   /// held per node: a strand of this node takes it after the node's earlier
   /// strands have left it, and only the node that holds it may unlock.  An
   /// explicit lock is exclusive, like a put's; only Strict gets share one.
-  sim::Task<void> lock(const Allocation& alloc) { return enter(alloc, false); }
+  sim::Task<void> lock(const Allocation& alloc) {
+    return enter(alloc, dlm::LockMode::kExclusive);
+  }
   sim::Task<void> unlock(const Allocation& alloc);
 
   /// Drops any temporally-cached copy of `alloc` held by this node.
@@ -204,11 +201,8 @@ class Client {
   sim::Task<void> ipc_hop();
   /// Enters a tenure of this node's hold on `alloc`'s lock: waits in the
   /// node's cohort, then takes the remote lock if this strand leads the
-  /// tenure.  A `read` strand (a Strict get) shares a read tenure.
-  sim::Task<void> enter(const Allocation& alloc, bool read);
-  /// Leaves a read tenure that other readers still share.  Returns false,
-  /// leaving the tenure as it is, to its last reader, which must unlock.
-  bool leave_shared(const Allocation& alloc);
+  /// tenure.  A Strict get (kShared) shares a read tenure.
+  sim::Task<void> enter(const Allocation& alloc, dlm::LockMode mode);
   /// Appends `alloc`'s coherence-model commit sequence for a put of
   /// `value` at data `offset` (the kDelta ring slot, else 0): the data
   /// write, then the version / head / timestamp update, then the unlock.
@@ -219,12 +213,14 @@ class Client {
   /// read, then kStrict's unlock if this get is alone in its read tenure.
   void stage_get(verbs::OpBatch& batch, const Allocation& alloc,
                  std::span<std::byte> out, OpWords& words);
-  /// Appends the unlock CAS(node+1 -> 0), after checking that this node
-  /// holds the lock and ending its hold.
+  /// Appends the unlock CAS(node+1 -> 0), after ending the hold of this
+  /// node, which must be the last strand of its tenure.
   void stage_unlock(verbs::OpBatch& batch, const Allocation& alloc,
                     OpWords& words);
-  /// Ends this node's hold on `alloc`'s lock, ahead of its unlock CAS.
-  void drop_hold(const Allocation& alloc);
+  /// Leaves this node's tenure of `alloc`'s lock.  Returns true to the
+  /// tenure's last strand: the node's hold ends here, ahead of the unlock
+  /// CAS that strand must issue.
+  bool drop_hold(const Allocation& alloc);
   /// After the unlock CAS returned `unlock_old`: grants the lock to a remote
   /// successor, if that CAS found one, then lets this node's first waiting
   /// strand lead its next tenure.
@@ -260,7 +256,7 @@ class Ddss {
 
   std::uint64_t allocations_served() const { return allocations_served_; }
   /// (node, allocation) pairs whose lock a strand holds or waits for.
-  std::size_t lock_cohorts() const { return cohorts_.size(); }
+  std::size_t lock_cohorts() const { return lock_cohort_.size(); }
 
  private:
   friend class Client;
@@ -274,29 +270,6 @@ class Ddss {
     std::uint64_t key;
     auto operator<=>(const CacheKey&) const = default;
   };
-  /// The strands of one node that hold or want one allocation's lock: a
-  /// local reader/writer gate in front of the remote lock.  A tenure of the
-  /// node's hold serves one writer (a put or an explicit lock) or a group
-  /// of Strict gets.  A get joins the current read tenure while the lock is
-  /// held and no strand waits; otherwise strands wait in FIFO order, so a
-  /// put is never overtaken by later gets.  Only the first strand of a
-  /// tenure joins the remote queue, and only its last one releases it.
-  struct Cohort {
-    struct Waiter {
-      std::coroutine_handle<> strand;
-      bool read = false;  // a Strict get, which may share a read tenure
-    };
-    struct Wait;  // awaitable: parks a strand at the tail of `waiters`
-    std::deque<Waiter> waiters;  // strands waiting for a tenure, FIFO
-    std::size_t active = 0;      // strands in the current tenure
-    bool reading = false;        // the current tenure is a read tenure
-    // The node holds the lock and its unlock CAS is not yet staged
-    // (ownership record); no get joins a tenure that is letting go.
-    bool held = false;
-  };
-  /// Keyed by (allocation key, node).
-  using CohortKey = std::pair<std::uint64_t, NodeId>;
-
   sim::Task<void> daemon(NodeId node);
   sim::Task<void> invalidation_listener(NodeId node);
   NodeId pick_home(NodeId requester, Placement placement, std::size_t bytes);
@@ -313,8 +286,8 @@ class Ddss {
   std::map<CacheKey, CacheEntry> temporal_cache_;
   // Write-invalidate bookkeeping: which nodes cached each temporal datum.
   std::map<std::uint64_t, std::set<NodeId>> temporal_sharers_;
-  // Lock cohorts; an entry lives while a strand holds or waits for the lock.
-  std::map<CohortKey, Cohort> cohorts_;
+  // Allocation locks' node-local cohorts, keyed by allocation key.
+  dlm::Cohort lock_cohort_{net_.fabric().engine()};
 };
 
 }  // namespace dcs::ddss

@@ -21,24 +21,8 @@ DqnlMetrics& metrics() { return trace::context_metrics<DqnlMetrics>(); }
 
 DqnlLockManager::DqnlLockManager(verbs::Network& net, NodeId home,
                                  std::size_t max_locks)
-    : net_(net), home_(home), max_locks_(max_locks) {
-  table_ = net_.hca(home_).allocate_region(max_locks_ * 8);
-  // The table is all CAS-polled lock words: release/acquire edges, not data.
-  if (auto* a = audit::Auditor::current()) {
-    a->mark_sync_range(home_, table_.addr, max_locks_ * 8);
-  }
-  audit::host_write(home_, table_.addr, max_locks_ * 8, "dlm.dqnl.zero-table");
-  auto bytes = net_.fabric().node(home_).memory().bytes(table_.addr,
-                                                        max_locks_ * 8);
-  std::fill(bytes.begin(), bytes.end(), std::byte{0});
-}
-
-DqnlLockManager::~DqnlLockManager() {
-  if (auto* a = audit::Auditor::current()) {
-    a->unmark_sync_range(home_, table_.addr);
-  }
-  net_.hca(home_).free_region(table_);
-}
+    : LockManager(net, "DQNL", "DQNL"),
+      table_(net, home, max_locks, 8, "dlm.dqnl.zero-table") {}
 
 QueueLock DqnlLockManager::queue(LockId id) const {
   return {.table = table_,
@@ -50,13 +34,11 @@ QueueLock DqnlLockManager::queue(LockId id) const {
           .id = id};
 }
 
-sim::Task<void> DqnlLockManager::lock(NodeId self, LockId id, LockMode mode) {
-  // DQNL has no shared mode; readers queue like writers.
-  (void)mode;
-  DCS_CHECK(id < max_locks_);
+// DQNL has no shared mode; readers queue like writers.
+sim::Task<void> DqnlLockManager::acquire(NodeId self, LockId id,
+                                         LockMode /*mode*/) {
+  DCS_CHECK(id < table_.locks);
   metrics().locks.add();
-  DCS_TRACE_COST_SPAN(trace::Cost::kLockWait, "dlm", "lock", self, id,
-                      "DQNL");
   const SimNanos t0 = net_.fabric().engine().now();
   const auto retries = co_await queue(id).acquire(net_.hca(self));
   cas_retries_ += retries;
@@ -64,10 +46,9 @@ sim::Task<void> DqnlLockManager::lock(NodeId self, LockId id, LockMode mode) {
   metrics().lock_latency.record_ns(net_.fabric().engine().now() - t0);
 }
 
-sim::Task<void> DqnlLockManager::unlock(NodeId self, LockId id) {
-  DCS_CHECK(id < max_locks_);
+sim::Task<void> DqnlLockManager::release(NodeId self, LockId id,
+                                         LockMode /*mode*/) {
   metrics().unlocks.add();
-  DCS_TRACE_SPAN("dlm", "unlock", self, id, "DQNL");
   auto& hca = net_.hca(self);
   const QueueLock q = queue(id);
   if (auto* a = audit::Auditor::current()) {

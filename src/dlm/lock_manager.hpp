@@ -12,15 +12,19 @@
 //             requests register with fetch-and-add; releases cascade grants
 //             directly between the involved nodes.
 //
-// Model restriction (documented): one lock-holding process per node per
-// lock id — waiter mailboxes are addressed by (node, lock id).  The paper's
-// cascade experiments place each waiting process on its own node, matching
-// this restriction.
+// Every scheme sits behind one node-local cohort (dlm::Cohort): a node's
+// strands queue there first, its shared requests share one tenure of the
+// node's hold, only a tenure's first strand asks the scheme for the lock
+// (acquire) and only its last one gives it back (release).  Any number of a
+// node's strands may lock, while each scheme sees at most one request per
+// node per lock id at a time, which is what lets it address waiter
+// mailboxes by (node, lock id).
 #pragma once
 
 #include <cstdint>
 #include <memory>
 
+#include "dlm/cohort.hpp"
 #include "sim/engine.hpp"
 #include "verbs/verbs.hpp"
 
@@ -29,17 +33,16 @@ namespace dcs::dlm {
 using fabric::NodeId;
 using LockId = std::uint32_t;
 
-enum class LockMode : std::uint8_t { kShared = 1, kExclusive = 2 };
-
 /// Common interface so benchmarks and services can swap schemes.
 class LockManager {
  public:
   virtual ~LockManager() = default;
 
-  /// Acquires `id` in the given mode on behalf of the process on `self`.
-  virtual sim::Task<void> lock(NodeId self, LockId id, LockMode mode) = 0;
-  /// Releases the lock previously acquired by `self`.
-  virtual sim::Task<void> unlock(NodeId self, LockId id) = 0;
+  /// Acquires `id` in the given mode on behalf of a strand on `self`.
+  sim::Task<void> lock(NodeId self, LockId id, LockMode mode);
+  /// Releases a hold that a strand on `self` took; aborts ("unlock by
+  /// non-owner") unless `self` holds `id`.
+  sim::Task<void> unlock(NodeId self, LockId id);
 
   virtual const char* name() const = 0;
 
@@ -49,6 +52,45 @@ class LockManager {
   sim::Task<void> lock_exclusive(NodeId self, LockId id) {
     return lock(self, id, LockMode::kExclusive);
   }
+
+  /// (lock, node) pairs whose lock a strand holds or waits for.
+  std::size_t lock_cohorts() const { return cohort_.size(); }
+
+ protected:
+  /// A scheme over `net`; `shared_span` and `exclusive_span` name each
+  /// mode's lock-wait span.
+  LockManager(verbs::Network& net, const char* shared_span,
+              const char* exclusive_span)
+      : net_(net),
+        cohort_(net.fabric().engine()),
+        shared_span_(shared_span),
+        exclusive_span_(exclusive_span) {}
+
+  verbs::Network& net_;
+
+ private:
+  /// Takes the scheme's lock for a tenure of `self`'s hold.
+  virtual sim::Task<void> acquire(NodeId self, LockId id, LockMode mode) = 0;
+  /// Gives it back at the end of that tenure.
+  virtual sim::Task<void> release(NodeId self, LockId id, LockMode mode) = 0;
+
+  Cohort cohort_;
+  const char* shared_span_;
+  const char* exclusive_span_;
+};
+
+/// A scheme's table of `locks` entries of `entry_bytes` lock words on
+/// `home`: zeroed, and marked for the auditor as polled synchronization
+/// state, not data.  Freed with it.
+struct LockTable : verbs::RemoteRegion {
+  LockTable(verbs::Network& net, NodeId home, std::size_t locks,
+            std::size_t entry_bytes, const char* site);
+  LockTable(const LockTable&) = delete;
+  ~LockTable();
+
+  verbs::Network& net;
+  NodeId home;
+  std::size_t locks;  // lock ids below this have an entry
 };
 
 /// The three schemes above, for callers that pick one at run time.

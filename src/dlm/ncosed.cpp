@@ -10,10 +10,6 @@
 namespace dcs::dlm {
 
 namespace {
-std::uint64_t holder_key(NodeId node, LockId id) {
-  return (static_cast<std::uint64_t>(node) << 32) | id;
-}
-
 struct NcosedMetrics {
   trace::Counter& shared_locks = reg().counter("dlm.ncosed.shared_acquires");
   trace::Counter& excl_locks = reg().counter("dlm.ncosed.exclusive_acquires");
@@ -34,37 +30,13 @@ NcosedMetrics& metrics() { return trace::context_metrics<NcosedMetrics>(); }
 NcosedLockManager::NcosedLockManager(verbs::Network& net, NodeId home,
                                      std::size_t max_locks,
                                      SimNanos drain_poll_interval)
-    : net_(net),
-      home_(home),
-      max_locks_(max_locks),
-      poll_interval_(drain_poll_interval) {
-  table_ = net_.hca(home_).allocate_region(max_locks_ * kEntryBytes);
-  // The lock window (W0/W1 words) is polled synchronization state.
-  if (auto* a = audit::Auditor::current()) {
-    a->mark_sync_range(home_, table_.addr, max_locks_ * kEntryBytes);
-  }
-  audit::host_write(home_, table_.addr, max_locks_ * kEntryBytes,
-                    "dlm.ncosed.zero-table");
-  auto bytes = net_.fabric().node(home_).memory().bytes(
-      table_.addr, max_locks_ * kEntryBytes);
-  std::fill(bytes.begin(), bytes.end(), std::byte{0});
-}
+    : LockManager(net, "N-CoSED/shared", "N-CoSED/exclusive"),
+      poll_interval_(drain_poll_interval),
+      table_(net, home, max_locks, kEntryBytes, "dlm.ncosed.zero-table") {}
 
-NcosedLockManager::~NcosedLockManager() {
-  if (auto* a = audit::Auditor::current()) {
-    a->unmark_sync_range(home_, table_.addr);
-  }
-  net_.hca(home_).free_region(table_);
-}
-
-sim::Task<void> NcosedLockManager::lock(NodeId self, LockId id,
-                                        LockMode mode) {
-  DCS_CHECK(id < max_locks_);
-  const auto key = holder_key(self, id);
-  DCS_CHECK_MSG(!held_.contains(key), "N-CoSED: node already holds this lock");
-  DCS_TRACE_COST_SPAN(trace::Cost::kLockWait, "dlm", "lock", self, id,
-                      mode == LockMode::kShared ? "N-CoSED/shared"
-                                                : "N-CoSED/exclusive");
+sim::Task<void> NcosedLockManager::acquire(NodeId self, LockId id,
+                                           LockMode mode) {
+  DCS_CHECK(id < table_.locks);
   DCS_HOT("dlm.lock", id, 1);
   const SimNanos t0 = net_.fabric().engine().now();
   if (mode == LockMode::kShared) {
@@ -79,21 +51,17 @@ sim::Task<void> NcosedLockManager::lock(NodeId self, LockId id,
                     /*exclusive=*/mode == LockMode::kExclusive);
   }
   metrics().lock_latency.record_ns(net_.fabric().engine().now() - t0);
-  held_[key] = mode;
 }
 
-sim::Task<void> NcosedLockManager::unlock(NodeId self, LockId id) {
-  const auto it = held_.find(holder_key(self, id));
-  DCS_CHECK_MSG(it != held_.end(), "N-CoSED: unlock without hold");
+sim::Task<void> NcosedLockManager::release(NodeId self, LockId id,
+                                           LockMode mode) {
   metrics().unlocks.add();
-  DCS_TRACE_SPAN("dlm", "unlock", self, id, "N-CoSED");
-  const LockMode mode = it->second;
-  held_.erase(it);
   if (auto* a = audit::Auditor::current()) {
     a->lock_released(this, "ncosed", id, self);
   }
   if (mode == LockMode::kShared) {
-    co_await unlock_shared_impl(self, id);
+    // Purely one-sided: count our release; an exclusive drainer observes it.
+    (void)co_await net_.hca(self).fetch_and_add(table_, w1_off(id), 1);
   } else {
     co_await unlock_exclusive_impl(self, id);
   }
@@ -110,11 +78,6 @@ sim::Task<void> NcosedLockManager::lock_shared_impl(NodeId self, LockId id) {
   co_await hca.send(static_cast<NodeId>(tail - 1), tags::kNcWaitShared + id,
                     verbs::Encoder().u32(self).take());
   (void)co_await hca.recv(tags::kNcGrantShared + id);
-}
-
-sim::Task<void> NcosedLockManager::unlock_shared_impl(NodeId self, LockId id) {
-  // Purely one-sided: count our release; an exclusive drainer observes it.
-  (void)co_await net_.hca(self).fetch_and_add(table_, w1_off(id), 1);
 }
 
 sim::Task<void> NcosedLockManager::lock_exclusive_impl(NodeId self,

@@ -26,11 +26,12 @@
 //
 // All lock-word manipulation is one-sided (CAS/FAA/read/write); messages
 // appear only for waiter notification and cascading grants, exactly as in
-// the paper.
+// the paper.  "Us" above is one tenure of a node's hold: the node's strands
+// meet in the LockManager's cohort first, its shared requests share one
+// FAA, and the tenure's mode comes from the cohort at release.
 #pragma once
 
 #include <optional>
-#include <unordered_map>
 
 #include "dlm/lock_manager.hpp"
 
@@ -41,10 +42,7 @@ class NcosedLockManager final : public LockManager {
   NcosedLockManager(verbs::Network& net, NodeId home,
                     std::size_t max_locks = 64,
                     SimNanos drain_poll_interval = microseconds(3));
-  ~NcosedLockManager() override;
 
-  sim::Task<void> lock(NodeId self, LockId id, LockMode mode) override;
-  sim::Task<void> unlock(NodeId self, LockId id) override;
   const char* name() const override { return "N-CoSED"; }
 
   std::uint64_t drain_polls() const { return drain_polls_; }
@@ -52,9 +50,11 @@ class NcosedLockManager final : public LockManager {
  private:
   static constexpr std::size_t kEntryBytes = 16;  // W0 + W1
 
+  sim::Task<void> acquire(NodeId self, LockId id, LockMode mode) override;
+  sim::Task<void> release(NodeId self, LockId id, LockMode mode) override;
+
   sim::Task<void> lock_shared_impl(NodeId self, LockId id);
   sim::Task<void> lock_exclusive_impl(NodeId self, LockId id);
-  sim::Task<void> unlock_shared_impl(NodeId self, LockId id);
   sim::Task<void> unlock_exclusive_impl(NodeId self, LockId id);
   /// Passes the lock to the exclusive successor named by its WAIT message:
   /// grants the shared waiters our epoch owes, then sends the HANDOFF.
@@ -81,12 +81,8 @@ class NcosedLockManager final : public LockManager {
     return (static_cast<std::uint64_t>(tail) << 32) | count;
   }
 
-  verbs::Network& net_;
-  NodeId home_;
-  std::size_t max_locks_;
   SimNanos poll_interval_;
-  verbs::RemoteRegion table_;
-  std::unordered_map<std::uint64_t, LockMode> held_;  // (node,id) -> mode
+  LockTable table_;  // per lock: W0, W1
   std::uint64_t drain_polls_ = 0;
 };
 

@@ -15,8 +15,10 @@
 // grant() without any CAS.
 //
 // Mailboxes are addressed by (node, tag): each node has at most one strand
-// in one lock's queue at a time, so each WAIT and GRANT mailbox carries one
-// message, and acquire()/hand_off() drop it after that message.
+// in one lock's queue at a time, because its strands meet in a dlm::Cohort
+// first (only a tenure's first strand calls acquire()), so each WAIT and
+// GRANT mailbox carries one message, and acquire()/hand_off() drop it after
+// that message.
 #pragma once
 
 #include <cstdint>

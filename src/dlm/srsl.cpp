@@ -27,7 +27,7 @@ std::uint64_t holder_key(NodeId node, LockId id) {
 }  // namespace
 
 SrslLockManager::SrslLockManager(verbs::Network& net, NodeId server)
-    : net_(net), server_(server) {}
+    : LockManager(net, "SRSL/shared", "SRSL/exclusive"), server_(server) {}
 
 void SrslLockManager::start() {
   DCS_CHECK(!started_);
@@ -109,12 +109,10 @@ sim::Task<void> SrslLockManager::send_grant(NodeId to, LockId id) {
                                   verbs::Encoder().u32(id).take());
 }
 
-sim::Task<void> SrslLockManager::lock(NodeId self, LockId id, LockMode mode) {
+sim::Task<void> SrslLockManager::acquire(NodeId self, LockId id,
+                                         LockMode mode) {
   DCS_CHECK(id < tags::kTagStride);
   metrics().locks.add();
-  DCS_TRACE_COST_SPAN(trace::Cost::kLockWait, "dlm", "lock", self, id,
-                      mode == LockMode::kShared ? "SRSL/shared"
-                                                : "SRSL/exclusive");
   const SimNanos t0 = net_.fabric().engine().now();
   auto& hca = net_.hca(self);
   verbs::Encoder req;
@@ -126,9 +124,10 @@ sim::Task<void> SrslLockManager::lock(NodeId self, LockId id, LockMode mode) {
   metrics().lock_latency.record_ns(net_.fabric().engine().now() - t0);
 }
 
-sim::Task<void> SrslLockManager::unlock(NodeId self, LockId id) {
+// The server knows the hold's mode.
+sim::Task<void> SrslLockManager::release(NodeId self, LockId id,
+                                         LockMode /*mode*/) {
   metrics().unlocks.add();
-  DCS_TRACE_SPAN("dlm", "unlock", self, id, "SRSL");
   auto& hca = net_.hca(self);
   verbs::Encoder req;
   req.u8(static_cast<std::uint8_t>(Req::kUnlock))

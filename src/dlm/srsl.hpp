@@ -21,8 +21,6 @@ class SrslLockManager final : public LockManager {
 
   void start();
 
-  sim::Task<void> lock(NodeId self, LockId id, LockMode mode) override;
-  sim::Task<void> unlock(NodeId self, LockId id) override;
   const char* name() const override { return "SRSL"; }
 
   std::uint64_t requests_served() const { return requests_served_; }
@@ -39,12 +37,13 @@ class SrslLockManager final : public LockManager {
     std::deque<Waiter> queue;
   };
 
+  sim::Task<void> acquire(NodeId self, LockId id, LockMode mode) override;
+  sim::Task<void> release(NodeId self, LockId id, LockMode mode) override;
   sim::Task<void> server_loop();
   /// Grants as many queued waiters as the state admits (FIFO, shared batch).
   sim::Task<void> grant_from_queue(LockId id, LockState& st);
   sim::Task<void> send_grant(NodeId to, LockId id);
 
-  verbs::Network& net_;
   NodeId server_;
   bool started_ = false;
   std::unordered_map<LockId, LockState> locks_;

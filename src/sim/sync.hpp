@@ -26,16 +26,18 @@ namespace detail {
 /// an await_ready fast path never was a strand switch, so it must not
 /// report one.  The acquire edge on `sync_obj` (when set) is unconditional:
 /// taking a permit or observing a set event synchronizes-with the releaser
-/// whether or not the taker had to wait.
+/// whether or not the taker had to wait.  A `Waiter` other than the handle
+/// carries what the primitive needs to know about each parked strand.
+template <typename Waiter = std::coroutine_handle<>>
 struct ParkAwaiter {
-  std::deque<std::coroutine_handle<>>& queue;
+  std::deque<Waiter>& queue;
   const void* sync_obj = nullptr;  // reported acquired on resume, if set
   std::uint64_t audit_token = 0;
   StrandCtx saved_ctx{};
   bool suspended = false;
 
-  void park(std::coroutine_handle<> h) {
-    queue.push_back(h);
+  void park(Waiter w) {
+    queue.push_back(w);
     saved_ctx = strand_ctx();
     suspended = true;
     if (auto* hook = audit_hook()) audit_token = hook->suspend_strand();
@@ -71,7 +73,7 @@ class Event {
   void reset() { set_ = false; }
 
   auto wait() {
-    struct Awaiter : detail::ParkAwaiter {
+    struct Awaiter : detail::ParkAwaiter<> {
       Event& ev;
       bool await_ready() const noexcept { return ev.set_; }
       void await_suspend(std::coroutine_handle<> h) { park(h); }
@@ -97,7 +99,7 @@ class Semaphore {
   std::size_t waiting() const { return waiters_.size(); }
 
   auto acquire() {
-    struct Awaiter : detail::ParkAwaiter {
+    struct Awaiter : detail::ParkAwaiter<> {
       Semaphore& sem;
       bool await_ready() const noexcept {
         if (sem.count_ > 0) {
@@ -220,7 +222,7 @@ class Channel {
   /// (`reserved_`), so a woken receiver never races a fast-path arrival for
   /// the item and needs no re-check loop.
   auto recv() {
-    struct Awaiter : detail::ParkAwaiter {
+    struct Awaiter : detail::ParkAwaiter<> {
       Channel& ch;
       bool await_ready() const noexcept {
         return ch.items_.size() > ch.reserved_;
@@ -244,7 +246,7 @@ class Channel {
 
  private:
   auto suspend_on(std::deque<std::coroutine_handle<>>& list) {
-    struct Awaiter : detail::ParkAwaiter {
+    struct Awaiter : detail::ParkAwaiter<> {
       bool await_ready() const noexcept { return false; }
       void await_suspend(std::coroutine_handle<> h) { park(h); }
       void await_resume() const noexcept { unpark(); }

@@ -1,12 +1,15 @@
 // Tests for the distributed lock managers: mutual exclusion, shared
 // concurrency, FIFO-ish fairness, Figure 4 wire-level op counts, cascade
-// shapes (Figure 5), and a randomized readers-writer stress invariant.
+// shapes (Figure 5), a randomized readers-writer stress invariant, and the
+// node-local cohort every scheme sits behind.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
 
+#include "audit/audit.hpp"
 #include "common/rng.hpp"
+#include "dlm/cohort.hpp"
 #include "dlm/dqnl.hpp"
 #include "dlm/lock_manager.hpp"
 #include "scenarios/scenarios.hpp"
@@ -23,15 +26,24 @@ std::string scheme_name(Scheme s) {
 
 struct World {
   sim::Engine eng;
+  audit::Auditor auditor{eng, {.on_violation = audit::OnViolation::kCount}};
   fabric::Fabric fab;
   verbs::Network net;
   std::unique_ptr<LockManager> mgr;
 
-  explicit World(Scheme scheme, std::size_t nodes = 18)
+  /// `audited`: the auditor is installed before the manager exists, so it
+  /// knows the lock table's sync range.
+  explicit World(Scheme scheme, std::size_t nodes = 18, bool audited = false)
       : fab(eng, fabric::FabricParams{},
             {.num_nodes = nodes, .cores_per_node = 2}),
-        net(fab),
-        mgr(make_lock_manager(scheme, net, 0)) {}
+        net(fab) {
+    if (audited) auditor.install();
+    mgr = make_lock_manager(scheme, net, 0);
+  }
+
+  std::string first_report() const {
+    return auditor.report_count() > 0 ? auditor.reports()[0].message : "";
+  }
 };
 
 class DlmAllSchemes : public ::testing::TestWithParam<Scheme> {};
@@ -272,6 +284,31 @@ TEST(DlmFig4Test, SharedUnlockIsOneAtomic) {
   EXPECT_EQ(w.net.hca(2).one_sided_ops() - before, 1u);
 }
 
+TEST(DlmFig4Test, SharedTenureOfOneNodeIsOneFaaEachWay) {
+  // K shared requests of one node share one tenure of its hold: Figure 4b's
+  // one FAA to acquire and one FAA to release, however many strands read.
+  constexpr int kReaders = 4;
+  World w(Scheme::kNcosed);
+  const auto before = w.net.hca(2).one_sided_ops();
+  for (int i = 0; i < kReaders; ++i) {
+    w.eng.spawn([](World& world) -> sim::Task<void> {
+      co_await world.mgr->lock_shared(2, 0);
+    }(w));
+  }
+  w.eng.run();
+  EXPECT_EQ(w.net.hca(2).one_sided_ops() - before, 1u);
+  const auto held = w.net.hca(2).one_sided_ops();
+  for (int i = 0; i < kReaders; ++i) {
+    w.eng.spawn([](World& world) -> sim::Task<void> {
+      co_await world.mgr->unlock(2, 0);
+    }(w));
+  }
+  w.eng.run();
+  EXPECT_EQ(w.net.hca(2).one_sided_ops() - held, 1u);
+  EXPECT_EQ(w.net.hca(2).messages_sent(), 0u);
+  EXPECT_EQ(w.mgr->lock_cohorts(), 0u);
+}
+
 TEST(DlmFig4Test, HomeNodeCpuIdleForUncontendedNcosed) {
   World w(Scheme::kNcosed);
   w.eng.spawn([](World& world) -> sim::Task<void> {
@@ -345,43 +382,82 @@ struct StressCase {
 };
 static_assert(sizeof(StressCase) == 16, "no implicit padding in StressCase");
 
+std::string stress_name(const ::testing::TestParamInfo<StressCase>& info) {
+  return scheme_name(info.param.scheme) + "_seed" +
+         std::to_string(info.param.seed);
+}
+
+struct StressOutcome {
+  int readers = 0;  // strands in a shared hold now
+  int writers = 0;  // strands in an exclusive hold now
+  int sections = 0;  // holds completed
+  bool violation = false;
+};
+
+/// `strands` strands on each of nodes 1..8 take lock 1 thirty times each,
+/// 60 % shared, and check the readers-writer invariant inside every hold.
+StressOutcome run_stress(World& w, std::uint64_t seed, int strands) {
+  StressOutcome out;
+  for (NodeId n = 1; n <= 8; ++n) {
+    for (int k = 0; k < strands; ++k) {
+      w.eng.spawn([](World& world, NodeId self, std::uint64_t sd,
+                     StressOutcome& o) -> sim::Task<void> {
+        Rng rng(sd);
+        for (int i = 0; i < 30; ++i) {
+          co_await world.eng.delay(microseconds(rng.uniform(1, 200)));
+          const bool shared = rng.chance(0.6);
+          if (shared) {
+            co_await world.mgr->lock_shared(self, 1);
+            ++o.readers;
+            if (o.writers != 0) o.violation = true;
+          } else {
+            co_await world.mgr->lock_exclusive(self, 1);
+            ++o.writers;
+            if (o.readers != 0 || o.writers != 1) o.violation = true;
+          }
+          co_await world.eng.delay(microseconds(rng.uniform(1, 50)));
+          if (shared) {
+            --o.readers;
+          } else {
+            --o.writers;
+          }
+          co_await world.mgr->unlock(self, 1);
+          ++o.sections;
+        }
+      }(w, n, seed ^ (n * 7919) ^ (k * 104729), out));
+    }
+  }
+  w.eng.run();
+  return out;
+}
+
 class DlmStress : public ::testing::TestWithParam<StressCase> {};
 
 TEST_P(DlmStress, ReadersWriterInvariantHolds) {
   const auto param = GetParam();
   World w(param.scheme, 10);
-  int readers = 0, writers = 0;
-  bool violation = false;
-  for (NodeId n = 1; n <= 8; ++n) {
-    w.eng.spawn([](World& world, NodeId self, std::uint64_t seed, int& r,
-                   int& wr, bool& bad) -> sim::Task<void> {
-      Rng rng(seed ^ (self * 7919));
-      for (int i = 0; i < 30; ++i) {
-        co_await world.eng.delay(microseconds(rng.uniform(1, 200)));
-        const bool shared = rng.chance(0.6);
-        if (shared) {
-          co_await world.mgr->lock_shared(self, 1);
-          ++r;
-          if (wr != 0) bad = true;
-        } else {
-          co_await world.mgr->lock_exclusive(self, 1);
-          ++wr;
-          if (r != 0 || wr != 1) bad = true;
-        }
-        co_await world.eng.delay(microseconds(rng.uniform(1, 50)));
-        if (shared) {
-          --r;
-        } else {
-          --wr;
-        }
-        co_await world.mgr->unlock(self, 1);
-      }
-    }(w, n, param.seed, readers, writers, violation));
-  }
-  w.eng.run();
-  EXPECT_FALSE(violation);
-  EXPECT_EQ(readers, 0);
-  EXPECT_EQ(writers, 0);
+  const StressOutcome out = run_stress(w, param.seed, 1);
+  EXPECT_FALSE(out.violation);
+  EXPECT_EQ(out.readers, 0);
+  EXPECT_EQ(out.writers, 0);
+  EXPECT_EQ(out.sections, 8 * 30);
+  EXPECT_EQ(w.mgr->lock_cohorts(), 0u);
+}
+
+/// Four strands per node: a node's strands meet in its cohort, so every
+/// scheme still sees one request per node per lock at a time.
+class DlmCohortStress : public ::testing::TestWithParam<StressCase> {};
+
+TEST_P(DlmCohortStress, FourStrandsPerNodeKeepTheInvariant) {
+  const auto param = GetParam();
+  World w(param.scheme, 10, /*audited=*/true);
+  const StressOutcome out = run_stress(w, param.seed, 4);
+  EXPECT_FALSE(out.violation);
+  EXPECT_EQ(out.readers, 0);
+  EXPECT_EQ(out.writers, 0);
+  EXPECT_EQ(out.sections, 8 * 4 * 30);
+  EXPECT_EQ(w.mgr->lock_cohorts(), 0u);
+  EXPECT_EQ(w.auditor.report_count(), 0u) << w.first_report();
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -392,10 +468,99 @@ INSTANTIATE_TEST_SUITE_P(
                       StressCase{Scheme::kNcosed, 2},
                       StressCase{Scheme::kNcosed, 3},
                       StressCase{Scheme::kDqnl, 1}),
-    [](const auto& param_info) {
-      return std::string(scheme_name(param_info.param.scheme)) + "_seed" +
-             std::to_string(param_info.param.seed);
-    });
+    stress_name);
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, DlmCohortStress,
+    ::testing::Values(StressCase{Scheme::kSrsl, 1},
+                      StressCase{Scheme::kSrsl, 2},
+                      StressCase{Scheme::kNcosed, 1},
+                      StressCase{Scheme::kNcosed, 2},
+                      StressCase{Scheme::kDqnl, 1},
+                      StressCase{Scheme::kDqnl, 2}),
+    stress_name);
+
+// --- the node-local cohort ---
+
+class DlmDeathTest : public ::testing::TestWithParam<Scheme> {};
+
+TEST_P(DlmDeathTest, UnlockWithoutHoldAborts) {
+  World w(GetParam());
+  w.eng.spawn([](LockManager& m) -> sim::Task<void> {
+    co_await m.lock_exclusive(1, 0);
+  }(*w.mgr));
+  w.eng.run();
+  // Node 1 holds lock 0; node 2 neither holds nor waits for it.
+  EXPECT_DEATH(
+      {
+        w.eng.spawn([](LockManager& m) -> sim::Task<void> {
+          co_await m.unlock(2, 0);
+        }(*w.mgr));
+        w.eng.run();
+      },
+      "unlock by non-owner");
+}
+
+INSTANTIATE_TEST_SUITE_P(Schemes, DlmDeathTest,
+                         ::testing::Values(Scheme::kSrsl, Scheme::kDqnl,
+                                           Scheme::kNcosed),
+                         [](const auto& param_info) {
+                           return scheme_name(param_info.param);
+                         });
+
+constexpr std::uint64_t kCohortLock = 1;
+constexpr NodeId kCohortNode = 0;
+constexpr std::uint64_t kCohortWord = 0x1000;
+
+/// One strand of kCohortNode: waits until `start`, holds kCohortLock in
+/// `mode` for `hold`, and touches kCohortWord inside the hold (a writer
+/// writes it, a reader reads it).
+sim::Task<void> cohort_strand(sim::Engine& eng, Cohort& cohort, SimNanos start,
+                              LockMode mode, SimNanos hold, const char* name,
+                              std::vector<std::string>& log) {
+  co_await eng.delay(start);
+  const bool lead = co_await cohort.enter(kCohortLock, kCohortNode, mode);
+  if (lead) cohort.acquired(kCohortLock, kCohortNode);
+  if (mode == LockMode::kExclusive) {
+    audit::host_write(kCohortNode, kCohortWord, 8, "test.cohort.write");
+  } else {
+    audit::host_read(kCohortNode, kCohortWord, 8, "test.cohort.read");
+  }
+  log.emplace_back(name);
+  co_await eng.delay(hold);
+  if (cohort.leave(kCohortLock, kCohortNode)) {
+    cohort.finish(kCohortLock, kCohortNode);
+  }
+}
+
+TEST(DlmCohortTest, ItsEdgesAloneOrderOneNodesStrands) {
+  // No fabric and no remote lock: only the cohort orders node 0's strands.
+  //   W  t=0   leads an exclusive tenure, writes, leaves at t=10
+  //   A  t=1   waits; W's finish hands it the next tenure, a read tenure
+  //   B  t=15  joins A's read tenure at once, reads, leaves at t=20
+  //   C  t=25  waits; leads the next tenure once A leaves at t=30, writes
+  // The engine's wake edges order W before A and A before C.  Only the
+  // cohort's own edges order B's read after W's write (A's admission, then
+  // B's join) and C's write after B's read (B's leave, then A's).
+  sim::Engine eng;
+  audit::Auditor auditor(eng, {.on_violation = audit::OnViolation::kCount});
+  auditor.install();
+  Cohort cohort(eng);
+  std::vector<std::string> log;
+  eng.spawn(cohort_strand(eng, cohort, 0, LockMode::kExclusive,
+                          microseconds(10), "W", log));
+  eng.spawn(cohort_strand(eng, cohort, microseconds(1), LockMode::kShared,
+                          microseconds(20), "A", log));
+  eng.spawn(cohort_strand(eng, cohort, microseconds(15), LockMode::kShared,
+                          microseconds(5), "B", log));
+  eng.spawn(cohort_strand(eng, cohort, microseconds(25),
+                          LockMode::kExclusive, microseconds(1), "C", log));
+  eng.run();
+  EXPECT_EQ(log, (std::vector<std::string>{"W", "A", "B", "C"}));
+  EXPECT_EQ(cohort.size(), 0u);
+  EXPECT_EQ(auditor.report_count(), 0u)
+      << (auditor.report_count() > 0 ? auditor.reports()[0].message : "");
+}
 
 }  // namespace
 }  // namespace dcs::dlm
