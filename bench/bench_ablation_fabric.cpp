@@ -192,9 +192,7 @@ void print_a3(obs::Harness& h) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opts = obs::extract_harness_flags(argc, argv);
-  obs::reject_unknown_args(argc, argv);
-  obs::Harness h("ablation_fabric", opts);
+  obs::Harness h("ablation_fabric", Args(argc, argv));
   print_a1(h);
   print_a2(h);
   print_a3(h);

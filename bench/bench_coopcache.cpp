@@ -58,9 +58,7 @@ void print_fig6(obs::Harness& h, std::size_t num_proxies, const char* title) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opts = obs::extract_harness_flags(argc, argv);
-  obs::reject_unknown_args(argc, argv);
-  obs::Harness h("coopcache", opts);
+  obs::Harness h("coopcache", Args(argc, argv));
   print_fig6(h, 2,
              "Figure 6a — data-center throughput (TPS), two proxy nodes "
              "(paper: advanced schemes up to ~35 % over BCC)");

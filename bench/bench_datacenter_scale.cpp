@@ -28,8 +28,6 @@
 #include <cstdio>
 #include <memory>
 #include <string>
-#include <string_view>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -429,34 +427,25 @@ void report(obs::ShardedScenario& s, const ScaleConfig& cfg,
 
 int main(int argc, char** argv) {
   using namespace dcs;
-  const auto opts = obs::extract_harness_flags(argc, argv);
+  const Args args(argc, argv);
   ScaleConfig cfg;
-  int rest = 1;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    // `--name=N` into `field`, exiting 2 on a value outside [min, max].
-    const auto take = [&](std::string_view name, auto& field,
-                          std::uint64_t min, std::uint64_t max) {
-      if (!arg.starts_with(name) || arg.substr(name.size(), 1) != "=") {
-        return false;
-      }
-      field = static_cast<std::remove_reference_t<decltype(field)>>(
-          obs::count_flag(name, arg.substr(name.size() + 1), min, max));
-      return true;
-    };
-    if (!take("--nodes", cfg.nodes, 1, kMaxNodes) &&
-        !take("--partitions", cfg.partitions, 0, kMaxPartitions) &&
-        !take("--shards", cfg.shards, 0, kMaxShards) &&
-        !take("--seed", cfg.seed, 0, UINT64_MAX) &&
-        !take("--clients", cfg.clients, 0, kMaxClients) &&
-        !take("--ops", cfg.ops, 0, kMaxOps) &&
-        !take("--hot-shard", cfg.hot_shard, 0, UINT32_MAX) &&
-        !take("--scrape-us", cfg.scrape_us, 1, kMaxScrapeUs) &&
-        !take("--scrapes", cfg.scrapes, 0, kMaxScrapes)) {
-      argv[rest++] = argv[i];
-    }
-  }
-  obs::reject_unknown_args(rest, argv);
+  cfg.nodes =
+      args.count<std::size_t>("--nodes", 1, kMaxNodes).value_or(cfg.nodes);
+  cfg.partitions = args.count<std::uint32_t>("--partitions", 0, kMaxPartitions)
+                       .value_or(cfg.partitions);
+  cfg.shards =
+      args.count<std::uint32_t>("--shards", 0, kMaxShards).value_or(cfg.shards);
+  cfg.seed = args.count<std::uint64_t>("--seed").value_or(cfg.seed);
+  cfg.clients = args.count<std::uint32_t>("--clients", 0, kMaxClients)
+                    .value_or(cfg.clients);
+  cfg.ops = args.count<std::uint32_t>("--ops", 0, kMaxOps).value_or(cfg.ops);
+  cfg.hot_shard =
+      args.count<std::uint32_t>("--hot-shard").value_or(cfg.hot_shard);
+  cfg.scrape_us = args.count<std::uint64_t>("--scrape-us", 1, kMaxScrapeUs)
+                      .value_or(cfg.scrape_us);
+  cfg.scrapes = args.count<std::uint64_t>("--scrapes", 0, kMaxScrapes)
+                    .value_or(cfg.scrapes);
+  const auto opts = obs::harness_flags(args);
   if (cfg.partitions == 0 || cfg.nodes % cfg.partitions != 0) {
     std::fprintf(stderr,
                  "datacenter_scale: --nodes must be a positive multiple of "

@@ -113,9 +113,7 @@ void run_batch_sweep(obs::Harness& h) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opts = obs::extract_harness_flags(argc, argv);
-  obs::reject_unknown_args(argc, argv);
-  obs::Harness h("ddss_latency", opts);
+  obs::Harness h("ddss_latency", Args(argc, argv));
   print_fig3a(h);
   run_batch_sweep(h);
   return h.finish();

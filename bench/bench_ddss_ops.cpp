@@ -362,9 +362,7 @@ void print_contended_get_table(obs::Harness& h) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opts = obs::extract_harness_flags(argc, argv);
-  obs::reject_unknown_args(argc, argv);
-  obs::Harness h("ddss_ops", opts);
+  obs::Harness h("ddss_ops", Args(argc, argv));
   print_get_table(h);
   print_ipc_table(h);
   print_placement_table(h);

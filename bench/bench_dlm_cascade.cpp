@@ -197,9 +197,7 @@ void print_fig5(obs::Harness& h, LockMode mode, const char* title) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opts = obs::extract_harness_flags(argc, argv);
-  obs::reject_unknown_args(argc, argv);
-  obs::Harness h("dlm_cascade", opts);
+  obs::Harness h("dlm_cascade", Args(argc, argv));
   print_fig4_op_counts(h);
   print_op_latency_table(h);
   print_throughput_table(h);

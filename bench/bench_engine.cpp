@@ -107,8 +107,7 @@ void fanout_64(Engine& eng, int msgs_per_node) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto opts = obs::extract_harness_flags(argc, argv);
-  obs::reject_unknown_args(argc, argv);
+  auto opts = obs::harness_flags(Args(argc, argv));
   // No paper table here: the wall report is the result, so it always goes
   // to stderr, and to /dev/null when no --bench-wall-json file was asked for.
   if (opts.wall_json.empty()) opts.wall_json = "/dev/null";

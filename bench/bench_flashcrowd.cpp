@@ -82,7 +82,8 @@ void config_scenario(obs::Scenario& s, Config config) {
         const auto t0 = e2.now();
         if (c2.admission && st == 0) {
           // Admission gate only protects the spiking site's pool entry.
-          if (!co_await a2.offer(microseconds(900), 4096)) {
+          const bool admitted = co_await a2.offer(microseconds(900), 4096);
+          if (!admitted) {
             ++drop;
             co_return;
           }
@@ -139,9 +140,7 @@ void print_table(obs::Harness& h) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opts = obs::extract_harness_flags(argc, argv);
-  obs::reject_unknown_args(argc, argv);
-  obs::Harness h("flashcrowd", opts);
+  obs::Harness h("flashcrowd", Args(argc, argv));
   print_table(h);
   return h.finish();
 }

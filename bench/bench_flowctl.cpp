@@ -73,9 +73,7 @@ void print_table(obs::Harness& h) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opts = obs::extract_harness_flags(argc, argv);
-  obs::reject_unknown_args(argc, argv);
-  obs::Harness h("flowctl", opts);
+  obs::Harness h("flowctl", Args(argc, argv));
   print_table(h);
   return h.finish();
 }

@@ -215,9 +215,7 @@ void run_transport(obs::Scenario& s, datacenter::BackendTransport t) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opts = obs::extract_harness_flags(argc, argv);
-  obs::reject_unknown_args(argc, argv);
-  obs::Harness h("integrated", opts);
+  obs::Harness h("integrated", Args(argc, argv));
   h.run("two-sided", [](obs::Scenario& s) {
     run_transport(s, datacenter::BackendTransport::kTcp);
   });

@@ -172,9 +172,7 @@ void run_telemetry(obs::Harness& h) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opts = obs::extract_harness_flags(argc, argv);
-  obs::reject_unknown_args(argc, argv);
-  obs::Harness h("monitor_accuracy", opts);
+  obs::Harness h("monitor_accuracy", Args(argc, argv));
   print_fig8a(h);
   print_intrusiveness(h);
   run_telemetry(h);

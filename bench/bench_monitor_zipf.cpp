@@ -9,7 +9,6 @@
 // monitoring turns into throughput (paper: ~35 % improvement for the
 // RDMA-based schemes).
 #include <cstdio>
-#include <string_view>
 
 #include "common/json.hpp"
 #include "common/table.hpp"
@@ -164,23 +163,11 @@ void print_fig8b(obs::Harness& h, std::size_t cores) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto flags = obs::extract_harness_flags(argc, argv);
-  // --cores-per-node=N adds the multi-core variant table; anything else
-  // left after the harness flags is an error.
-  constexpr std::string_view kCores = "--cores-per-node=";
-  std::size_t cores_variant = 0;
-  int rest = 1;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg.starts_with(kCores)) {
-      cores_variant = obs::count_flag("--cores-per-node",
-                                      arg.substr(kCores.size()), 1);
-    } else {
-      argv[rest++] = argv[i];
-    }
-  }
-  obs::reject_unknown_args(rest, argv);
-  obs::Harness h("monitor_zipf", flags);
+  // --cores-per-node N adds the multi-core variant table.
+  const Args args(argc, argv);
+  const auto cores_variant =
+      args.count<std::size_t>("--cores-per-node", 1).value_or(0);
+  obs::Harness h("monitor_zipf", args);
   print_fig8b(h, 1);
   if (cores_variant > 1) print_fig8b(h, cores_variant);
   return h.finish();

@@ -119,9 +119,7 @@ void print_admission_table(obs::Harness& h) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opts = obs::extract_harness_flags(argc, argv);
-  obs::reject_unknown_args(argc, argv);
-  obs::Harness h("qos", opts);
+  obs::Harness h("qos", Args(argc, argv));
   print_qos_table(h);
   print_admission_table(h);
   return h.finish();

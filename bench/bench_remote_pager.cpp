@@ -109,9 +109,7 @@ void print_sweep_table(obs::Harness& h) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opts = obs::extract_harness_flags(argc, argv);
-  obs::reject_unknown_args(argc, argv);
-  obs::Harness h("remote_pager", opts);
+  obs::Harness h("remote_pager", Args(argc, argv));
   print_penalty_table(h);
   print_sweep_table(h);
   return h.finish();

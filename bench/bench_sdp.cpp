@@ -127,9 +127,7 @@ void print_datacenter_table(obs::Harness& h) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opts = obs::extract_harness_flags(argc, argv);
-  obs::reject_unknown_args(argc, argv);
-  obs::Harness h("sdp", opts);
+  obs::Harness h("sdp", Args(argc, argv));
   // One fixed 32 KB x 16 stream per mode: `--trace-out` shows the three
   // modes' sends, receives and stall spans side by side, byte-identical run
   // to run (docs/OBSERVABILITY.md).

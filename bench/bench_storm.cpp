@@ -43,9 +43,7 @@ void print_fig3b(obs::Harness& h) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opts = obs::extract_harness_flags(argc, argv);
-  obs::reject_unknown_args(argc, argv);
-  obs::Harness h("storm", opts);
+  obs::Harness h("storm", Args(argc, argv));
   print_fig3b(h);
   return h.finish();
 }

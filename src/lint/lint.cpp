@@ -1,38 +1,18 @@
 #include "lint/lint.hpp"
 
 #include <algorithm>
-#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <map>
-#include <set>
 #include <sstream>
 
+#include "common/args.hpp"
 #include "common/json.hpp"
 
 namespace dcs::lint {
 
 namespace {
-
-std::uint64_t fnv1a64(std::string_view s) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-std::string hex16(std::uint64_t v) {
-  static const char* kDigits = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[static_cast<std::size_t>(i)] = kDigits[v & 0xF];
-    v >>= 4;
-  }
-  return out;
-}
 
 // --- inline suppressions --------------------------------------------------
 
@@ -40,7 +20,6 @@ struct Allow {
   std::string rule;
   std::string reason;
   int line = 0;  // comment end line; covers this line and the next
-  bool used = false;
 };
 
 std::string_view trim(std::string_view s) {
@@ -119,7 +98,7 @@ void collect_allows(const SourceFile& f, std::vector<Allow>& allows,
                                 "allow(" + rule + ", <why>)`",
                             "allow(" + rule + ")"});
       } else {
-        allows.push_back({rule, reason, cover_line, false});
+        allows.push_back({rule, reason, cover_line});
       }
       pos = close + 1;
     }
@@ -139,14 +118,8 @@ bool finding_pos_less(const Finding& a, const Finding& b) {
 
 }  // namespace
 
-std::string finding_fingerprint(const Finding& finding) {
-  return hex16(
-      fnv1a64(finding.rule + "|" + finding.path + "|" + finding.snippet));
-}
-
 AnalysisResult analyze(const std::vector<InputFile>& inputs,
-                       const Config& config,
-                       const std::vector<std::string>& baseline_keys) {
+                       const Config& config) {
   std::vector<SourceFile> files;
   files.reserve(inputs.size());
   for (const InputFile& in : inputs) {
@@ -166,77 +139,24 @@ AnalysisResult analyze(const std::vector<InputFile>& inputs,
 
   AnalysisResult result;
   result.files_scanned = static_cast<int>(model.files.size());
-
-  std::set<std::string> baseline(baseline_keys.begin(), baseline_keys.end());
-  std::set<std::string> baseline_hit;
   for (Finding& finding : findings) {
-    bool suppressed = false;
-    auto it = allows_by_file.find(finding.path);
-    if (it != allows_by_file.end()) {
-      for (Allow& a : it->second) {
-        if (a.rule == finding.rule &&
-            (a.line == finding.line || a.line + 1 == finding.line)) {
-          a.used = true;
-          suppressed = true;
-          break;
-        }
-      }
-    }
-    if (suppressed) {
-      result.suppressed.push_back(std::move(finding));
-      continue;
-    }
-    std::string key = finding.rule + "\t" + finding.path + "\t" +
-                      finding_fingerprint(finding);
-    if (baseline.count(key) != 0) {
-      baseline_hit.insert(key);
-      result.baselined.push_back(std::move(finding));
-      continue;
-    }
-    result.active.push_back(std::move(finding));
+    const auto it = allows_by_file.find(finding.path);
+    const bool suppressed =
+        it != allows_by_file.end() &&
+        std::any_of(it->second.begin(), it->second.end(),
+                    [&](const Allow& a) {
+                      return a.rule == finding.rule &&
+                             (a.line == finding.line ||
+                              a.line + 1 == finding.line);
+                    });
+    (suppressed ? result.suppressed : result.active)
+        .push_back(std::move(finding));
   }
-  result.stale_baseline =
-      static_cast<int>(baseline.size() - baseline_hit.size());
 
   std::sort(result.active.begin(), result.active.end(), finding_pos_less);
   std::sort(result.suppressed.begin(), result.suppressed.end(),
             finding_pos_less);
-  std::sort(result.baselined.begin(), result.baselined.end(),
-            finding_pos_less);
   return result;
-}
-
-std::vector<std::string> parse_baseline(std::string_view text) {
-  std::vector<std::string> keys;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    auto end = text.find('\n', start);
-    std::string_view line = text.substr(
-        start, end == std::string_view::npos ? text.size() - start
-                                             : end - start);
-    line = trim(line);
-    if (!line.empty() && line.front() != '#') keys.emplace_back(line);
-    if (end == std::string_view::npos) break;
-    start = end + 1;
-  }
-  return keys;
-}
-
-std::string render_baseline(const std::vector<Finding>& findings) {
-  std::set<std::string> keys;
-  for (const Finding& f : findings) {
-    keys.insert(f.rule + "\t" + f.path + "\t" + finding_fingerprint(f));
-  }
-  std::string out =
-      "# dcs-lint baseline — known legacy findings muted during incremental\n"
-      "# adoption (docs/LINT.md).  Regenerate with `dcs-lint "
-      "--write-baseline`;\n"
-      "# keep this file empty: fix or `// dcs-lint: allow(...)` instead.\n";
-  for (const auto& k : keys) {
-    out += k;
-    out += '\n';
-  }
-  return out;
 }
 
 std::string render_text(const AnalysisResult& result) {
@@ -246,14 +166,8 @@ std::string render_text(const AnalysisResult& result) {
         << f.message << "\n";
   }
   out << "dcs-lint: " << result.active.size() << " finding(s) ("
-      << result.suppressed.size() << " suppressed, "
-      << result.baselined.size() << " baselined) across "
-      << result.files_scanned << " files";
-  if (result.stale_baseline > 0) {
-    out << "; " << result.stale_baseline
-        << " stale baseline entr(y/ies) — regenerate with --write-baseline";
-  }
-  out << "\n";
+      << result.suppressed.size() << " suppressed) across "
+      << result.files_scanned << " files\n";
   return out.str();
 }
 
@@ -262,9 +176,7 @@ std::string render_json(const AnalysisResult& result) {
   out << "{\n  \"format\": \"dcs-lint-v1\",\n  \"files_scanned\": "
       << result.files_scanned << ",\n  \"counts\": {\"active\": "
       << result.active.size() << ", \"suppressed\": "
-      << result.suppressed.size() << ", \"baselined\": "
-      << result.baselined.size() << ", \"stale_baseline\": "
-      << result.stale_baseline << "},\n  \"findings\": [";
+      << result.suppressed.size() << "},\n  \"findings\": [";
   bool first = true;
   for (const Finding& f : result.active) {
     out << (first ? "\n" : ",\n");
@@ -273,8 +185,7 @@ std::string render_json(const AnalysisResult& result) {
         << json_escape(f.path) << "\", \"line\": " << f.line
         << ", \"col\": " << f.col << ", \"message\": \""
         << json_escape(f.message) << "\", \"snippet\": \""
-        << json_escape(f.snippet) << "\", \"fingerprint\": \""
-        << finding_fingerprint(f) << "\"}";
+        << json_escape(f.snippet) << "\"}";
   }
   out << (first ? "" : "\n  ") << "]\n}\n";
   return out.str();
@@ -324,56 +235,32 @@ std::vector<InputFile> load_repo(const std::string& root, std::string& error) {
 }
 
 int lint_main(int argc, const char* const* argv) {
-  std::string root = ".";
-  std::string json_out;
-  std::string baseline_path;
-  bool write_baseline = false;
+  const Args args(argc, argv, {"--list-rules", "--help", "-h"});
+  const bool help = args.given("--help") || args.given("-h");
+  const bool list_rules = args.given("--list-rules");
+  const std::string root = args.text("--root", ".");
+  const std::string json_out = args.text("--json");
   std::vector<std::string> only_under;
+  while (auto path = args.positional()) only_under.push_back(*path);
+  args.reject_unread();
 
-  for (int i = 1; i < argc; ++i) {
-    std::string_view arg = argv[i];
-    auto value = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << "dcs-lint: " << flag << " needs a value\n";
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    if (arg == "--root") {
-      const char* v = value("--root");
-      if (v == nullptr) return 2;
-      root = v;
-    } else if (arg == "--json") {
-      const char* v = value("--json");
-      if (v == nullptr) return 2;
-      json_out = v;
-    } else if (arg == "--baseline") {
-      const char* v = value("--baseline");
-      if (v == nullptr) return 2;
-      baseline_path = v;
-    } else if (arg == "--write-baseline") {
-      write_baseline = true;
-    } else if (arg == "--list-rules") {
-      for (const RuleInfo& r : rule_catalog()) {
-        std::cout << r.id << "  " << r.title << "\n    " << r.summary << "\n";
-      }
-      return 0;
-    } else if (arg == "--help" || arg == "-h") {
-      std::cout
-          << "usage: dcs-lint [--root DIR] [--json FILE] [--baseline FILE]\n"
-             "                [--write-baseline] [--list-rules] [PATH...]\n"
-             "Lints src/ bench/ tools/ tests/ examples/ under --root for the\n"
-             "repo invariants R1-R5 (docs/LINT.md).  PATH prefixes restrict\n"
-             "which findings are reported (the whole repo is still scanned\n"
-             "so cross-file analysis stays correct).  Exit: 0 clean, 1\n"
-             "findings, 2 usage/I-O error.\n";
-      return 0;
-    } else if (!arg.empty() && arg.front() == '-') {
-      std::cerr << "dcs-lint: unknown flag " << arg << " (see --help)\n";
-      return 2;
-    } else {
-      only_under.emplace_back(arg);
+  if (help) {
+    std::cout
+        << "usage: dcs-lint [--root DIR] [--json FILE] [--list-rules] "
+           "[PATH...]\n"
+           "Lints src/ bench/ tools/ tests/ examples/ under --root for the\n"
+           "repo invariants R1-R6 (docs/LINT.md).  PATH prefixes restrict\n"
+           "which findings are reported (the whole repo is still scanned\n"
+           "so cross-file analysis stays correct).  Flags take `--flag value`\n"
+           "or `--flag=value`.  Exit: 0 clean, 1 findings, 2 usage/I-O "
+           "error.\n";
+    return 0;
+  }
+  if (list_rules) {
+    for (const RuleInfo& r : rule_catalog()) {
+      std::cout << r.id << "  " << r.title << "\n    " << r.summary << "\n";
     }
+    return 0;
   }
 
   std::string error;
@@ -387,26 +274,7 @@ int lint_main(int argc, const char* const* argv) {
     return 2;
   }
 
-  if (baseline_path.empty()) {
-    namespace fs = std::filesystem;
-    fs::path def = fs::path(root) / ".dcs-lint-baseline";
-    std::error_code ec;
-    if (fs::is_regular_file(def, ec)) baseline_path = def.string();
-  }
-  std::vector<std::string> baseline_keys;
-  if (!baseline_path.empty()) {
-    std::ifstream in(baseline_path, std::ios::binary);
-    if (!in) {
-      std::cerr << "dcs-lint: cannot read baseline " << baseline_path << "\n";
-      return 2;
-    }
-    std::ostringstream text;
-    text << in.rdbuf();
-    baseline_keys = parse_baseline(text.str());
-  }
-
-  Config config;
-  AnalysisResult result = analyze(inputs, config, baseline_keys);
+  AnalysisResult result = analyze(inputs, Config{});
 
   if (!only_under.empty()) {
     auto keep = [&](const Finding& f) {
@@ -416,21 +284,6 @@ int lint_main(int argc, const char* const* argv) {
       return false;
     };
     std::erase_if(result.active, [&](const Finding& f) { return !keep(f); });
-  }
-
-  if (write_baseline) {
-    std::string path = baseline_path.empty()
-                           ? root + "/.dcs-lint-baseline"
-                           : baseline_path;
-    std::ofstream out(path, std::ios::binary);
-    if (!out) {
-      std::cerr << "dcs-lint: cannot write baseline " << path << "\n";
-      return 2;
-    }
-    out << render_baseline(result.active);
-    std::cout << "dcs-lint: wrote " << result.active.size()
-              << " baseline entr(y/ies) to " << path << "\n";
-    return 0;
   }
 
   if (!json_out.empty()) {

@@ -1,5 +1,5 @@
-// dcs-lint driver: file discovery, inline suppressions, baseline and
-// reporting on top of the rule engine (rules.hpp).
+// dcs-lint driver: file discovery, inline suppressions and reporting on
+// top of the rule engine (rules.hpp).
 //
 // Suppressions are inline comments, one per finding site, on the same line
 // or the line above:
@@ -7,12 +7,9 @@
 //     // dcs-lint: allow(R1, wall-clock telemetry never feeds sim state)
 //
 // A suppression must name a known rule and a non-empty reason; malformed
-// ones are themselves findings (rule S1).  The baseline file (one
-// `rule<TAB>path<TAB>fingerprint` per line, `#` comments) mutes known
-// legacy findings so adoption can be incremental; the shipped baseline is
-// empty and the repo lints clean.  Output is deterministic: findings are
-// position-sorted, fingerprints are content hashes (no line numbers), and
-// the JSON report (`dcs-lint-v1`) carries no timestamps or absolute paths.
+// ones are themselves findings (rule S1).  Output is deterministic:
+// findings are position-sorted and the JSON report (`dcs-lint-v1`) carries
+// no timestamps or absolute paths.
 #pragma once
 
 #include <string>
@@ -30,25 +27,13 @@ struct InputFile {
 struct AnalysisResult {
   std::vector<Finding> active;      // gate on these (exit 1 when non-empty)
   std::vector<Finding> suppressed;  // muted by inline allow(...)
-  std::vector<Finding> baselined;   // muted by the baseline file
   int files_scanned = 0;
-  int stale_baseline = 0;  // baseline entries that matched nothing
 };
 
-/// Line-number-independent content hash (rule|path|snippet), hex-encoded;
-/// what the baseline file stores.
-std::string finding_fingerprint(const Finding& finding);
-
 /// Full pipeline over in-memory files: lex, build model, run rules, parse
-/// and apply suppressions, apply baseline.  Pure — used directly by the
-/// fixture tests.
+/// and apply suppressions.  Pure — used directly by the fixture tests.
 AnalysisResult analyze(const std::vector<InputFile>& inputs,
-                       const Config& config,
-                       const std::vector<std::string>& baseline_keys);
-
-/// Baseline parsing/rendering.  Keys are `rule<TAB>path<TAB>fingerprint`.
-std::vector<std::string> parse_baseline(std::string_view text);
-std::string render_baseline(const std::vector<Finding>& findings);
+                       const Config& config);
 
 /// Deterministic human-readable report (findings + summary line).
 std::string render_text(const AnalysisResult& result);

@@ -359,6 +359,36 @@ void rule_r5(const SourceFile& f, const RepoModel& model,
   }
 }
 
+// --- R6: no co_await inside an if/while condition -----------------------
+
+void rule_r6(const SourceFile& f, std::vector<Finding>& out) {
+  const auto& toks = f.lexed.tokens;
+  for (std::size_t i = 0; i < toks.size(); ++i) {
+    const Token& t = toks[i];
+    if (t.kind != TokKind::kIdent || t.in_directive ||
+        (t.text != "if" && t.text != "while")) {
+      continue;
+    }
+    std::size_t j = i + 1;
+    if (!is_tok(toks, j, "(")) continue;
+    int depth = 0;
+    for (; j < toks.size(); ++j) {
+      const std::string& x = toks[j].text;
+      if (x == "(") {
+        ++depth;
+      } else if (x == ")") {
+        if (--depth == 0) break;
+      } else if (x == "co_await") {
+        add(out, "R6", f, toks[j],
+            "`co_await` in the condition of `" + t.text +
+                "`: GCC 12 can resume such a frame without running the "
+                "branch; bind the result to a local first",
+            t.text + " (co_await)");
+      }
+    }
+  }
+}
+
 // --- model construction ---------------------------------------------------
 
 void collect_nodiscard_types(const SourceFile& f,
@@ -401,6 +431,9 @@ const std::vector<RuleInfo>& rule_catalog() {
       {"R5", "nodiscard-task",
        "Task/awaitable-returning functions in src headers must be "
        "[[nodiscard]] or return a class [[nodiscard]] type"},
+      {"R6", "await-in-condition",
+       "no co_await inside the parenthesised condition of an if or while; "
+       "bind the awaited result to a local first"},
       {"S1", "suppression",
        "dcs-lint: allow(...) comments must name a known rule and a reason"},
   };
@@ -451,6 +484,7 @@ std::vector<Finding> run_rules(const RepoModel& model, const Config& config) {
     rule_r3(f, model, out);
     rule_r4(f, out);
     rule_r5(f, model, out);
+    rule_r6(f, out);
   }
   return out;
 }

@@ -22,13 +22,17 @@
 //                        are [[nodiscard]], either on the declaration or via
 //                        a `class [[nodiscard]]` return type: a discarded
 //                        Task is a coroutine that silently never runs.
+//   R6 await-in-condition — no `co_await` inside the parenthesised
+//                        condition of an `if` or `while`: GCC 12 can resume
+//                        such a coroutine frame without running the branch
+//                        (`if (c) co_await x;` is fine).
 //   S1 suppression     — inline `// dcs-lint: allow(<rule>, <reason>)`
 //                        comments must name a known rule and give a reason
 //                        (enforced by the driver, which owns comments).
 //
 // All rules are path-scoped (R1/R2/R5 to src/, R3 to the emitter include
-// closure, R4 everywhere) and report deterministic, position-sorted
-// findings; the driver layers inline suppressions and the baseline on top.
+// closure, R4/R6 everywhere) and report deterministic, position-sorted
+// findings; the driver layers inline suppressions on top.
 #pragma once
 
 #include <set>
@@ -46,7 +50,7 @@ struct Finding {
   int line = 0;
   int col = 0;
   std::string message;
-  std::string snippet;  // offending token(s), for baselining
+  std::string snippet;  // offending token(s), in the JSON report
 };
 
 struct RuleInfo {
@@ -55,7 +59,7 @@ struct RuleInfo {
   const char* summary;
 };
 
-/// Stable catalog of every rule id the tool knows (R1..R5, S1).
+/// Stable catalog of every rule id the tool knows (R1..R6, S1).
 const std::vector<RuleInfo>& rule_catalog();
 bool known_rule(std::string_view id);
 
@@ -85,8 +89,8 @@ struct RepoModel {
 /// `[[nodiscard]]`-marked type names across all files.
 RepoModel build_model(std::vector<SourceFile> files, const Config& config);
 
-/// Runs R1–R5 over the model.  Findings come back unfiltered (no
-/// suppressions, no baseline) in file/position order.
+/// Runs R1–R6 over the model.  Findings come back unfiltered (no
+/// suppressions) in file/position order.
 std::vector<Finding> run_rules(const RepoModel& model, const Config& config);
 
 }  // namespace dcs::lint

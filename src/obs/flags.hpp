@@ -1,19 +1,14 @@
-// Command-line flag parsing shared by every binary: the bench mains, the
-// `dcs` tool and the tests all parse observability flags and numeric
-// arguments here, in exactly one place.
-//
-// Malformed input never escapes as an exception or a wrapped unsigned
-// number: the *_flag helpers and extract_harness_flags print a message
-// naming the flag on stderr and exit with status 2.
+// The observability flags every binary that runs a simulation accepts:
+// each bench main and each `dcs` run command.  They are read through the
+// one argument reader (common/args.hpp), whose grammar is the same in
+// every binary: `--flag value` or `--flag=value`, the last occurrence
+// wins, and anything no getter read exits 2 naming it.
 #pragma once
 
-#include <cmath>
 #include <cstddef>
-#include <cstdint>
-#include <initializer_list>
-#include <optional>
 #include <string>
-#include <string_view>
+
+#include "common/args.hpp"
 
 namespace dcs::obs {
 
@@ -62,33 +57,10 @@ struct HarnessOptions {
   }
 };
 
-/// A non-negative decimal integer that fits in 64 bits; nullopt for
-/// anything else (empty, signed, trailing characters, overflow).
-std::optional<std::uint64_t> parse_count(std::string_view text);
-
-/// A finite decimal real; nullopt for anything else.
-std::optional<double> parse_real(std::string_view text);
-
-/// parse_count / parse_real of `flag`'s value, exiting 2 with a message
-/// naming the flag when the value is malformed or below `min` (a count
-/// also when above `max`, so that a caller storing it in a narrower type
-/// never wraps).
-std::uint64_t count_flag(std::string_view flag, std::string_view text,
-                         std::uint64_t min = 0, std::uint64_t max = UINT64_MAX);
-double real_flag(std::string_view flag, std::string_view text,
-                 double min = -HUGE_VAL);
-/// `text` when it is one of `names`; otherwise exits 2 with a message
-/// naming the flag and every accepted name.
-std::string_view choice_flag(std::string_view flag, std::string_view text,
-                             std::initializer_list<std::string_view> names);
-
-/// Removes the flags above (each as `--flag value`) from argv, shifting
-/// later arguments down and decrementing argc, and returns their values.
-/// Exits 2 on a malformed --hot-keys value.
-HarnessOptions extract_harness_flags(int& argc, char** argv);
-
-/// Exits 2 naming argv[1] when any argument is left in argv[1..argc):
-/// call once every flag a binary knows has been removed.
-void reject_unknown_args(int argc, char** argv);
+/// Reads every flag above from `args` (both `--flag value` and
+/// `--flag=value`), then rejects what no getter read (Args::reject_unread):
+/// a binary with flags of its own reads them first.  Exits 2 on a
+/// malformed --hot-keys value.
+HarnessOptions harness_flags(const Args& args);
 
 }  // namespace dcs::obs

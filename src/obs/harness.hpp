@@ -32,15 +32,14 @@
 //
 // Output is byte-deterministic for same-seed runs: scenarios appear in run
 // order, maps in sorted order, and every number prints with fixed
-// precision.  Flags are parsed by obs::extract_harness_flags (flags.hpp).
-// Every bench main has one shape: each paper-table cell is one scenario,
-// the table prints from the metrics run() returns, and any argument the
-// bench does not know exits 2 (see bench_sdp.cpp):
+// precision.  Flags are read by obs::harness_flags (flags.hpp) through the
+// one argument reader (common/args.hpp).  Every bench main has one shape:
+// each paper-table cell is one scenario, the table prints from the metrics
+// run() returns, and any argument the bench does not know exits 2 (see
+// bench_sdp.cpp):
 //
 //   int main(int argc, char** argv) {
-//     const auto opts = obs::extract_harness_flags(argc, argv);
-//     obs::reject_unknown_args(argc, argv);
-//     obs::Harness h("sdp", opts);
+//     obs::Harness h("sdp", Args(argc, argv));
 //     const auto m = h.run("stream/SDP/4K", [](obs::Scenario& s) { ... });
 //     print_row(m.at("MB_per_s"));
 //     return h.finish();
@@ -54,6 +53,7 @@
 #include <memory>
 #include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/stats.hpp"
@@ -153,6 +153,10 @@ class Harness {
   /// Reads the `--slo` rule file up front: a missing or malformed file
   /// exits 2 naming it before any scenario runs.
   Harness(std::string bench, HarnessOptions opts);
+  /// Reads the flags with harness_flags(), which rejects every argument
+  /// the binary has not read before.
+  Harness(std::string bench, const Args& args)
+      : Harness(std::move(bench), harness_flags(args)) {}
 
   /// Runs `body` under a fresh engine and reset registry, then snapshots
   /// the results and returns the metrics it recorded (what a bench prints

@@ -32,7 +32,8 @@ TEST(AdmissionTest, LightLoadFullyAdmitted) {
   int served = 0;
   w.eng.spawn([](AdmWorld& world, int& ok) -> sim::Task<void> {
     for (int i = 0; i < 30; ++i) {
-      if (co_await world.adm.offer(microseconds(200), 1024)) ++ok;
+      const bool admitted = co_await world.adm.offer(microseconds(200), 1024);
+      if (admitted) ++ok;
       co_await world.eng.delay(milliseconds(1));
     }
   }(w, served));
@@ -51,7 +52,8 @@ TEST(AdmissionTest, OverloadShedsInsteadOfQueueing) {
   for (int c = 0; c < 8; ++c) {
     w.eng.spawn([](AdmWorld& world, int& ok, int& no) -> sim::Task<void> {
       for (int i = 0; i < 30; ++i) {
-        if (co_await world.adm.offer(milliseconds(2), 1024)) {
+        const bool admitted = co_await world.adm.offer(milliseconds(2), 1024);
+        if (admitted) {
           ++ok;
         } else {
           ++no;
@@ -97,14 +99,16 @@ TEST(AdmissionTest, DropsCountedAfterRetriesExhausted) {
     // Wave 1 starts immediately (spawned, not lazily queued).
     for (int i = 0; i < 3; ++i) {
       world.eng.spawn([](AdmWorld& ww, int& k) -> sim::Task<void> {
-        if (co_await ww.adm.offer(milliseconds(5), 256)) ++k;
+        const bool admitted = co_await ww.adm.offer(milliseconds(5), 256);
+        if (admitted) ++k;
       }(world, ok));
     }
     co_await world.eng.delay(milliseconds(1));  // wave 2 mid-occupancy
     std::vector<sim::Task<void>> offers;
     for (int i = 0; i < 6; ++i) {
       offers.push_back([](AdmWorld& ww, int& k) -> sim::Task<void> {
-        if (co_await ww.adm.offer(milliseconds(5), 256)) ++k;
+        const bool admitted = co_await ww.adm.offer(milliseconds(5), 256);
+        if (admitted) ++k;
       }(world, ok));
     }
     co_await world.eng.when_all(std::move(offers));

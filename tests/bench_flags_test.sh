@@ -2,9 +2,11 @@
 # Runs every bench binary given as an argument with an unknown flag, a
 # malformed number and a missing SLO rule file; each must exit 2 (and
 # never run a workload).  Every bench must also exit 2 naming the flag on
-# `--batch 4`: no bench takes a batch depth.  bench_datacenter_scale must
-# exit 2 naming the flag on each count flag just past its range (a value
-# it accepts is never run here: the caps exist because those are huge).
+# `--batch 4` (no bench takes a batch depth) and on a `--hot-keys` with no
+# value.  bench_datacenter_scale must exit 2 naming the flag on each count
+# flag just past its range, and on `--nodes 0` (the `--flag value` form);
+# a value it accepts is never run here: the caps exist because those are
+# huge.
 #
 # Usage: tests/bench_flags_test.sh BENCH_BINARY...
 dir="$(mktemp -d)"
@@ -26,7 +28,22 @@ for bin in "$@"; do
     echo "FAIL: $(basename "$bin") --batch 4 exited $rc, want 2 naming --batch"
     status=1
   fi
+  "$bin" --hot-keys >/dev/null 2>"$dir/stderr"
+  rc=$?
+  if [ "$rc" -ne 2 ] || ! grep -q -- "missing value for '--hot-keys'" \
+    "$dir/stderr"; then
+    echo "FAIL: $(basename "$bin") --hot-keys exited $rc, want 2 naming it" \
+      "as valueless"
+    status=1
+  fi
   [ "$(basename "$bin")" = bench_datacenter_scale ] || continue
+  "$bin" --nodes 0 >/dev/null 2>"$dir/stderr"
+  rc=$?
+  if [ "$rc" -ne 2 ] || ! grep -q -- "--nodes: expected" "$dir/stderr"; then
+    echo "FAIL: bench_datacenter_scale --nodes 0 exited $rc, want 2 naming" \
+      "--nodes"
+    status=1
+  fi
   for arg in --nodes=0 --nodes=4097 --partitions=257 --shards=65 \
     --clients=257 --ops=1048577 --scrape-us=0 --scrape-us=1048577 \
     --scrapes=65537 --nodes=18446744073709551615 --shards=4294967295; do

@@ -1,10 +1,12 @@
 // Unit tests for common utilities: RNG determinism, Zipf distribution shape,
-// statistics, and the table formatter.
+// statistics, the table formatter and the argument reader.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
+#include "common/args.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
@@ -212,6 +214,109 @@ TEST(UnitsTest, Conversions) {
   EXPECT_DOUBLE_EQ(to_micros(microseconds(55)), 55.0);
   EXPECT_EQ(8_KB, 8192u);
   EXPECT_EQ(2_MB, 2097152u);
+}
+
+// --- the argument reader (common/args.hpp) ---
+
+/// The reader over `argv` (argv[0] is the program name), with `--check` a
+/// declared switch.
+Args args_of(std::vector<const char*> argv) {
+  return Args(static_cast<int>(argv.size()), argv.data(), {"--check"});
+}
+
+TEST(ArgsTest, ReadsBothValueForms) {
+  const Args args = args_of({"/bin/tool", "--nodes", "64", "--alpha=-1.5",
+                             "--out=a=b"});
+  EXPECT_EQ(args.count<int>("--nodes"), 64);
+  EXPECT_EQ(args.real("--alpha", 0), -1.5);
+  EXPECT_EQ(args.text("--out"), "a=b");
+  EXPECT_EQ(args.count<int>("--absent"), std::nullopt);
+  EXPECT_EQ(args.text("--absent", "x"), "x");
+  args.reject_unread();  // returns
+}
+
+TEST(ArgsTest, SwitchesStandBeforeOrAfterAValueFlag) {
+  for (const auto& argv :
+       {std::vector<const char*>{"tool", "--check", "--node", "3"},
+        std::vector<const char*>{"tool", "--node", "3", "--check"},
+        std::vector<const char*>{"tool", "--node=3", "--check"}}) {
+    const Args args = args_of(argv);
+    EXPECT_TRUE(args.given("--check"));
+    EXPECT_EQ(args.count<int>("--node"), 3);
+    args.reject_unread();
+  }
+  const Args none = args_of({"tool", "--node", "3"});
+  EXPECT_FALSE(none.given("--check"));
+}
+
+TEST(ArgsTest, LastOccurrenceWins) {
+  const Args args =
+      args_of({"tool", "--node", "1", "--node=2", "--scheme", "a", "--node",
+               "3", "--scheme=b"});
+  EXPECT_EQ(args.count<int>("--node"), 3);
+  EXPECT_EQ(args.choice("--scheme", {"a", "b"}), "b");
+  args.reject_unread();
+}
+
+TEST(ArgsTest, PositionalsComeInOrderAroundFlags) {
+  const Args args = args_of({"tool", "first", "--check", "second", "--top",
+                             "4", "third"});
+  EXPECT_TRUE(args.given("--check"));
+  EXPECT_EQ(args.count<int>("--top"), 4);
+  EXPECT_EQ(args.positional(), "first");
+  EXPECT_EQ(args.positional(), "second");
+  EXPECT_EQ(args.positional(), "third");
+  EXPECT_EQ(args.positional(), std::nullopt);
+  args.reject_unread();
+}
+
+TEST(ArgsDeathTest, RejectUnreadNamesTheFirstOffendingToken) {
+  const Args unknown = args_of({"/bin/tool", "--node", "1", "--nod", "2"});
+  (void)unknown.count<int>("--node");
+  EXPECT_EXIT(unknown.reject_unread(), ::testing::ExitedWithCode(2),
+              "^tool: unknown flag '--nod'\n$");
+
+  const Args valueless = args_of({"tool", "--out"});
+  EXPECT_EQ(valueless.text("--out"), "");
+  EXPECT_EXIT(valueless.reject_unread(), ::testing::ExitedWithCode(2),
+              "tool: missing value for '--out'");
+
+  const Args before_flag = args_of({"tool", "--out", "--check"});
+  EXPECT_TRUE(before_flag.given("--check"));
+  EXPECT_EQ(before_flag.text("--out"), "");
+  EXPECT_EXIT(before_flag.reject_unread(), ::testing::ExitedWithCode(2),
+              "tool: missing value for '--out'");
+
+  const Args stray = args_of({"tool", "-x"});
+  EXPECT_EXIT(stray.reject_unread(), ::testing::ExitedWithCode(2),
+              "tool: unexpected argument '-x'");
+
+  const Args extra = args_of({"tool", "file", "more"});
+  EXPECT_EQ(extra.positional(), "file");
+  EXPECT_EXIT(extra.reject_unread(), ::testing::ExitedWithCode(2),
+              "tool: unexpected argument 'more'");
+
+  const Args unread_switch = args_of({"tool", "--check"});
+  EXPECT_EXIT(unread_switch.reject_unread(), ::testing::ExitedWithCode(2),
+              "tool: unknown flag '--check'");
+
+  const Args switch_value = args_of({"tool", "--check=1"});
+  EXPECT_FALSE(switch_value.given("--check"));
+  EXPECT_EXIT(switch_value.reject_unread(), ::testing::ExitedWithCode(2),
+              "tool: unexpected argument '--check=1'");
+}
+
+TEST(ArgsDeathTest, BadValuesExitTwoNamingTheFlag) {
+  const Args args = args_of({"tool", "--nodes=0", "--ring", "300",
+                             "--mode", "foo"});
+  EXPECT_EXIT((void)args.count<int>("--nodes", 1), ::testing::ExitedWithCode(2),
+              "--nodes: expected an integer >= 1, got '0'");
+  EXPECT_EXIT((void)args.count<std::uint8_t>("--ring"),
+              ::testing::ExitedWithCode(2),
+              "--ring: expected an integer <= 255, got '300'");
+  EXPECT_EXIT((void)args.choice("--mode", {"shared", "exclusive"}),
+              ::testing::ExitedWithCode(2),
+              "--mode: expected one of shared.exclusive, got 'foo'");
 }
 
 }  // namespace

@@ -1,11 +1,13 @@
 #!/usr/bin/env sh
 # Runs the dcs binary with out-of-range values, unknown names, flags a
-# command does not honour, stray or valueless arguments and a missing SLO
-# rule file; each must exit 2 and name the offending argument on stderr
-# (never abort, raise SIGFPE or run with a silently substituted default).
-# Counts that size a fabric or spawn one coroutine each are capped so a
-# run has at most 1024 nodes (and `monitor --jobs` at most 1024 jobs).
-# The offline tools' `--node` filters must accept node 0 (exit 0).
+# command does not honour, stray or valueless arguments, a missing SLO
+# rule file, no command and an unknown command; each must exit 2 and name
+# the offending argument on stderr (never abort, raise SIGFPE or run with
+# a silently substituted default).  Counts that size a fabric or spawn one
+# coroutine each are capped so a run has at most 1024 nodes (and `monitor
+# --jobs` at most 1024 jobs).  The offline tools' `--node` filters must
+# accept node 0 (exit 0), and every flag reads as `--flag value` and as
+# `--flag=value`.
 #
 # Usage: tests/dcs_flags_test.sh DCS_BINARY
 bin="$1"
@@ -57,11 +59,18 @@ stray locks stray
 --bench-json params --bench-json p.json
 --bench-json wedge --bench-json w.json
 /nonexistent/rules.slo locks --slo /nonexistent/rules.slo
+--waiters locks --waiters=0
+--out flame /nonexistent/trace.json --out
+--self-check locks --self-check
+usage
+nosuch nosuch
 EOF
 dir="$(mktemp -d)"
 "$bin" locks --timeseries-out "$dir/ts.json" --trace-out "$dir/trace.json" \
   >/dev/null 2>&1
-for args in "top $dir/ts.json --node 0" "inspect $dir/trace.json --node 0"; do
+for args in "top $dir/ts.json --node 0" "inspect $dir/trace.json --node 0" \
+  "top --self-check $dir/ts.json --node=0" "inspect $dir/trace.json --node=0" \
+  "locks --waiters=3"; do
   # shellcheck disable=SC2086  # $args is deliberately word-split
   "$bin" $args >/dev/null 2>"$err"
   rc=$?

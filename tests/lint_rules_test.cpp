@@ -1,8 +1,8 @@
-// Rule-engine fixtures for dcs-lint: for every rule R1-R5 (plus the S1
+// Rule-engine fixtures for dcs-lint: for every rule R1-R6 (plus the S1
 // suppression-hygiene meta rule) a flagged snippet, a clean snippet, and a
 // suppressed (`// dcs-lint: allow(...)`) snippet, driven through the full
 // analyze() pipeline exactly as the CLI runs it — including the include
-// graph, the nodiscard type model and the baseline.
+// graph and the nodiscard type model.
 #include "lint/lint.hpp"
 
 #include <gtest/gtest.h>
@@ -10,9 +10,8 @@
 namespace dcs::lint {
 namespace {
 
-AnalysisResult run(std::vector<InputFile> files,
-                   std::vector<std::string> baseline = {}) {
-  return analyze(files, Config{}, baseline);
+AnalysisResult run(std::vector<InputFile> files) {
+  return analyze(files, Config{});
 }
 
 std::vector<std::string> rules_of(const std::vector<Finding>& fs) {
@@ -362,27 +361,40 @@ TEST(LintRules, S1CleanProseMentioningMarkerMidComment) {
   EXPECT_TRUE(r.active.empty());
 }
 
-// --- baseline -------------------------------------------------------------
+// --- R6: co_await inside an if/while condition -------------------------
 
-TEST(LintRules, BaselineMutesKnownFindingsAndReportsStale) {
-  std::vector<InputFile> files = {
-      {"src/foo/bar.cpp", "int a() { return rand(); }\n"}};
-  auto first = run(files);
-  ASSERT_EQ(first.active.size(), 1u);
-
-  std::string baseline_text = render_baseline(first.active) +
-                              "R2\tsrc/gone.cpp\tdeadbeefdeadbeef\n";
-  auto keys = parse_baseline(baseline_text);
-  auto second = run(files, keys);
-  EXPECT_TRUE(second.active.empty());
-  EXPECT_EQ(second.baselined.size(), 1u);
-  EXPECT_EQ(second.stale_baseline, 1);
+TEST(LintRules, R6FlagsAwaitInIfAndWhileConditions) {
+  auto r = run({{"tests/foo_test.cpp",
+                 "Task<void> f(A& a, B& b) {\n"
+                 "  if (!co_await a.offer()) co_return;\n"
+                 "  while (co_await b.next()) {}\n"
+                 "}\n"}});
+  EXPECT_EQ(rules_of(r.active), (std::vector<std::string>{"R6", "R6"}));
+  ASSERT_EQ(r.active.size(), 2u);
+  EXPECT_EQ(r.active[0].line, 2);
+  EXPECT_EQ(r.active[1].line, 3);
 }
 
-TEST(LintRules, FingerprintIsLineNumberIndependent) {
-  Finding a{"R1", "src/foo/bar.cpp", 10, 3, "msg", "rand"};
-  Finding b{"R1", "src/foo/bar.cpp", 99, 7, "msg", "rand"};
-  EXPECT_EQ(finding_fingerprint(a), finding_fingerprint(b));
+TEST(LintRules, R6CleanAwaitInBranchOrBoundFirst) {
+  auto r = run({{"src/foo/bar.cpp",
+                 "Task<void> f(bool c, A& a, X& x) {\n"
+                 "  if (c) co_await x;\n"
+                 "  const bool ok = co_await a.offer();\n"
+                 "  if (!ok) co_return;\n"
+                 "  while (c) co_await x;\n"
+                 "}\n"}});
+  EXPECT_TRUE(r.active.empty());
+}
+
+TEST(LintRules, R6AllowedWithReason) {
+  auto r = run({{"bench/foo.cpp",
+                 "Task<void> f(A& a) {\n"
+                 "  // dcs-lint: allow(R6, a local with a destructor is in "
+                 "scope)\n"
+                 "  if (co_await a.offer()) {}\n"
+                 "}\n"}});
+  EXPECT_TRUE(r.active.empty());
+  EXPECT_EQ(r.suppressed.size(), 1u);
 }
 
 // --- report determinism ---------------------------------------------------

@@ -200,129 +200,110 @@ TEST(ChromeTraceTest, EachRunKeepsItsOwnProcessesAndIds) {
   EXPECT_EQ(json.find("\"request\":2,\"span\":1}"), std::string::npos);
 }
 
-// --- CLI flag extraction (obs/flags.hpp, the one parser) ---
+// --- observability flags (obs/flags.hpp) through the one reader ---
 
-/// argv storage for the parser tests: argv[argc] is a null terminator.
-struct Argv {
-  std::vector<std::string> storage;
-  std::vector<char*> argv;
-  int argc;
-  explicit Argv(std::vector<std::string> args) : storage(std::move(args)) {
-    for (auto& s : storage) argv.push_back(s.data());
-    argv.push_back(nullptr);
-    argc = static_cast<int>(storage.size());
-  }
-};
+/// The reader over `argv` (argv[0] is the program name).
+Args args_of(std::vector<const char*> argv) {
+  return Args(static_cast<int>(argv.size()), argv.data());
+}
 
-TEST(ObserveFlagsTest, ExtractsAndRemovesBothFlags) {
-  Argv a({"bench", "--foo", "--trace-out", "t.json", "--bar", "1",
-          "--metrics-out", "m.txt"});
-  const auto opts = obs::extract_harness_flags(a.argc, a.argv.data());
+TEST(ObserveFlagsTest, ReadsBothFlagsAndLeavesTheRestUnread) {
+  const Args args = args_of({"bench", "--trace-out", "t.json",
+                             "--metrics-out=m.txt", "--foo", "1"});
+  EXPECT_EXIT(obs::harness_flags(args), ::testing::ExitedWithCode(2),
+              "bench: unknown flag '--foo'");
+  EXPECT_EQ(args.text("--foo"), "1");
+  const auto opts = obs::harness_flags(args);
   EXPECT_TRUE(opts.observed());
   EXPECT_EQ(opts.trace_out, "t.json");
   EXPECT_EQ(opts.metrics_out, "m.txt");
-  ASSERT_EQ(a.argc, 4);
-  EXPECT_STREQ(a.argv[0], "bench");
-  EXPECT_STREQ(a.argv[1], "--foo");
-  EXPECT_STREQ(a.argv[2], "--bar");
-  EXPECT_STREQ(a.argv[3], "1");
-  EXPECT_EQ(a.argv[4], nullptr);
 }
 
 TEST(ObserveFlagsTest, AbsentFlagsDisableObservation) {
-  Argv a({"bench", "--foo"});
-  const auto opts = obs::extract_harness_flags(a.argc, a.argv.data());
+  const auto opts = obs::harness_flags(args_of({"bench"}));
   EXPECT_FALSE(opts.observed());
-  EXPECT_EQ(a.argc, 2);
 }
 
 TEST(ObserveFlagsTest, PostmortemDirSelectsTheHarness) {
-  Argv a({"bench", "--postmortem-dir", "pm"});
-  const auto opts = obs::extract_harness_flags(a.argc, a.argv.data());
+  const auto opts =
+      obs::harness_flags(args_of({"bench", "--postmortem-dir", "pm"}));
   EXPECT_TRUE(opts.observed());
-  EXPECT_EQ(a.argc, 1);
   EXPECT_EQ(opts.postmortem_dir, "pm");
 }
 
 TEST(ObserveFlagsTest, ExtractsNumericFlags) {
-  Argv a({"bench", "--hot-keys", "3"});
-  const auto opts = obs::extract_harness_flags(a.argc, a.argv.data());
+  const auto opts = obs::harness_flags(args_of({"bench", "--hot-keys", "3"}));
   EXPECT_EQ(opts.hot_keys, 3u);
   EXPECT_TRUE(opts.attribution_mode());
-  EXPECT_EQ(a.argc, 1);
 }
 
 TEST(ObserveFlagsTest, ParseCountAcceptsOnlyPlainNonNegativeIntegers) {
-  EXPECT_EQ(obs::parse_count("0"), 0u);
-  EXPECT_EQ(obs::parse_count("42"), 42u);
-  EXPECT_EQ(obs::parse_count("18446744073709551615"), UINT64_MAX);
+  EXPECT_EQ(parse_count("0"), 0u);
+  EXPECT_EQ(parse_count("42"), 42u);
+  EXPECT_EQ(parse_count("18446744073709551615"), UINT64_MAX);
   for (const char* bad : {"", "abc", "-1", "+1", "1x", " 1", "1.5",
                           "18446744073709551616"}) {
-    EXPECT_EQ(obs::parse_count(bad), std::nullopt) << "'" << bad << "'";
+    EXPECT_EQ(parse_count(bad), std::nullopt) << "'" << bad << "'";
   }
 }
 
 TEST(ObserveFlagsTest, ParseRealAcceptsOnlyFiniteNumbers) {
-  EXPECT_EQ(obs::parse_real("0.75"), 0.75);
-  EXPECT_EQ(obs::parse_real("-1"), -1.0);
-  EXPECT_EQ(obs::parse_real("1e3"), 1000.0);
+  EXPECT_EQ(parse_real("0.75"), 0.75);
+  EXPECT_EQ(parse_real("-1"), -1.0);
+  EXPECT_EQ(parse_real("1e3"), 1000.0);
   for (const char* bad : {"", "abc", "0.5x", "inf", "nan", "1e999"}) {
-    EXPECT_EQ(obs::parse_real(bad), std::nullopt) << "'" << bad << "'";
+    EXPECT_EQ(parse_real(bad), std::nullopt) << "'" << bad << "'";
   }
 }
 
 TEST(ObserveFlagsDeathTest, MalformedHotKeysExitsTwoNamingTheFlag) {
-  Argv a({"bench", "--hot-keys", "abc"});
-  EXPECT_EXIT(obs::extract_harness_flags(a.argc, a.argv.data()),
+  EXPECT_EXIT(obs::harness_flags(args_of({"bench", "--hot-keys", "abc"})),
               ::testing::ExitedWithCode(2),
               "--hot-keys: expected a non-negative integer, got 'abc'");
 }
 
 TEST(ObserveFlagsDeathTest, NegativeHotKeysExitsTwoInsteadOfWrapping) {
-  Argv a({"bench", "--hot-keys", "-1"});
-  EXPECT_EXIT(obs::extract_harness_flags(a.argc, a.argv.data()),
+  EXPECT_EXIT(obs::harness_flags(args_of({"bench", "--hot-keys", "-1"})),
               ::testing::ExitedWithCode(2), "--hot-keys: .*got '-1'");
 }
 
 TEST(ObserveFlagsDeathTest, CountAboveItsLimitExitsTwo) {
-  EXPECT_EQ(obs::count_flag("--node", "4294967295", 0, UINT32_MAX), UINT32_MAX);
-  EXPECT_EXIT(obs::count_flag("--node", "4294967296", 0, UINT32_MAX),
+  EXPECT_EQ(count_flag("--node", "4294967295", 0, UINT32_MAX), UINT32_MAX);
+  EXPECT_EXIT(count_flag("--node", "4294967296", 0, UINT32_MAX),
               ::testing::ExitedWithCode(2),
               "--node: expected an integer <= 4294967295, got '4294967296'");
 }
 
 TEST(ObserveFlagsDeathTest, ValueBelowItsMinimumExitsTwo) {
-  EXPECT_EQ(obs::count_flag("--proxies", "1", 1), 1u);
-  EXPECT_EXIT(obs::count_flag("--proxies", "0", 1),
+  EXPECT_EQ(count_flag("--proxies", "1", 1), 1u);
+  EXPECT_EXIT(count_flag("--proxies", "0", 1),
               ::testing::ExitedWithCode(2),
               "--proxies: expected an integer >= 1, got '0'");
-  EXPECT_EQ(obs::real_flag("--alpha", "0", 0.0), 0.0);
-  EXPECT_EXIT(obs::real_flag("--alpha", "-1", 0.0),
+  EXPECT_EQ(real_flag("--alpha", "0", 0.0), 0.0);
+  EXPECT_EXIT(real_flag("--alpha", "-1", 0.0),
               ::testing::ExitedWithCode(2),
               "--alpha: expected a number >= 0, got '-1'");
 }
 
 TEST(ObserveFlagsDeathTest, UnknownChoiceExitsTwoListingTheNames) {
-  EXPECT_EQ(obs::choice_flag("--mode", "exclusive", {"shared", "exclusive"}),
+  EXPECT_EQ(choice_flag("--mode", "exclusive", {"shared", "exclusive"}),
             "exclusive");
-  EXPECT_EXIT(obs::choice_flag("--mode", "foo", {"shared", "exclusive"}),
+  EXPECT_EXIT(choice_flag("--mode", "foo", {"shared", "exclusive"}),
               ::testing::ExitedWithCode(2),
               "--mode: expected one of shared.exclusive, got 'foo'");
 }
 
 TEST(ObserveFlagsDeathTest, MalformedRealExitsTwoNamingTheFlag) {
-  EXPECT_EXIT(obs::real_flag("--alpha", "fast"), ::testing::ExitedWithCode(2),
+  EXPECT_EXIT(real_flag("--alpha", "fast"), ::testing::ExitedWithCode(2),
               "--alpha: expected a finite number, got 'fast'");
 }
 
 TEST(ObserveFlagsDeathTest, LeftoverArgumentExitsTwo) {
-  Argv clean({"bench"});
-  obs::reject_unknown_args(clean.argc, clean.argv.data());  // returns
-  Argv a({"bench", "--bench-json", "b.json", "--no-such-flag"});
-  (void)obs::extract_harness_flags(a.argc, a.argv.data());
-  EXPECT_EXIT(obs::reject_unknown_args(a.argc, a.argv.data()),
+  args_of({"bench"}).reject_unread();  // returns
+  EXPECT_EXIT(obs::harness_flags(args_of(
+                  {"bench", "--bench-json", "b.json", "--no-such-flag"})),
               ::testing::ExitedWithCode(2),
-              "unknown argument '--no-such-flag'");
+              "unknown flag '--no-such-flag'");
 }
 
 // --- determinism: the headline guarantee ---

@@ -14,30 +14,27 @@
 //   dcs flame   TRACE.json [--out profile.speedscope.json]
 //   dcs params
 //
-// All numbers are deterministic virtual-time results.
+// Every command reads its arguments through the one argument reader
+// (common/args.hpp): `--flag value` or `--flag=value`, the last occurrence
+// wins, and anything the command does not read exits 2.  All numbers are
+// deterministic virtual-time results.
+#include <algorithm>
 #include <climits>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <fstream>
-#include <initializer_list>
 #include <iostream>
-#include <memory>
-#include <optional>
-#include <set>
 #include <string>
-#include <string_view>
-#include <vector>
 
 #include "audit/audit.hpp"
+#include "common/args.hpp"
 #include "common/json.hpp"
 #include "common/table.hpp"
 #include "dlm/ncosed.hpp"
 #include "monitor/monitor.hpp"
 #include "monitor/watchdog.hpp"
 #include "obs/explain.hpp"
-#include "obs/flags.hpp"
 #include "obs/flame.hpp"
 #include "obs/harness.hpp"
 #include "obs/top.hpp"
@@ -55,86 +52,6 @@ namespace {
 constexpr int kMaxNodes = 1024;
 /// `dcs monitor --jobs`: at most this many busy jobs on the probed node.
 constexpr int kMaxJobs = 1024;
-
-/// The `--key value` arguments of one command.  A command reads every
-/// key it knows first and then calls reject_unread(), which exits 2 naming
-/// the first positional, valueless or never-read argument, so a typo never
-/// runs with a silently substituted default.
-class Args {
- public:
-  Args(int argc, char** argv) {
-    for (int i = 2; i < argc; ++i) {
-      const bool flag = std::strncmp(argv[i], "--", 2) == 0;
-      if (flag && i + 1 < argc) {
-        args_.push_back({argv[i], argv[i + 1]});
-        ++i;
-      } else {
-        args_.push_back({argv[i], std::nullopt});
-      }
-    }
-  }
-  /// Numeric values exit 2 with a message naming the flag when malformed
-  /// or outside [min, max]; `max` is at most INT_MAX, so every caller's
-  /// narrowing cast is exact.
-  int num(const std::string& key, int fallback, int min = 0,
-          int max = INT_MAX) const {
-    const std::string* v = find(key);
-    return v != nullptr
-               ? static_cast<int>(obs::count_flag(
-                     "--" + key, *v, static_cast<std::uint64_t>(min),
-                     static_cast<std::uint64_t>(max)))
-               : fallback;
-  }
-  double real(const std::string& key, double fallback,
-              double min = -HUGE_VAL) const {
-    const std::string* v = find(key);
-    return v != nullptr ? obs::real_flag("--" + key, *v, min) : fallback;
-  }
-  /// The value of `--key` (the first name when absent); any name not in
-  /// `names` exits 2 naming the flag.
-  std::string one_of(const std::string& key,
-                     std::initializer_list<std::string_view> names) const {
-    const std::string* v = find(key);
-    return v != nullptr ? std::string(obs::choice_flag("--" + key, *v, names))
-                        : std::string(*names.begin());
-  }
-  std::string text(const std::string& key, const std::string& fallback) const {
-    const std::string* v = find(key);
-    return v != nullptr ? *v : fallback;
-  }
-  void reject_unread() const {
-    for (const Arg& a : args_) {
-      const char* problem = nullptr;
-      if (!a.text.starts_with("--")) {
-        problem = "unexpected argument";
-      } else if (!a.value) {
-        problem = "missing value for";
-      } else if (!read_.contains(a.text.substr(2))) {
-        problem = "unknown flag";
-      }
-      if (problem == nullptr) continue;
-      std::fprintf(stderr, "dcs: %s '%s'\n", problem, a.text.c_str());
-      std::exit(2);
-    }
-  }
-
- private:
-  struct Arg {
-    std::string text;  // as typed, e.g. "--waiters"
-    std::optional<std::string> value;
-  };
-  /// The last value given for `--key`; marks the key as read.
-  const std::string* find(const std::string& key) const {
-    read_.insert(key);
-    for (auto it = args_.rbegin(); it != args_.rend(); ++it) {
-      if (it->value && it->text == "--" + key) return &*it->value;
-    }
-    return nullptr;
-  }
-
-  std::vector<Arg> args_;
-  mutable std::set<std::string> read_;
-};
 
 int cmd_params(const Args& args) {
   args.reject_unread();
@@ -159,9 +76,9 @@ int cmd_params(const Args& args) {
   return 0;
 }
 
-int cmd_cache(const Args& args, const obs::HarnessOptions& flags) {
+int cmd_cache(const Args& args) {
   const std::string scheme_name =
-      args.one_of("scheme", {"HYBCC", "AC", "BCC", "CCWR", "MTACC"});
+      args.choice("--scheme", {"HYBCC", "AC", "BCC", "CCWR", "MTACC"});
   cache::Scheme scheme = cache::Scheme::kHYBCC;
   for (const auto s : {cache::Scheme::kAC, cache::Scheme::kBCC,
                        cache::Scheme::kCCWR, cache::Scheme::kMTACC,
@@ -169,12 +86,12 @@ int cmd_cache(const Args& args, const obs::HarnessOptions& flags) {
     if (scheme_name == cache::to_string(s)) scheme = s;
   }
   // The site's fabric has `proxies + 6` nodes.
-  const auto proxies_n =
-      static_cast<std::size_t>(args.num("proxies", 2, 1, kMaxNodes - 6));
-  const int ws_mb = args.num("ws-mb", 12, 1, INT_MAX / 1024);
+  const std::size_t proxies_n =
+      args.count<std::size_t>("--proxies", 1, kMaxNodes - 6).value_or(2);
+  const int ws_mb = args.count<int>("--ws-mb", 1, INT_MAX / 1024).value_or(12);
   // At least one document must fit in the working set.
   const std::size_t file_bytes =
-      static_cast<std::size_t>(args.num("file-kb", 16, 1, ws_mb * 1024)) *
+      args.count<std::size_t>("--file-kb", 1, ws_mb * 1024).value_or(16) *
       1024;
   // The Zipf trace keeps a CDF and a permutation entry per document.
   constexpr std::size_t kMaxDocs = std::size_t{1} << 24;
@@ -187,15 +104,14 @@ int cmd_cache(const Args& args, const obs::HarnessOptions& flags) {
                  kMaxDocs, file_bytes / 1024, num_docs);
     std::exit(2);
   }
-  const double alpha = args.real("alpha", 0.75, 0.0);
-  const auto requests =
-      static_cast<std::size_t>(args.num("requests", 3000, 1));
+  const double alpha = args.real("--alpha", 0.75, 0.0);
+  const std::size_t requests =
+      args.count<std::size_t>("--requests", 1, INT_MAX).value_or(3000);
   const std::size_t cache_mb =
-      static_cast<std::size_t>(args.num("cache-mb", 4));
-  args.reject_unread();
+      args.count<std::size_t>("--cache-mb", 0, INT_MAX).value_or(4);
 
   int rc = 0;
-  obs::Harness h("dcs_cache", flags);
+  obs::Harness h("dcs_cache", args);
   h.run("run", [&](obs::Scenario& s) {
     const auto site = scenarios::run_coop_site(
         s.engine(), {.scheme = scheme,
@@ -222,20 +138,20 @@ int cmd_cache(const Args& args, const obs::HarnessOptions& flags) {
   return std::max(rc, h.finish());
 }
 
-int cmd_locks(const Args& args, const obs::HarnessOptions& flags) {
+int cmd_locks(const Args& args) {
   const std::string scheme_name =
-      args.one_of("scheme", {"ncosed", "srsl", "dqnl"});
+      args.choice("--scheme", {"ncosed", "srsl", "dqnl"});
   const auto scheme = scheme_name == "srsl"   ? dlm::Scheme::kSrsl
                       : scheme_name == "dqnl" ? dlm::Scheme::kDqnl
                                               : dlm::Scheme::kNcosed;
   // The run's fabric has `waiters + 4` nodes.
-  const int waiters = args.num("waiters", 8, 1, kMaxNodes - 4);
-  const std::string mode_name = args.one_of("mode", {"shared", "exclusive"});
+  const int waiters =
+      args.count<int>("--waiters", 1, kMaxNodes - 4).value_or(8);
+  const std::string mode_name = args.choice("--mode", {"shared", "exclusive"});
   const auto mode = mode_name == "shared" ? dlm::LockMode::kShared
                                           : dlm::LockMode::kExclusive;
-  args.reject_unread();
 
-  obs::Harness h("dcs_locks", flags);
+  obs::Harness h("dcs_locks", args);
   h.run("run", [&](obs::Scenario& s) {
     fabric::Fabric fab(s.engine(), fabric::FabricParams{},
                        {.num_nodes = static_cast<std::size_t>(waiters + 4),
@@ -255,19 +171,18 @@ int cmd_locks(const Args& args, const obs::HarnessOptions& flags) {
   return h.finish();
 }
 
-int cmd_monitor(const Args& args, const obs::HarnessOptions& flags) {
+int cmd_monitor(const Args& args) {
   const std::string scheme_name =
-      args.one_of("scheme", {"rdma-sync", "socket-sync", "socket-async",
-                             "rdma-async", "e-rdma-sync"});
+      args.choice("--scheme", {"rdma-sync", "socket-sync", "socket-async",
+                               "rdma-async", "e-rdma-sync"});
   monitor::MonScheme scheme = monitor::MonScheme::kRdmaSync;
   if (scheme_name == "socket-sync") scheme = monitor::MonScheme::kSocketSync;
   if (scheme_name == "socket-async") scheme = monitor::MonScheme::kSocketAsync;
   if (scheme_name == "rdma-async") scheme = monitor::MonScheme::kRdmaAsync;
   if (scheme_name == "e-rdma-sync") scheme = monitor::MonScheme::kERdmaSync;
-  const int jobs = args.num("jobs", 4, 0, kMaxJobs);
-  args.reject_unread();
+  const int jobs = args.count<int>("--jobs", 0, kMaxJobs).value_or(4);
 
-  obs::Harness h("dcs_monitor", flags);
+  obs::Harness h("dcs_monitor", args);
   h.run("run", [&](obs::Scenario& s) {
     sim::Engine& eng = s.engine();
     fabric::Fabric fab(eng, fabric::FabricParams{},
@@ -306,14 +221,14 @@ int cmd_monitor(const Args& args, const obs::HarnessOptions& flags) {
   return h.finish();
 }
 
-int cmd_storm(const Args& args, const obs::HarnessOptions& flags) {
-  const auto records = static_cast<std::uint64_t>(args.num("records", 100000));
-  const auto plane = args.one_of("plane", {"ddss", "sockets"}) == "ddss"
+int cmd_storm(const Args& args) {
+  const std::uint64_t records =
+      args.count<std::uint64_t>("--records", 0, INT_MAX).value_or(100000);
+  const auto plane = args.choice("--plane", {"ddss", "sockets"}) == "ddss"
                          ? storm::ControlPlane::kDdss
                          : storm::ControlPlane::kSockets;
-  args.reject_unread();
 
-  obs::Harness h("dcs_storm", flags);
+  obs::Harness h("dcs_storm", args);
   h.run("run", [&](obs::Scenario& s) {
     scenarios::StormSite site(s.engine(), plane);
     storm::QueryResult result;
@@ -347,12 +262,14 @@ int cmd_storm(const Args& args, const obs::HarnessOptions& flags) {
 /// fails the run.
 int cmd_wedge(const Args& args) {
   const std::string scenario =
-      args.one_of("scenario", {"stall", "deadline", "violation"});
+      args.choice("--scenario", {"stall", "deadline", "violation"});
   // The run's fabric has `waiters + 2` nodes.
-  const int waiters = args.num("waiters", 3, 0, kMaxNodes - 2);
+  const int waiters =
+      args.count<int>("--waiters", 0, kMaxNodes - 2).value_or(3);
   trace::FlightConfig fc;
-  fc.ring_capacity = static_cast<std::size_t>(args.num("ring", 128));
-  fc.postmortem_dir = args.text("postmortem-dir", ".");
+  fc.ring_capacity =
+      args.count<std::size_t>("--ring", 0, INT_MAX).value_or(128);
+  fc.postmortem_dir = args.text("--postmortem-dir", ".");
   fc.prefix = "dcs_wedge_" + scenario;
   args.reject_unread();
 
@@ -440,142 +357,69 @@ int cmd_wedge(const Args& args) {
 
 // --- inspect: offline queries over dumps and trace JSON ---
 
-int cmd_inspect(int argc, char** argv) {
-  if (argc < 3) {
-    std::fprintf(stderr,
-                 "usage: dcs inspect FILE [--node N] [--layer L] "
-                 "[--request R] [--from NS] [--to NS] [--timeline R] "
-                 "[--top N] [--diff FILE] [--self-check]\n");
-    return 2;
+/// The FILE positional of an offline command; without it, prints `usage`
+/// and exits 2.
+std::string input_file(const Args& args, const char* usage) {
+  auto file = args.positional();
+  if (!file) {
+    std::fprintf(stderr, "usage: dcs %s\n", usage);
+    std::exit(2);
   }
-  const std::string file = argv[2];
+  return *file;
+}
+
+int cmd_inspect(const Args& args) {
+  const std::string file = input_file(
+      args,
+      "inspect FILE [--node N] [--layer L] [--request R] [--from NS] "
+      "[--to NS] [--timeline R] [--top N] [--diff FILE] [--self-check]");
   trace::inspect::Options opts;
-  for (int i = 3; i < argc; ++i) {
-    const std::string flag = argv[i];
-    const auto value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "inspect: %s needs a value\n", flag.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (flag == "--self-check") {
-      opts.self_check = true;
-    } else if (flag == "--node") {
-      opts.node = static_cast<std::uint32_t>(
-          obs::count_flag(flag, value(), 0, UINT32_MAX));
-    } else if (flag == "--layer") {
-      opts.layer = value();
-    } else if (flag == "--request") {
-      opts.request = obs::count_flag(flag, value());
-    } else if (flag == "--from") {
-      opts.from_ns = obs::count_flag(flag, value());
-    } else if (flag == "--to") {
-      opts.to_ns = obs::count_flag(flag, value());
-    } else if (flag == "--timeline") {
-      opts.timeline = obs::count_flag(flag, value());
-    } else if (flag == "--top") {
-      opts.top = static_cast<std::size_t>(obs::count_flag(flag, value()));
-    } else if (flag == "--diff") {
-      opts.diff_path = value();
-    } else {
-      std::fprintf(stderr, "inspect: unknown flag %s\n", flag.c_str());
-      return 2;
-    }
-  }
+  opts.self_check = args.given("--self-check");
+  opts.node = args.count<std::uint32_t>("--node");
+  opts.layer = args.text("--layer");
+  opts.request = args.count<std::uint64_t>("--request");
+  opts.from_ns = args.count<SimNanos>("--from");
+  opts.to_ns = args.count<SimNanos>("--to");
+  opts.timeline = args.count<std::uint64_t>("--timeline");
+  opts.top = args.count<std::size_t>("--top").value_or(0);
+  opts.diff_path = args.text("--diff");
+  args.reject_unread();
   return trace::inspect::run(file, opts, std::cout, std::cerr);
 }
 
 // --- top/flame: offline views over timeseries dumps and trace JSON ---
 
-int cmd_top(int argc, char** argv) {
-  if (argc < 3) {
-    std::fprintf(stderr,
-                 "usage: dcs top TIMESERIES.json [--self-check] [--node N] "
-                 "[--windows W]\n");
-    return 2;
-  }
-  const std::string file = argv[2];
+int cmd_top(const Args& args) {
+  const std::string file = input_file(
+      args, "top TIMESERIES.json [--self-check] [--node N] [--windows W]");
   obs::TopOptions opts;
-  for (int i = 3; i < argc; ++i) {
-    const std::string flag = argv[i];
-    const auto value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "top: %s needs a value\n", flag.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (flag == "--self-check") {
-      opts.self_check = true;
-    } else if (flag == "--node") {
-      opts.node = static_cast<std::uint32_t>(
-          obs::count_flag(flag, value(), 0, UINT32_MAX));
-    } else if (flag == "--windows") {
-      opts.windows =
-          static_cast<std::size_t>(obs::count_flag(flag, value()));
-    } else {
-      std::fprintf(stderr, "top: unknown flag %s\n", flag.c_str());
-      return 2;
-    }
-  }
+  opts.self_check = args.given("--self-check");
+  opts.node = args.count<std::uint32_t>("--node");
+  opts.windows = args.count<std::size_t>("--windows").value_or(opts.windows);
+  args.reject_unread();
   return obs::run_top(file, opts, std::cout, std::cerr);
 }
 
-int cmd_explain(int argc, char** argv) {
-  if (argc < 3) {
-    std::fprintf(stderr,
-                 "usage: dcs explain TIMESERIES.json [--hotset FILE] "
-                 "[--exemplars FILE] [--postmortem FILE] [--top N] "
-                 "[--self-check]\n");
-    return 2;
-  }
-  const std::string file = argv[2];
+int cmd_explain(const Args& args) {
+  const std::string file = input_file(
+      args,
+      "explain TIMESERIES.json [--hotset FILE] [--exemplars FILE] "
+      "[--postmortem FILE] [--top N] [--self-check]");
   obs::ExplainOptions opts;
-  for (int i = 3; i < argc; ++i) {
-    const std::string flag = argv[i];
-    const auto value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "explain: %s needs a value\n", flag.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (flag == "--self-check") {
-      opts.self_check = true;
-    } else if (flag == "--hotset") {
-      opts.hotset = value();
-    } else if (flag == "--exemplars") {
-      opts.exemplars = value();
-    } else if (flag == "--postmortem") {
-      opts.postmortem = value();
-    } else if (flag == "--top") {
-      opts.top = static_cast<std::size_t>(obs::count_flag(flag, value()));
-    } else {
-      std::fprintf(stderr, "explain: unknown flag %s\n", flag.c_str());
-      return 2;
-    }
-  }
+  opts.self_check = args.given("--self-check");
+  opts.hotset = args.text("--hotset");
+  opts.exemplars = args.text("--exemplars");
+  opts.postmortem = args.text("--postmortem");
+  opts.top = args.count<std::size_t>("--top").value_or(opts.top);
+  args.reject_unread();
   return obs::run_explain(file, opts, std::cout, std::cerr);
 }
 
-int cmd_flame(int argc, char** argv) {
-  if (argc < 3) {
-    std::fprintf(stderr,
-                 "usage: dcs flame TRACE.json [--out PROFILE.json]\n");
-    return 2;
-  }
-  const std::string file = argv[2];
-  std::string out_path;
-  for (int i = 3; i < argc; ++i) {
-    const std::string flag = argv[i];
-    if (flag == "--out" && i + 1 < argc) {
-      out_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "flame: unknown flag %s\n", flag.c_str());
-      return 2;
-    }
-  }
+int cmd_flame(const Args& args) {
+  const std::string file =
+      input_file(args, "flame TRACE.json [--out PROFILE.json]");
+  const std::string out_path = args.text("--out");
+  args.reject_unread();
   if (out_path.empty()) return obs::run_flame(file, std::cout, std::cerr);
   std::ofstream os(out_path);
   if (!os) {
@@ -588,8 +432,12 @@ int cmd_flame(int argc, char** argv) {
 }
 
 void usage() {
-  std::printf(
-      "usage: dcs <command> [--flag value ...]\n\n"
+  std::fprintf(
+      stderr,
+      "usage: dcs <command> [FILE] [--flag value | --flag=value ...]\n\n"
+      "Every command reads one grammar: a flag takes `--flag value` or\n"
+      "`--flag=value`, the last occurrence wins, --self-check is a bare\n"
+      "switch, and any argument a command does not read exits 2.\n\n"
       "commands:\n"
       "  params                         dump the fabric cost model\n"
       "  cache   --scheme AC|BCC|CCWR|MTACC|HYBCC --proxies N --file-kb N\n"
@@ -633,28 +481,23 @@ void usage() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
-    usage();
-    return 1;
-  }
-  const std::string cmd = argv[1];
-  if (cmd == "inspect") return cmd_inspect(argc, argv);
-  if (cmd == "top") return cmd_top(argc, argv);
-  if (cmd == "explain") return cmd_explain(argc, argv);
-  if (cmd == "flame") return cmd_flame(argc, argv);
-  // Only the run commands observe a run, so only they take the
-  // observability flags; to params and wedge those are unknown arguments.
-  const bool observed =
-      cmd == "cache" || cmd == "locks" || cmd == "monitor" || cmd == "storm";
-  obs::HarnessOptions flags;
-  if (observed) flags = obs::extract_harness_flags(argc, argv);
-  const Args args(argc, argv);
+  // The command is the first positional, the offline commands' FILE the
+  // second.
+  const Args args(argc, argv, {"--self-check"});
+  const std::string cmd = args.positional().value_or("");
   if (cmd == "params") return cmd_params(args);
-  if (cmd == "cache") return cmd_cache(args, flags);
-  if (cmd == "locks") return cmd_locks(args, flags);
-  if (cmd == "monitor") return cmd_monitor(args, flags);
-  if (cmd == "storm") return cmd_storm(args, flags);
+  if (cmd == "cache") return cmd_cache(args);
+  if (cmd == "locks") return cmd_locks(args);
+  if (cmd == "monitor") return cmd_monitor(args);
+  if (cmd == "storm") return cmd_storm(args);
   if (cmd == "wedge") return cmd_wedge(args);
+  if (cmd == "inspect") return cmd_inspect(args);
+  if (cmd == "top") return cmd_top(args);
+  if (cmd == "explain") return cmd_explain(args);
+  if (cmd == "flame") return cmd_flame(args);
+  if (!cmd.empty()) {
+    std::fprintf(stderr, "dcs: unknown command '%s'\n", cmd.c_str());
+  }
   usage();
-  return 1;
+  return 2;
 }

@@ -2,7 +2,7 @@
 # Static lint for the repo, two layers:
 #
 #   1. dcs-lint — the in-tree analyzer for the determinism / concurrency /
-#      instrumentation invariants R1-R5 (docs/LINT.md).  Built with the
+#      instrumentation invariants R1-R6 (docs/LINT.md).  Built with the
 #      normal CMake toolchain, so it runs everywhere — including the
 #      GCC-only container image — and never self-skips.
 #   2. clang-tidy — the repo .clang-tidy profile over every translation
