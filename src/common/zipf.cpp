@@ -18,12 +18,26 @@ ZipfSampler::ZipfSampler(std::size_t n, double alpha) : alpha_(alpha) {
   norm_ = running;
   for (auto& v : cdf_) v /= norm_;
   cdf_.back() = 1.0;  // guard against accumulated rounding
+  guide_.resize(n);
+  std::size_t k = 0;
+  for (std::size_t j = 0; j < n; ++j) {
+    const double lo = static_cast<double>(j) / static_cast<double>(n);
+    while (cdf_[k] < lo) ++k;  // stops by cdf_.back() == 1.0 > lo
+    guide_[j] = k;
+  }
 }
 
 std::size_t ZipfSampler::sample(Rng& rng) const {
-  const double u = rng.uniform_double();
-  const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  return static_cast<std::size_t>(std::distance(cdf_.begin(), it));
+  const double u = rng.uniform_double();  // [0, 1)
+  const std::size_t n = cdf_.size();
+  const std::size_t j = std::min(
+      static_cast<std::size_t>(u * static_cast<double>(n)), n - 1);
+  // Rounding in u*n or j/n may start one bucket off; scanning both ways
+  // lands on lower_bound(cdf_, u) exactly.
+  std::size_t k = guide_[j];
+  while (k > 0 && cdf_[k - 1] >= u) --k;
+  while (cdf_[k] < u) ++k;  // stops by cdf_.back() == 1.0 > u
+  return k;
 }
 
 double ZipfSampler::pmf(std::size_t rank) const {

@@ -15,8 +15,11 @@ namespace dcs {
 
 /// Samples ranks 0..n-1 with P(rank k) proportional to 1 / (k+1)^alpha.
 ///
-/// Uses a precomputed CDF with binary search: O(n) setup, O(log n) per draw,
-/// exact distribution (no rejection), deterministic given the Rng stream.
+/// Uses a precomputed CDF and a guide table: guide_[j] is the first CDF
+/// index >= j/n, so a draw u starts at guide_[floor(u*n)] and scans to the
+/// first index whose CDF is >= u.  O(n) setup, O(1) expected per draw, and
+/// every draw equals std::lower_bound(cdf, u): exact distribution (no
+/// rejection), one uniform per draw, deterministic given the Rng stream.
 class ZipfSampler {
  public:
   ZipfSampler(std::size_t n, double alpha);
@@ -26,6 +29,8 @@ class ZipfSampler {
 
   std::size_t size() const { return cdf_.size(); }
   double alpha() const { return alpha_; }
+  /// cdf()[k] = P(rank <= k); a draw u returns lower_bound(cdf(), u).
+  const std::vector<double>& cdf() const { return cdf_; }
 
   /// Probability mass of a single rank (for analytic checks in tests).
   double pmf(std::size_t rank) const;
@@ -34,6 +39,7 @@ class ZipfSampler {
   double alpha_ = 0.0;
   double norm_ = 0.0;             // generalized harmonic number H_{n,alpha}
   std::vector<double> cdf_;       // cdf_[k] = P(rank <= k)
+  std::vector<std::size_t> guide_;  // guide_[j] = first k with cdf_[k] >= j/n
 };
 
 /// A finite request trace of document ranks drawn from a Zipf law, with

@@ -5,13 +5,16 @@
 namespace dcs::fabric {
 
 Fabric::Fabric(sim::Engine& eng, FabricParams params, ClusterSpec spec)
-    : eng_(eng), params_(params) {
+    : eng_(eng),
+      params_(params),
+      arena_(spec.num_nodes * NodeMemory::slice_bytes(spec.mem_per_node)) {
   DCS_CHECK(spec.num_nodes > 0);
+  const std::size_t slice = NodeMemory::slice_bytes(spec.mem_per_node);
   nodes_.reserve(spec.num_nodes);
   for (std::size_t i = 0; i < spec.num_nodes; ++i) {
-    nodes_.push_back(std::make_unique<Node>(eng_, static_cast<NodeId>(i),
-                                            params_, spec.cores_per_node,
-                                            spec.mem_per_node));
+    nodes_.push_back(std::make_unique<Node>(
+        eng_, static_cast<NodeId>(i), params_, spec.cores_per_node,
+        spec.mem_per_node, arena_.data() + i * slice));
   }
 }
 

@@ -4,6 +4,10 @@
 // occupancy), then applies one-way propagation latency.  Everything above —
 // verbs, sockets, services — is built from `wire_transfer` plus host CPU
 // costs charged via Node::execute.
+//
+// The nodes' memories are page-aligned slices of one Arena mapped here, so
+// building and tearing down a fabric costs one mmap and one munmap whatever
+// its size; a slice costs RSS only for the pages simulated DMA touches.
 #pragma once
 
 #include <memory>
@@ -63,6 +67,7 @@ class Fabric {
 
   sim::Engine& eng_;
   FabricParams params_;
+  Arena arena_;  // every node's memory; outlives nodes_
   std::vector<std::unique_ptr<Node>> nodes_;
   std::uint64_t bytes_transferred_ = 0;
 };

@@ -2,19 +2,40 @@
 
 #include <sys/mman.h>
 
+#include <cstring>
+
 namespace dcs::fabric {
 
-NodeMemory::NodeMemory(std::size_t capacity_bytes)
-    : size_(capacity_bytes + kReservedPrefix),
-      arena_(static_cast<std::byte*>(
-          mmap(nullptr, size_, PROT_READ | PROT_WRITE,
+Arena::Arena(std::size_t len)
+    : len_(len),
+      base_(static_cast<std::byte*>(
+          mmap(nullptr, len, PROT_READ | PROT_WRITE,
                MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0))) {
+  DCS_CHECK_MSG(base_ != MAP_FAILED, "cannot map node memory arena");
+  // Advisory: without it, THP `always` would back adjacent node slices
+  // with one 2 MB page and a single touched byte would cost 2 MB of RSS.
+  madvise(base_, len_, MADV_NOHUGEPAGE);
+}
+
+Arena::~Arena() { munmap(base_, len_); }
+
+NodeMemory::NodeMemory(std::size_t capacity_bytes)
+    : NodeMemory(capacity_bytes, nullptr) {}
+
+NodeMemory::NodeMemory(std::size_t capacity_bytes, std::byte* slice)
+    : size_(capacity_bytes + kReservedPrefix),
+      own_(slice == nullptr
+               ? std::make_unique<Arena>(slice_bytes(capacity_bytes))
+               : nullptr),
+      arena_(slice == nullptr ? own_->data() : slice) {
   DCS_CHECK(capacity_bytes > 0);
-  DCS_CHECK_MSG(arena_ != MAP_FAILED, "cannot map node memory arena");
   free_list_.emplace(kReservedPrefix, capacity_bytes);
 }
 
-NodeMemory::~NodeMemory() { munmap(arena_, size_); }
+std::size_t NodeMemory::slice_bytes(std::size_t capacity_bytes) {
+  const std::size_t len = capacity_bytes + kReservedPrefix;
+  return (len + kPage - 1) / kPage * kPage;
+}
 
 MemAddr NodeMemory::allocate(std::size_t len) {
   if (len == 0) return kNullAddr;
@@ -61,13 +82,33 @@ void NodeMemory::coalesce(std::map<MemAddr, std::size_t>::iterator it) {
 
 std::span<std::byte> NodeMemory::bytes(MemAddr addr, std::size_t len) {
   DCS_CHECK_MSG(in_range(addr, len), "out-of-range memory access");
+  if (overlaps_staged(addr, len)) apply_staged();
   return {arena_ + addr, len};
 }
 
 std::span<const std::byte> NodeMemory::bytes(MemAddr addr,
                                              std::size_t len) const {
   DCS_CHECK_MSG(in_range(addr, len), "out-of-range memory access");
+  if (overlaps_staged(addr, len)) apply_staged();
   return {arena_ + addr, len};
+}
+
+void NodeMemory::stage(MemAddr addr, std::span<const std::byte> data) {
+  DCS_CHECK(!data.empty() && data.size() <= kMaxStaged);
+  DCS_CHECK_MSG(in_range(addr, data.size()), "out-of-range memory access");
+  const MemAddr end = addr + data.size();
+  if (staged_end_ != 0 && (addr != staged_addr_ || end != staged_end_)) {
+    apply_staged();
+  }
+  std::memcpy(staged_.data(), data.data(), data.size());
+  staged_addr_ = addr;
+  staged_end_ = end;
+}
+
+void NodeMemory::apply_staged() const {
+  std::memcpy(arena_ + staged_addr_, staged_.data(),
+              staged_end_ - staged_addr_);
+  staged_end_ = 0;
 }
 
 bool NodeMemory::in_range(MemAddr addr, std::size_t len) const {

@@ -7,13 +7,15 @@
 
 namespace dcs::fabric {
 
+static_assert(sizeof(KernelStats) == KernelStats::kSize);
+
 Node::Node(sim::Engine& eng, NodeId id, const FabricParams& params,
-           std::size_t cores, std::size_t mem_bytes)
+           std::size_t cores, std::size_t mem_bytes, std::byte* arena)
     : eng_(eng),
       id_(id),
       params_(params),
       cores_(cores),
-      memory_(mem_bytes),
+      memory_(mem_bytes, arena),
       nic_tx_(eng) {
   DCS_CHECK(cores > 0);
   cores_state_.reserve(cores);
@@ -109,14 +111,14 @@ void Node::remove_service_threads(std::uint64_t n) {
 void Node::sync_kernel_page() {
   // The simulated kernel keeps its scheduler statistics in registered
   // memory, so a remote RDMA read observes them with zero host involvement.
+  // Staged, not written: the arena takes these bytes when first read.
   KernelStats stats;
   stats.runnable = runnable_;
   stats.threads = runnable_ + service_threads_;
   stats.busy_ns = busy_ns_;
   stats.mem_used = memory_.used();
   stats.seq = ++page_seq_;
-  auto dst = memory_.bytes(kernel_page_, KernelStats::kSize);
-  std::memcpy(dst.data(), &stats, KernelStats::kSize);
+  memory_.stage(kernel_page_, std::as_bytes(std::span(&stats, 1)));
 }
 
 KernelStats Node::decode_kernel_page(std::span<const std::byte> bytes) {

@@ -3,6 +3,13 @@
 // registered memory the (simulated) kernel keeps up to date with load
 // statistics, which is what the paper's kernel-assisted RDMA monitoring
 // reads remotely without involving this host's CPU.
+//
+// The kernel page is refreshed on every scheduler event as a staged write
+// (NodeMemory::stage): the snapshot, seq included, is taken at the event,
+// and copied into the arena only when an access overlaps the page.  Every
+// reader — an RDMA read through the HCA, kernel_stats(), a direct
+// memory().bytes() — sees the bytes an eager write would have left, and a
+// node nobody monitors never touches its page.
 #pragma once
 
 #include <cstdint>
@@ -33,8 +40,10 @@ struct KernelStats {
 
 class Node {
  public:
+  /// `arena`: this node's slice of its Fabric's Arena,
+  /// NodeMemory::slice_bytes(mem_bytes) long.
   Node(sim::Engine& eng, NodeId id, const FabricParams& params,
-       std::size_t cores, std::size_t mem_bytes);
+       std::size_t cores, std::size_t mem_bytes, std::byte* arena);
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
 
@@ -100,6 +109,7 @@ class Node {
     std::uint64_t queued = 0;   // jobs bound here (running + waiting)
   };
 
+  /// Stages the current KernelStats (next seq) over the kernel page.
   void sync_kernel_page();
   /// Arrival placement: fewest bound jobs, ties to the lowest index.
   std::size_t pick_core() const;

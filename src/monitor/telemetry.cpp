@@ -110,8 +110,10 @@ TelemetryExporter::TelemetryExporter(verbs::Network& net, NodeId node,
 }
 
 void TelemetryExporter::publish() {
-  // Kernel-context mirror, exactly like fabric::Node::sync_kernel_page():
-  // zero simulated CPU — the whole point of the scheme.
+  // Kernel-context mirror like fabric::Node::sync_kernel_page(): zero
+  // simulated CPU — the whole point of the scheme.  Unlike the kernel page,
+  // written into the arena at once: it is published once per interval, not
+  // on every scheduler event.
   auto page = net_.fabric().node(node_).memory().bytes(region_.addr,
                                                        schema_.page_bytes());
   ++seq_;

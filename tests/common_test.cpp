@@ -2,6 +2,7 @@
 // statistics, the table formatter and the argument reader.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 #include <vector>
@@ -105,6 +106,28 @@ TEST(ZipfTest, AlphaZeroIsUniform) {
 TEST(ZipfTest, HigherAlphaConcentratesMass) {
   ZipfSampler lo(1000, 0.25), hi(1000, 0.9);
   EXPECT_GT(hi.pmf(0), lo.pmf(0));
+}
+
+TEST(ZipfTest, SampleEqualsLowerBoundOfItsCdf) {
+  // The guide-table draw must be the binary search it replaced, for every
+  // uniform the stream yields: same rank, same Rng consumption.
+  constexpr int kDraws = 100000;
+  for (const std::size_t n : {1, 2, 3, 768, 1024, 4097}) {
+    for (const double alpha : {0.0, 0.25, 0.75, 0.9, 1.5}) {
+      const ZipfSampler z(n, alpha);
+      const auto& cdf = z.cdf();
+      Rng rng(n * 31 + static_cast<std::uint64_t>(alpha * 100));
+      Rng ref = rng;
+      int mismatches = 0;
+      for (int i = 0; i < kDraws; ++i) {
+        const double u = ref.uniform_double();
+        const auto want = static_cast<std::size_t>(
+            std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
+        if (z.sample(rng) != want) ++mismatches;
+      }
+      EXPECT_EQ(mismatches, 0) << "n=" << n << " alpha=" << alpha;
+    }
+  }
 }
 
 TEST(ZipfTest, TraceDeterministicAndInRange) {

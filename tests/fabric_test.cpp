@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cstring>
 #include <fstream>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "fabric/fabric.hpp"
+#include "verbs/verbs.hpp"
 
 namespace dcs::fabric {
 namespace {
@@ -220,6 +223,85 @@ TEST(NodeTest, KernelPageMirrorsRunnable) {
   EXPECT_GT(fab.node(0).kernel_stats().seq, 0u);
 }
 
+/// Reads node 0's kernel page both ways a monitor can — one RDMA read from
+/// node 1, then a local kernel_stats() — and checks each against `want`,
+/// the image an eager write on every scheduler event would have left.
+struct PageProbe {
+  Fabric& fab;
+  verbs::Network& net;
+  verbs::RemoteRegion page;
+  std::span<std::byte> dst;  // in node 1's memory
+
+  sim::Task<void> expect(KernelStats want, std::string at) {
+    co_await net.hca(1).read(page, 0, dst);
+    EXPECT_EQ(std::memcmp(dst.data(), &want, KernelStats::kSize), 0)
+        << "RDMA read " << at;
+    const KernelStats local = fab.node(0).kernel_stats();
+    EXPECT_EQ(local.runnable, want.runnable) << at;
+    EXPECT_EQ(local.threads, want.threads) << at;
+    EXPECT_EQ(local.busy_ns, want.busy_ns) << at;
+    EXPECT_EQ(local.mem_used, want.mem_used) << at;
+    EXPECT_EQ(local.seq, want.seq) << at;
+  }
+};
+
+sim::Task<void> walk_kernel_page(PageProbe& probe, Node& host, SimNanos q) {
+  // The constructor allocated the page, then synced once.
+  KernelStats m{.runnable = 0, .threads = 0, .busy_ns = 0,
+                .mem_used = KernelStats::kSize, .seq = 1};
+  co_await probe.expect(m, "fresh");
+
+  // Mid-way through the second of three slices: start + one slice synced.
+  host.engine().spawn(host.execute(2 * q + q / 2));
+  co_await host.engine().delay(q + q / 2);
+  m = {.runnable = 1, .threads = 1, .busy_ns = q, .mem_used = m.mem_used,
+       .seq = m.seq + 2};
+  co_await probe.expect(m, "mid-slice");
+
+  co_await host.engine().delay(2 * q);  // the job is done
+  m = {.runnable = 0, .threads = 0, .busy_ns = 2 * q + q / 2,
+       .mem_used = m.mem_used, .seq = m.seq + 3};
+  co_await probe.expect(m, "after execute");
+
+  host.add_service_threads(3);
+  m.threads = 3;
+  ++m.seq;
+  co_await probe.expect(m, "after add_service_threads");
+
+  host.remove_service_threads(1);
+  m.threads = 2;
+  ++m.seq;
+  co_await probe.expect(m, "after remove_service_threads");
+
+  // allocate() does not sync: the page keeps mem_used as of the last sync.
+  EXPECT_NE(host.memory().allocate(100), kNullAddr);
+  EXPECT_EQ(host.memory().used(), m.mem_used + 100);
+  co_await probe.expect(m, "after allocate");
+
+  co_await host.execute(q / 2);  // start, one slice, end
+  m.busy_ns += q / 2;
+  m.mem_used += 100;
+  m.seq += 3;
+  co_await probe.expect(m, "after the next execute");
+}
+
+TEST(NodeTest, KernelPageBytesMatchEagerMirror) {
+  sim::Engine eng;
+  const FabricParams p;
+  Fabric fab(eng, p, {.num_nodes = 2, .cores_per_node = 1});
+  verbs::Network net(fab);
+  Node& host = fab.node(0);
+  const MemAddr dst = fab.node(1).memory().allocate(KernelStats::kSize);
+  ASSERT_NE(dst, kNullAddr);
+  PageProbe probe{
+      fab, net,
+      net.hca(0).register_region(host.kernel_page_addr(), KernelStats::kSize),
+      fab.node(1).memory().bytes(dst, KernelStats::kSize)};
+  eng.spawn(walk_kernel_page(probe, host, p.sched_quantum));
+  eng.run();
+  EXPECT_EQ(host.kernel_stats().seq, 11u);  // the walk ran to its end
+}
+
 TEST(NodeTest, ServiceThreadsCountedInThreadsNotRunnable) {
   sim::Engine eng;
   Fabric fab(eng, FabricParams{}, {.num_nodes = 1});
@@ -278,6 +360,51 @@ TEST(FabricTest, LoopbackCheaperThanWire) {
   eng.spawn(fab.wire_transfer(0, 0, 8192));
   eng.run();
   EXPECT_LT(eng.now(), p.wire_time(8192) + p.link_latency);
+}
+
+/// Mappings (lines of /proc/self/maps) that overlap [lo, hi).
+std::size_t mappings_overlapping(const std::byte* lo, const std::byte* hi) {
+  std::ifstream maps("/proc/self/maps");
+  std::size_t count = 0;
+  for (std::string line; std::getline(maps, line);) {
+    const std::size_t dash = line.find('-');
+    const auto start = std::stoull(line.substr(0, dash), nullptr, 16);
+    const auto end = std::stoull(line.substr(dash + 1), nullptr, 16);
+    if (start < reinterpret_cast<std::uintptr_t>(hi) &&
+        reinterpret_cast<std::uintptr_t>(lo) < end) {
+      ++count;
+    }
+  }
+  return count;
+}
+
+TEST(FabricTest, OneMappingPerFabric) {
+  // 1024 nodes of 64 KB that nobody reads: their memories lie in one
+  // mapping, and no node's kernel page is ever written, so no arena page
+  // is faulted in.
+  const std::size_t page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  constexpr std::size_t kNodes = 1024;
+  sim::Engine eng;
+  const std::size_t rss_before = resident_bytes();
+  Fabric fab(eng, FabricParams{},
+             {.num_nodes = kNodes, .cores_per_node = 2,
+              .mem_per_node = std::size_t{64} << 10});
+  const std::size_t rss_after = resident_bytes();
+  EXPECT_LT(rss_after, rss_before + kNodes * page)
+      << (rss_after - rss_before) / page << " pages";
+  // bytes() past the kernel page hands out an address without touching it.
+  const std::byte* lo = nullptr;
+  const std::byte* hi = nullptr;
+  for (NodeId n = 0; n < kNodes; ++n) {
+    NodeMemory& mem = fab.node(n).memory();
+    const MemAddr past_page =
+        fab.node(n).kernel_page_addr() + KernelStats::kSize;
+    const std::byte* base = mem.bytes(past_page, 1).data() - past_page;
+    const std::byte* end = base + mem.capacity();
+    if (lo == nullptr || base < lo) lo = base;
+    if (hi == nullptr || end > hi) hi = end;
+  }
+  EXPECT_LE(mappings_overlapping(lo, hi), 2u);
 }
 
 TEST(FabricTest, CountsBytes) {
