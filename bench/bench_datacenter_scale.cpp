@@ -85,18 +85,21 @@ struct ScaleConfig {
   std::uint32_t hot_shard = kNoHotShard;
   std::uint64_t scrape_us = 25;  // telemetry scrape cadence (virtual us)
   std::uint64_t scrapes = 20;    // scrape sweeps per partition
-  /// --timeseries-out / --slo / --postmortem-dir: run the health plane.
+  /// --timeseries-out / --slo / --postmortem-dir: run the health plane
+  /// and attribute the serve path (the hot-key and exemplar slices).
   bool observe = false;
-  bool attribute = false;        // --hotset-out / --exemplars-out / --hot-keys
 };
 
 /// Everything one partition owns: a Fabric slice of the datacenter plus the
 /// services running on it.  Built by the setup factory in the partition's
 /// context and parked there via Shard::keep_alive, so construction and
 /// destruction both happen in that context (the per-partition-context
-/// contract in sim/shard.hpp).
+/// contract in sim/shard.hpp).  The Zipf sampler over the global node
+/// space is the run's one read-only sampler, built on the calling thread
+/// and shared by every partition (ZipfSampler::sample is const).
 struct PartitionHost {
-  PartitionHost(sim::Engine& eng, const ScaleConfig& cfg)
+  PartitionHost(sim::Engine& eng, const ScaleConfig& cfg,
+                const ZipfSampler& zipf_sampler)
       : fab(eng, fabric::FabricParams{},
             {.num_nodes = cfg.nodes / cfg.partitions,
              .cores_per_node = 2,
@@ -104,13 +107,13 @@ struct PartitionHost {
         net(fab),
         substrate(net),
         locks(net, /*home=*/0),
-        zipf(cfg.nodes, cfg.alpha) {}
+        zipf(zipf_sampler) {}
 
   fabric::Fabric fab;
   verbs::Network net;
   ddss::Ddss substrate;
   dlm::NcosedLockManager locks;
-  ZipfSampler zipf;
+  const ZipfSampler& zipf;
   std::vector<ddss::Allocation> allocs;
   /// Per-partition serve-path registry: the telemetry exporter mirrors
   /// THIS registry (not the partition context's one, which every layer
@@ -137,12 +140,13 @@ struct PartitionDump {
   std::vector<obs::AlertEvent> alerts;
   std::uint64_t scrapes = 0;
   std::uint64_t firing = 0;  // (rule, node) pairs firing after the last sweep
-  /// Attribution slice (--hotset-out / --exemplars-out): the serve path
-  /// feeds THESE sketches explicitly, never the partition's ambient hot
-  /// sink, so the pinned dumps hold the serve-path domains alone (the
-  /// ambient DCS_HOT sites of every DDSS, verbs and N-CoSED op would add
-  /// theirs).  Only the owning partition's strands touch its slot, and the
-  /// run's closing barrier publishes the writes to the calling thread.
+  /// Attribution slice (the document's `hotset` and `exemplars` sections):
+  /// the serve path feeds THESE sketches explicitly, never the partition's
+  /// ambient hot sink, so the pinned sections hold the serve-path domains
+  /// alone (the ambient DCS_HOT sites of every DDSS, verbs and N-CoSED op
+  /// would add theirs).  Only the owning partition's strands touch its
+  /// slot, and the run's closing barrier publishes the writes to the
+  /// calling thread.
   obs::HeavyHitters hot;
   trace::ExemplarStore exemplars;
   std::uint64_t serves = 0;
@@ -218,7 +222,7 @@ sim::Task<void> serve_request(sim::Shard& shard,
   if (served_in > kSlowServeNs) host->serve_reg.counter("scale.serve.slow").add(1);
   host->serve_reg.histogram("scale.serve.latency_ns")
       .record(static_cast<std::uint64_t>(served_in));
-  if (cfg.attribute) {
+  if (cfg.observe) {
     PartitionDump& dump = (*slots)[shard.index()];
     dump.hot.record_hot("scale.serve.node", msg.a, 1);
     dump.hot.record_hot("scale.serve.object", msg.a % host->allocs.size(), 1);
@@ -327,8 +331,9 @@ sim::Task<void> boot(sim::Shard& shard, std::shared_ptr<PartitionHost> host,
 }
 
 void setup_partition(sim::Shard& shard, const ScaleConfig& cfg,
-                     const obs::Harness& h, std::vector<PartitionDump>* slots) {
-  auto host = std::make_shared<PartitionHost>(shard.engine(), cfg);
+                     const ZipfSampler& zipf, const obs::Harness& h,
+                     std::vector<PartitionDump>* slots) {
+  auto host = std::make_shared<PartitionHost>(shard.engine(), cfg, zipf);
   host->substrate.start();
   shard.set_handler([host, cfg, slots](sim::Shard& s,
                                        const sim::ShardMsg& msg) {
@@ -358,10 +363,10 @@ std::uint64_t counter_value(const char* name) {
 
 /// Prints the header line, records the run's results once every
 /// partition's registry is collected, and hands the partitions' health
-/// planes and attribution slices to the harness in partition order.  Node
-/// sets are disjoint (each partition ingests under its own index), so —
-/// like the fingerprint — every dump is byte-identical for every --shards
-/// value.
+/// planes, attribution slices included, to the harness in partition
+/// order.  Node sets are disjoint (each partition ingests under its own
+/// index), so — like the fingerprint — the document is byte-identical for
+/// every --shards value.
 void report(obs::ShardedScenario& s, const ScaleConfig& cfg,
             const std::vector<PartitionDump>& slots) {
   sim::ShardedEngine& sharded = s.engine();
@@ -399,8 +404,9 @@ void report(obs::ShardedScenario& s, const ScaleConfig& cfg,
 
   std::uint64_t scrapes = 0, transitions = 0, firing = 0, serves = 0;
   for (const PartitionDump& slot : slots) {
-    if (cfg.observe) s.health(slot.store, slot.alerts);
-    if (cfg.attribute) s.attribution(slot.hot, slot.exemplars);
+    if (cfg.observe) {
+      s.health(slot.store, slot.alerts, slot.hot, slot.exemplars);
+    }
     scrapes += slot.scrapes;
     transitions += slot.alerts.size();
     firing += slot.firing;
@@ -415,8 +421,6 @@ void report(obs::ShardedScenario& s, const ScaleConfig& cfg,
                  " alert transition(s), %" PRIu64 " firing at end, %" PRIu64
                  " flight trip(s)\n",
                  scrapes, transitions, firing, trips);
-  }
-  if (cfg.attribute) {
     std::fprintf(stderr, "  attribution      %" PRIu64 " serve(s) attributed\n",
                  serves);
   }
@@ -459,9 +463,9 @@ int main(int argc, char** argv) {
   // Post-mortems and --slo rules need the health plane's store.
   cfg.observe = !opts.timeseries_out.empty() || !opts.slo_rules.empty() ||
                 !opts.postmortem_dir.empty();
-  cfg.attribute = opts.attribution_mode();
   obs::Harness h("datacenter_scale", opts);
 
+  const ZipfSampler zipf(cfg.nodes, cfg.alpha);
   std::vector<PartitionDump> slots(cfg.partitions);
   const auto m = h.run_sharded(
       "zipf/nodes=" + std::to_string(cfg.nodes),
@@ -469,7 +473,7 @@ int main(int argc, char** argv) {
        .workers = cfg.shards,
        .lookahead = fabric::FabricParams{}.link_latency},
       [&](sim::Shard& shard) {
-        setup_partition(shard, cfg, h, &slots);
+        setup_partition(shard, cfg, zipf, h, &slots);
       },
       [&](obs::ShardedScenario& s) { report(s, cfg, slots); });
   const auto count = [&](const char* name) {

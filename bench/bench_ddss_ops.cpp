@@ -210,9 +210,9 @@ void run_batch_sweep(obs::Harness& h) {
 }
 
 // Zipf-keyed gets over a 64-object working set: the attribution scenario.
-// Under --hotset-out / --hot-keys the harness arms the ambient hot sink,
-// so the DCS_HOT("ddss.object", ...) sites inside the substrate's get
-// path feed the top-K sketch — low Zipf ranks must dominate it.
+// Under --timeseries-out the harness arms the ambient hot sink, so the
+// DCS_HOT("ddss.object", ...) sites inside the substrate's get path feed
+// the top-K sketch — low Zipf ranks must dominate it.
 void run_zipf(obs::Harness& h) {
   h.run("get/zipf", [&](obs::Scenario& s) {
     auto& eng = s.engine();

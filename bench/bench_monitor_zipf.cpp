@@ -94,7 +94,7 @@ double throughput_tps_on(sim::Engine& eng, MonScheme scheme, double alpha,
       while (cur < reqs.size()) {
         const Request r = reqs[cur++];
         // Attribute document heat at dispatch: a no-op unless a hot sink
-        // is armed (--hotset-out / --hot-keys via the bench harness).
+        // is armed (--timeseries-out via the bench harness).
         if (r.doc != kNoDoc) DCS_HOT("monitor.doc", r.doc, 1);
         co_await d.dispatch(r.cpu, r.reply_bytes);
       }
@@ -110,9 +110,9 @@ double throughput_tps_on(sim::Engine& eng, MonScheme scheme, double alpha,
 /// Figure 8b from scenarios "<scheme>/a=<alpha>", one per scheme/alpha
 /// pair, Socket-Async the baseline.  Each reports its TPS and records the
 /// Zipf skew in the wall JSON (`zipf_alpha`), so regressions can be
-/// compared at matched skew.  Under --hotset-out / --hot-keys the harness
-/// arms the ambient hot sink and the dispatch-time DCS_HOT("monitor.doc",
-/// ...) feeds the top-K sketch with document ranks.
+/// compared at matched skew.  Under --timeseries-out the harness arms the
+/// ambient hot sink and the dispatch-time DCS_HOT("monitor.doc", ...)
+/// feeds the top-K sketch with document ranks.
 ///
 /// `cores` > 1 is the --cores-per-node variant (a NEW experiment row; the
 /// single-core Figure 8b is untouched), scenarios "<scheme>/a=<alpha>/

@@ -221,7 +221,8 @@ const std::vector<TraceMacro>& r4_macros() {
       {"DCS_SERIES", 0, -1},
       {"DCS_SLO_NAME", 0, -1},
       // Hot-object attribution: the sketch domain must be a literal, or
-      // the dcs-hotset-v1 dump's domain set depends on runtime strings.
+      // the domain set of the dcs-timeseries-v1 document's `hotset`
+      // section depends on runtime strings.
       {"DCS_HOT", 0, -1},
   };
   return kMacros;

@@ -43,16 +43,20 @@ std::uint64_t field_u64(const Json& row, const char* key) {
   return v != nullptr ? v->u64_or(0) : 0;
 }
 
-// --- self-checks, one per schema ---
+// --- self-checks, one per attribution section ---
 
-int check_hotset(const Json& root, const std::string& file,
+int check_hotset(const Json* section, const std::string& file,
                  std::ostream& err) {
   const auto complain = [&](const std::string& what) {
-    err << "explain: self-check failed: " << file << ": " << what << "\n";
+    err << "explain: self-check failed: " << file << ": hotset: " << what
+        << "\n";
     return 1;
   };
-  const Json* capacity = root.find("capacity");
-  const Json* domains = root.find("domains");
+  if (section == nullptr || section->type != Json::Type::kObject) {
+    return complain("missing section");
+  }
+  const Json* capacity = section->find("capacity");
+  const Json* domains = section->find("domains");
   if (capacity == nullptr || capacity->u64_or(0) == 0) {
     return complain("capacity must be positive");
   }
@@ -109,15 +113,15 @@ int check_hotset(const Json& root, const std::string& file,
   return 0;
 }
 
-int check_exemplars(const Json& root, const std::string& file,
+int check_exemplars(const Json* series, const std::string& file,
                     std::ostream& err) {
   const auto complain = [&](const std::string& what) {
-    err << "explain: self-check failed: " << file << ": " << what << "\n";
+    err << "explain: self-check failed: " << file << ": exemplars: " << what
+        << "\n";
     return 1;
   };
-  const Json* series = root.find("series");
   if (series == nullptr || series->type != Json::Type::kArray) {
-    return complain("missing series array");
+    return complain("missing section");
   }
   std::pair<std::uint64_t, std::string> prev_key;
   bool first_series = true;
@@ -211,8 +215,8 @@ void report_capture(const Json& root, std::ostream& out) {
   if (!any) out << "  (no capture transitions recorded)\n";
 }
 
-void report_hotset(const Json& root, std::size_t top, std::ostream& out) {
-  const Json* domains = root.find("domains");
+void report_hotset(const Json* section, std::size_t top, std::ostream& out) {
+  const Json* domains = section != nullptr ? section->find("domains") : nullptr;
   if (domains == nullptr) return;
   for (const Json& d : domains->items) {
     const Json* name = d.find("domain");
@@ -233,8 +237,7 @@ void report_hotset(const Json& root, std::size_t top, std::ostream& out) {
   }
 }
 
-void report_exemplars(const Json& root, std::size_t top, std::ostream& out) {
-  const Json* series = root.find("series");
+void report_exemplars(const Json* series, std::size_t top, std::ostream& out) {
   if (series == nullptr) return;
   for (const Json& s : series->items) {
     const Json* node = s.find("node");
@@ -274,21 +277,7 @@ int run_explain(const std::string& file, const ExplainOptions& opts,
       rc != 0) {
     return rc;
   }
-  Json hotset, exemplars, postmortem;
-  if (!opts.hotset.empty()) {
-    if (const int rc =
-            load_schema(opts.hotset, "dcs-hotset-v1", &hotset, err);
-        rc != 0) {
-      return rc;
-    }
-  }
-  if (!opts.exemplars.empty()) {
-    if (const int rc = load_schema(opts.exemplars, "dcs-exemplar-v1",
-                                   &exemplars, err);
-        rc != 0) {
-      return rc;
-    }
-  }
+  Json postmortem;
   if (!opts.postmortem.empty()) {
     if (const int rc = load_schema(opts.postmortem, "dcs-postmortem-v1",
                                    &postmortem, err);
@@ -297,22 +286,15 @@ int run_explain(const std::string& file, const ExplainOptions& opts,
     }
   }
 
+  const Json* hotset = timeseries.find("hotset");
+  const Json* exemplars = timeseries.find("exemplars");
   if (opts.self_check) {
-    std::size_t checked = 1;  // the timeseries schema gate already passed
-    if (!opts.hotset.empty()) {
-      if (const int rc = check_hotset(hotset, opts.hotset, err); rc != 0) {
-        return rc;
-      }
-      ++checked;
+    if (const int rc = check_hotset(hotset, file, err); rc != 0) return rc;
+    if (const int rc = check_exemplars(exemplars, file, err); rc != 0) {
+      return rc;
     }
-    if (!opts.exemplars.empty()) {
-      if (const int rc = check_exemplars(exemplars, opts.exemplars, err);
-          rc != 0) {
-        return rc;
-      }
-      ++checked;
-    }
-    if (!opts.postmortem.empty()) ++checked;
+    // The postmortem's schema gate passed when it loaded.
+    const std::size_t checked = opts.postmortem.empty() ? 1 : 2;
     out << "explain: self-check ok: " << checked << " dump(s) validated\n";
     return 0;
   }
@@ -320,8 +302,8 @@ int run_explain(const std::string& file, const ExplainOptions& opts,
   out << "explain (" << file << ")\n\n";
   print_firing_alerts(timeseries.find("alerts"), "rules", std::nullopt, out);
   if (!opts.postmortem.empty()) report_capture(postmortem, out);
-  if (!opts.hotset.empty()) report_hotset(hotset, opts.top, out);
-  if (!opts.exemplars.empty()) report_exemplars(exemplars, opts.top, out);
+  report_hotset(hotset, opts.top, out);
+  report_exemplars(exemplars, opts.top, out);
   return 0;
 }
 

@@ -12,9 +12,6 @@ HarnessOptions harness_flags(const Args& args) {
   opts.trace_out = args.text("--trace-out");
   opts.metrics_out = args.text("--metrics-out");
   opts.postmortem_dir = args.text("--postmortem-dir");
-  opts.exemplars_out = args.text("--exemplars-out");
-  opts.hotset_out = args.text("--hotset-out");
-  opts.hot_keys = args.count<std::size_t>("--hot-keys").value_or(0);
   args.reject_unread();
   return opts;
 }

@@ -5,7 +5,6 @@
 // wins, and anything no getter read exits 2 naming it.
 #pragma once
 
-#include <cstddef>
 #include <string>
 
 #include "common/args.hpp"
@@ -20,11 +19,10 @@ namespace dcs::obs {
 ///   --critical-path FILE    plain-text attribution report
 ///   --metrics-out FILE      metrics registry dump
 ///   --trace-out FILE        Chrome trace_event JSON
-///   --timeseries-out FILE   dcs-timeseries-v1 cluster time-series dump
-///   --slo FILE              SLO rule file evaluated against the dump
-///   --exemplars-out FILE    dcs-exemplar-v1 tail-exemplar dump
-///   --hotset-out FILE       dcs-hotset-v1 hot-key sketch dump
-///   --hot-keys N            print the top-N hot-key table per domain
+///   --timeseries-out FILE   dcs-timeseries-v1 health document: the
+///                           cluster time-series, the alerts, the hot-key
+///                           tables and the tail exemplars
+///   --slo FILE              SLO rule file evaluated against the series
 ///   --postmortem-dir DIR    arm a flight recorder around every scenario
 struct HarnessOptions {
   std::string bench_json;     // canonical BENCH_<name>.json
@@ -32,14 +30,9 @@ struct HarnessOptions {
   std::string critical_path;  // plain-text attribution report
   std::string timeseries_out; // dcs-timeseries-v1 dump (obs/timeseries.hpp)
   std::string slo_rules;      // SLO rule file (obs/slo.hpp syntax)
-  std::string exemplars_out;  // dcs-exemplar-v1 dump (trace/exemplar.hpp)
-  std::string hotset_out;     // dcs-hotset-v1 dump (obs/heavy.hpp)
   std::string trace_out;      // Chrome trace_event JSON file
   std::string metrics_out;    // plain-text metrics dump file
   std::string postmortem_dir; // flight-recorder dump directory
-  /// --hot-keys N: print the top-N entries of every DCS_HOT domain after
-  /// the run (0 = no table).  Independent of --hotset-out.
-  std::size_t hot_keys = 0;
 
   /// Any observability flag given: the harness installs a tracer around
   /// every scenario.
@@ -47,20 +40,13 @@ struct HarnessOptions {
     return !bench_json.empty() || !wall_json.empty() ||
            !critical_path.empty() || !metrics_out.empty() ||
            !trace_out.empty() || !timeseries_out.empty() ||
-           !slo_rules.empty() || !postmortem_dir.empty() ||
-           attribution_mode();
-  }
-  /// Hot-key / exemplar attribution requested (a HeavyHitters sink is
-  /// installed around every scenario and exemplars are retained).
-  bool attribution_mode() const {
-    return !exemplars_out.empty() || !hotset_out.empty() || hot_keys > 0;
+           !slo_rules.empty() || !postmortem_dir.empty();
   }
 };
 
 /// Reads every flag above from `args` (both `--flag value` and
 /// `--flag=value`), then rejects what no getter read (Args::reject_unread):
-/// a binary with flags of its own reads them first.  Exits 2 on a
-/// malformed --hot-keys value.
+/// a binary with flags of its own reads them first.
 HarnessOptions harness_flags(const Args& args);
 
 }  // namespace dcs::obs

@@ -107,6 +107,9 @@ std::map<std::string, double> Harness::run(
   }
   eng.time_host_runs(true);
   Scenario ctx(eng);
+  // The health document carries the attribution sections, so writing it
+  // arms the hot sink and the exemplar store.
+  const bool attribute = !opts_.timeseries_out.empty();
   // dcs-lint: allow(R1, host wall time only feeds the dcs-bench-wall-v1
   // report, which is outside the byte-stability contract; no sim-visible
   // state reads this clock)
@@ -114,7 +117,7 @@ std::map<std::string, double> Harness::run(
   {
     // DCS_HOT sites in ddss/dlm/verbs feed the shared sketch while the
     // body runs; without attribution the sites stay one disarmed branch.
-    trace::ScopedHotSink hot_sink(opts_.attribution_mode() ? &hot_ : nullptr);
+    trace::ScopedHotSink hot_sink(attribute ? &hot_ : nullptr);
     body(ctx);
   }
   // dcs-lint: allow(R1, end of the wall-time window opened above)
@@ -149,7 +152,7 @@ std::map<std::string, double> Harness::run(
   }
   if (trace_ != nullptr) trace_->add(tracer, scenario);
   const trace::CriticalPath cp(tracer);
-  if (opts_.attribution_mode()) {
+  if (attribute) {
     // Every traced request becomes an exemplar candidate: the scenario
     // ordinal stands in as the node id (as in the time-series ingest) and
     // the request name keys the series.
@@ -279,17 +282,15 @@ std::map<std::string, double> Harness::record(Snapshot snap) {
 }
 
 void ShardedScenario::health(const TimeSeriesStore& store,
-                             const std::vector<AlertEvent>& alerts) {
+                             const std::vector<AlertEvent>& alerts,
+                             const HeavyHitters& hot,
+                             const trace::ExemplarStore& exemplars) {
   TimeSeriesStore& mine = harness_.store_;
   if (mine.all().empty()) mine = TimeSeriesStore(store.config());
   mine.merge(store);
   harness_.alerts_.insert(harness_.alerts_.end(), alerts.begin(),
                           alerts.end());
   harness_.rules_evaluated_ = true;
-}
-
-void ShardedScenario::attribution(const HeavyHitters& hot,
-                                  const trace::ExemplarStore& exemplars) {
   harness_.hot_.merge(hot);
   harness_.exemplars_.merge(exemplars);
 }
@@ -405,25 +406,9 @@ int Harness::finish() {
     ok &= write_dump(opts_.timeseries_out,
                      std::to_string(store_.all().size()) + " series",
                      [&](std::ostream& os) {
-                       write_timeseries_json(os, store_, slo.alerts());
+                       write_timeseries_json(os, store_, slo.alerts(), hot_,
+                                             exemplars_);
                      });
-  }
-  ok &= write_dump(opts_.hotset_out, "hotset",
-                   [this](std::ostream& os) { write_hotset_json(os, hot_); });
-  ok &= write_dump(opts_.exemplars_out, "exemplars", [this](std::ostream& os) {
-    trace::write_exemplar_json(os, exemplars_);
-  });
-  if (opts_.hot_keys > 0) {
-    for (const std::string& domain : hot_.domains()) {
-      std::printf("hot %s (total=%llu):\n", domain.c_str(),
-                  static_cast<unsigned long long>(hot_.total(domain)));
-      for (const HotEntry& e : hot_.top(domain, opts_.hot_keys)) {
-        std::printf("  key=%llu count=%llu error=%llu\n",
-                    static_cast<unsigned long long>(e.key),
-                    static_cast<unsigned long long>(e.count),
-                    static_cast<unsigned long long>(e.error));
-      }
-    }
   }
   if (lost_dumps_ > 0) {
     std::fprintf(stderr, "bench: %llu post-mortem dump(s) lost\n",

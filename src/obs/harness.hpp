@@ -24,11 +24,13 @@
 //   --trace-out         one Chrome trace; each scenario's nodes are their
 //                       own processes, labelled with the scenario name
 //                       (and "/p<k>" for partition k of a sharded one)
-//   --timeseries-out    dcs-timeseries-v1 store (scenario ordinal = node;
-//                       a sharded scenario's partition index = node)
+//   --timeseries-out    dcs-timeseries-v1 health document: the series
+//                       store (scenario ordinal = node; a sharded
+//                       scenario's partition index = node), its alerts,
+//                       and the attribution sections: the DCS_HOT sketch
+//                       (`hotset`) and the tail exemplars (`exemplars`)
 //   --slo               rules evaluated against that store (per sweep, in
 //                       a sharded scenario's partitions); alerts to stderr
-//   --hotset-out, --exemplars-out, --hot-keys   DCS_HOT / exemplar sinks
 //
 // Output is byte-deterministic for same-seed runs: scenarios appear in run
 // order, maps in sorted order, and every number prints with fixed
@@ -112,10 +114,10 @@ class Harness;
 /// finished run, every partition's registry already collected, plus sinks
 /// for what the bench merged across partitions in partition order.  The
 /// harness traces and flight-records each partition itself; the health
-/// plane and the attribution slices are the bench's own, kept per
-/// partition and handed over here.  They stay explicit so that the dumps
-/// hold what the bench pins: the ambient DCS_HOT sites of every DDSS,
-/// verbs and N-CoSED op would add domains to --hotset-out.
+/// plane, with its attribution slices, is the bench's own, kept per
+/// partition and handed over here.  The slices stay explicit so that the
+/// document holds what the bench pins: the ambient DCS_HOT sites of every
+/// DDSS, verbs and N-CoSED op would add domains to its `hotset` section.
 class ShardedScenario {
  public:
   ShardedScenario(Harness& harness, sim::ShardedEngine& eng)
@@ -128,17 +130,15 @@ class ShardedScenario {
   void metric(const std::string& name, double value) {
     metrics_[name] = value;
   }
-  /// Hands over the health plane: a time-series store keyed by partition
-  /// index and its alert stream (the partitions evaluated
-  /// Harness::slo_rules() per sweep, so finish() evaluates none itself).
-  /// --timeseries-out writes the store and the alerts print on stderr.
-  /// The first store handed over sets the dump's window.
+  /// Hands over one partition's health plane: a time-series store keyed
+  /// by partition index, its alert stream (the partitions evaluated
+  /// Harness::slo_rules() per sweep, so finish() evaluates none itself),
+  /// its hot-key sketch and its exemplars.  --timeseries-out writes them
+  /// all in one document and the alerts print on stderr.  The first store
+  /// handed over sets the document's window.
   void health(const TimeSeriesStore& store,
-              const std::vector<AlertEvent>& alerts);
-  /// Hands over the hot-key sketch and exemplars (--hotset-out,
-  /// --exemplars-out, --hot-keys).
-  void attribution(const HeavyHitters& hot,
-                   const trace::ExemplarStore& exemplars);
+              const std::vector<AlertEvent>& alerts, const HeavyHitters& hot,
+              const trace::ExemplarStore& exemplars);
 
  private:
   friend class Harness;
@@ -180,8 +180,8 @@ class Harness {
   /// proceeds as in run(), except that the registry is not ingested into
   /// the time-series store, whose node ids are the partitions'
   /// (ShardedScenario::health), and that no exemplar is taken from the
-  /// traces (ShardedScenario::attribution).  Returns the metrics `report`
-  /// recorded.
+  /// traces (the partitions hand theirs over with the health plane).
+  /// Returns the metrics `report` recorded.
   std::map<std::string, double> run_sharded(
       const std::string& scenario, const sim::ShardedEngine::Spec& spec,
       const std::function<void(sim::Shard&)>& setup,
@@ -238,11 +238,11 @@ class Harness {
   /// start; the other files are written whole by finish().
   std::ofstream trace_file_;
   std::unique_ptr<trace::ChromeTrace> trace_;
-  /// Attribution sinks, fed across scenarios: the hot sink is installed in
-  /// the caller's execution context around each body; exemplars ingest
-  /// from the tracer's per-request critical paths after each scenario.
-  /// Sharded scenarios hand theirs over instead
-  /// (ShardedScenario::attribution).
+  /// Attribution sinks, fed across scenarios under --timeseries-out: the
+  /// hot sink is installed in the caller's execution context around each
+  /// body; exemplars ingest from the tracer's per-request critical paths
+  /// after each scenario.  Sharded scenarios hand theirs over instead
+  /// (ShardedScenario::health).
   HeavyHitters hot_;
   trace::ExemplarStore exemplars_;
   std::uint64_t lost_dumps_ = 0;  // post-mortems no recorder could write

@@ -89,31 +89,30 @@ void HeavyHitters::merge(const HeavyHitters& other) {
   }
 }
 
-void write_hotset_json(std::ostream& os, const HeavyHitters& hh) {
+void write_hotset_section(std::ostream& os, const HeavyHitters& hh) {
   os << "{\n";
-  os << "  \"schema\": \"dcs-hotset-v1\",\n";
-  os << "  \"capacity\": " << hh.capacity() << ",\n";
-  os << "  \"domains\": [";
+  os << "    \"capacity\": " << hh.capacity() << ",\n";
+  os << "    \"domains\": [";
   bool first_domain = true;
   for (const std::string& name : hh.domains()) {
     os << (first_domain ? "\n" : ",\n");
     first_domain = false;
-    os << "    {\n";
-    os << "      \"domain\": \"" << name << "\",\n";
-    os << "      \"total\": " << hh.total(name) << ",\n";
-    os << "      \"entries\": [";
+    os << "      {\n";
+    os << "        \"domain\": \"" << name << "\",\n";
+    os << "        \"total\": " << hh.total(name) << ",\n";
+    os << "        \"entries\": [";
     bool first_entry = true;
     for (const HotEntry& e : hh.top(name, hh.capacity())) {
       os << (first_entry ? "\n" : ",\n");
       first_entry = false;
-      os << "        { \"key\": " << e.key << ", \"count\": " << e.count
+      os << "          { \"key\": " << e.key << ", \"count\": " << e.count
          << ", \"error\": " << e.error << " }";
     }
-    os << (first_entry ? "]\n" : "\n      ]\n");
-    os << "    }";
+    os << (first_entry ? "]\n" : "\n        ]\n");
+    os << "      }";
   }
-  os << (first_domain ? "]\n" : "\n  ]\n");
-  os << "}\n";
+  os << (first_domain ? "]\n" : "\n    ]\n");
+  os << "  }";
 }
 
 }  // namespace dcs::obs

@@ -12,7 +12,7 @@
 // Merging two sketches sums counts and errors per key, then re-truncates
 // to capacity.  Merge is performed on the main thread in partition order
 // (partition 0..P-1), the same discipline as TimeSeriesStore::merge, so
-// sharded runs produce dumps byte-identical to the --shards=1 oracle.
+// sharded runs produce sections byte-identical to the --shards=1 oracle.
 #pragma once
 
 #include <cstdint>
@@ -78,8 +78,10 @@ class HeavyHitters final : public trace::HotSink {
   std::map<std::string, Sketch, std::less<>> domains_;
 };
 
-/// Writes the byte-stable `dcs-hotset-v1` document: domains in
-/// lexicographic order, entries in report order (count desc, key asc).
-void write_hotset_json(std::ostream& os, const HeavyHitters& hh);
+/// Writes the byte-stable `hotset` section of the dcs-timeseries-v1
+/// document (write_timeseries_json): the object holding `capacity` and the
+/// `domains` array, domains in lexicographic order, entries in report
+/// order (count desc, key asc).
+void write_hotset_section(std::ostream& os, const HeavyHitters& hh);
 
 }  // namespace dcs::obs

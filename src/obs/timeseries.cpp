@@ -6,14 +6,12 @@
 
 #include "common/check.hpp"
 #include "common/json.hpp"
+#include "obs/heavy.hpp"
 #include "obs/slo.hpp"
+#include "trace/exemplar.hpp"
 #include "trace/trace.hpp"
 
 namespace dcs::obs {
-
-namespace {
-
-}  // namespace
 
 const char* to_string(SeriesKind kind) {
   switch (kind) {
@@ -250,7 +248,9 @@ std::uint64_t TimeSeriesStore::quantile(std::uint32_t node,
 }
 
 void write_timeseries_json(std::ostream& os, const TimeSeriesStore& store,
-                           const std::vector<AlertEvent>& alerts) {
+                           const std::vector<AlertEvent>& alerts,
+                           const HeavyHitters& hot,
+                           const trace::ExemplarStore& exemplars) {
   os << "{\n  \"schema\": \"dcs-timeseries-v1\",\n"
      << "  \"window_ns\": " << store.config().window << ",\n"
      << "  \"retention\": " << store.config().retention << ",\n"
@@ -292,7 +292,11 @@ void write_timeseries_json(std::ostream& os, const TimeSeriesStore& store,
        << "\", \"value\": " << fmt_fixed(a.value, 3)
        << ", \"threshold\": " << fmt_fixed(a.threshold, 3) << "}";
   }
-  os << "\n  ]\n}\n";
+  os << "\n  ],\n  \"hotset\": ";
+  write_hotset_section(os, hot);
+  os << ",\n  \"exemplars\": ";
+  trace::write_exemplar_section(os, exemplars);
+  os << "\n}\n";
 }
 
 }  // namespace dcs::obs

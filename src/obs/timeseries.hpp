@@ -34,6 +34,7 @@
 #include "monitor/telemetry_schema.hpp"
 
 namespace dcs::trace {
+class ExemplarStore;
 class Registry;
 }  // namespace dcs::trace
 
@@ -130,11 +131,17 @@ class TimeSeriesStore {
   std::map<Key, Series> series_;
 };
 
-struct AlertEvent;  // obs/slo.hpp
+struct AlertEvent;    // obs/slo.hpp
+class HeavyHitters;   // obs/heavy.hpp
 
-/// Byte-stable `dcs-timeseries-v1` dump: config, every series with its
-/// retained windows sorted by (node, name), and the alert-event stream.
+/// Byte-stable `dcs-timeseries-v1` document, one run's health: config,
+/// every series with its retained windows sorted by (node, name), the
+/// alert-event stream, then the attribution sections — `hotset`, the
+/// hot-key sketches (write_hotset_section), and `exemplars`, the tail
+/// exemplars (trace::write_exemplar_section).
 void write_timeseries_json(std::ostream& os, const TimeSeriesStore& store,
-                           const std::vector<AlertEvent>& alerts);
+                           const std::vector<AlertEvent>& alerts,
+                           const HeavyHitters& hot,
+                           const trace::ExemplarStore& exemplars);
 
 }  // namespace dcs::obs

@@ -73,10 +73,8 @@ std::vector<ExemplarStore::SeriesView> ExemplarStore::all() const {
   return out;
 }
 
-void write_exemplar_json(std::ostream& os, const ExemplarStore& store) {
-  os << "{\n";
-  os << "  \"schema\": \"dcs-exemplar-v1\",\n";
-  os << "  \"series\": [";
+void write_exemplar_section(std::ostream& os, const ExemplarStore& store) {
+  os << "[";
   bool first_series = true;
   for (const auto& view : store.all()) {
     os << (first_series ? "\n" : ",\n");
@@ -105,8 +103,7 @@ void write_exemplar_json(std::ostream& os, const ExemplarStore& store) {
     os << (first_bucket ? "]\n" : "\n      ]\n");
     os << "    }";
   }
-  os << (first_series ? "]\n" : "\n  ]\n");
-  os << "}\n";
+  os << (first_series ? "]" : "\n  ]");
 }
 
 }  // namespace dcs::trace

@@ -11,7 +11,7 @@
 // counts sum, and the retained exemplar is the argmax by (max_ns desc,
 // request asc) — so the merged result is independent of how observations
 // were grouped into partitions.  Sharded benches merge per-partition
-// stores on the main thread in partition order and get dumps
+// stores on the main thread in partition order and get sections
 // byte-identical to the --shards=1 oracle.
 #pragma once
 
@@ -63,16 +63,15 @@ class ExemplarStore {
   /// All series in (node, name) order, buckets ascending.
   std::vector<SeriesView> all() const;
 
-  bool empty() const { return series_.empty(); }
-
  private:
   using Key = std::pair<std::uint32_t, std::string>;
   // bucket index -> cell; std::map keeps dump order deterministic.
   std::map<Key, std::map<std::uint32_t, ExemplarBucket>> series_;
 };
 
-/// Writes the byte-stable `dcs-exemplar-v1` document: series in (node,
-/// name) order, buckets ascending, cost split in Cost enum order.
-void write_exemplar_json(std::ostream& os, const ExemplarStore& store);
+/// Writes the byte-stable `exemplars` section of the dcs-timeseries-v1
+/// document (obs/timeseries.hpp): the array of series in (node, name)
+/// order, buckets ascending, cost split in Cost enum order.
+void write_exemplar_section(std::ostream& os, const ExemplarStore& store);
 
 }  // namespace dcs::trace

@@ -15,7 +15,7 @@
 //   - with tracing compiled in but no sink installed, one context lookup
 //     and one predictable branch per site;
 //   - the domain argument must be a string literal (dcs-lint rule R4), so
-//     hot-set dumps stay grep-able and byte-stable.
+//     hot-key sections stay grep-able and byte-stable.
 //
 // The sink pointer lives in the execution context (sim/context.hpp), like
 // the trace record stream's sink set (trace::detail::Sinks): a sink
@@ -24,7 +24,7 @@
 // its own, so a sink installed there would see that partition alone; the
 // harness still installs none in sharded runs, because these sites fire on
 // every DDSS, verbs and N-CoSED op and would add their domains to the
-// pinned hot-set dumps.  Sharded attribution uses explicit per-partition
+// pinned `hotset` sections.  Sharded attribution uses explicit per-partition
 // sketches fed from the serve path instead (the same idiom as the
 // per-partition serve registry in bench_datacenter_scale).
 #pragma once

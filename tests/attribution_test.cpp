@@ -2,7 +2,7 @@
 // its ambient sink, the space-saving top-K sketch against an exact-count
 // oracle under Zipf keys, the exemplar store's grouping-independent merge,
 // sampled vs trigger-armed full flight capture, the SloEngine arm/disarm
-// transitions, and `dcs explain --self-check` over generated dumps.  The
+// transitions, and `dcs explain --self-check` over generated documents.  The
 // sharded byte-identity side lives in hot_shard_test.cpp.
 #include <gtest/gtest.h>
 
@@ -109,10 +109,10 @@ TEST(HeavyHittersTest, SameStreamProducesByteIdenticalDumps) {
   feed(a);
   feed(b);
   std::ostringstream da, db;
-  obs::write_hotset_json(da, a);
-  obs::write_hotset_json(db, b);
+  obs::write_hotset_section(da, a);
+  obs::write_hotset_section(db, b);
   EXPECT_EQ(da.str(), db.str());
-  EXPECT_NE(da.str().find("\"schema\": \"dcs-hotset-v1\""), std::string::npos);
+  EXPECT_NE(da.str().find("\"domain\": \"obj\""), std::string::npos);
 }
 
 TEST(HeavyHittersTest, MergeOfDisjointPartitionsEqualsTheUnion) {
@@ -128,8 +128,8 @@ TEST(HeavyHittersTest, MergeOfDisjointPartitionsEqualsTheUnion) {
   merged.merge(p0);
   merged.merge(p1);
   std::ostringstream dw, dm;
-  obs::write_hotset_json(dw, whole);
-  obs::write_hotset_json(dm, merged);
+  obs::write_hotset_section(dw, whole);
+  obs::write_hotset_section(dm, merged);
   EXPECT_EQ(dm.str(), dw.str());
   EXPECT_EQ(merged.total("d"), whole.total("d"));
 }
@@ -203,8 +203,8 @@ TEST(ExemplarStoreTest, TiesBreakTowardTheSmallerRequestId) {
 
 TEST(ExemplarStoreTest, MergeIsGroupingIndependent) {
   // The same observation stream split into 1, 2 and 3 stores must merge to
-  // byte-identical dcs-exemplar-v1 dumps — the property that makes the
-  // sharded dumps independent of --shards.
+  // byte-identical `exemplars` sections — the property that makes the
+  // sharded document independent of --shards.
   struct Obs {
     std::uint32_t node;
     SimNanos ns;
@@ -226,12 +226,11 @@ TEST(ExemplarStoreTest, MergeIsGroupingIndependent) {
     ExemplarStore merged;
     for (const auto& s : stores) merged.merge(s);
     std::ostringstream os;
-    trace::write_exemplar_json(os, merged);
+    trace::write_exemplar_section(os, merged);
     return os.str();
   };
   const std::string oracle = dump_of(1);
-  EXPECT_NE(oracle.find("\"schema\": \"dcs-exemplar-v1\""),
-            std::string::npos);
+  EXPECT_NE(oracle.find("\"name\": \"serve\""), std::string::npos);
   EXPECT_EQ(dump_of(2), oracle);
   EXPECT_EQ(dump_of(3), oracle);
 }
@@ -424,8 +423,6 @@ TEST(ExplainTest, SelfCheckValidatesGeneratedDumps) {
   TimeSeriesStore store({.window = 1000, .retention = 16});
   PairFeeder feed(store);
   feed.window(25.0);
-  std::ostringstream ts;
-  obs::write_timeseries_json(ts, store, {});
 
   HeavyHitters hh(4);
   Rng rng(3);
@@ -433,32 +430,23 @@ TEST(ExplainTest, SelfCheckValidatesGeneratedDumps) {
   for (int i = 0; i < 300; ++i) {
     hh.record_hot("obj", static_cast<std::uint64_t>(zipf.sample(rng)), 1);
   }
-  std::ostringstream hot;
-  obs::write_hotset_json(hot, hh);
-
   ExemplarStore ex;
   ex.record(0, "lat", 1500, 42, split_of(900, 600));
   ex.record(0, "lat", 90000, 43, split_of(80000, 10000));
-  std::ostringstream exd;
-  trace::write_exemplar_json(exd, ex);
 
+  std::ostringstream ts;
+  obs::write_timeseries_json(ts, store, {}, hh, ex);
+  const std::string doc = write_temp("explain_ts.json", ts.str());
   obs::ExplainOptions opts;
   opts.self_check = true;
-  opts.hotset = write_temp("explain_hot.json", hot.str());
-  opts.exemplars = write_temp("explain_ex.json", exd.str());
   std::ostringstream out, err;
-  EXPECT_EQ(obs::run_explain(write_temp("explain_ts.json", ts.str()), opts,
-                             out, err),
-            0)
-      << err.str();
+  EXPECT_EQ(obs::run_explain(doc, opts, out, err), 0) << err.str();
   EXPECT_NE(out.str().find("self-check ok"), std::string::npos);
 
   // The report path names the sketch's hot keys in greppable rows.
   opts.self_check = false;
   std::ostringstream report;
-  EXPECT_EQ(obs::run_explain(write_temp("explain_ts.json", ts.str()), opts,
-                             report, err),
-            0);
+  EXPECT_EQ(obs::run_explain(doc, opts, report, err), 0);
   EXPECT_NE(report.str().find("hot obj"), std::string::npos);
   EXPECT_NE(report.str().find("key=0 "), std::string::npos);
   EXPECT_NE(report.str().find("request=43"), std::string::npos);
@@ -469,20 +457,46 @@ TEST(ExplainTest, SelfCheckRejectsCorruptHotset) {
   PairFeeder feed(store);
   feed.window(1.0);
   std::ostringstream ts;
-  obs::write_timeseries_json(ts, store, {});
-  // Sketch invariant broken: entry counts (3) do not sum to total (99).
-  const std::string bad =
-      "{\n  \"schema\": \"dcs-hotset-v1\",\n  \"capacity\": 4,\n"
-      "  \"domains\": [{ \"domain\": \"d\", \"total\": 99,\n"
-      "    \"entries\": [{ \"key\": 1, \"count\": 3, \"error\": 0 }] }]\n}\n";
-  obs::ExplainOptions opts;
-  opts.self_check = true;
-  opts.hotset = write_temp("explain_bad_hot.json", bad);
-  std::ostringstream out, err;
-  EXPECT_EQ(obs::run_explain(write_temp("explain_ts2.json", ts.str()), opts,
-                             out, err),
-            1);
-  EXPECT_NE(err.str().find("total"), std::string::npos);
+  obs::write_timeseries_json(ts, store, {}, HeavyHitters(4), ExemplarStore{});
+  // The document up to the end of its alerts, then the sections under test.
+  const std::string full = ts.str();
+  const std::string head = full.substr(0, full.find(",\n  \"hotset\""));
+  const auto doc = [&head](const std::string& hotset,
+                           const std::string& exemplars) {
+    return head + ",\n  \"hotset\": " + hotset + ",\n  \"exemplars\": " +
+           exemplars + "\n}\n";
+  };
+  const std::string good_hot = "{\"capacity\": 4, \"domains\": []}";
+  const struct {
+    std::string body;
+    std::string error;
+  } cases[] = {
+      // Sketch invariant broken: entry counts (3) do not sum to total (99).
+      {doc("{\"capacity\": 4, \"domains\": [{ \"domain\": \"d\", "
+           "\"total\": 99,\n  \"entries\": [{ \"key\": 1, \"count\": 3, "
+           "\"error\": 0 }] }]}",
+           "[]"),
+       "hotset: entry counts do not sum to total in d"},
+      // Bucket invariant broken: 1500 ns lies in log2 bucket 11, not 3.
+      {doc(good_hot,
+           "[{\"node\": 0, \"name\": \"lat\", \"buckets\": [{ \"bucket\": 3, "
+           "\"count\": 1, \"max_ns\": 1500, \"request\": 42, "
+           "\"critical_path_ns\": {\"host-cpu\": 1500, \"attributed\": 1500} "
+           "}]}]"),
+       "exemplars: exemplar latency outside its bucket in lat"},
+      // A document without its attribution sections.
+      {head + "\n}\n", "hotset: missing section"},
+  };
+  for (const auto& c : cases) {
+    obs::ExplainOptions opts;
+    opts.self_check = true;
+    std::ostringstream out, err;
+    EXPECT_EQ(obs::run_explain(write_temp("explain_bad.json", c.body), opts,
+                               out, err),
+              1)
+        << c.error;
+    EXPECT_NE(err.str().find(c.error), std::string::npos) << err.str();
+  }
 }
 
 TEST(ExplainTest, UnknownSchemaIsALoadError) {

@@ -266,29 +266,6 @@ class SchemaGateTest(unittest.TestCase):
             benches = bench_compare.load_benches(tmp)
             self.assertEqual(set(benches), {"ok"})
 
-    def test_exemplar_schema_is_noted_and_skipped(self):
-        with tempfile.TemporaryDirectory() as tmp:
-            tmp = pathlib.Path(tmp)
-            self._write(tmp, "BENCH_exemplars.json",
-                        {"schema": "dcs-exemplar-v1", "series": []})
-            self._write(tmp, "BENCH_ok.json",
-                        {"schema": "dcs-bench-v1", "bench": "ok",
-                         "scenarios": {}})
-            benches = bench_compare.load_benches(tmp)
-            self.assertEqual(set(benches), {"ok"})
-
-    def test_hotset_schema_is_noted_and_skipped(self):
-        with tempfile.TemporaryDirectory() as tmp:
-            tmp = pathlib.Path(tmp)
-            self._write(tmp, "BENCH_hotset.json",
-                        {"schema": "dcs-hotset-v1", "capacity": 32,
-                         "domains": []})
-            self._write(tmp, "BENCH_ok.json",
-                        {"schema": "dcs-bench-v1", "bench": "ok",
-                         "scenarios": {}})
-            benches = bench_compare.load_benches(tmp)
-            self.assertEqual(set(benches), {"ok"})
-
     def test_sibling_bench_schema_is_skipped_not_fatal(self):
         with tempfile.TemporaryDirectory() as tmp:
             tmp = pathlib.Path(tmp)
@@ -298,15 +275,19 @@ class SchemaGateTest(unittest.TestCase):
             self.assertEqual(bench_compare.load_benches(tmp), {})
 
     def test_unknown_schema_is_a_hard_error(self):
-        with tempfile.TemporaryDirectory() as tmp:
-            tmp = pathlib.Path(tmp)
-            self._write(tmp, "BENCH_future.json",
-                        {"schema": "dcs-bench-v9", "bench": "f",
-                         "scenarios": {}})
-            with self.assertRaises(bench_compare.CompareError) as ctx:
-                bench_compare.load_benches(tmp)
-            self.assertIn("unknown schema", str(ctx.exception))
-            self.assertIn("dcs-bench-v9", str(ctx.exception))
+        # A future version, and the two attribution schemas the health
+        # document (dcs-timeseries-v1) replaced.
+        for schema in ("dcs-bench-v9", "dcs-exemplar-v1", "dcs-hotset-v1"):
+            with self.subTest(schema=schema), \
+                    tempfile.TemporaryDirectory() as tmp:
+                tmp = pathlib.Path(tmp)
+                self._write(tmp, "BENCH_future.json",
+                            {"schema": schema, "bench": "f",
+                             "scenarios": {}})
+                with self.assertRaises(bench_compare.CompareError) as ctx:
+                    bench_compare.load_benches(tmp)
+                self.assertIn("unknown schema", str(ctx.exception))
+                self.assertIn(schema, str(ctx.exception))
 
 
 if __name__ == "__main__":

@@ -331,9 +331,16 @@ TEST(ArgsDeathTest, RejectUnreadNamesTheFirstOffendingToken) {
 
 TEST(ArgsDeathTest, BadValuesExitTwoNamingTheFlag) {
   const Args args = args_of({"tool", "--nodes=0", "--ring", "300",
-                             "--mode", "foo"});
+                             "--mode", "foo", "--top", "abc", "--keys=-1"});
   EXPECT_EXIT((void)args.count<int>("--nodes", 1), ::testing::ExitedWithCode(2),
               "--nodes: expected an integer >= 1, got '0'");
+  // An unsigned count never wraps a negative value.
+  EXPECT_EXIT((void)args.count<std::size_t>("--top"),
+              ::testing::ExitedWithCode(2),
+              "--top: expected a non-negative integer, got 'abc'");
+  EXPECT_EXIT((void)args.count<std::size_t>("--keys"),
+              ::testing::ExitedWithCode(2),
+              "--keys: expected a non-negative integer, got '-1'");
   EXPECT_EXIT((void)args.count<std::uint8_t>("--ring"),
               ::testing::ExitedWithCode(2),
               "--ring: expected an integer <= 255, got '300'");

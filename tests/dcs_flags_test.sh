@@ -7,7 +7,9 @@
 # coroutine each are capped so a run has at most 1024 nodes (and `monitor
 # --jobs` at most 1024 jobs).  The offline tools' `--node` filters must
 # accept node 0 (exit 0), and every flag reads as `--flag value` and as
-# `--flag=value`.
+# `--flag=value`.  The attribution flags the --timeseries-out document
+# replaced (`--hotset-out`, `--exemplars-out`, `--hot-keys`, and `dcs
+# explain`'s `--hotset`/`--exemplars`) are unknown flags.
 #
 # Usage: tests/dcs_flags_test.sh DCS_BINARY
 bin="$1"
@@ -62,6 +64,12 @@ stray locks stray
 --waiters locks --waiters=0
 --out flame /nonexistent/trace.json --out
 --self-check locks --self-check
+--hot-keys locks --hot-keys 3
+--hotset-out cache --hotset-out /nonexistent/hot.json
+--exemplars-out monitor --exemplars-out /nonexistent/ex.json
+--hot-keys storm --hot-keys 3
+--hotset explain /nonexistent/ts.json --hotset /nonexistent/hot.json
+--exemplars explain /nonexistent/ts.json --exemplars /nonexistent/ex.json
 usage
 nosuch nosuch
 EOF
@@ -70,6 +78,7 @@ dir="$(mktemp -d)"
   >/dev/null 2>&1
 for args in "top $dir/ts.json --node 0" "inspect $dir/trace.json --node 0" \
   "top --self-check $dir/ts.json --node=0" "inspect $dir/trace.json --node=0" \
+  "explain $dir/ts.json --self-check" "explain $dir/ts.json --top=3" \
   "locks --waiters=3"; do
   # shellcheck disable=SC2086  # $args is deliberately word-split
   "$bin" $args >/dev/null 2>"$err"

@@ -1,11 +1,11 @@
 // Attribution under the sharded runner: per-partition HeavyHitters and
 // ExemplarStore instances fed explicitly from the serve path (never the
 // partition's ambient hot sink, whose DDSS, verbs and N-CoSED sites would
-// add domains to the pinned dumps), merged on the main thread in
-// partition order, must produce dcs-hotset-v1 / dcs-exemplar-v1 dumps
-// byte-identical for every worker count.  Mirrors what
-// bench_datacenter_scale hands to obs::Harness (ShardedScenario::
-// attribution) with --hotset-out / --exemplars-out.
+// add domains to the pinned sections), merged on the main thread in
+// partition order, must produce the dcs-timeseries-v1 document's `hotset`
+// and `exemplars` sections byte-identical for every worker count.
+// Mirrors what bench_datacenter_scale hands to obs::Harness
+// (ShardedScenario::health) under --timeseries-out.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -70,12 +70,12 @@ sim::Task<void> serve_loop(Shard& shard, Slice* slice) {
   }
 }
 
-struct Dumps {
+struct Sections {
   std::string hotset;
   std::string exemplars;
 };
 
-Dumps run_grid(std::uint32_t workers) {
+Sections run_grid(std::uint32_t workers) {
   std::vector<Slice> slices(kPartitions);
   ShardedEngine sharded(
       {.partitions = kPartitions, .workers = workers, .lookahead = kLookahead});
@@ -92,25 +92,25 @@ Dumps run_grid(std::uint32_t workers) {
     hot.merge(s.hot);
     exemplars.merge(s.exemplars);
   }
-  Dumps d;
+  Sections d;
   std::ostringstream oh, oe;
-  obs::write_hotset_json(oh, hot);
-  trace::write_exemplar_json(oe, exemplars);
+  obs::write_hotset_section(oh, hot);
+  trace::write_exemplar_section(oe, exemplars);
   d.hotset = oh.str();
   d.exemplars = oe.str();
   return d;
 }
 
 TEST(HotShardTest, MergedAttributionDumpsAreByteIdenticalAcrossWorkers) {
-  const Dumps oracle = run_grid(1);
-  EXPECT_NE(oracle.hotset.find("\"schema\": \"dcs-hotset-v1\""),
+  const Sections oracle = run_grid(1);
+  EXPECT_NE(oracle.hotset.find("\"domain\": \"serve.key\""),
             std::string::npos);
-  EXPECT_NE(oracle.exemplars.find("\"schema\": \"dcs-exemplar-v1\""),
+  EXPECT_NE(oracle.exemplars.find("\"name\": \"serve.latency_ns\""),
             std::string::npos);
   // Zipf mass concentrates at rank 0: the merged sketch must name it.
   EXPECT_NE(oracle.hotset.find("\"key\": 0"), std::string::npos);
   for (const std::uint32_t workers : {2u, 4u}) {
-    const Dumps d = run_grid(workers);
+    const Sections d = run_grid(workers);
     EXPECT_EQ(d.hotset, oracle.hotset) << "workers=" << workers;
     EXPECT_EQ(d.exemplars, oracle.exemplars) << "workers=" << workers;
   }

@@ -19,9 +19,11 @@
 
 #include "fabric/fabric.hpp"
 #include "monitor/telemetry.hpp"
+#include "obs/heavy.hpp"
 #include "obs/slo.hpp"
 #include "obs/timeseries.hpp"
 #include "sim/shard.hpp"
+#include "trace/exemplar.hpp"
 #include "trace/flight.hpp"
 #include "trace/shard_metrics.hpp"
 #include "trace/trace.hpp"
@@ -127,7 +129,8 @@ sim::Task<void> scrape_loop(Shard& shard, std::shared_ptr<Plane> plane,
   out->scrapes = plane->scraper.scrapes();
   out->export_busy_ns = plane->fab.node(0).busy_ns();
   std::ostringstream os;
-  obs::write_timeseries_json(os, plane->store, {});
+  obs::write_timeseries_json(os, plane->store, {}, obs::HeavyHitters{},
+                             trace::ExemplarStore{});
   out->dump = os.str();
 }
 

@@ -192,7 +192,8 @@ TEST(TimeSeriesStoreTest, DumpIsByteStable) {
     std::vector<AlertEvent> alerts = {
         {1500, "r", 0, true, 2.5, 1.0}};
     std::ostringstream os;
-    write_timeseries_json(os, store, alerts);
+    write_timeseries_json(os, store, alerts, obs::HeavyHitters{},
+                          trace::ExemplarStore{});
     return os.str();
   };
   const std::string first = build();
@@ -527,7 +528,8 @@ TEST(TopTest, SelfCheckAcceptsRealDumpAndRejectsBadSchema) {
     TimeSeriesStore store({.window = 1000, .retention = 8});
     store.ingest(0, scalar_schema(), scalar_snap(500, 5.0, 1.0));
     std::ofstream os(good);
-    write_timeseries_json(os, store, {});
+    write_timeseries_json(os, store, {}, obs::HeavyHitters{},
+                          trace::ExemplarStore{});
   }
   obs::TopOptions self_check;
   self_check.self_check = true;
@@ -552,8 +554,8 @@ TEST(TopTest, RendersTablesAndFiringAlerts) {
     store.ingest(0, scalar_schema(), scalar_snap(500, 5.0, 1.0));
     store.ingest(1, scalar_schema(), scalar_snap(500, 9.0, 2.0));
     std::ofstream os(path);
-    write_timeseries_json(os, store,
-                          {{1000, "hot", 1, true, 2.0, 1.0}});
+    write_timeseries_json(os, store, {{1000, "hot", 1, true, 2.0, 1.0}},
+                          obs::HeavyHitters{}, trace::ExemplarStore{});
   }
   std::ostringstream out, err;
   ASSERT_EQ(obs::run_top(path, {}, out, err), 0) << err.str();

@@ -1,7 +1,9 @@
 #!/usr/bin/env sh
 # Every observability flag a binary accepts is honoured.  Runs each `dcs`
 # run command and each bench with every file-valued flag at once and
-# asserts that each file exists and is non-empty, and that each bench
+# asserts that each file exists and is non-empty, that the health document
+# passes `dcs explain --self-check` (so it carries its `hotset` and
+# `exemplars` sections), and that each bench
 # prints the same tables as a plain run beside it (bench_datacenter_scale:
 # that its --bench-json, trace, critical path and post-mortems are
 # byte-identical at --shards=1/2/4 and that a --slo burn rule fires in its
@@ -38,7 +40,7 @@ observe() {
   trace="$out/trace.json"
   want=0
   files="bench.json wall.json critical_path.txt metrics.txt trace.json"
-  files="$files timeseries.json hotset.json exemplars.json"
+  files="$files timeseries.json"
   case " $big_traces " in
     *" $name "*)
       trace=/dev/full
@@ -49,7 +51,6 @@ observe() {
     --metrics-out "$out/metrics.txt" \
     --critical-path "$out/critical_path.txt" --trace-out "$trace" \
     --timeseries-out "$out/timeseries.json" --slo "$dir/rules.slo" \
-    --hotset-out "$out/hotset.json" --exemplars-out "$out/exemplars.json" \
     --postmortem-dir "$out/pm" >"$out/stdout" 2>"$out/stderr"
   rc=$?
   [ "$rc" -eq "$want" ] ||
@@ -57,6 +58,9 @@ observe() {
   for f in $files; do
     [ -s "$out/$f" ] || fail "$name wrote no $f"
   done
+  "$dcs" explain "$out/timeseries.json" --self-check >/dev/null \
+    2>"$out/explain.err" ||
+    fail "$name health document fails its self-check: $(cat "$out/explain.err")"
 }
 
 # tables NAME BIN: observes BIN beside a plain run of it.  Every bench
@@ -82,6 +86,8 @@ for bin in "$@"; do
     # Observing it runs the health plane inside the simulation, so its
     # stdout is not compared with a plain run.  On a small cluster.
     observe "$name" "$bin" --nodes=64
+    grep -q '"domain": "scale.serve.node"' "$dir/$name/timeseries.json" ||
+      fail "$name: the health document names no serve-path hot key"
     # --slo rules run in every partition's health plane, sweep by sweep: on
     # a hot shard a burn rule fires mid-run and writes its post-mortem, and
     # a post-mortem that cannot be written fails the run.

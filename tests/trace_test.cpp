@@ -231,12 +231,6 @@ TEST(ObserveFlagsTest, PostmortemDirSelectsTheHarness) {
   EXPECT_EQ(opts.postmortem_dir, "pm");
 }
 
-TEST(ObserveFlagsTest, ExtractsNumericFlags) {
-  const auto opts = obs::harness_flags(args_of({"bench", "--hot-keys", "3"}));
-  EXPECT_EQ(opts.hot_keys, 3u);
-  EXPECT_TRUE(opts.attribution_mode());
-}
-
 TEST(ObserveFlagsTest, ParseCountAcceptsOnlyPlainNonNegativeIntegers) {
   EXPECT_EQ(parse_count("0"), 0u);
   EXPECT_EQ(parse_count("42"), 42u);
@@ -254,17 +248,6 @@ TEST(ObserveFlagsTest, ParseRealAcceptsOnlyFiniteNumbers) {
   for (const char* bad : {"", "abc", "0.5x", "inf", "nan", "1e999"}) {
     EXPECT_EQ(parse_real(bad), std::nullopt) << "'" << bad << "'";
   }
-}
-
-TEST(ObserveFlagsDeathTest, MalformedHotKeysExitsTwoNamingTheFlag) {
-  EXPECT_EXIT(obs::harness_flags(args_of({"bench", "--hot-keys", "abc"})),
-              ::testing::ExitedWithCode(2),
-              "--hot-keys: expected a non-negative integer, got 'abc'");
-}
-
-TEST(ObserveFlagsDeathTest, NegativeHotKeysExitsTwoInsteadOfWrapping) {
-  EXPECT_EXIT(obs::harness_flags(args_of({"bench", "--hot-keys", "-1"})),
-              ::testing::ExitedWithCode(2), "--hot-keys: .*got '-1'");
 }
 
 TEST(ObserveFlagsDeathTest, CountAboveItsLimitExitsTwo) {

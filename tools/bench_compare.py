@@ -56,8 +56,7 @@ class CompareError(Exception):
 # a hard error, because silently skipping it would turn a schema bump into
 # a vacuous comparison.
 BENCH_SCHEMAS = {"dcs-bench-v1", "dcs-bench-wall-v1"}
-PASSTHROUGH_SCHEMAS = {"dcs-timeseries-v1", "dcs-postmortem-v1", "dcs-lint-v1",
-                       "dcs-exemplar-v1", "dcs-hotset-v1"}
+PASSTHROUGH_SCHEMAS = {"dcs-timeseries-v1", "dcs-postmortem-v1", "dcs-lint-v1"}
 
 
 def load_benches(directory: pathlib.Path, wall: bool = False):

@@ -10,7 +10,7 @@
 //   dcs wedge   --scenario stall|deadline|violation --postmortem-dir pm
 //   dcs inspect pm/dcs_wedge_stall.engine-stall.1.postmortem.json --timeline 2
 //   dcs top     TIMESERIES.json [--self-check] [--node N] [--windows W]
-//   dcs explain TIMESERIES.json --hotset HOT.json --exemplars EX.json
+//   dcs explain TIMESERIES.json [--postmortem PM.json] [--top N]
 //   dcs flame   TRACE.json [--out profile.speedscope.json]
 //   dcs params
 //
@@ -403,12 +403,10 @@ int cmd_top(const Args& args) {
 int cmd_explain(const Args& args) {
   const std::string file = input_file(
       args,
-      "explain TIMESERIES.json [--hotset FILE] [--exemplars FILE] "
-      "[--postmortem FILE] [--top N] [--self-check]");
+      "explain TIMESERIES.json [--postmortem FILE] [--top N] "
+      "[--self-check]");
   obs::ExplainOptions opts;
   opts.self_check = args.given("--self-check");
-  opts.hotset = args.text("--hotset");
-  opts.exemplars = args.text("--exemplars");
   opts.postmortem = args.text("--postmortem");
   opts.top = args.count<std::size_t>("--top").value_or(opts.top);
   args.reject_unread();
@@ -456,10 +454,9 @@ void usage() {
       "  top     FILE [--self-check] [--node N] [--windows W]\n"
       "          cluster health tables + firing alerts from a\n"
       "          dcs-timeseries-v1 dump\n"
-      "  explain FILE [--hotset FILE] [--exemplars FILE]\n"
-      "          [--postmortem FILE] [--top N] [--self-check]\n"
+      "  explain FILE [--postmortem FILE] [--top N] [--self-check]\n"
       "          breach attribution: firing rules -> hot keys ->\n"
-      "          tail exemplars, from the byte-stable dumps\n"
+      "          tail exemplars, from a dcs-timeseries-v1 document\n"
       "  flame   FILE [--out PROFILE.json]\n"
       "          span tree -> speedscope self-time profile from a\n"
       "          --trace-out Chrome trace\n\n"
@@ -471,11 +468,9 @@ void usage() {
       "  --bench-json FILE     write a dcs-bench-v1 telemetry snapshot\n"
       "  --bench-wall-json FILE  write dcs-bench-wall-v1 wall telemetry\n"
       "  --postmortem-dir DIR  arm a flight recorder; trips dump there\n"
-      "  --timeseries-out FILE write a dcs-timeseries-v1 dump of the run\n"
-      "  --slo FILE            evaluate SLO rules; alert stream to stderr\n"
-      "  --hotset-out FILE     write the dcs-hotset-v1 hot-key dump\n"
-      "  --exemplars-out FILE  write the dcs-exemplar-v1 tail exemplars\n"
-      "  --hot-keys N          print the top-N hot keys per domain\n");
+      "  --timeseries-out FILE write the run's dcs-timeseries-v1 health\n"
+      "                        document: series, alerts, hot keys, exemplars\n"
+      "  --slo FILE            evaluate SLO rules; alert stream to stderr\n");
 }
 
 }  // namespace
