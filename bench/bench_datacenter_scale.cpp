@@ -85,9 +85,11 @@ struct ScaleConfig {
   std::uint32_t hot_shard = kNoHotShard;
   std::uint64_t scrape_us = 25;  // telemetry scrape cadence (virtual us)
   std::uint64_t scrapes = 20;    // scrape sweeps per partition
-  /// --timeseries-out / --slo / --postmortem-dir: run the health plane
-  /// and attribute the serve path (the hot-key and exemplar slices).
+  /// --timeseries-out / --slo / --postmortem-dir: run the health plane.
   bool observe = false;
+  /// --timeseries-out: also attribute the serve path (the hot-key and
+  /// exemplar slices), which only the written document reports.
+  bool attribute = false;
 };
 
 /// Everything one partition owns: a Fabric slice of the datacenter plus the
@@ -222,7 +224,7 @@ sim::Task<void> serve_request(sim::Shard& shard,
   if (served_in > kSlowServeNs) host->serve_reg.counter("scale.serve.slow").add(1);
   host->serve_reg.histogram("scale.serve.latency_ns")
       .record(static_cast<std::uint64_t>(served_in));
-  if (cfg.observe) {
+  if (cfg.attribute) {
     PartitionDump& dump = (*slots)[shard.index()];
     dump.hot.record_hot("scale.serve.node", msg.a, 1);
     dump.hot.record_hot("scale.serve.object", msg.a % host->allocs.size(), 1);
@@ -421,6 +423,8 @@ void report(obs::ShardedScenario& s, const ScaleConfig& cfg,
                  " alert transition(s), %" PRIu64 " firing at end, %" PRIu64
                  " flight trip(s)\n",
                  scrapes, transitions, firing, trips);
+  }
+  if (cfg.attribute) {
     std::fprintf(stderr, "  attribution      %" PRIu64 " serve(s) attributed\n",
                  serves);
   }
@@ -460,8 +464,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "datacenter_scale: --hot-shard out of range\n");
     return 2;
   }
-  // Post-mortems and --slo rules need the health plane's store.
-  cfg.observe = !opts.timeseries_out.empty() || !opts.slo_rules.empty() ||
+  // Post-mortems and --slo rules need the health plane's store; only the
+  // written document reports the attribution.
+  cfg.attribute = !opts.timeseries_out.empty();
+  cfg.observe = cfg.attribute || !opts.slo_rules.empty() ||
                 !opts.postmortem_dir.empty();
   obs::Harness h("datacenter_scale", opts);
 

@@ -3,6 +3,14 @@
 #include "common/check.hpp"
 
 namespace dcs::dlm {
+namespace {
+
+/// The first parked strand of a group asked for a shared tenure.
+bool front_reads(const sim::detail::WaitList& waiters) {
+  return static_cast<const Cohort::Enter&>(waiters.front()).read;
+}
+
+}  // namespace
 
 bool Cohort::Enter::await_ready() noexcept {
   if (group.active == 0) {
@@ -27,10 +35,9 @@ void Cohort::acquired(std::uint64_t id, fabric::NodeId node) {
   if (!group.reading) return;
   // The readers that queued behind this acquire share the tenure.
   if (auto* hook = sim::audit_hook()) hook->release(&group);
-  while (!group.waiters.empty() && group.waiters.front().read) {
+  while (!group.waiters.empty() && front_reads(group.waiters)) {
     ++group.active;
-    eng_.schedule_now(group.waiters.front().strand);
-    group.waiters.pop_front();
+    eng_.schedule_now(group.waiters.pop_front());
   }
 }
 
@@ -61,9 +68,8 @@ void Cohort::finish(std::uint64_t id, fabric::NodeId node) {
   // The first waiter leads the node's next tenure.
   if (auto* hook = sim::audit_hook()) hook->release(&group);
   group.active = 1;
-  group.reading = group.waiters.front().read;
-  eng_.schedule_now(group.waiters.front().strand);
-  group.waiters.pop_front();
+  group.reading = front_reads(group.waiters);
+  eng_.schedule_now(group.waiters.pop_front());
 }
 
 bool Cohort::forget(std::uint64_t id) {

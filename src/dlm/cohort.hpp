@@ -21,12 +21,14 @@
 //                                   waiter to lead the next tenure
 // An uncontended tenure schedules no event.  Each group reports release/
 // acquire edges on itself to the audit hook, as a semaphore does, so the
-// auditor sees one node's strands ordered by their tenures.
+// auditor sees one node's strands ordered by their tenures.  A group's
+// waiters are a sim::detail::WaitList of the parked Enter awaiters, each
+// in its strand's frame and carrying the strand's mode, so a group costs
+// its map node and nothing more.
 #pragma once
 
 #include <coroutine>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <optional>
 #include <utility>
@@ -41,12 +43,8 @@ enum class LockMode : std::uint8_t { kShared = 1, kExclusive = 2 };
 class Cohort {
   /// One node's strands that hold or want one lock.
   struct Group {
-    struct Waiter {
-      std::coroutine_handle<> strand;
-      bool read = false;  // a shared request, which may share a read tenure
-    };
-    std::deque<Waiter> waiters;  // strands waiting for a tenure, FIFO
-    std::size_t active = 0;      // strands in the current tenure
+    sim::detail::WaitList waiters;  // Enter awaiters waiting for a tenure
+    std::size_t active = 0;         // strands in the current tenure
     bool reading = false;        // the current tenure is a read tenure
     // The node holds the lock and its release has not begun (ownership
     // record); no reader joins a tenure that is letting go.
@@ -58,19 +56,20 @@ class Cohort {
 
   /// Awaiter of enter(): parks a strand at the tail of the waiters, as a
   /// semaphore does, unless it leads a new tenure or joins the current
-  /// read tenure at once.
-  struct [[nodiscard]] Enter : sim::detail::ParkAwaiter<Group::Waiter> {
+  /// read tenure at once.  Parked, it is the group's wait-list entry and
+  /// carries the strand's request mode in its frame.
+  struct [[nodiscard]] Enter : sim::detail::ParkAwaiter {
     Group& group;
-    bool read;
+    bool read;  // a shared request, which may share a read tenure
     bool lead = false;
 
     bool await_ready() noexcept;
-    void await_suspend(std::coroutine_handle<> h) { park({h, read}); }
+    void await_suspend(std::coroutine_handle<> h) { park(h); }
     // Woken, a strand leads the next tenure, unless it was admitted to a
     // read tenure whose leader already holds the lock.
     bool await_resume() const noexcept {
       unpark();
-      return suspended ? !group.held : lead;
+      return suspended() ? !group.held : lead;
     }
   };
 

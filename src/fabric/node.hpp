@@ -101,8 +101,9 @@ class Node {
 
  private:
   /// One CPU core: a single-permit FIFO slot plus its accounting.  Held by
-  /// unique_ptr because sim::Semaphore pins its address (waiters park
-  /// pointers to it).
+  /// unique_ptr because sim::Semaphore pins its address while strands are
+  /// parked on it (their awaiters point at it); the slot itself allocates
+  /// nothing.
   struct Core {
     explicit Core(sim::Engine& eng) : slot(eng, 1) {}
     sim::Semaphore slot;

@@ -3,6 +3,21 @@
 // All wake-ups are routed through the engine queue (scheduled at the current
 // virtual time) rather than resumed inline, which keeps stacks shallow and
 // makes wake ordering deterministic (FIFO by enqueue sequence).
+//
+// A primitive keeps its parked strands in a `detail::WaitList`: an
+// intrusive FIFO whose links are the parked awaiters themselves.  An
+// awaiter lives in its suspended coroutine's frame for as long as the
+// strand is parked, so the list is two pointers and neither building a
+// primitive nor parking on it allocates anything.  What follows from that:
+//   - a primitive must not move while strands are parked on it (awaiters
+//     point back at it), which is why every primitive is non-copyable and
+//     an owner that must relocate them holds them by pointer;
+//   - a parked awaiter must not move either: it is the materialised
+//     operand of `co_await` (or a variable the frame awaits), and its copy
+//     constructor is deleted;
+//   - teardown in either order is safe: a frame destroyed while its strand
+//     is parked unlinks its awaiter, and a list destroyed with strands on
+//     it forgets them (they stay parked, as the engine's teardown expects).
 #pragma once
 
 #include <coroutine>
@@ -19,38 +34,97 @@ namespace dcs::sim {
 
 namespace detail {
 
+class WaitList;
+
 /// Shared suspension logic for every primitive that parks a coroutine on a
-/// FIFO wait list: saving/restoring the strand context and reporting the
-/// suspend/resume (and optional acquire) edges to the audit hook.  The
-/// strand-level hook calls fire only when the awaiter actually suspended —
-/// an await_ready fast path never was a strand switch, so it must not
-/// report one.  The acquire edge on `sync_obj` (when set) is unconditional:
-/// taking a permit or observing a set event synchronizes-with the releaser
-/// whether or not the taker had to wait.  A `Waiter` other than the handle
-/// carries what the primitive needs to know about each parked strand.
-template <typename Waiter = std::coroutine_handle<>>
+/// WaitList: linking the awaiter, saving/restoring the strand context and
+/// reporting the suspend/resume (and optional acquire) edges to the audit
+/// hook.  The strand-level hook calls fire only when the awaiter actually
+/// suspended — an await_ready fast path never was a strand switch, so it
+/// must not report one.  The acquire edge on `sync_obj` (when set) is
+/// unconditional: taking a permit or observing a set event
+/// synchronizes-with the releaser whether or not the taker had to wait.  A
+/// primitive that needs more per parked strand (a cohort's read flag)
+/// derives from this and reads the extra fields off the list's front.
 struct ParkAwaiter {
-  std::deque<Waiter>& queue;
+  WaitList* list;                  // null once woken or forgotten
   const void* sync_obj = nullptr;  // reported acquired on resume, if set
   std::uint64_t audit_token = 0;
   StrandCtx saved_ctx{};
-  bool suspended = false;
+  std::coroutine_handle<> strand;  // set when parked
+  ParkAwaiter* next = nullptr;     // the strand parked behind this one
 
-  void park(Waiter w) {
-    queue.push_back(w);
-    saved_ctx = strand_ctx();
-    suspended = true;
-    if (auto* hook = audit_hook()) audit_token = hook->suspend_strand();
-  }
+  ParkAwaiter(WaitList& l, const void* obj = nullptr)
+      : list(&l), sync_obj(obj) {}
+  ParkAwaiter(const ParkAwaiter&) = delete;
+  ParkAwaiter& operator=(const ParkAwaiter&) = delete;
+  inline ~ParkAwaiter();
+
+  bool suspended() const noexcept { return static_cast<bool>(strand); }
+
+  inline void park(std::coroutine_handle<> h);
 
   void unpark() const noexcept {
-    if (suspended) strand_ctx() = saved_ctx;
+    if (suspended()) strand_ctx() = saved_ctx;
     if (auto* hook = audit_hook()) {
-      if (suspended) hook->resume_strand(audit_token);
+      if (suspended()) hook->resume_strand(audit_token);
       if (sync_obj != nullptr) hook->acquire(sync_obj);
     }
   }
 };
+
+/// FIFO of parked awaiters, linked through their `next` fields.
+class WaitList {
+ public:
+  WaitList() = default;
+  WaitList(const WaitList&) = delete;
+  WaitList& operator=(const WaitList&) = delete;
+  ~WaitList() {
+    while (head_ != nullptr) std::exchange(head_, head_->next)->list = nullptr;
+  }
+
+  bool empty() const noexcept { return head_ == nullptr; }
+  /// The longest-parked awaiter; the list must not be empty.
+  ParkAwaiter& front() const noexcept { return *head_; }
+
+  void push_back(ParkAwaiter& a) noexcept {
+    a.next = nullptr;
+    (head_ == nullptr ? head_ : tail_->next) = &a;
+    tail_ = &a;
+  }
+
+  /// Unlinks the longest-parked awaiter and returns its strand.
+  std::coroutine_handle<> pop_front() noexcept {
+    ParkAwaiter& a = *head_;
+    head_ = a.next;
+    a.list = nullptr;
+    return a.strand;
+  }
+
+  /// Unlinks `a` wherever it is (a frame destroyed while parked).
+  void remove(ParkAwaiter& a) noexcept {
+    ParkAwaiter* prev = nullptr;
+    for (ParkAwaiter* p = head_; p != &a; p = p->next) prev = p;
+    (prev == nullptr ? head_ : prev->next) = a.next;
+    if (tail_ == &a) tail_ = prev;
+    a.list = nullptr;
+  }
+
+ private:
+  ParkAwaiter* head_ = nullptr;
+  ParkAwaiter* tail_ = nullptr;  // meaningful only while head_ is set
+};
+
+ParkAwaiter::~ParkAwaiter() {
+  if (suspended() && list != nullptr) list->remove(*this);
+}
+
+void ParkAwaiter::park(std::coroutine_handle<> h) {
+  strand = h;
+  list->push_back(*this);
+  saved_ctx = strand_ctx();
+  if (auto* hook = audit_hook()) audit_token = hook->suspend_strand();
+}
 
 }  // namespace detail
 
@@ -65,15 +139,14 @@ class Event {
   void set() {
     if (auto* hook = audit_hook()) hook->release(this);
     set_ = true;
-    for (auto h : waiters_) eng_.schedule_now(h);
-    waiters_.clear();
+    while (!waiters_.empty()) eng_.schedule_now(waiters_.pop_front());
   }
 
   /// Un-latches; future wait() calls block again.
   void reset() { set_ = false; }
 
   auto wait() {
-    struct Awaiter : detail::ParkAwaiter<> {
+    struct Awaiter : detail::ParkAwaiter {
       Event& ev;
       bool await_ready() const noexcept { return ev.set_; }
       void await_suspend(std::coroutine_handle<> h) { park(h); }
@@ -84,7 +157,7 @@ class Event {
 
  private:
   Engine& eng_;
-  std::deque<std::coroutine_handle<>> waiters_;
+  detail::WaitList waiters_;
   bool set_ = false;
 };
 
@@ -96,10 +169,9 @@ class Semaphore {
   Semaphore& operator=(const Semaphore&) = delete;
 
   std::size_t available() const { return count_; }
-  std::size_t waiting() const { return waiters_.size(); }
 
   auto acquire() {
-    struct Awaiter : detail::ParkAwaiter<> {
+    struct Awaiter : detail::ParkAwaiter {
       Semaphore& sem;
       bool await_ready() const noexcept {
         if (sem.count_ > 0) {
@@ -118,9 +190,7 @@ class Semaphore {
     if (auto* hook = audit_hook()) hook->release(this);
     if (!waiters_.empty()) {
       // Hand the permit directly to the first waiter.
-      auto h = waiters_.front();
-      waiters_.pop_front();
-      eng_.schedule_now(h);
+      eng_.schedule_now(waiters_.pop_front());
     } else {
       ++count_;
     }
@@ -129,7 +199,7 @@ class Semaphore {
  private:
   Engine& eng_;
   std::size_t count_;
-  std::deque<std::coroutine_handle<>> waiters_;
+  detail::WaitList waiters_;
 };
 
 /// Mutual exclusion; RAII guard via `co_await mtx.scoped()`.
@@ -222,14 +292,14 @@ class Channel {
   /// (`reserved_`), so a woken receiver never races a fast-path arrival for
   /// the item and needs no re-check loop.
   auto recv() {
-    struct Awaiter : detail::ParkAwaiter<> {
+    struct Awaiter : detail::ParkAwaiter {
       Channel& ch;
       bool await_ready() const noexcept {
         return ch.items_.size() > ch.reserved_;
       }
       void await_suspend(std::coroutine_handle<> h) { park(h); }
       T await_resume() {
-        if (suspended) --ch.reserved_;
+        if (suspended()) --ch.reserved_;
         unpark();
         return ch.take_front();
       }
@@ -245,8 +315,8 @@ class Channel {
   }
 
  private:
-  auto suspend_on(std::deque<std::coroutine_handle<>>& list) {
-    struct Awaiter : detail::ParkAwaiter<> {
+  auto suspend_on(detail::WaitList& list) {
+    struct Awaiter : detail::ParkAwaiter {
       bool await_ready() const noexcept { return false; }
       void await_suspend(std::coroutine_handle<> h) { park(h); }
       void await_resume() const noexcept { unpark(); }
@@ -261,26 +331,22 @@ class Channel {
     T item = std::move(items_.front());
     items_.pop_front();
     // Parked senders loop on the capacity check, so no reservation needed.
-    if (!send_waiters_.empty()) {
-      eng_.schedule_now(send_waiters_.front());
-      send_waiters_.pop_front();
-    }
+    if (!send_waiters_.empty()) eng_.schedule_now(send_waiters_.pop_front());
     return item;
   }
 
   void wake_one_receiver() {
     if (!recv_waiters_.empty()) {
       ++reserved_;
-      eng_.schedule_now(recv_waiters_.front());
-      recv_waiters_.pop_front();
+      eng_.schedule_now(recv_waiters_.pop_front());
     }
   }
 
   Engine& eng_;
   std::size_t capacity_;
   std::deque<T> items_;
-  std::deque<std::coroutine_handle<>> recv_waiters_;
-  std::deque<std::coroutine_handle<>> send_waiters_;
+  detail::WaitList recv_waiters_;
+  detail::WaitList send_waiters_;
   std::size_t reserved_ = 0;  // queued items promised to woken receivers
 };
 

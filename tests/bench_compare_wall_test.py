@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Unit tests for tools/bench_compare.py --wall: ns/event of a scenario,
-the --max-ns-per-event ceiling, and the peak_rss_mb and frames/event
-reports; plus the
+the --max-ns-per-event ceiling, and the peak_rss_mb, frames/event and
+setup_ns reports; plus the
 report-only registry key-set diff of dcs-bench-v1 scenarios.
 
 Run directly (`python3 tests/bench_compare_wall_test.py`) or via ctest
@@ -211,6 +211,49 @@ class FramesPerEventTest(unittest.TestCase):
                                   str(tmp / "cand")])
             self.assertEqual(code, 0)
             self.assertNotIn("frames/ev", out.getvalue())
+
+
+class SetupNsTest(unittest.TestCase):
+    """setup_ns is report-only, in ms, and optional on either side."""
+
+    def test_setup_in_ms(self):
+        self.assertEqual(bench_compare.wall_setup_ms(
+            "b/s", "baseline", {"events": 1, "wall_ns": 1.0,
+                                "setup_ns": 3200000}), 3.2)
+        self.assertIsNone(bench_compare.wall_setup_ms(
+            "b/s", "baseline", {"events": 1, "wall_ns": 1.0}))
+        for setup in ("9", [1], False):
+            with self.assertRaises(bench_compare.CompareError):
+                bench_compare.wall_setup_ms(
+                    "b/s", "candidate",
+                    {"events": 1, "wall_ns": 1.0, "setup_ns": setup})
+
+    def test_main_reports_setup_and_exits_zero(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = pathlib.Path(tmp)
+            (tmp / "base").mkdir()
+            (tmp / "cand").mkdir()
+            MaxNsPerEventTest._write(
+                tmp / "base", {"s": {"events": 10, "wall_ns": 100.0,
+                                     "setup_ns": 3200000},
+                               "t": {"events": 10, "wall_ns": 100.0,
+                                     "setup_ns": 1000000}})
+            MaxNsPerEventTest._write(
+                tmp / "cand", {"s": {"events": 10, "wall_ns": 100.0,
+                                     "setup_ns": 1700000},
+                               "t": {"events": 10, "wall_ns": 100.0,
+                                     "setup_ns": 1100000}})
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = _run_main(["--wall", str(tmp / "base"),
+                                  str(tmp / "cand")])
+            self.assertEqual(code, 0)
+            text = out.getvalue()
+            self.assertIn("b/s setup_ms: 3.200 -> 1.700 (-46.88%)", text)
+            self.assertIn("FASTER", text)
+            # +10% is inside the default 15% threshold: a row, not notable.
+            self.assertNotIn("b/t setup_ms:", text)
+            self.assertRegex(text, r"b/t\s+setup_ms\s+1\.000\s+1\.100")
 
 
 class RegistryKeysTest(unittest.TestCase):

@@ -3,16 +3,24 @@
 // Task instead of awaiting it, and mutex and channel waits are frameless
 // awaiters.  These tests pin the frames each per-hop call allocates, so an
 // added forwarding frame shows up here rather than as a slower benchmark.
+// They also pin the heap the sync primitives cost: a parked strand's
+// awaiter is its primitive's wait-list entry, so building a primitive or
+// parking on it allocates nothing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <optional>
 #include <vector>
 
+#include "dlm/cohort.hpp"
+#include "fabric/node.hpp"
 #include "sim/engine.hpp"
+#include "sim/sync.hpp"
 #include "slab_delta.hpp"
 #include "sockets/tcp.hpp"
 #include "trace/trace.hpp"
@@ -183,6 +191,224 @@ TEST_F(HopFixture, DeadSecondTargetFailsBatchInline) {
   EXPECT_TRUE(std::equal(after.begin(), after.end(), snapshot.begin()))
       << "the first target's write must not execute";
   EXPECT_EQ(d.live(), 0) << "every frame of the failed batch is freed";
+}
+
+// --- the heap a sync primitive costs ---
+
+/// Heap allocations `f` makes.
+template <typename F>
+std::uint64_t news_of(F f) {
+  const std::uint64_t news = heap_news;
+  f();
+  return heap_news - news;
+}
+
+TEST(SyncHeapTest, BuildingAPrimitiveAllocatesNothing) {
+  sim::Engine eng;
+  EXPECT_EQ(news_of([&] { sim::Event ev(eng); }), 0u);
+  EXPECT_EQ(news_of([&] { sim::Semaphore sem(eng, 3); }), 0u);
+  EXPECT_EQ(news_of([&] { sim::Mutex m(eng); }), 0u);
+  EXPECT_EQ(news_of([&] { dlm::Cohort cohort(eng); }), 0u);
+}
+
+TEST(SyncHeapTest, ACohortGroupCostsItsMapNodeOnly) {
+  sim::Engine eng;
+  dlm::Cohort cohort(eng);
+  EXPECT_EQ(news_of([&] {
+              auto enter = cohort.enter(7, 1, dlm::LockMode::kExclusive);
+              EXPECT_TRUE(enter.await_ready()) << "an idle group's first "
+                                                  "strand leads at once";
+            }),
+            1u);
+  cohort.acquired(7, 1);
+  ASSERT_TRUE(cohort.leave(7, 1).has_value());
+  cohort.finish(7, 1);
+  EXPECT_EQ(cohort.size(), 0u);
+}
+
+// A node's heap: its core vector, one block per core, and its memory's
+// free and allocated maps.  Its sync primitives add nothing.
+TEST(SyncHeapTest, ANodeAllocatesAPinnedCount) {
+  sim::Engine eng;
+  const fabric::FabricParams params;
+  constexpr std::size_t kMem = 64 * 1024;
+  fabric::Arena arena(fabric::NodeMemory::slice_bytes(kMem));
+  EXPECT_EQ(news_of([&] {
+              fabric::Node node(eng, 0, params, 2, kMem, arena.data());
+            }),
+            6u);
+}
+
+constexpr int kParked = 64;
+
+/// The order strands got through, in a fixed array: a vector here would
+/// count its own heap.  A round may add one strand of its own (id -1)
+/// before the kParked parked ones.
+struct WakeLog {
+  std::array<int, kParked + 1> ids{};
+  int size = 0;
+  void push_back(int id) { ids[size++] = id; }
+};
+
+Task<void> wait_event(sim::Event& ev, WakeLog& log, int id) {
+  co_await ev.wait();
+  log.push_back(id);
+}
+
+Task<void> take_permit(sim::Semaphore& sem, WakeLog& log, int id) {
+  co_await sem.acquire();
+  log.push_back(id);
+}
+
+Task<void> take_mutex(sim::Mutex& m, WakeLog& log, int id) {
+  auto guard = co_await m.scoped();
+  log.push_back(id);
+}
+
+Task<void> hold_mutex(sim::Mutex& m, sim::Event& done) {
+  auto guard = co_await m.scoped();
+  co_await done.wait();
+}
+
+Task<void> recv_item(sim::Channel<int>& ch, WakeLog& log) {
+  log.push_back(co_await ch.recv());
+}
+
+Task<void> send_item(sim::Channel<int>& ch, WakeLog& log, int id) {
+  co_await ch.send(id);
+  log.push_back(id);
+}
+
+Task<void> enter_cohort(dlm::Cohort& cohort, WakeLog& log, int id,
+                        dlm::LockMode mode, sim::Event* done) {
+  const bool lead = co_await cohort.enter(3, 0, mode);
+  log.push_back(id);
+  if (lead) cohort.acquired(3, 0);
+  if (done != nullptr) co_await done->wait();
+  if (cohort.leave(3, 0)) cohort.finish(3, 0);
+}
+
+/// Heap allocations of one round in which kParked strands park on a
+/// primitive and are woken, after a first round has warmed the engine's
+/// ready ring and the frame slab; the round must wake them in FIFO order.
+template <typename Round>
+std::uint64_t warm_round_news(sim::Engine& eng, Round round) {
+  WakeLog warm;
+  round(warm);
+  eng.run();
+  WakeLog log;
+  const StatDelta d;
+  const std::uint64_t news = heap_news;
+  round(log);
+  eng.run();
+  const std::uint64_t round_news = heap_news - news;
+  const int first = log.size - kParked;  // skips the round's own strand
+  EXPECT_TRUE(first == 0 || first == 1) << log.size << " strands got through";
+  for (int i = 0; i < kParked; ++i) EXPECT_EQ(log.ids[first + i], i);
+  EXPECT_EQ(d.reuses(), d.allocs()) << "every frame came off a free list";
+  EXPECT_GE(d.allocs(), static_cast<std::uint64_t>(kParked));
+  return round_news;
+}
+
+TEST(SyncHeapTest, ParkingAndWakingAllocatesNothingBeyondFrames) {
+  sim::Engine eng;
+  sim::Event ev(eng);
+  EXPECT_EQ(warm_round_news(eng,
+                            [&](WakeLog& log) {
+                              ev.reset();
+                              for (int i = 0; i < kParked; ++i) {
+                                eng.spawn(wait_event(ev, log, i));
+                              }
+                              eng.run();
+                              ev.set();
+                            }),
+            0u)
+      << "Event";
+
+  sim::Semaphore sem(eng, 0);
+  EXPECT_EQ(warm_round_news(eng,
+                            [&](WakeLog& log) {
+                              for (int i = 0; i < kParked; ++i) {
+                                eng.spawn(take_permit(sem, log, i));
+                              }
+                              eng.run();
+                              for (int i = 0; i < kParked; ++i) sem.release();
+                            }),
+            0u)
+      << "Semaphore";
+  EXPECT_EQ(sem.available(), 0u);
+
+  sim::Mutex m(eng);
+  sim::Event done(eng);
+  EXPECT_EQ(warm_round_news(eng,
+                            [&](WakeLog& log) {
+                              done.reset();
+                              eng.spawn(hold_mutex(m, done));
+                              for (int i = 0; i < kParked; ++i) {
+                                eng.spawn(take_mutex(m, log, i));
+                              }
+                              eng.run();
+                              done.set();
+                            }),
+            0u)
+      << "Mutex";
+
+  // Each channel round builds its channel: its only heap is its item
+  // deque's map and first block, and the parked strands add nothing.
+  std::optional<sim::Channel<int>> rx;
+  EXPECT_EQ(warm_round_news(eng,
+                            [&](WakeLog& log) {
+                              rx.emplace(eng);
+                              for (int i = 0; i < kParked; ++i) {
+                                eng.spawn(recv_item(*rx, log));
+                              }
+                              eng.run();
+                              for (int i = 0; i < kParked; ++i) rx->push(i);
+                            }),
+            2u)
+      << "Channel receivers";
+
+  // The first sender fills the one slot (it logs as -1); each try_recv
+  // then frees it for the next parked sender.
+  std::optional<sim::Channel<int>> tx;
+  EXPECT_EQ(warm_round_news(eng,
+                            [&](WakeLog& log) {
+                              tx.emplace(eng, 1);
+                              eng.spawn(send_item(*tx, log, -1));
+                              for (int i = 0; i < kParked; ++i) {
+                                eng.spawn(send_item(*tx, log, i));
+                              }
+                              eng.run();
+                              for (int i = 0; i <= kParked; ++i) {
+                                ASSERT_TRUE(tx->try_recv().has_value());
+                                eng.run();
+                              }
+                            }),
+            2u)
+      << "Channel senders";
+
+  // A mix of readers and writers behind a writer that holds the lock;
+  // the group is built anew each round, which costs its map node.
+  dlm::Cohort cohort(eng);
+  EXPECT_EQ(warm_round_news(eng,
+                            [&](WakeLog& log) {
+                              done.reset();
+                              eng.spawn(enter_cohort(cohort, log, -1,
+                                                     dlm::LockMode::kExclusive,
+                                                     &done));
+                              for (int i = 0; i < kParked; ++i) {
+                                eng.spawn(enter_cohort(
+                                    cohort, log, i,
+                                    i % 3 == 0 ? dlm::LockMode::kExclusive
+                                               : dlm::LockMode::kShared,
+                                    nullptr));
+                              }
+                              eng.run();
+                              done.set();
+                            }),
+            1u)
+      << "Cohort";
+  EXPECT_EQ(cohort.size(), 0u);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 // task composition, exceptions, and teardown safety.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -314,6 +315,57 @@ TEST(SyncTest, ChannelTryRecvNonBlocking) {
   auto v = ch.try_recv();
   ASSERT_TRUE(v.has_value());
   EXPECT_EQ(*v, 7);
+}
+
+// A parked strand's awaiter is its primitive's wait-list entry, so
+// tearing down with strands parked must be safe in either order
+// (ASan-verified).  Frames destroyed first unlink their awaiters: the
+// engine destroys the newest root first, so the strands spawned after the
+// holder leave the list, and the one spawned before it is still parked
+// when the holder's guard lets go of the mutex and hands it over.
+Task<void> hold_and_park(Mutex& m, Semaphore& never) {
+  auto guard = co_await m.scoped();
+  co_await never.acquire();
+}
+
+Task<void> park_on_mutex(Engine& eng, Mutex& m, Time after) {
+  co_await eng.delay(after);
+  auto guard = co_await m.scoped();
+}
+
+Task<void> park_on_event(Event& ev) { co_await ev.wait(); }
+
+TEST(SyncTest, FramesDestroyedWhileParkedLeaveTheWaitList) {
+  auto eng = std::make_unique<Engine>();
+  Mutex m(*eng);
+  Semaphore never(*eng, 0);
+  Event ev(*eng);
+  eng->spawn(park_on_mutex(*eng, m, 1));
+  eng->spawn(hold_and_park(m, never));
+  for (int i = 0; i < 3; ++i) {
+    eng->spawn(park_on_mutex(*eng, m, 0));
+    eng->spawn(park_on_event(ev));
+  }
+  eng->run();
+  EXPECT_EQ(eng->live_roots(), 8u);
+  eng.reset();  // the primitives outlive every frame
+}
+
+// A primitive destroyed first forgets its parked strands, whose frames the
+// engine destroys later.  (No strand may hold a guard on it then: the
+// guard would release a destroyed mutex.)
+TEST(SyncTest, PrimitiveDestroyedWithParkedStrandsForgetsThem) {
+  Engine eng;
+  auto sem = std::make_unique<Semaphore>(eng, 0);
+  auto ev = std::make_unique<Event>(eng);
+  for (int i = 0; i < 3; ++i) {
+    eng.spawn([](Semaphore& s) -> Task<void> { co_await s.acquire(); }(*sem));
+    eng.spawn(park_on_event(*ev));
+  }
+  eng.run();
+  EXPECT_EQ(eng.live_roots(), 6u);
+  sem.reset();
+  ev.reset();
 }
 
 }  // namespace

@@ -1,14 +1,19 @@
 // Property tests for the simulation engine: determinism across runs,
 // conservation invariants of the sync primitives under random task graphs,
-// and clock monotonicity.
+// their wake order against a reference model, and clock monotonicity.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <coroutine>
+#include <deque>
+#include <functional>
+#include <optional>
 #include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "dlm/cohort.hpp"
 #include "sim/engine.hpp"
 #include "sim/sync.hpp"
 
@@ -91,11 +96,12 @@ TEST(SimPropertyTest, SemaphorePermitsConserved) {
   // never exceed the configured concurrency.
   Engine eng;
   constexpr std::size_t kPermits = 4;
+  constexpr int kStrands = 30;
   Semaphore sem(eng, kPermits);
-  int active = 0, peak = 0;
-  for (int id = 0; id < 30; ++id) {
-    eng.spawn([](Engine& e, Semaphore& s, int self, int& act, int& pk)
-                  -> Task<void> {
+  int active = 0, peak = 0, finished = 0;
+  for (int id = 0; id < kStrands; ++id) {
+    eng.spawn([](Engine& e, Semaphore& s, int self, int& act, int& pk,
+                 int& done) -> Task<void> {
       Rng rng(7000 + self);
       for (int i = 0; i < 8; ++i) {
         co_await e.delay(rng.uniform(1, 100));
@@ -106,13 +112,14 @@ TEST(SimPropertyTest, SemaphorePermitsConserved) {
         --act;
         s.release();
       }
-    }(eng, sem, id, active, peak));
+      ++done;
+    }(eng, sem, id, active, peak, finished));
   }
   eng.run();
   EXPECT_EQ(active, 0);
   EXPECT_LE(peak, static_cast<int>(kPermits));
   EXPECT_EQ(sem.available(), kPermits);
-  EXPECT_EQ(sem.waiting(), 0u);
+  EXPECT_EQ(finished, kStrands) << "a strand was left parked";
 }
 
 TEST(SimPropertyTest, ChannelConservesAndOrdersMessages) {
@@ -314,6 +321,424 @@ TEST(SimPropertyTest, ManyEngineLifecyclesAreIndependent) {
   const auto interleaved = run_random_workload(5);
   other.run();
   EXPECT_EQ(isolated, interleaved);
+}
+
+// --- wake order against a std::deque reference model ---
+//
+// The test body drives one primitive: each step applies one to three
+// seeded random operations (spawning strands that park on it, releasing,
+// setting, sending, receiving, granting and leaving a lock tenure) and then
+// runs the engine until every wake cascade has settled.  The model keeps
+// parked strands in std::deques and the strands the engine has yet to run
+// in a FIFO of model actions, as the engine's ready ring does.  The log of
+// which strand got through, in order, must equal the model's after every
+// step.  Strands still parked at the end are torn down with the primitive
+// destroyed first.
+
+constexpr std::uint64_t kOrderSeeds = 16;
+constexpr int kOrderSteps = 200;
+
+/// The model's ready ring: actions run in the order they were scheduled.
+struct ModelRing {
+  std::deque<std::function<void()>> actions;
+  void schedule(std::function<void()> a) { actions.push_back(std::move(a)); }
+  void drain() {
+    while (!actions.empty()) {
+      auto a = std::move(actions.front());
+      actions.pop_front();
+      a();
+    }
+  }
+};
+
+template <typename T>
+T pop_front(std::deque<T>& q) {
+  T v = q.front();
+  q.pop_front();
+  return v;
+}
+
+/// Permits of a Semaphore, or of a Mutex whose `scoped` strands hand the
+/// permit back through their guard as soon as they have logged.
+struct PermitModel {
+  ModelRing ring;
+  std::size_t count = 0;
+  std::deque<int> parked;
+  std::vector<bool> scoped;  // by strand id
+  int plain_holders = 0;
+  std::vector<int> log;
+
+  void arrive(int id) {
+    if (count == 0) {
+      parked.push_back(id);
+      return;
+    }
+    --count;
+    hold(id);
+  }
+  void hold(int id) {
+    log.push_back(id);
+    if (scoped[id]) {
+      release();
+    } else {
+      ++plain_holders;
+    }
+  }
+  void release() {
+    if (parked.empty()) {
+      ++count;
+      return;
+    }
+    const int id = pop_front(parked);
+    ring.schedule([this, id] { hold(id); });
+  }
+};
+
+Task<void> take_permit(Semaphore& sem, std::vector<int>& log, int id) {
+  co_await sem.acquire();
+  log.push_back(id);
+}
+
+Task<void> take_mutex(Mutex& m, std::vector<int>& log, int id, bool scoped) {
+  if (scoped) {
+    auto guard = co_await m.scoped();
+    log.push_back(id);
+  } else {
+    co_await m.acquire();
+    log.push_back(id);
+  }
+}
+
+/// Semaphore (any initial count, releases at any time) or Mutex (plain and
+/// scoped strands, released only by the body for a plain holder).
+void check_permit_order(std::uint64_t seed, bool mutex) {
+  SCOPED_TRACE(::testing::Message() << (mutex ? "mutex" : "semaphore")
+                                    << " seed " << seed);
+  Rng rng(seed);
+  Engine eng;
+  PermitModel model;
+  model.count = mutex ? 1 : rng.uniform(0, 2);
+  Semaphore sem(eng, model.count);
+  Mutex mtx(eng);
+  std::vector<int> log;
+  for (int step = 0; step < kOrderSteps; ++step) {
+    for (auto ops = rng.uniform(1, 3); ops > 0; --ops) {
+      if (rng.chance(0.5)) {
+        const int id = static_cast<int>(model.scoped.size());
+        const bool scoped = mutex && rng.chance(0.5);
+        model.scoped.push_back(scoped);
+        model.ring.schedule([&model, id] { model.arrive(id); });
+        eng.spawn(mutex ? take_mutex(mtx, log, id, scoped)
+                        : take_permit(sem, log, id));
+      } else if (!mutex || model.plain_holders > 0) {
+        if (mutex) {
+          --model.plain_holders;
+          mtx.release();
+        } else {
+          sem.release();
+        }
+        model.release();
+      }
+    }
+    model.ring.drain();
+    eng.run();
+    ASSERT_EQ(log, model.log) << "step " << step;
+  }
+  if (!mutex) {
+    EXPECT_EQ(sem.available(), model.count);
+  }
+}
+
+TEST(SimPropertyTest, SemaphoreWakeOrderMatchesADequeModel) {
+  for (std::uint64_t seed = 1; seed <= kOrderSeeds; ++seed) {
+    check_permit_order(seed, /*mutex=*/false);
+  }
+}
+
+TEST(SimPropertyTest, MutexWakeOrderMatchesADequeModel) {
+  for (std::uint64_t seed = 1; seed <= kOrderSeeds; ++seed) {
+    check_permit_order(seed, /*mutex=*/true);
+  }
+}
+
+Task<void> wait_event(Event& ev, std::vector<int>& log, int id) {
+  co_await ev.wait();
+  log.push_back(id);
+}
+
+TEST(SimPropertyTest, EventWakeOrderMatchesADequeModel) {
+  for (std::uint64_t seed = 1; seed <= kOrderSeeds; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    Rng rng(seed);
+    Engine eng;
+    Event ev(eng);
+    std::vector<int> log;
+    // The model: a woken waiter gets through even if the event was reset
+    // before it ran.
+    ModelRing ring;
+    bool set = false;
+    std::deque<int> parked;
+    std::vector<int> want;
+    int strands = 0;
+    for (int step = 0; step < kOrderSteps; ++step) {
+      for (auto ops = rng.uniform(1, 3); ops > 0; --ops) {
+        const auto op = rng.uniform(4);
+        if (op < 2) {
+          const int id = strands++;
+          ring.schedule([&, id] {
+            if (set) {
+              want.push_back(id);
+            } else {
+              parked.push_back(id);
+            }
+          });
+          eng.spawn(wait_event(ev, log, id));
+        } else if (op == 2) {
+          ev.set();
+          set = true;
+          while (!parked.empty()) {
+            ring.schedule([&want, id = pop_front(parked)] {
+              want.push_back(id);
+            });
+          }
+        } else {
+          ev.reset();
+          set = false;
+        }
+      }
+      ring.drain();
+      eng.run();
+      ASSERT_EQ(log, want) << "step " << step;
+    }
+  }
+}
+
+/// A bounded channel: senders park while it is full and re-check the
+/// capacity when woken; a woken receiver has the head item reserved.
+struct ChannelModel {
+  ModelRing ring;
+  std::size_t capacity = 1;
+  std::deque<int> items, receivers, senders;
+  std::size_t reserved = 0;
+  std::vector<std::pair<int, int>> log;  // (receiver, item) or (sender, -1)
+
+  void send(int id) {  // a sender's first run, or its run after a wake
+    if (items.size() >= capacity) {
+      senders.push_back(id);
+      return;
+    }
+    items.push_back(id);
+    if (!receivers.empty()) {
+      ++reserved;
+      ring.schedule([this, r = pop_front(receivers)] {
+        --reserved;
+        log.emplace_back(r, take());
+      });
+    }
+    log.emplace_back(id, -1);
+  }
+  void recv(int id) {
+    if (items.size() > reserved) {
+      log.emplace_back(id, take());
+    } else {
+      receivers.push_back(id);
+    }
+  }
+  std::optional<int> try_recv() {
+    if (items.size() <= reserved) return std::nullopt;
+    return take();
+  }
+  int take() {
+    const int item = pop_front(items);
+    if (!senders.empty()) {
+      ring.schedule([this, s = pop_front(senders)] { send(s); });
+    }
+    return item;
+  }
+};
+
+Task<void> send_item(Channel<int>& ch, std::vector<std::pair<int, int>>& log,
+                     int id) {
+  co_await ch.send(id);
+  log.emplace_back(id, -1);
+}
+
+Task<void> recv_item(Channel<int>& ch, std::vector<std::pair<int, int>>& log,
+                     int id) {
+  const int item = co_await ch.recv();
+  log.emplace_back(id, item);
+}
+
+TEST(SimPropertyTest, ChannelWakeOrderMatchesADequeModel) {
+  for (std::uint64_t seed = 1; seed <= kOrderSeeds; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    Rng rng(seed);
+    Engine eng;
+    ChannelModel model;
+    model.capacity = rng.uniform(1, 3);
+    Channel<int> ch(eng, model.capacity);
+    std::vector<std::pair<int, int>> log;
+    int strands = 0;
+    for (int step = 0; step < kOrderSteps; ++step) {
+      for (auto ops = rng.uniform(1, 3); ops > 0; --ops) {
+        const auto op = rng.uniform(20);
+        const int id = strands++;
+        if (op < 8) {
+          model.ring.schedule([&model, id] { model.send(id); });
+          eng.spawn(send_item(ch, log, id));
+        } else if (op < 15) {
+          model.ring.schedule([&model, id] { model.recv(id); });
+          eng.spawn(recv_item(ch, log, id));
+        } else {
+          ASSERT_EQ(ch.try_recv(), model.try_recv()) << "step " << step;
+        }
+      }
+      model.ring.drain();
+      eng.run();
+      ASSERT_EQ(log, model.log) << "step " << step;
+      ASSERT_EQ(ch.size(), model.items.size()) << "step " << step;
+    }
+  }
+}
+
+/// One node's group for one lock, as dlm::Cohort keeps it.  A strand in
+/// `kLeading` leads a tenure whose remote acquire the body has not granted
+/// yet; one in `kIn` is in a tenure and waits for the body to let it leave;
+/// `kBusy` has a command or its first run pending.
+struct CohortModel {
+  enum class State { kBusy, kParked, kLeading, kIn, kDone };
+  struct Group {
+    std::size_t active = 0;
+    bool reading = false;
+    bool held = false;
+    std::deque<int> waiters;
+  };
+  ModelRing ring;
+  std::array<Group, 4> groups;
+  std::vector<std::size_t> group_of;
+  std::vector<bool> reads;
+  std::vector<State> state;
+  std::vector<std::pair<int, int>> log;  // (strand, leads)
+
+  void arrive(int id) {
+    Group& g = groups[group_of[id]];
+    if (g.active == 0) {
+      g.active = 1;
+      g.reading = reads[id];
+      enter(id, true);
+    } else if (reads[id] && g.reading && g.held && g.waiters.empty()) {
+      ++g.active;
+      enter(id, false);
+    } else {
+      g.waiters.push_back(id);
+      state[id] = State::kParked;
+    }
+  }
+  void enter(int id, bool lead) {
+    log.emplace_back(id, lead ? 1 : 0);
+    state[id] = lead ? State::kLeading : State::kIn;
+  }
+  void woken(int id) { enter(id, !groups[group_of[id]].held); }
+  void acquired(int id) {
+    Group& g = groups[group_of[id]];
+    state[id] = State::kIn;
+    g.held = true;
+    if (!g.reading) return;
+    while (!g.waiters.empty() && reads[g.waiters.front()]) {
+      ++g.active;
+      ring.schedule([this, w = pop_front(g.waiters)] { woken(w); });
+    }
+  }
+  void leave(int id) {
+    Group& g = groups[group_of[id]];
+    state[id] = State::kDone;
+    if (g.active > 1) {
+      --g.active;
+      return;
+    }
+    if (g.waiters.empty()) {
+      g = Group{};
+      return;
+    }
+    g.held = false;
+    g.active = 1;
+    g.reading = reads[g.waiters.front()];
+    ring.schedule([this, w = pop_front(g.waiters)] { woken(w); });
+  }
+  /// A random strand in `s`, or -1.
+  int pick(Rng& rng, State s) const {
+    std::vector<int> ids;
+    for (std::size_t i = 0; i < state.size(); ++i) {
+      if (state[i] == s) ids.push_back(static_cast<int>(i));
+    }
+    return ids.empty() ? -1 : ids[rng.uniform(ids.size())];
+  }
+};
+
+/// The body's commands to one cohort strand: `grant` completes the remote
+/// acquire it leads, `go` makes it leave its tenure.
+struct CohortCommands {
+  explicit CohortCommands(Engine& eng) : grant(eng), go(eng) {}
+  Event grant;
+  Event go;
+};
+
+Task<void> cohort_strand(dlm::Cohort& cohort, std::uint64_t lock,
+                         fabric::NodeId node, bool read, CohortCommands& cmd,
+                         std::vector<std::pair<int, int>>& log, int id) {
+  const bool lead = co_await cohort.enter(
+      lock, node, read ? dlm::LockMode::kShared : dlm::LockMode::kExclusive);
+  log.emplace_back(id, lead ? 1 : 0);
+  if (lead) {
+    co_await cmd.grant.wait();
+    cohort.acquired(lock, node);
+  }
+  co_await cmd.go.wait();
+  if (cohort.leave(lock, node)) cohort.finish(lock, node);
+}
+
+TEST(SimPropertyTest, CohortWakeOrderMatchesADequeModel) {
+  // Readers and writers of two locks on two nodes (four groups).
+  using State = CohortModel::State;
+  for (std::uint64_t seed = 1; seed <= kOrderSeeds; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    Rng rng(seed);
+    Engine eng;
+    dlm::Cohort cohort(eng);
+    std::deque<CohortCommands> cmds;
+    CohortModel model;
+    std::vector<std::pair<int, int>> log;
+    for (int step = 0; step < kOrderSteps; ++step) {
+      for (auto ops = rng.uniform(1, 3); ops > 0; --ops) {
+        const auto op = rng.uniform(10);
+        if (op < 4) {
+          const int id = static_cast<int>(model.state.size());
+          const std::size_t group = rng.uniform(model.groups.size());
+          const bool read = rng.chance(0.5);
+          model.group_of.push_back(group);
+          model.reads.push_back(read);
+          model.state.push_back(State::kBusy);
+          model.ring.schedule([&model, id] { model.arrive(id); });
+          eng.spawn(cohort_strand(cohort, group / 2,
+                                  static_cast<fabric::NodeId>(group % 2), read,
+                                  cmds.emplace_back(eng), log, id));
+        } else if (op < 7) {
+          if (const int id = model.pick(rng, State::kLeading); id >= 0) {
+            model.state[id] = State::kBusy;
+            model.ring.schedule([&model, id] { model.acquired(id); });
+            cmds[id].grant.set();
+          }
+        } else if (const int id = model.pick(rng, State::kIn); id >= 0) {
+          model.state[id] = State::kBusy;
+          model.ring.schedule([&model, id] { model.leave(id); });
+          cmds[id].go.set();
+        }
+      }
+      model.ring.drain();
+      eng.run();
+      ASSERT_EQ(log, model.log) << "step " << step;
+    }
+  }
 }
 
 }  // namespace

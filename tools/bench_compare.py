@@ -29,10 +29,11 @@ ns/event instead.  Wall time is machine- and load-dependent, so --wall only
 REPORTS deltas beyond the threshold (default 15%) and exits zero; it
 exists to make throughput changes visible in CI logs, not to gate them.
 Every wall scenario carries scalar `events` and `wall_ns`; anything else
-is an input error (exit 2).  Each bench's top-level `peak_rss_mb` and
-each scenario's frames/event (coroutine frames allocated in the run phase,
-`frames` over `events`), when both sides have them, are reported the same
-way.
+is an input error (exit 2).  Each bench's top-level `peak_rss_mb`, each
+scenario's frames/event (coroutine frames allocated in the run phase,
+`frames` over `events`) and each scenario's `setup_ns` (host time outside
+its engine runs, printed in ms), when both sides have them, are reported
+the same way.
 
 --max-ns-per-event NS is the one wall-clock gate: an absolute ceiling, not
 a delta.  Any candidate scenario above NS ns/event is named and the script
@@ -222,6 +223,35 @@ def compare_wall_frames(label, base, cand, threshold, notable):
           f"{delta:+8.2f}%  {status}")
 
 
+def wall_setup_ms(label, side, doc):
+    """A wall scenario's `setup_ns` in milliseconds, or None when it has no
+    such field (files written before the field existed)."""
+    if "setup_ns" not in doc:
+        return None
+    setup = doc["setup_ns"]
+    if not isinstance(setup, (int, float)) or isinstance(setup, bool):
+        raise CompareError(
+            f"error: {side} scenario {label} has a non-numeric \"setup_ns\"")
+    return float(setup) / 1e6
+
+
+def compare_wall_setup(label, base, cand, threshold, notable):
+    """setup_ns delta (host time of the scenario outside its engine runs),
+    report-only like ns/event; skipped when either side lacks the field."""
+    b = wall_setup_ms(label, "baseline", base)
+    c = wall_setup_ms(label, "candidate", cand)
+    if b is None or c is None:
+        return
+    delta = pct_change(b, c)
+    status = "ok"
+    if abs(delta) > threshold:
+        status = "SLOWER" if delta > 0 else "FASTER"
+        notable.append(f"{label} setup_ms: {b:.3f} -> {c:.3f} "
+                       f"({delta:+.2f}%)")
+    print(f"  {label:50s} {'setup_ms':10s} {b:>16.3f} {c:>16.3f} "
+          f"{delta:+8.2f}%  {status}")
+
+
 def compare_peak_rss(bench, base_doc, cand_doc, threshold, notable):
     """Top-level peak_rss_mb delta, report-only; skipped when either side
     predates the field."""
@@ -306,6 +336,8 @@ def main() -> int:
                                       failures)
                 compare_wall_frames(f"{bench}/{scenario}", base[scenario],
                                     cand[scenario], args.threshold, failures)
+                compare_wall_setup(f"{bench}/{scenario}", base[scenario],
+                                   cand[scenario], args.threshold, failures)
             else:
                 compare_scenario(f"{bench}/{scenario}", base[scenario],
                                  cand[scenario], args.threshold, failures)
